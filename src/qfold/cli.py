@@ -11,25 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-import zlib
-from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
-from .corpus import corpus as corpus_entries, corpus_entry
-from .dim_calc import dim_quiver_variety, dim_steinberg, fixed_components
+from .corpus import corpus_entry
+from .dim_calc import fixed_components
 from .errors import InputError, PropertyViolation, QfoldError
-from .generators import (
-    random_graded_pair,
-    random_one_way_module,
-    random_theta_module,
-)
-from .lie_fold import cartan_from_quiver, classify_cartan, fold_cartan, folded_generators, serre_check
+from .lie_fold import cartan_from_quiver, classify_cartan, fold_cartan
 from .linalg import Mat
 from .module_lab import (
     apply_theta,
-    brute_stability,
     build_theta_witness,
     check_relations,
     eigen_profile,
@@ -38,20 +28,16 @@ from .module_lab import (
     is_stable,
     rational_eigenvalues,
     theorem5_verify,
-    verify_transition,
 )
+from .properties import PROPERTIES
 from .quiver_core import (
     DiagramAutomorphism,
     Quiver,
-    a_quiver,
-    d_quiver,
-    flip_automorphism,
-    fork_swap_automorphism,
     orbit_data,
     quiver_from_dict,
     quiver_to_dict,
 )
-from .rep_branch import branch, freudenthal_character, highest_weight_from_framing, weyl_dim
+from .rep_branch import branch, highest_weight_from_framing, weyl_dim
 from .serialize import (
     matmap_from_obj,
     module_from_dict,
@@ -60,7 +46,7 @@ from .serialize import (
     witness_from_dict,
     witness_to_dict,
 )
-from .split_quotient import SplitData, fiber_count, fibers_of_p, quotient_quiver, split_quiver
+from .split_quotient import SplitData, fiber_count, quotient_quiver, split_quiver
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -105,12 +91,27 @@ def _parse_dimvec(text: str, vertices: tuple[str, ...], name: str) -> dict[str, 
     canonical vertex order."""
     text = text.strip()
     if text.startswith("{"):
-        data = json.loads(text)
-        return {str(k): int(v) for k, v in data.items()}
-    parts = [p for p in text.split(",") if p.strip() != ""]
-    if len(parts) != len(vertices):
-        raise InputError(f"{name} needs {len(vertices)} entries, got {len(parts)}")
-    return {v: int(p) for v, p in zip(vertices, parts)}
+        try:
+            items = json.loads(text).items()
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{name} is not valid JSON: {exc}") from None
+    else:
+        parts = [p for p in text.split(",") if p.strip() != ""]
+        if len(parts) != len(vertices):
+            raise InputError(f"{name} needs {len(vertices)} entries, got {len(parts)}")
+        items = zip(vertices, parts)
+    return {str(k): _dim_entry(v, name) for k, v in items}
+
+
+def _dim_entry(value, name: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{name} entries must be integers, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +244,6 @@ def cmd_module(args) -> int:
         raise InputError("this action needs an automorphism in the quiver block")
     if "sigma" in data:
         sigma = sigma_from_dict(q, a, data["sigma"])
-        sigma.validate(m.w)
     else:
         sigma = identity_sigma(q, a, m.w)
 
@@ -314,271 +314,15 @@ def cmd_module(args) -> int:
 # verify-all
 # ---------------------------------------------------------------------------
 
-def _check_rng(seed: int, name: str) -> random.Random:
-    return random.Random(seed ^ zlib.crc32(name.encode()))
-
-
-def _vcheck_split_table(seed: int) -> list[str]:
-    bad = []
-    for n in range(2, 6):
-        d = d_quiver(n + 1)
-        sd = split_quiver(d, fork_swap_automorphism(d, n + 1))
-        got = str(classify_cartan(cartan_from_quiver(sd.split)))
-        if got != f"A{2 * n - 1}":
-            bad.append(f"split(D{n + 1}) = {got}")
-        aq = a_quiver(2 * n - 1)
-        sd2 = split_quiver(aq, flip_automorphism(aq, 2 * n - 1))
-        got2 = str(classify_cartan(cartan_from_quiver(sd2.split)))
-        want = "A3" if n == 2 else f"D{n + 1}"
-        if got2 != want:
-            bad.append(f"split(A{2 * n - 1}) = {got2}")
-    return bad
-
-
-def _vcheck_involution(seed: int) -> list[str]:
-    from .split_quotient import split_involution_check
-    bad = []
-    for entry in corpus_entries():
-        if not entry.admissible:
-            continue
-        wit = split_involution_check(entry.quiver, entry.auto)
-        if not wit.automorphism_matched:
-            bad.append(f"{entry.name}: isomorphism does not match automorphisms")
-    return bad
-
-
-def _vcheck_fold_table(seed: int) -> list[str]:
-    bad = []
-    for n in range(2, 6):
-        aq = a_quiver(2 * n - 1)
-        fold = fold_cartan(cartan_from_quiver(aq), flip_automorphism(aq, 2 * n - 1))
-        got = str(classify_cartan(fold.folded))
-        if got != f"C{n}":
-            bad.append(f"fold(A{2 * n - 1}) = {got}")
-        d = d_quiver(n + 1)
-        fold2 = fold_cartan(cartan_from_quiver(d), fork_swap_automorphism(d, n + 1))
-        got2 = str(classify_cartan(fold2.folded))
-        if got2 != f"B{n}":
-            bad.append(f"fold(D{n + 1}) = {got2}")
-    return bad
-
-
-def _vcheck_serre(seed: int) -> list[str]:
-    bad = []
-    for n in (1, 3, 5, 7):
-        q = a_quiver(n)
-        a = flip_automorphism(q, n)
-        fold = fold_cartan(cartan_from_quiver(q), a)
-        e, f, h = folded_generators(n, "A", a)
-        if not serre_check(fold.folded, e, f, h).ok:
-            bad.append(f"A{n} flip generators fail")
-    for n in (3, 4, 5):
-        q = d_quiver(n)
-        a = fork_swap_automorphism(q, n)
-        fold = fold_cartan(cartan_from_quiver(q), a)
-        e, f, h = folded_generators(n, "D", a)
-        if not serre_check(fold.folded, e, f, h).ok:
-            bad.append(f"D{n} swap generators fail")
-    return bad
-
-
-def _vcheck_branch(seed: int) -> list[str]:
-    rng = _check_rng(seed, "branch")
-    bad = []
-    a3 = a_quiver(3)
-    c = cartan_from_quiver(a3)
-    fold = fold_cartan(c, flip_automorphism(a3, 3))
-    if branch(c, (1, 0, 0), fold) != [((1, 0), 1)]:
-        bad.append("A3 omega1 branch wrong")
-    got = dict(branch(c, (0, 1, 0), fold))
-    if got != {(0, 1): 1, (0, 0): 1}:
-        bad.append("A3 omega2 branch wrong")
-    a5 = a_quiver(5)
-    c5 = cartan_from_quiver(a5)
-    fold5 = fold_cartan(c5, flip_automorphism(a5, 5))
-    for _ in range(5):
-        while True:
-            lam = tuple(rng.randint(0, 1) for _ in range(5))
-            lam = (lam[0], lam[1], lam[2], lam[1], lam[0])
-            if weyl_dim(c5, lam) <= 5000:
-                break
-        rows = branch(c5, lam, fold5)
-        if sum(m * weyl_dim(fold5.folded, wt) for wt, m in rows) != weyl_dim(c5, lam):
-            bad.append(f"A5 branch of {lam} does not conserve dimension")
-    return bad
-
-
-def _vcheck_characters(seed: int) -> list[str]:
-    rng = _check_rng(seed, "characters")
-    bad = []
-    from .lie_fold import canonical_cartan
-    cartans = [canonical_cartan("A", n) for n in range(1, 5)] + \
-              [canonical_cartan("C", 2), canonical_cartan("B", 3)]
-    for _ in range(10):
-        c = rng.choice(cartans)
-        lam = tuple(rng.randint(0, 2) for _ in range(c.n))
-        if weyl_dim(c, lam) > 20000:
-            continue
-        ch = freudenthal_character(c, lam)
-        if sum(ch.values()) != weyl_dim(c, lam):
-            bad.append(f"character total mismatch at {lam}")
-    return bad
-
-
-def _vcheck_stability(seed: int) -> list[str]:
-    bad = []
-    quivers = [a_quiver(2), a_quiver(3), d_quiver(4)]
-    for trial in range(50):
-        rng = _check_rng(seed, f"stability:{trial}")  # independent per-trial seed
-        q = quivers[trial % 3]
-        p = (2, 3)[trial % 2]
-        v = {x: rng.randint(0, 2) for x in q.vertices}
-        w = {x: rng.randint(0, 2) for x in q.vertices}
-        m = random_one_way_module(rng, q, v, w, p=p)
-        if is_stable(m) != brute_stability(m):
-            bad.append(f"stability disagreement on trial {trial}")
-    return bad
-
-
-def _vcheck_witness(seed: int) -> list[str]:
-    from fractions import Fraction as F
-    bad = []
-    a3 = a_quiver(3)
-    flip = flip_automorphism(a3, 3)
-    from .module_lab import framed_module
-    m1 = framed_module(
-        a3, {"1": 1, "2": 1, "3": 1}, {"1": 1, "2": 1, "3": 1},
-        B={"e2*": Mat.rational([[1]])},
-        J={"1": Mat.rational([[1]]), "2": Mat.rational([[1]]), "3": Mat.rational([[0]])})
-    sigma = identity_sigma(a3, flip, m1.w)
-    g = {"1": Mat.rational([[1]]), "2": Mat.rational([[2]]), "3": Mat.rational([[1]])}
-    big, witness = build_theta_witness(m1, g, flip, sigma)
-    if not verify_transition(big, flip, sigma, witness):
-        bad.append("witness verification failed")
-    prof = eigen_profile(witness.g["2"], 2)
-    outside = prof["other"] + sum(d for t, d in prof["roots"].items()
-                                  if t not in (F(0), F(1, 2)))
-    if outside == 0:
-        bad.append("expected eigenvalue mass outside +-1 at the fixed vertex")
-    return bad
-
-
-def _vcheck_theorem5(seed: int) -> list[str]:
-    bad = []
-    setups = [(a_quiver(3), flip_automorphism(a_quiver(3), 3)),
-              (d_quiver(4), fork_swap_automorphism(d_quiver(4), 4))]
-    for trial in range(50):
-        q, a = setups[trial % 2]
-        rng = _check_rng(seed, f"theorem5:{trial}")  # independent per-trial seed
-        xi, msub, m, sigma, wsub, wit = random_graded_pair(rng, q, a)
-        rep = theorem5_verify(xi, msub, m, a, sigma, wsub, wit)
-        if not rep.ok:
-            bad.append(f"eigenspace inclusion failed on trial {trial} at {rep.vertex}")
-    return bad
-
-
-def _vcheck_theta_order(seed: int) -> list[str]:
-    rng = _check_rng(seed, "theta-order")
-    bad = []
-    for entry in corpus_entries():
-        od = orbit_data(entry.quiver, entry.auto)
-        for trial in range(10):
-            m, sigma = random_theta_module(rng, entry.quiver, entry.auto)
-            cur = m
-            for _ in range(od.n):
-                cur = apply_theta(cur, entry.auto, sigma)
-            if cur != m:
-                bad.append(f"{entry.name}: transport order exceeds {od.n} (trial {trial})")
-                break
-    return bad
-
-
-def _vcheck_dims(seed: int) -> list[str]:
-    bad = []
-    a1 = cartan_from_quiver(a_quiver(1))
-    for m in range(6):
-        for k in range(m + 1):
-            got = dim_quiver_variety({"1": k}, {"1": m}, a1)
-            if got != 2 * k * (m - k):
-                bad.append(f"Grassmannian dimension wrong at ({k},{m})")
-    if dim_steinberg({"1": 1}, {"1": 2}, {"1": 2}, a1) != Fraction(1):
-        bad.append("half-sum value wrong")
-    return bad
-
-
-def _vcheck_fibers(seed: int) -> list[str]:
-    bad = []
-    setups = [(d_quiver(4), fork_swap_automorphism(d_quiver(4), 4)),
-              (a_quiver(3), flip_automorphism(a_quiver(3), 3))]
-    for q, a in setups:
-        sd = split_quiver(q, a)
-        od = sd.orbits
-        import itertools
-        orbit_values = [range(0, 3) for _ in od.vertex_orbits]
-        for combo in itertools.product(*orbit_values):
-            v = {}
-            for orbit, val in zip(od.vertex_orbits, combo):
-                for x in orbit:
-                    v[x] = val
-            fib = fibers_of_p(v, sd)
-            if len(fib) != fiber_count(v, sd):
-                bad.append(f"fiber count mismatch at {v}")
-            from .split_quotient import project_dim
-            if any(project_dim(f, sd) != v for f in fib):
-                bad.append(f"fiber projection mismatch at {v}")
-    return bad
-
-
-def _vcheck_admissibility(seed: int) -> list[str]:
-    from .quiver_core import is_admissible
-    bad = []
-    expect = {2: (True, False, True), 3: (True, False, True),
-              4: (True, False, True), 5: (True, False, True)}
-    for n, (odd_ok, even_ok, d_ok) in expect.items():
-        q = a_quiver(2 * n - 1)
-        if is_admissible(q, flip_automorphism(q, 2 * n - 1)) != odd_ok:
-            bad.append(f"A{2 * n - 1} flip admissibility wrong")
-        q = a_quiver(2 * n)
-        if is_admissible(q, flip_automorphism(q, 2 * n)) != even_ok:
-            bad.append(f"A{2 * n} flip admissibility wrong")
-        q = d_quiver(n)
-        if is_admissible(q, fork_swap_automorphism(q, n)) != d_ok:
-            bad.append(f"D{n} swap admissibility wrong")
-    return bad
-
-
-VERIFY_CHECKS = [
-    ("admissibility", _vcheck_admissibility),
-    ("split-correspondence", _vcheck_split_table),
-    ("split-involution", _vcheck_involution),
-    ("folding-table", _vcheck_fold_table),
-    ("folded-generators", _vcheck_serre),
-    ("branching", _vcheck_branch),
-    ("character-dimensions", _vcheck_characters),
-    ("stability-oracle", _vcheck_stability),
-    ("twisted-double-witness", _vcheck_witness),
-    ("eigenspace-inclusion", _vcheck_theorem5),
-    ("transport-order", _vcheck_theta_order),
-    ("variety-dimensions", _vcheck_dims),
-    ("fiber-enumeration", _vcheck_fibers),
-]
-
-
 def cmd_verify_all(args) -> int:
-    results: list[tuple[str, list[str]]] = [None] * len(VERIFY_CHECKS)
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        futures = {pool.submit(fn, args.seed): idx
-                   for idx, (_name, fn) in enumerate(VERIFY_CHECKS)}
-        for fut, idx in futures.items():
-            name = VERIFY_CHECKS[idx][0]
-            try:
-                results[idx] = (name, fut.result())
-            except QfoldError as exc:
-                results[idx] = (name, [f"error: {exc}"])
     failures = 0
     payload = {}
     lines = []
-    for name, bad in results:
+    for name, (check, size) in PROPERTIES.items():
+        try:
+            bad = check(args.seed, size)
+        except QfoldError as exc:
+            bad = [f"error: {exc}"]
         status = "pass" if not bad else "FAIL"
         payload[name] = {"status": status, "problems": bad}
         lines.append(f"{name:<24} {status}" + (f"  ({'; '.join(bad)})" if bad else ""))
@@ -632,9 +376,8 @@ def build_parser() -> _Parser:
     p.add_argument("action", choices=["check", "theta", "transition", "witness", "theorem5"])
     p.add_argument("file", help="module JSON file, - for stdin")
 
-    p = sub.add_parser("verify-all", parents=[common],
-                       help="run the whole property suite over the corpus")
-    p.add_argument("--jobs", type=int, default=4)
+    sub.add_parser("verify-all", parents=[common],
+                   help="run the whole property suite over the corpus")
     return parser
 
 

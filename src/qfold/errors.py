@@ -94,6 +94,10 @@ class NotInvariantWeight(InputError):
     pass
 
 
+class CharacterMismatch(PropertyViolation):
+    """Weyl's dimension formula and the Freudenthal recursion disagree."""
+
+
 class StrippingFailure(PropertyViolation):
     """Character stripping produced a negative multiplicity."""
 

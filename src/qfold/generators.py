@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .errors import InputError
+from .errors import InputError, PropertyViolation
 from .linalg import Mat
 from .numberfield import Fp, cyclotomic_poly
 from .module_lab import (
@@ -112,7 +112,8 @@ def random_one_way_module(rng: random.Random, q: Quiver, v: Mapping[str, int],
         B[key] = rand_mat(rng, v.get(tgt, 0), v.get(src, 0), p=p)
     J = {x: rand_mat(rng, w.get(x, 0), v.get(x, 0), p=p) for x in q.vertices}
     m = framed_module(q, v, w, B=B, J=J, signed=signed, zero=zero)
-    assert check_relations(m).ok
+    if not check_relations(m).ok:
+        raise PropertyViolation("a one-way module violates the preprojective relation")
     return m
 
 
@@ -137,9 +138,7 @@ def random_sigma(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
         for g in chain:
             partial = g * partial
         maps[vertex] = target * partial.inverse() if n else Mat.zeros(0, 0)
-    sigma = SigmaData(q, a, maps)
-    sigma.validate(dict(wdims))
-    return sigma
+    return SigmaData(q, a, maps)
 
 
 def random_theta_module(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
@@ -294,7 +293,6 @@ def _try_graded_pair(rng, q, a, od, max_sub, max_extra):
 
     m = framed_module(q, v, w, B=B, J=J)
     sigma = SigmaData(q, a, sigma_maps)
-    sigma.validate(w)
     if apply_theta(m, a, sigma) != act(g0, m):
         raise InputError("graded construction failed its transport identity")
     if not is_stable(m):

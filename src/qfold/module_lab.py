@@ -46,7 +46,12 @@ from .quiver_core import (
     orbit_data,
     orientation_sign,
 )
-from .split_quotient import is_orbit_constant, root_of_unity_eigendims
+from .split_quotient import (
+    _cyclotomic_nullities,
+    is_orbit_constant,
+    orbit_composite,
+    root_of_unity_eigendims,
+)
 
 QQ1 = Fraction(1)
 
@@ -302,41 +307,41 @@ def invariant_orientation(q: Quiver, a: DiagramAutomorphism) -> Optional[dict[st
 @dataclass(frozen=True)
 class SigmaData:
     """Framing twists sigma_i : W_i -> W_{a(i)} with the around-the-orbit
-    composite of exact finite order e_i."""
+    composite of exact finite order e_i.
+
+    Construction validates the maps and raises SigmaConstraintViolated
+    otherwise; w_i is read off as the column count of sigma_i.
+    """
 
     quiver: Quiver
     auto: DiagramAutomorphism
     maps: Mapping[str, Mat]
 
-    def validate(self, wdims: Mapping[str, int]) -> None:
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
         a, q = self.auto, self.quiver
+        missing = [vertex for vertex in q.vertices if vertex not in self.maps]
+        if missing:
+            raise SigmaConstraintViolated(f"sigma is missing at {', '.join(missing)}")
         for vertex in q.vertices:
-            mat = self.maps.get(vertex)
-            want_rows = wdims.get(a.vertex_perm[vertex], 0)
-            want_cols = wdims.get(vertex, 0)
-            if mat is None or mat.rows != want_rows or mat.cols != want_cols:
+            mat = self.maps[vertex]
+            want_rows = self.maps[a.vertex_perm[vertex]].cols
+            if mat.rows != want_rows:
                 raise SigmaConstraintViolated(
-                    f"sigma at {vertex} must be a {want_rows}x{want_cols} matrix")
-            if want_rows == want_cols and mat.rows and not mat.is_invertible():
+                    f"sigma at {vertex} must be a {want_rows}x{mat.cols} matrix")
+            if mat.rows == mat.cols and mat.rows and not mat.is_invertible():
                 raise SigmaConstraintViolated(f"sigma at {vertex} is singular")
         od = orbit_data(q, a)
         for orbit in od.vertex_orbits:
             lift = orbit[0]
-            comp = _composite(self.maps, a, lift, len(orbit))
+            comp = orbit_composite(self.maps, a, lift, len(orbit))
             e = od.e_vertex[lift]
-            if comp.rows and comp.power(e) != Mat.identity(comp.rows):
+            # a difference, so that F_p twists compare with the rational identity
+            if not (comp.power(e) - Mat.identity(comp.rows)).is_zero():
                 raise SigmaConstraintViolated(
                     f"(sigma composite at {lift})^{e} is not the identity")
-
-
-def _composite(maps: Mapping[str, Mat], a: DiagramAutomorphism, lift: str, d: int) -> Mat:
-    vertex = lift
-    comp: Optional[Mat] = None
-    for _ in range(d):
-        m = maps[vertex]
-        comp = m if comp is None else m * comp
-        vertex = a.vertex_perm[vertex]
-    return comp if comp is not None else Mat.identity(0)
 
 
 def identity_sigma(q: Quiver, a: DiagramAutomorphism, wdims: Mapping[str, int]) -> SigmaData:
@@ -359,7 +364,8 @@ def apply_theta(m: FramedModule, a: DiagramAutomorphism, sigma: SigmaData) -> Fr
     od = orbit_data(q, a)
     if not is_orbit_constant(m.v, od) or not is_orbit_constant(m.w, od):
         raise NotOrbitConstant("module dimensions must be constant on orbits")
-    sigma.validate(m.w)
+    if any(sigma.maps[x].cols != m.w.get(x, 0) for x in q.vertices):
+        raise SigmaConstraintViolated("sigma does not match the framing dimensions of the module")
 
     if m.signed:
         orient = invariant_orientation(q, a)
@@ -627,19 +633,9 @@ def eigen_profile(g_mat: Mat, e: int) -> dict:
     whatever is not accounted for lands in "other"."""
     if g_mat.rows != g_mat.cols:
         raise ShapeMismatch("eigen_profile needs a square matrix")
-    from .numberfield import cyclotomic_poly
-    from math import gcd
-
-    dims: dict[Fraction, int] = {}
-    nullities: dict[int, int] = {}
-    for t in range(e):
-        d = e // gcd(t, e) if t else 1
-        if d not in nullities:
-            nullities[d] = g_mat.poly_eval(list(cyclotomic_poly(d))).nullity()
-        phi = sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
-        dims[Fraction(t, e)] = nullities[d] // phi if nullities[d] % phi == 0 else 0
-    accounted = sum(dims.values())
-    return {"roots": dims, "other": g_mat.rows - accounted}
+    dims = {Fraction(t, e): nd // phi if nd % phi == 0 else 0
+            for t, (_d, nd, phi) in enumerate(_cyclotomic_nullities(g_mat, e))}
+    return {"roots": dims, "other": g_mat.rows - sum(dims.values())}
 
 
 def rational_eigenvalues(g_mat: Mat) -> list[tuple[Fraction, int]]:

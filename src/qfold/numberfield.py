@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import NotInvertible
+from .errors import NotInvertible, PropertyViolation
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,8 @@ def cyclotomic_poly(d: int) -> tuple[Fraction, ...]:
     for e in range(1, d):
         if d % e == 0:
             num, rem = poly_divmod(num, list(cyclotomic_poly(e)))
-            assert rem == [Fraction(0)]
+            if rem != [Fraction(0)]:
+                raise PropertyViolation(f"Phi_{e} does not divide x^{d} - 1")
     return tuple(num)
 
 

@@ -21,6 +21,7 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .errors import (
+    CharacterMismatch,
     DimensionCapExceeded,
     IndexMismatch,
     NotDominant,
@@ -141,7 +142,8 @@ def weyl_dim(c: CartanMatrix, lam: Weight) -> int:
     num = Fraction(1)
     for beta in rs.positive_roots:
         num *= Fraction(_weight_root_ip(d, lam_rho, beta), _weight_root_ip(d, rho, beta))
-    assert num.denominator == 1 and num > 0
+    if num.denominator != 1 or num <= 0:
+        raise CharacterMismatch(f"Weyl's formula gives {num} at {lam}")
     return int(num)
 
 
@@ -250,14 +252,16 @@ def freudenthal_character(c: CartanMatrix, lam: Weight,
                 k += 1
         mu_rho = tuple(x + 1 for x in mu)
         denom = norm_lam - _weight_root_ip(d, mu_rho, _to_root_coords_int(c, mu_rho))
-        assert denom > 0 and (2 * acc) % denom == 0
+        if denom <= 0 or (2 * acc) % denom != 0:
+            raise CharacterMismatch(f"Freudenthal's recursion is not integral at {mu}")
         mults[mu] = (2 * acc) // denom
 
     char: Character = {}
     for mu, m in mults.items():
         for w in weyl_orbit(c, mu):
             char[w] = m
-    assert sum(char.values()) == total
+    if sum(char.values()) != total:
+        raise CharacterMismatch(f"character of {lam} has total {sum(char.values())}, not {total}")
     return char
 
 
@@ -293,7 +297,7 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
 
     Returns (folded dominant weight, multiplicity) pairs obtained by
     stripping the restricted character from the top; conservation of total
-    dimension is asserted.  Restriction is defined for every dominant
+    dimension is checked.  Restriction is defined for every dominant
     weight; pass require_invariant=True to insist that lam is constant on
     the folding orbits.
     """
@@ -335,7 +339,8 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
             else:
                 restricted[w] = rem
 
-    assert sum(m * weyl_dim(fc, w) for w, m in out) == weyl_dim(c, lam)
+    if sum(m * weyl_dim(fc, w) for w, m in out) != weyl_dim(c, lam):
+        raise StrippingFailure(f"the branching of {lam} does not conserve dimension")
     return out
 
 

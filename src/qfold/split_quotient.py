@@ -21,6 +21,7 @@ from .errors import (
     IsoNotFound,
     NotDiagonalizableOverCyclotomicEigenvalues,
     NotOrbitConstant,
+    PropertyViolation,
     SigmaConstraintViolated,
     ShapeMismatch,
     UnknownVertex,
@@ -319,6 +320,19 @@ def _euler_phi(d: int) -> int:
     return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
 
 
+def _cyclotomic_nullities(m: Mat, e: int) -> list[tuple[int, int, int]]:
+    """(d, nullity of Phi_d(m), phi(d)) for each phase t = 0/e, ..., (e-1)/e,
+    where exp(2*pi*i*t) is a primitive d-th root of unity."""
+    out = []
+    nullities: dict[int, int] = {}
+    for t in range(e):
+        d = e // gcd(t, e) if t else 1
+        if d not in nullities:
+            nullities[d] = m.poly_eval(list(cyclotomic_poly(d))).nullity()
+        out.append((d, nullities[d], _euler_phi(d)))
+    return out
+
+
 def root_of_unity_eigendims(m: Mat, e: int) -> list[int]:
     """Exact eigenspace dimensions of a rational matrix m with m^e = 1,
     listed for eigenvalues exp(2*pi*i*t), t = 0/e, 1/e, ..., (e-1)/e.
@@ -328,13 +342,7 @@ def root_of_unity_eigendims(m: Mat, e: int) -> list[int]:
     nullity(Phi_d(m)) / phi(d); no cyclotomic arithmetic is needed.
     """
     dims = []
-    nullities: dict[int, int] = {}
-    for t in range(e):
-        d = e // gcd(t, e) if t else 1
-        if d not in nullities:
-            nullities[d] = m.poly_eval(list(cyclotomic_poly(d))).nullity()
-        phi = _euler_phi(d)
-        nd = nullities[d]
+    for d, nd, phi in _cyclotomic_nullities(m, e):
         if nd % phi != 0:
             raise NotDiagonalizableOverCyclotomicEigenvalues(
                 f"kernel of Phi_{d} has dimension {nd}, not a multiple of phi({d})={phi}"
@@ -386,5 +394,6 @@ def orbit_composite(sigma: Mapping[str, Mat], a: DiagramAutomorphism, lift: str,
         m = sigma[vertex]
         comp = m if comp is None else m * comp
         vertex = a.vertex_perm[vertex]
-    assert vertex == lift
+    if vertex != lift:
+        raise PropertyViolation(f"the orbit of {lift} does not close after {d} steps")
     return comp if comp is not None else Mat.identity(0)

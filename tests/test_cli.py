@@ -89,6 +89,22 @@ def test_usage_errors_exit_one(capsys):
     assert main(["split"]) == 1          # no source
     assert main(["nonsense"]) == 1       # unknown subcommand
     assert main(["split", "--corpus", "missing-entry"]) == 1
+    capsys.readouterr()
+    # a malformed dimension vector is one error line naming its flag
+    probes = [
+        ("--framing", ["branch", "--corpus", "A3-flip", "--framing", "0,x,0"]),
+        ("--framing", ["branch", "--corpus", "A3-flip", "--framing", '{"1@1/2": "x"}']),
+        ("--framing", ["branch", "--corpus", "A3-flip", "--framing", '{"1@1/2": 1.5}']),
+        ("--framing", ["branch", "--corpus", "A3-flip", "--framing", '{"1@1/2": 1']),
+        ("--v", ["dims", "--corpus", "D4-swap", "--v", "1,x,1,1", "--w", "1,1,1,1"]),
+        ("--w", ["dims", "--corpus", "D4-swap", "--v", "1,1,1,1", "--w", "1,1,x,1"]),
+        ("--w-split", ["dims", "--corpus", "D4-swap", "--v", "1,1,1,1",
+                       "--w-split", "1,1,x,1,1"]),
+    ]
+    for flag, argv in probes:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and flag in err, err
 
 
 def test_determinism_byte_identical(capsys):
@@ -165,6 +181,10 @@ def test_module_theorem5(tmp_path, capsys):
     code, out = run(capsys, "module", "theorem5", str(path), "--json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+    doc["sigma"] = sigma_to_dict(sigma) | {"1": {"rows": 1, "cols": 1, "data": [["0"]]}}
+    path.write_text(json.dumps(doc))
+    assert main(["module", "theorem5", str(path)]) == 1
 
 
 def test_verify_all_passes(capsys):

@@ -42,6 +42,7 @@ from qfold.module_lab import (
     theorem5_verify,
     verify_transition,
 )
+from qfold.serialize import matmap_to_obj, sigma_from_dict
 from qfold.quiver_core import (
     a_quiver,
     automorphism,
@@ -168,8 +169,8 @@ def test_theta_order_on_sample():
                  (d_quiver(4), fork_swap_automorphism(d_quiver(4), 4)),
                  (d_quiver(4), automorphism(d_quiver(4), {"1": "3", "3": "4", "4": "1", "2": "2"}))]:
         od = orbit_data(q, a)
-        for _ in range(10):
-            m, sig = random_theta_module(rng, q, a)
+        for p in [None] * 10 + [2, 3]:  # F_p modules come with an F_p identity twist
+            m, sig = random_theta_module(rng, q, a, p=p)
             cur = m
             for _ in range(od.n):
                 cur = apply_theta(cur, a, sig)
@@ -193,11 +194,24 @@ def test_theta_requires_orbit_constant_dims():
 
 
 def test_sigma_constraint_checked():
-    w = {v: 1 for v in A3.vertices}
-    maps = {v: Mat.identity(1) for v in A3.vertices}
-    maps["2"] = Mat.rational([[3]])
+    # a bad sigma raises when it is built, directly or from JSON
+    ok = {v: Mat.identity(1) for v in A3.vertices}
+    bad_cases = [
+        {**ok, "2": Mat.rational([[3]])},                 # 3^2 != 1 at the fixed vertex
+        {**ok, "2": Mat.rational([[0]])},                 # singular
+        {"1": ok["1"], "2": ok["2"]},                     # missing vertex 3
+        {**ok, "1": Mat.identity(2)},                     # 2x2 into a 1-dim W_3
+        {**ok, "1": Mat.rational([[2]]), "3": Mat.rational([[1]])},  # composite 2 != 1
+    ]
+    for maps in bad_cases:
+        with pytest.raises(SigmaConstraintViolated):
+            SigmaData(A3, FLIP, maps)
+        with pytest.raises(SigmaConstraintViolated):
+            sigma_from_dict(A3, FLIP, matmap_to_obj(maps))
+    sigma = SigmaData(A3, FLIP, ok)
+    wide = framed_module(A3, {v: 1 for v in A3.vertices}, {v: 2 for v in A3.vertices})
     with pytest.raises(SigmaConstraintViolated):
-        SigmaData(A3, FLIP, maps).validate(w)
+        apply_theta(wide, FLIP, sigma)
 
 
 def test_no_invariant_orientation_for_reversed_edge():
