@@ -49,8 +49,8 @@ from .quiver_core import (
 from .split_quotient import (
     _cyclotomic_nullities,
     is_orbit_constant,
-    orbit_composite,
     root_of_unity_eigendims,
+    sigma_composite,
 )
 
 QQ1 = Fraction(1)
@@ -335,13 +335,7 @@ class SigmaData:
                 raise SigmaConstraintViolated(f"sigma at {vertex} is singular")
         od = orbit_data(q, a)
         for orbit in od.vertex_orbits:
-            lift = orbit[0]
-            comp = orbit_composite(self.maps, a, lift, len(orbit))
-            e = od.e_vertex[lift]
-            # a difference, so that F_p twists compare with the rational identity
-            if not (comp.power(e) - Mat.identity(comp.rows)).is_zero():
-                raise SigmaConstraintViolated(
-                    f"(sigma composite at {lift})^{e} is not the identity")
+            sigma_composite(self.maps, a, orbit[0], len(orbit), od.e_vertex[orbit[0]])
 
 
 def identity_sigma(q: Quiver, a: DiagramAutomorphism, wdims: Mapping[str, int]) -> SigmaData:

@@ -370,11 +370,7 @@ def split_framing(wdims: DimVec, sigma: Mapping[str, Mat], sd: SplitData) -> dic
     for idx, orbit in enumerate(od.vertex_orbits):
         lift = orbit[0]
         e = od.e_vertex[lift]
-        comp = orbit_composite(sigma, a, lift, od.d_vertex[lift])
-        if comp.rows and not comp.power(e) == Mat.identity(comp.rows):
-            raise SigmaConstraintViolated(
-                f"(sigma composite at {lift})^{e} is not the identity"
-            )
+        comp = sigma_composite(sigma, a, lift, od.d_vertex[lift], e)
         dims = root_of_unity_eigendims(comp, e) if comp.rows else [0] * e
         total = wdims.get(lift, 0)
         if sum(dims) != total:
@@ -397,3 +393,14 @@ def orbit_composite(sigma: Mapping[str, Mat], a: DiagramAutomorphism, lift: str,
     if vertex != lift:
         raise PropertyViolation(f"the orbit of {lift} does not close after {d} steps")
     return comp if comp is not None else Mat.identity(0)
+
+
+def sigma_composite(sigma: Mapping[str, Mat], a: DiagramAutomorphism, lift: str, d: int,
+                    e: int) -> Mat:
+    """The orbit composite of the framing twists at lift; raises
+    SigmaConstraintViolated unless its e-th power is the identity."""
+    comp = orbit_composite(sigma, a, lift, d)
+    # a difference, so that F_p twists compare with the rational identity
+    if not (comp.power(e) - Mat.identity(comp.rows)).is_zero():
+        raise SigmaConstraintViolated(f"(sigma composite at {lift})^{e} is not the identity")
+    return comp
