@@ -17,7 +17,6 @@ from .corpus import corpus_entry
 from .dim_calc import fixed_components
 from .errors import InputError, PropertyViolation, QfoldError
 from .lie_fold import cartan_from_quiver, classify_cartan, fold_cartan
-from .linalg import Mat
 from .module_lab import (
     apply_theta,
     build_theta_witness,
@@ -39,6 +38,8 @@ from .quiver_core import (
 )
 from .rep_branch import branch, highest_weight_from_framing, weyl_dim
 from .serialize import (
+    dim_entry,
+    json_object,
     matmap_from_obj,
     module_from_dict,
     module_to_dict,
@@ -46,7 +47,7 @@ from .serialize import (
     witness_from_dict,
     witness_to_dict,
 )
-from .split_quotient import SplitData, fiber_count, quotient_quiver, split_quiver
+from .split_quotient import SplitData, fiber_count, quotient_quiver, split_framing, split_quiver
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -100,18 +101,7 @@ def _parse_dimvec(text: str, vertices: tuple[str, ...], name: str) -> dict[str, 
         if len(parts) != len(vertices):
             raise InputError(f"{name} needs {len(vertices)} entries, got {len(parts)}")
         items = zip(vertices, parts)
-    return {str(k): _dim_entry(v, name) for k, v in items}
-
-
-def _dim_entry(value, name: str) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise InputError(f"{name} entries must be integers, got {value!r}")
+    return {str(k): dim_entry(v, name) for k, v in items}
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +192,7 @@ def cmd_dims(args) -> int:
         w_split = _parse_dimvec(args.w_split, sd.split.vertices, "--w-split")
     elif args.w:
         w = _parse_dimvec(args.w, q.vertices, "--w")
-        from .split_quotient import split_framing
-        sigma = {x: Mat.identity(w.get(x, 0)) for x in q.vertices}
-        w_split = split_framing(w, sigma, sd)
+        w_split = split_framing(identity_sigma(q, a, w), sd)
     else:
         raise InputError("supply --w-split or --w")
     records = fixed_components(v, sd, w_split)
@@ -220,7 +208,7 @@ def cmd_dims(args) -> int:
 
 def _load_module_file(path: str) -> dict:
     text = sys.stdin.read() if path == "-" else open(path).read()
-    return json.loads(text)
+    return json_object(json.loads(text), "a module file")
 
 
 def cmd_module(args) -> int:

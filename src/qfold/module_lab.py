@@ -47,10 +47,10 @@ from .quiver_core import (
     orientation_sign,
 )
 from .split_quotient import (
+    SigmaData,
     _cyclotomic_nullities,
     is_orbit_constant,
     root_of_unity_eigendims,
-    sigma_composite,
 )
 
 QQ1 = Fraction(1)
@@ -304,40 +304,6 @@ def invariant_orientation(q: Quiver, a: DiagramAutomorphism) -> Optional[dict[st
     return sigma
 
 
-@dataclass(frozen=True)
-class SigmaData:
-    """Framing twists sigma_i : W_i -> W_{a(i)} with the around-the-orbit
-    composite of exact finite order e_i.
-
-    Construction validates the maps and raises SigmaConstraintViolated
-    otherwise; w_i is read off as the column count of sigma_i.
-    """
-
-    quiver: Quiver
-    auto: DiagramAutomorphism
-    maps: Mapping[str, Mat]
-
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        a, q = self.auto, self.quiver
-        missing = [vertex for vertex in q.vertices if vertex not in self.maps]
-        if missing:
-            raise SigmaConstraintViolated(f"sigma is missing at {', '.join(missing)}")
-        for vertex in q.vertices:
-            mat = self.maps[vertex]
-            want_rows = self.maps[a.vertex_perm[vertex]].cols
-            if mat.rows != want_rows:
-                raise SigmaConstraintViolated(
-                    f"sigma at {vertex} must be a {want_rows}x{mat.cols} matrix")
-            if mat.rows == mat.cols and mat.rows and not mat.is_invertible():
-                raise SigmaConstraintViolated(f"sigma at {vertex} is singular")
-        od = orbit_data(q, a)
-        for orbit in od.vertex_orbits:
-            sigma_composite(self.maps, a, orbit[0], len(orbit), od.e_vertex[orbit[0]])
-
-
 def identity_sigma(q: Quiver, a: DiagramAutomorphism, wdims: Mapping[str, int]) -> SigmaData:
     if not is_orbit_constant(wdims, orbit_data(q, a)):
         raise NotOrbitConstant("framing dimensions must be constant on orbits")
@@ -455,9 +421,13 @@ def _swap_matrix(n1: int, n2: int) -> Mat:
 def witness_matrix(witness: TransitionWitness, vertex: str) -> Mat:
     """The honest per-vertex transition matrix, with the summand swap
     composed in when the witness is recorded summand-matched."""
-    g = witness.g[vertex]
+    g = witness.g.get(vertex)
+    if g is None:
+        raise ShapeMismatch(f"the witness has no matrix at {vertex}")
     if not witness.summand_swap:
         return g
+    if vertex not in (witness.block_dims or {}):
+        raise ShapeMismatch(f"the summand-swapped witness has no block sizes at {vertex}")
     n1, n2 = witness.block_dims[vertex]
     return _swap_matrix(n1, n2) * g
 

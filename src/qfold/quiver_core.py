@@ -386,15 +386,31 @@ def quiver_to_dict(q: Quiver, a: Optional[DiagramAutomorphism] = None) -> dict:
     return out
 
 
+def _is_id_map(obj) -> bool:
+    return isinstance(obj, dict) and all(isinstance(x, str) for x in obj.values())
+
+
 def quiver_from_dict(d: Mapping) -> tuple[Quiver, Optional[DiagramAutomorphism]]:
     try:
-        q = quiver(d["vertices"], [(e["id"], e["src"], e["tgt"]) for e in d["edges"]])
+        vertices = d["vertices"]
+        edges = [(e["id"], e["src"], e["tgt"]) for e in d["edges"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed quiver JSON: {exc}") from exc
+    ids = [x for edge in edges for x in edge]
+    if not isinstance(vertices, list) or not all(isinstance(x, str) for x in vertices + ids):
+        raise InputError('malformed quiver JSON: "vertices" must be a list and every id a string')
+    q = quiver(vertices, edges)
     a = None
-    if "automorphism" in d and d["automorphism"] is not None:
-        block = d["automorphism"]
-        a = automorphism(q, block["vertices"], block.get("edges"))
+    block = d.get("automorphism")
+    if block is not None:
+        if not isinstance(block, dict) or not _is_id_map(block.get("vertices")) \
+                or not (block.get("edges") is None or _is_id_map(block["edges"])):
+            raise InputError('malformed automorphism JSON: "vertices" and "edges" must '
+                             'map ids to ids')
+        try:
+            a = automorphism(q, block["vertices"], block.get("edges"))
+        except KeyError as exc:
+            raise NotAPermutation(f"the automorphism does not permute the ids (at {exc})") from None
     return q, a
 
 

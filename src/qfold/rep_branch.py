@@ -7,10 +7,16 @@ fundamental coordinates of the simple root alpha_j are row j of the
 matrix, and the simple reflection acts by
 s_i(lambda)_k = lambda_k - lambda_i * c[i][k].
 
+The dominant weights below a highest weight are reached from it by
+positive-root steps that stay dominant (Stembridge, "The partial order of
+dominant weights", 1998), carrying lam - mu along as integer simple-root
+coordinates, so the Freudenthal recursion needs no inverse Cartan matrix.
+
 Branching is computed by restricting the full character along orbit sums
-of Cartan elements and stripping highest weights; this is slower than
-crystal combinatorics but independently checkable against the Weyl
-dimension formula.
+of Cartan elements and stripping highest weights in one pass in height
+order; the heights of the folded fundamental weights are the one use of an
+inverse Cartan matrix.  This is slower than crystal combinatorics but
+independently checkable against the Weyl dimension formula.
 """
 
 from __future__ import annotations
@@ -115,9 +121,9 @@ def is_dominant(lam: Weight) -> bool:
     return all(x >= 0 for x in lam)
 
 
-def _root_fund_coords(c: CartanMatrix) -> list[tuple[int, ...]]:
-    """Fundamental coordinates of each simple root (rows of the matrix)."""
-    return [tuple(c[i, k] for k in range(c.n)) for i in range(c.n)]
+def _root_fund_coords(c: CartanMatrix, beta: Root) -> Weight:
+    """Fundamental coordinates of a root (alpha_i is row i of the matrix)."""
+    return tuple(sum(beta[i] * c[i, k] for i in range(c.n)) for k in range(c.n))
 
 
 def _weight_root_ip(d: Sequence[int], lam: Weight, beta: Root) -> int:
@@ -157,43 +163,26 @@ def _inverse_cartan(c: CartanMatrix) -> Mat:
     return c.as_mat().inverse()
 
 
-def root_coordinates(c: CartanMatrix, fund: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Simple-root coordinates of a vector given in fundamental coordinates."""
-    inv = _inverse_cartan(c)
-    return tuple(sum(Fraction(fund[i]) * inv[i, j] for i in range(c.n)) for j in range(c.n))
+def dominant_weights_below(c: CartanMatrix, lam: Weight) -> dict[Weight, Root]:
+    """Dominant weights mu <= lam in the root-lattice order, each with
+    lam - mu in simple-root coordinates as the value.
 
-
-def dominant_weights_below(c: CartanMatrix, lam: Weight) -> dict[Weight, int]:
-    """Dominant weights mu <= lam in the root-lattice order, with the height
-    of lam - mu as the value."""
-    inv = _inverse_cartan(c)
-    alpha = _root_fund_coords(c)
-
-    def member_level(mu: Weight):
-        diff = [Fraction(lam[i] - mu[i]) for i in range(c.n)]
-        coords = [sum(diff[i] * inv[i, j] for i in range(c.n)) for j in range(c.n)]
-        if any(x.denominator != 1 or x < 0 for x in coords):
-            return None
-        return int(sum(coords))
-
-    out: dict[Weight, int] = {lam: 0}
-    visited: set[Weight] = {lam}
+    Every dominant mu <= lam is reached from lam by subtracting positive
+    roots through dominant weights only (Stembridge 1998), so no other
+    weight of the module is visited.
+    """
+    steps = [(beta, _root_fund_coords(c, beta)) for beta in positive_roots(c).positive_roots]
+    out: dict[Weight, Root] = {lam: (0,) * c.n}
     frontier: list[Weight] = [lam]
     while frontier:
         new: list[Weight] = []
-        for w in frontier:
-            for i in range(c.n):
-                cand = tuple(w[k] - alpha[i][k] for k in range(c.n))
-                if cand in visited:
-                    continue
-                visited.add(cand)
-                dom = dominant_representative(c, cand)
-                lvl = member_level(dom)
-                if lvl is None:
-                    continue
-                new.append(cand)
-                if dom not in out:
-                    out[dom] = member_level(dom)
+        for mu in frontier:
+            depth = out[mu]
+            for beta, beta_fund in steps:
+                nu = tuple(x - y for x, y in zip(mu, beta_fund))
+                if nu not in out and is_dominant(nu):
+                    out[nu] = tuple(x + y for x, y in zip(depth, beta))
+                    new.append(nu)
         frontier = new
     return out
 
@@ -215,17 +204,12 @@ def freudenthal_character(c: CartanMatrix, lam: Weight,
 
     rs = positive_roots(c)
     d = symmetrizer(c)
-    alpha = _root_fund_coords(c)
-    beta_fund = []
-    beta_norm = []
-    for beta in rs.positive_roots:
-        beta_fund.append(tuple(sum(beta[i] * alpha[i][k] for i in range(c.n)) for k in range(c.n)))
-        beta_norm.append(_root_root_ip(c, d, beta, beta))
+    beta_fund = [_root_fund_coords(c, beta) for beta in rs.positive_roots]
+    beta_norm = [_root_root_ip(c, d, beta, beta) for beta in rs.positive_roots]
 
     dominants = dominant_weights_below(c, lam)
-    by_level = sorted(dominants.items(), key=lambda kv: (kv[1], kv[0]))
+    by_level = sorted(dominants.items(), key=lambda kv: (sum(kv[1]), kv[0]))
     lam_rho = tuple(x + 1 for x in lam)
-    norm_lam = _weight_root_ip(d, lam_rho, _to_root_coords_int(c, lam_rho))
 
     mults: dict[Weight, int] = {}
     dom_cache: dict[Weight, Weight] = {}
@@ -235,7 +219,7 @@ def freudenthal_character(c: CartanMatrix, lam: Weight,
             dom_cache[w] = dominant_representative(c, w)
         return dom_cache[w]
 
-    for mu, _level in by_level:
+    for mu, depth in by_level:
         if mu == lam:
             mults[mu] = 1
             continue
@@ -250,8 +234,8 @@ def freudenthal_character(c: CartanMatrix, lam: Weight,
                     break
                 acc += m * (ip_mu_beta + k * beta_norm[bi])
                 k += 1
-        mu_rho = tuple(x + 1 for x in mu)
-        denom = norm_lam - _weight_root_ip(d, mu_rho, _to_root_coords_int(c, mu_rho))
+        # |lam+rho|^2 - |mu+rho|^2 with beta = lam - mu
+        denom = 2 * _weight_root_ip(d, lam_rho, depth) - _root_root_ip(c, d, depth, depth)
         if denom <= 0 or (2 * acc) % denom != 0:
             raise CharacterMismatch(f"Freudenthal's recursion is not integral at {mu}")
         mults[mu] = (2 * acc) // denom
@@ -263,10 +247,6 @@ def freudenthal_character(c: CartanMatrix, lam: Weight,
     if sum(char.values()) != total:
         raise CharacterMismatch(f"character of {lam} has total {sum(char.values())}, not {total}")
     return char
-
-
-def _to_root_coords_int(c: CartanMatrix, fund: Weight) -> tuple[Fraction, ...]:
-    return root_coordinates(c, [Fraction(x) for x in fund])
 
 
 def character_dim(char: Character) -> int:
@@ -316,14 +296,19 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
         rw = restrict_weight(w, fold)
         restricted[rw] = restricted.get(rw, 0) + m
 
+    # the height of a weight is the sum of its simple-root coordinates
     inv = _inverse_cartan(fc)
+    fund_height = [sum(inv[i, j] for j in range(fc.n)) for i in range(fc.n)]
 
     def height(w: Weight) -> Fraction:
-        return sum(sum(Fraction(w[i]) * inv[i, j] for i in range(fc.n)) for j in range(fc.n))
+        return sum(x * h for x, h in zip(w, fund_height))
 
+    # weights only ever leave `restricted`, so the highest remaining one is
+    # the next of this order that has not been stripped away yet
     out: list[tuple[Weight, int]] = []
-    while restricted:
-        top = max(restricted, key=lambda w: (height(w), w))
+    for top in sorted(restricted, key=lambda w: (height(w), w), reverse=True):
+        if top not in restricted:
+            continue
         mult = restricted[top]
         if not is_dominant(top):
             raise StrippingFailure(f"maximal remaining weight {top} is not dominant")

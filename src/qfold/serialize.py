@@ -2,6 +2,8 @@
 
 Matrices are row-major arrays of rational strings like "3/4"; shapes are
 carried alongside so zero-dimensional matrices survive the round trip.
+Every reader checks the JSON types it is given and raises InputError on a
+malformed document.
 """
 
 from __future__ import annotations
@@ -13,6 +15,25 @@ from .errors import InputError
 from .linalg import Mat
 from .module_lab import FramedModule, SigmaData, TransitionWitness, framed_module
 from .quiver_core import DiagramAutomorphism, Quiver
+
+
+def json_object(obj, what: str) -> dict:
+    """obj itself when it is a JSON object; raises InputError otherwise."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} must be a JSON object, not {type(obj).__name__}")
+    return obj
+
+
+def dim_entry(value, what: str) -> int:
+    """A dimension given as a JSON integer or a string of one."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise InputError(f"{what} entries must be integers, got {value!r}")
 
 
 def mat_to_obj(m: Mat) -> dict:
@@ -32,7 +53,7 @@ def mat_from_obj(obj) -> Mat:
         rows = len(data)
         cols = len(data[0]) if rows else 0
         return Mat(rows, cols, data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
 
 
@@ -41,7 +62,7 @@ def matmap_to_obj(maps: Mapping[str, Mat]) -> dict:
 
 
 def matmap_from_obj(obj) -> dict[str, Mat]:
-    return {key: mat_from_obj(val) for key, val in obj.items()}
+    return {key: mat_from_obj(val) for key, val in json_object(obj, "a matrix map").items()}
 
 
 def module_to_dict(m: FramedModule) -> dict:
@@ -56,11 +77,12 @@ def module_to_dict(m: FramedModule) -> dict:
 
 
 def module_from_dict(q: Quiver, obj) -> FramedModule:
+    obj = json_object(obj, "a module block")
     try:
         return framed_module(
             q,
-            {k: int(x) for k, x in obj["v"].items()},
-            {k: int(x) for k, x in obj["w"].items()},
+            {k: dim_entry(x, '"v"') for k, x in json_object(obj["v"], '"v"').items()},
+            {k: dim_entry(x, '"w"') for k, x in json_object(obj["w"], '"w"').items()},
             B=matmap_from_obj(obj.get("B", {})),
             I=matmap_from_obj(obj.get("I", {})),
             J=matmap_from_obj(obj.get("J", {})),
@@ -86,9 +108,14 @@ def witness_to_dict(w: TransitionWitness) -> dict:
 
 
 def witness_from_dict(obj) -> TransitionWitness:
+    obj = json_object(obj, "a witness block")
     block_dims = None
     if obj.get("block_dims"):
-        block_dims = {k: (int(v[0]), int(v[1])) for k, v in obj["block_dims"].items()}
+        block_dims = {}
+        for k, v in json_object(obj["block_dims"], '"block_dims"').items():
+            if not isinstance(v, list) or len(v) != 2:
+                raise InputError(f'"block_dims" at {k} must be a pair of integers, got {v!r}')
+            block_dims[k] = (dim_entry(v[0], '"block_dims"'), dim_entry(v[1], '"block_dims"'))
     return TransitionWitness(
         matmap_from_obj(obj["g"]),
         bool(obj.get("summand_swap", False)),

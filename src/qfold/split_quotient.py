@@ -18,12 +18,12 @@ from math import comb, gcd
 from typing import Iterator, Mapping, Optional
 
 from .errors import (
+    IndexMismatch,
     IsoNotFound,
     NotDiagonalizableOverCyclotomicEigenvalues,
     NotOrbitConstant,
     PropertyViolation,
     SigmaConstraintViolated,
-    ShapeMismatch,
     UnknownVertex,
 )
 from .linalg import Mat
@@ -351,31 +351,70 @@ def root_of_unity_eigendims(m: Mat, e: int) -> list[int]:
     return dims
 
 
-def split_framing(wdims: DimVec, sigma: Mapping[str, Mat], sd: SplitData) -> dict[str, int]:
+@dataclass(frozen=True)
+class SigmaData:
+    """Framing twists sigma_i : W_i -> W_{a(i)} with the around-the-orbit
+    composite of exact finite order e_i.
+
+    Construction validates the maps and raises SigmaConstraintViolated
+    otherwise: every sigma_i is square and invertible and lands in a space
+    of its own dimension, so w_i, read off as the size of sigma_i, is
+    constant on orbits.
+    """
+
+    quiver: Quiver
+    auto: DiagramAutomorphism
+    maps: Mapping[str, Mat]
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        a, q = self.auto, self.quiver
+        missing = [vertex for vertex in q.vertices if vertex not in self.maps]
+        if missing:
+            raise SigmaConstraintViolated(f"sigma is missing at {', '.join(missing)}")
+        for vertex in q.vertices:
+            mat = self.maps[vertex]
+            if mat.rows != mat.cols:
+                raise SigmaConstraintViolated(
+                    f"sigma at {vertex} must be square, not {mat.rows}x{mat.cols}")
+            image = a.vertex_perm[vertex]
+            if mat.rows != self.maps[image].cols:
+                raise SigmaConstraintViolated(
+                    f"sigma at {vertex} is {mat.rows}x{mat.cols} but sigma at {image} "
+                    f"has {self.maps[image].cols} columns")
+            if mat.rows and not mat.is_invertible():
+                raise SigmaConstraintViolated(f"sigma at {vertex} is singular")
+        od = orbit_data(q, a)
+        for orbit in od.vertex_orbits:
+            lift, e = orbit[0], od.e_vertex[orbit[0]]
+            comp = orbit_composite(self.maps, a, lift, len(orbit))
+            # a difference, so that F_p twists compare with the rational identity
+            if not (comp.power(e) - Mat.identity(comp.rows)).is_zero():
+                raise SigmaConstraintViolated(
+                    f"(sigma composite at {lift})^{e} is not the identity")
+
+
+def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
     """Grade the framing by eigenvalues of the around-the-orbit composite.
 
     The slot (orbit, j/e) receives the dimension of the eigenvalue
     exp(2*pi*i*(j-1)/e) eigenspace of the composite at the orbit's minimal
     lift, so identity twists put everything in the j = 1 slot.
     """
-    q, a, od = sd.source, sd.auto, sd.orbits
-    if not is_orbit_constant(wdims, od):
-        raise NotOrbitConstant("framing dimensions must be constant on orbits")
-    for v in q.vertices:
-        m = sigma[v]
-        if m.rows != wdims.get(a.vertex_perm[v], 0) or m.cols != wdims.get(v, 0):
-            raise ShapeMismatch(f"sigma at {v} must be {wdims.get(a.vertex_perm[v], 0)}x{wdims.get(v, 0)}")
-
+    if sigma.quiver != sd.source or sigma.auto != sd.auto:
+        raise IndexMismatch("the framing twists do not belong to this split quiver")
+    a, od = sd.auto, sd.orbits
     out: dict[str, int] = {}
     for idx, orbit in enumerate(od.vertex_orbits):
         lift = orbit[0]
         e = od.e_vertex[lift]
-        comp = sigma_composite(sigma, a, lift, od.d_vertex[lift], e)
+        comp = orbit_composite(sigma.maps, a, lift, od.d_vertex[lift])
         dims = root_of_unity_eigendims(comp, e) if comp.rows else [0] * e
-        total = wdims.get(lift, 0)
-        if sum(dims) != total:
+        if sum(dims) != comp.rows:
             raise NotDiagonalizableOverCyclotomicEigenvalues(
-                f"eigenspace dimensions {dims} do not fill dimension {total} at {lift}"
+                f"eigenspace dimensions {dims} do not fill dimension {comp.rows} at {lift}"
             )
         for j, svid in zip(range(1, e + 1), sd.split_vertices_of_orbit(idx)):
             out[svid] = dims[j - 1]
@@ -393,14 +432,3 @@ def orbit_composite(sigma: Mapping[str, Mat], a: DiagramAutomorphism, lift: str,
     if vertex != lift:
         raise PropertyViolation(f"the orbit of {lift} does not close after {d} steps")
     return comp if comp is not None else Mat.identity(0)
-
-
-def sigma_composite(sigma: Mapping[str, Mat], a: DiagramAutomorphism, lift: str, d: int,
-                    e: int) -> Mat:
-    """The orbit composite of the framing twists at lift; raises
-    SigmaConstraintViolated unless its e-th power is the identity."""
-    comp = orbit_composite(sigma, a, lift, d)
-    # a difference, so that F_p twists compare with the rational identity
-    if not (comp.power(e) - Mat.identity(comp.rows)).is_zero():
-        raise SigmaConstraintViolated(f"(sigma composite at {lift})^{e} is not the identity")
-    return comp

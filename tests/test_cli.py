@@ -1,4 +1,8 @@
+import copy
 import json
+import random
+
+from hypothesis import given, settings, strategies as st
 
 from qfold.cli import main
 from qfold.corpus import corpus_entry, entry_to_dict
@@ -76,6 +80,18 @@ def test_branch_table_and_conservation(capsys):
     assert "conserved: True" in out
 
 
+def test_branch_d4_rot3_summands_pinned(capsys):
+    # D4 -> G2, summands in stripping order (descending height, then weight);
+    # a change to the stripping order or to the characters moves this list
+    code, out = run(capsys, "branch", "--corpus", "D4-rot3", "--framing", "0,2,0,2", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dim"] == 840 and payload["folded_type"] == "G2"
+    assert [(p["weight"], p["multiplicity"], p["dim"]) for p in payload["summands"]] == [
+        ([0, 4], 1, 182), ([1, 2], 1, 189), ([2, 0], 1, 77), ([0, 3], 2, 77), ([1, 1], 2, 64),
+        ([0, 2], 3, 27), ([1, 0], 1, 14), ([0, 1], 2, 7), ([0, 0], 1, 1)]
+
+
 def test_dims_identity_twist(capsys):
     code, out = run(capsys, "dims", "--corpus", "D4-swap",
                     "--v", "1,1,1,1", "--w", "1,1,1,1", "--json")
@@ -85,7 +101,7 @@ def test_dims_identity_twist(capsys):
     assert sorted(c["dim"] for c in payload) == [0, 0, 0, 4]
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one(capsys, tmp_path):
     assert main(["split"]) == 1          # no source
     assert main(["nonsense"]) == 1       # unknown subcommand
     assert main(["split", "--corpus", "missing-entry"]) == 1
@@ -105,6 +121,22 @@ def test_usage_errors_exit_one(capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and flag in err, err
+    # a malformed module file is one error line too
+    module_probes = [
+        ("check", (), []),
+        ("check", ("module",), []),
+        ("check", ("module", "v"), [1, 1, 1]),
+        ("check", ("module", "v", "1"), "x"),
+        ("check", ("module", "B"), []),
+        ("transition", ("quiver", "automorphism", "vertices"), ["3", "2", "1"]),
+        ("transition", ("sigma",), []),
+    ]
+    path = tmp_path / "bad.json"
+    for action, field, value in module_probes:
+        path.write_text(json.dumps(replaced(pair_doc(), field, value)))
+        assert main(["module", action, str(path)]) == 1, (action, field)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 def test_determinism_byte_identical(capsys):
@@ -161,13 +193,13 @@ def test_module_theta_round_trip(tmp_path, capsys):
     assert payload["module"]["J"]["3"]["data"] == [["1"]]
 
 
-def test_module_theorem5(tmp_path, capsys):
-    import random
+def pair_doc():
+    """A module file with every block a module action reads: a stable graded
+    pair on A3-flip with its twist, embedding, witnesses and a gauge."""
     a3 = a_quiver(3)
     flip = flip_automorphism(a3, 3)
-    rng = random.Random(5)
-    xi, sub, m, sigma, wsub, wit = random_graded_pair(rng, a3, flip)
-    doc = {
+    xi, sub, m, sigma, wsub, wit = random_graded_pair(random.Random(5), a3, flip)
+    return {
         "quiver": quiver_to_dict(a3, flip),
         "module": module_to_dict(m),
         "sub": module_to_dict(sub),
@@ -175,14 +207,34 @@ def test_module_theorem5(tmp_path, capsys):
         "sigma": sigma_to_dict(sigma),
         "witness": witness_to_dict(wit),
         "witness_sub": witness_to_dict(wsub),
+        "g": matmap_to_obj({x: Mat.identity(m.v[x]) for x in a3.vertices}),
     }
+
+
+def replaced(doc, field, value):
+    """doc with the entry at the key path field set to value (the whole
+    document for the empty path); a path through a non-object is left alone."""
+    if not field:
+        return value
+    node = doc
+    for key in field[:-1]:
+        if not isinstance(node, dict) or key not in node:
+            return doc
+        node = node[key]
+    if isinstance(node, dict):
+        node[field[-1]] = value
+    return doc
+
+
+def test_module_theorem5(tmp_path, capsys):
+    doc = pair_doc()
     path = tmp_path / "pair.json"
     path.write_text(json.dumps(doc))
     code, out = run(capsys, "module", "theorem5", str(path), "--json")
     assert code == 0
     assert json.loads(out)["ok"] is True
 
-    doc["sigma"] = sigma_to_dict(sigma) | {"1": {"rows": 1, "cols": 1, "data": [["0"]]}}
+    doc["sigma"]["1"] = {"rows": 1, "cols": 1, "data": [["0"]]}
     path.write_text(json.dumps(doc))
     assert main(["module", "theorem5", str(path)]) == 1
 
@@ -210,3 +262,36 @@ def test_dims_requires_orbit_constant(capsys):
     code, _ = run(capsys, "dims", "--corpus", "D4-swap",
                   "--v", "1,1,1,2", "--w", "1,1,1,1")
     assert code == 1
+
+
+MODULE_FIELDS = [
+    (), ("quiver",), ("module",), ("sigma",), ("sub",), ("xi",), ("witness",),
+    ("witness_sub",), ("g",), ("quiver", "vertices"), ("quiver", "edges"),
+    ("quiver", "automorphism"), ("quiver", "automorphism", "vertices"),
+    ("quiver", "automorphism", "edges"), ("module", "v"), ("module", "w"), ("module", "B"),
+    ("module", "I"), ("module", "J"), ("module", "signed"), ("module", "v", "1"),
+    ("module", "B", "e1"), ("sigma", "2"), ("witness", "g"), ("witness", "g", "1"),
+    ("witness", "summand_swap"), ("witness", "block_dims"),
+]
+# small integers only: a large dimension is valid input that merely takes long
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["", "x", "0", "1", "2", "1/2", "e1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["1", "2", "3", "e1", "rows", "cols", "data"]), inner,
+                      max_size=3),
+    max_leaves=8)
+PAIR_DOC = pair_doc()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(MODULE_FIELDS), JSON_VALUES), min_size=1, max_size=2),
+       st.sampled_from(["check", "theta", "transition", "witness", "theorem5"]))
+def test_module_fuzz_exits_cleanly(tmp_path_factory, changes, action):
+    doc = copy.deepcopy(PAIR_DOC)
+    for field, value in changes:
+        doc = replaced(doc, field, copy.deepcopy(value))
+    path = tmp_path_factory.mktemp("fuzz") / "module.json"
+    path.write_text(json.dumps(doc))
+    assert main(["module", action, str(path)]) in (0, 1, 2)

@@ -202,6 +202,8 @@ def test_sigma_constraint_checked():
         {"1": ok["1"], "2": ok["2"]},                     # missing vertex 3
         {**ok, "1": Mat.identity(2)},                     # 2x2 into a 1-dim W_3
         {**ok, "1": Mat.rational([[2]]), "3": Mat.rational([[1]])},  # composite 2 != 1
+        # 2x1 and 1x2 maps with w = (1, 1, 2): shapes chain, but not square
+        {"1": Mat.rational([[1], [0]]), "2": ok["2"], "3": Mat.rational([[1, 0]])},
     ]
     for maps in bad_cases:
         with pytest.raises(SigmaConstraintViolated):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from qfold.rep_branch import (
     branch,
     character_dim,
     dominant_representative,
+    dominant_weights_below,
     freudenthal_character,
     highest_weight_from_framing,
     positive_roots,
@@ -191,3 +194,70 @@ def test_branch_so8_to_so7():
     assert branch(c, (0, 0, 1, 0), fold) == [((0, 0, 1), 1)]
     assert dict(branch(c, (0, 1, 0, 0), fold)) == {(0, 1, 0): 1, (1, 0, 0): 1}
     assert weyl_dim(fold.folded, (0, 1, 0)) == 21
+
+
+def all_weights_dominant_below(c, lam):
+    """The former walk, kept as an oracle: every weight of L(lam) reached by
+    simple-root steps, its dominant representative placed below lam with
+    inverse-Cartan coordinates; returns {dominant mu: height of lam - mu}."""
+    inv = c.as_mat().inverse()
+    alpha = [tuple(c[i, k] for k in range(c.n)) for i in range(c.n)]
+
+    def member_level(mu):
+        diff = [Fraction(lam[i] - mu[i]) for i in range(c.n)]
+        coords = [sum(diff[i] * inv[i, j] for i in range(c.n)) for j in range(c.n)]
+        if any(x.denominator != 1 or x < 0 for x in coords):
+            return None
+        return int(sum(coords))
+
+    out = {lam: 0}
+    visited = {lam}
+    frontier = [lam]
+    while frontier:
+        new = []
+        for w in frontier:
+            for i in range(c.n):
+                cand = tuple(w[k] - alpha[i][k] for k in range(c.n))
+                if cand in visited:
+                    continue
+                visited.add(cand)
+                dom = dominant_representative(c, cand)
+                lvl = member_level(dom)
+                if lvl is None:
+                    continue
+                new.append(cand)
+                if dom not in out:
+                    out[dom] = lvl
+        frontier = new
+    return out
+
+
+ORACLE_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3),
+                ("B", 4), ("C", 2), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2),
+                ("F", 4), ("E", 6)]
+
+
+def test_dominant_weights_below_matches_all_weights_walk():
+    # weight entries up to 2 in rank <= 3 and up to 1 above, Weyl dim <= 600
+    cases = 0
+    for family, rank in ORACLE_TYPES:
+        c = canonical_cartan(family, rank)
+        alpha = [tuple(c[i, k] for k in range(c.n)) for i in range(c.n)]
+        for lam in itertools.product(range(3 if rank <= 3 else 2), repeat=rank):
+            if weyl_dim(c, lam) > 600:
+                continue
+            old = all_weights_dominant_below(c, lam)
+            new = dominant_weights_below(c, lam)
+            assert set(new) == set(old), (family, rank, lam)
+            for mu, depth in new.items():
+                assert all(x >= 0 for x in depth)
+                assert sum(depth) == old[mu], (family, rank, lam, mu)
+                assert tuple(x - y for x, y in zip(lam, mu)) == tuple(
+                    sum(depth[i] * alpha[i][k] for i in range(c.n)) for k in range(c.n))
+            cases += 1
+    assert cases >= 150
+
+
+def test_freudenthal_a7_dimension():
+    a7 = canonical_cartan("A", 7)
+    assert character_dim(freudenthal_character(a7, (1, 0, 1, 0, 1, 0, 1))) == 96228

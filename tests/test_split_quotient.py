@@ -3,7 +3,13 @@ import itertools
 import pytest
 
 from qfold.corpus import corpus
-from qfold.errors import IsoNotFound, NotAdmissible, NotOrbitConstant, SigmaConstraintViolated
+from qfold.errors import (
+    IndexMismatch,
+    IsoNotFound,
+    NotAdmissible,
+    NotOrbitConstant,
+    SigmaConstraintViolated,
+)
 from qfold.lie_fold import cartan_from_quiver, classify_cartan
 from qfold.linalg import Mat
 from qfold.quiver_core import (
@@ -18,6 +24,7 @@ from qfold.quiver_core import (
     is_admissible,
 )
 from qfold.split_quotient import (
+    SigmaData,
     fiber_count,
     fibers_of_p,
     graph_isomorphic,
@@ -201,33 +208,30 @@ def test_fibers_match_brute_enumeration():
 def test_split_framing_identity_and_signs():
     d4 = d_quiver(4)
     sd = split_quiver(d4, fork_swap_automorphism(d4, 4))
-    w = {v: 3 for v in d4.vertices}
     ident = {v: Mat.identity(3) for v in d4.vertices}
-    out = split_framing(w, ident, sd)
+    out = split_framing(SigmaData(d4, sd.auto, ident), sd)
     assert out["1@1/2"] == 3 and out["1@2/2"] == 0
     assert out["3@1/1"] == 3
 
     signs = dict(ident)
     signs["1"] = Mat.rational([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
-    out2 = split_framing(w, signs, sd)
+    out2 = split_framing(SigmaData(d4, sd.auto, signs), sd)
     assert out2["1@1/2"] == 1 and out2["1@2/2"] == 2
     assert sum(out2[s] for s in ("1@1/2", "1@2/2")) == 3
 
-    w2 = {v: 2 for v in d4.vertices}
     half = {v: Mat.identity(2) for v in d4.vertices}
     half["2"] = Mat.rational([[1, 0], [0, -1]])
-    out3 = split_framing(w2, half, sd)
+    out3 = split_framing(SigmaData(d4, sd.auto, half), sd)
     assert (out3["2@1/2"], out3["2@2/2"]) == (1, 1)
 
 
 def test_split_framing_swapped_orbit_single_piece():
     d4 = d_quiver(4)
     sd = split_quiver(d4, fork_swap_automorphism(d4, 4))
-    w = {v: 2 for v in d4.vertices}
     maps = {v: Mat.identity(2) for v in d4.vertices}
     maps["3"] = Mat.rational([[0, 1], [1, 0]])
     maps["4"] = Mat.rational([[0, 1], [1, 0]])
-    out = split_framing(w, maps, sd)
+    out = split_framing(SigmaData(d4, sd.auto, maps), sd)
     assert out["3@1/1"] == 2
 
 
@@ -235,21 +239,24 @@ def test_split_framing_order_three_rotation():
     d4 = d_quiver(4)
     rot = automorphism(d4, {"1": "3", "3": "4", "4": "1", "2": "2"})
     sd = split_quiver(d4, rot)
-    w = {v: 2 for v in d4.vertices}
     maps = {v: Mat.identity(2) for v in d4.vertices}
     maps["2"] = Mat.rational([[0, -1], [1, -1]])  # order 3
-    out = split_framing(w, maps, sd)
+    out = split_framing(SigmaData(d4, rot, maps), sd)
     assert (out["2@1/3"], out["2@2/3"], out["2@3/3"]) == (0, 1, 1)
 
 
 def test_split_framing_constraint_violation():
     a3 = a_quiver(3)
     sd = split_quiver(a3, flip_automorphism(a3, 3))
-    w = {v: 1 for v in a3.vertices}
     maps = {v: Mat.identity(1) for v in a3.vertices}
     maps["2"] = Mat.rational([[2]])  # (2)^2 != 1
     with pytest.raises(SigmaConstraintViolated):
-        split_framing(w, maps, sd)
+        split_framing(SigmaData(a3, sd.auto, maps), sd)
+    # twists that belong to another quiver
+    other = a_quiver(5)
+    with pytest.raises(IndexMismatch):
+        split_framing(SigmaData(other, flip_automorphism(other, 5),
+                                {v: Mat.identity(1) for v in other.vertices}), sd)
 
 
 def test_split_framing_lift_independence():
@@ -260,11 +267,12 @@ def test_split_framing_lift_independence():
     maps = {v: Mat.identity(2) for v in d4.vertices}
     maps["3"] = Mat.rational([[1, 1], [0, -1]])
     maps["4"] = maps["3"].inverse()
+    sigma = SigmaData(d4, sd.auto, maps)
     od = sd.orbits
     a = sd.auto
     for orbit in od.vertex_orbits:
         e = od.e_vertex[orbit[0]]
-        dims = [root_of_unity_eigendims(orbit_composite(maps, a, lift, len(orbit)), e)
+        dims = [root_of_unity_eigendims(orbit_composite(sigma.maps, a, lift, len(orbit)), e)
                 for lift in orbit]
         assert all(d == dims[0] for d in dims)
 
