@@ -189,10 +189,6 @@ class Mat:
             basis.append(v)
         return Mat(self.cols, len(basis), [[basis[k][r] for k in range(len(basis))] for r in range(self.cols)])
 
-    def left_nullspace(self, one=QQ1) -> "Mat":
-        """Basis of the left kernel, returned as rows of a k x rows matrix."""
-        return self.transpose().nullspace(one).transpose()
-
     def solve(self, rhs: "Mat"):
         """One solution X of self * X = rhs, or None if inconsistent.
 

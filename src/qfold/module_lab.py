@@ -166,44 +166,41 @@ def check_relations(m: FramedModule) -> RelationReport:
     return RelationReport(True)
 
 
-def _subspace_step(m: FramedModule, spaces: dict[str, Mat], one) -> dict[str, Mat]:
-    """One refinement step of the largest-invariant-subspace fixpoint:
-    keep the part of each space whose B-images stay inside the spaces."""
-    new: dict[str, Mat] = {}
-    for vertex in m.quiver.vertices:
-        basis = spaces[vertex]
-        if basis.cols == 0:
-            new[vertex] = basis
-            continue
-        constraints = []
-        for info in doubled_arrows(m.quiver):
-            if info.src != vertex:
+def _path_rows(m: FramedModule) -> dict[str, Mat]:
+    """Per vertex x, a reduced row basis of span{J_t B_p : p a path from x}.
+
+    The rows grow one arrow at a time, rows_x += rows_tgt * B_h for every
+    arrow h leaving x, until no rank grows; a vertex at full column rank
+    is done.  Their kernels form the largest B-invariant graded subspace
+    inside ker J (King, Q. J. Math. 45, 1994)."""
+    def reduced(mat: Mat) -> Mat:
+        red, pivots = mat.rref()
+        return red.submatrix(range(len(pivots)), range(mat.cols))
+
+    arrows = doubled_arrows(m.quiver)
+    rows = {x: reduced(m.J[x]) for x in m.quiver.vertices}
+    grown = True
+    while grown:
+        grown = False
+        for x in m.quiver.vertices:
+            if rows[x].rows == m.v.get(x, 0):
                 continue
-            tgt_basis = spaces[info.tgt]
-            left = tgt_basis.left_nullspace(one)
-            if left.rows:
-                constraints.append(left * m.B[info.key] * basis)
-        if not constraints:
-            new[vertex] = basis
-            continue
-        stacked = constraints[0]
-        for c in constraints[1:]:
-            stacked = stacked.vstack(c)
-        coeffs = stacked.nullspace(one)
-        new[vertex] = basis * coeffs
-    return new
+            stacked = rows[x]
+            for info in arrows:
+                if info.src == x:
+                    stacked = stacked.vstack(rows[info.tgt] * m.B[info.key])
+            new = reduced(stacked)
+            if new.rows > rows[x].rows:
+                rows[x] = new
+                grown = True
+    return rows
 
 
 def invariant_kernel_subspace(m: FramedModule) -> dict[str, Mat]:
     """The largest B-invariant graded subspace contained in ker J, as
     per-vertex column bases."""
     one = m.field_one()
-    spaces = {vertex: m.J[vertex].nullspace(one) for vertex in m.quiver.vertices}
-    while True:
-        new = _subspace_step(m, spaces, one)
-        if all(new[x].cols == spaces[x].cols for x in spaces):
-            return new
-        spaces = new
+    return {x: r.nullspace(one) for x, r in _path_rows(m).items()}
 
 
 def is_stable(m: FramedModule) -> bool:
@@ -211,8 +208,8 @@ def is_stable(m: FramedModule) -> bool:
     rep = check_relations(m)
     if not rep.ok:
         raise RelationViolation(f"preprojective relation fails at vertex {rep.vertex}")
-    fixed = invariant_kernel_subspace(m)
-    return all(b.cols == 0 for b in fixed.values())
+    rows = _path_rows(m)
+    return all(rows[x].rows == m.v.get(x, 0) for x in m.quiver.vertices)
 
 
 def _all_subspace_bases(n: int, p: int) -> list[Mat]:
@@ -444,79 +441,27 @@ def find_transition(m: FramedModule, a: DiagramAutomorphism,
     """The unique invertible g with theta(m) = g.m for a stable module,
     or None when m and theta(m) are not isomorphic.
 
-    Solves the linear intertwiner system; by stability the solution space
-    is at most a point, and any solution is automatically invertible.
+    Solves one vertex at a time.  The path rows of theta(m) + m at x are
+    [J'_t B'_p | J_t B_p]; theta(m) is stable, so its half has full column
+    rank v_x and the reduced rows read [1 | g_x], with any further row
+    meaning no g_x exists.  These g satisfy the B and J equations; the
+    exact re-verification decides g I = theta(I), and a g that fails it
+    means m and theta(m) are not isomorphic.
     """
     if not is_stable(m):
         raise NotStable("transition matrices are only unique for stable modules")
-    q = m.quiver
-    theta_m = apply_theta(m, a, sigma)
-
-    offsets: dict[str, int] = {}
-    total = 0
-    for x in q.vertices:
-        offsets[x] = total
-        total += m.v.get(x, 0) ** 2
-
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-
-    def g_entry(vertex: str, r: int, c: int) -> int:
-        return offsets[vertex] + r * m.v.get(vertex, 0) + c
-
-    # theta(B)_h g_{src} - g_{tgt} B_h = 0
-    for info in doubled_arrows(q):
-        tb = theta_m.B[info.key]
-        b = m.B[info.key]
-        nt, ns = m.v.get(info.tgt, 0), m.v.get(info.src, 0)
-        for r in range(nt):
-            for c in range(ns):
-                row = [Fraction(0)] * total
-                for k in range(ns):
-                    row[g_entry(info.src, k, c)] += tb[r, k]
-                for k in range(nt):
-                    row[g_entry(info.tgt, r, k)] -= b[k, c]
-                rows.append(row)
-                rhs.append(Fraction(0))
-    # g_i I_i = theta(I)_i  and  theta(J)_i g_i = J_i
-    for x in q.vertices:
-        nv, nw = m.v.get(x, 0), m.w.get(x, 0)
-        for r in range(nv):
-            for c in range(nw):
-                row = [Fraction(0)] * total
-                for k in range(nv):
-                    row[g_entry(x, r, k)] += m.I[x][k, c]
-                rows.append(row)
-                rhs.append(theta_m.I[x][r, c])
-        for r in range(nw):
-            for c in range(nv):
-                row = [Fraction(0)] * total
-                for k in range(nv):
-                    row[g_entry(x, k, c)] += theta_m.J[x][r, k]
-                rows.append(row)
-                rhs.append(m.J[x][r, c])
-
-    if total == 0:
-        witness = TransitionWitness({x: Mat.zeros(0, 0) for x in q.vertices})
-        return witness if verify_transition(m, a, sigma, witness) else None
-
-    system = Mat.from_rows(rows) if rows else Mat.zeros(0, total)
-    sol = system.solve(Mat.from_rows([[x] for x in rhs]) if rhs else Mat.zeros(0, 1))
-    if sol is None:
-        return None
-    if system.nullity() != 0:
-        raise PropertyViolation("stable module with a non-unique intertwiner; stability logic is wrong")
-
+    rows = _path_rows(direct_sum(apply_theta(m, a, sigma), m))
     g: dict[str, Mat] = {}
-    for x in q.vertices:
+    for x in m.quiver.vertices:
         n = m.v.get(x, 0)
-        g[x] = Mat(n, n, [[sol[offsets[x] + r * n + c, 0] for c in range(n)] for r in range(n)])
-        if n and not g[x].is_invertible():
+        red, pivots = rows[x].rref()
+        if pivots[:n] != list(range(n)):
+            raise PropertyViolation(f"the transport of a stable module is unstable at {x}")
+        if len(pivots) > n:
             return None
+        g[x] = red.submatrix(range(n), range(n, 2 * n))
     witness = TransitionWitness(g)
-    if not verify_transition(m, a, sigma, witness):
-        raise PropertyViolation("solved intertwiner fails exact re-verification")
-    return witness
+    return witness if verify_transition(m, a, sigma, witness) else None
 
 
 def star(g: Mapping[str, Mat], a: DiagramAutomorphism) -> dict[str, Mat]:

@@ -148,6 +148,8 @@ class DiagramAutomorphism:
 
 
 def _perm_order(perm: Mapping[str, str]) -> int:
+    """The order of a permutation; raises NotAPermutation for a map whose
+    walk from some start does not come back to it."""
     order = 1
     seen = set()
     for start in perm:
@@ -155,11 +157,13 @@ def _perm_order(perm: Mapping[str, str]) -> int:
             continue
         x, k = start, 0
         while True:
-            x = perm[x]
+            x = perm.get(x)
             k += 1
             seen.add(x)
             if x == start:
                 break
+            if k > len(perm):
+                raise NotAPermutation(f"the map does not permute its keys (from {start})")
         order = lcm(order, k)
     return order
 

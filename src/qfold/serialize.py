@@ -1,7 +1,9 @@
 """JSON (de)serialization for modules, witnesses and matrices.
 
-Matrices are row-major arrays of rational strings like "3/4"; shapes are
-carried alongside so zero-dimensional matrices survive the round trip.
+Matrices are row-major arrays of rational strings like "3/4" (JSON
+integers are read too; JSON floats, booleans and exponents are refused);
+shapes are carried alongside so zero-dimensional matrices survive the
+round trip.
 Every reader checks the JSON types it is given and raises InputError on a
 malformed document.
 """
@@ -44,16 +46,26 @@ def mat_to_obj(m: Mat) -> dict:
     }
 
 
+def _entry(value) -> Fraction:
+    """A matrix entry given as a JSON integer or a rational string.  A JSON
+    float or boolean is refused (the float 0.1 is not 1/10), and so is an
+    exponent: "1e999999999" would build a billion-digit integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)) \
+            or (isinstance(value, str) and "e" in value.lower()):
+        raise InputError(f"matrix entries must be integers or rational strings, got {value!r}")
+    return Fraction(value)
+
+
 def mat_from_obj(obj) -> Mat:
     try:
         if isinstance(obj, dict):
-            data = [[Fraction(x) for x in row] for row in obj["data"]]
-            return Mat(int(obj["rows"]), int(obj["cols"]), data)
-        data = [[Fraction(x) for x in row] for row in obj]
+            data = [[_entry(x) for x in row] for row in obj["data"]]
+            return Mat(dim_entry(obj["rows"], '"rows"'), dim_entry(obj["cols"], '"cols"'), data)
+        data = [[_entry(x) for x in row] for row in obj]
         rows = len(data)
         cols = len(data[0]) if rows else 0
         return Mat(rows, cols, data)
-    except (KeyError, TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
 
 

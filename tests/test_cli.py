@@ -2,7 +2,7 @@ import copy
 import json
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qfold.cli import main
 from qfold.corpus import corpus_entry, entry_to_dict
@@ -130,6 +130,12 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ("check", ("module", "B"), []),
         ("transition", ("quiver", "automorphism", "vertices"), ["3", "2", "1"]),
         ("transition", ("sigma",), []),
+        # JSON floats and booleans are not exact entries, even when they hold the value
+        ("check", ("module", "J", "2", "data"), [[-0.5, -0.5], ["1/4", "1/4"], ["-1", "1"]]),
+        ("check", ("module", "J", "2", "rows"), 3.0),
+        ("check", ("module", "J", "1", "data"), [[True, "1/2"], ["-1", "3/2"]]),
+        # an exponent costs time and memory in its value, not in its length
+        ("check", ("module", "J", "1", "data"), [["-1e999999", "1/2"], ["-1", "3/2"]]),
     ]
     path = tmp_path / "bad.json"
     for action, field, value in module_probes:
@@ -212,17 +218,18 @@ def pair_doc():
 
 
 def replaced(doc, field, value):
-    """doc with the entry at the key path field set to value (the whole
-    document for the empty path); a path through a non-object is left alone."""
+    """doc with the entry at the path field (object keys and list indices)
+    set to value, or the whole document for the empty path; a path through
+    a missing key or index, or through a scalar, is left alone."""
     if not field:
         return value
-    node = doc
-    for key in field[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            return doc
-        node = node[key]
-    if isinstance(node, dict):
+    try:
+        node = doc
+        for key in field[:-1]:
+            node = node[key]
         node[field[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
     return doc
 
 
@@ -295,3 +302,39 @@ def test_module_fuzz_exits_cleanly(tmp_path_factory, changes, action):
     path = tmp_path_factory.mktemp("fuzz") / "module.json"
     path.write_text(json.dumps(doc))
     assert main(["module", action, str(path)]) in (0, 1, 2)
+
+
+QUIVER_DOC = entry_to_dict(corpus_entry("D4-swap"))
+QUIVER_FIELDS = [
+    (), ("vertices",), ("edges",), ("automorphism",), ("automorphism", "vertices"),
+    ("automorphism", "edges"), ("vertices", 0), ("vertices", 3), ("edges", 0), ("edges", 0, "id"),
+    ("edges", 1, "src"), ("edges", 2, "tgt"), ("automorphism", "vertices", "1"),
+    ("automorphism", "vertices", "3"), ("automorphism", "edges", "e1"),
+    ("automorphism", "edges", "e2"),
+]
+# mostly well-formed pieces (ids, id lists, edges, id maps), so that the
+# documents get past the JSON checks and into the quiver algorithms
+QUIVER_IDS = st.sampled_from(["1", "2", "3", "4", "5", "e1", "e2", "e3", "e4", ""])
+QUIVER_VALUES = st.one_of(
+    QUIVER_IDS, st.lists(QUIVER_IDS, max_size=5),
+    st.lists(st.fixed_dictionaries({"id": QUIVER_IDS, "src": QUIVER_IDS, "tgt": QUIVER_IDS}),
+             max_size=4),
+    st.dictionaries(QUIVER_IDS, QUIVER_IDS, max_size=5), JSON_VALUES)
+QUIVER_COMMANDS = [
+    ["split"], ["quotient"], ["fold"], ["branch", "--framing", "0,1,0,0,0"],
+    ["dims", "--v", "1,1,1,1", "--w", "1,1,1,1"],
+]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from(QUIVER_FIELDS), QUIVER_VALUES), min_size=1, max_size=2),
+       st.sampled_from(QUIVER_COMMANDS))
+# a vertex map that is not a permutation (3 -> 1 -> 1) must end the order walk
+@example(changes=[(("automorphism", "vertices", "3"), "1")], command=["split"])
+def test_quiver_file_fuzz_exits_cleanly(tmp_path_factory, changes, command):
+    doc = copy.deepcopy(QUIVER_DOC)
+    for field, value in changes:
+        doc = replaced(doc, field, copy.deepcopy(value))
+    path = tmp_path_factory.mktemp("fuzz") / "quiver.json"
+    path.write_text(json.dumps(doc))
+    assert main(command + ["--file", str(path)]) in (0, 1, 2)

@@ -30,12 +30,14 @@ from qfold.module_lab import (
     check_framed_embedding,
     check_relations,
     direct_sum,
+    doubled_arrows,
     eigen_grade,
     eigen_profile,
     find_transition,
     framed_module,
     hecke_profile,
     identity_sigma,
+    invariant_kernel_subspace,
     invariant_orientation,
     is_stable,
     star,
@@ -263,6 +265,136 @@ def test_find_transition_matches_generated_witness():
         found = find_transition(m, FLIP, sig)
         assert found is not None
         assert all(found.g[x] == wit.g[x] for x in A3.vertices)
+
+
+def test_find_transition_i_equation_decided_by_verification():
+    # J alone fixes g_2 = 1; only g I = theta(I) tells the two twists apart
+    v = {"1": 0, "2": 1, "3": 0}
+    w = {"1": 0, "2": 2, "3": 0}
+    m = framed_module(A3, v, w, I={"2": Mat.rational([[0, 1]])},
+                      J={"2": Mat.rational([[1], [0]])})
+    assert is_stable(m)
+    empty = Mat.zeros(0, 0)
+    sign = SigmaData(A3, FLIP, {"1": empty, "2": Mat.rational([[1, 0], [0, -1]]), "3": empty})
+    assert find_transition(m, FLIP, sign) is None
+    found = find_transition(m, FLIP, identity_sigma(A3, FLIP, w))
+    assert found is not None and found.g["2"] == Mat.identity(1)
+
+
+def global_intertwiner(m, a, sigma):
+    """Oracle for find_transition: the theta(B) g = g B, g I = theta(I) and
+    theta(J) g = J equations as one dense system in the sum of v_x^2
+    entries of g, solved at once; its solution must be unique."""
+    q = m.quiver
+    theta_m = apply_theta(m, a, sigma)
+    zero = m.one - m.one
+    offsets = {}
+    total = 0
+    for x in q.vertices:
+        offsets[x] = total
+        total += m.v.get(x, 0) ** 2
+
+    def g_entry(vertex, r, c):
+        return offsets[vertex] + r * m.v.get(vertex, 0) + c
+
+    rows, rhs = [], []
+    for info in doubled_arrows(q):
+        tb, b = theta_m.B[info.key], m.B[info.key]
+        nt, ns = m.v.get(info.tgt, 0), m.v.get(info.src, 0)
+        for r in range(nt):
+            for c in range(ns):
+                row = [zero] * total
+                for k in range(ns):
+                    row[g_entry(info.src, k, c)] += tb[r, k]
+                for k in range(nt):
+                    row[g_entry(info.tgt, r, k)] -= b[k, c]
+                rows.append(row)
+                rhs.append(zero)
+    for x in q.vertices:
+        nv, nw = m.v.get(x, 0), m.w.get(x, 0)
+        for r in range(nv):
+            for c in range(nw):
+                row = [zero] * total
+                for k in range(nv):
+                    row[g_entry(x, r, k)] += m.I[x][k, c]
+                rows.append(row)
+                rhs.append(theta_m.I[x][r, c])
+        for r in range(nw):
+            for c in range(nv):
+                row = [zero] * total
+                for k in range(nv):
+                    row[g_entry(x, k, c)] += theta_m.J[x][r, k]
+                rows.append(row)
+                rhs.append(m.J[x][r, c])
+
+    system = Mat(len(rows), total, rows)
+    sol = system.solve(Mat(len(rhs), 1, [[x] for x in rhs]))
+    if sol is None:
+        return None
+    assert system.nullity() == 0
+    g = {}
+    for x in q.vertices:
+        n = m.v.get(x, 0)
+        g[x] = Mat(n, n, [[sol[offsets[x] + r * n + c, 0] for c in range(n)] for r in range(n)])
+        assert n == 0 or g[x].is_invertible()
+    witness = TransitionWitness(g)
+    assert verify_transition(m, a, sigma, witness)
+    return witness
+
+
+def shrinking_invariant_kernel(m):
+    """Oracle for invariant_kernel_subspace: start from ker J and keep the
+    part of each space whose B-images stay inside the spaces, until no
+    space shrinks."""
+    one = m.one
+    spaces = {x: m.J[x].nullspace(one) for x in m.quiver.vertices}
+    while True:
+        new = {}
+        for x in m.quiver.vertices:
+            basis = spaces[x]
+            constraints = Mat(0, basis.cols, [])
+            for info in doubled_arrows(m.quiver):
+                if info.src == x:
+                    left = spaces[info.tgt].transpose().nullspace(one).transpose()
+                    constraints = constraints.vstack(left * m.B[info.key] * basis)
+            new[x] = basis * constraints.nullspace(one) if basis.cols else basis
+        if all(new[x].cols == spaces[x].cols for x in spaces):
+            return new
+        spaces = new
+
+
+def test_path_rows_match_global_oracles():
+    d4 = d_quiver(4)
+    a5 = a_quiver(5)
+    rng = random.Random(2024)
+    cases = []
+    for q, a in [(A3, FLIP), (d4, fork_swap_automorphism(d4, 4)),
+                 (d4, automorphism(d4, {"1": "3", "3": "4", "4": "1", "2": "2"})),
+                 (a5, flip_automorphism(a5, 5))]:
+        for p in [None] * 40 + [3] * 40:
+            m, sigma = random_theta_module(rng, q, a, max_dim=3, p=p)
+            cases.append((m, a, sigma))
+    # the dense oracle takes up to 1 s on a D4 pair, so the pairs are few
+    for q, a, count in [(A3, FLIP, 6), (a5, flip_automorphism(a5, 5), 3),
+                        (d4, fork_swap_automorphism(d4, 4), 1)]:
+        for _ in range(count):
+            _xi, m_sub, m, sigma, _wsub, _wit = random_graded_pair(rng, q, a)
+            cases += [(m, a, sigma), (m_sub, a, sigma)]
+    outcomes = {"stable": 0, "none": 0}
+    for m, a, sigma in cases:
+        new, old = invariant_kernel_subspace(m), shrinking_invariant_kernel(m)
+        assert all(new[x].cols == old[x].cols for x in m.quiver.vertices)
+        if not is_stable(m):
+            continue
+        outcomes["stable"] += 1
+        found, oracle = find_transition(m, a, sigma), global_intertwiner(m, a, sigma)
+        assert (found is None) == (oracle is None)
+        if found is None:
+            outcomes["none"] += 1
+        else:
+            assert all(found.g[x] == oracle.g[x] for x in m.quiver.vertices)
+    # both outcomes are exercised, over Q and over F_3
+    assert outcomes["stable"] >= 100 and 40 <= outcomes["none"] <= outcomes["stable"] - 40
 
 
 def test_star_relabeling_and_involution():
