@@ -28,6 +28,7 @@ from .linalg import Mat
 from .quiver_core import (
     DiagramAutomorphism,
     Quiver,
+    _orbits,
     a_quiver,
     affine_a_quiver,
     affine_d_quiver,
@@ -69,10 +70,6 @@ class CartanMatrix:
 
     def as_mat(self) -> Mat:
         return Mat.rational(self.entries)
-
-    def is_symmetric(self) -> bool:
-        return all(self.entries[i][j] == self.entries[j][i]
-                   for i in range(self.n) for j in range(self.n))
 
 
 def cartan_matrix(entries: Sequence[Sequence[int]],
@@ -324,18 +321,7 @@ def fold_cartan(c: CartanMatrix, a: Union[DiagramAutomorphism, Mapping[str, str]
                 raise InputError(f"map does not preserve the Cartan matrix at ({li},{lj})")
 
     pos = {v: i for i, v in enumerate(c.labels)}
-    seen: set[str] = set()
-    orbits: list[tuple[str, ...]] = []
-    for v in c.labels:
-        if v in seen:
-            continue
-        orb = []
-        x = v
-        while x not in orb:
-            orb.append(x)
-            seen.add(x)
-            x = perm[x]
-        orbits.append(tuple(sorted(orb, key=pos.__getitem__)))
+    orbits = _orbits(c.labels, perm)
 
     for orb in orbits:
         for x in orb:
@@ -421,21 +407,9 @@ def folded_generators(rank: int, family: str,
     labels = [str(i + 1) for i in range(rank)]
     if sorted(perm) != labels or sorted(perm.values()) != labels:
         raise InputError("vertex map must permute the canonical labels 1..rank")
-    seen: set[str] = set()
-    orbits: list[list[str]] = []
-    for v in labels:
-        if v in seen:
-            continue
-        orb = []
-        x = v
-        while x not in orb:
-            orb.append(x)
-            seen.add(x)
-            x = perm[x]
-        orbits.append(sorted(orb, key=lambda s: int(s)))
 
     Ef, Ff, Hf = [], [], []
-    for orb in orbits:
+    for orb in _orbits(tuple(labels), perm):
         idxs = [int(s) - 1 for s in orb]
         esum = E[idxs[0]]
         fsum = F[idxs[0]]

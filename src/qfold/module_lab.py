@@ -37,7 +37,14 @@ from .errors import (
     WitnessVerificationFailed,
 )
 from .linalg import Mat, column_space_contains
-from .numberfield import Fp, NumberField, factor_rational_poly
+from .numberfield import (
+    Fp,
+    NumberField,
+    factor_rational_poly,
+    poly_derivative,
+    poly_divmod,
+    poly_gcd,
+)
 from .quiver_core import (
     Arrow,
     DiagramAutomorphism,
@@ -113,10 +120,6 @@ class FramedModule:
                 raise ShapeMismatch(f"I[{vertex}] must be {iv}x{wv}")
             if jm.rows != wv or jm.cols != iv:
                 raise ShapeMismatch(f"J[{vertex}] must be {wv}x{iv}")
-
-    def field_one(self):
-        """The multiplicative unit of the module's coefficient field."""
-        return self.one
 
 
 def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
@@ -199,8 +202,7 @@ def _path_rows(m: FramedModule) -> dict[str, Mat]:
 def invariant_kernel_subspace(m: FramedModule) -> dict[str, Mat]:
     """The largest B-invariant graded subspace contained in ker J, as
     per-vertex column bases."""
-    one = m.field_one()
-    return {x: r.nullspace(one) for x, r in _path_rows(m).items()}
+    return {x: r.nullspace(m.one) for x, r in _path_rows(m).items()}
 
 
 def is_stable(m: FramedModule) -> bool:
@@ -237,7 +239,7 @@ def _all_subspace_bases(n: int, p: int) -> list[Mat]:
 def brute_stability(m: FramedModule, dim_bound: int = 4) -> bool:
     """Independent stability oracle over a prime field: enumerate every
     graded subspace and test containment in ker J plus B-invariance."""
-    one = m.field_one()
+    one = m.one
     if not isinstance(one, Fp):
         raise TooLarge("brute-force stability is restricted to prime fields")
     p = one.p
@@ -352,9 +354,8 @@ def apply_theta(m: FramedModule, a: DiagramAutomorphism, sigma: SigmaData) -> Fr
     newJ: dict[str, Mat] = {}
     for vertex in q.vertices:
         target = a.vertex_perm[vertex]
-        s = sigma.maps[vertex]
-        newJ[target] = s * m.J[vertex]
-        newI[target] = m.I[vertex] * s.inverse()
+        newJ[target] = sigma.maps[vertex] * m.J[vertex]
+        newI[target] = m.I[vertex] * sigma.inverses[vertex]
     return FramedModule(q, dict(m.v), dict(m.w), newB, newI, newJ, m.signed, m.one)
 
 
@@ -633,6 +634,18 @@ class EigenInclusionReport:
     vector: Optional[tuple[str, ...]] = None
 
 
+def eigenvector_span(g_mat: Mat) -> Mat:
+    """Columns spanning the sum of all eigenspaces of a square rational
+    matrix over the algebraic closure.
+
+    By the primary decomposition this is ker r(g), where r = chi / gcd(chi,
+    chi') is the square-free part of the characteristic polynomial; it is
+    computed over Q alone."""
+    chi = g_mat.charpoly()
+    r, _ = poly_divmod(chi, poly_gcd(chi, poly_derivative(chi)))
+    return g_mat.poly_eval(r).nullspace()
+
+
 def theorem5_verify(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
                     a: DiagramAutomorphism, sigma: SigmaData,
                     witness_sub: TransitionWitness, witness: TransitionWitness
@@ -641,9 +654,12 @@ def theorem5_verify(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
     lands inside the matching eigenspace of the ambient transition matrix.
 
     Both modules must be stable with exactly verified witnesses and xi a
-    valid embedding; a failure report carries a counterexample vector.
-    Eigenvalues are handled one irreducible factor of the characteristic
-    polynomial at a time, working exactly in Q[x]/(factor).
+    valid embedding.  For an eigenvector u of g_sub with eigenvalue lam,
+    (g_big - lam) xi u is D u with D = g_big xi - xi g_sub, so the property
+    holds at a vertex exactly when D vanishes on `eigenvector_span(g_sub)`;
+    this is decided over Q.  Only a failing vertex factors the
+    characteristic polynomial, to name an eigenvalue and a counterexample
+    vector exactly in Q[x]/(factor).
     """
     if not check_framed_embedding(xi, m_sub, m):
         raise PreconditionViolation("xi is not a framed embedding")
@@ -656,37 +672,30 @@ def theorem5_verify(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
 
     for x in m.quiver.vertices:
         g_sub = witness_matrix(witness_sub, x)
-        g_big = witness_matrix(witness, x)
         if g_sub.rows == 0:
             continue
-        for factor, _mult in factor_rational_poly(g_sub.charpoly()):
-            if len(factor) == 2:
-                lam_str = str(-factor[1])
-                eig_sub = (g_sub - Mat.identity(g_sub.rows).scaled(-factor[1])).nullspace()
-                big_shift = g_big - Mat.identity(g_big.rows).scaled(-factor[1])
-                for col in range(eig_sub.cols):
-                    u = eig_sub.submatrix(range(eig_sub.rows), [col])
-                    if not (big_shift * (xi[x] * u)).is_zero():
-                        return EigenInclusionReport(
-                            False, x, lam_str,
-                            tuple(str(u[r, 0]) for r in range(u.rows)))
-            else:
-                field = NumberField(factor)
-                lam = field.generator
-                one = field.one
-                g_sub_k = g_sub.map(field.from_rational)
-                g_big_k = g_big.map(field.from_rational)
-                xi_k = xi[x].map(field.from_rational)
-                shift_sub = g_sub_k - Mat.identity(g_sub_k.rows, one).scaled(lam)
-                shift_big = g_big_k - Mat.identity(g_big_k.rows, one).scaled(lam)
-                eig_sub = shift_sub.nullspace(one)
-                for col in range(eig_sub.cols):
-                    u = eig_sub.submatrix(range(eig_sub.rows), [col])
-                    if not (shift_big * (xi_k * u)).is_zero():
-                        return EigenInclusionReport(
-                            False, x, f"root of {_poly_str(factor)}",
-                            tuple(repr(u[r, 0]) for r in range(u.rows)))
+        defect = witness_matrix(witness, x) * xi[x] - xi[x] * g_sub
+        if not (defect * eigenvector_span(g_sub)).is_zero():
+            return _eigen_counterexample(x, g_sub, defect)
     return EigenInclusionReport(True)
+
+
+def _eigen_counterexample(x: str, g_sub: Mat, defect: Mat) -> EigenInclusionReport:
+    """The first eigenvector u of g_sub with defect u != 0, one irreducible
+    factor f of the characteristic polynomial at a time, in Q[x]/(f); a
+    degree-1 field prints its elements as Fractions do."""
+    for factor, _mult in factor_rational_poly(g_sub.charpoly()):
+        field = NumberField(factor)
+        shift = g_sub.map(field.from_rational) \
+            - Mat.identity(g_sub.rows, field.one).scaled(field.generator)
+        defect_k = defect.map(field.from_rational)
+        for u in shift.nullspace(field.one).columns():
+            if not (defect_k * u).is_zero():
+                lam = str(-factor[1]) if len(factor) == 2 else f"root of {_poly_str(factor)}"
+                return EigenInclusionReport(False, x, lam,
+                                            tuple(repr(u[r, 0]) for r in range(u.rows)))
+    raise PropertyViolation(f"the defect at {x} vanishes on every eigenvector but not "
+                            f"on their span")
 
 
 def _poly_str(coeffs: Sequence[Fraction]) -> str:

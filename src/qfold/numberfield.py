@@ -1,10 +1,13 @@
 """Small exact fields: prime fields and number fields Q[x]/(f).
 
 Number field elements are polynomials in the field generator with Fraction
-coefficients, reduced modulo an irreducible monic f.  This is all the
-machinery needed to compute eigenspaces of rational matrices exactly: work
-in Q[x]/(f) for each irreducible factor f of the characteristic polynomial,
-one Galois-conjugacy class of eigenvalues at a time.
+coefficients, reduced modulo an irreducible monic f.  They name the
+eigenvalues and eigenvectors of a rational matrix exactly: work in
+Q[x]/(f) for each irreducible factor f of the characteristic polynomial,
+one Galois-conjugacy class of eigenvalues at a time.  Deciding a property
+on all eigenvectors at once needs only the rational polynomial helpers:
+gcd and derivative give the square-free part of the characteristic
+polynomial.
 
 Polynomials are plain coefficient lists, highest degree first.
 """
@@ -126,6 +129,19 @@ def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
         if not r:
             r = [Fraction(0)]
     return poly_trim(q), poly_trim(r)
+
+
+def poly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
+    deg = len(p) - 1
+    return [c * (deg - i) for i, c in enumerate(p[:-1])] or [Fraction(0)]
+
+
+def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    """The monic greatest common divisor over Q, by Euclid; a and b not both zero."""
+    a, b = poly_trim(a), poly_trim(b)
+    while b != [Fraction(0)]:
+        a, b = b, poly_divmod(a, b)[1]
+    return [c / a[0] for c in a]
 
 
 @lru_cache(maxsize=None)

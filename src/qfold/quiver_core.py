@@ -35,10 +35,6 @@ class Arrow(NamedTuple):
     edge: str
     eps: int  # +1 along the edge's direction, -1 reversed
 
-    @property
-    def key(self) -> str:
-        return self.edge if self.eps == 1 else self.edge + "*"
-
 
 @dataclass(frozen=True)
 class Quiver:
@@ -61,12 +57,6 @@ class Quiver:
             if e.id == edge_id:
                 return e
         raise InputError(f"unknown edge {edge_id}")
-
-    def vertex_index(self, v: str) -> int:
-        try:
-            return self.vertices.index(v)
-        except ValueError:
-            raise InputError(f"unknown vertex {v}") from None
 
     def edges_between(self, u: str, v: str) -> list[Edge]:
         pair = {u, v}
@@ -133,12 +123,6 @@ class DiagramAutomorphism:
     vertex_perm: Mapping[str, str]
     edge_perm: Mapping[str, str]
     order: int
-
-    def vertex(self, v: str) -> str:
-        return self.vertex_perm[v]
-
-    def edge(self, e: str) -> str:
-        return self.edge_perm[e]
 
     def inverse_vertex(self, v: str) -> str:
         for k, im in self.vertex_perm.items():

@@ -12,8 +12,7 @@ reproduces the classical D/A correspondence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from math import comb, gcd
 from typing import Iterator, Mapping, Optional
 
@@ -21,6 +20,7 @@ from .errors import (
     IndexMismatch,
     IsoNotFound,
     NotDiagonalizableOverCyclotomicEigenvalues,
+    NotInvertible,
     NotOrbitConstant,
     PropertyViolation,
     SigmaConstraintViolated,
@@ -56,16 +56,6 @@ class SplitVertex:
     @property
     def id(self) -> str:
         return f"{self.orbit[0]}@{self.j}/{self.e}"
-
-    @property
-    def phase(self) -> Fraction:
-        """The label fraction j/e, kept in (0, 1]."""
-        return Fraction(self.j, self.e)
-
-    @property
-    def eigenphase(self) -> Fraction:
-        """Exponent t of the slot's eigenvalue exp(2*pi*i*t), in [0, 1)."""
-        return Fraction(self.j - 1, self.e)
 
 
 @dataclass(frozen=True)
@@ -359,12 +349,13 @@ class SigmaData:
     Construction validates the maps and raises SigmaConstraintViolated
     otherwise: every sigma_i is square and invertible and lands in a space
     of its own dimension, so w_i, read off as the size of sigma_i, is
-    constant on orbits.
+    constant on orbits.  Validation keeps the inverses sigma_i^{-1}.
     """
 
     quiver: Quiver
     auto: DiagramAutomorphism
     maps: Mapping[str, Mat]
+    inverses: Mapping[str, Mat] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -374,6 +365,7 @@ class SigmaData:
         missing = [vertex for vertex in q.vertices if vertex not in self.maps]
         if missing:
             raise SigmaConstraintViolated(f"sigma is missing at {', '.join(missing)}")
+        inverses = {}
         for vertex in q.vertices:
             mat = self.maps[vertex]
             if mat.rows != mat.cols:
@@ -384,8 +376,10 @@ class SigmaData:
                 raise SigmaConstraintViolated(
                     f"sigma at {vertex} is {mat.rows}x{mat.cols} but sigma at {image} "
                     f"has {self.maps[image].cols} columns")
-            if mat.rows and not mat.is_invertible():
-                raise SigmaConstraintViolated(f"sigma at {vertex} is singular")
+            try:
+                inverses[vertex] = mat.inverse()
+            except NotInvertible:
+                raise SigmaConstraintViolated(f"sigma at {vertex} is singular") from None
         od = orbit_data(q, a)
         for orbit in od.vertex_orbits:
             lift, e = orbit[0], od.e_vertex[orbit[0]]
@@ -394,6 +388,7 @@ class SigmaData:
             if not (comp.power(e) - Mat.identity(comp.rows)).is_zero():
                 raise SigmaConstraintViolated(
                     f"(sigma composite at {lift})^{e} is not the identity")
+        object.__setattr__(self, "inverses", inverses)
 
 
 def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:

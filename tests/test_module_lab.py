@@ -1,8 +1,15 @@
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import qfold
+from qfold.cli import main
 from qfold.errors import (
     NotAnEmbedding,
     NotFiniteOrder,
@@ -18,9 +25,11 @@ from qfold.generators import (
     random_one_way_module,
     random_theta_module,
 )
-from qfold.linalg import Mat
-from qfold.numberfield import factor_rational_poly
+from qfold.linalg import Mat, column_space_contains
+from qfold.numberfield import NumberField, factor_rational_poly
 from qfold.module_lab import (
+    EigenInclusionReport,
+    _poly_str,
     SigmaData,
     TransitionWitness,
     act,
@@ -33,6 +42,7 @@ from qfold.module_lab import (
     doubled_arrows,
     eigen_grade,
     eigen_profile,
+    eigenvector_span,
     find_transition,
     framed_module,
     hecke_profile,
@@ -43,8 +53,15 @@ from qfold.module_lab import (
     star,
     theorem5_verify,
     verify_transition,
+    witness_matrix,
 )
-from qfold.serialize import matmap_to_obj, sigma_from_dict
+from qfold.serialize import (
+    matmap_to_obj,
+    module_to_dict,
+    sigma_from_dict,
+    sigma_to_dict,
+    witness_to_dict,
+)
 from qfold.quiver_core import (
     a_quiver,
     automorphism,
@@ -53,6 +70,7 @@ from qfold.quiver_core import (
     fork_swap_automorphism,
     identity_automorphism,
     orbit_data,
+    quiver_to_dict,
 )
 
 A1 = a_quiver(1)
@@ -529,8 +547,9 @@ def test_theorem5_generated_pairs():
         assert rep.ok, (trial, rep)
 
 
-def test_theorem5_exercises_cyclotomic_eigenvalues():
-    # order-3 rotation: transitions with irreducible quadratic factors
+def rot3_module():
+    """A stable module on D4 under the order-3 rotation whose transition
+    matrices have the irreducible quadratic factor x^2 + x + 1."""
     d4 = d_quiver(4)
     rot = automorphism(d4, {"1": "3", "3": "4", "4": "1", "2": "2"})
     v = {x: 2 for x in d4.vertices}
@@ -555,12 +574,200 @@ def test_theorem5_exercises_cyclotomic_eigenvalues():
     h = {"2": Mat.identity(2), "1": Mat.identity(2), "3": r, "4": r * r}
     m = act(h, base)
     g = {x: h[rot.inverse_vertex(x)] * h[x].inverse() for x in d4.vertices}
-    wit = TransitionWitness(g)
+    return m, rot, sig, TransitionWitness(g)
+
+
+def test_theorem5_exercises_cyclotomic_eigenvalues():
+    # order-3 rotation: transitions with irreducible quadratic factors
+    m, rot, sig, wit = rot3_module()
     assert verify_transition(m, rot, sig, wit)
-    assert any(len(f) > 2 for f, _ in factor_rational_poly(g["1"].charpoly()))
-    ident = {x: Mat.identity(2) for x in d4.vertices}
+    assert any(len(f) > 2 for f, _ in factor_rational_poly(wit.g["1"].charpoly()))
+    ident = {x: Mat.identity(2) for x in m.quiver.vertices}
     rep = theorem5_verify(ident, m, m, rot, sig, wit, wit)
     assert rep.ok
+
+
+def regauged(xi, m, a, witness, h):
+    """The ambient module acted on by the gauge h, with its embedding and
+    transition: theta(h.m) = g'.(h.m) for g'_x = h_{a^-1(x)} g_x h_x^-1, so a
+    gauge that is not constant on orbits breaks eigenspace inclusion."""
+    g = {x: h[a.inverse_vertex(x)] * witness_matrix(witness, x) * h[x].inverse()
+         for x in m.quiver.vertices}
+    return {x: h[x] * xi[x] for x in xi}, act(h, m), TransitionWitness(g)
+
+
+def failing_a3_pair():
+    xi, msub, m, sig, wsub, wit = random_graded_pair(random.Random(0), A3, FLIP)
+    h = {x: Mat.identity(m.v[x]) for x in A3.vertices}
+    h["1"] = h["1"].scaled(Fraction(2))
+    xi, m, wit = regauged(xi, m, FLIP, wit, h)
+    return xi, msub, m, FLIP, sig, wsub, wit
+
+
+def failing_rot3_pair():
+    msub, rot, sig, wsub = rot3_module()
+    ident = {x: Mat.identity(2) for x in msub.quiver.vertices}
+    h = {**ident, "1": Mat.rational([[1, 1], [0, 1]])}
+    xi, m, wit = regauged(ident, msub, rot, wsub, h)
+    return xi, msub, m, rot, sig, wsub, wit
+
+
+def per_factor_report(xi, m_sub, m, witness_sub, witness):
+    """Eigenspace inclusion decided one irreducible factor of the
+    characteristic polynomial at a time, rational factors over Q and the
+    others in Q[x]/(factor): the oracle for theorem5_verify."""
+    for x in m.quiver.vertices:
+        g_sub = witness_matrix(witness_sub, x)
+        g_big = witness_matrix(witness, x)
+        if g_sub.rows == 0:
+            continue
+        for factor, _mult in factor_rational_poly(g_sub.charpoly()):
+            if len(factor) == 2:
+                lam = -factor[1]
+                eig_sub = (g_sub - Mat.identity(g_sub.rows).scaled(lam)).nullspace()
+                big_shift = g_big - Mat.identity(g_big.rows).scaled(lam)
+                for u in eig_sub.columns():
+                    if not (big_shift * (xi[x] * u)).is_zero():
+                        return EigenInclusionReport(
+                            False, x, str(lam), tuple(str(u[r, 0]) for r in range(u.rows)))
+            else:
+                field = NumberField(factor)
+                lam, one = field.generator, field.one
+                shift_sub = g_sub.map(field.from_rational) \
+                    - Mat.identity(g_sub.rows, one).scaled(lam)
+                shift_big = g_big.map(field.from_rational) \
+                    - Mat.identity(g_big.rows, one).scaled(lam)
+                xi_k = xi[x].map(field.from_rational)
+                for u in shift_sub.nullspace(one).columns():
+                    if not (shift_big * (xi_k * u)).is_zero():
+                        return EigenInclusionReport(
+                            False, x, f"root of {_poly_str(factor)}",
+                            tuple(repr(u[r, 0]) for r in range(u.rows)))
+    return EigenInclusionReport(True)
+
+
+def theorem5_file(tmp_path, xi, msub, m, a, sig, wsub, wit):
+    path = tmp_path / "theorem5.json"
+    path.write_text(json.dumps({
+        "quiver": quiver_to_dict(m.quiver, a), "module": module_to_dict(m),
+        "sub": module_to_dict(msub), "xi": matmap_to_obj(xi),
+        "sigma": sigma_to_dict(sig), "witness": witness_to_dict(wit),
+        "witness_sub": witness_to_dict(wsub)}))
+    return path
+
+
+def test_theorem5_failure_reports_pinned(tmp_path):
+    rational = NumberField([Fraction(1), Fraction(-1)])      # eigenvalue 1
+    cyclotomic = NumberField([Fraction(1), Fraction(1), Fraction(1)])
+    a = cyclotomic.generator
+    cases = [
+        (failing_a3_pair(), EigenInclusionReport(False, "1", "1", ("1",)),
+         rational, [rational.one]),
+        (failing_rot3_pair(), EigenInclusionReport(False, "1", "root of x^2 + x + 1",
+                                                   ("-1*a", "1")),
+         cyclotomic, [-a, cyclotomic.one]),
+    ]
+    for (xi, msub, m, auto, sig, wsub, wit), want, field, entries in cases:
+        assert verify_transition(m, auto, sig, wit)
+        assert theorem5_verify(xi, msub, m, auto, sig, wsub, wit) == want
+
+        # the reported vector u is an eigenvector of g_sub that the defect
+        # D = g_big xi - xi g_sub does not kill
+        u = Mat.from_rows([[c] for c in entries])
+        assert tuple(repr(c) for c in entries) == want.vector
+        g_sub = witness_matrix(wsub, "1").map(field.from_rational)
+        assert g_sub * u == u.scaled(field.generator)
+        defect = witness_matrix(wit, "1") * xi["1"] - xi["1"] * witness_matrix(wsub, "1")
+        assert not (defect.map(field.from_rational) * u).is_zero()
+
+        path = theorem5_file(tmp_path, xi, msub, m, auto, sig, wsub, wit)
+        assert main(["module", "theorem5", str(path)]) == 2
+
+
+def random_gauge(rng, dims):
+    """Independent random invertible integer matrices per vertex: upper
+    triangular with a nonzero diagonal."""
+    out = {}
+    for x, n in dims.items():
+        rows = [[(rng.choice([1, 2, -1, 3]) if r == c else rng.randint(-2, 2) if c > r else 0)
+                 for c in range(n)] for r in range(n)]
+        out[x] = Mat.rational(rows) if n else Mat.identity(0)
+    return out
+
+
+def test_theorem5_agrees_with_per_factor_oracle():
+    rng = random.Random(23)
+    d4 = d_quiver(4)
+    swap = fork_swap_automorphism(d4, 4)
+    cases = []
+    for trial in range(12):
+        q, a = [(A3, FLIP), (d4, swap)][trial % 2]
+        xi, msub, m, sig, wsub, wit = random_graded_pair(rng, q, a)
+        cases.append((xi, msub, m, a, sig, wsub, wit))
+        xi2, m2, wit2 = regauged(xi, m, a, wit, random_gauge(rng, m.v))
+        cases.append((xi2, msub, m2, a, sig, wsub, wit2))
+    m3, rot, sig3, wit3 = rot3_module()
+    ident = {x: Mat.identity(2) for x in m3.quiver.vertices}
+    cases.append((ident, m3, m3, rot, sig3, wit3, wit3))
+    for _ in range(3):
+        xi, m, wit = regauged(ident, m3, rot, wit3, random_gauge(rng, m3.v))
+        cases.append((xi, m3, m, rot, sig3, wit3, wit))
+    cases += [failing_a3_pair(), failing_rot3_pair()]
+
+    verdicts = []
+    for xi, msub, m, a, sig, wsub, wit in cases:
+        rep = theorem5_verify(xi, msub, m, a, sig, wsub, wit)
+        assert rep == per_factor_report(xi, msub, m, wsub, wit)
+        verdicts.append(rep.ok)
+    assert verdicts.count(True) >= 13 and verdicts.count(False) >= 10
+
+
+def jordan_conjugate(rng, n):
+    """A random n x n integer matrix, or P J P^-1 for J a block diagonal of
+    Jordan blocks at small integers and companion blocks of irreducible
+    quadratics, and P a random unimodular integer matrix."""
+    if rng.random() < 0.3:
+        return Mat.rational([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    blocks, size = [], 0
+    while size < n:
+        if n - size >= 2 and rng.random() < 0.3:
+            b1, b0 = rng.choice([(1, 1), (0, 1), (0, -2), (-1, 3)])   # x^2 + b1 x + b0
+            block = Mat.rational([[0, -b0], [1, -b1]])
+        else:
+            k = rng.randint(1, n - size)
+            lam = rng.randint(-2, 2)
+            block = Mat.rational([[lam if r == c else 1 if c == r + 1 else 0
+                                   for c in range(k)] for r in range(k)])
+        blocks.append(block)
+        size += block.rows
+    lower = Mat.rational([[rng.randint(-2, 2) if r > c else int(r == c) for c in range(n)]
+                          for r in range(n)])
+    p = lower * lower.transpose()
+    return p * Mat.block_diag(blocks) * p.inverse()
+
+
+def test_eigenvector_span_is_the_sum_of_factor_kernels():
+    rng = random.Random(11)
+    for _ in range(40):
+        g = jordan_conjugate(rng, rng.randint(1, 6))
+        span = eigenvector_span(g)
+        kernels = [g.poly_eval(f).nullspace() for f, _ in factor_rational_poly(g.charpoly())]
+        assert span.cols == span.rank() == sum(k.cols for k in kernels)
+        assert all(column_space_contains(span, col) for k in kernels for col in k.columns())
+
+
+def test_passing_theorem5_imports_no_sympy(tmp_path):
+    xi, msub, m, sig, wsub, wit = random_graded_pair(random.Random(5), A3, FLIP)
+    path = theorem5_file(tmp_path, xi, msub, m, FLIP, sig, wsub, wit)
+    # factoring and number fields are unreachable: using them raises TypeError
+    code = ("import sys, qfold.module_lab as ml; from qfold.cli import main; "
+            "ml.NumberField = ml.factor_rational_poly = None; "
+            f"rc = main(['module', 'theorem5', {str(path)!r}]); "
+            "print(rc, 'sympy' in sys.modules)")
+    src = Path(qfold.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(src))).stdout
+    assert out.split()[-2:] == ["0", "False"]
 
 
 def test_theorem5_precondition_checks():
