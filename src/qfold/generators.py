@@ -32,7 +32,6 @@ from .module_lab import (
     doubled_arrows,
     framed_module,
     invariant_orientation,
-    is_stable,
     verify_transition,
 )
 from .quiver_core import Arrow, DiagramAutomorphism, Quiver, arrow_image, orbit_data
@@ -295,8 +294,10 @@ def _try_graded_pair(rng, q, a, od, max_sub, max_extra):
     sigma = SigmaData(q, a, sigma_maps)
     if apply_theta(m, a, sigma) != act(g0, m):
         raise InputError("graded construction failed its transport identity")
-    if not is_stable(m):
-        return None
+    # J is injective at every vertex, for the pair and for its submodule, so
+    # ker J = 0 and both are stable once the relation holds
+    if not check_relations(m).ok:
+        raise PropertyViolation("a graded module violates the preprojective relation")
 
     xi0 = {x: Mat.identity(v[x]).submatrix(range(v[x]), range(vsub[x])) for x in q.vertices}
     m_sub = framed_module(
@@ -304,8 +305,8 @@ def _try_graded_pair(rng, q, a, od, max_sub, max_extra):
         B={info.key: m.B[info.key].submatrix(range(vsub[info.tgt]), range(vsub[info.src]))
            for info in doubled_arrows(q)},
         J={x: J[x].submatrix(range(w[x]), range(vsub[x])) for x in q.vertices})
-    if not is_stable(m_sub):
-        return None
+    if not check_relations(m_sub).ok:
+        raise PropertyViolation("a graded submodule violates the preprojective relation")
     if apply_theta(m_sub, a, sigma) != act(g0_sub, m_sub):
         raise InputError("graded subconstruction failed its transport identity")
 

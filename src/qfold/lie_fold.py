@@ -300,10 +300,13 @@ class FoldedAlgebraData:
     folded: CartanMatrix
 
 
-def _vertex_perm_of(a: Union[DiagramAutomorphism, Mapping[str, str]]) -> Mapping[str, str]:
-    if isinstance(a, DiagramAutomorphism):
-        return a.vertex_perm
-    return a
+def _vertex_perm_of(a: Union[DiagramAutomorphism, Mapping[str, str]],
+                    labels: Sequence[str]) -> Mapping[str, str]:
+    """The vertex map of a, checked to permute the labels."""
+    perm = a.vertex_perm if isinstance(a, DiagramAutomorphism) else a
+    if set(perm) != set(labels) or set(perm.values()) != set(labels):
+        raise InputError(f"vertex map is not a permutation of the labels {', '.join(labels)}")
+    return perm
 
 
 def fold_cartan(c: CartanMatrix, a: Union[DiagramAutomorphism, Mapping[str, str]]) -> FoldedAlgebraData:
@@ -312,9 +315,7 @@ def fold_cartan(c: CartanMatrix, a: Union[DiagramAutomorphism, Mapping[str, str]
     Folded entry at (orbit I, orbit J) is sum over k in J of c[i0][k] for a
     representative i0 of I; representative independence is re-checked.
     """
-    perm = _vertex_perm_of(a)
-    if sorted(perm) != sorted(c.labels) or sorted(perm.values()) != sorted(c.labels):
-        raise InputError("vertex map is not a permutation of the Cartan labels")
+    perm = _vertex_perm_of(a, c.labels)
     for i, li in enumerate(c.labels):
         for j, lj in enumerate(c.labels):
             if c[i, j] != c[c.index(perm[li]), c.index(perm[lj])]:
@@ -403,13 +404,11 @@ def folded_generators(rank: int, family: str,
     else:
         raise UnsupportedFamily(f"no defining representation wired for family {family}")
 
-    perm = _vertex_perm_of(a)
-    labels = [str(i + 1) for i in range(rank)]
-    if sorted(perm) != labels or sorted(perm.values()) != labels:
-        raise InputError("vertex map must permute the canonical labels 1..rank")
+    labels = tuple(str(i + 1) for i in range(rank))
+    perm = _vertex_perm_of(a, labels)
 
     Ef, Ff, Hf = [], [], []
-    for orb in _orbits(tuple(labels), perm):
+    for orb in _orbits(labels, perm):
         idxs = [int(s) - 1 for s in orb]
         esum = E[idxs[0]]
         fsum = F[idxs[0]]

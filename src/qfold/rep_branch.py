@@ -10,13 +10,16 @@ s_i(lambda)_k = lambda_k - lambda_i * c[i][k].
 The dominant weights below a highest weight are reached from it by
 positive-root steps that stay dominant (Stembridge, "The partial order of
 dominant weights", 1998), carrying lam - mu along as integer simple-root
-coordinates, so the Freudenthal recursion needs no inverse Cartan matrix.
+coordinates, so neither the Freudenthal recursion nor branching needs an
+inverse Cartan matrix.
 
-Branching is computed by restricting the full character along orbit sums
-of Cartan elements and stripping highest weights in one pass in height
-order; the heights of the folded fundamental weights are the one use of an
-inverse Cartan matrix.  This is slower than crystal combinatorics but
-independently checkable against the Weyl dimension formula.
+Branching restricts the full character of L(lam) along orbit sums of
+Cartan elements and keeps it at the folded-dominant weights only: both the
+restriction and every folded character are invariant under the folded Weyl
+group, so stripping highest weights in one pass in integer depth order
+needs the folded characters at their dominant weights alone, never spread
+over orbits.  This is slower than crystal combinatorics but independently
+checkable against the Weyl dimension formula.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .errors import (
     UnknownVertex,
 )
 from .lie_fold import CartanMatrix, FoldedAlgebraData, is_finite_type, symmetrizer
-from .linalg import Mat
 from .quiver_core import Quiver
 
 Weight = tuple[int, ...]
@@ -158,11 +160,6 @@ def _check_weight(c: CartanMatrix, lam: Weight) -> None:
         raise IndexMismatch(f"weight has {len(lam)} coordinates, Cartan matrix has rank {c.n}")
 
 
-@lru_cache(maxsize=256)
-def _inverse_cartan(c: CartanMatrix) -> Mat:
-    return c.as_mat().inverse()
-
-
 def dominant_weights_below(c: CartanMatrix, lam: Weight) -> dict[Weight, Root]:
     """Dominant weights mu <= lam in the root-lattice order, each with
     lam - mu in simple-root coordinates as the value.
@@ -187,13 +184,13 @@ def dominant_weights_below(c: CartanMatrix, lam: Weight) -> dict[Weight, Root]:
     return out
 
 
-def freudenthal_character(c: CartanMatrix, lam: Weight,
-                          dim_cap: int = DEFAULT_DIM_CAP) -> Character:
-    """Full weight multiplicity function of the irreducible L(lam).
+def dominant_character(c: CartanMatrix, lam: Weight,
+                       dim_cap: int = DEFAULT_DIM_CAP) -> Character:
+    """Multiplicities of the irreducible L(lam) at its dominant weights.
 
-    Multiplicities are computed on dominant weights with the Freudenthal
-    recursion and spread over Weyl orbits.  Guarded by a dimension cap to
-    keep runs desk-scale.
+    The Freudenthal recursion runs over the dominant weights below lam in
+    depth order, reading each multiplicity at a dominant representative.
+    Guarded by a dimension cap to keep runs desk-scale.
     """
     _check_weight(c, lam)
     if not is_dominant(lam):
@@ -211,7 +208,7 @@ def freudenthal_character(c: CartanMatrix, lam: Weight,
     by_level = sorted(dominants.items(), key=lambda kv: (sum(kv[1]), kv[0]))
     lam_rho = tuple(x + 1 for x in lam)
 
-    mults: dict[Weight, int] = {}
+    mults: Character = {}
     dom_cache: dict[Weight, Weight] = {}
 
     def dom_of(w: Weight) -> Weight:
@@ -239,11 +236,19 @@ def freudenthal_character(c: CartanMatrix, lam: Weight,
         if denom <= 0 or (2 * acc) % denom != 0:
             raise CharacterMismatch(f"Freudenthal's recursion is not integral at {mu}")
         mults[mu] = (2 * acc) // denom
+    return mults
 
+
+def freudenthal_character(c: CartanMatrix, lam: Weight,
+                          dim_cap: int = DEFAULT_DIM_CAP) -> Character:
+    """Full weight multiplicity function of the irreducible L(lam): the
+    dominant multiplicities spread over Weyl orbits, with the total checked
+    against the Weyl dimension formula."""
     char: Character = {}
-    for mu, m in mults.items():
+    for mu, m in dominant_character(c, lam, dim_cap).items():
         for w in weyl_orbit(c, mu):
             char[w] = m
+    total = weyl_dim(c, lam)
     if sum(char.values()) != total:
         raise CharacterMismatch(f"character of {lam} has total {sum(char.values())}, not {total}")
     return char
@@ -276,10 +281,10 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
     """Decompose L(lam) restricted to the folded subalgebra.
 
     Returns (folded dominant weight, multiplicity) pairs obtained by
-    stripping the restricted character from the top; conservation of total
-    dimension is checked.  Restriction is defined for every dominant
-    weight; pass require_invariant=True to insist that lam is constant on
-    the folding orbits.
+    stripping the restricted character from the top, on folded-dominant
+    weights only; conservation of total dimension is checked.  Restriction
+    is defined for every dominant weight; pass require_invariant=True to
+    insist that lam is constant on the folding orbits.
     """
     if fold.base.entries != c.entries or fold.base.labels != c.labels:
         raise IndexMismatch("folding data does not belong to this Cartan matrix")
@@ -291,31 +296,26 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
     fc = fold.folded
     _require_finite(fc)
 
+    # restriction sends alpha_i to the folded simple root of i's orbit, so
+    # every folded-dominant restricted weight is a key of depths
+    depths = dominant_weights_below(fc, restrict_weight(lam, fold))
     restricted: Character = {}
     for w, m in freudenthal_character(c, lam, dim_cap).items():
         rw = restrict_weight(w, fold)
-        restricted[rw] = restricted.get(rw, 0) + m
-
-    # the height of a weight is the sum of its simple-root coordinates
-    inv = _inverse_cartan(fc)
-    fund_height = [sum(inv[i, j] for j in range(fc.n)) for i in range(fc.n)]
-
-    def height(w: Weight) -> Fraction:
-        return sum(x * h for x, h in zip(w, fund_height))
+        if rw in depths:
+            restricted[rw] = restricted.get(rw, 0) + m
 
     # weights only ever leave `restricted`, so the highest remaining one is
-    # the next of this order that has not been stripped away yet
+    # the next of this order (deepest last) that has not been stripped yet
     out: list[tuple[Weight, int]] = []
-    for top in sorted(restricted, key=lambda w: (height(w), w), reverse=True):
+    for top in sorted(restricted, key=lambda w: (-sum(depths[w]), w), reverse=True):
         if top not in restricted:
             continue
         mult = restricted[top]
-        if not is_dominant(top):
-            raise StrippingFailure(f"maximal remaining weight {top} is not dominant")
         if mult <= 0:
             raise StrippingFailure(f"negative multiplicity {mult} at {top}")
         out.append((top, mult))
-        for w, m in freudenthal_character(fc, top, dim_cap).items():
+        for w, m in dominant_character(fc, top, dim_cap).items():
             rem = restricted.get(w, 0) - mult * m
             if rem < 0:
                 raise StrippingFailure(f"stripping drove weight {w} to multiplicity {rem}")

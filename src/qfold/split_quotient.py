@@ -24,6 +24,7 @@ from .errors import (
     NotOrbitConstant,
     PropertyViolation,
     SigmaConstraintViolated,
+    TooLarge,
     UnknownVertex,
 )
 from .linalg import Mat
@@ -39,6 +40,9 @@ from .quiver_core import (
 )
 
 DimVec = Mapping[str, int]
+
+# the most split dimension vectors fibers_of_p lists
+FIBER_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -270,6 +274,9 @@ def fibers_of_p(v: DimVec, sd: SplitData) -> list[dict[str, int]]:
     validate_dimvec(v, sd.source)
     if not is_orbit_constant(v, sd.orbits):
         raise NotOrbitConstant("dimension vector is not constant on vertex orbits")
+    count = fiber_count(v, sd)
+    if count > FIBER_CAP:
+        raise TooLarge(f"the fiber has {count} split dimension vectors, beyond the cap of {FIBER_CAP}")
 
     per_orbit: list[list[tuple[int, ...]]] = []
     slots: list[list[str]] = []

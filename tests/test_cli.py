@@ -121,6 +121,11 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and flag in err, err
+    # a fiber of 501,501 split dimension vectors is refused before it is listed
+    assert main(["dims", "--corpus", "D4-rot3", "--v", "1000,1000,1000,1000",
+                 "--w", "1,1,1,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "501501" in err, err
     # a malformed module file is one error line too
     module_probes = [
         ("check", (), []),

@@ -1,6 +1,6 @@
 import pytest
 
-from qfold.errors import NotAdmissible, SelfLoop, UnsupportedFamily
+from qfold.errors import InputError, NotAdmissible, SelfLoop, UnsupportedFamily
 from qfold.lie_fold import (
     TypeLabel,
     canonical_cartan,
@@ -165,6 +165,22 @@ def test_serre_check_folded_pairs():
         fold = fold_cartan(cartan_from_quiver(q), a)
         gens = folded_generators(n, "D", a)
         assert serre_check(fold.folded, *gens).ok, f"D{n}"
+
+
+def test_folded_generators_rank_ten_and_up():
+    # labels "10" and "11" sort before "2" as strings; the permutation check
+    # compares sets of labels, so every rank is accepted
+    for n, a, folded_rank in ((10, identity_automorphism(a_quiver(10)), 10),
+                              (11, flip_automorphism(a_quiver(11), 11), 6)):
+        fold = fold_cartan(cartan_from_quiver(a_quiver(n)), a)
+        gens = folded_generators(n, "A", a)
+        assert len(gens[0]) == fold.folded.n == folded_rank
+        assert serre_check(fold.folded, *gens).ok, f"A{n}"
+    not_onto = {str(i): "1" for i in range(1, 11)}
+    with pytest.raises(InputError):
+        folded_generators(10, "A", not_onto)
+    with pytest.raises(InputError):
+        fold_cartan(cartan_from_quiver(a_quiver(10)), not_onto)
 
 
 def test_serre_check_transpose_convention_fails():

@@ -547,6 +547,18 @@ def test_theorem5_generated_pairs():
         assert rep.ok, (trial, rep)
 
 
+def test_graded_pairs_are_stable():
+    # the generator relies on J being injective; the full check confirms it
+    rng = random.Random(29)
+    a5, d4, d5 = a_quiver(5), d_quiver(4), d_quiver(5)
+    setups = [(A3, FLIP), (a5, flip_automorphism(a5, 5)),
+              (d4, fork_swap_automorphism(d4, 4)), (d5, fork_swap_automorphism(d5, 5))]
+    for trial in range(12):
+        q, a = setups[trial % 4]
+        _xi, msub, m, _sig, _wsub, _wit = random_graded_pair(rng, q, a)
+        assert is_stable(m) and is_stable(msub), trial
+
+
 def rot3_module():
     """A stable module on D4 under the order-3 rotation whose transition
     matrices have the irreducible quadratic factor x^2 + x + 1."""

@@ -11,15 +11,23 @@ from qfold.errors import (
     NotFiniteType,
     NotInvariantWeight,
 )
-from qfold.lie_fold import canonical_cartan, cartan_from_quiver, cartan_matrix, fold_cartan
+from qfold.lie_fold import (
+    canonical_cartan,
+    cartan_from_quiver,
+    cartan_matrix,
+    classify_cartan,
+    fold_cartan,
+)
 from qfold.quiver_core import a_quiver, affine_a_quiver, flip_automorphism, identity_automorphism
 from qfold.rep_branch import (
     branch,
     character_dim,
+    dominant_character,
     dominant_representative,
     dominant_weights_below,
     freudenthal_character,
     highest_weight_from_framing,
+    is_dominant,
     positive_roots,
     reflect_weight,
     restrict_weight,
@@ -261,3 +269,124 @@ def test_dominant_weights_below_matches_all_weights_walk():
 def test_freudenthal_a7_dimension():
     a7 = canonical_cartan("A", 7)
     assert character_dim(freudenthal_character(a7, (1, 0, 1, 0, 1, 0, 1))) == 96228
+
+
+def test_dominant_character_is_freudenthal_at_dominant_weights():
+    rng = random.Random(3)
+    for c in (A1, A2, A3, C2, canonical_cartan("B", 3), canonical_cartan("G", 2)):
+        for _ in range(4):
+            lam = tuple(rng.randint(0, 2) for _ in range(c.n))
+            full = freudenthal_character(c, lam)
+            assert dominant_character(c, lam) == {w: m for w, m in full.items() if is_dominant(w)}
+    with pytest.raises(DimensionCapExceeded):
+        dominant_character(cartan_from_quiver(a_quiver(5)), (2, 2, 2, 2, 2), dim_cap=1000)
+
+
+def full_stripping_branch(c, lam, fold):
+    """The former branching, kept as an oracle: the whole restricted
+    character, heights of the folded fundamental weights from the inverse
+    folded Cartan matrix, and every summand's full character stripped."""
+    fc = fold.folded
+    restricted = {}
+    for w, m in freudenthal_character(c, lam).items():
+        rw = restrict_weight(w, fold)
+        restricted[rw] = restricted.get(rw, 0) + m
+    inv = fc.as_mat().inverse()
+    fund_height = [sum(inv[i, j] for j in range(fc.n)) for i in range(fc.n)]
+
+    def height(w):
+        return sum(x * h for x, h in zip(w, fund_height))
+
+    out = []
+    for top in sorted(restricted, key=lambda w: (height(w), w), reverse=True):
+        if top not in restricted:
+            continue
+        assert is_dominant(top), top
+        mult = restricted[top]
+        out.append((top, mult))
+        for w, m in freudenthal_character(fc, top).items():
+            rem = restricted.get(w, 0) - mult * m
+            assert rem >= 0, (top, w)
+            if rem == 0:
+                restricted.pop(w, None)
+            else:
+                restricted[w] = rem
+    return out
+
+
+def weyl_denominator_branch(c, lam, fold):
+    """Second oracle, without stripping: n_nu = sum over w in W' of
+    eps(w) M(nu + rho' - w rho'), with M the restricted multiplicity read
+    at the folded-dominant representative.  The orbit of the regular
+    weight rho' lists W', and its breadth-first depth is the length."""
+    fc = fold.folded
+    restricted = {}
+    for w, m in freudenthal_character(c, lam).items():
+        rw = restrict_weight(w, fold)
+        restricted[rw] = restricted.get(rw, 0) + m
+    dominant = {w: m for w, m in restricted.items() if is_dominant(w)}
+    for w, m in restricted.items():  # restriction is W'-invariant
+        assert dominant[dominant_representative(fc, w)] == m
+
+    rho = (1,) * fc.n
+    signed = {rho: 1}
+    layer = [rho]
+    while layer:
+        nxt = []
+        for x in layer:
+            for i in range(fc.n):
+                y = reflect_weight(fc, x, i)
+                if y not in signed:
+                    signed[y] = -signed[x]
+                    nxt.append(y)
+        layer = nxt
+
+    def mult(mu):
+        return dominant.get(dominant_representative(fc, mu), 0)
+
+    out = {}
+    for nu in dominant_weights_below(fc, restrict_weight(lam, fold)):
+        n = sum(sign * mult(tuple(a + 1 - b for a, b in zip(nu, w_rho)))
+                for w_rho, sign in signed.items())
+        assert n >= 0, nu
+        if n:
+            out[nu] = n
+    return out, len(signed)
+
+
+def small_weyl_folds():
+    """Folds with |W'| <= 48: C2, C3, B3, G2 from the base diagrams, and
+    the split-quiver folds of branch (A3 -> B2, D4 -> B3, A5 -> C3)."""
+    from qfold.corpus import corpus_entry
+    from qfold.split_quotient import split_quiver
+
+    folds = []
+    for name in ("A3-flip", "A5-flip", "D4-swap", "D4-rot3"):
+        entry = corpus_entry(name)
+        c = cartan_from_quiver(entry.quiver)
+        folds.append((c, fold_cartan(c, entry.auto)))
+        sd = split_quiver(entry.quiver, entry.auto)
+        split_c = cartan_from_quiver(sd.split)
+        folds.append((split_c, fold_cartan(split_c, sd.induced)))
+    return folds
+
+
+def small_weights(c, cap):
+    top = 3 if c.n <= 3 else 2
+    return [lam for lam in itertools.product(range(top), repeat=c.n) if weyl_dim(c, lam) <= cap]
+
+
+def test_branch_matches_full_stripping_and_weyl_denominator():
+    cases = 0
+    types = set()
+    for c, fold in small_weyl_folds():
+        for lam in small_weights(c, 400):
+            got = branch(c, lam, fold)
+            assert got == full_stripping_branch(c, lam, fold), (c.labels, lam)
+            by_denominator, order = weyl_denominator_branch(c, lam, fold)
+            assert order <= 48
+            assert dict(got) == by_denominator, (c.labels, lam)
+            types.add(str(classify_cartan(fold.folded)))
+            cases += 1
+    assert types >= {"C2", "C3", "B3", "G2"}
+    assert cases >= 100
