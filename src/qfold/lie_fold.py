@@ -346,43 +346,31 @@ def fold_cartan(c: CartanMatrix, a: Union[DiagramAutomorphism, Mapping[str, str]
 # Chevalley generators in defining representations
 # ---------------------------------------------------------------------------
 
+def _unit(size: int, r: int, c: int) -> Mat:
+    m = [[Fraction(0)] * size for _ in range(size)]
+    m[r][c] = Fraction(1)
+    return Mat.from_rows(m)
+
+
 def _sl_generators(n: int) -> tuple[list[Mat], list[Mat], list[Mat]]:
     """Chevalley triple of sl_{n+1} in the defining (n+1)-dim representation."""
-    size = n + 1
-    E, F, H = [], [], []
-    for i in range(n):
-        e = [[Fraction(0)] * size for _ in range(size)]
-        e[i][i + 1] = Fraction(1)
-        f = [[Fraction(0)] * size for _ in range(size)]
-        f[i + 1][i] = Fraction(1)
-        h = [[Fraction(0)] * size for _ in range(size)]
-        h[i][i] = Fraction(1)
-        h[i + 1][i + 1] = Fraction(-1)
-        E.append(Mat.from_rows(e))
-        F.append(Mat.from_rows(f))
-        H.append(Mat.from_rows(h))
-    return E, F, H
+    E = [_unit(n + 1, i, i + 1) for i in range(n)]
+    F = [_unit(n + 1, i + 1, i) for i in range(n)]
+    return E, F, [_comm(e, f) for e, f in zip(E, F)]
 
 
 def _so_even_generators(n: int) -> tuple[list[Mat], list[Mat], list[Mat]]:
     """Chevalley triple of so_{2n} (type D_n) in the defining 2n-dim
     representation preserving the anti-diagonal symmetric form."""
     size = 2 * n
-
-    def unit(r, c):
-        m = [[Fraction(0)] * size for _ in range(size)]
-        m[r][c] = Fraction(1)
-        return Mat.from_rows(m)
-
     E, F = [], []
     for i in range(1, n):  # alpha_i = eps_i - eps_{i+1}
-        E.append(unit(i - 1, i) - unit(size - 1 - i, size - i))
-        F.append(unit(i, i - 1) - unit(size - i, size - 1 - i))
+        E.append(_unit(size, i - 1, i) - _unit(size, size - 1 - i, size - i))
+        F.append(_unit(size, i, i - 1) - _unit(size, size - i, size - 1 - i))
     # alpha_n = eps_{n-1} + eps_n
-    E.append(unit(n - 2, n) - unit(n - 1, n + 1))
-    F.append(unit(n, n - 2) - unit(n + 1, n - 1))
-    H = [e * f - f * e for e, f in zip(E, F)]
-    return E, F, H
+    E.append(_unit(size, n - 2, n) - _unit(size, n - 1, n + 1))
+    F.append(_unit(size, n, n - 2) - _unit(size, n + 1, n - 1))
+    return E, F, [_comm(e, f) for e, f in zip(E, F)]
 
 
 def folded_generators(rank: int, family: str,
@@ -409,15 +397,10 @@ def folded_generators(rank: int, family: str,
 
     Ef, Ff, Hf = [], [], []
     for orb in _orbits(labels, perm):
-        idxs = [int(s) - 1 for s in orb]
-        esum = E[idxs[0]]
-        fsum = F[idxs[0]]
-        for k in idxs[1:]:
-            esum = esum + E[k]
-            fsum = fsum + F[k]
-        Ef.append(esum)
-        Ff.append(fsum)
-        Hf.append(esum * fsum - fsum * esum)
+        first, *rest = [int(s) - 1 for s in orb]
+        Ef.append(sum((E[k] for k in rest), E[first]))
+        Ff.append(sum((F[k] for k in rest), F[first]))
+        Hf.append(_comm(Ef[-1], Ff[-1]))
     return Ef, Ff, Hf
 
 
@@ -490,15 +473,10 @@ def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence
         for j in range(n):
             if i == j:
                 continue
-            power = 1 - c[j, i]
-            x = E[j]
-            for _ in range(power):
-                x = _comm(E[i], x)
-            if not x.is_zero():
-                bad.append(SerreViolation("serre", i, j))
-            y = F[j]
-            for _ in range(power):
-                y = _comm(F[i], y)
-            if not y.is_zero():
-                bad.append(SerreViolation("serre", i, j))
+            for gens in (E, F):
+                x = gens[j]
+                for _ in range(1 - c[j, i]):
+                    x = _comm(gens[i], x)
+                if not x.is_zero():
+                    bad.append(SerreViolation("serre", i, j))
     return SerreReport(not bad, tuple(bad))

@@ -87,9 +87,6 @@ class DoubledQuiver:
     def reversal(a: Arrow) -> Arrow:
         return Arrow(a.edge, -a.eps)
 
-    def arrows_from(self, v: str) -> list[Arrow]:
-        return [a for a in self.arrows if self.src(a) == v]
-
 
 def build_doubled(q: Quiver) -> DoubledQuiver:
     """Double the quiver: one reversed partner per edge, signed by eps."""

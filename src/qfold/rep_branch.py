@@ -184,6 +184,14 @@ def dominant_weights_below(c: CartanMatrix, lam: Weight) -> dict[Weight, Root]:
     return out
 
 
+def _capped_dim(c: CartanMatrix, lam: Weight, dim_cap: int) -> int:
+    """Weyl dimension of L(lam), checked against the cap before any walk."""
+    total = weyl_dim(c, lam)
+    if total > dim_cap:
+        raise DimensionCapExceeded(f"dim {total} exceeds cap {dim_cap}")
+    return total
+
+
 def dominant_character(c: CartanMatrix, lam: Weight,
                        dim_cap: int = DEFAULT_DIM_CAP) -> Character:
     """Multiplicities of the irreducible L(lam) at its dominant weights.
@@ -192,13 +200,11 @@ def dominant_character(c: CartanMatrix, lam: Weight,
     depth order, reading each multiplicity at a dominant representative.
     Guarded by a dimension cap to keep runs desk-scale.
     """
-    _check_weight(c, lam)
-    if not is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
-    total = weyl_dim(c, lam)
-    if total > dim_cap:
-        raise DimensionCapExceeded(f"dim {total} exceeds cap {dim_cap}")
+    _capped_dim(c, lam, dim_cap)
+    return _freudenthal(c, lam)
 
+
+def _freudenthal(c: CartanMatrix, lam: Weight) -> Character:
     rs = positive_roots(c)
     d = symmetrizer(c)
     beta_fund = [_root_fund_coords(c, beta) for beta in rs.positive_roots]
@@ -244,11 +250,11 @@ def freudenthal_character(c: CartanMatrix, lam: Weight,
     """Full weight multiplicity function of the irreducible L(lam): the
     dominant multiplicities spread over Weyl orbits, with the total checked
     against the Weyl dimension formula."""
+    total = _capped_dim(c, lam, dim_cap)
     char: Character = {}
-    for mu, m in dominant_character(c, lam, dim_cap).items():
+    for mu, m in _freudenthal(c, lam).items():
         for w in weyl_orbit(c, mu):
             char[w] = m
-    total = weyl_dim(c, lam)
     if sum(char.values()) != total:
         raise CharacterMismatch(f"character of {lam} has total {sum(char.values())}, not {total}")
     return char
@@ -296,11 +302,13 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
     fc = fold.folded
     _require_finite(fc)
 
-    # restriction sends alpha_i to the folded simple root of i's orbit, so
+    # the character comes first: its dimension cap also bounds the walk.
+    # Restriction sends alpha_i to the folded simple root of i's orbit, so
     # every folded-dominant restricted weight is a key of depths
+    char = freudenthal_character(c, lam, dim_cap)
     depths = dominant_weights_below(fc, restrict_weight(lam, fold))
     restricted: Character = {}
-    for w, m in freudenthal_character(c, lam, dim_cap).items():
+    for w, m in char.items():
         rw = restrict_weight(w, fold)
         if rw in depths:
             restricted[rw] = restricted.get(rw, 0) + m

@@ -126,6 +126,10 @@ def test_usage_errors_exit_one(capsys, tmp_path):
                  "--w", "1,1,1,1"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "501501" in err, err
+    # a framing far over the dimension cap is refused before any weight is listed
+    assert main(["branch", "--corpus", "D4-swap", "--framing", "1000,1000,1000,1000,1000"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "exceeds cap" in err, err
     # a malformed module file is one error line too
     module_probes = [
         ("check", (), []),

@@ -17,6 +17,7 @@ from qfold.lie_fold import (
     cartan_matrix,
     classify_cartan,
     fold_cartan,
+    is_finite_type,
 )
 from qfold.quiver_core import a_quiver, affine_a_quiver, flip_automorphism, identity_automorphism
 from qfold.rep_branch import (
@@ -376,17 +377,62 @@ def small_weights(c, cap):
     return [lam for lam in itertools.product(range(top), repeat=c.n) if weyl_dim(c, lam) <= cap]
 
 
-def test_branch_matches_full_stripping_and_weyl_denominator():
+def test_branch_matches_weyl_denominator():
     cases = 0
     types = set()
     for c, fold in small_weyl_folds():
         for lam in small_weights(c, 400):
-            got = branch(c, lam, fold)
-            assert got == full_stripping_branch(c, lam, fold), (c.labels, lam)
             by_denominator, order = weyl_denominator_branch(c, lam, fold)
             assert order <= 48
-            assert dict(got) == by_denominator, (c.labels, lam)
+            assert dict(branch(c, lam, fold)) == by_denominator, (c.labels, lam)
             types.add(str(classify_cartan(fold.folded)))
             cases += 1
     assert types >= {"C2", "C3", "B3", "G2"}
     assert cases >= 100
+
+
+def test_branch_matches_full_stripping_on_corpus():
+    # every admissible corpus entry's split fold, split highest weights with
+    # entries in {0, 1} summing to at most 2, and the pinned D4-rot3 framing;
+    # the affine entries have no finite characters and are refused
+    from qfold.corpus import corpus
+    from qfold.split_quotient import split_quiver
+
+    finite = []
+    for entry in corpus():
+        if not entry.admissible:
+            continue
+        sd = split_quiver(entry.quiver, entry.auto)
+        c = cartan_from_quiver(sd.split)
+        fold = fold_cartan(c, sd.induced)
+        if not is_finite_type(c):
+            with pytest.raises(NotFiniteType):
+                branch(c, (0,) * c.n, fold)
+            continue
+        finite.append(entry.name)
+        weights = [lam for lam in itertools.product((0, 1), repeat=c.n) if sum(lam) <= 2]
+        if entry.name == "D4-rot3":
+            weights.append((0, 2, 0, 2))  # the framing of the pinned CLI case
+        for lam in weights:
+            assert branch(c, lam, fold) == full_stripping_branch(c, lam, fold), (entry.name, lam)
+    assert set(finite) == {"A3-id", "A3-flip", "A5-flip", "A7-flip", "A9-flip", "D3-swap",
+                           "D4-swap", "D5-swap", "D6-swap", "D4-rot3"}
+
+
+def test_branch_checks_cap_before_any_walk(monkeypatch):
+    # a framing far over the cap is refused before a weight below it is listed
+    from qfold import rep_branch
+    from qfold.corpus import corpus_entry
+    from qfold.split_quotient import split_quiver
+
+    entry = corpus_entry("D4-swap")
+    sd = split_quiver(entry.quiver, entry.auto)
+    c = cartan_from_quiver(sd.split)
+    fold = fold_cartan(c, sd.induced)
+
+    def no_walk(*_args):
+        raise AssertionError("walked below a weight over the cap")
+
+    monkeypatch.setattr(rep_branch, "dominant_weights_below", no_walk)
+    with pytest.raises(DimensionCapExceeded):
+        branch(c, (1000,) * c.n, fold)
