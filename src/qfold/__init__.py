@@ -21,8 +21,6 @@ from .quiver_core import (
     identity_automorphism,
     flip_automorphism,
     fork_swap_automorphism,
-    build_doubled,
-    build_framed,
     check_automorphism,
     is_admissible,
     orbit_data,

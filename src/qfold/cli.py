@@ -4,7 +4,9 @@ Subcommands: split, quotient, fold, branch, dims, module, verify-all.
 Output is deterministic for fixed inputs and seed: JSON is emitted with
 sorted keys, tables in canonical vertex order, and all randomness flows
 from the --seed flag.  Exit codes: 0 success, 1 input or usage error,
-2 verified property violation.
+2 verified property violation.  Under --json an error after a successful
+parse is one object {"error": {"type", "message"}} on standard output;
+otherwise it is one line on standard error.
 """
 
 from __future__ import annotations
@@ -381,18 +383,27 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
+    try:
+        return COMMANDS[args.command](args)
     except PropertyViolation as exc:
-        print(f"property violated: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+        return _fail(args, exc, "property violated", EXIT_VIOLATION)
     except (QfoldError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail(args, exc, "error", EXIT_INPUT)
+
+
+def _fail(args, exc: Exception, label: str, code: int) -> int:
+    """Report an error: one JSON object on stdout under --json, else one
+    line on stderr."""
+    if args.json:
+        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
+                         sort_keys=True))
+    else:
+        print(f"{label}: {exc}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ def rand_mat(rng: random.Random, rows: int, cols: int, lo: int = -2, hi: int = 2
         return Mat(rows, cols, [[Fraction(rng.randint(lo, hi)) for _ in range(cols)]
                                 for _ in range(rows)])
     return Mat(rows, cols, [[Fp(rng.randrange(p), p) for _ in range(cols)]
-                            for _ in range(rows)])
+                            for _ in range(rows)], Fp(0, p))
 
 
 def rand_invertible(rng: random.Random, n: int, lo: int = -2, hi: int = 2) -> Mat:
@@ -67,7 +67,7 @@ def random_finite_order_matrix(rng: random.Random, n: int, e: int) -> Mat:
         d = rng.choice(options)
         blocks.append(_companion(list(cyclotomic_poly(d))))
         remaining -= _phi_deg(d)
-    core = Mat.block_diag(blocks) if blocks else Mat.zeros(0, 0)
+    core = Mat.block_diag(blocks)
     t = rand_invertible(rng, n)
     return t * core * t.inverse()
 
@@ -102,7 +102,6 @@ def random_one_way_module(rng: random.Random, q: Quiver, v: Mapping[str, int],
                           signed: bool = True) -> FramedModule:
     """Relation-exact random module: one random direction per edge carries
     a random matrix, J is arbitrary, I = 0."""
-    zero = Fraction(0) if p is None else Fp(0, p)
     B: dict[str, Mat] = {}
     for e in q.edges:
         forward = rng.random() < 0.5
@@ -110,7 +109,7 @@ def random_one_way_module(rng: random.Random, q: Quiver, v: Mapping[str, int],
         src, tgt = (e.src, e.tgt) if forward else (e.tgt, e.src)
         B[key] = rand_mat(rng, v.get(tgt, 0), v.get(src, 0), p=p)
     J = {x: rand_mat(rng, w.get(x, 0), v.get(x, 0), p=p) for x in q.vertices}
-    m = framed_module(q, v, w, B=B, J=J, signed=signed, zero=zero)
+    m = framed_module(q, v, w, B=B, J=J, signed=signed)
     if not check_relations(m).ok:
         raise PropertyViolation("a one-way module violates the preprojective relation")
     return m

@@ -5,6 +5,13 @@ field arithmetic (+, -, *, /, ==, bool) works, so the same code runs over
 `fractions.Fraction`, prime fields (`qfold.numberfield.Fp`) and number
 fields (`qfold.numberfield.NumberFieldElement`).  Zero-row and zero-column
 matrices are first-class citizens; shape is always carried explicitly.
+
+Each matrix also carries `zero`, the additive zero of its entry type: the
+one it is given, else `x - x` of its first entry, else (no entries)
+`Fraction(0)`.  Every matrix and scalar built here takes its zero and one
+from the operands, so a result keeps the entry type of its inputs even
+when it has no entries or is all zeros.  A matrix with no entries over
+another field must therefore be given its zero.
 """
 
 from __future__ import annotations
@@ -15,20 +22,23 @@ from typing import Callable, Sequence
 from .errors import NotInvertible, ShapeMismatch
 
 QQ0 = Fraction(0)
-QQ1 = Fraction(1)
 
 
 class Mat:
     """Immutable matrix with explicit shape."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "zero")
 
-    def __init__(self, rows: int, cols: int, data: Sequence[Sequence]):
+    def __init__(self, rows: int, cols: int, data: Sequence[Sequence], zero=None):
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ShapeMismatch(f"data does not match shape {rows}x{cols}")
+        data = tuple(tuple(r) for r in data)
+        if zero is None:
+            zero = data[0][0] - data[0][0] if rows and cols else QQ0
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", tuple(tuple(r) for r in data))
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "zero", zero)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Mat is immutable")
@@ -42,12 +52,12 @@ class Mat:
 
     @staticmethod
     def zeros(rows: int, cols: int, zero=QQ0) -> "Mat":
-        return Mat(rows, cols, [[zero] * cols for _ in range(rows)])
+        return Mat(rows, cols, [[zero] * cols for _ in range(rows)], zero)
 
     @staticmethod
-    def identity(n: int, one=QQ1) -> "Mat":
+    def identity(n: int, one=Fraction(1)) -> "Mat":
         zero = one - one
-        return Mat(n, n, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        return Mat(n, n, [[one if i == j else zero for j in range(n)] for i in range(n)], zero)
 
     @staticmethod
     def rational(data: Sequence[Sequence]) -> "Mat":
@@ -77,23 +87,24 @@ class Mat:
         return all(not x for row in self.data for x in row)
 
     def map(self, f: Callable) -> "Mat":
-        return Mat(self.rows, self.cols, [[f(x) for x in row] for row in self.data])
+        return Mat(self.rows, self.cols, [[f(x) for x in row] for row in self.data], f(self.zero))
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)])
+        return Mat(self.cols, self.rows,
+                   [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)], self.zero)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("add: shapes differ")
         return Mat(self.rows, self.cols,
-                   [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+                   [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.zero)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("sub: shapes differ")
         return Mat(self.rows, self.cols,
-                   [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+                   [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.zero)
 
     def __neg__(self) -> "Mat":
         return self.map(lambda x: -x)
@@ -103,8 +114,9 @@ class Mat:
             if self.cols != other.rows:
                 raise ShapeMismatch(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
             ot = other.transpose().data
+            zero = self.zero
             return Mat(self.rows, other.cols,
-                       [[_dot(r, c) for c in ot] for r in self.data])
+                       [[_dot(r, c, zero) for c in ot] for r in self.data], zero)
         return self.map(lambda x: x * other)
 
     def __rmul__(self, scalar):
@@ -118,15 +130,17 @@ class Mat:
         if self.rows != other.rows:
             raise ShapeMismatch("hstack: row counts differ")
         return Mat(self.rows, self.cols + other.cols,
-                   [list(r1) + list(r2) for r1, r2 in zip(self.data, other.data)])
+                   [list(r1) + list(r2) for r1, r2 in zip(self.data, other.data)], self.zero)
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise ShapeMismatch("vstack: column counts differ")
-        return Mat(self.rows + other.rows, self.cols, list(self.data) + list(other.data))
+        return Mat(self.rows + other.rows, self.cols, list(self.data) + list(other.data), self.zero)
 
     @staticmethod
-    def block_diag(blocks: Sequence["Mat"], zero=QQ0) -> "Mat":
+    def block_diag(blocks: Sequence["Mat"]) -> "Mat":
+        """The blocks down the diagonal, in the entry type of the first."""
+        zero = blocks[0].zero if blocks else QQ0
         rows = sum(b.rows for b in blocks)
         cols = sum(b.cols for b in blocks)
         out = [[zero] * cols for _ in range(rows)]
@@ -137,11 +151,11 @@ class Mat:
                     out[r0 + r][c0 + c] = b.data[r][c]
             r0 += b.rows
             c0 += b.cols
-        return Mat(rows, cols, out)
+        return Mat(rows, cols, out, zero)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
         return Mat(len(row_idx), len(col_idx),
-                   [[self.data[r][c] for c in col_idx] for r in row_idx])
+                   [[self.data[r][c] for c in col_idx] for r in row_idx], self.zero)
 
     def columns(self) -> list["Mat"]:
         return [self.submatrix(range(self.rows), [c]) for c in range(self.cols)]
@@ -167,7 +181,7 @@ class Mat:
             pr += 1
             if pr == self.rows:
                 break
-        return Mat(self.rows, self.cols, m), pivots
+        return Mat(self.rows, self.cols, m, self.zero), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -175,9 +189,10 @@ class Mat:
     def nullity(self) -> int:
         return self.cols - self.rank()
 
-    def nullspace(self, one=QQ1) -> "Mat":
+    def nullspace(self) -> "Mat":
         """Basis of the right kernel, returned as columns of a cols x k matrix."""
-        zero = one - one
+        zero = self.zero
+        one = zero + 1
         red, pivots = self.rref()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
@@ -187,7 +202,8 @@ class Mat:
             for pr, pc in enumerate(pivots):
                 v[pc] = -red.data[pr][fc]
             basis.append(v)
-        return Mat(self.cols, len(basis), [[basis[k][r] for k in range(len(basis))] for r in range(self.cols)])
+        return Mat(self.cols, len(basis),
+                   [[basis[k][r] for k in range(len(basis))] for r in range(self.cols)], zero)
 
     def solve(self, rhs: "Mat"):
         """One solution X of self * X = rhs, or None if inconsistent.
@@ -201,21 +217,18 @@ class Mat:
         n = self.cols
         if any(p >= n for p in pivots):
             return None
-        zero_candidates = [x - x for row in self.data for x in row] or [QQ0]
-        zero = zero_candidates[0]
-        sol = [[zero] * rhs.cols for _ in range(n)]
+        sol = [[self.zero] * rhs.cols for _ in range(n)]
         for pr, pc in enumerate(pivots):
             for c in range(rhs.cols):
                 sol[pc][c] = red.data[pr][n + c]
-        return Mat(n, rhs.cols, sol)
+        return Mat(n, rhs.cols, sol, self.zero)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise NotInvertible("inverse of non-square matrix")
         if self.rows == 0:
             return self
-        one = _one_of(self)
-        aug = self.hstack(Mat.identity(self.rows, one))
+        aug = self.hstack(Mat.identity(self.rows, self.zero + 1))
         red, pivots = aug.rref()
         if pivots != list(range(self.rows)):
             raise NotInvertible("singular matrix")
@@ -228,15 +241,12 @@ class Mat:
         """Determinant by fraction-free-ish Gaussian elimination (field entries)."""
         if self.rows != self.cols:
             raise ShapeMismatch("det of non-square matrix")
-        if self.rows == 0:
-            return QQ1
-        one = _one_of(self)
         m = [list(r) for r in self.data]
-        det = one
+        det = self.zero + 1
         for pc in range(self.cols):
             pr = next((r for r in range(pc, self.rows) if m[r][pc]), None)
             if pr is None:
-                return one - one
+                return self.zero
             if pr != pc:
                 m[pc], m[pr] = m[pr], m[pc]
                 det = -det
@@ -251,14 +261,9 @@ class Mat:
     def trace(self):
         if self.rows != self.cols:
             raise ShapeMismatch("trace of non-square matrix")
-        if self.rows == 0:
-            return QQ0
-        t = self.data[0][0]
-        for i in range(1, self.rows):
-            t = t + self.data[i][i]
-        return t
+        return sum((self.data[i][i] for i in range(self.rows)), self.zero)
 
-    def charpoly(self) -> list[Fraction]:
+    def charpoly(self) -> list:
         """Monic characteristic polynomial det(xI - A), coefficients high to low.
 
         Faddeev-LeVerrier; valid over characteristic-zero fields.
@@ -266,14 +271,14 @@ class Mat:
         if self.rows != self.cols:
             raise ShapeMismatch("charpoly of non-square matrix")
         n = self.rows
-        coeffs = [QQ1]
-        m = Mat.identity(n)
-        a = self
+        one = self.zero + 1
+        coeffs = [one]
+        m = Mat.identity(n, one)
         for k in range(1, n + 1):
-            am = a * m
+            am = self * m
             c = -am.trace() / k
             coeffs.append(c)
-            m = am + Mat.identity(n).scaled(c)
+            m = am + Mat.identity(n, one).scaled(c)
         return coeffs
 
     def poly_eval(self, coeffs: Sequence) -> "Mat":
@@ -281,10 +286,7 @@ class Mat:
         if self.rows != self.cols:
             raise ShapeMismatch("poly_eval of non-square matrix")
         n = self.rows
-        out = Mat.zeros(n, n)
-        if n == 0:
-            return out
-        one = _one_of(self)
+        one = self.zero + 1
         out = Mat.identity(n, one).scaled(coeffs[0] * one)
         for c in coeffs[1:]:
             out = out * self + Mat.identity(n, one).scaled(c * one)
@@ -293,7 +295,7 @@ class Mat:
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
             raise ShapeMismatch("power of non-square matrix")
-        out = Mat.identity(self.rows, _one_of(self)) if self.rows else self
+        out = Mat.identity(self.rows, self.zero + 1)
         base = self
         while k:
             if k & 1:
@@ -303,20 +305,11 @@ class Mat:
         return out
 
 
-def _dot(r, c):
+def _dot(r, c, zero):
     acc = None
     for a, b in zip(r, c):
         acc = a * b if acc is None else acc + a * b
-    return acc if acc is not None else QQ0
-
-
-def _one_of(m: Mat):
-    """A multiplicative one compatible with the matrix entries."""
-    for row in m.data:
-        for x in row:
-            if x:
-                return x / x
-    return QQ1
+    return acc if acc is not None else zero
 
 
 def column_space_contains(basis: Mat, vec: Mat) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -60,8 +61,6 @@ from .split_quotient import (
     root_of_unity_eigendims,
 )
 
-QQ1 = Fraction(1)
-
 
 class ArrowInfo(NamedTuple):
     key: str
@@ -96,7 +95,11 @@ class FramedModule:
     I: Mapping[str, Mat]
     J: Mapping[str, Mat]
     signed: bool = True
-    one: object = QQ1
+
+    @property
+    def one(self):
+        """The multiplicative one of the entry type of the module's matrices."""
+        return _entry_zero(self.B, self.I, self.J) + 1
 
     def __post_init__(self):
         for vertex in self.quiver.vertices:
@@ -126,17 +129,25 @@ def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
                   B: Optional[Mapping[str, Mat]] = None,
                   I: Optional[Mapping[str, Mat]] = None,
                   J: Optional[Mapping[str, Mat]] = None,
-                  signed: bool = True, zero=Fraction(0)) -> FramedModule:
-    """Build a module, filling unspecified matrices with zeros."""
+                  signed: bool = True) -> FramedModule:
+    """Build a module, filling unspecified matrices with zeros of the entry
+    type of the first matrix supplied (rational without one)."""
     B = dict(B or {})
     I = dict(I or {})
     J = dict(J or {})
+    zero = _entry_zero(B, I, J)
     for info in doubled_arrows(q):
         B.setdefault(info.key, Mat.zeros(v.get(info.tgt, 0), v.get(info.src, 0), zero))
     for vertex in q.vertices:
         I.setdefault(vertex, Mat.zeros(v.get(vertex, 0), w.get(vertex, 0), zero))
         J.setdefault(vertex, Mat.zeros(w.get(vertex, 0), v.get(vertex, 0), zero))
-    return FramedModule(q, dict(v), dict(w), B, I, J, signed, zero + 1)
+    return FramedModule(q, dict(v), dict(w), B, I, J, signed)
+
+
+def _entry_zero(*mats: Mapping[str, Mat]):
+    """The zero of the first matrix in the maps, else the rational zero."""
+    first = next(chain.from_iterable(m.values() for m in mats), None)
+    return first.zero if first is not None else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +164,7 @@ def check_relations(m: FramedModule) -> RelationReport:
     """Evaluate the preprojective relation at every vertex; reports the
     first violating vertex."""
     for vertex in m.quiver.vertices:
-        n = m.v.get(vertex, 0)
-        acc = Mat.zeros(n, n)
+        acc = m.I[vertex] * m.J[vertex]
         for info in doubled_arrows(m.quiver):
             if info.src != vertex:
                 continue
@@ -163,7 +173,6 @@ def check_relations(m: FramedModule) -> RelationReport:
                 acc = acc - term
             else:
                 acc = acc + term
-        acc = acc + m.I[vertex] * m.J[vertex]
         if not acc.is_zero():
             return RelationReport(False, vertex)
     return RelationReport(True)
@@ -202,7 +211,7 @@ def _path_rows(m: FramedModule) -> dict[str, Mat]:
 def invariant_kernel_subspace(m: FramedModule) -> dict[str, Mat]:
     """The largest B-invariant graded subspace contained in ker J, as
     per-vertex column bases."""
-    return {x: r.nullspace(m.one) for x, r in _path_rows(m).items()}
+    return {x: r.nullspace() for x, r in _path_rows(m).items()}
 
 
 def is_stable(m: FramedModule) -> bool:
@@ -306,8 +315,7 @@ def invariant_orientation(q: Quiver, a: DiagramAutomorphism) -> Optional[dict[st
 def identity_sigma(q: Quiver, a: DiagramAutomorphism, wdims: Mapping[str, int]) -> SigmaData:
     if not is_orbit_constant(wdims, orbit_data(q, a)):
         raise NotOrbitConstant("framing dimensions must be constant on orbits")
-    one = QQ1
-    maps = {x: Mat.identity(wdims.get(x, 0), one) for x in q.vertices}
+    maps = {x: Mat.identity(wdims.get(x, 0)) for x in q.vertices}
     return SigmaData(q, a, maps)
 
 
@@ -356,7 +364,7 @@ def apply_theta(m: FramedModule, a: DiagramAutomorphism, sigma: SigmaData) -> Fr
         target = a.vertex_perm[vertex]
         newJ[target] = sigma.maps[vertex] * m.J[vertex]
         newI[target] = m.I[vertex] * sigma.inverses[vertex]
-    return FramedModule(q, dict(m.v), dict(m.w), newB, newI, newJ, m.signed, m.one)
+    return FramedModule(q, dict(m.v), dict(m.w), newB, newI, newJ, m.signed)
 
 
 def act(g: Mapping[str, Mat], m: FramedModule) -> FramedModule:
@@ -369,7 +377,7 @@ def act(g: Mapping[str, Mat], m: FramedModule) -> FramedModule:
         newB[info.key] = g[info.tgt] * m.B[info.key] * inv[info.src]
     newI = {x: g[x] * m.I[x] for x in q.vertices}
     newJ = {x: m.J[x] * inv[x] for x in q.vertices}
-    return FramedModule(q, dict(m.v), dict(m.w), newB, newI, newJ, m.signed, m.one)
+    return FramedModule(q, dict(m.v), dict(m.w), newB, newI, newJ, m.signed)
 
 
 def direct_sum(m1: FramedModule, m2: FramedModule) -> FramedModule:
@@ -385,7 +393,7 @@ def direct_sum(m1: FramedModule, m2: FramedModule) -> FramedModule:
         B[info.key] = Mat.block_diag([m1.B[info.key], m2.B[info.key]])
     I = {x: m1.I[x].vstack(m2.I[x]) for x in q.vertices}
     J = {x: m1.J[x].hstack(m2.J[x]) for x in q.vertices}
-    return FramedModule(q, v, dict(m1.w), B, I, J, m1.signed, m1.one)
+    return FramedModule(q, v, dict(m1.w), B, I, J, m1.signed)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +416,6 @@ class TransitionWitness:
     block_dims: Optional[Mapping[str, tuple[int, int]]] = None
 
 
-def _swap_matrix(n1: int, n2: int) -> Mat:
-    if n1 != n2:
-        raise ShapeMismatch("summand swap needs equal block sizes")
-    top = Mat.zeros(n1, n1).hstack(Mat.identity(n1))
-    bottom = Mat.identity(n1).hstack(Mat.zeros(n1, n1))
-    return top.vstack(bottom)
-
-
 def witness_matrix(witness: TransitionWitness, vertex: str) -> Mat:
     """The honest per-vertex transition matrix, with the summand swap
     composed in when the witness is recorded summand-matched."""
@@ -427,7 +427,11 @@ def witness_matrix(witness: TransitionWitness, vertex: str) -> Mat:
     if vertex not in (witness.block_dims or {}):
         raise ShapeMismatch(f"the summand-swapped witness has no block sizes at {vertex}")
     n1, n2 = witness.block_dims[vertex]
-    return _swap_matrix(n1, n2) * g
+    if n1 != n2 or g.rows != n1 + n2:
+        raise ShapeMismatch(f"the summand swap at {vertex} needs two equal blocks of "
+                            f"{g.rows} rows, not {n1} + {n2}")
+    # the swap exchanges the two row blocks of g
+    return g.submatrix([*range(n1, g.rows), *range(n1)], range(g.cols))
 
 
 def verify_transition(m: FramedModule, a: DiagramAutomorphism, sigma: SigmaData,
@@ -528,7 +532,7 @@ def eigen_grade(g_mat: Mat, e: int) -> list[tuple[Fraction, int]]:
         raise ShapeMismatch("eigen_grade needs a square matrix")
     if e < 1:
         raise NotFiniteOrder("order must be positive")
-    if g_mat.rows and g_mat.power(e) != Mat.identity(g_mat.rows):
+    if g_mat.rows and g_mat.power(e) != Mat.identity(g_mat.rows, g_mat.zero + 1):
         raise NotFiniteOrder(f"matrix^{e} is not the identity")
     dims = root_of_unity_eigendims(g_mat, e) if g_mat.rows else [0] * e
     return [(Fraction(t, e), dims[t]) for t in range(e)]
@@ -689,7 +693,7 @@ def _eigen_counterexample(x: str, g_sub: Mat, defect: Mat) -> EigenInclusionRepo
         shift = g_sub.map(field.from_rational) \
             - Mat.identity(g_sub.rows, field.one).scaled(field.generator)
         defect_k = defect.map(field.from_rational)
-        for u in shift.nullspace(field.one).columns():
+        for u in shift.nullspace().columns():
             if not (defect_k * u).is_zero():
                 lam = str(-factor[1]) if len(factor) == 2 else f"root of {_poly_str(factor)}"
                 return EigenInclusionReport(False, x, lam,

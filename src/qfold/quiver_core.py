@@ -1,4 +1,4 @@
-"""Quiver data model, doubling/framing, and diagram automorphisms.
+"""Quiver data model and diagram automorphisms.
 
 Vertices and edge ids are opaque strings.  The order of the ``vertices``
 tuple is the canonical order used everywhere downstream (orbit labels,
@@ -68,51 +68,6 @@ class Quiver:
 
 def quiver(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Quiver:
     return Quiver(tuple(vertices), tuple(Edge(*e) for e in edges))
-
-
-@dataclass(frozen=True)
-class DoubledQuiver:
-    base: Quiver
-    arrows: tuple[Arrow, ...]
-
-    def src(self, a: Arrow) -> str:
-        e = self.base.edge(a.edge)
-        return e.src if a.eps == 1 else e.tgt
-
-    def tgt(self, a: Arrow) -> str:
-        e = self.base.edge(a.edge)
-        return e.tgt if a.eps == 1 else e.src
-
-    @staticmethod
-    def reversal(a: Arrow) -> Arrow:
-        return Arrow(a.edge, -a.eps)
-
-
-def build_doubled(q: Quiver) -> DoubledQuiver:
-    """Double the quiver: one reversed partner per edge, signed by eps."""
-    arrows = []
-    for e in q.edges:
-        arrows.append(Arrow(e.id, 1))
-        arrows.append(Arrow(e.id, -1))
-    return DoubledQuiver(q, tuple(arrows))
-
-
-@dataclass(frozen=True)
-class FramedQuiver:
-    base: DoubledQuiver
-    framing: tuple[tuple[str, str, str], ...]  # (vertex, arrow in, arrow out)
-
-    @property
-    def vertex_count(self) -> int:
-        """Base vertices plus their framing copies."""
-        return 2 * len(self.base.base.vertices)
-
-
-def build_framed(q: Quiver) -> FramedQuiver:
-    """Add a framing copy of each vertex with an arrow pair to the original."""
-    doubled = build_doubled(q)
-    framing = tuple((v, f"frame_in:{v}", f"frame_out:{v}") for v in q.vertices)
-    return FramedQuiver(doubled, framing)
 
 
 @dataclass(frozen=True)

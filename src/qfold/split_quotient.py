@@ -391,8 +391,7 @@ class SigmaData:
         for orbit in od.vertex_orbits:
             lift, e = orbit[0], od.e_vertex[orbit[0]]
             comp = orbit_composite(self.maps, a, lift, len(orbit))
-            # a difference, so that F_p twists compare with the rational identity
-            if not (comp.power(e) - Mat.identity(comp.rows)).is_zero():
+            if comp.power(e) != Mat.identity(comp.rows, comp.zero + 1):
                 raise SigmaConstraintViolated(
                     f"(sigma composite at {lift})^{e} is not the identity")
         object.__setattr__(self, "inverses", inverses)

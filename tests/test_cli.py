@@ -4,8 +4,10 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
+from qfold import cli
 from qfold.cli import main
 from qfold.corpus import corpus_entry, entry_to_dict
+from qfold.errors import PropertyViolation
 from qfold.generators import random_graded_pair
 from qfold.linalg import Mat
 from qfold.module_lab import framed_module
@@ -152,6 +154,42 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert main(["module", action, str(path)]) == 1, (action, field)
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: "), err
+
+
+def test_json_errors_are_one_object(capsys, monkeypatch, tmp_path):
+    def outcome(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def error_object(out):
+        assert out.count("\n") == 1, out
+        return json.loads(out)
+
+    capped = ["branch", "--corpus", "A3-flip", "--framing", "1,1,1", "--dim-cap", "2"]
+    code, out, err = outcome(*capped, "--json")
+    assert code == 1 and err == ""
+    assert error_object(out) == {"error": {"type": "DimensionCapExceeded",
+                                           "message": "dim 64 exceeds cap 2"}}
+    # without --json the error stays one line on stderr
+    assert outcome(*capped) == (1, "", "error: dim 64 exceeds cap 2\n")
+    # a file that cannot be read is an input error too
+    code, out, err = outcome("module", "check", str(tmp_path / "missing.json"), "--json")
+    assert code == 1 and err == ""
+    assert error_object(out)["error"]["type"] == "FileNotFoundError"
+
+    # a violated property keeps exit 2
+    def violated(args):
+        raise PropertyViolation("broken")
+    monkeypatch.setitem(cli.COMMANDS, "split", violated)
+    code, out, err = outcome("split", "--corpus", "A3-flip", "--json")
+    assert code == 2 and err == ""
+    assert error_object(out) == {"error": {"type": "PropertyViolation", "message": "broken"}}
+    assert outcome("split", "--corpus", "A3-flip") == (2, "", "property violated: broken\n")
+
+    # a usage error is reported by argparse before --json is known
+    code, out, err = outcome("branch", "--corpus", "A3-flip", "--json")
+    assert code == 1 and out == "" and err.startswith("usage: ")
 
 
 def test_determinism_byte_identical(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from qfold.errors import NotInvertible
 from qfold.linalg import Mat, column_space_contains
-from qfold.numberfield import Fp, NumberField, cyclotomic_poly
+from qfold.numberfield import Fp, NumberField, NumberFieldElement, cyclotomic_poly
 
 
 def test_rref_and_rank():
@@ -89,7 +89,7 @@ def test_linear_algebra_over_prime_field():
     # det(1 2; 2 1) = -3 = 0 in F_3
     singular = Mat.from_rows([[Fp(1, 3), Fp(2, 3)], [Fp(2, 3), Fp(1, 3)]])
     assert singular.rank() == 1
-    assert singular.nullspace(one).cols == 1
+    assert singular.nullspace().cols == 1
 
 
 def test_linear_algebra_over_number_field():
@@ -130,3 +130,77 @@ def test_rref_is_idempotent(rows):
     red, pivots = m.rref()
     again, pivots2 = red.rref()
     assert again == red and pivots == pivots2
+
+
+# -- entry types ----------------------------------------------------------
+
+def test_empty_product_keeps_prime_field_zeros():
+    prod = Mat.zeros(2, 0, Fp(0, 3)) * Mat.zeros(0, 2, Fp(0, 3))
+    assert prod == Mat.zeros(2, 2, Fp(0, 3))
+    assert all(isinstance(x, Fp) for row in prod.data for x in row)
+
+
+def test_nullspace_of_prime_field_zero_matrix():
+    basis = Mat.zeros(2, 2, Fp(0, 3)).nullspace()
+    assert basis == Mat.identity(2, Fp(1, 3))
+    assert all(isinstance(x, Fp) for row in basis.data for x in row)
+
+
+def test_block_diag_fills_with_number_field_zeros():
+    gaussian = NumberField([Fraction(1), Fraction(0), Fraction(1)])   # Q(i)
+    i = gaussian.generator
+    bd = Mat.block_diag([Mat.from_rows([[i]]), Mat.from_rows([[i, gaussian.one]])])
+    assert bd.rows == 2 and bd.cols == 3
+    assert all(isinstance(x, NumberFieldElement) for row in bd.data for x in row)
+
+
+ZETA3 = NumberField(cyclotomic_poly(3))
+ENTRY_MAKERS = {
+    "Q": lambda a, b: Fraction(a),
+    "F5": lambda a, b: Fp(a, 5),
+    "Q(zeta3)": lambda a, b: ZETA3.element([Fraction(a), Fraction(b)]),
+}
+
+
+@st.composite
+def typed_matrices(draw):
+    """(zero, A, B) over one field: A is n x n and B is n x m, n, m in 0..3.
+    A matrix with no entries is given its zero; the others infer it."""
+    make = ENTRY_MAKERS[draw(st.sampled_from(sorted(ENTRY_MAKERS)))]
+    entry = st.builds(make, st.integers(-2, 2), st.integers(-1, 1))
+
+    def mat(rows, cols):
+        data = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+        return Mat(rows, cols, data, None if rows and cols else make(0, 0))
+
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return make(0, 0), mat(n, n), mat(n, m)
+
+
+def same_field(x, zero) -> bool:
+    return type(x) is type(zero) and getattr(x, "p", None) == getattr(zero, "p", None) \
+        and getattr(x, "field", None) == getattr(zero, "field", None)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(typed_matrices())
+def test_operations_keep_the_entry_type(case):
+    zero, a, b = case
+    one = zero + 1
+    mats = [a, b, a + a, a - a, -a, a.scaled(one + one), a.map(lambda x: x * x),
+            a * b, b.transpose() * b, b * b.transpose(), b.transpose(),
+            a.hstack(b), b.vstack(b), Mat.block_diag([b, a]),
+            b.submatrix(range(b.rows), range(b.cols)), a.rref()[0], a.nullspace(),
+            b.nullspace(), a.power(0), a.power(3), a.poly_eval([Fraction(1), Fraction(-2)])]
+    mats += b.columns()
+    solved = a.solve(b)
+    if solved is not None:
+        mats.append(solved)
+    if a.is_invertible():
+        mats.append(a.inverse())
+    for mat in mats:
+        assert same_field(mat.zero, zero) and not mat.zero, mat
+        assert all(same_field(x, zero) for row in mat.data for x in row), mat
+    for scalar in [a.det(), a.trace(), *a.charpoly()]:
+        assert same_field(scalar, zero), scalar

@@ -16,6 +16,7 @@ from qfold.errors import (
     NotOrbitConstant,
     NotStable,
     PreconditionViolation,
+    ShapeMismatch,
     SigmaConstraintViolated,
     TooLarge,
     WitnessVerificationFailed,
@@ -26,7 +27,7 @@ from qfold.generators import (
     random_theta_module,
 )
 from qfold.linalg import Mat, column_space_contains
-from qfold.numberfield import NumberField, factor_rational_poly
+from qfold.numberfield import Fp, NumberField, factor_rational_poly
 from qfold.module_lab import (
     EigenInclusionReport,
     _poly_str,
@@ -364,18 +365,17 @@ def shrinking_invariant_kernel(m):
     """Oracle for invariant_kernel_subspace: start from ker J and keep the
     part of each space whose B-images stay inside the spaces, until no
     space shrinks."""
-    one = m.one
-    spaces = {x: m.J[x].nullspace(one) for x in m.quiver.vertices}
+    spaces = {x: m.J[x].nullspace() for x in m.quiver.vertices}
     while True:
         new = {}
         for x in m.quiver.vertices:
             basis = spaces[x]
-            constraints = Mat(0, basis.cols, [])
+            constraints = Mat.zeros(0, basis.cols, basis.zero)
             for info in doubled_arrows(m.quiver):
                 if info.src == x:
-                    left = spaces[info.tgt].transpose().nullspace(one).transpose()
+                    left = spaces[info.tgt].transpose().nullspace().transpose()
                     constraints = constraints.vstack(left * m.B[info.key] * basis)
-            new[x] = basis * constraints.nullspace(one) if basis.cols else basis
+            new[x] = basis * constraints.nullspace() if basis.cols else basis
         if all(new[x].cols == spaces[x].cols for x in spaces):
             return new
         spaces = new
@@ -440,6 +440,12 @@ def test_build_theta_witness_certificate():
     big, witness = build_theta_witness(m1, g, FLIP, sig)
     # blocks at the fixed vertex are (g*, g^{-1}) = (2, 1/2)
     assert witness.g["2"] == Mat.rational([[2, 0], [0, Fraction(1, 2)]])
+    # the honest transition matrix composes the summand swap: its row blocks exchange
+    assert witness_matrix(witness, "2") == Mat.rational([[0, Fraction(1, 2)], [2, 0]])
+    lopsided = TransitionWitness(witness.g, summand_swap=True,
+                                 block_dims={**witness.block_dims, "2": (1, 2)})
+    with pytest.raises(ShapeMismatch):
+        witness_matrix(lopsided, "2")
     prof = eigen_profile(witness.g["2"], 2)
     assert prof["other"] == 2
     assert all(d == 0 for d in prof["roots"].values())
@@ -479,6 +485,13 @@ def test_eigen_grade_examples():
         eigen_grade(Mat.rational([[2]]), 2)
     for mat, e in [(Mat.identity(4), 2), (rot, 3)]:
         assert sum(d for _t, d in eigen_grade(mat, e)) == mat.rows
+
+
+def test_eigen_grade_over_prime_field():
+    # the order check compares with an identity of the matrix's own field
+    assert eigen_grade(Mat.identity(2, Fp(1, 3)), 1) == [(Fraction(0), 2)]
+    with pytest.raises(NotFiniteOrder):
+        eigen_grade(Mat.identity(2, Fp(2, 3)), 1)
 
 
 def test_embeddings_and_hecke_profile():
@@ -650,7 +663,7 @@ def per_factor_report(xi, m_sub, m, witness_sub, witness):
                 shift_big = g_big.map(field.from_rational) \
                     - Mat.identity(g_big.rows, one).scaled(lam)
                 xi_k = xi[x].map(field.from_rational)
-                for u in shift_sub.nullspace(one).columns():
+                for u in shift_sub.nullspace().columns():
                     if not (shift_big * (xi_k * u)).is_zero():
                         return EigenInclusionReport(
                             False, x, f"root of {_poly_str(factor)}",

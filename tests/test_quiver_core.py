@@ -6,13 +6,12 @@ from qfold.errors import (
     IncompatibleWithIncidence,
     NotAPermutation,
 )
+from qfold.module_lab import doubled_arrows, reverse_key
 from qfold.quiver_core import (
     a_quiver,
     affine_a_quiver,
     affine_d_quiver,
     automorphism,
-    build_doubled,
-    build_framed,
     check_automorphism,
     compose,
     d_quiver,
@@ -29,28 +28,17 @@ from qfold.quiver_core import (
 
 
 def test_doubling_counts():
-    assert len(build_doubled(a_quiver(2)).arrows) == 2
+    assert len(doubled_arrows(a_quiver(2))) == 2
     edgeless = quiver(["a", "b", "c"], [])
-    assert len(build_doubled(edgeless).arrows) == 0
-    d4 = build_doubled(d_quiver(4))
-    assert len(d4.arrows) == 6
-    for arrow in d4.arrows:
-        rev = d4.reversal(arrow)
-        assert d4.reversal(rev) == arrow
-        assert rev.eps == -arrow.eps
-        assert d4.src(arrow) == d4.tgt(rev)
-
-
-def test_framing_counts():
-    assert build_framed(a_quiver(1)).vertex_count == 2
-    f2 = build_framed(a_quiver(2))
-    assert f2.vertex_count == 4
-    assert len(f2.framing) == 2
-    assert len(f2.base.arrows) == 2
-    f3 = build_framed(a_quiver(3))
-    assert f3.vertex_count == 6
-    assert len(f3.framing) == 3
-    assert len(f3.base.arrows) == 4
+    assert doubled_arrows(edgeless) == []
+    d4 = doubled_arrows(d_quiver(4))
+    assert len(d4) == 6
+    by_key = {info.key: info for info in d4}
+    for info in d4:
+        rev = by_key[reverse_key(info.key)]
+        assert reverse_key(rev.key) == info.key
+        assert rev.eps == -info.eps and rev.edge == info.edge
+        assert (rev.src, rev.tgt) == (info.tgt, info.src)
 
 
 def test_check_automorphism_flip_and_failures():

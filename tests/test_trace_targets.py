@@ -1,22 +1,30 @@
-"""Every function the benchmark tracer wraps must still exist in qfold.
+"""The benchmark tracer must still fit qfold.
 
 `perfbench/tracer.py` names its targets as (module, attribute) pairs and
-looks them up when `--trace 1` starts; a rename or deletion in `src/`
-would otherwise surface only as a failed traced benchmark run.
+looks them up when `--trace 1` starts, and it counts `Mat` constructions
+by wrapping `Mat.__init__`; a rename, a deletion or a changed constructor
+in `src/` would otherwise surface only as a failed traced benchmark run.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from qfold.linalg import Mat
+from qfold.numberfield import Fp
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def tracer_targets():
+def tracer_module():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
+
+
+def tracer_targets():
+    return tracer_module().TARGETS
 
 
 def test_every_trace_target_resolves():
@@ -35,3 +43,19 @@ def test_every_trace_target_resolves():
         if not found:
             missing.append(f"qfold.{module}.{attr}")
     assert not missing, missing
+
+
+def test_tracer_counts_a_prime_field_product():
+    original_init = Mat.__dict__["__init__"]
+    tracer = tracer_module().Tracer()
+    tracer.install()
+    try:
+        a = Mat.from_rows([[Fp(1, 3), Fp(2, 3)], [Fp(0, 3), Fp(1, 3)]])
+        product = a * a
+    finally:
+        tracer.uninstall()
+    assert product == Mat.from_rows([[Fp(1, 3), Fp(1, 3)], [Fp(0, 3), Fp(1, 3)]])
+    assert Mat.__dict__["__init__"] is original_init
+    assert tracer.mat_new_calls > 0
+    assert tracer.stats["linalg.mul"]["calls"] == 1
+    assert "fp_self_s" in tracer.stats["linalg.mul"]
