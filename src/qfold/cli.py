@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .corpus import corpus_entry
 from .dim_calc import fixed_components
@@ -305,14 +306,19 @@ def cmd_module(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify_all(args) -> int:
+    """Run every release property.  The verdicts go to stdout; each
+    property's duration and size (its trial count, see `qfold.properties`)
+    go to stderr, one line each, so stdout stays byte-identical per seed."""
     failures = 0
     payload = {}
     lines = []
     for name, (check, size) in PROPERTIES.items():
+        start = time.perf_counter()
         try:
             bad = check(args.seed, size)
         except QfoldError as exc:
             bad = [f"error: {exc}"]
+        print(f"{name:<24} {time.perf_counter() - start:8.3f} s  size {size}", file=sys.stderr)
         status = "pass" if not bad else "FAIL"
         payload[name] = {"status": status, "problems": bad}
         lines.append(f"{name:<24} {status}" + (f"  ({'; '.join(bad)})" if bad else ""))

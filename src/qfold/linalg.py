@@ -6,6 +6,14 @@ field arithmetic (+, -, *, /, ==, bool) works, so the same code runs over
 fields (`qfold.numberfield.NumberFieldElement`).  Zero-row and zero-column
 matrices are first-class citizens; shape is always carried explicitly.
 
+Storage is dense (`data` is a tuple of row tuples), but the kernels walk
+nonzero entries only: a product is formed row by row from the nonzero
+`(col, value)` lists of its right factor (Gustavson, ACM TOMS 4, 1978),
+and elimination updates a row only at the pivot row's nonzero columns.
+Most matrices here are mostly zero, so almost every scalar product a dense
+loop would form has a zero factor.  The results are exact and equal to the
+dense ones, entry for entry.
+
 Each matrix also carries `zero`, the additive zero of its entry type: the
 one it is given, else `x - x` of its first entry, else (no entries)
 `Fraction(0)`.  Every matrix and scalar built here takes its zero and one
@@ -98,13 +106,15 @@ class Mat:
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("add: shapes differ")
         return Mat(self.rows, self.cols,
-                   [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.zero)
+                   [[(a + b if a else b) if b else a for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(self.data, other.data)], self.zero)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("sub: shapes differ")
         return Mat(self.rows, self.cols,
-                   [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.zero)
+                   [[(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(self.data, other.data)], self.zero)
 
     def __neg__(self) -> "Mat":
         return self.map(lambda x: -x)
@@ -113,10 +123,18 @@ class Mat:
         if isinstance(other, Mat):
             if self.cols != other.rows:
                 raise ShapeMismatch(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            ot = other.transpose().data
-            zero = self.zero
-            return Mat(self.rows, other.cols,
-                       [[_dot(r, c, zero) for c in ot] for r in self.data], zero)
+            zero, width = self.zero, other.cols
+            right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+            out = []
+            for row in self.data:
+                acc = [None] * width
+                for a, nonzero in zip(row, right):
+                    if nonzero and a:
+                        for j, b in nonzero:
+                            s = acc[j]
+                            acc[j] = a * b if s is None else s + a * b
+                out.append([zero if s is None else s for s in acc])
+            return Mat(self.rows, width, out, zero)
         return self.map(lambda x: x * other)
 
     def __rmul__(self, scalar):
@@ -130,12 +148,19 @@ class Mat:
         if self.rows != other.rows:
             raise ShapeMismatch("hstack: row counts differ")
         return Mat(self.rows, self.cols + other.cols,
-                   [list(r1) + list(r2) for r1, r2 in zip(self.data, other.data)], self.zero)
+                   [list(r1) + list(r2) for r1, r2 in zip(self.data, other.data)],
+                   self._stack_zero(other))
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise ShapeMismatch("vstack: column counts differ")
-        return Mat(self.rows + other.rows, self.cols, list(self.data) + list(other.data), self.zero)
+        return Mat(self.rows + other.rows, self.cols, list(self.data) + list(other.data),
+                   self._stack_zero(other))
+
+    def _stack_zero(self, other: "Mat"):
+        """The zero of a stack: an operand with no entries may have been
+        built without its zero, so the other operand's is taken then."""
+        return self.zero if self.rows and self.cols else other.zero
 
     @staticmethod
     def block_diag(blocks: Sequence["Mat"]) -> "Mat":
@@ -171,12 +196,20 @@ class Mat:
             if pivot_row is None:
                 continue
             m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            inv = m[pr][pc]
-            m[pr] = [x / inv for x in m[pr]]
-            for r in range(self.rows):
-                if r != pr and m[r][pc]:
-                    f = m[r][pc]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+            row = m[pr]
+            inv = row[pc]
+            # entries left of pc are zero: earlier pivot columns are cleared,
+            # and the other columns had no nonzero from row pr down
+            pivot = []
+            for c in range(pc, self.cols):
+                if row[c]:
+                    row[c] = x = row[c] / inv
+                    pivot.append((c, x))
+            for r, target in enumerate(m):
+                f = target[pc]
+                if r != pr and f:
+                    for c, b in pivot:
+                        target[c] = target[c] - f * b
             pivots.append(pc)
             pr += 1
             if pr == self.rows:
@@ -238,24 +271,29 @@ class Mat:
         return self.rows == self.cols and self.rank() == self.rows
 
     def det(self):
-        """Determinant by fraction-free-ish Gaussian elimination (field entries)."""
+        """Determinant by Gaussian elimination with division (field entries)."""
         if self.rows != self.cols:
             raise ShapeMismatch("det of non-square matrix")
         m = [list(r) for r in self.data]
+        n = self.rows
         det = self.zero + 1
-        for pc in range(self.cols):
-            pr = next((r for r in range(pc, self.rows) if m[r][pc]), None)
+        for pc in range(n):
+            pr = next((r for r in range(pc, n) if m[r][pc]), None)
             if pr is None:
                 return self.zero
             if pr != pc:
                 m[pc], m[pr] = m[pr], m[pc]
                 det = -det
-            det = det * m[pc][pc]
-            inv = m[pc][pc]
-            for r in range(pc + 1, self.rows):
-                if m[r][pc]:
-                    f = m[r][pc] / inv
-                    m[r] = [a - f * b for a, b in zip(m[r], m[pc])]
+            row = m[pc]
+            lead = row[pc]
+            det = det * lead
+            # column pc below the pivot is never read again, so it is left as is
+            pivot = [(c, row[c]) for c in range(pc + 1, n) if row[c]]
+            for below in m[pc + 1:]:
+                if below[pc]:
+                    f = below[pc] / lead
+                    for c, b in pivot:
+                        below[c] = below[c] - f * b
         return det
 
     def trace(self):
@@ -278,19 +316,25 @@ class Mat:
             am = self * m
             c = -am.trace() / k
             coeffs.append(c)
-            m = am + Mat.identity(n, one).scaled(c)
+            m = am._plus_scalar(c)
         return coeffs
 
     def poly_eval(self, coeffs: Sequence) -> "Mat":
         """Evaluate a polynomial (coefficients high to low) at this matrix."""
         if self.rows != self.cols:
             raise ShapeMismatch("poly_eval of non-square matrix")
-        n = self.rows
         one = self.zero + 1
-        out = Mat.identity(n, one).scaled(coeffs[0] * one)
-        for c in coeffs[1:]:
-            out = out * self + Mat.identity(n, one).scaled(c * one)
+        out = Mat.zeros(self.rows, self.rows, self.zero)
+        for c in coeffs:
+            out = (out * self)._plus_scalar(c * one)
         return out
+
+    def _plus_scalar(self, c) -> "Mat":
+        """self + c * identity, for a square matrix."""
+        data = [list(r) for r in self.data]
+        for i, row in enumerate(data):
+            row[i] = row[i] + c
+        return Mat(self.rows, self.cols, data, self.zero)
 
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
@@ -303,13 +347,6 @@ class Mat:
             base = base * base if k > 1 else base
             k >>= 1
         return out
-
-
-def _dot(r, c, zero):
-    acc = None
-    for a, b in zip(r, c):
-        acc = a * b if acc is None else acc + a * b
-    return acc if acc is not None else zero
 
 
 def column_space_contains(basis: Mat, vec: Mat) -> bool:

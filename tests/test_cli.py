@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import random
 
@@ -11,6 +12,7 @@ from qfold.errors import PropertyViolation
 from qfold.generators import random_graded_pair
 from qfold.linalg import Mat
 from qfold.module_lab import framed_module
+from qfold.properties import PROPERTIES
 from qfold.quiver_core import a_quiver, flip_automorphism, quiver_to_dict
 from qfold.serialize import matmap_to_obj, module_to_dict, sigma_to_dict, witness_to_dict
 
@@ -193,9 +195,20 @@ def test_json_errors_are_one_object(capsys, monkeypatch, tmp_path):
 
 
 def test_determinism_byte_identical(capsys):
-    _code, first = run(capsys, "verify-all", "--seed", "3", "--json")
-    _code, second = run(capsys, "verify-all", "--seed", "3", "--json")
-    assert first == second
+    runs = []
+    for _ in range(2):
+        main(["verify-all", "--seed", "3", "--json"])
+        runs.append(capsys.readouterr())
+    first, second = runs
+    assert first.out == second.out
+    # the verdicts of seed 3, byte for byte; timings never reach stdout
+    assert hashlib.sha256(first.out.encode()).hexdigest() == \
+        "455e4906b88cdd2a5ba569248590992951c2f480ab5d9e70c79fd7018517bc04"
+    for err in (first.err, second.err):
+        lines = [line.split() for line in err.splitlines()]
+        assert len(lines) == 13
+        assert [(line[0], line[2], line[-2:]) for line in lines] == \
+            [(name, "s", ["size", str(size)]) for name, (_check, size) in PROPERTIES.items()]
 
 
 def module_doc():

@@ -1,3 +1,4 @@
+import contextlib
 from fractions import Fraction
 
 import pytest
@@ -204,3 +205,188 @@ def test_operations_keep_the_entry_type(case):
         assert all(same_field(x, zero) for row in mat.data for x in row), mat
     for scalar in [a.det(), a.trace(), *a.charpoly()]:
         assert same_field(scalar, zero), scalar
+
+
+def test_stacking_onto_an_empty_matrix_takes_the_other_zero():
+    # the empty left operand is built without its zero, so it is rational
+    row = Mat.from_rows([[Fp(1, 3), Fp(2, 3), Fp(0, 3)]])
+    for stacked in (Mat(0, 3, []).vstack(row), Mat(1, 0, [[]]).hstack(row)):
+        assert same_field(stacked.zero, Fp(0, 3))
+        basis = stacked.nullspace()
+        assert basis.cols == 2
+        assert all(isinstance(x, Fp) for r in basis.data for x in r), basis
+
+
+# -- dense oracles ----------------------------------------------------------
+# `qfold.linalg` walks nonzero entries only.  These are the dense kernels it
+# replaced, which form every scalar product and update every entry; the test
+# below swaps them into `Mat` and compares every result with the sparse one.
+
+def _dot(r, c, zero):
+    acc = None
+    for a, b in zip(r, c):
+        acc = a * b if acc is None else acc + a * b
+    return acc if acc is not None else zero
+
+
+def dense_mul(self, other):
+    if not isinstance(other, Mat):
+        return self.map(lambda x: x * other)
+    assert self.cols == other.rows
+    ot = other.transpose().data
+    return Mat(self.rows, other.cols, [[_dot(r, c, self.zero) for c in ot] for r in self.data],
+               self.zero)
+
+
+def dense_add(self, other):
+    return Mat(self.rows, self.cols,
+               [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.zero)
+
+
+def dense_sub(self, other):
+    return Mat(self.rows, self.cols,
+               [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.zero)
+
+
+def dense_rref(self):
+    m = [list(r) for r in self.data]
+    pivots = []
+    pr = 0
+    for pc in range(self.cols):
+        pivot_row = next((r for r in range(pr, self.rows) if m[r][pc]), None)
+        if pivot_row is None:
+            continue
+        m[pr], m[pivot_row] = m[pivot_row], m[pr]
+        inv = m[pr][pc]
+        m[pr] = [x / inv for x in m[pr]]
+        for r in range(self.rows):
+            if r != pr and m[r][pc]:
+                f = m[r][pc]
+                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == self.rows:
+            break
+    return Mat(self.rows, self.cols, m, self.zero), pivots
+
+
+def dense_det(self):
+    m = [list(r) for r in self.data]
+    det = self.zero + 1
+    for pc in range(self.cols):
+        pr = next((r for r in range(pc, self.rows) if m[r][pc]), None)
+        if pr is None:
+            return self.zero
+        if pr != pc:
+            m[pc], m[pr] = m[pr], m[pc]
+            det = -det
+        det = det * m[pc][pc]
+        inv = m[pc][pc]
+        for r in range(pc + 1, self.rows):
+            if m[r][pc]:
+                f = m[r][pc] / inv
+                m[r] = [a - f * b for a, b in zip(m[r], m[pc])]
+    return det
+
+
+def dense_charpoly(self):
+    n = self.rows
+    one = self.zero + 1
+    coeffs = [one]
+    m = Mat.identity(n, one)
+    for k in range(1, n + 1):
+        am = self * m
+        c = -am.trace() / k
+        coeffs.append(c)
+        m = am + Mat.identity(n, one).scaled(c)
+    return coeffs
+
+
+def dense_poly_eval(self, coeffs):
+    n = self.rows
+    one = self.zero + 1
+    out = Mat.identity(n, one).scaled(coeffs[0] * one)
+    for c in coeffs[1:]:
+        out = out * self + Mat.identity(n, one).scaled(c * one)
+    return out
+
+
+DENSE_KERNELS = {"__mul__": dense_mul, "__add__": dense_add, "__sub__": dense_sub,
+                 "rref": dense_rref, "det": dense_det, "charpoly": dense_charpoly,
+                 "poly_eval": dense_poly_eval}
+
+
+@contextlib.contextmanager
+def dense_kernels():
+    """Run `Mat` on the dense kernels inside the block."""
+    saved = {name: Mat.__dict__[name] for name in DENSE_KERNELS}
+    try:
+        for name, kernel in DENSE_KERNELS.items():
+            setattr(Mat, name, kernel)
+        yield
+    finally:
+        for name, kernel in saved.items():
+            setattr(Mat, name, kernel)
+
+
+@st.composite
+def sparse_cases(draw):
+    """(A, A2, B, S) over one field: A and A2 are n x k, B is k x m and S is
+    n x n, with n, k, m in 0..4.  Each matrix is all zero, has one nonzero
+    entry, or has each entry nonzero with a drawn density."""
+    make = ENTRY_MAKERS[draw(st.sampled_from(sorted(ENTRY_MAKERS)))]
+    zero = make(0, 0)
+    nonzero = st.builds(make, st.sampled_from([-2, -1, 1, 2]), st.integers(-1, 1))
+
+    def mat(rows, cols):
+        cells = rows * cols
+        density = draw(st.sampled_from(["single", 0, 1, 2, 4]))   # in quarters
+        if density == "single":
+            hit = {draw(st.integers(0, cells - 1))} if cells else set()
+        else:
+            hit = {i for i in range(cells) if draw(st.integers(0, 3)) < density}
+        data = [[draw(nonzero) if r * cols + c in hit else zero for c in range(cols)]
+                for r in range(rows)]
+        return Mat(rows, cols, data, None if cells else zero)
+
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    return mat(n, k), mat(n, k), mat(k, m), mat(n, n)
+
+
+def kernel_results(a, a2, b, s) -> dict:
+    out = {"a * b": a * b, "a + a2": a + a2, "a - a2": a - a2, "rref": a.rref(),
+           "nullspace": a.nullspace(), "det": s.det(), "solve": s.solve(a),
+           "charpoly": s.charpoly(), "poly_eval": s.poly_eval([Fraction(1), Fraction(-2), 3])}
+    try:
+        out["inverse"] = s.inverse()
+    except NotInvertible:
+        out["inverse"] = None
+    return out
+
+
+def assert_same(got, want, what):
+    """Equal values of the same field, entry for entry."""
+    if isinstance(want, Mat):
+        assert got == want and same_field(got.zero, want.zero), what
+        got, want = [x for r in got.data for x in r], [x for r in want.data for x in r]
+    elif isinstance(want, tuple):   # rref: (matrix, pivots)
+        assert got[1] == want[1], what
+        return assert_same(got[0], want[0], what)
+    elif not isinstance(want, list):
+        got, want = [got], [want]
+    assert got == want, what
+    assert all(same_field(x, y) for x, y in zip(got, want)), what
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(sparse_cases())
+def test_sparse_kernels_match_the_dense_oracle(case):
+    sparse = kernel_results(*case)
+    with dense_kernels():
+        dense = kernel_results(*case)
+    assert sparse.keys() == dense.keys()
+    for what, want in dense.items():
+        if want is None:
+            assert sparse[what] is None, what
+        else:
+            assert_same(sparse[what], want, what)
