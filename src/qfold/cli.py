@@ -35,7 +35,6 @@ from .properties import PROPERTIES
 from .quiver_core import (
     DiagramAutomorphism,
     Quiver,
-    orbit_data,
     quiver_from_dict,
     quiver_to_dict,
 )
@@ -239,13 +238,13 @@ def cmd_module(args) -> int:
         sigma = identity_sigma(q, a, m.w)
 
     if args.action == "theta":
-        out = apply_theta(m, a, sigma)
+        out = apply_theta(m, sigma)
         payload = {"module": module_to_dict(out)}
         _emit(args, payload, json.dumps(module_to_dict(out), indent=2, sort_keys=True))
         return EXIT_OK
 
     if args.action == "transition":
-        witness = find_transition(m, a, sigma)
+        witness = find_transition(m, sigma)
         if witness is None:
             _emit(args, {"witness": None}, "no transition: module is not isomorphic to its transport")
             return EXIT_OK
@@ -259,12 +258,11 @@ def cmd_module(args) -> int:
         if "g" not in data:
             raise InputError("the witness action needs a \"g\" block of gauge matrices")
         g = matmap_from_obj(data["g"])
-        big, witness = build_theta_witness(m, g, a, sigma)
-        od = orbit_data(q, a)
+        big, witness = build_theta_witness(m, g, sigma)
         eigen_report = {}
         for x in q.vertices:
             if a.vertex_perm[x] == x:
-                prof = eigen_profile(witness.g[x], od.e_vertex[x])
+                prof = eigen_profile(witness.g[x], sigma.orbits.e_vertex[x])
                 eigen_report[x] = {
                     "roots": {str(k): v for k, v in sorted(prof["roots"].items())},
                     "other": prof["other"],
@@ -290,7 +288,7 @@ def cmd_module(args) -> int:
             witness_sub = witness_from_dict(data["witness_sub"])
         except KeyError as exc:
             raise InputError(f"theorem5 file is missing the {exc} block") from exc
-        rep = theorem5_verify(xi, sub, m, a, sigma, witness_sub, witness)
+        rep = theorem5_verify(xi, sub, m, sigma, witness_sub, witness)
         payload = {"ok": rep.ok, "vertex": rep.vertex, "eigenvalue": rep.eigenvalue,
                    "counterexample": list(rep.vector) if rep.vector else None}
         human = "eigenspace inclusion holds" if rep.ok else \

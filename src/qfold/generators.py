@@ -27,14 +27,18 @@ from .module_lab import (
     TransitionWitness,
     act,
     apply_theta,
-    arrow_key,
     check_relations,
-    doubled_arrows,
     framed_module,
-    invariant_orientation,
     verify_transition,
 )
-from .quiver_core import Arrow, DiagramAutomorphism, Quiver, arrow_image, orbit_data
+from .quiver_core import (
+    DiagramAutomorphism,
+    Quiver,
+    arrow_transport,
+    doubled_arrows,
+    orbit_data,
+    reverse_key,
+)
 
 
 def rand_mat(rng: random.Random, rows: int, cols: int, lo: int = -2, hi: int = 2,
@@ -102,12 +106,11 @@ def random_one_way_module(rng: random.Random, q: Quiver, v: Mapping[str, int],
                           signed: bool = True) -> FramedModule:
     """Relation-exact random module: one random direction per edge carries
     a random matrix, J is arbitrary, I = 0."""
+    arrows = {info.key: info for info in doubled_arrows(q)}
     B: dict[str, Mat] = {}
     for e in q.edges:
-        forward = rng.random() < 0.5
-        key = e.id if forward else e.id + "*"
-        src, tgt = (e.src, e.tgt) if forward else (e.tgt, e.src)
-        B[key] = rand_mat(rng, v.get(tgt, 0), v.get(src, 0), p=p)
+        h = arrows[e.id if rng.random() < 0.5 else reverse_key(e.id)]
+        B[h.key] = rand_mat(rng, v.get(h.tgt, 0), v.get(h.src, 0), p=p)
     J = {x: rand_mat(rng, w.get(x, 0), v.get(x, 0), p=p) for x in q.vertices}
     m = framed_module(q, v, w, B=B, J=J, signed=signed)
     if not check_relations(m).ok:
@@ -147,7 +150,7 @@ def random_theta_module(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
     unsigned module when no invariant orientation exists."""
     v = random_orbit_constant_dims(rng, q, a, 0, max_dim)
     w = random_orbit_constant_dims(rng, q, a, 0, max_dim)
-    signed = invariant_orientation(q, a) is not None
+    signed = arrow_transport(q, a).sign is not None
     m = random_one_way_module(rng, q, v, w, p=p, signed=signed)
     if with_twist and p is None:
         sigma = random_sigma(rng, q, a, w)
@@ -183,15 +186,18 @@ def random_graded_pair(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
     od = orbit_data(q, a)
     if any(len(o) > 2 for o in od.vertex_orbits):
         raise InputError("graded pair generation handles involutions only")
+    transport = arrow_transport(q, a)
+    if transport.sign is None:
+        raise InputError("graded pair generation needs an invariant orientation")
 
     for _ in range(max_tries):
-        result = _try_graded_pair(rng, q, a, od, max_sub, max_extra)
+        result = _try_graded_pair(rng, q, a, od, transport, max_sub, max_extra)
         if result is not None:
             return result
     raise InputError("failed to generate a stable graded pair")
 
 
-def _try_graded_pair(rng, q, a, od, max_sub, max_extra):
+def _try_graded_pair(rng, q, a, od, transport, max_sub, max_extra):
     fixed = {x for x in q.vertices if a.vertex_perm[x] == x}
 
     # per-vertex layout: coordinates [sub+, sub-, ext+, ext-] at fixed
@@ -233,37 +239,22 @@ def _try_graded_pair(rng, q, a, od, max_sub, max_extra):
     g0_sub = {x: _sign_diag(sub_signs[x]) for x in q.vertices}
 
     # arrow matrices: triangular w.r.t. the sub coordinates; grading
-    # equivariant on automorphism-fixed edges; transported otherwise
+    # equivariant on automorphism-fixed arrows; transported otherwise
+    arrows = {info.key: info for info in doubled_arrows(q)}
     B: dict[str, Mat] = {}
-    orient = invariant_orientation(q, a)
-    if orient is None:
-        return None
-
-    def c1(key: str) -> int:
-        if key.endswith("*"):
-            return 1
-        return orient[key]
-
     for eorb in od.edge_orbits:
-        rep_edge = q.edge(eorb[0])
-        forward = rng.random() < 0.5
-        h0 = Arrow(rep_edge.id, 1 if forward else -1)
-        src = rep_edge.src if forward else rep_edge.tgt
-        tgt = rep_edge.tgt if forward else rep_edge.src
-        x = _random_triangular(rng, v[tgt], v[src], sub_dim[tgt], sub_dim[src])
-        if len(eorb) == 1 and arrow_image(q, a, h0) == h0:
-            x = _mask_equivariant(x, v_signs[tgt], v_signs[src])
-        B[arrow_key(h0)] = x
-        if len(eorb) == 2:
-            img = arrow_image(q, a, h0)
-            sign = c1(arrow_key(h0)) * c1(arrow_key(img))
-            isrc, itgt = _arrow_ends(q, img)
-            mapped = g0[itgt].inverse() * x * g0[isrc]
-            B[arrow_key(img)] = mapped if sign == 1 else -mapped
-        elif arrow_image(q, a, h0) != h0:
-            # a-fixed edge traversed against itself: reversal, excluded by
-            # the invariant orientation test
+        h = arrows[eorb[0] if rng.random() < 0.5 else reverse_key(eorb[0])]
+        x = _random_triangular(rng, v[h.tgt], v[h.src], sub_dim[h.tgt], sub_dim[h.src])
+        img = arrows[transport.image[h.key]]
+        if img == h:
+            x = _mask_equivariant(x, v_signs[h.tgt], v_signs[h.src])
+        elif len(eorb) == 2:
+            mapped = g0[img.tgt].inverse() * x * g0[img.src]
+            B[img.key] = mapped if transport.sign[h.key] == 1 else -mapped
+        else:
+            # an edge orbit longer than the vertex involution's
             return None
+        B[h.key] = x
 
     # framing: J block-diagonal in the sign grading at fixed vertices,
     # transported along swapped orbits; injective on both sub and total
@@ -291,7 +282,7 @@ def _try_graded_pair(rng, q, a, od, max_sub, max_extra):
 
     m = framed_module(q, v, w, B=B, J=J)
     sigma = SigmaData(q, a, sigma_maps)
-    if apply_theta(m, a, sigma) != act(g0, m):
+    if apply_theta(m, sigma) != act(g0, m):
         raise InputError("graded construction failed its transport identity")
     # J is injective at every vertex, for the pair and for its submodule, so
     # ker J = 0 and both are stable once the relation holds
@@ -306,7 +297,7 @@ def _try_graded_pair(rng, q, a, od, max_sub, max_extra):
         J={x: J[x].submatrix(range(w[x]), range(vsub[x])) for x in q.vertices})
     if not check_relations(m_sub).ok:
         raise PropertyViolation("a graded submodule violates the preprojective relation")
-    if apply_theta(m_sub, a, sigma) != act(g0_sub, m_sub):
+    if apply_theta(m_sub, sigma) != act(g0_sub, m_sub):
         raise InputError("graded subconstruction failed its transport identity")
 
     # conjugate both sides by orbit-constant gauges
@@ -317,16 +308,11 @@ def _try_graded_pair(rng, q, a, od, max_sub, max_extra):
     xi = {x: h[x] * xi0[x] * hsub[x].inverse() for x in q.vertices}
     witness = TransitionWitness({x: h[x] * g0[x] * h[x].inverse() for x in q.vertices})
     witness_sub = TransitionWitness({x: hsub[x] * g0_sub[x] * hsub[x].inverse() for x in q.vertices})
-    if not verify_transition(m_final, a, sigma, witness):
+    if not verify_transition(m_final, sigma, witness):
         raise InputError("conjugated witness failed verification")
-    if not verify_transition(sub_final, a, sigma, witness_sub):
+    if not verify_transition(sub_final, sigma, witness_sub):
         raise InputError("conjugated subwitness failed verification")
     return xi, sub_final, m_final, sigma, witness_sub, witness
-
-
-def _arrow_ends(q: Quiver, arrow: Arrow) -> tuple[str, str]:
-    e = q.edge(arrow.edge)
-    return (e.src, e.tgt) if arrow.eps == 1 else (e.tgt, e.src)
 
 
 def _random_triangular(rng, rows, cols, sub_rows, sub_cols) -> Mat:

@@ -7,12 +7,10 @@ vertex the relation
     sum over arrows h with source i of  eps(h) * B[rev h] * B[h]  + I_i J_i = 0
 
 with eps(h) = +1 on forward arrows and -1 on reversed ones (signed mode;
-unsigned mode drops eps).  Arrow keys are the edge id for the forward
-direction and the edge id suffixed with "*" for the reverse.
-
-The automorphism transport keeps the signed relation invariant by routing
-signs through an invariant orientation of the edge orbits; the signs
-telescope, so iterating the transport n times is the identity exactly.
+unsigned mode drops eps).  The arrow keys, the image of each arrow under
+the diagram automorphism and the signs of the transport are defined in
+`quiver_core`; the transport theta reads them, with the framing twists,
+from its `SigmaData`.
 """
 
 from __future__ import annotations
@@ -20,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
+    IndexMismatch,
     InputError,
     NotAnEmbedding,
     NotFiniteOrder,
@@ -46,13 +45,14 @@ from .numberfield import (
     poly_divmod,
     poly_gcd,
 )
-from .quiver_core import (
-    Arrow,
+from .quiver_core import (  # ArrowInfo and invariant_orientation are re-exported
+    ArrowInfo,
     DiagramAutomorphism,
     Quiver,
-    arrow_image,
+    doubled_arrows,
+    invariant_orientation,
     orbit_data,
-    orientation_sign,
+    reverse_key,
 )
 from .split_quotient import (
     SigmaData,
@@ -60,30 +60,6 @@ from .split_quotient import (
     is_orbit_constant,
     root_of_unity_eigendims,
 )
-
-
-class ArrowInfo(NamedTuple):
-    key: str
-    edge: str
-    src: str
-    tgt: str
-    eps: int
-
-
-def doubled_arrows(q: Quiver) -> list[ArrowInfo]:
-    out = []
-    for e in q.edges:
-        out.append(ArrowInfo(e.id, e.id, e.src, e.tgt, 1))
-        out.append(ArrowInfo(e.id + "*", e.id, e.tgt, e.src, -1))
-    return out
-
-
-def arrow_key(a: Arrow) -> str:
-    return a.edge if a.eps == 1 else a.edge + "*"
-
-
-def reverse_key(key: str) -> str:
-    return key[:-1] if key.endswith("*") else key + "*"
 
 
 @dataclass(frozen=True, eq=True)
@@ -289,29 +265,6 @@ def brute_stability(m: FramedModule, dim_bound: int = 4) -> bool:
 # the automorphism action
 # ---------------------------------------------------------------------------
 
-def invariant_orientation(q: Quiver, a: DiagramAutomorphism) -> Optional[dict[str, int]]:
-    """Per-edge sign comparing the input orientation with an automorphism
-    invariant one (+1 agree, -1 differ), or None when no invariant
-    orientation exists (an edge orbit with odd reversal holonomy)."""
-    od = orbit_data(q, a)
-    sigma: dict[str, int] = {}
-    for orbit in od.edge_orbits:
-        rep = orbit[0]
-        sigma[rep] = 1
-        e = rep
-        sign = 1
-        for _ in range(len(orbit)):
-            nxt = a.edge_perm[e]
-            sign *= orientation_sign(q, a, e)
-            if nxt == rep:
-                if sign != 1:
-                    return None
-                break
-            sigma[nxt] = sign
-            e = nxt
-    return sigma
-
-
 def identity_sigma(q: Quiver, a: DiagramAutomorphism, wdims: Mapping[str, int]) -> SigmaData:
     if not is_orbit_constant(wdims, orbit_data(q, a)):
         raise NotOrbitConstant("framing dimensions must be constant on orbits")
@@ -319,51 +272,36 @@ def identity_sigma(q: Quiver, a: DiagramAutomorphism, wdims: Mapping[str, int]) 
     return SigmaData(q, a, maps)
 
 
-def apply_theta(m: FramedModule, a: DiagramAutomorphism, sigma: SigmaData) -> FramedModule:
-    """Transport module data along the diagram automorphism.
+def apply_theta(m: FramedModule, sigma: SigmaData) -> FramedModule:
+    """Transport module data along the diagram automorphism sigma.auto.
 
     B'[image of h] = sign(h) * B[h], J'_{a(i)} = sigma_i J_i and
-    I'_{a(i)} = I_i sigma_i^{-1}; the signs come from an invariant
-    orientation and telescope to +1 over a full period, so iterating n
-    times returns the module exactly.
+    I'_{a(i)} = I_i sigma_i^{-1}, with the images and signs of
+    `quiver_core.arrow_transport`; the signs telescope to +1 over a full
+    period, so iterating n times returns the module exactly.
     """
     q = m.quiver
-    od = orbit_data(q, a)
+    if q != sigma.quiver:
+        raise IndexMismatch("the module and the framing twists live on different quivers")
+    od = sigma.orbits
     if not is_orbit_constant(m.v, od) or not is_orbit_constant(m.w, od):
         raise NotOrbitConstant("module dimensions must be constant on orbits")
     if any(sigma.maps[x].cols != m.w.get(x, 0) for x in q.vertices):
         raise SigmaConstraintViolated("sigma does not match the framing dimensions of the module")
 
-    if m.signed:
-        orient = invariant_orientation(q, a)
-        if orient is None:
-            raise PreconditionViolation(
-                "automorphism reverses an edge orbit with odd holonomy; "
-                "no invariant orientation exists, use an unsigned module")
+    image, signs = sigma.transport
+    if not m.signed:
+        newB = {image[key]: m.B[key] for key in image}
+    elif signs is None:
+        raise PreconditionViolation(
+            "automorphism reverses an edge orbit with odd holonomy; "
+            "no invariant orientation exists, use an unsigned module")
     else:
-        orient = {e.id: 1 for e in q.edges}
+        newB = {image[key]: m.B[key] if signs[key] == 1 else -m.B[key] for key in image}
 
-    def c1(key: str) -> int:
-        # -1 exactly on the forward arrow of edges whose input orientation
-        # disagrees with the invariant one
-        if key.endswith("*"):
-            return 1
-        return orient[key]
-
-    newB: dict[str, Mat] = {}
-    for info in doubled_arrows(q):
-        arrow = Arrow(info.edge, info.eps)
-        image = arrow_image(q, a, arrow)
-        sign = c1(arrow_key(arrow)) * c1(arrow_key(image))
-        mat = m.B[info.key]
-        newB[arrow_key(image)] = mat if sign == 1 else -mat
-
-    newI: dict[str, Mat] = {}
-    newJ: dict[str, Mat] = {}
-    for vertex in q.vertices:
-        target = a.vertex_perm[vertex]
-        newJ[target] = sigma.maps[vertex] * m.J[vertex]
-        newI[target] = m.I[vertex] * sigma.inverses[vertex]
+    perm = sigma.auto.vertex_perm
+    newI = {perm[x]: m.I[x] * sigma.inverses[x] for x in q.vertices}
+    newJ = {perm[x]: sigma.maps[x] * m.J[x] for x in q.vertices}
     return FramedModule(q, dict(m.v), dict(m.w), newB, newI, newJ, m.signed)
 
 
@@ -434,15 +372,12 @@ def witness_matrix(witness: TransitionWitness, vertex: str) -> Mat:
     return g.submatrix([*range(n1, g.rows), *range(n1)], range(g.cols))
 
 
-def verify_transition(m: FramedModule, a: DiagramAutomorphism, sigma: SigmaData,
-                      witness: TransitionWitness) -> bool:
-    theta_m = apply_theta(m, a, sigma)
+def verify_transition(m: FramedModule, sigma: SigmaData, witness: TransitionWitness) -> bool:
     full = {x: witness_matrix(witness, x) for x in m.quiver.vertices}
-    return act(full, m) == theta_m
+    return act(full, m) == apply_theta(m, sigma)
 
 
-def find_transition(m: FramedModule, a: DiagramAutomorphism,
-                    sigma: SigmaData) -> Optional[TransitionWitness]:
+def find_transition(m: FramedModule, sigma: SigmaData) -> Optional[TransitionWitness]:
     """The unique invertible g with theta(m) = g.m for a stable module,
     or None when m and theta(m) are not isomorphic.
 
@@ -455,7 +390,8 @@ def find_transition(m: FramedModule, a: DiagramAutomorphism,
     """
     if not is_stable(m):
         raise NotStable("transition matrices are only unique for stable modules")
-    rows = _path_rows(direct_sum(apply_theta(m, a, sigma), m))
+    theta_m = apply_theta(m, sigma)
+    rows = _path_rows(direct_sum(theta_m, m))
     g: dict[str, Mat] = {}
     for x in m.quiver.vertices:
         n = m.v.get(x, 0)
@@ -465,8 +401,7 @@ def find_transition(m: FramedModule, a: DiagramAutomorphism,
         if len(pivots) > n:
             return None
         g[x] = red.submatrix(range(n), range(n, 2 * n))
-    witness = TransitionWitness(g)
-    return witness if verify_transition(m, a, sigma, witness) else None
+    return TransitionWitness(g) if act(g, m) == theta_m else None
 
 
 def star(g: Mapping[str, Mat], a: DiagramAutomorphism) -> dict[str, Mat]:
@@ -479,8 +414,7 @@ def star(g: Mapping[str, Mat], a: DiagramAutomorphism) -> dict[str, Mat]:
     return out
 
 
-def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat],
-                        a: DiagramAutomorphism, sigma: SigmaData
+def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat], sigma: SigmaData
                         ) -> tuple[FramedModule, TransitionWitness]:
     """The twisted-double construction: M = m1 + g.theta(m1) with the
     summand-matched transition blocks (g*_i, g_i^{-1}).
@@ -498,7 +432,7 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat],
         if n and not mat.is_invertible():
             raise NotInvertible(f"gauge block at {x} is singular")
 
-    theta_m1 = apply_theta(m1, a, sigma)
+    theta_m1 = apply_theta(m1, sigma)
     twisted = act(g, theta_m1)
     big = direct_sum(m1, twisted)
     rep = check_relations(big)
@@ -506,7 +440,7 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat],
         raise RelationViolation(
             f"direct sum violates the relation at {rep.vertex}; framing cross terms must vanish")
 
-    gstar = star(g, a)
+    gstar = star(g, sigma.auto)
     blocks = {}
     dims = {}
     for x in q.vertices:
@@ -514,7 +448,7 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat],
         blocks[x] = Mat.block_diag([gstar[x], g[x].inverse()])
         dims[x] = (n, n)
     witness = TransitionWitness(blocks, summand_swap=True, block_dims=dims)
-    if not verify_transition(big, a, sigma, witness):
+    if not verify_transition(big, sigma, witness):
         raise WitnessVerificationFailed(
             "summand-matched witness failed exact verification; "
             "the construction needs an involutive automorphism")
@@ -651,9 +585,8 @@ def eigenvector_span(g_mat: Mat) -> Mat:
 
 
 def theorem5_verify(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
-                    a: DiagramAutomorphism, sigma: SigmaData,
-                    witness_sub: TransitionWitness, witness: TransitionWitness
-                    ) -> EigenInclusionReport:
+                    sigma: SigmaData, witness_sub: TransitionWitness,
+                    witness: TransitionWitness) -> EigenInclusionReport:
     """Check that every eigenspace of the submodule's transition matrix
     lands inside the matching eigenspace of the ambient transition matrix.
 
@@ -669,9 +602,9 @@ def theorem5_verify(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
         raise PreconditionViolation("xi is not a framed embedding")
     if not is_stable(m_sub) or not is_stable(m):
         raise PreconditionViolation("both modules must be stable")
-    if not verify_transition(m_sub, a, sigma, witness_sub):
+    if not verify_transition(m_sub, sigma, witness_sub):
         raise PreconditionViolation("submodule witness fails verification")
-    if not verify_transition(m, a, sigma, witness):
+    if not verify_transition(m, sigma, witness):
         raise PreconditionViolation("ambient witness fails verification")
 
     for x in m.quiver.vertices:

@@ -26,7 +26,8 @@ from .errors import NotInvertible, PropertyViolation
 # ---------------------------------------------------------------------------
 
 class Fp:
-    """An element of the prime field F_p."""
+    """An element of the prime field F_p.  Arithmetic takes ints as elements
+    of F_p, but only an element of the same F_p compares equal."""
 
     __slots__ = ("v", "p")
 
@@ -75,8 +76,6 @@ class Fp:
     def __eq__(self, other):
         if isinstance(other, Fp):
             return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
         return NotImplemented
 
     def __bool__(self):
@@ -291,6 +290,9 @@ class NumberFieldElement:
         return self.coeffs != (Fraction(0),)
 
     def __hash__(self):
+        # a constant equals, so hashes like, the rational it holds
+        if len(self.coeffs) == 1:
+            return hash(self.coeffs[0])
         return hash((self.field, self.coeffs))
 
     def __repr__(self):

@@ -242,8 +242,8 @@ def twisted_double_witness(seed: int, size: int) -> list[str]:
         J={"1": Mat.rational([[1]]), "2": Mat.rational([[1]]), "3": Mat.rational([[0]])})
     sigma = identity_sigma(a3, flip, m1.w)
     g = {"1": Mat.rational([[1]]), "2": Mat.rational([[2]]), "3": Mat.rational([[1]])}
-    big, witness = build_theta_witness(m1, g, flip, sigma)
-    if not verify_transition(big, flip, sigma, witness):
+    big, witness = build_theta_witness(m1, g, sigma)
+    if not verify_transition(big, sigma, witness):
         bad.append("witness verification failed")
     prof = eigen_profile(witness.g["2"], 2)
     outside = prof["other"] + sum(d for t, d in prof["roots"].items()
@@ -262,7 +262,7 @@ def eigenspace_inclusion(seed: int, size: int) -> list[str]:
         q, a = setups[trial % 4]
         rng = trial_rng(seed, "eigenspace-inclusion", trial)
         xi, msub, m, sigma, wsub, wit = random_graded_pair(rng, q, a)
-        rep = theorem5_verify(xi, msub, m, a, sigma, wsub, wit)
+        rep = theorem5_verify(xi, msub, m, sigma, wsub, wit)
         if not rep.ok:
             bad.append(f"eigenspace inclusion failed on trial {trial} at {rep.vertex}")
     return bad
@@ -279,7 +279,7 @@ def transport_order(seed: int, size: int) -> list[str]:
             m, sigma = random_theta_module(rng, entry.quiver, entry.auto)
             cur = m
             for _ in range(n):
-                cur = apply_theta(cur, entry.auto, sigma)
+                cur = apply_theta(cur, sigma)
             if cur != m:
                 bad.append(f"{entry.name}: transport order exceeds {n} (trial {trial})")
                 break

@@ -1,10 +1,19 @@
-"""Quiver data model and diagram automorphisms.
+"""Quiver data model, diagram automorphisms and the doubled quiver.
 
 Vertices and edge ids are opaque strings.  The order of the ``vertices``
 tuple is the canonical order used everywhere downstream (orbit labels,
 Cartan matrix indexing, JSON output).  Edge direction is arbitrary: the
 underlying diagram is what matters, and automorphisms are allowed to
 reverse edges.
+
+The doubled quiver has two arrows per edge e, keyed "e" along it (eps =
++1) and "e*" against it (eps = -1).  An automorphism a sends the arrow
+(e, eps) to (a(e), -eps) if it reverses e, else to (a(e), eps).  The
+signed transport multiplies each arrow h by c(h) c(a(h)), with c = -1
+exactly on forward arrows against an a-invariant orientation (the one
+agreeing with each edge orbit's first edge); the signs telescope around
+every orbit.  Without an invariant orientation only unsigned modules
+transport.
 """
 
 from __future__ import annotations
@@ -27,13 +36,6 @@ class Edge(NamedTuple):
     id: str
     src: str
     tgt: str
-
-
-class Arrow(NamedTuple):
-    """One arrow of the doubled quiver: an edge taken forwards or backwards."""
-
-    edge: str
-    eps: int  # +1 along the edge's direction, -1 reversed
 
 
 @dataclass(frozen=True)
@@ -164,20 +166,6 @@ def compose(q: Quiver, a: DiagramAutomorphism, b: DiagramAutomorphism) -> Diagra
     return automorphism(q, vperm, eperm)
 
 
-def orientation_sign(q: Quiver, a: DiagramAutomorphism, edge_id: str) -> int:
-    """+1 if a maps the edge preserving its direction, -1 if it reverses it."""
-    e = q.edge(edge_id)
-    image = q.edge(a.edge_perm[edge_id])
-    if image.src == a.vertex_perm[e.src]:
-        return 1
-    return -1
-
-
-def arrow_image(q: Quiver, a: DiagramAutomorphism, arrow: Arrow) -> Arrow:
-    """Image of a doubled-quiver arrow under the automorphism."""
-    return Arrow(a.edge_perm[arrow.edge], arrow.eps * orientation_sign(q, a, arrow.edge))
-
-
 def is_admissible(q: Quiver, a: DiagramAutomorphism) -> bool:
     """True iff no edge joins two vertices of the same vertex orbit."""
     check_automorphism(q, a)
@@ -242,6 +230,82 @@ def orbit_data(q: Quiver, a: DiagramAutomorphism) -> OrbitData:
     orbit_of_edge = {e: i for i, o in enumerate(eorbs) for e in o}
     return OrbitData(tuple(vorbs), tuple(eorbs), d_vertex, d_edge, n,
                      e_vertex, e_edge, orbit_of_vertex, orbit_of_edge)
+
+
+# ---------------------------------------------------------------------------
+# the doubled quiver and its transport
+# ---------------------------------------------------------------------------
+
+class ArrowInfo(NamedTuple):
+    key: str
+    edge: str
+    src: str
+    tgt: str
+    eps: int  # +1 along the edge's direction, -1 against it
+
+
+def _doubled_key(edge_id: str, eps: int) -> str:
+    return edge_id if eps == 1 else edge_id + "*"
+
+
+def doubled_arrows(q: Quiver) -> list[ArrowInfo]:
+    out = []
+    for e in q.edges:
+        out.append(ArrowInfo(_doubled_key(e.id, 1), e.id, e.src, e.tgt, 1))
+        out.append(ArrowInfo(_doubled_key(e.id, -1), e.id, e.tgt, e.src, -1))
+    return out
+
+
+def reverse_key(key: str) -> str:
+    return key[:-1] if key.endswith("*") else _doubled_key(key, -1)
+
+
+def _direction_sign(q: Quiver, a: DiagramAutomorphism, e: Edge) -> int:
+    """+1 if a maps the edge preserving its direction, -1 if it reverses it."""
+    return 1 if q.edge(a.edge_perm[e.id]).src == a.vertex_perm[e.src] else -1
+
+
+def invariant_orientation(q: Quiver, a: DiagramAutomorphism) -> Optional[dict[str, int]]:
+    """Per-edge sign comparing the input orientation with an automorphism
+    invariant one (+1 agree, -1 differ), or None when no invariant
+    orientation exists (an edge orbit with odd reversal holonomy)."""
+    od = orbit_data(q, a)
+    orient: dict[str, int] = {}
+    for orbit in od.edge_orbits:
+        rep = edge = orbit[0]
+        orient[rep] = sign = 1
+        while True:
+            sign *= _direction_sign(q, a, q.edge(edge))
+            edge = a.edge_perm[edge]
+            if edge == rep:
+                break
+            orient[edge] = sign
+        if sign != 1:
+            return None
+    return orient
+
+
+class ArrowTransport(NamedTuple):
+    """Where a sends each doubled arrow, by key, and the sign of the signed
+    transport on it; `sign` is None when no invariant orientation exists."""
+
+    image: Mapping[str, str]
+    sign: Optional[Mapping[str, int]]
+
+
+def arrow_transport(q: Quiver, a: DiagramAutomorphism) -> ArrowTransport:
+    orient = invariant_orientation(q, a)
+    image = {}
+    for e in q.edges:
+        turn = _direction_sign(q, a, e)
+        for eps in (1, -1):
+            image[_doubled_key(e.id, eps)] = _doubled_key(a.edge_perm[e.id], eps * turn)
+    if orient is None:
+        return ArrowTransport(image, None)
+
+    def c(key: str) -> int:
+        return 1 if key.endswith("*") else orient[key]
+    return ArrowTransport(image, {key: c(key) * c(im) for key, im in image.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,11 @@ from .errors import (
 from .linalg import Mat
 from .numberfield import cyclotomic_poly
 from .quiver_core import (
+    ArrowTransport,
     DiagramAutomorphism,
     OrbitData,
     Quiver,
+    arrow_transport,
     check_automorphism,
     orbit_data,
     quiver,
@@ -356,13 +358,17 @@ class SigmaData:
     Construction validates the maps and raises SigmaConstraintViolated
     otherwise: every sigma_i is square and invertible and lands in a space
     of its own dimension, so w_i, read off as the size of sigma_i, is
-    constant on orbits.  Validation keeps the inverses sigma_i^{-1}.
+    constant on orbits.  Validation keeps the inverses sigma_i^{-1}, the
+    orbit data of the automorphism and its arrow transport, so the module
+    transport theta needs nothing else.
     """
 
     quiver: Quiver
     auto: DiagramAutomorphism
     maps: Mapping[str, Mat]
     inverses: Mapping[str, Mat] = field(init=False, repr=False, compare=False)
+    orbits: OrbitData = field(init=False, repr=False, compare=False)
+    transport: ArrowTransport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.validate()
@@ -395,6 +401,8 @@ class SigmaData:
                 raise SigmaConstraintViolated(
                     f"(sigma composite at {lift})^{e} is not the identity")
         object.__setattr__(self, "inverses", inverses)
+        object.__setattr__(self, "orbits", od)
+        object.__setattr__(self, "transport", arrow_transport(q, a))
 
 
 def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:

@@ -5,12 +5,15 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import qfold
 from qfold.cli import main
+from qfold.corpus import corpus
 from qfold.errors import (
+    IndexMismatch,
     NotAnEmbedding,
     NotFiniteOrder,
     NotOrbitConstant,
@@ -22,14 +25,18 @@ from qfold.errors import (
     WitnessVerificationFailed,
 )
 from qfold.generators import (
+    rand_mat,
     random_graded_pair,
     random_one_way_module,
+    random_orbit_constant_dims,
+    random_sigma,
     random_theta_module,
 )
 from qfold.linalg import Mat, column_space_contains
 from qfold.numberfield import Fp, NumberField, factor_rational_poly
 from qfold.module_lab import (
     EigenInclusionReport,
+    FramedModule,
     _poly_str,
     SigmaData,
     TransitionWitness,
@@ -65,12 +72,14 @@ from qfold.serialize import (
 )
 from qfold.quiver_core import (
     a_quiver,
+    arrow_transport,
     automorphism,
     d_quiver,
     flip_automorphism,
     fork_swap_automorphism,
     identity_automorphism,
     orbit_data,
+    quiver,
     quiver_to_dict,
 )
 
@@ -160,7 +169,7 @@ def test_apply_theta_identity_and_order():
     sig = identity_sigma(A3, identity_automorphism(A3), {v: 1 for v in A3.vertices})
     m = framed_module(A3, {v: 1 for v in A3.vertices}, {v: 1 for v in A3.vertices},
                       J=one_dim({"1": 1, "2": 2, "3": 3}))
-    assert apply_theta(m, identity_automorphism(A3), sig) == m
+    assert apply_theta(m, sig) == m
 
 
 def test_apply_theta_hand_transport():
@@ -173,15 +182,15 @@ def test_apply_theta_hand_transport():
                                    "e2": Mat.rational([[7]])},
                       J=one_dim({"1": 0, "2": 0, "3": 0}),
                       I=one_dim({"1": 0, "2": 0, "3": 0}))
-    out = apply_theta(m, FLIP, sig)
+    out = apply_theta(m, sig)
     assert out.B["e2*"] == Mat.rational([[5]])
     assert out.B["e1*"] == Mat.rational([[-7]])
     # the signs sit on the arrows against the invariant orientation, and
     # cancel pairwise so the signed relation is preserved
     m2 = framed_module(A3, v, w, B={"e1*": Mat.rational([[5]])})
-    out2 = apply_theta(m2, FLIP, sig)
+    out2 = apply_theta(m2, sig)
     assert out2.B["e2"] == Mat.rational([[-5]])
-    assert apply_theta(out2, FLIP, sig) == m2
+    assert apply_theta(out2, sig) == m2
 
 
 def test_theta_order_on_sample():
@@ -194,7 +203,7 @@ def test_theta_order_on_sample():
             m, sig = random_theta_module(rng, q, a, p=p)
             cur = m
             for _ in range(od.n):
-                cur = apply_theta(cur, a, sig)
+                cur = apply_theta(cur, sig)
             assert cur == m
 
 
@@ -202,7 +211,7 @@ def test_theta_preserves_relations_and_stability():
     rng = random.Random(9)
     for _ in range(20):
         m, sig = random_theta_module(rng, A3, FLIP)
-        out = apply_theta(m, FLIP, sig)
+        out = apply_theta(m, sig)
         assert check_relations(out).ok
         assert is_stable(out) == is_stable(m)
 
@@ -211,7 +220,7 @@ def test_theta_requires_orbit_constant_dims():
     sig = identity_sigma(A3, FLIP, {v: 1 for v in A3.vertices})
     m = framed_module(A3, {"1": 1, "2": 1, "3": 2}, {v: 1 for v in A3.vertices})
     with pytest.raises(NotOrbitConstant):
-        apply_theta(m, FLIP, sig)
+        apply_theta(m, sig)
 
 
 def test_sigma_constraint_checked():
@@ -234,7 +243,7 @@ def test_sigma_constraint_checked():
     sigma = SigmaData(A3, FLIP, ok)
     wide = framed_module(A3, {v: 1 for v in A3.vertices}, {v: 2 for v in A3.vertices})
     with pytest.raises(SigmaConstraintViolated):
-        apply_theta(wide, FLIP, sigma)
+        apply_theta(wide, sigma)
 
 
 def test_no_invariant_orientation_for_reversed_edge():
@@ -245,10 +254,140 @@ def test_no_invariant_orientation_for_reversed_edge():
     w = dict(v)
     m = framed_module(a4, v, w)
     with pytest.raises(PreconditionViolation):
-        apply_theta(m, flip4, identity_sigma(a4, flip4, w))
+        apply_theta(m, identity_sigma(a4, flip4, w))
     unsigned = framed_module(a4, v, w, signed=False)
     sig = identity_sigma(a4, flip4, w)
-    assert apply_theta(apply_theta(unsigned, flip4, sig), flip4, sig) == unsigned
+    assert apply_theta(apply_theta(unsigned, sig), sig) == unsigned
+
+
+class Arrow(NamedTuple):
+    """Oracle model of a doubled-quiver arrow: an edge taken forwards or
+    backwards."""
+
+    edge: str
+    eps: int  # +1 along the edge's direction, -1 reversed
+
+
+def orientation_sign(q, a, edge_id):
+    """+1 if a maps the edge preserving its direction, -1 if it reverses it."""
+    e = q.edge(edge_id)
+    return 1 if q.edge(a.edge_perm[edge_id]).src == a.vertex_perm[e.src] else -1
+
+
+def arrow_image(q, a, arrow):
+    return Arrow(a.edge_perm[arrow.edge], arrow.eps * orientation_sign(q, a, arrow.edge))
+
+
+def arrow_key(arrow):
+    return arrow.edge if arrow.eps == 1 else arrow.edge + "*"
+
+
+def oracle_orientation(q, a):
+    """The invariant orientation, walked one edge orbit at a time."""
+    orient = {}
+    for orbit in orbit_data(q, a).edge_orbits:
+        rep = orbit[0]
+        orient[rep] = 1
+        e, sign = rep, 1
+        for _ in range(len(orbit)):
+            nxt = a.edge_perm[e]
+            sign *= orientation_sign(q, a, e)
+            if nxt == rep:
+                if sign != 1:
+                    return None
+                break
+            orient[nxt] = sign
+            e = nxt
+    return orient
+
+
+def oracle_transport(q, a, orient):
+    """Arrow images and transport signs, arrow by arrow: the sign of h is
+    c1(h) c1(a(h)), with c1 = -1 exactly on the forward arrows of edges
+    against the invariant orientation."""
+    def c1(key):
+        return 1 if key.endswith("*") else orient[key]
+
+    images, signs = {}, {}
+    for info in doubled_arrows(q):
+        arrow = Arrow(info.edge, info.eps)
+        image = arrow_key(arrow_image(q, a, arrow))
+        images[info.key] = image
+        if orient is not None:
+            signs[info.key] = c1(info.key) * c1(image)
+    return images, signs if orient is not None else None
+
+
+def oracle_theta(m, a, sigma):
+    """The transport of m along a, with the images and signs of the oracle;
+    None when m is signed and no invariant orientation exists."""
+    q = m.quiver
+    orient = oracle_orientation(q, a) if m.signed else {e.id: 1 for e in q.edges}
+    if orient is None:
+        return None
+    images, signs = oracle_transport(q, a, orient)
+    B = {images[k]: m.B[k] if signs[k] == 1 else -m.B[k] for k in images}
+    I = {a.vertex_perm[x]: m.I[x] * sigma.maps[x].inverse() for x in q.vertices}
+    J = {a.vertex_perm[x]: sigma.maps[x] * m.J[x] for x in q.vertices}
+    return FramedModule(q, dict(m.v), dict(m.w), B, I, J, m.signed)
+
+
+def test_arrow_transport_matches_the_arrow_oracle():
+    """Over every corpus entry, the images and signs of arrow_transport and
+    the modules apply_theta builds from them agree with the per-arrow
+    oracle, for signed and unsigned modules over Q and F_3, with every
+    arrow carrying a matrix.  Entries without an invariant orientation
+    (the even path flips) have no signs and refuse a signed module."""
+    rng = random.Random(17)
+    without_orientation = []
+    for entry in corpus():
+        q, a = entry.quiver, entry.auto
+        orient = oracle_orientation(q, a)
+        images, signs = oracle_transport(q, a, orient)
+        transport = arrow_transport(q, a)
+        assert transport.image == images and transport.sign == signs, entry.name
+        if orient is None:
+            without_orientation.append(entry.name)
+        for p in (None, 3):
+            v = random_orbit_constant_dims(rng, q, a, 1, 2)
+            w = random_orbit_constant_dims(rng, q, a, 0, 2)
+            if p is None:
+                sigma = random_sigma(rng, q, a, w)
+            else:
+                sigma = SigmaData(q, a, {x: Mat.identity(w[x], Fp(1, p)) for x in q.vertices})
+            B = {info.key: rand_mat(rng, v[info.tgt], v[info.src], p=p)
+                 for info in doubled_arrows(q)}
+            I = {x: rand_mat(rng, v[x], w[x], p=p) for x in q.vertices}
+            J = {x: rand_mat(rng, w[x], v[x], p=p) for x in q.vertices}
+            for signed in (True, False):
+                m = framed_module(q, v, w, B=B, I=I, J=J, signed=signed)
+                want = oracle_theta(m, a, sigma)
+                if want is None:
+                    with pytest.raises(PreconditionViolation):
+                        apply_theta(m, sigma)
+                else:
+                    assert apply_theta(m, sigma) == want, (entry.name, p, signed)
+    assert {"A4-flip", "A6-flip", "A8-flip"} <= set(without_orientation)
+
+
+def test_apply_theta_reads_the_automorphism_off_sigma():
+    # sigma_1 = 2, sigma_2 = 1, sigma_3 = 1/2 is a twist for the flip only:
+    # transported along the flip, two steps return the module
+    maps = {"1": Mat.rational([[2]]), "2": Mat.rational([[1]]),
+            "3": Mat.rational([[Fraction(1, 2)]])}
+    sigma = SigmaData(A3, FLIP, maps)
+    ones = {x: 1 for x in A3.vertices}
+    m = framed_module(A3, ones, ones, B={"e1": Mat.rational([[5]]), "e2": Mat.rational([[7]])},
+                      J=one_dim({"1": 1, "2": 3, "3": 0}))
+    once = apply_theta(m, sigma)
+    assert once != m
+    assert once.J["3"] == Mat.rational([[2]]) and once.B["e2*"] == Mat.rational([[5]])
+    assert apply_theta(once, sigma) == m
+    # a module of another quiver is refused
+    a3_other = quiver(["1", "2", "3"], [("e1", "1", "2"), ("e2", "3", "2")])
+    stray = framed_module(a3_other, ones, ones)
+    with pytest.raises(IndexMismatch):
+        apply_theta(stray, sigma)
 
 
 def stable_asymmetric_module():
@@ -262,26 +401,26 @@ def test_find_transition_identity_and_absent():
     w = {v: 1 for v in A3.vertices}
     ident = identity_automorphism(A3)
     m = framed_module(A3, {v: 1 for v in A3.vertices}, w, J=one_dim({"1": 1, "2": 1, "3": 1}))
-    witness = find_transition(m, ident, identity_sigma(A3, ident, w))
+    witness = find_transition(m, identity_sigma(A3, ident, w))
     assert witness is not None
     assert all(witness.g[x] == Mat.identity(1) for x in A3.vertices)
 
     m1 = stable_asymmetric_module()
-    assert find_transition(m1, FLIP, identity_sigma(A3, FLIP, w)) is None
+    assert find_transition(m1, identity_sigma(A3, FLIP, w)) is None
 
 
 def test_find_transition_refuses_unstable():
     w = {v: 1 for v in A3.vertices}
     unstable = framed_module(A3, {v: 1 for v in A3.vertices}, w)
     with pytest.raises(NotStable):
-        find_transition(unstable, FLIP, identity_sigma(A3, FLIP, w))
+        find_transition(unstable, identity_sigma(A3, FLIP, w))
 
 
 def test_find_transition_matches_generated_witness():
     rng = random.Random(31)
     for _ in range(5):
         _xi, _msub, m, sig, _wsub, wit = random_graded_pair(rng, A3, FLIP)
-        found = find_transition(m, FLIP, sig)
+        found = find_transition(m, sig)
         assert found is not None
         assert all(found.g[x] == wit.g[x] for x in A3.vertices)
 
@@ -295,17 +434,17 @@ def test_find_transition_i_equation_decided_by_verification():
     assert is_stable(m)
     empty = Mat.zeros(0, 0)
     sign = SigmaData(A3, FLIP, {"1": empty, "2": Mat.rational([[1, 0], [0, -1]]), "3": empty})
-    assert find_transition(m, FLIP, sign) is None
-    found = find_transition(m, FLIP, identity_sigma(A3, FLIP, w))
+    assert find_transition(m, sign) is None
+    found = find_transition(m, identity_sigma(A3, FLIP, w))
     assert found is not None and found.g["2"] == Mat.identity(1)
 
 
-def global_intertwiner(m, a, sigma):
+def global_intertwiner(m, sigma):
     """Oracle for find_transition: the theta(B) g = g B, g I = theta(I) and
     theta(J) g = J equations as one dense system in the sum of v_x^2
     entries of g, solved at once; its solution must be unique."""
     q = m.quiver
-    theta_m = apply_theta(m, a, sigma)
+    theta_m = apply_theta(m, sigma)
     zero = m.one - m.one
     offsets = {}
     total = 0
@@ -357,7 +496,7 @@ def global_intertwiner(m, a, sigma):
         g[x] = Mat(n, n, [[sol[offsets[x] + r * n + c, 0] for c in range(n)] for r in range(n)])
         assert n == 0 or g[x].is_invertible()
     witness = TransitionWitness(g)
-    assert verify_transition(m, a, sigma, witness)
+    assert verify_transition(m, sigma, witness)
     return witness
 
 
@@ -405,7 +544,7 @@ def test_path_rows_match_global_oracles():
         if not is_stable(m):
             continue
         outcomes["stable"] += 1
-        found, oracle = find_transition(m, a, sigma), global_intertwiner(m, a, sigma)
+        found, oracle = find_transition(m, sigma), global_intertwiner(m, sigma)
         assert (found is None) == (oracle is None)
         if found is None:
             outcomes["none"] += 1
@@ -427,17 +566,17 @@ def test_build_theta_witness_identity_gauge():
     m1 = stable_asymmetric_module()
     sig = identity_sigma(A3, FLIP, m1.w)
     gid = {x: Mat.identity(1) for x in A3.vertices}
-    big, witness = build_theta_witness(m1, gid, FLIP, sig)
+    big, witness = build_theta_witness(m1, gid, sig)
     assert witness.summand_swap
     assert all(witness.g[x] == Mat.identity(2) for x in A3.vertices)
-    assert verify_transition(big, FLIP, sig, witness)
+    assert verify_transition(big, sig, witness)
 
 
 def test_build_theta_witness_certificate():
     m1 = stable_asymmetric_module()
     sig = identity_sigma(A3, FLIP, m1.w)
     g = {"1": Mat.rational([[1]]), "2": Mat.rational([[2]]), "3": Mat.rational([[1]])}
-    big, witness = build_theta_witness(m1, g, FLIP, sig)
+    big, witness = build_theta_witness(m1, g, sig)
     # blocks at the fixed vertex are (g*, g^{-1}) = (2, 1/2)
     assert witness.g["2"] == Mat.rational([[2, 0], [0, Fraction(1, 2)]])
     # the honest transition matrix composes the summand swap: its row blocks exchange
@@ -455,7 +594,7 @@ def test_build_theta_witness_pm_one_gauge():
     m1 = stable_asymmetric_module()
     sig = identity_sigma(A3, FLIP, m1.w)
     g = {"1": Mat.rational([[1]]), "2": Mat.rational([[-1]]), "3": Mat.rational([[1]])}
-    _big, witness = build_theta_witness(m1, g, FLIP, sig)
+    _big, witness = build_theta_witness(m1, g, sig)
     prof = eigen_profile(witness.g["2"], 2)
     assert prof["other"] == 0
     assert prof["roots"][Fraction(1, 2)] == 2
@@ -472,7 +611,7 @@ def test_build_theta_witness_needs_involution():
     m = framed_module(d4, v, w, J=one_dim({"1": 1, "2": 1, "3": 2, "4": 3}))
     g = {x: Mat.identity(1) for x in d4.vertices}
     with pytest.raises(WitnessVerificationFailed):
-        build_theta_witness(m, g, rot, sig)
+        build_theta_witness(m, g, sig)
 
 
 def test_eigen_grade_examples():
@@ -536,7 +675,7 @@ def test_theorem5_trivial_cases():
     rng = random.Random(8)
     _xi, _msub, m, sig, _wsub, wit = random_graded_pair(rng, A3, FLIP)
     ident = {x: Mat.identity(m.v.get(x, 0)) for x in A3.vertices}
-    rep = theorem5_verify(ident, m, m, FLIP, sig, wit, wit)
+    rep = theorem5_verify(ident, m, m, sig, wit, wit)
     assert rep.ok
 
     # empty submodule is vacuous
@@ -545,7 +684,7 @@ def test_theorem5_trivial_cases():
                           J={x: Mat.zeros(m.w.get(x, 0), 0) for x in A3.vertices})
     xi0 = {x: Mat.zeros(m.v.get(x, 0), 0) for x in A3.vertices}
     w0 = TransitionWitness({x: Mat.zeros(0, 0) for x in A3.vertices})
-    rep0 = theorem5_verify(xi0, empty, m, FLIP, sig, w0, wit)
+    rep0 = theorem5_verify(xi0, empty, m, sig, w0, wit)
     assert rep0.ok
 
 
@@ -556,7 +695,7 @@ def test_theorem5_generated_pairs():
     for trial in range(20):
         q, a = [(A3, FLIP), (d4, swap)][trial % 2]
         xi, msub, m, sig, wsub, wit = random_graded_pair(rng, q, a)
-        rep = theorem5_verify(xi, msub, m, a, sig, wsub, wit)
+        rep = theorem5_verify(xi, msub, m, sig, wsub, wit)
         assert rep.ok, (trial, rep)
 
 
@@ -583,8 +722,8 @@ def rot3_module():
     seed = framed_module(d4, v, w, B={"e1": Mat.rational([[1, 2], [0, 1]])},
                          J={x: Mat.identity(2) for x in d4.vertices})
     # fill the whole arrow orbit by transporting the seed twice
-    t1 = apply_theta(seed, rot, sig)
-    t2 = apply_theta(t1, rot, sig)
+    t1 = apply_theta(seed, sig)
+    t2 = apply_theta(t1, sig)
     merged = {}
     for key in seed.B:
         for cand in (seed, t1, t2):
@@ -592,7 +731,7 @@ def rot3_module():
                 merged[key] = cand.B[key]
     base = framed_module(d4, v, w, B=merged, J={x: Mat.identity(2) for x in d4.vertices})
     assert check_relations(base).ok
-    assert apply_theta(base, rot, sig) == base
+    assert apply_theta(base, sig) == base
     assert is_stable(base)
 
     r = Mat.rational([[0, -1], [1, -1]])
@@ -605,10 +744,10 @@ def rot3_module():
 def test_theorem5_exercises_cyclotomic_eigenvalues():
     # order-3 rotation: transitions with irreducible quadratic factors
     m, rot, sig, wit = rot3_module()
-    assert verify_transition(m, rot, sig, wit)
+    assert verify_transition(m, sig, wit)
     assert any(len(f) > 2 for f, _ in factor_rational_poly(wit.g["1"].charpoly()))
     ident = {x: Mat.identity(2) for x in m.quiver.vertices}
-    rep = theorem5_verify(ident, m, m, rot, sig, wit, wit)
+    rep = theorem5_verify(ident, m, m, sig, wit, wit)
     assert rep.ok
 
 
@@ -693,8 +832,8 @@ def test_theorem5_failure_reports_pinned(tmp_path):
          cyclotomic, [-a, cyclotomic.one]),
     ]
     for (xi, msub, m, auto, sig, wsub, wit), want, field, entries in cases:
-        assert verify_transition(m, auto, sig, wit)
-        assert theorem5_verify(xi, msub, m, auto, sig, wsub, wit) == want
+        assert verify_transition(m, sig, wit)
+        assert theorem5_verify(xi, msub, m, sig, wsub, wit) == want
 
         # the reported vector u is an eigenvector of g_sub that the defect
         # D = g_big xi - xi g_sub does not kill
@@ -741,7 +880,7 @@ def test_theorem5_agrees_with_per_factor_oracle():
 
     verdicts = []
     for xi, msub, m, a, sig, wsub, wit in cases:
-        rep = theorem5_verify(xi, msub, m, a, sig, wsub, wit)
+        rep = theorem5_verify(xi, msub, m, sig, wsub, wit)
         assert rep == per_factor_report(xi, msub, m, wsub, wit)
         verdicts.append(rep.ok)
     assert verdicts.count(True) >= 13 and verdicts.count(False) >= 10
@@ -801,7 +940,7 @@ def test_theorem5_precondition_checks():
     bad_wit = TransitionWitness({x: Mat.identity(m.v.get(x, 0)).scaled(Fraction(2))
                                  for x in A3.vertices})
     with pytest.raises(PreconditionViolation):
-        theorem5_verify(xi, msub, m, FLIP, sig, wsub, bad_wit)
+        theorem5_verify(xi, msub, m, sig, wsub, bad_wit)
 
 
 def test_direct_sum_shapes():
@@ -831,9 +970,9 @@ def test_stable_twisted_double_honest_transition():
     assert is_stable(m1)
     sig = identity_sigma(A3, FLIP, m1.w)
     g = {"1": Mat.rational([[1]]), "2": Mat.rational([[2]]), "3": Mat.rational([[1]])}
-    big, witness = build_theta_witness(m1, g, FLIP, sig)
+    big, witness = build_theta_witness(m1, g, sig)
     assert is_stable(big)
-    found = find_transition(big, FLIP, sig)
+    found = find_transition(big, sig)
     assert found is not None and not found.summand_swap
     for x in A3.vertices:
         assert found.g[x] == witness_matrix(witness, x)
@@ -855,8 +994,8 @@ def test_framed_embedding_type_validates():
 def test_find_transition_is_deterministic():
     rng = random.Random(19)
     _xi, _msub, m, sig, _wsub, _wit = random_graded_pair(rng, A3, FLIP)
-    first = find_transition(m, FLIP, sig)
-    second = find_transition(m, FLIP, sig)
+    first = find_transition(m, sig)
+    second = find_transition(m, sig)
     assert first is not None
     assert all(first.g[x] == second.g[x] for x in A3.vertices)
 

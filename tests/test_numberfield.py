@@ -81,3 +81,20 @@ def test_number_field_mixed_scalars():
     assert 2 * z - z == z
     assert (z / z) == 1
     assert z - z == field.zero
+
+
+def test_equal_scalars_hash_equal():
+    # Python's contract: a == b implies hash(a) == hash(b), so equal
+    # entries collapse in sets and dicts
+    field = NumberField([1, 0, 1])
+    assert field.zero == Fraction(0) and len({field.zero, Fraction(0)}) == 1
+    assert len({field.from_rational(Fraction(3, 4)), Fraction(3, 4)}) == 1
+    assert field.one == 1 and hash(field.one) == hash(1)
+    assert len({field.generator, field.element([1, 0])}) == 1
+    # an element of F_p equals only elements of the same F_p
+    assert Fp(1, 3) != 1 and Fp(1, 3) != 4 and Fp(1, 3) != Fraction(1)
+    assert Fp(1, 3) != Fp(1, 5)
+    assert Fp(1, 3) == Fp(4, 3) and hash(Fp(1, 3)) == hash(Fp(4, 3))
+    assert len({Fp(1, 3), 1}) == 2
+    # arithmetic still takes ints as elements of F_p
+    assert Fp(2, 3) + 2 == Fp(1, 3) and 1 - Fp(2, 3) == Fp(2, 3)

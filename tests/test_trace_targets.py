@@ -59,3 +59,28 @@ def test_tracer_counts_a_prime_field_product():
     assert tracer.mat_new_calls > 0
     assert tracer.stats["linalg.mul"]["calls"] == 1
     assert "fp_self_s" in tracer.stats["linalg.mul"]
+
+
+def test_tracer_counts_one_transition_solve():
+    # the tracer reads the dimension vector of find_transition's first
+    # argument for its unknowns count, and counts the transports beneath it
+    from qfold import module_lab
+    from qfold.quiver_core import a_quiver, flip_automorphism
+
+    a3 = a_quiver(3)
+    v = {"1": 2, "2": 1, "3": 2}
+    m = module_lab.framed_module(a3, v, v, J={x: Mat.identity(v[x]) for x in a3.vertices})
+    sigma = module_lab.identity_sigma(a3, flip_automorphism(a3, 3), v)
+    original = module_lab.find_transition
+    tracer = tracer_module().Tracer()
+    tracer.install()
+    try:
+        witness = module_lab.find_transition(m, sigma)
+    finally:
+        tracer.uninstall()
+    assert module_lab.find_transition is original
+    assert witness is not None and all(witness.g[x] == Mat.identity(v[x]) for x in v)
+    stats = tracer.stats
+    assert stats["module_lab.find_transition"]["calls"] == 1
+    assert stats["module_lab.find_transition"]["unknowns"] == 9  # sum of v_x^2
+    assert stats["module_lab.apply_theta"]["calls"] == 1
