@@ -33,6 +33,7 @@ from .quiver_core import (
     affine_a_quiver,
     affine_d_quiver,
     d_quiver,
+    index_isomorphisms,
 )
 
 FINITE_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
@@ -220,45 +221,6 @@ def canonical_cartan(family: str, rank: int) -> CartanMatrix:
     raise UnsupportedFamily(family)
 
 
-def _permutation_match(c: CartanMatrix, target: CartanMatrix) -> bool:
-    """Is there an index bijection carrying c onto target exactly?"""
-    n = c.n
-    if target.n != n:
-        return False
-
-    def row_profile(m: CartanMatrix, i: int):
-        return sorted((m[i, j], m[j, i]) for j in range(m.n) if j != i and m[i, j] != 0)
-
-    prof_c = [row_profile(c, i) for i in range(n)]
-    prof_t = [row_profile(target, i) for i in range(n)]
-    if sorted(map(tuple, prof_c)) != sorted(map(tuple, prof_t)):
-        return False
-    assign: dict[int, int] = {}
-    used: set[int] = set()
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for t in range(n):
-            if t in used or prof_c[i] != prof_t[t]:
-                continue
-            ok = True
-            for k, tk in assign.items():
-                if c[i, k] != target[t, tk] or c[k, i] != target[tk, t]:
-                    ok = False
-                    break
-            if ok:
-                assign[i] = t
-                used.add(t)
-                if extend(i + 1):
-                    return True
-                del assign[i]
-                used.discard(t)
-        return False
-
-    return extend(0)
-
-
 def classify_cartan(c: CartanMatrix) -> TypeLabel:
     """Recognize finite types A..G and untwisted affine A/D; otherwise other.
 
@@ -270,22 +232,20 @@ def classify_cartan(c: CartanMatrix) -> TypeLabel:
         return TypeLabel("C", 2)
     if n == 2 and c.entries == ((2, -2), (-1, 2)):
         return TypeLabel("B", 2)
+
+    def matches(target: CartanMatrix) -> bool:
+        return next(index_isomorphisms(c.entries, target.entries), None) is not None
+
     if is_finite_type(c):
         for family in FINITE_FAMILIES:
-            if not _RANK_OK[family](n):
-                continue
-            if _permutation_match(c, canonical_cartan(family, n)):
+            if _RANK_OK[family](n) and matches(canonical_cartan(family, n)):
                 return TypeLabel(family, n)
         return TypeLabel("other", n)
     if c.as_mat().rank() == n - 1:
-        if n >= 2:
-            target = cartan_from_quiver(affine_a_quiver(n - 1))
-            if _permutation_match(c, target):
-                return TypeLabel("affine-A", n - 1)
-        if n >= 5:
-            target = cartan_from_quiver(affine_d_quiver(n - 1))
-            if _permutation_match(c, target):
-                return TypeLabel("affine-D", n - 1)
+        if n >= 2 and matches(cartan_from_quiver(affine_a_quiver(n - 1))):
+            return TypeLabel("affine-A", n - 1)
+        if n >= 5 and matches(cartan_from_quiver(affine_d_quiver(n - 1))):
+            return TypeLabel("affine-D", n - 1)
     return TypeLabel("other", n)
 
 

@@ -11,6 +11,11 @@ unsigned mode drops eps).  The arrow keys, the image of each arrow under
 the diagram automorphism and the signs of the transport are defined in
 `quiver_core`; the transport theta reads them, with the framing twists,
 from its `SigmaData`.
+
+A transition g is a module isomorphism m -> theta(m), checked as a module
+map by `check_framed_embedding` through the inverse-free equations
+theta(B) g = g B, g I = theta(I) and theta(J) g = J; `act` only builds
+modules.
 """
 
 from __future__ import annotations
@@ -78,10 +83,18 @@ class FramedModule:
         return _entry_zero(self.B, self.I, self.J) + 1
 
     def __post_init__(self):
+        arrows = doubled_arrows(self.quiver)
+        keys = {info.key for info in arrows}
+        for name, block in (("v", self.v), ("w", self.w), ("B", self.B),
+                            ("I", self.I), ("J", self.J)):
+            for key in block:
+                if key not in (keys if name == "B" else self.quiver.vertices):
+                    kind = "doubled arrow" if name == "B" else "vertex"
+                    raise ShapeMismatch(f"{name} names {key!r}, which is no {kind} of the quiver")
         for vertex in self.quiver.vertices:
             if self.v.get(vertex, 0) < 0 or self.w.get(vertex, 0) < 0:
                 raise ShapeMismatch(f"negative dimension at {vertex}")
-        for info in doubled_arrows(self.quiver):
+        for info in arrows:
             m = self.B.get(info.key)
             if m is None:
                 raise ShapeMismatch(f"missing arrow matrix {info.key}")
@@ -221,16 +234,17 @@ def _all_subspace_bases(n: int, p: int) -> list[Mat]:
     return out
 
 
-def brute_stability(m: FramedModule, dim_bound: int = 4) -> bool:
+def brute_stability(m: FramedModule) -> bool:
     """Independent stability oracle over a prime field: enumerate every
-    graded subspace and test containment in ker J plus B-invariance."""
+    graded subspace, at most 4 dimensions per vertex, and test containment
+    in ker J plus B-invariance."""
     one = m.one
     if not isinstance(one, Fp):
         raise TooLarge("brute-force stability is restricted to prime fields")
     p = one.p
     dims = [m.v.get(x, 0) for x in m.quiver.vertices]
-    if any(d > dim_bound for d in dims):
-        raise TooLarge(f"per-vertex dimension exceeds {dim_bound}")
+    if any(d > 4 for d in dims):
+        raise TooLarge("per-vertex dimension exceeds 4")
     per_vertex = [_all_subspace_bases(d, p) for d in dims]
     total = 1
     for ps in per_vertex:
@@ -340,13 +354,13 @@ def direct_sum(m1: FramedModule, m2: FramedModule) -> FramedModule:
 
 @dataclass(frozen=True)
 class TransitionWitness:
-    """Per-vertex matrices g with theta(M) = g.M.
+    """Per-vertex matrices g of a module isomorphism M -> theta(M).
 
     When summand_swap is set the witness is recorded relative to the
     matching that exchanges the two direct summands of M (the convention
     for two-summand witnesses built from a module and its twisted copy);
-    the verified equation is then theta(M) = (swap . g).M where swap
-    exchanges the summand blocks.
+    the isomorphism is then swap . g, where swap exchanges the summand
+    blocks.
     """
 
     g: Mapping[str, Mat]
@@ -373,20 +387,21 @@ def witness_matrix(witness: TransitionWitness, vertex: str) -> Mat:
 
 
 def verify_transition(m: FramedModule, sigma: SigmaData, witness: TransitionWitness) -> bool:
-    full = {x: witness_matrix(witness, x) for x in m.quiver.vertices}
-    return act(full, m) == apply_theta(m, sigma)
+    """Is the witness a module isomorphism m -> theta(m)?"""
+    g = {x: witness_matrix(witness, x) for x in m.quiver.vertices}
+    return check_framed_embedding(g, m, apply_theta(m, sigma))
 
 
 def find_transition(m: FramedModule, sigma: SigmaData) -> Optional[TransitionWitness]:
-    """The unique invertible g with theta(m) = g.m for a stable module,
-    or None when m and theta(m) are not isomorphic.
+    """The unique isomorphism g: m -> theta(m) for a stable module, or None
+    when m and theta(m) are not isomorphic.
 
     Solves one vertex at a time.  The path rows of theta(m) + m at x are
     [J'_t B'_p | J_t B_p]; theta(m) is stable, so its half has full column
     rank v_x and the reduced rows read [1 | g_x], with any further row
     meaning no g_x exists.  These g satisfy the B and J equations; the
-    exact re-verification decides g I = theta(I), and a g that fails it
-    means m and theta(m) are not isomorphic.
+    module-map check decides g I = theta(I), and a g that fails it means m
+    and theta(m) are not isomorphic.
     """
     if not is_stable(m):
         raise NotStable("transition matrices are only unique for stable modules")
@@ -401,7 +416,7 @@ def find_transition(m: FramedModule, sigma: SigmaData) -> Optional[TransitionWit
         if len(pivots) > n:
             return None
         g[x] = red.submatrix(range(n), range(n, 2 * n))
-    return TransitionWitness(g) if act(g, m) == theta_m else None
+    return TransitionWitness(g) if check_framed_embedding(g, m, theta_m) else None
 
 
 def star(g: Mapping[str, Mat], a: DiagramAutomorphism) -> dict[str, Mat]:
@@ -530,7 +545,7 @@ def check_framed_embedding(xi: Mapping[str, Mat], m_sub: FramedModule,
     for x in q.vertices:
         mat = xi.get(x)
         if mat is None or mat.rows != m.v.get(x, 0) or mat.cols != m_sub.v.get(x, 0):
-            raise ShapeMismatch(f"xi at {x} must be {m.v.get(x, 0)}x{m_sub.v.get(x, 0)}")
+            raise ShapeMismatch(f"the map at {x} must be {m.v.get(x, 0)}x{m_sub.v.get(x, 0)}")
     for x in q.vertices:
         if xi[x].rank() != m_sub.v.get(x, 0):
             return False
@@ -600,7 +615,8 @@ def theorem5_verify(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
     """
     if not check_framed_embedding(xi, m_sub, m):
         raise PreconditionViolation("xi is not a framed embedding")
-    if not is_stable(m_sub) or not is_stable(m):
+    # xi maps a B-invariant subspace of ker J_sub injectively into ker J: m_sub is stable too
+    if not is_stable(m):
         raise PreconditionViolation("both modules must be stable")
     if not verify_transition(m_sub, sigma, witness_sub):
         raise PreconditionViolation("submodule witness fails verification")

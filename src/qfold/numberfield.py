@@ -179,13 +179,12 @@ def factor_rational_poly(coeffs: Sequence[Fraction]) -> list[tuple[list[Fraction
 class NumberField:
     """Q[x]/(f) for monic irreducible f with Fraction coefficients."""
 
-    def __init__(self, modulus: Sequence[Fraction], name: str = "a"):
+    def __init__(self, modulus: Sequence[Fraction]):
         mod = poly_trim([Fraction(c) for c in modulus])
         if mod[0] != 1:
             mod = [c / mod[0] for c in mod]
         self.modulus = tuple(mod)
         self.degree = len(mod) - 1
-        self.name = name
         if self.degree < 1:
             raise ValueError("modulus must have positive degree")
 
@@ -296,7 +295,7 @@ class NumberFieldElement:
         return hash((self.field, self.coeffs))
 
     def __repr__(self):
-        n = self.field.name
+        n = "a"  # the generator
         deg = len(self.coeffs) - 1
         terms = []
         for i, c in enumerate(self.coeffs):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import lcm
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     AmbiguousEdgeMap,
@@ -230,6 +230,58 @@ def orbit_data(q: Quiver, a: DiagramAutomorphism) -> OrbitData:
     orbit_of_edge = {e: i for i, o in enumerate(eorbs) for e in o}
     return OrbitData(tuple(vorbs), tuple(eorbs), d_vertex, d_edge, n,
                      e_vertex, e_edge, orbit_of_vertex, orbit_of_edge)
+
+
+# ---------------------------------------------------------------------------
+# index bijections
+# ---------------------------------------------------------------------------
+
+def index_isomorphisms(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
+                       ) -> Iterator[tuple[int, ...]]:
+    """Every index bijection p, as a tuple, with a[i][j] == b[p[i]][p[j]]
+    for two square integer matrices; the one search behind diagram
+    isomorphism (adjacency matrices) and Cartan matrix classification.
+
+    Index i goes only to an index t of b with the same diagonal entry and
+    the same multiset of off-diagonal pairs (a[i][j], a[j][i]).  The most
+    constrained index is placed next: the most nonzero links to indices
+    already placed, then the fewest candidates.
+    """
+    n = len(a)
+    if len(b) != n:
+        return
+
+    def profiles(m):
+        return [(m[i][i], sorted((m[i][j], m[j][i]) for j in range(n) if j != i))
+                for i in range(n)]
+
+    pa, pb = profiles(a), profiles(b)
+    if sorted(pa) != sorted(pb):
+        return
+    candidates = [[t for t in range(n) if pb[t] == pa[i]] for i in range(n)]
+    order: list[int] = []
+    links = [0] * n
+    for _ in range(n):
+        i = min(set(range(n)) - set(order), key=lambda i: (-links[i], len(candidates[i]), i))
+        order.append(i)
+        links = [links[j] + bool(a[i][j] or a[j][i]) for j in range(n)]
+
+    image, used = [0] * n, [False] * n
+
+    def extend(k: int) -> Iterator[tuple[int, ...]]:
+        if k == n:
+            yield tuple(image)
+            return
+        i = order[k]
+        for t in candidates[i]:
+            if not used[t] and all(a[i][j] == b[t][image[j]] and a[j][i] == b[image[j]][t]
+                                   for j in order[:k]):
+                image[i] = t
+                used[t] = True
+                yield from extend(k + 1)
+                used[t] = False
+
+    yield from extend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .quiver_core import (
     Quiver,
     arrow_transport,
     check_automorphism,
+    index_isomorphisms,
     orbit_data,
     quiver,
     require_admissible,
@@ -150,51 +151,20 @@ def _split_edge_id(edge_orbit: str, j1: int, e1: int, j2: int, e2: int) -> str:
 # diagram isomorphism
 # ---------------------------------------------------------------------------
 
-def _adjacency(q: Quiver) -> dict[str, dict[str, int]]:
-    adj: dict[str, dict[str, int]] = {v: {} for v in q.vertices}
-    for e in q.edges:
-        adj[e.src][e.tgt] = adj[e.src].get(e.tgt, 0) + 1
-        if e.src != e.tgt:
-            adj[e.tgt][e.src] = adj[e.tgt].get(e.src, 0) + 1
-    return adj
-
-
 def graph_isomorphisms(q1: Quiver, q2: Quiver) -> Iterator[dict[str, str]]:
-    """All undirected diagram isomorphisms q1 -> q2 (multiplicity preserving)."""
-    if len(q1.vertices) != len(q2.vertices) or len(q1.edges) != len(q2.edges):
-        return
-    adj1, adj2 = _adjacency(q1), _adjacency(q2)
-    deg1 = {v: sum(adj1[v].values()) for v in q1.vertices}
-    deg2 = {v: sum(adj2[v].values()) for v in q2.vertices}
-    if sorted(deg1.values()) != sorted(deg2.values()):
-        return
-    # most-constrained-first: high degree vertices early
-    order = sorted(q1.vertices, key=lambda v: -deg1[v])
-    mapping: dict[str, str] = {}
-    used: set[str] = set()
+    """All undirected diagram isomorphisms q1 -> q2 (multiplicity preserving):
+    the index bijections between their adjacency matrices, which count
+    the edges joining two vertices, with loops on the diagonal."""
+    def adjacency(q: Quiver) -> list[list[int]]:
+        pos = {v: i for i, v in enumerate(q.vertices)}
+        adj = [[0] * len(pos) for _ in pos]
+        for e in q.edges:
+            adj[pos[e.src]][pos[e.tgt]] += 1
+            adj[pos[e.tgt]][pos[e.src]] += e.src != e.tgt
+        return adj
 
-    def extend(k: int) -> Iterator[dict[str, str]]:
-        if k == len(order):
-            yield dict(mapping)
-            return
-        v = order[k]
-        for w in q2.vertices:
-            if w in used or deg1[v] != deg2[w]:
-                continue
-            ok = adj1[v].get(v, 0) == adj2[w].get(w, 0)
-            if ok:
-                for u, mult in adj1[v].items():
-                    if u in mapping and adj2[w].get(mapping[u], 0) != mult:
-                        ok = False
-                        break
-            if ok:
-                mapping[v] = w
-                used.add(w)
-                yield from extend(k + 1)
-                del mapping[v]
-                used.discard(w)
-
-    yield from extend(0)
+    for p in index_isomorphisms(adjacency(q1), adjacency(q2)):
+        yield {v: q2.vertices[p[i]] for i, v in enumerate(q1.vertices)}
 
 
 def graph_isomorphic(q1: Quiver, q2: Quiver) -> Optional[dict[str, str]]:
@@ -375,6 +345,9 @@ class SigmaData:
 
     def validate(self) -> None:
         a, q = self.auto, self.quiver
+        stray = next((key for key in self.maps if key not in q.vertices), None)
+        if stray is not None:
+            raise SigmaConstraintViolated(f"sigma names {stray!r}, which is no vertex of the quiver")
         missing = [vertex for vertex in q.vertices if vertex not in self.maps]
         if missing:
             raise SigmaConstraintViolated(f"sigma is missing at {', '.join(missing)}")

@@ -156,6 +156,20 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert main(["module", action, str(path)]) == 1, (action, field)
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: "), err
+    # a key that names no vertex (no doubled arrow for B) is refused, not ignored
+    one = {"rows": 1, "cols": 1, "data": [["1"]]}
+    stray_probes = [
+        ("check", ("module", "v", "x"), 7),
+        ("check", ("module", "w", "typo"), 3),
+        ("check", ("module", "B", "e9"), one),
+        ("check", ("module", "I", "zz"), one),
+        ("theta", ("sigma", "4"), one),
+    ]
+    for action, field, value in stray_probes:
+        path.write_text(json.dumps(replaced(pair_doc(), field, value)))
+        assert main(["module", action, str(path)]) == 1, (action, field)
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and repr(field[-1]) in err, err
 
 
 def test_json_errors_are_one_object(capsys, monkeypatch, tmp_path):

@@ -16,6 +16,7 @@ from qfold.errors import (
     IndexMismatch,
     NotAnEmbedding,
     NotFiniteOrder,
+    NotInvertible,
     NotOrbitConstant,
     NotStable,
     PreconditionViolation,
@@ -1020,3 +1021,140 @@ def test_hecke_profile_on_fork_orbit():
                                 "3": Mat.rational([[1]]), "4": Mat.zeros(1, 0)})
     xi2 = {x: Mat.zeros(lopsided.v.get(x, 0), 0) for x in d4.vertices}
     assert not hecke_profile(xi2, empty, lopsided, "3", swap)
+
+
+# ---------------------------------------------------------------------------
+# transitions are module maps: the former act-based check as the oracle
+# ---------------------------------------------------------------------------
+
+def act_oracle(m, sigma, witness):
+    """The former verify_transition: rebuild g.m, inverting every g_x, and
+    compare it with theta(m); None where some g_x is singular."""
+    full = {x: witness_matrix(witness, x) for x in m.quiver.vertices}
+    try:
+        return act(full, m) == apply_theta(m, sigma)
+    except NotInvertible:
+        return None
+
+
+def agreed_verdict(m, sigma, witness):
+    """verify_transition's verdict, checked against the oracle's; a gauge
+    the oracle cannot invert must be refused."""
+    want = act_oracle(m, sigma, witness)
+    assert verify_transition(m, sigma, witness) is (want is True), want
+    return want
+
+
+def with_zero_row(rng, g):
+    if g.rows == 0:
+        return g
+    k = rng.randrange(g.rows)
+    return Mat.from_rows([[c * 0 for c in row] if r == k else row
+                          for r, row in enumerate(g.data)])
+
+
+def test_verify_transition_matches_the_act_oracle():
+    rng = random.Random(37)
+    d4 = d_quiver(4)
+    swap = fork_swap_automorphism(d4, 4)
+    rot = automorphism(d4, {"1": "3", "3": "4", "4": "1", "2": "2"})
+    verdicts = []
+    # generated pairs, their witnesses scaled and made singular
+    for trial in range(10):
+        q, a = [(A3, FLIP), (d4, swap)][trial % 2]
+        _xi, msub, m, sig, wsub, wit = random_graded_pair(rng, q, a)
+        for mod, w in ((m, wit), (msub, wsub)):
+            for g in (w.g, {x: h.scaled(Fraction(2)) for x, h in w.g.items()},
+                      {x: with_zero_row(rng, h) for x, h in w.g.items()}):
+                verdicts.append(agreed_verdict(mod, sig, TransitionWitness(g)))
+    # random theta-modules with random invertible and singular gauges
+    setups = [(A3, FLIP), (A3, identity_automorphism(A3)), (d4, swap), (d4, rot)]
+    for trial in range(40):
+        q, a = setups[trial % 4]
+        m, sig = random_theta_module(rng, q, a)
+        ident = {x: Mat.identity(m.v[x]) for x in q.vertices}
+        gauge = random_gauge(rng, m.v)
+        for g in (ident, gauge, {x: with_zero_row(rng, h) for x, h in gauge.items()}):
+            verdicts.append(agreed_verdict(m, sig, TransitionWitness(g)))
+    # summand-swapped witnesses of twisted doubles, kept, unswapped and scaled
+    for trial in range(10):
+        q, a = [(A3, FLIP), (d4, swap)][trial % 2]
+        m1, sig = random_theta_module(rng, q, a)
+        big, wit = build_theta_witness(m1, random_gauge(rng, m1.v), sig)
+        for w in (wit, TransitionWitness(wit.g),
+                  TransitionWitness({x: h.scaled(Fraction(3)) for x, h in wit.g.items()},
+                                    True, wit.block_dims)):
+            verdicts.append(agreed_verdict(big, sig, w))
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+    assert verdicts.count(None) >= 20
+
+
+def test_theorem5_zeroed_witness_is_a_precondition_violation(tmp_path, capsys):
+    # a singular witness is no module isomorphism, so it fails verification
+    rng = random.Random(2)
+    xi, msub, m, sig, wsub, wit = random_graded_pair(rng, A3, FLIP)
+    zeroed = TransitionWitness({x: Mat.zeros(h.rows, h.cols) for x, h in wit.g.items()})
+    path = theorem5_file(tmp_path, xi, msub, m, FLIP, sig, wsub, zeroed)
+    assert main(["module", "theorem5", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": {
+        "type": "PreconditionViolation", "message": "ambient witness fails verification"}}
+
+
+def invariant_closure(m, seeds):
+    """Column bases of the smallest B-invariant graded subspace containing
+    the seed columns."""
+    def basis(cols):
+        red, pivots = cols.transpose().rref()
+        return red.submatrix(range(len(pivots)), range(cols.rows)).transpose()
+
+    spaces = {x: basis(seeds[x]) for x in m.quiver.vertices}
+    grown = True
+    while grown:
+        grown = False
+        for info in doubled_arrows(m.quiver):
+            new = basis(spaces[info.tgt].hstack(m.B[info.key] * spaces[info.src]))
+            if new.cols > spaces[info.tgt].cols:
+                spaces[info.tgt] = new
+                grown = True
+    return spaces
+
+
+def framed_submodule(m, xi):
+    """The framed submodule on B-invariant subspaces xi that contain im I."""
+    q = m.quiver
+    return framed_module(
+        q, {x: xi[x].cols for x in q.vertices}, dict(m.w),
+        B={info.key: xi[info.tgt].solve(m.B[info.key] * xi[info.src])
+           for info in doubled_arrows(q)},
+        I={x: xi[x].solve(m.I[x]) for x in q.vertices},
+        J={x: m.J[x] * xi[x] for x in q.vertices}, signed=m.signed)
+
+
+def test_embedding_into_a_stable_module_makes_the_submodule_stable():
+    # theorem5_verify checks is_stable(m) alone: a B-invariant subspace inside
+    # ker J_sub goes injectively, by xi, to one inside ker J
+    rng = random.Random(41)
+    d4 = d_quiver(4)
+    swap = fork_swap_automorphism(d4, 4)
+    for trial in range(8):
+        q, a = [(A3, FLIP), (d4, swap)][trial % 2]
+        xi, msub, m, _sig, _wsub, _wit = random_graded_pair(rng, q, a)
+        assert check_framed_embedding(xi, msub, m) and is_stable(m)
+        assert is_stable(msub)
+    proper = 0
+    quivers = [A3, d4, a_quiver(4)]
+    for trial in range(150):
+        q = quivers[trial % 3]
+        v = {x: rng.randint(0, 3) for x in q.vertices}
+        w = {x: rng.randint(0, 3) for x in q.vertices}
+        m = random_one_way_module(rng, q, v, w)
+        if not is_stable(m):
+            continue
+        seed = rng.choice(q.vertices)
+        xi = invariant_closure(m, {x: rand_mat(rng, v[x], int(x == seed))
+                                   for x in q.vertices})
+        msub = framed_submodule(m, xi)
+        assert check_framed_embedding(xi, msub, m)
+        assert is_stable(msub), trial
+        proper += 0 < sum(msub.v.values()) < sum(v.values())
+    assert proper >= 20

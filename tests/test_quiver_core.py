@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -161,3 +164,193 @@ def test_flip_is_involution(n):
     flip = flip_automorphism(q, n)
     twice = compose(q, flip, flip)
     assert twice.vertex_perm == {v: v for v in q.vertices}
+
+
+# ---------------------------------------------------------------------------
+# index_isomorphisms against the two searches it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_adjacency(q):
+    adj = {v: {} for v in q.vertices}
+    for e in q.edges:
+        adj[e.src][e.tgt] = adj[e.src].get(e.tgt, 0) + 1
+        if e.src != e.tgt:
+            adj[e.tgt][e.src] = adj[e.tgt].get(e.src, 0) + 1
+    return adj
+
+
+def oracle_graph_isomorphisms(q1, q2):
+    """The former diagram search: degree-ordered backtracking over
+    dict-of-dict adjacency counts."""
+    if len(q1.vertices) != len(q2.vertices) or len(q1.edges) != len(q2.edges):
+        return
+    adj1, adj2 = oracle_adjacency(q1), oracle_adjacency(q2)
+    deg1 = {v: sum(adj1[v].values()) for v in q1.vertices}
+    deg2 = {v: sum(adj2[v].values()) for v in q2.vertices}
+    if sorted(deg1.values()) != sorted(deg2.values()):
+        return
+    order = sorted(q1.vertices, key=lambda v: -deg1[v])
+    mapping, used = {}, set()
+
+    def extend(k):
+        if k == len(order):
+            yield dict(mapping)
+            return
+        v = order[k]
+        for w in q2.vertices:
+            if w in used or deg1[v] != deg2[w]:
+                continue
+            ok = adj1[v].get(v, 0) == adj2[w].get(w, 0)
+            if ok:
+                for u, mult in adj1[v].items():
+                    if u in mapping and adj2[w].get(mapping[u], 0) != mult:
+                        ok = False
+                        break
+            if ok:
+                mapping[v] = w
+                used.add(w)
+                yield from extend(k + 1)
+                del mapping[v]
+                used.discard(w)
+
+    yield from extend(0)
+
+
+def oracle_permutation_match(c, target):
+    """The former Cartan search: is there an index bijection carrying c
+    onto target exactly?"""
+    n = c.n
+    if target.n != n:
+        return False
+
+    def row_profile(m, i):
+        return sorted((m[i, j], m[j, i]) for j in range(m.n) if j != i and m[i, j] != 0)
+
+    prof_c = [row_profile(c, i) for i in range(n)]
+    prof_t = [row_profile(target, i) for i in range(n)]
+    if sorted(map(tuple, prof_c)) != sorted(map(tuple, prof_t)):
+        return False
+    assign, used = {}, set()
+
+    def extend(i):
+        if i == n:
+            return True
+        for t in range(n):
+            if t in used or prof_c[i] != prof_t[t]:
+                continue
+            if all(c[i, k] == target[t, tk] and c[k, i] == target[tk, t]
+                   for k, tk in assign.items()):
+                assign[i] = t
+                used.add(t)
+                if extend(i + 1):
+                    return True
+                del assign[i]
+                used.discard(t)
+        return False
+
+    return extend(0)
+
+
+def random_multigraph(rng, n):
+    edges = [(f"e{k}", str(rng.randrange(n)), str(rng.randrange(n)))
+             for k in range(rng.randint(0, n + 3))]
+    return quiver([str(i) for i in range(n)], edges)
+
+
+def relabelled(rng, q):
+    """The same diagram with shuffled vertex names, edge ids, edge order and
+    edge directions."""
+    names = list(q.vertices)
+    rng.shuffle(names)
+    rename = dict(zip(q.vertices, (f"v{x}" for x in names)))
+    edges = [(f"f{e.id}", rename[e.src], rename[e.tgt]) if rng.random() < 0.5
+             else (f"f{e.id}", rename[e.tgt], rename[e.src]) for e in q.edges]
+    rng.shuffle(edges)
+    vertices = list(rename.values())
+    rng.shuffle(vertices)
+    return quiver(vertices, edges)
+
+
+def test_graph_isomorphisms_match_the_former_search():
+    from qfold.split_quotient import graph_isomorphisms
+
+    rng = random.Random(10)
+    found = 0
+    for trial in range(2000):
+        n = rng.randint(1, 6)
+        q1 = random_multigraph(rng, n)
+        q2 = relabelled(rng, q1) if trial % 2 else random_multigraph(rng, n)
+        got = [tuple(sorted(iso.items())) for iso in graph_isomorphisms(q1, q2)]
+        want = {tuple(sorted(iso.items())) for iso in oracle_graph_isomorphisms(q1, q2)}
+        assert len(got) == len(set(got)) and set(got) == want, (q1, q2)
+        assert bool(want) or trial % 2 == 0
+        found += bool(want)
+    assert found > 1000
+
+
+def shuffled(rng, entries):
+    n = len(entries)
+    s = list(range(n))
+    rng.shuffle(s)
+    return tuple(tuple(entries[s[i]][s[j]] for j in range(n)) for i in range(n))
+
+
+def test_index_isomorphisms_match_the_former_cartan_search():
+    from qfold.lie_fold import (
+        FINITE_FAMILIES,
+        _RANK_OK,
+        canonical_cartan,
+        cartan_from_quiver,
+        cartan_matrix,
+    )
+    from qfold.quiver_core import index_isomorphisms
+
+    targets = {}
+    for n in range(1, 9):
+        targets[n] = [canonical_cartan(f, n) for f in FINITE_FAMILIES if _RANK_OK[f](n)]
+        targets[n] += [cartan_from_quiver(affine_a_quiver(n - 1))] if n >= 2 else []
+        targets[n] += [cartan_from_quiver(affine_d_quiver(n - 1))] if n >= 5 else []
+    rng = random.Random(4)
+    compared = agreed = 0
+    for n, cs in targets.items():
+        for c in cs:
+            for _ in range(4):
+                mixed = cartan_matrix(shuffled(rng, c.entries))
+                for target in targets[n]:
+                    isos = list(index_isomorphisms(mixed.entries, target.entries))
+                    assert bool(isos) == oracle_permutation_match(mixed, target)
+                    for p in isos:
+                        assert all(mixed[i, j] == target[p[i], p[j]]
+                                   for i in range(n) for j in range(n))
+                    if n <= 5:
+                        brute = {p for p in itertools.permutations(range(n))
+                                 if all(mixed[i, j] == target[p[i], p[j]]
+                                        for i in range(n) for j in range(n))}
+                        assert set(isos) == brute and len(isos) == len(brute)
+                    compared += 1
+                    agreed += bool(isos)
+    assert compared > 1000 and agreed > 100
+
+
+def test_index_isomorphisms_on_asymmetric_matrices():
+    # every bijection, each exactly once, where a[i][j] != a[j][i]: b is a
+    # shuffled copy of a, with two entry pairs transposed in every other trial
+    from qfold.quiver_core import index_isomorphisms
+
+    rng = random.Random(12)
+    hits = 0
+    for trial in range(600):
+        n = rng.randint(1, 6)
+        values = rng.choice([(0, 0, -1, -2), (0, 1), (0, 1, 2), (1, 2)])
+        a = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        b = [row[:] for row in a]
+        for _ in range(2 * (trial % 2) if n > 1 else 0):
+            i, j = rng.sample(range(n), 2)
+            b[i][j], b[j][i] = b[j][i], b[i][j]
+        b = shuffled(rng, b)
+        got = list(index_isomorphisms(a, b))
+        brute = {p for p in itertools.permutations(range(n))
+                 if all(a[i][j] == b[p[i]][p[j]] for i in range(n) for j in range(n))}
+        assert len(got) == len(set(got)) and set(got) == brute, (a, b)
+        hits += bool(brute)
+    assert hits >= 300

@@ -84,3 +84,37 @@ def test_tracer_counts_one_transition_solve():
     assert stats["module_lab.find_transition"]["calls"] == 1
     assert stats["module_lab.find_transition"]["unknowns"] == 9  # sum of v_x^2
     assert stats["module_lab.apply_theta"]["calls"] == 1
+
+
+def test_transition_checks_invert_nothing():
+    # a transition is decided as a module map, by inverse-free equations
+    import random
+
+    from qfold import module_lab
+    from qfold.generators import random_graded_pair
+    from qfold.quiver_core import a_quiver, flip_automorphism
+
+    a3 = a_quiver(3)
+    _xi, _msub, m, sigma, _wsub, witness = random_graded_pair(
+        random.Random(3), a3, flip_automorphism(a3, 3))
+    tracer = tracer_module().Tracer()
+    tracer.install()
+    try:
+        verified = module_lab.verify_transition(m, sigma, witness)
+        found = module_lab.find_transition(m, sigma)
+    finally:
+        tracer.uninstall()
+    assert verified and found is not None
+    assert all(found.g[x] == witness.g[x] for x in a3.vertices)
+    children: dict = {}
+    for span in tracer.spans:
+        children.setdefault(span["parent"], []).append(span)
+
+    def inverses_under(span):
+        return span["kernels"].get("linalg.inverse", [0])[0] \
+            + sum(inverses_under(child) for child in children.get(span["id"], []))
+
+    for name in ("module_lab.verify_transition", "module_lab.find_transition"):
+        spans = [span for span in tracer.spans if span["name"] == name]
+        assert len(spans) == 1, name
+        assert inverses_under(spans[0]) == 0, name
