@@ -3,16 +3,19 @@
 Subcommands: split, quotient, fold, branch, dims, module, verify-all.
 Output is deterministic for fixed inputs and seed: JSON is emitted with
 sorted keys, tables in canonical vertex order, and all randomness flows
-from the --seed flag.  Exit codes: 0 success, 1 input or usage error,
-2 verified property violation.  Under --json an error after a successful
-parse is one object {"error": {"type", "message"}} on standard output;
-otherwise it is one line on standard error.
+from the --seed flag.  The global flags --seed and --json may stand
+before or after the subcommand.  Exit codes: 0 success, 1 input or usage
+error, 2 verified property violation.  Under --json an error after a
+successful parse is one object {"error": {"type", "message"}} on standard
+output; otherwise it is one line on standard error.  A reader that closes
+standard output early ends the run with exit 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -75,11 +78,23 @@ def _load_entry(args) -> tuple[Quiver, DiagramAutomorphism]:
     raise InputError("supply --corpus NAME or --file PATH")
 
 
+class _StdoutClosed(Exception):
+    """The reader of standard output has closed it."""
+
+
+def _print_stdout(text: str) -> None:
+    """Print text and flush it.  If the reader has closed the pipe, point
+    stdout at devnull, so that the interpreter's flush at exit stays quiet
+    too (the SIGPIPE note in the `signal` docs), and end the command."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _StdoutClosed from None
+
+
 def _emit(args, payload, human: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(human)
+    _print_stdout(json.dumps(payload, indent=2, sort_keys=True) if args.json else human)
 
 
 def _labels_table(sd: SplitData) -> dict:
@@ -329,16 +344,23 @@ def cmd_verify_all(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for all randomness")
-    common.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                        help="machine-readable output")
+def _add_global_flags(p: argparse.ArgumentParser, seed, json_flag) -> None:
+    p.add_argument("--seed", type=int, default=seed, help="seed for all randomness")
+    p.add_argument("--json", action="store_true", default=json_flag,
+                   help="machine-readable output")
 
-    parser = _Parser(prog="qfold", parents=[common],
+
+def build_parser() -> _Parser:
+    """The parser; --seed and --json are read before or after the subcommand."""
+    # the top parser holds the defaults in flag actions of its own; the
+    # subparsers share actions whose default is SUPPRESS, so that a
+    # subparser sets a flag only when it follows the subcommand and never
+    # overwrites one given before it
+    common = argparse.ArgumentParser(add_help=False)
+    _add_global_flags(common, argparse.SUPPRESS, argparse.SUPPRESS)
+    parser = _Parser(prog="qfold",
                      description="exact computations for quiver diagram automorphisms")
-    parser.set_defaults(seed=0, json=False)
+    _add_global_flags(parser, 0, False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_source(p):
@@ -392,19 +414,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
-        return COMMANDS[args.command](args)
-    except PropertyViolation as exc:
-        return _fail(args, exc, "property violated", EXIT_VIOLATION)
-    except (QfoldError, OSError, json.JSONDecodeError) as exc:
-        return _fail(args, exc, "error", EXIT_INPUT)
+        try:
+            return COMMANDS[args.command](args)
+        except PropertyViolation as exc:
+            return _fail(args, exc, "property violated", EXIT_VIOLATION)
+        except (QfoldError, OSError, json.JSONDecodeError) as exc:
+            return _fail(args, exc, "error", EXIT_INPUT)
+    except _StdoutClosed:
+        return EXIT_INPUT
 
 
 def _fail(args, exc: Exception, label: str, code: int) -> int:
     """Report an error: one JSON object on stdout under --json, else one
     line on stderr."""
     if args.json:
-        print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                         sort_keys=True))
+        _print_stdout(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
+                                 sort_keys=True))
     else:
         print(f"{label}: {exc}", file=sys.stderr)
     return code

@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .errors import InputError
 from .quiver_core import (
@@ -48,46 +50,51 @@ def _entry(name: str, q: Quiver, a: DiagramAutomorphism, description: str = "") 
     return CorpusEntry(name, q, a, is_admissible(q, a), description)
 
 
-def _builtin() -> list[CorpusEntry]:
-    entries: list[CorpusEntry] = []
-    entries.append(_entry("A3-id", a_quiver(3), identity_automorphism(a_quiver(3)),
-                          "path with the identity"))
+def _builtin_makers() -> dict[str, Callable[[], CorpusEntry]]:
+    """Each built-in entry's name with a function that builds it, so that
+    one entry is built without the others."""
+    makers: dict[str, Callable[[], CorpusEntry]] = {}
+
+    def add(name: str, make_quiver: Callable[[], Quiver],
+            make_auto: Callable[[Quiver], DiagramAutomorphism], description: str) -> None:
+        def make() -> CorpusEntry:
+            q = make_quiver()
+            return _entry(name, q, make_auto(q), description)
+        makers[name] = make
+
+    add("A3-id", lambda: a_quiver(3), identity_automorphism, "path with the identity")
     for n in (3, 5, 7, 9):
-        q = a_quiver(n)
-        entries.append(_entry(f"A{n}-flip", q, flip_automorphism(q, n),
-                              "odd path with the end-to-end flip"))
+        add(f"A{n}-flip", partial(a_quiver, n), partial(flip_automorphism, n=n),
+            "odd path with the end-to-end flip")
     for n in (4, 6, 8):
-        q = a_quiver(n)
-        entries.append(_entry(f"A{n}-flip", q, flip_automorphism(q, n),
-                              "even path flip: reverses the middle edge, not admissible"))
+        add(f"A{n}-flip", partial(a_quiver, n), partial(flip_automorphism, n=n),
+            "even path flip: reverses the middle edge, not admissible")
     for n in (3, 4, 5, 6):
-        q = d_quiver(n)
-        entries.append(_entry(f"D{n}-swap", q, fork_swap_automorphism(q, n),
-                              "fork swap"))
-    d4 = d_quiver(4)
-    entries.append(_entry("D4-rot3", d4,
-                          automorphism(d4, {"1": "3", "3": "4", "4": "1", "2": "2"}),
-                          "order-3 rotation of the three legs"))
-    aff1 = affine_a_quiver(1)
-    entries.append(_entry("affineA1-swap", aff1,
-                          automorphism(aff1, {"0": "1", "1": "0"},
-                                       {"e0": "e1", "e1": "e0"}),
-                          "double edge with the vertex swap, not admissible"))
-    aff3 = affine_a_quiver(3)
-    entries.append(_entry("affineA3-rot", aff3,
-                          automorphism(aff3, {"0": "1", "1": "2", "2": "3", "3": "0"}),
-                          "cycle rotation, not admissible"))
-    entries.append(_entry("affineA3-flip", aff3,
-                          automorphism(aff3, {"0": "0", "2": "2", "1": "3", "3": "1"}),
-                          "cycle reflection fixing two opposite vertices"))
-    affd = affine_d_quiver(4)
-    entries.append(_entry("affineD4-swap", affd,
-                          automorphism(affd, {"0": "0", "1": "1", "2": "2", "3": "4", "4": "3"}),
-                          "swap of one fork pair"))
-    entries.append(_entry("affineD4-doubleswap", affd,
-                          automorphism(affd, {"0": "1", "1": "0", "2": "2", "3": "4", "4": "3"}),
-                          "swap of both fork pairs"))
-    return entries
+        add(f"D{n}-swap", partial(d_quiver, n), partial(fork_swap_automorphism, n=n),
+            "fork swap")
+    add("D4-rot3", lambda: d_quiver(4),
+        lambda q: automorphism(q, {"1": "3", "3": "4", "4": "1", "2": "2"}),
+        "order-3 rotation of the three legs")
+    add("affineA1-swap", lambda: affine_a_quiver(1),
+        lambda q: automorphism(q, {"0": "1", "1": "0"}, {"e0": "e1", "e1": "e0"}),
+        "double edge with the vertex swap, not admissible")
+    add("affineA3-rot", lambda: affine_a_quiver(3),
+        lambda q: automorphism(q, {"0": "1", "1": "2", "2": "3", "3": "0"}),
+        "cycle rotation, not admissible")
+    add("affineA3-flip", lambda: affine_a_quiver(3),
+        lambda q: automorphism(q, {"0": "0", "2": "2", "1": "3", "3": "1"}),
+        "cycle reflection fixing two opposite vertices")
+    add("affineD4-swap", lambda: affine_d_quiver(4),
+        lambda q: automorphism(q, {"0": "0", "1": "1", "2": "2", "3": "4", "4": "3"}),
+        "swap of one fork pair")
+    add("affineD4-doubleswap", lambda: affine_d_quiver(4),
+        lambda q: automorphism(q, {"0": "1", "1": "0", "2": "2", "3": "4", "4": "3"}),
+        "swap of both fork pairs")
+    return makers
+
+
+def _builtin() -> list[CorpusEntry]:
+    return [make() for make in _builtin_makers().values()]
 
 
 def _from_dir(path: Path) -> list[CorpusEntry]:
@@ -110,6 +117,11 @@ def corpus() -> list[CorpusEntry]:
 
 
 def corpus_entry(name: str) -> CorpusEntry:
+    """The named entry; a built-in one is built alone."""
+    if not os.environ.get(CORPUS_ENV):
+        make = _builtin_makers().get(name)
+        if make is not None:
+            return make()
     for entry in corpus():
         if entry.name == name:
             return entry

@@ -388,6 +388,7 @@ def witness_matrix(witness: TransitionWitness, vertex: str) -> Mat:
 
 def verify_transition(m: FramedModule, sigma: SigmaData, witness: TransitionWitness) -> bool:
     """Is the witness a module isomorphism m -> theta(m)?"""
+    _refuse_stray_keys(witness.g, m.quiver, "the witness")
     g = {x: witness_matrix(witness, x) for x in m.quiver.vertices}
     return check_framed_embedding(g, m, apply_theta(m, sigma))
 
@@ -439,6 +440,7 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat], sigma: SigmaData
     composed swap before returning.
     """
     q = m1.quiver
+    _refuse_stray_keys(g, q, "the gauge")
     for x in q.vertices:
         n = m1.v.get(x, 0)
         mat = g.get(x)
@@ -534,12 +536,20 @@ class FramedEmbedding:
             raise NotAnEmbedding("xi is not injective or fails to intertwine")
 
 
+def _refuse_stray_keys(maps: Mapping[str, Mat], q: Quiver, name: str) -> None:
+    """A per-vertex map that names no vertex of q is refused, not dropped."""
+    stray = next((key for key in maps if key not in q.vertices), None)
+    if stray is not None:
+        raise ShapeMismatch(f"{name} names {stray!r}, which is no vertex of the quiver")
+
+
 def check_framed_embedding(xi: Mapping[str, Mat], m_sub: FramedModule,
                            m: FramedModule) -> bool:
     """xi is an injective map of framed modules over the shared framing."""
     q = m.quiver
     if m_sub.quiver != q:
         raise ShapeMismatch("modules live on different quivers")
+    _refuse_stray_keys(xi, q, "the map")
     if any(m_sub.w.get(x, 0) != m.w.get(x, 0) for x in q.vertices):
         raise ShapeMismatch("embeddings require a shared framing")
     for x in q.vertices:

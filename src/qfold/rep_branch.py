@@ -7,27 +7,38 @@ fundamental coordinates of the simple root alpha_j are row j of the
 matrix, and the simple reflection acts by
 s_i(lambda)_k = lambda_k - lambda_i * c[i][k].
 
+Each Cartan matrix has one cached `RootDatum`: every row as its nonzero
+entries, and each positive root in simple and fundamental coordinates
+with its norm and the Weyl denominator.  A reflection s_i touches only
+the coordinates where row i is nonzero, and is not applied where
+lambda_i = 0, since it fixes lambda.  The Weyl dimension is one integer
+product divided exactly by the product at rho.
+
 The dominant weights below a highest weight are reached from it by
 positive-root steps that stay dominant (Stembridge, "The partial order of
 dominant weights", 1998), carrying lam - mu along as integer simple-root
 coordinates, so neither the Freudenthal recursion nor branching needs an
 inverse Cartan matrix.
 
-Branching restricts the full character of L(lam) along orbit sums of
-Cartan elements and keeps it at the folded-dominant weights only: both the
-restriction and every folded character are invariant under the folded Weyl
-group, so stripping highest weights in one pass in integer depth order
-needs the folded characters at their dominant weights alone, never spread
-over orbits.  This is slower than crystal combinatorics but independently
-checkable against the Weyl dimension formula.
+Branching restricts the character of L(lam) along orbit sums of Cartan
+elements and keeps it at the folded-dominant weights only, without ever
+building the full character: each dominant weight's Weyl orbit is walked
+once and every point is restricted as it is listed, while the orbit sizes
+are summed against the Weyl dimension.  Both the restriction and every
+folded character are invariant under the folded Weyl group, so stripping
+highest weights in one pass in integer depth order needs the folded
+characters at their dominant weights alone, never spread over orbits.
+Each weight's Weyl dimension is computed once per call: the cap check
+feeds the conservation sum.  This is slower than crystal combinatorics but
+independently checkable against the Weyl dimension formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from operator import add, mul, sub
+from typing import Mapping
 
 from .errors import (
     CharacterMismatch,
@@ -88,71 +99,119 @@ def positive_roots(c: CartanMatrix) -> RootSystem:
     return RootSystem(c, tuple(ordered))
 
 
+@dataclass(frozen=True)
+class RootDatum:
+    """What the Weyl-group and character kernels read of a Cartan matrix.
+    With d its symmetrizer, (lam, beta) = sum_j lam_j * beta_j * d_j for a
+    weight in fundamental and a root in simple coordinates."""
+    rows: tuple[tuple[tuple[int, int], ...], ...]  # row i as its nonzero (k, c[i][k])
+    neighbours: tuple[frozenset[int], ...]  # the k != i with c[i][k] != 0
+    roots: tuple[Root, ...]                # the positive roots, in positive_roots order
+    fund: tuple[Weight, ...]               # each root in fundamental coordinates
+    paired: tuple[tuple[int, ...], ...]    # each root as (beta_j * d_j)_j
+    norm: tuple[int, ...]                  # (beta, beta) of each root
+    rho_product: int                       # the product of (rho, beta): Weyl's denominator
+
+
+@lru_cache(maxsize=256)
+def root_datum(c: CartanMatrix) -> RootDatum:
+    """The root datum of a finite-type Cartan matrix, built once per matrix."""
+    roots = positive_roots(c).positive_roots
+    d = symmetrizer(c)
+    n = c.n
+    rows = tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in c.entries)
+    neighbours = tuple(frozenset(k for k, _x in row if k != i) for i, row in enumerate(rows))
+    fund = tuple(tuple(sum(beta[i] * c.entries[i][k] for i in range(n)) for k in range(n))
+                 for beta in roots)
+    paired = tuple(tuple(map(mul, beta, d)) for beta in roots)
+    norm = tuple(sum(map(mul, p, f)) for p, f in zip(paired, fund))
+    rho_product = 1
+    for p in paired:
+        rho_product *= sum(p)
+    return RootDatum(rows, neighbours, roots, fund, paired, norm, rho_product)
+
+
 def reflect_weight(c: CartanMatrix, lam: Weight, i: int) -> Weight:
-    return tuple(lam[k] - lam[i] * c[i, k] for k in range(c.n))
+    a = lam[i]
+    out = list(lam)
+    if a:
+        for k, cik in root_datum(c).rows[i]:
+            out[k] -= a * cik
+    return tuple(out)
+
+
+def _dominant(rows: tuple[tuple[tuple[int, int], ...], ...], lam: Weight) -> Weight:
+    """The dominant weight in the Weyl orbit of lam: reflect at the first
+    negative coordinate until there is none."""
+    cur = list(lam)
+    while True:
+        for i, a in enumerate(cur):
+            if a < 0:
+                for k, cik in rows[i]:
+                    cur[k] -= a * cik
+                break
+        else:
+            return tuple(cur)
 
 
 def dominant_representative(c: CartanMatrix, lam: Weight) -> Weight:
     """The dominant weight in the Weyl orbit of lam."""
-    cur = lam
-    while True:
-        for i in range(c.n):
-            if cur[i] < 0:
-                cur = reflect_weight(c, cur, i)
-                break
-        else:
-            return cur
+    return _dominant(root_datum(c).rows, lam)
 
 
 def weyl_orbit(c: CartanMatrix, lam: Weight) -> set[Weight]:
-    seen = {lam}
-    frontier = [lam]
-    while frontier:
-        new = []
-        for w in frontier:
-            for i in range(c.n):
-                img = reflect_weight(c, w, i)
-                if img not in seen:
-                    seen.add(img)
-                    new.append(img)
-        frontier = new
-    return seen
+    """The Weyl orbit of lam, listed down from its dominant weight without
+    a repeat.  Each other point w has one parent s_i w, with i the first
+    index where w_i < 0: that parent is higher, and (s_i w)_i > 0.  So the
+    walk applies s_i to x only where x_i > 0, and keeps s_i x only when no
+    coordinate before i is negative.  s_i changes only i and its
+    neighbours, so s_i x is built only when x has no negative coordinate
+    or its first one is at a neighbour of i."""
+    rd = root_datum(c)
+    rows, neighbours = rd.rows, rd.neighbours
+    top = tuple(lam) if is_dominant(lam) else _dominant(rows, lam)
+    orbit = {top}
+    stack = [top]
+    while stack:
+        w = stack.pop()
+        neg = -1  # the first index where w is negative
+        for i, a in enumerate(w):
+            if a < 0:
+                if neg < 0:
+                    neg = i
+            elif a > 0:
+                if neg >= 0 and neg not in neighbours[i]:
+                    continue
+                img = list(w)
+                for k, cik in rows[i]:
+                    img[k] -= a * cik
+                if neg >= 0 and min(img[:i]) < 0:
+                    continue
+                img = tuple(img)
+                orbit.add(img)
+                stack.append(img)
+    return orbit
 
 
 def is_dominant(lam: Weight) -> bool:
-    return all(x >= 0 for x in lam)
-
-
-def _root_fund_coords(c: CartanMatrix, beta: Root) -> Weight:
-    """Fundamental coordinates of a root (alpha_i is row i of the matrix)."""
-    return tuple(sum(beta[i] * c[i, k] for i in range(c.n)) for k in range(c.n))
-
-
-def _weight_root_ip(d: Sequence[int], lam: Weight, beta: Root) -> int:
-    """(lambda, beta) for a weight in fundamental and a root in simple coords."""
-    return sum(beta[j] * lam[j] * d[j] for j in range(len(d)))
-
-
-def _root_root_ip(c: CartanMatrix, d: Sequence[int], beta: Root, gamma: Root) -> int:
-    return sum(gamma[j] * d[j] * sum(beta[k] * c[k, j] for k in range(c.n))
-               for j in range(c.n))
+    return min(lam, default=0) >= 0
 
 
 def weyl_dim(c: CartanMatrix, lam: Weight) -> int:
-    """Weyl dimension formula for the irreducible of highest weight lam."""
+    """Weyl dimension formula for the irreducible of highest weight lam, as
+    one integer product divided exactly by the product at rho."""
     _check_weight(c, lam)
     if not is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
-    rs = positive_roots(c)
-    d = symmetrizer(c)
-    rho = tuple([1] * c.n)
+    rd = root_datum(c)
     lam_rho = tuple(x + 1 for x in lam)
-    num = Fraction(1)
-    for beta in rs.positive_roots:
-        num *= Fraction(_weight_root_ip(d, lam_rho, beta), _weight_root_ip(d, rho, beta))
-    if num.denominator != 1 or num <= 0:
-        raise CharacterMismatch(f"Weyl's formula gives {num} at {lam}")
-    return int(num)
+    num = 1
+    for p in rd.paired:
+        num *= sum(map(mul, lam_rho, p))
+    dim, rest = divmod(num, rd.rho_product)
+    if rest or dim <= 0:
+        raise CharacterMismatch(f"Weyl's formula gives {num}/{rd.rho_product} at {lam}")
+    return dim
 
 
 def _check_weight(c: CartanMatrix, lam: Weight) -> None:
@@ -168,7 +227,8 @@ def dominant_weights_below(c: CartanMatrix, lam: Weight) -> dict[Weight, Root]:
     roots through dominant weights only (Stembridge 1998), so no other
     weight of the module is visited.
     """
-    steps = [(beta, _root_fund_coords(c, beta)) for beta in positive_roots(c).positive_roots]
+    rd = root_datum(c)
+    steps = tuple(zip(rd.roots, rd.fund))
     out: dict[Weight, Root] = {lam: (0,) * c.n}
     frontier: list[Weight] = [lam]
     while frontier:
@@ -176,9 +236,9 @@ def dominant_weights_below(c: CartanMatrix, lam: Weight) -> dict[Weight, Root]:
         for mu in frontier:
             depth = out[mu]
             for beta, beta_fund in steps:
-                nu = tuple(x - y for x, y in zip(mu, beta_fund))
+                nu = tuple(map(sub, mu, beta_fund))
                 if nu not in out and is_dominant(nu):
-                    out[nu] = tuple(x + y for x, y in zip(depth, beta))
+                    out[nu] = tuple(map(add, depth, beta))
                     new.append(nu)
         frontier = new
     return out
@@ -205,40 +265,37 @@ def dominant_character(c: CartanMatrix, lam: Weight,
 
 
 def _freudenthal(c: CartanMatrix, lam: Weight) -> Character:
-    rs = positive_roots(c)
+    rd = root_datum(c)
+    rows = rd.rows
+    steps = tuple(zip(rd.fund, rd.paired, rd.norm))
     d = symmetrizer(c)
-    beta_fund = [_root_fund_coords(c, beta) for beta in rs.positive_roots]
-    beta_norm = [_root_root_ip(c, d, beta, beta) for beta in rs.positive_roots]
 
     dominants = dominant_weights_below(c, lam)
     by_level = sorted(dominants.items(), key=lambda kv: (sum(kv[1]), kv[0]))
-    lam_rho = tuple(x + 1 for x in lam)
 
     mults: Character = {}
-    dom_cache: dict[Weight, Weight] = {}
-
-    def dom_of(w: Weight) -> Weight:
-        if w not in dom_cache:
-            dom_cache[w] = dominant_representative(c, w)
-        return dom_cache[w]
-
+    dom_of: dict[Weight, Weight] = {}
     for mu, depth in by_level:
         if mu == lam:
             mults[mu] = 1
             continue
         acc = 0
-        for bi, beta in enumerate(rs.positive_roots):
-            ip_mu_beta = _weight_root_ip(d, mu, beta)
-            k = 1
+        for beta_fund, beta_paired, beta_norm in steps:
+            # (mu + k beta, beta) for k = 1, 2, ... while mu + k beta is a weight
+            ip = sum(map(mul, mu, beta_paired))
+            nu = mu
             while True:
-                nu = tuple(mu[t] + k * beta_fund[bi][t] for t in range(c.n))
-                m = mults.get(dom_of(nu))
+                nu = tuple(map(add, nu, beta_fund))
+                dom = dom_of.get(nu)
+                if dom is None:
+                    dom = dom_of[nu] = _dominant(rows, nu)
+                m = mults.get(dom)
                 if m is None:
                     break
-                acc += m * (ip_mu_beta + k * beta_norm[bi])
-                k += 1
-        # |lam+rho|^2 - |mu+rho|^2 with beta = lam - mu
-        denom = 2 * _weight_root_ip(d, lam_rho, depth) - _root_root_ip(c, d, depth, depth)
+                ip += beta_norm
+                acc += m * ip
+        # |lam+rho|^2 - |mu+rho|^2 = (lam - mu, lam + mu + 2 rho), lam - mu = depth
+        denom = sum(depth[j] * d[j] * (lam[j] + mu[j] + 2) for j in range(c.n))
         if denom <= 0 or (2 * acc) % denom != 0:
             raise CharacterMismatch(f"Freudenthal's recursion is not integral at {mu}")
         mults[mu] = (2 * acc) // denom
@@ -271,15 +328,52 @@ def character_dim(char: Character) -> int:
 def restrict_weight(lam: Weight, fold: FoldedAlgebraData) -> Weight:
     """Restriction along the orbit-sum embedding of Cartan elements: the
     folded coordinate at an orbit is the sum of the coordinates over it."""
-    c = fold.base
-    _check_weight(c, lam)
-    idx = {v: i for i, v in enumerate(c.labels)}
-    return tuple(sum(lam[idx[v]] for v in orbit) for orbit in fold.orbits)
+    _check_weight(fold.base, lam)
+    return _restrict(lam, _orbit_indices(fold))
+
+
+def _orbit_indices(fold: FoldedAlgebraData) -> list[list[int]]:
+    idx = {v: i for i, v in enumerate(fold.base.labels)}
+    return [[idx[v] for v in orbit] for orbit in fold.orbits]
+
+
+def _restrict(lam: Weight, orbits: list[list[int]]) -> Weight:
+    return tuple([sum([lam[i] for i in orbit]) for orbit in orbits])
+
+
+def _restricted_spread(c: CartanMatrix, lam: Weight, orbits: list[list[int]],
+                       depths: Mapping[Weight, Root]) -> tuple[Character, int]:
+    """The character of L(lam) restricted along the orbit index lists, at
+    the folded weights that are keys of depths, and the sum of m * |W mu|
+    over its dominant weights mu with multiplicity m.
+
+    Each dominant weight's orbit is walked and every point restricted at
+    once; the full character is never built.  Restriction is linear: with
+    j(k) the orbit of coordinate k, the integer sum_k w_k * base**j(k) is
+    sum_j restrict(w)_j * base**j, and base exceeds every coordinate in
+    depths, so one product per point finds the only key of depths that w
+    can restrict to, and `_restrict` confirms it.
+    """
+    base = 1 + max(max(nu, default=0) for nu in depths)
+    coeff = [0] * c.n
+    for j, orbit in enumerate(orbits):
+        for k in orbit:
+            coeff[k] = base ** j
+    by_key = {sum(x * base ** j for j, x in enumerate(nu)): nu for nu in depths}
+    restricted: Character = {}
+    spread = 0
+    for mu, m in _freudenthal(c, lam).items():
+        orbit = weyl_orbit(c, mu)
+        spread += m * len(orbit)
+        for w in orbit:
+            nu = by_key.get(sum(map(mul, w, coeff)))
+            if nu is not None and _restrict(w, orbits) == nu:
+                restricted[nu] = restricted.get(nu, 0) + m
+    return restricted, spread
 
 
 def is_invariant_weight(lam: Weight, fold: FoldedAlgebraData) -> bool:
-    idx = {v: i for i, v in enumerate(fold.base.labels)}
-    return all(len({lam[idx[v]] for v in orbit}) == 1 for orbit in fold.orbits)
+    return all(len({lam[i] for i in orbit}) == 1 for orbit in _orbit_indices(fold))
 
 
 def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
@@ -300,22 +394,22 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
     if require_invariant and not is_invariant_weight(lam, fold):
         raise NotInvariantWeight(f"{lam} is not constant on the folding orbits")
     fc = fold.folded
-    _require_finite(fc)
+    root_datum(fc)  # a folded matrix of infinite type is refused before any walk
 
-    # the character comes first: its dimension cap also bounds the walk.
+    # the dimension comes first: its cap also bounds every walk.
     # Restriction sends alpha_i to the folded simple root of i's orbit, so
     # every folded-dominant restricted weight is a key of depths
-    char = freudenthal_character(c, lam, dim_cap)
-    depths = dominant_weights_below(fc, restrict_weight(lam, fold))
-    restricted: Character = {}
-    for w, m in char.items():
-        rw = restrict_weight(w, fold)
-        if rw in depths:
-            restricted[rw] = restricted.get(rw, 0) + m
+    total = _capped_dim(c, lam, dim_cap)
+    orbits = _orbit_indices(fold)
+    depths = dominant_weights_below(fc, _restrict(lam, orbits))
+    restricted, spread = _restricted_spread(c, lam, orbits, depths)
+    if spread != total:
+        raise CharacterMismatch(f"character of {lam} has total {spread}, not {total}")
 
     # weights only ever leave `restricted`, so the highest remaining one is
     # the next of this order (deepest last) that has not been stripped yet
     out: list[tuple[Weight, int]] = []
+    conserved = 0
     for top in sorted(restricted, key=lambda w: (-sum(depths[w]), w), reverse=True):
         if top not in restricted:
             continue
@@ -323,7 +417,8 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
         if mult <= 0:
             raise StrippingFailure(f"negative multiplicity {mult} at {top}")
         out.append((top, mult))
-        for w, m in dominant_character(fc, top, dim_cap).items():
+        conserved += mult * _capped_dim(fc, top, dim_cap)
+        for w, m in _freudenthal(fc, top).items():
             rem = restricted.get(w, 0) - mult * m
             if rem < 0:
                 raise StrippingFailure(f"stripping drove weight {w} to multiplicity {rem}")
@@ -332,7 +427,7 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
             else:
                 restricted[w] = rem
 
-    if sum(m * weyl_dim(fc, w) for w, m in out) != weyl_dim(c, lam):
+    if conserved != total:
         raise StrippingFailure(f"the branching of {lam} does not conserve dimension")
     return out
 

@@ -1,10 +1,16 @@
 import copy
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qfold
 from qfold import cli
 from qfold.cli import main
 from qfold.corpus import corpus_entry, entry_to_dict
@@ -412,3 +418,64 @@ def test_quiver_file_fuzz_exits_cleanly(tmp_path_factory, changes, command):
     path = tmp_path_factory.mktemp("fuzz") / "quiver.json"
     path.write_text(json.dumps(doc))
     assert main(command + ["--file", str(path)]) in (0, 1, 2)
+
+
+SUBCOMMAND_ARGVS = [
+    ["split", "--corpus", "A3-flip"],
+    ["quotient", "--corpus", "A3-flip"],
+    ["fold", "--corpus", "D4-swap"],
+    ["branch", "--corpus", "D3-swap", "--framing", "0,1,0"],
+    ["dims", "--corpus", "D4-swap", "--v", "1,1,1,1", "--w", "1,1,1,1"],
+    ["module", "check", "MODULE"],
+    ["verify-all"],
+]
+
+
+def test_global_flags_before_or_after_the_subcommand(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(module_doc()))
+    assert {argv[0] for argv in SUBCOMMAND_ARGVS} == set(cli.COMMANDS)
+    for argv in SUBCOMMAND_ARGVS:
+        argv = [str(path) if x == "MODULE" else x for x in argv]
+        before = cli.build_parser().parse_args(["--json", "--seed", "5", *argv])
+        after = cli.build_parser().parse_args([*argv, "--json", "--seed", "5"])
+        assert before == after, argv
+        assert before.json is True and before.seed == 5, argv
+        plain = cli.build_parser().parse_args(argv)
+        assert plain.json is False and plain.seed == 0, argv
+        if argv[0] == "verify-all":
+            continue  # its run is pinned by test_determinism_byte_identical
+        outputs = [run(capsys, *flags) for flags in (["--json", *argv], [*argv, "--json"])]
+        assert outputs[0] == outputs[1], argv
+        assert outputs[0][0] == 0 and json.loads(outputs[0][1]), argv
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    # a reader that is gone before the output is written, as `qfold ... | head`
+    # may leave it; the closed read end makes every write fail with EPIPE
+    env = dict(os.environ, PYTHONPATH=str(Path(qfold.__file__).resolve().parents[1]))
+    for argv in (["split", "--corpus", "A3-flip", "--json"],
+                 ["split", "--corpus", "missing-entry", "--json"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "qfold.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, argv
+        assert proc.stderr == b"", proc.stderr.decode()
+
+
+@pytest.mark.parametrize("action, field", [
+    ("theorem5", ("xi", "zz")),
+    ("theorem5", ("witness", "g", "zz")),
+    ("witness", ("g", "zz")),
+])
+def test_matrix_map_key_naming_no_vertex_is_refused(tmp_path, capsys, action, field):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(replaced(pair_doc(), field, {"rows": 1, "cols": 1,
+                                                             "data": [["1"]]})))
+    assert main(["module", action, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "'zz'" in err, err

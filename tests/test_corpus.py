@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -54,3 +55,21 @@ def test_corpus_dir_override(tmp_path, monkeypatch):
     assert entries[0].admissible
     got = corpus_entry("custom")
     assert got.auto.vertex_perm == entry.auto.vertex_perm
+
+
+def test_each_entry_built_alone_equals_the_corpus_entry():
+    entries = corpus()
+    assert len(entries) == 18
+    for entry in entries:
+        assert corpus_entry(entry.name) == entry, entry.name
+
+
+def test_a_named_builtin_entry_is_built_alone(monkeypatch):
+    # the package re-exports the function `corpus` under the module's name
+    corpus_module = sys.modules["qfold.corpus"]
+
+    def every_entry():
+        raise AssertionError("built every entry for one name")
+
+    monkeypatch.setattr(corpus_module, "corpus", every_entry)
+    assert corpus_entry("D5-swap").name == "D5-swap"

@@ -18,6 +18,7 @@ from qfold.lie_fold import (
     classify_cartan,
     fold_cartan,
     is_finite_type,
+    symmetrizer,
 )
 from qfold.quiver_core import a_quiver, affine_a_quiver, flip_automorphism, identity_automorphism
 from qfold.rep_branch import (
@@ -436,3 +437,135 @@ def test_branch_checks_cap_before_any_walk(monkeypatch):
     monkeypatch.setattr(rep_branch, "dominant_weights_below", no_walk)
     with pytest.raises(DimensionCapExceeded):
         branch(c, (1000,) * c.n, fold)
+
+
+# ---------------------------------------------------------------------------
+# the dense kernels the root datum replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def dense_reflect(c, lam, i):
+    """s_i over every coordinate, reading the Cartan matrix entry by entry."""
+    return tuple(lam[k] - lam[i] * c[i, k] for k in range(c.n))
+
+
+def dense_orbit(c, lam):
+    """Breadth-first closure of lam under every simple reflection."""
+    seen = {lam}
+    frontier = [lam]
+    while frontier:
+        new = []
+        for w in frontier:
+            for i in range(c.n):
+                img = dense_reflect(c, w, i)
+                if img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return seen
+
+
+def dense_dominant(c, lam):
+    cur = lam
+    while not is_dominant(cur):
+        cur = dense_reflect(c, cur, next(i for i in range(c.n) if cur[i] < 0))
+    return cur
+
+
+def fraction_weyl_dim(c, lam):
+    """Weyl's formula as a product of Fractions (lam + rho, beta) / (rho, beta)."""
+    d = symmetrizer(c)
+    num = Fraction(1)
+    for beta in positive_roots(c).positive_roots:
+        num *= Fraction(sum(beta[j] * (lam[j] + 1) * d[j] for j in range(c.n)),
+                        sum(beta[j] * d[j] for j in range(c.n)))
+    assert num.denominator == 1 and num > 0
+    return int(num)
+
+
+def spread_oracle(c, lam, fold, depths):
+    """The former spread: the full character of L(lam), each dominant
+    multiplicity over a dense orbit, restricted point by point with
+    restrict_weight and kept at the keys of depths; with its total."""
+    char = {}
+    for mu, m in dominant_character(c, lam).items():
+        for w in dense_orbit(c, mu):
+            char[w] = m
+    restricted = {}
+    for w, m in char.items():
+        rw = restrict_weight(w, fold)
+        if rw in depths:
+            restricted[rw] = restricted.get(rw, 0) + m
+    return restricted, sum(char.values())
+
+
+def corpus_finite_cartans():
+    """Every finite-type split and folded Cartan matrix of the admissible
+    corpus entries (base folds and split folds), then canonical E6 and F4."""
+    from qfold.corpus import corpus
+    from qfold.split_quotient import split_quiver
+
+    found = []
+    for entry in corpus():
+        if not entry.admissible:
+            continue
+        sd = split_quiver(entry.quiver, entry.auto)
+        split_c = cartan_from_quiver(sd.split)
+        base_c = cartan_from_quiver(entry.quiver)
+        for c in (split_c, fold_cartan(split_c, sd.induced).folded,
+                  fold_cartan(base_c, entry.auto).folded):
+            if is_finite_type(c) and c not in found:
+                found.append(c)
+    return found + [canonical_cartan("E", 6), canonical_cartan("F", 4)]
+
+
+def oracle_weights(c):
+    """Entries in {0, 1} summing to at most 2, and rho up to rank 4."""
+    weights = [lam for lam in itertools.product((0, 1), repeat=c.n) if sum(lam) <= 2]
+    if c.n <= 4:
+        weights.append((1,) * c.n)
+    return weights
+
+
+def test_root_datum_kernels_match_dense_oracles():
+    cartans = corpus_finite_cartans()
+    kinds = {str(classify_cartan(c)) for c in cartans}
+    assert kinds >= {"A3", "A5", "A7", "A9", "B3", "C2", "C3", "C4", "C5", "G2", "E6", "F4"}
+    for c in cartans:
+        for lam in oracle_weights(c):
+            assert weyl_dim(c, lam) == fraction_weyl_dim(c, lam), (c.labels, lam)
+            orbit = weyl_orbit(c, lam)
+            assert orbit == dense_orbit(c, lam), (c.labels, lam)
+            # a non-dominant start lists the same orbit
+            lower = dense_reflect(c, lam, c.n - 1)
+            assert weyl_orbit(c, lower) == orbit, (c.labels, lam)
+            for w in sorted(orbit)[:40]:
+                assert dominant_representative(c, w) == dense_dominant(c, w) == lam
+                for i in range(c.n):
+                    assert reflect_weight(c, w, i) == dense_reflect(c, w, i)
+
+
+def test_fused_spread_matches_full_character_restriction():
+    # every finite corpus split fold, weights of Weyl dimension at most 3000
+    from qfold import rep_branch
+    from qfold.corpus import corpus
+    from qfold.split_quotient import split_quiver
+
+    cases = 0
+    for entry in corpus():
+        if not entry.admissible:
+            continue
+        sd = split_quiver(entry.quiver, entry.auto)
+        c = cartan_from_quiver(sd.split)
+        fold = fold_cartan(c, sd.induced)
+        if not is_finite_type(c):
+            continue
+        orbits = rep_branch._orbit_indices(fold)
+        for lam in oracle_weights(c):
+            if weyl_dim(c, lam) > 3000:
+                continue
+            depths = dominant_weights_below(fold.folded, restrict_weight(lam, fold))
+            got = rep_branch._restricted_spread(c, lam, orbits, depths)
+            assert got == spread_oracle(c, lam, fold, depths), (entry.name, lam)
+            assert got[1] == weyl_dim(c, lam)
+            cases += 1
+    assert cases >= 100
