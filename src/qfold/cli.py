@@ -7,13 +7,15 @@ from the --seed flag.  The global flags --seed and --json may stand
 before or after the subcommand.  Exit codes: 0 success, 1 input or usage
 error, 2 verified property violation.  Under --json an error after a
 successful parse is one object {"error": {"type", "message"}} on standard
-output; otherwise it is one line on standard error.  A reader that closes
+output, plus the error's context fields (`qfold.errors.QfoldError`);
+otherwise it is one line on standard error.  A reader that closes
 standard output early ends the run with exit 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -408,9 +410,15 @@ COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INPUT
     try:
@@ -428,8 +436,8 @@ def _fail(args, exc: Exception, label: str, code: int) -> int:
     """Report an error: one JSON object on stdout under --json, else one
     line on stderr."""
     if args.json:
-        _print_stdout(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}},
-                                 sort_keys=True))
+        error = {"type": type(exc).__name__, "message": str(exc), **getattr(exc, "context", {})}
+        _print_stdout(json.dumps({"error": error}, sort_keys=True))
     else:
         print(f"{label}: {exc}", file=sys.stderr)
     return code

@@ -7,7 +7,14 @@ all of them inherit from QfoldError so a CLI can map them to exit code 1
 
 
 class QfoldError(Exception):
-    """Base class for all qfold errors."""
+    """Base class for all qfold errors.  Keyword arguments are context
+    fields kept in `context` (a `TooLarge` states its `estimate` and `cap`,
+    a `RelationViolation` its `vertex`); the CLI adds them to its --json
+    error object."""
+
+    def __init__(self, *args, **context):
+        super().__init__(*args)
+        self.context = context
 
 
 class InputError(QfoldError):

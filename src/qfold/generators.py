@@ -15,11 +15,10 @@ the relation has a zero factor.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from .errors import InputError, PropertyViolation
-from .linalg import Mat
+from .linalg import Mat, qq
 from .numberfield import Fp, cyclotomic_poly
 from .module_lab import (
     FramedModule,
@@ -43,7 +42,7 @@ from .quiver_core import (
 def rand_mat(rng: random.Random, rows: int, cols: int, p: Optional[int] = None) -> Mat:
     """Entries drawn from -2..2, or uniformly from F_p."""
     if p is None:
-        return Mat(rows, cols, [[Fraction(rng.randint(-2, 2)) for _ in range(cols)]
+        return Mat(rows, cols, [[rng.randint(-2, 2) for _ in range(cols)]
                                 for _ in range(rows)])
     return Mat(rows, cols, [[Fp(rng.randrange(p), p) for _ in range(cols)]
                             for _ in range(rows)], Fp(0, p))
@@ -81,11 +80,11 @@ def _phi_deg(d: int) -> int:
 
 def _companion(coeffs) -> Mat:
     n = len(coeffs) - 1
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for r in range(1, n):
-        rows[r][r - 1] = Fraction(1)
+        rows[r][r - 1] = 1
     for r in range(n):
-        rows[r][n - 1] = -coeffs[n - r]  # constant term topmost
+        rows[r][n - 1] = qq(-coeffs[n - r])  # constant term topmost
     return Mat.from_rows(rows)
 
 
@@ -168,8 +167,7 @@ def _signs(plus: int, minus: int) -> list[int]:
 
 def _sign_diag(signs: list[int]) -> Mat:
     n = len(signs)
-    return Mat(n, n, [[Fraction(signs[r]) if r == c else Fraction(0)
-                       for c in range(n)] for r in range(n)])
+    return Mat(n, n, [[signs[r] if r == c else 0 for c in range(n)] for r in range(n)])
 
 
 def random_graded_pair(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
@@ -310,21 +308,21 @@ def _try_graded_pair(rng, q, a, od, transport, max_sub, max_extra):
 
 
 def _random_triangular(rng, rows, cols, sub_rows, sub_cols) -> Mat:
-    m = [[Fraction(rng.randint(-2, 2)) for _ in range(cols)] for _ in range(rows)]
+    m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
     for r in range(sub_rows, rows):
         for c in range(sub_cols):
-            m[r][c] = Fraction(0)
+            m[r][c] = 0
     return Mat(rows, cols, m)
 
 
 def _mask_equivariant(m: Mat, row_signs: list[int], col_signs: list[int]) -> Mat:
-    data = [[m[r, c] if row_signs[r] == col_signs[c] else Fraction(0)
+    data = [[m[r, c] if row_signs[r] == col_signs[c] else m.zero
              for c in range(m.cols)] for r in range(m.rows)]
     return Mat(m.rows, m.cols, data)
 
 
 def _random_sign_compatible(rng, row_signs: list[int], col_signs: list[int]) -> Mat:
-    data = [[Fraction(rng.randint(-2, 2)) if row_signs[r] == col_signs[c] else Fraction(0)
+    data = [[rng.randint(-2, 2) if row_signs[r] == col_signs[c] else 0
              for c in range(len(col_signs))] for r in range(len(row_signs))]
     return Mat(len(row_signs), len(col_signs), data)
 

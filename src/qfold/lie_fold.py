@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -123,15 +123,11 @@ def symmetrizer(c: CartanMatrix) -> tuple[int, ...]:
                     comp.append(j)
                 elif d[j] != val:
                     raise NotSymmetrizable("inconsistent symmetrizer along a cycle")
-        denom_lcm = 1
-        for k in comp:
-            denom_lcm = denom_lcm * d[k].denominator // gcd(denom_lcm, d[k].denominator)
-        scaled = [d[k] * denom_lcm for k in comp]
-        g = 0
-        for x in scaled:
-            g = gcd(g, x.numerator)
+        s = lcm(*(d[k].denominator for k in comp))
+        scaled = [int(d[k] * s) for k in comp]
+        g = gcd(*scaled)
         for k, x in zip(comp, scaled):
-            d[k] = Fraction(x.numerator // g)
+            d[k] = Fraction(x // g)
     return tuple(int(x) for x in d)
 
 
@@ -307,8 +303,8 @@ def fold_cartan(c: CartanMatrix, a: Union[DiagramAutomorphism, Mapping[str, str]
 # ---------------------------------------------------------------------------
 
 def _unit(size: int, r: int, c: int) -> Mat:
-    m = [[Fraction(0)] * size for _ in range(size)]
-    m[r][c] = Fraction(1)
+    m = [[0] * size for _ in range(size)]
+    m[r][c] = 1
     return Mat.from_rows(m)
 
 
@@ -420,9 +416,9 @@ def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence
                 bad.append(SerreViolation("hh", i, j))
     for i in range(n):
         for j in range(n):
-            if not (_comm(H[i], E[j]) - E[j].scaled(Fraction(c[j, i]))).is_zero():
+            if not (_comm(H[i], E[j]) - E[j].scaled(c[j, i])).is_zero():
                 bad.append(SerreViolation("he", i, j))
-            if not (_comm(H[i], F[j]) + F[j].scaled(Fraction(c[j, i]))).is_zero():
+            if not (_comm(H[i], F[j]) + F[j].scaled(c[j, i])).is_zero():
                 bad.append(SerreViolation("hf", i, j))
     for i in range(n):
         for j in range(n):

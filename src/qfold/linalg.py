@@ -2,21 +2,28 @@
 
 Matrices are immutable and generic over the entry type: anything with
 field arithmetic (+, -, *, /, ==, bool) works, so the same code runs over
-`fractions.Fraction`, prime fields (`qfold.numberfield.Fp`) and number
-fields (`qfold.numberfield.NumberFieldElement`).  Zero-row and zero-column
+Q, prime fields (`qfold.numberfield.Fp`) and number fields
+(`qfold.numberfield.NumberFieldElement`).  Zero-row and zero-column
 matrices are first-class citizens; shape is always carried explicitly.
 
-Storage is dense (`data` is a tuple of row tuples), but the kernels walk
-nonzero entries only: a product is formed row by row from the nonzero
-`(col, value)` lists of its right factor (Gustavson, ACM TOMS 4, 1978),
-and elimination updates a row only at the pivot row's nonzero columns.
-Most matrices here are mostly zero, so almost every scalar product a dense
-loop would form has a zero factor.  The results are exact and equal to the
-dense ones, entry for entry.
+Over Q an entry is an `int` when it is integral and a `Fraction` only
+where it is not (`qq`; an integral Fraction is accepted too), so products
+and sums of integers stay ints.  No kernel applies `/` to two ints.
+
+Storage is dense (`data` is a tuple of row tuples).  A product is formed
+row by row from the nonzero `(col, value)` lists of its right factor
+(Gustavson, ACM TOMS 4, 1978).  Elimination over Q, behind `rref` (and so
+`rank`, `nullspace`, `solve`, `inverse`) and `det`, is one fraction-free
+Gauss-Jordan: each row is scaled by the lcm of its denominators, which
+leaves the reduced echelon form unchanged, the integer rows are reduced
+with Bareiss's exact divisions (Math. Comp. 22, 1968), and every entry is
+divided once at the end.  A row is touched only when it has a nonzero in
+the pivot column, as in Gauss-Jordan with field division, which F_p and
+number fields use.
 
 Each matrix also carries `zero`, the additive zero of its entry type: the
-one it is given, else `x - x` of its first entry, else (no entries)
-`Fraction(0)`.  Every matrix and scalar built here takes its zero and one
+one it is given, else `x - x` of its first entry, else (no entries) the
+rational 0.  Every matrix and scalar built here takes its zero and one
 from the operands, so a result keeps the entry type of its inputs even
 when it has no entries or is all zeros.  A matrix with no entries over
 another field must therefore be given its zero.
@@ -25,11 +32,39 @@ another field must therefore be given its zero.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import NotInvertible, ShapeMismatch
 
-QQ0 = Fraction(0)
+_RATIONAL = (int, Fraction)
+
+
+def qq(x):
+    """x (an int, a rational string or a Fraction) as an entry over Q:
+    an int when it is integral, else a Fraction."""
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(a: int, b: int):
+    """a / b over Q for ints a and b != 0: an int when b divides a."""
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _mat(rows: int, cols: int, data: tuple, zero) -> "Mat":
+    """A matrix from a tuple of row tuples built here: no check, no copy."""
+    m = _new(Mat)
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "data", data)
+    _set(m, "zero", zero)
+    return m
 
 
 class Mat:
@@ -42,11 +77,11 @@ class Mat:
             raise ShapeMismatch(f"data does not match shape {rows}x{cols}")
         data = tuple(tuple(r) for r in data)
         if zero is None:
-            zero = data[0][0] - data[0][0] if rows and cols else QQ0
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "zero", zero)
+            zero = data[0][0] - data[0][0] if rows and cols else 0
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "data", data)
+        _set(self, "zero", zero)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Mat is immutable")
@@ -59,18 +94,20 @@ class Mat:
         return Mat(rows, cols, data)
 
     @staticmethod
-    def zeros(rows: int, cols: int, zero=QQ0) -> "Mat":
-        return Mat(rows, cols, [[zero] * cols for _ in range(rows)], zero)
+    def zeros(rows: int, cols: int, zero=0) -> "Mat":
+        return _mat(rows, cols, ((zero,) * cols,) * rows, zero)
 
     @staticmethod
-    def identity(n: int, one=Fraction(1)) -> "Mat":
+    def identity(n: int, one=1) -> "Mat":
         zero = one - one
-        return Mat(n, n, [[one if i == j else zero for j in range(n)] for i in range(n)], zero)
+        return _mat(n, n, tuple(tuple([one if i == j else zero for j in range(n)])
+                                for i in range(n)), zero)
 
     @staticmethod
     def rational(data: Sequence[Sequence]) -> "Mat":
-        """Build a matrix of Fractions from ints/strings/Fractions."""
-        return Mat.from_rows([[Fraction(x) for x in row] for row in data])
+        """A matrix over Q from ints, rational strings and Fractions: each
+        entry an int when it is integral, else a Fraction (see `qq`)."""
+        return Mat.from_rows([[qq(x) for x in row] for row in data])
 
     # -- basics -------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -95,26 +132,27 @@ class Mat:
         return all(not x for row in self.data for x in row)
 
     def map(self, f: Callable) -> "Mat":
-        return Mat(self.rows, self.cols, [[f(x) for x in row] for row in self.data], f(self.zero))
+        return _mat(self.rows, self.cols, tuple(tuple([f(x) for x in row]) for row in self.data),
+                    f(self.zero))
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   [[self.data[r][c] for r in range(self.rows)] for c in range(self.cols)], self.zero)
+        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
+        return _mat(self.cols, self.rows, data, self.zero)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("add: shapes differ")
-        return Mat(self.rows, self.cols,
-                   [[(a + b if a else b) if b else a for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)], self.zero)
+        return _mat(self.rows, self.cols,
+                    tuple(tuple([(a + b if a else b) if b else a for a, b in zip(r1, r2)])
+                          for r1, r2 in zip(self.data, other.data)), self.zero)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("sub: shapes differ")
-        return Mat(self.rows, self.cols,
-                   [[(a - b if a else -b) if b else a for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.data, other.data)], self.zero)
+        return _mat(self.rows, self.cols,
+                    tuple(tuple([(a - b if a else -b) if b else a for a, b in zip(r1, r2)])
+                          for r1, r2 in zip(self.data, other.data)), self.zero)
 
     def __neg__(self) -> "Mat":
         return self.map(lambda x: -x)
@@ -133,8 +171,8 @@ class Mat:
                         for j, b in nonzero:
                             s = acc[j]
                             acc[j] = a * b if s is None else s + a * b
-                out.append([zero if s is None else s for s in acc])
-            return Mat(self.rows, width, out, zero)
+                out.append(tuple([zero if s is None else s for s in acc]))
+            return _mat(self.rows, width, tuple(out), zero)
         return self.map(lambda x: x * other)
 
     def __rmul__(self, scalar):
@@ -147,15 +185,15 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise ShapeMismatch("hstack: row counts differ")
-        return Mat(self.rows, self.cols + other.cols,
-                   [list(r1) + list(r2) for r1, r2 in zip(self.data, other.data)],
-                   self._stack_zero(other))
+        return _mat(self.rows, self.cols + other.cols,
+                    tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
+                    self._stack_zero(other))
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise ShapeMismatch("vstack: column counts differ")
-        return Mat(self.rows + other.rows, self.cols, list(self.data) + list(other.data),
-                   self._stack_zero(other))
+        return _mat(self.rows + other.rows, self.cols, self.data + other.data,
+                    self._stack_zero(other))
 
     def _stack_zero(self, other: "Mat"):
         """The zero of a stack: an operand with no entries may have been
@@ -165,56 +203,36 @@ class Mat:
     @staticmethod
     def block_diag(blocks: Sequence["Mat"]) -> "Mat":
         """The blocks down the diagonal, in the entry type of the first."""
-        zero = blocks[0].zero if blocks else QQ0
-        rows = sum(b.rows for b in blocks)
+        zero = blocks[0].zero if blocks else 0
         cols = sum(b.cols for b in blocks)
-        out = [[zero] * cols for _ in range(rows)]
-        r0 = c0 = 0
+        out = []
+        c0 = 0
         for b in blocks:
-            for r in range(b.rows):
-                for c in range(b.cols):
-                    out[r0 + r][c0 + c] = b.data[r][c]
-            r0 += b.rows
+            left, right = (zero,) * c0, (zero,) * (cols - c0 - b.cols)
+            out.extend(left + row + right for row in b.data)
             c0 += b.cols
-        return Mat(rows, cols, out, zero)
+        return _mat(len(out), cols, tuple(out), zero)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        return Mat(len(row_idx), len(col_idx),
-                   [[self.data[r][c] for c in col_idx] for r in row_idx], self.zero)
+        data = self.data
+        return _mat(len(row_idx), len(col_idx),
+                    tuple(tuple([data[r][c] for c in col_idx]) for r in row_idx), self.zero)
 
     def columns(self) -> list["Mat"]:
         return [self.submatrix(range(self.rows), [c]) for c in range(self.cols)]
 
     # -- reductions ---------------------------------------------------
+    def _reduce(self) -> tuple[tuple, list[int], object]:
+        """(RREF rows, pivot columns, det): det is the determinant when the
+        matrix is square and every column has a pivot."""
+        if self.zero.__class__ in _RATIONAL:
+            return _reduce_rational(self.data, self.cols)
+        return _reduce_field(self.data, self.cols, self.zero)
+
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        m = [list(r) for r in self.data]
-        pivots: list[int] = []
-        pr = 0
-        for pc in range(self.cols):
-            pivot_row = next((r for r in range(pr, self.rows) if m[r][pc]), None)
-            if pivot_row is None:
-                continue
-            m[pr], m[pivot_row] = m[pivot_row], m[pr]
-            row = m[pr]
-            inv = row[pc]
-            # entries left of pc are zero: earlier pivot columns are cleared,
-            # and the other columns had no nonzero from row pr down
-            pivot = []
-            for c in range(pc, self.cols):
-                if row[c]:
-                    row[c] = x = row[c] / inv
-                    pivot.append((c, x))
-            for r, target in enumerate(m):
-                f = target[pc]
-                if r != pr and f:
-                    for c, b in pivot:
-                        target[c] = target[c] - f * b
-            pivots.append(pc)
-            pr += 1
-            if pr == self.rows:
-                break
-        return Mat(self.rows, self.cols, m, self.zero), pivots
+        rows, pivots, _ = self._reduce()
+        return _mat(self.rows, self.cols, rows, self.zero), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -227,16 +245,12 @@ class Mat:
         zero = self.zero
         one = zero + 1
         red, pivots = self.rref()
-        free = [c for c in range(self.cols) if c not in pivots]
-        basis = []
-        for fc in free:
-            v = [zero] * self.cols
-            v[fc] = one
-            for pr, pc in enumerate(pivots):
-                v[pc] = -red.data[pr][fc]
-            basis.append(v)
-        return Mat(self.cols, len(basis),
-                   [[basis[k][r] for k in range(len(basis))] for r in range(self.cols)], zero)
+        pivot_row = dict(zip(pivots, red.data))
+        free = [c for c in range(self.cols) if c not in pivot_row]
+        unit = {fc: tuple([one if k == fc else zero for k in free]) for fc in free}
+        data = tuple(tuple([-pivot_row[c][fc] for fc in free]) if c in pivot_row else unit[c]
+                     for c in range(self.cols))
+        return _mat(self.cols, len(free), data, zero)
 
     def solve(self, rhs: "Mat"):
         """One solution X of self * X = rhs, or None if inconsistent.
@@ -245,16 +259,14 @@ class Mat:
         """
         if rhs.rows != self.rows:
             raise ShapeMismatch("solve: rhs row count differs")
-        aug = self.hstack(rhs)
-        red, pivots = aug.rref()
+        red, pivots = self.hstack(rhs).rref()
         n = self.cols
         if any(p >= n for p in pivots):
             return None
-        sol = [[self.zero] * rhs.cols for _ in range(n)]
-        for pr, pc in enumerate(pivots):
-            for c in range(rhs.cols):
-                sol[pc][c] = red.data[pr][n + c]
-        return Mat(n, rhs.cols, sol, self.zero)
+        pivot_row = dict(zip(pivots, red.data))
+        zeros = (self.zero,) * rhs.cols
+        data = tuple(pivot_row[c][n:] if c in pivot_row else zeros for c in range(n))
+        return _mat(n, rhs.cols, data, self.zero)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -271,30 +283,11 @@ class Mat:
         return self.rows == self.cols and self.rank() == self.rows
 
     def det(self):
-        """Determinant by Gaussian elimination with division (field entries)."""
+        """Determinant, from the same elimination as `rref`."""
         if self.rows != self.cols:
             raise ShapeMismatch("det of non-square matrix")
-        m = [list(r) for r in self.data]
-        n = self.rows
-        det = self.zero + 1
-        for pc in range(n):
-            pr = next((r for r in range(pc, n) if m[r][pc]), None)
-            if pr is None:
-                return self.zero
-            if pr != pc:
-                m[pc], m[pr] = m[pr], m[pc]
-                det = -det
-            row = m[pc]
-            lead = row[pc]
-            det = det * lead
-            # column pc below the pivot is never read again, so it is left as is
-            pivot = [(c, row[c]) for c in range(pc + 1, n) if row[c]]
-            for below in m[pc + 1:]:
-                if below[pc]:
-                    f = below[pc] / lead
-                    for c, b in pivot:
-                        below[c] = below[c] - f * b
-        return det
+        _, pivots, det = self._reduce()
+        return det if len(pivots) == self.rows else self.zero
 
     def trace(self):
         if self.rows != self.cols:
@@ -314,7 +307,8 @@ class Mat:
         m = Mat.identity(n, one)
         for k in range(1, n + 1):
             am = self * m
-            c = -am.trace() / k
+            t = am.trace()
+            c = _quotient(-t, k) if t.__class__ is int else -t / k
             coeffs.append(c)
             m = am._plus_scalar(c)
         return coeffs
@@ -324,6 +318,8 @@ class Mat:
         if self.rows != self.cols:
             raise ShapeMismatch("poly_eval of non-square matrix")
         one = self.zero + 1
+        if one.__class__ in _RATIONAL:
+            coeffs = [qq(c) for c in coeffs]
         out = Mat.zeros(self.rows, self.rows, self.zero)
         for c in coeffs:
             out = (out * self)._plus_scalar(c * one)
@@ -334,7 +330,7 @@ class Mat:
         data = [list(r) for r in self.data]
         for i, row in enumerate(data):
             row[i] = row[i] + c
-        return Mat(self.rows, self.cols, data, self.zero)
+        return _mat(self.rows, self.cols, tuple(map(tuple, data)), self.zero)
 
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
@@ -347,6 +343,90 @@ class Mat:
             base = base * base if k > 1 else base
             k >>= 1
         return out
+
+
+def _reduce_rational(data: tuple, cols: int) -> tuple[tuple, list[int], object]:
+    """`Mat._reduce` over Q: fraction-free Gauss-Jordan on the rows scaled
+    to integers.  Clearing column pc with pivot p takes every other row t
+    to (p * t - t[pc] * pivot row) / den, den the previous pivot; the
+    division is exact, as each entry is a minor.  A row with t[pc] = 0 is
+    only scaled by p / den, so it is left as it is and brought up to date
+    when a pivot column reaches it: row i holds its entries times
+    at[i] / den.  At the end every pivot entry is den, the determinant of
+    the scaled, row-swapped matrix when it is square of full rank."""
+    m, scale = [], 1
+    for row in data:
+        if all(x.__class__ is int for x in row):
+            m.append(list(row))
+            continue
+        s = lcm(*[x.denominator for x in row])
+        scale *= s
+        m.append([x.numerator * (s // x.denominator) for x in row])
+    at = [1] * len(m)
+    pivots: list[int] = []
+    swaps, den = 0, 1
+    for pc in range(cols):
+        pr = len(pivots)
+        r = next((r for r in range(pr, len(m)) if m[r][pc]), None)
+        if r is None:
+            continue
+        if r != pr:
+            m[pr], m[r] = m[r], m[pr]
+            at[pr], at[r] = at[r], at[pr]
+            swaps += 1
+        row = m[pr]
+        if at[pr] != den:
+            row = m[pr] = [x * den // at[pr] for x in row]
+        p = row[pc]
+        pivot = [(c, row[c]) for c in range(pc + 1, cols) if row[c]]
+        for i, target in enumerate(m):
+            if target[pc] and i != pr:
+                if at[i] != den:
+                    target = [x * den // at[i] for x in target]
+                f = target[pc]
+                new = [x * p // den for x in target] if p != den else target
+                for c, b in pivot:
+                    new[c] = (target[c] * p - f * b) // den
+                new[pc] = 0
+                m[i] = new
+                at[i] = p
+        at[pr] = den = p
+        pivots.append(pc)
+    rows = tuple(tuple([_quotient(x, s) for x in row]) if s != 1 else tuple(row)
+                 for row, s in zip(m, at))
+    return rows, pivots, _quotient(-den if swaps & 1 else den, scale)
+
+
+def _reduce_field(data: tuple, cols: int, zero) -> tuple[tuple, list[int], object]:
+    """`Mat._reduce` over F_p or a number field: Gauss-Jordan with division."""
+    m = [list(r) for r in data]
+    pivots: list[int] = []
+    det = zero + 1
+    for pc in range(cols):
+        pr = len(pivots)
+        r = next((r for r in range(pr, len(m)) if m[r][pc]), None)
+        if r is None:
+            continue
+        if r != pr:
+            m[pr], m[r] = m[r], m[pr]
+            det = -det
+        row = m[pr]
+        inv = row[pc]
+        det = det * inv
+        # entries left of pc are zero: earlier pivot columns are cleared,
+        # and the other columns had no nonzero from row pr down
+        pivot = []
+        for c in range(pc, cols):
+            if row[c]:
+                row[c] = x = row[c] / inv
+                pivot.append((c, x))
+        for i, target in enumerate(m):
+            f = target[pc]
+            if i != pr and f:
+                for c, b in pivot:
+                    target[c] = target[c] - f * b
+        pivots.append(pc)
+    return tuple(map(tuple, m)), pivots, det
 
 
 def column_space_contains(basis: Mat, vec: Mat) -> bool:

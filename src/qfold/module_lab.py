@@ -49,6 +49,7 @@ from .numberfield import (
     poly_derivative,
     poly_divmod,
     poly_gcd,
+    poly_str,
 )
 from .quiver_core import (  # ArrowInfo and invariant_orientation are re-exported
     ArrowInfo,
@@ -136,7 +137,7 @@ def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
 def _entry_zero(*mats: Mapping[str, Mat]):
     """The zero of the first matrix in the maps, else the rational zero."""
     first = next(chain.from_iterable(m.values() for m in mats), None)
-    return first.zero if first is not None else Fraction(0)
+    return first.zero if first is not None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,8 @@ def is_stable(m: FramedModule) -> bool:
     """No nonzero B-invariant graded subspace inside ker J."""
     rep = check_relations(m)
     if not rep.ok:
-        raise RelationViolation(f"preprojective relation fails at vertex {rep.vertex}")
+        raise RelationViolation(f"preprojective relation fails at vertex {rep.vertex}",
+                                vertex=rep.vertex)
     rows = _path_rows(m)
     return all(rows[x].rows == m.v.get(x, 0) for x in m.quiver.vertices)
 
@@ -244,13 +246,14 @@ def brute_stability(m: FramedModule) -> bool:
     p = one.p
     dims = [m.v.get(x, 0) for x in m.quiver.vertices]
     if any(d > 4 for d in dims):
-        raise TooLarge("per-vertex dimension exceeds 4")
+        raise TooLarge("per-vertex dimension exceeds 4", estimate=max(dims), cap=4)
     per_vertex = [_all_subspace_bases(d, p) for d in dims]
     total = 1
     for ps in per_vertex:
         total *= len(ps)
     if total > 500_000:
-        raise TooLarge(f"{total} graded subspaces is beyond the brute-force budget")
+        raise TooLarge(f"{total} graded subspaces is beyond the brute-force budget",
+                       estimate=total, cap=500_000)
 
     import itertools
     arrows = doubled_arrows(m.quiver)
@@ -455,7 +458,8 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat], sigma: SigmaData
     rep = check_relations(big)
     if not rep.ok:
         raise RelationViolation(
-            f"direct sum violates the relation at {rep.vertex}; framing cross terms must vanish")
+            f"direct sum violates the relation at {rep.vertex}; framing cross terms must vanish",
+            vertex=rep.vertex)
 
     gstar = star(g, sigma.auto)
     blocks = {}
@@ -654,24 +658,8 @@ def _eigen_counterexample(x: str, g_sub: Mat, defect: Mat) -> EigenInclusionRepo
         defect_k = defect.map(field.from_rational)
         for u in shift.nullspace().columns():
             if not (defect_k * u).is_zero():
-                lam = str(-factor[1]) if len(factor) == 2 else f"root of {_poly_str(factor)}"
+                lam = str(-factor[1]) if len(factor) == 2 else f"root of {poly_str(factor)}"
                 return EigenInclusionReport(False, x, lam,
                                             tuple(repr(u[r, 0]) for r in range(u.rows)))
     raise PropertyViolation(f"the defect at {x} vanishes on every eigenvector but not "
                             f"on their span")
-
-
-def _poly_str(coeffs: Sequence[Fraction]) -> str:
-    deg = len(coeffs) - 1
-    terms = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        power = deg - i
-        if power == 0:
-            terms.append(str(c))
-        elif power == 1:
-            terms.append(f"{c}*x" if c != 1 else "x")
-        else:
-            terms.append(f"{c}*x^{power}" if c != 1 else f"x^{power}")
-    return " + ".join(terms)

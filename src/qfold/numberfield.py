@@ -110,8 +110,10 @@ def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
 
 
 def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    a = poly_trim(a)
-    b = poly_trim(b)
+    """Quotient and remainder over Q, as Fractions; int coefficients are
+    read as Fractions, so no division below is one int by another."""
+    a = poly_trim(map(Fraction, a))
+    b = poly_trim(map(Fraction, b))
     if b == [Fraction(0)]:
         raise ZeroDivisionError("polynomial division by zero")
     q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
@@ -136,11 +138,29 @@ def poly_derivative(p: Sequence[Fraction]) -> list[Fraction]:
 
 
 def poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    """The monic greatest common divisor over Q, by Euclid; a and b not both zero."""
-    a, b = poly_trim(a), poly_trim(b)
+    """The monic greatest common divisor over Q, as Fractions, by Euclid;
+    a and b not both zero."""
+    a, b = poly_trim(map(Fraction, a)), poly_trim(map(Fraction, b))
     while b != [Fraction(0)]:
         a, b = b, poly_divmod(a, b)[1]
     return [c / a[0] for c in a]
+
+
+def poly_str(p: Sequence[Fraction], var: str = "x") -> str:
+    """p as text in the variable var, "0" when it is zero."""
+    deg = len(p) - 1
+    terms = []
+    for i, c in enumerate(p):
+        if not c:
+            continue
+        power = deg - i
+        if power == 0:
+            terms.append(str(c))
+        elif power == 1:
+            terms.append(f"{c}*{var}" if c != 1 else var)
+        else:
+            terms.append(f"{c}*{var}^{power}" if c != 1 else f"{var}^{power}")
+    return " + ".join(terms) or "0"
 
 
 @lru_cache(maxsize=None)
@@ -236,12 +256,7 @@ class NumberFieldElement:
         return self.field.from_rational(other)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        a, b = list(self.coeffs), list(o.coeffs)
-        n = max(len(a), len(b))
-        a = [Fraction(0)] * (n - len(a)) + a
-        b = [Fraction(0)] * (n - len(b)) + b
-        return NumberFieldElement(self.field, [x + y for x, y in zip(a, b)])
+        return self - (-self._coerce(other))
 
     __radd__ = __add__
 
@@ -249,7 +264,7 @@ class NumberFieldElement:
         return NumberFieldElement(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return NumberFieldElement(self.field, _poly_sub(self.coeffs, self._coerce(other).coeffs))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -295,20 +310,7 @@ class NumberFieldElement:
         return hash((self.field, self.coeffs))
 
     def __repr__(self):
-        n = "a"  # the generator
-        deg = len(self.coeffs) - 1
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            d = deg - i
-            if d == 0:
-                terms.append(str(c))
-            elif d == 1:
-                terms.append(f"{c}*{n}" if c != 1 else n)
-            else:
-                terms.append(f"{c}*{n}^{d}" if c != 1 else f"{n}^{d}")
-        return " + ".join(terms) if terms else "0"
+        return poly_str(self.coeffs, "a")  # in the generator a
 
 
 def _poly_sub(a, b):

@@ -29,6 +29,7 @@ from .errors import (
     InputError,
     NotAPermutation,
     NotAdmissible,
+    TooLarge,
 )
 
 
@@ -236,8 +237,11 @@ def orbit_data(q: Quiver, a: DiagramAutomorphism) -> OrbitData:
 # index bijections
 # ---------------------------------------------------------------------------
 
-def index_isomorphisms(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
-                       ) -> Iterator[tuple[int, ...]]:
+INDEX_SEARCH_CAP = 10 ** 7
+
+
+def index_isomorphisms(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]],
+                       cap: int = INDEX_SEARCH_CAP) -> Iterator[tuple[int, ...]]:
     """Every index bijection p, as a tuple, with a[i][j] == b[p[i]][p[j]]
     for two square integer matrices; the one search behind diagram
     isomorphism (adjacency matrices) and Cartan matrix classification.
@@ -246,6 +250,10 @@ def index_isomorphisms(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
     the same multiset of off-diagonal pairs (a[i][j], a[j][i]).  The most
     constrained index is placed next: the most nonzero links to indices
     already placed, then the fewest candidates.
+
+    TooLarge is raised before the search when its estimate exceeds `cap`:
+    the product of the candidate-list sizes, an index linked to one placed
+    before it counting at most the most links of an index of b.
     """
     n = len(a)
     if len(b) != n:
@@ -259,12 +267,19 @@ def index_isomorphisms(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
     if sorted(pa) != sorted(pb):
         return
     candidates = [[t for t in range(n) if pb[t] == pa[i]] for i in range(n)]
+    degree = max((sum(1 for u in range(n) if u != t and (b[t][u] or b[u][t])) for t in range(n)),
+                 default=0)
     order: list[int] = []
     links = [0] * n
+    estimate = 1
     for _ in range(n):
         i = min(set(range(n)) - set(order), key=lambda i: (-links[i], len(candidates[i]), i))
         order.append(i)
+        estimate *= min(len(candidates[i]), degree) if links[i] else len(candidates[i])
         links = [links[j] + bool(a[i][j] or a[j][i]) for j in range(n)]
+    if estimate > cap:
+        raise TooLarge(f"the index search may reach {estimate} assignments, beyond the cap "
+                       f"of {cap}", estimate=estimate, cap=cap)
 
     image, used = [0] * n, [False] * n
 

@@ -10,11 +10,10 @@ malformed document.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import InputError
-from .linalg import Mat
+from .linalg import Mat, qq
 from .module_lab import FramedModule, SigmaData, TransitionWitness, framed_module
 from .quiver_core import DiagramAutomorphism, Quiver
 
@@ -46,14 +45,15 @@ def mat_to_obj(m: Mat) -> dict:
     }
 
 
-def _entry(value) -> Fraction:
-    """A matrix entry given as a JSON integer or a rational string.  A JSON
-    float or boolean is refused (the float 0.1 is not 1/10), and so is an
-    exponent: "1e999999999" would build a billion-digit integer."""
+def _entry(value):
+    """A matrix entry given as a JSON integer or a rational string, as an
+    int when it is integral, else a Fraction (`linalg.qq`).  A JSON float or
+    boolean is refused (the float 0.1 is not 1/10), and so is an exponent:
+    "1e999999999" would build a billion-digit integer."""
     if isinstance(value, bool) or not isinstance(value, (int, str)) \
             or (isinstance(value, str) and "e" in value.lower()):
         raise InputError(f"matrix entries must be integers or rational strings, got {value!r}")
-    return Fraction(value)
+    return qq(value)
 
 
 def mat_from_obj(obj) -> Mat:

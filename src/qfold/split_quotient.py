@@ -248,7 +248,8 @@ def fibers_of_p(v: DimVec, sd: SplitData) -> list[dict[str, int]]:
         raise NotOrbitConstant("dimension vector is not constant on vertex orbits")
     count = fiber_count(v, sd)
     if count > FIBER_CAP:
-        raise TooLarge(f"the fiber has {count} split dimension vectors, beyond the cap of {FIBER_CAP}")
+        raise TooLarge(f"the fiber has {count} split dimension vectors, beyond the cap of {FIBER_CAP}",
+                       estimate=count, cap=FIBER_CAP)
 
     per_orbit: list[list[tuple[int, ...]]] = []
     slots: list[list[str]] = []

@@ -479,3 +479,46 @@ def test_matrix_map_key_naming_no_vertex_is_refused(tmp_path, capsys, action, fi
     assert main(["module", action, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "'zz'" in err, err
+
+
+def test_main_builds_the_parser_once_and_calls_share_nothing(capsys, monkeypatch):
+    argv = ["split", "--corpus", "A3-flip"]
+    run(capsys, *argv)
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("the parser was built again"))
+    code, as_json = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(as_json)
+    code, plain = run(capsys, *argv)
+    assert code == 0 and plain != as_json and not plain.startswith("{")
+    seen = []
+    monkeypatch.setitem(cli.COMMANDS, "split", lambda args: seen.append((args.seed, args.json)))
+    for flags in (["--seed", "5", "--json", *argv], argv, [*argv, "--seed", "5"], argv,
+                  [*argv, "--json"], ["--seed", "7", *argv], argv):
+        main(flags)
+    assert seen == [(5, True), (0, False), (5, False), (0, False), (0, True), (7, False),
+                    (0, False)]
+
+
+def test_too_large_json_error_states_estimate_and_cap(capsys):
+    code = main(["dims", "--corpus", "D4-rot3", "--v", "1000,1000,1000,1000", "--w", "0,0,0,0",
+                 "--json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"error": {
+        "type": "TooLarge", "estimate": 501501, "cap": 100000,
+        "message": "the fiber has 501501 split dimension vectors, beyond the cap of 100000"}}
+
+
+def test_relation_violation_json_error_names_the_vertex(tmp_path, capsys):
+    doc = module_doc()
+    doc["module"]["I"]["1"] = {"rows": 1, "cols": 1, "data": [["1"]]}   # I J != 0 at vertex 1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    code = main(["module", "transition", str(path), "--json"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    assert json.loads(captured.out) == {"error": {
+        "type": "RelationViolation", "vertex": "1",
+        "message": "preprojective relation fails at vertex 1"}}
+    # without --json the error is the same one line as before
+    assert main(["module", "transition", str(path)]) == 1
+    assert capsys.readouterr().err == "error: preprojective relation fails at vertex 1\n"

@@ -158,9 +158,13 @@ def test_block_diag_fills_with_number_field_zeros():
 ZETA3 = NumberField(cyclotomic_poly(3))
 ENTRY_MAKERS = {
     "Q": lambda a, b: Fraction(a),
+    "Q ints": lambda a, b: a,
+    # ints, halves and integral Fractions side by side
+    "Q mixed": lambda a, b: a if b == 0 else Fraction(a, 2) if b == 1 else Fraction(a),
     "F5": lambda a, b: Fp(a, 5),
     "Q(zeta3)": lambda a, b: ZETA3.element([Fraction(a), Fraction(b)]),
 }
+RATIONAL = (int, Fraction)
 
 
 @st.composite
@@ -180,11 +184,20 @@ def typed_matrices(draw):
 
 
 def same_field(x, zero) -> bool:
+    """x lies in the field of zero; over Q an entry is an int or a Fraction
+    (never a float)."""
+    if type(zero) in RATIONAL:
+        return type(x) in RATIONAL
     return type(x) is type(zero) and getattr(x, "p", None) == getattr(zero, "p", None) \
         and getattr(x, "field", None) == getattr(zero, "field", None)
 
 
-@settings(max_examples=80, derandomize=True, deadline=None)
+def canonical(x) -> bool:
+    """An entry over Q made from ints: an int when integral."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
 @given(typed_matrices())
 def test_operations_keep_the_entry_type(case):
     zero, a, b = case
@@ -200,11 +213,36 @@ def test_operations_keep_the_entry_type(case):
         mats.append(solved)
     if a.is_invertible():
         mats.append(a.inverse())
+    scalars = [a.det(), a.trace(), *a.charpoly()]
     for mat in mats:
         assert same_field(mat.zero, zero) and not mat.zero, mat
         assert all(same_field(x, zero) for row in mat.data for x in row), mat
-    for scalar in [a.det(), a.trace(), *a.charpoly()]:
+    for scalar in scalars:
         assert same_field(scalar, zero), scalar
+    if type(zero) is int and all(type(x) is int for m in (a, b) for r in m.data for x in r):
+        # integer inputs: integral results are ints, however they were reached
+        assert all(canonical(x) for mat in mats for row in mat.data for x in row), mats
+        assert all(canonical(x) for x in scalars), scalars
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), Fp(0, 5), ZETA3.zero],
+                         ids=["int", "Fraction", "F5", "Q(zeta3)"])
+def test_empty_matrices_keep_their_field(zero):
+    """The rational kernels are picked by the entry type, not by a scan of
+    the entries: a matrix with no entries over F_5 stays over F_5."""
+    one = zero + 1
+    empty = Mat(0, 0, [], zero)
+    assert same_field(empty.det(), zero) and empty.det() == one
+    assert same_field(empty.trace(), zero) and not empty.trace()
+    assert [same_field(c, zero) for c in empty.charpoly()] == [True]
+    assert empty.inverse() == empty and same_field(empty.inverse().zero, zero)
+    wide = Mat(0, 3, [], zero)
+    assert wide.rref() == (wide, []) and same_field(wide.rref()[0].zero, zero)
+    assert wide.nullspace() == Mat.identity(3, one)
+    assert all(same_field(x, zero) for r in wide.nullspace().data for x in r)
+    tall = Mat(3, 0, [[]] * 3, zero)
+    assert tall.nullspace().cols == 0 and same_field(tall.nullspace().zero, zero)
+    assert same_field(tall.solve(Mat.zeros(3, 1, zero)).zero, zero)
 
 
 def test_stacking_onto_an_empty_matrix_takes_the_other_zero():
@@ -378,15 +416,97 @@ def assert_same(got, want, what):
     assert all(same_field(x, y) for x, y in zip(got, want)), what
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+def as_fractions(m: Mat) -> Mat:
+    """m over Q with every entry a Fraction, as the dense oracle wants it
+    (its divisions would make floats of ints)."""
+    return m.map(Fraction) if type(m.zero) in RATIONAL else m
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(sparse_cases())
 def test_sparse_kernels_match_the_dense_oracle(case):
     sparse = kernel_results(*case)
     with dense_kernels():
-        dense = kernel_results(*case)
+        dense = kernel_results(*map(as_fractions, case))
     assert sparse.keys() == dense.keys()
     for what, want in dense.items():
         if want is None:
             assert sparse[what] is None, what
         else:
             assert_same(sparse[what], want, what)
+
+
+def _random_rational_matrix(rng, rows, cols, rank, denominators):
+    """A rows x cols matrix, over ints or with halves and thirds: of rank
+    at most `rank`, as a product of two random factors with entries in
+    -2..2, or (rank None) with a third of its entries nonzero; some rows
+    are left zero."""
+    def entry():
+        x = rng.randint(-2, 2)
+        return Fraction(x, rng.choice(denominators)) if len(denominators) > 1 else x
+    if rank is None:
+        data = [[entry() if rng.random() < 0.35 else 0 for _ in range(cols)]
+                for _ in range(rows)]
+    else:
+        left = [[entry() for _ in range(rank)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(rank)]
+        data = [[sum((l * r for l, r in zip(lrow, col)), 0) for col in zip(*right)] if rank
+                else [0] * cols for lrow in left]
+    for r in rng.sample(range(rows), rng.randint(0, rows // 3)) if rows else []:
+        data[r] = [0] * cols
+    return Mat(rows, cols, data, 0)
+
+
+def test_integer_elimination_matches_the_fraction_oracle():
+    """Fraction-free elimination over Q against the former Gauss-Jordan on
+    Fractions: rref, pivots, rank, nullspace, det and inverse, on integer
+    and fractional matrices up to 7 x 9 of every rank, and sparse ones up
+    to 12 x 14."""
+    import random
+    rng = random.Random(12)
+    for trial in range(800):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 9)
+        if trial % 5 == 4:
+            rows, cols = rng.randint(4, 12), rng.randint(4, 14)
+        if trial % 3 == 0:
+            cols = rows
+        rank = None if trial % 5 == 4 else rng.randint(0, min(rows, cols))
+        m = _random_rational_matrix(rng, rows, cols, rank, [1] if trial % 2 else [1, 2, 3])
+        want_red, want_pivots = dense_rref(as_fractions(m))
+        want_det = dense_det(as_fractions(m)) if rows == cols else None
+        red, pivots = m.rref()
+        assert pivots == want_pivots and red == want_red, m
+        assert all(same_field(x, 0) for r in red.data for x in r), red
+        if trial % 2:
+            assert all(canonical(x) for r in red.data for x in r), red
+        assert m.rank() == len(want_pivots)
+        assert (m * m.nullspace()).is_zero() and m.nullspace().cols == cols - len(pivots)
+        if rows == cols:
+            det = m.det()
+            assert det == want_det and same_field(det, 0), (m, det, want_det)
+            if det:
+                assert m * m.inverse() == Mat.identity(rows)
+
+
+def test_integer_charpoly_feeds_the_polynomial_helpers():
+    """The integer coefficients of a characteristic polynomial go through
+    gcd, division and the eigenvector span exactly, with no float."""
+    from qfold.module_lab import eigenvector_span
+    from qfold.numberfield import poly_derivative, poly_divmod, poly_gcd
+
+    g = Mat.rational([[2, 1, 0], [0, 2, 0], [0, 0, 3]])          # diag(J2(2), 3)
+    chi = g.charpoly()
+    assert chi == [1, -7, 16, -12] and all(type(c) is int for c in chi)
+    gcd = poly_gcd(chi, poly_derivative(chi))
+    assert gcd == [1, -2] and all(type(c) is Fraction for c in gcd)
+    r, rem = poly_divmod(chi, gcd)
+    assert r == [1, -5, 6] and rem == [0]
+    assert all(type(c) is Fraction for c in r + rem)
+    q, rem = poly_divmod(chi, [1, -3])          # both int: still no float
+    assert q == [1, -4, 4] and rem == [0]
+    assert all(type(c) is Fraction for c in q + rem)
+    monic = poly_gcd([2, -6], [1, -3])         # Euclid ends on an int input
+    assert monic == [1, -3] and all(type(c) is Fraction for c in monic)
+    span = eigenvector_span(g)
+    assert span.cols == 2 and (g.poly_eval(r) * span).is_zero()
+    assert all(canonical(x) for row in span.data for x in row), span

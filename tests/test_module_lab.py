@@ -34,11 +34,10 @@ from qfold.generators import (
     random_theta_module,
 )
 from qfold.linalg import Mat, column_space_contains
-from qfold.numberfield import Fp, NumberField, factor_rational_poly
+from qfold.numberfield import Fp, NumberField, factor_rational_poly, poly_str
 from qfold.module_lab import (
     EigenInclusionReport,
     FramedModule,
-    _poly_str,
     SigmaData,
     TransitionWitness,
     act,
@@ -806,7 +805,7 @@ def per_factor_report(xi, m_sub, m, witness_sub, witness):
                 for u in shift_sub.nullspace().columns():
                     if not (shift_big * (xi_k * u)).is_zero():
                         return EigenInclusionReport(
-                            False, x, f"root of {_poly_str(factor)}",
+                            False, x, f"root of {poly_str(factor)}",
                             tuple(repr(u[r, 0]) for r in range(u.rows)))
     return EigenInclusionReport(True)
 

@@ -354,3 +354,48 @@ def test_index_isomorphisms_on_asymmetric_matrices():
         assert len(got) == len(set(got)) and set(got) == brute, (a, b)
         hits += bool(brute)
     assert hits >= 300
+
+
+def test_index_search_budget():
+    """Every corpus diagram and Cartan matrix, and E6, E7, E8 and F4, stay
+    under the index search's cap with room to spare; a cap one below a
+    search's estimate refuses it before it starts, stating both."""
+    from qfold.corpus import corpus
+    from qfold.errors import TooLarge
+    from qfold.lie_fold import canonical_cartan, cartan_from_quiver, fold_cartan
+    from qfold.quiver_core import INDEX_SEARCH_CAP, index_isomorphisms
+    from qfold.split_quotient import quotient_quiver, split_quiver
+
+    def adjacency(q):
+        return [[oracle_adjacency(q)[v].get(w, 0) for w in q.vertices] for v in q.vertices]
+
+    def estimate(m):
+        with pytest.raises(TooLarge) as info:
+            next(index_isomorphisms(m, m, cap=0))
+        assert info.value.context["cap"] == 0
+        return info.value.context["estimate"]
+
+    matrices = {}
+    for entry in corpus():
+        q, a = entry.quiver, entry.auto
+        matrices[entry.name] = adjacency(q)
+        matrices[entry.name + " Cartan"] = cartan_from_quiver(q).entries
+        if is_admissible(q, a):
+            matrices[entry.name + " split"] = adjacency(split_quiver(q, a).split)
+            matrices[entry.name + " quotient"] = adjacency(quotient_quiver(q, a))
+            matrices[entry.name + " folded"] = fold_cartan(cartan_from_quiver(q), a).folded.entries
+    for family, n in [("E", 6), ("E", 7), ("E", 8), ("F", 4)]:
+        matrices[f"{family}{n}"] = canonical_cartan(family, n).entries
+    estimates = {name: estimate(m) for name, m in matrices.items()}
+    assert all(1 <= e <= INDEX_SEARCH_CAP // 1000 for e in estimates.values()), estimates
+    for name, m in matrices.items():
+        assert next(index_isomorphisms(m, m)) is not None, name
+
+    # the affine A3 cycle of the corpus: its estimate is the cap it needs
+    cycle = matrices["affineA3-rot"]
+    need = estimates["affineA3-rot"]
+    assert len(list(index_isomorphisms(cycle, cycle, cap=need))) == 8
+    with pytest.raises(TooLarge) as info:
+        next(index_isomorphisms(cycle, cycle, cap=need - 1))
+    assert info.value.context == {"estimate": need, "cap": need - 1}
+    assert f"{need} assignments" in str(info.value) and f"cap of {need - 1}" in str(info.value)
