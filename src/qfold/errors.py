@@ -8,9 +8,9 @@ all of them inherit from QfoldError so a CLI can map them to exit code 1
 
 class QfoldError(Exception):
     """Base class for all qfold errors.  Keyword arguments are context
-    fields kept in `context` (a `TooLarge` states its `estimate` and `cap`,
-    a `RelationViolation` its `vertex`); the CLI adds them to its --json
-    error object."""
+    fields kept in `context` (a `TooLarge` from a size cap states its
+    `estimate` and `cap`, a `RelationViolation` its `vertex`); the CLI adds
+    them to its --json error object."""
 
     def __init__(self, *args, **context):
         super().__init__(*args)

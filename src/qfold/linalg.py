@@ -429,8 +429,8 @@ def _reduce_field(data: tuple, cols: int, zero) -> tuple[tuple, list[int], objec
     return tuple(map(tuple, m)), pivots, det
 
 
-def column_space_contains(basis: Mat, vec: Mat) -> bool:
-    """True iff vec (a column) lies in the span of basis's columns."""
+def column_space_contains(basis: Mat, vecs: Mat) -> bool:
+    """True iff every column of vecs lies in the span of basis's columns."""
     if basis.cols == 0:
-        return vec.is_zero()
-    return basis.hstack(vec).rank() == basis.rank()
+        return vecs.is_zero()
+    return basis.hstack(vecs).rank() == basis.rank()

@@ -263,17 +263,8 @@ def brute_stability(m: FramedModule) -> bool:
             continue
         if any((m.J[x] * spaces[x]).rank() for x in m.quiver.vertices):
             continue
-        invariant = True
-        for info in arrows:
-            image = m.B[info.key] * spaces[info.src]
-            for col in range(image.cols):
-                vec = image.submatrix(range(image.rows), [col])
-                if not column_space_contains(spaces[info.tgt], vec):
-                    invariant = False
-                    break
-            if not invariant:
-                break
-        if invariant:
+        if all(column_space_contains(spaces[info.tgt], m.B[info.key] * spaces[info.src])
+               for info in arrows):
             return False
     return True
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import NotInvertible, PropertyViolation
@@ -256,7 +257,7 @@ class NumberFieldElement:
         return self.field.from_rational(other)
 
     def __add__(self, other):
-        return self - (-self._coerce(other))
+        return NumberFieldElement(self.field, _poly_add(self.coeffs, self._coerce(other).coeffs))
 
     __radd__ = __add__
 
@@ -313,8 +314,9 @@ class NumberFieldElement:
         return poly_str(self.coeffs, "a")  # in the generator a
 
 
+def _poly_add(a, b):
+    return [x + y for x, y in zip_longest(a[::-1], b[::-1], fillvalue=Fraction(0))][::-1]
+
+
 def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = [Fraction(0)] * (n - len(a)) + list(a)
-    b = [Fraction(0)] * (n - len(b)) + list(b)
-    return [x - y for x, y in zip(a, b)]
+    return [x - y for x, y in zip_longest(a[::-1], b[::-1], fillvalue=Fraction(0))][::-1]

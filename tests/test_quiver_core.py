@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -356,10 +357,11 @@ def test_index_isomorphisms_on_asymmetric_matrices():
     assert hits >= 300
 
 
-def test_index_search_budget():
+def test_index_search_budget(monkeypatch):
     """Every corpus diagram and Cartan matrix, and E6, E7, E8 and F4, stay
     under the index search's cap with room to spare; a cap one below a
     search's estimate refuses it before it starts, stating both."""
+    from qfold import quiver_core
     from qfold.corpus import corpus
     from qfold.errors import TooLarge
     from qfold.lie_fold import canonical_cartan, cartan_from_quiver, fold_cartan
@@ -369,11 +371,17 @@ def test_index_search_budget():
     def adjacency(q):
         return [[oracle_adjacency(q)[v].get(w, 0) for w in q.vertices] for v in q.vertices]
 
-    def estimate(m):
+    def refusal(m, cap):
+        monkeypatch.setattr(quiver_core, "INDEX_SEARCH_CAP", cap)
         with pytest.raises(TooLarge) as info:
-            next(index_isomorphisms(m, m, cap=0))
-        assert info.value.context["cap"] == 0
-        return info.value.context["estimate"]
+            next(index_isomorphisms(m, m))
+        monkeypatch.setattr(quiver_core, "INDEX_SEARCH_CAP", INDEX_SEARCH_CAP)
+        return info.value
+
+    def estimate(m):
+        error = refusal(m, 0)
+        assert error.context["cap"] == 0
+        return error.context["estimate"]
 
     matrices = {}
     for entry in corpus():
@@ -388,14 +396,31 @@ def test_index_search_budget():
         matrices[f"{family}{n}"] = canonical_cartan(family, n).entries
     estimates = {name: estimate(m) for name, m in matrices.items()}
     assert all(1 <= e <= INDEX_SEARCH_CAP // 1000 for e in estimates.values()), estimates
-    for name, m in matrices.items():
-        assert next(index_isomorphisms(m, m)) is not None, name
+    for name, m in matrices.items():  # the estimate bounds the bijections found
+        assert 1 <= len(list(index_isomorphisms(m, m))) <= estimates[name], name
 
     # the affine A3 cycle of the corpus: its estimate is the cap it needs
     cycle = matrices["affineA3-rot"]
     need = estimates["affineA3-rot"]
-    assert len(list(index_isomorphisms(cycle, cycle, cap=need))) == 8
-    with pytest.raises(TooLarge) as info:
-        next(index_isomorphisms(cycle, cycle, cap=need - 1))
-    assert info.value.context == {"estimate": need, "cap": need - 1}
-    assert f"{need} assignments" in str(info.value) and f"cap of {need - 1}" in str(info.value)
+    monkeypatch.setattr(quiver_core, "INDEX_SEARCH_CAP", need)
+    assert len(list(index_isomorphisms(cycle, cycle))) == 8
+    error = refusal(cycle, need - 1)
+    assert error.context == {"estimate": need, "cap": need - 1}
+    assert f"{need} assignments" in str(error) and f"cap of {need - 1}" in str(error)
+
+    # with no links the estimate is the number of bijections
+    for n in range(6):
+        assert estimate([[0] * n for _ in range(n)]) == math.factorial(n)
+
+
+@pytest.mark.parametrize("label", ["A30", "D30", "affine-A30"])
+def test_long_chains_and_cycles_stay_under_the_index_budget(label):
+    """A path, a forked path and a cycle of rank about 30 are classified at
+    once: an index linked to a placed one has at most the links left free."""
+    from qfold.lie_fold import canonical_cartan, cartan_from_quiver, classify_cartan
+
+    if label.startswith("affine"):
+        c = cartan_from_quiver(affine_a_quiver(30))
+    else:
+        c = canonical_cartan(label[0], 30)
+    assert str(classify_cartan(c)) == label
