@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
 
 from .corpus import corpus_entry
 from .dim_calc import fixed_components
@@ -45,6 +46,7 @@ from .quiver_core import (
 )
 from .rep_branch import branch, highest_weight_from_framing, weyl_dim
 from .serialize import (
+    check_matrix_budget,
     dim_entry,
     json_object,
     matmap_from_obj,
@@ -72,12 +74,16 @@ def _load_entry(args) -> tuple[Quiver, DiagramAutomorphism]:
         entry = corpus_entry(args.corpus)
         return entry.quiver, entry.auto
     if args.file:
-        text = sys.stdin.read() if args.file == "-" else open(args.file).read()
-        q, a = quiver_from_dict(json.loads(text))
+        q, a = quiver_from_dict(json.loads(_read_text(args.file)))
         if a is None:
             raise InputError("input JSON has no automorphism block")
         return q, a
     raise InputError("supply --corpus NAME or --file PATH")
+
+
+def _read_text(path: str) -> str:
+    """The text of the file at path, or of standard input for "-"."""
+    return sys.stdin.read() if path == "-" else Path(path).read_text()
 
 
 class _StdoutClosed(Exception):
@@ -211,6 +217,7 @@ def cmd_dims(args) -> int:
         w_split = _parse_dimvec(args.w_split, sd.split.vertices, "--w-split")
     elif args.w:
         w = _parse_dimvec(args.w, q.vertices, "--w")
+        check_matrix_budget({}, w)
         w_split = split_framing(identity_sigma(q, a, w), sd)
     else:
         raise InputError("supply --w-split or --w")
@@ -226,8 +233,7 @@ def cmd_dims(args) -> int:
 
 
 def _load_module_file(path: str) -> dict:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return json_object(json.loads(text), "a module file")
+    return json_object(json.loads(_read_text(path)), "a module file")
 
 
 def cmd_module(args) -> int:

@@ -1,10 +1,11 @@
 """Exact linear algebra over an arbitrary field.
 
 Matrices are immutable and generic over the entry type: anything with
-field arithmetic (+, -, *, /, ==, bool) works, so the same code runs over
-Q, prime fields (`qfold.numberfield.Fp`) and number fields
-(`qfold.numberfield.NumberFieldElement`).  Zero-row and zero-column
-matrices are first-class citizens; shape is always carried explicitly.
+field arithmetic (+, -, *, /, ==, bool) and exact division `//` works, so
+the same code runs over Q, prime fields (`qfold.numberfield.Fp`) and
+number fields (`qfold.numberfield.NumberFieldElement`), where `//` is `/`.
+Zero-row and zero-column matrices are first-class citizens; shape is
+always carried explicitly.
 
 Over Q an entry is an `int` when it is integral and a `Fraction` only
 where it is not (`qq`; an integral Fraction is accepted too), so products
@@ -12,14 +13,13 @@ and sums of integers stay ints.  No kernel applies `/` to two ints.
 
 Storage is dense (`data` is a tuple of row tuples).  A product is formed
 row by row from the nonzero `(col, value)` lists of its right factor
-(Gustavson, ACM TOMS 4, 1978).  Elimination over Q, behind `rref` (and so
+(Gustavson, ACM TOMS 4, 1978).  Elimination, behind `rref` (and so
 `rank`, `nullspace`, `solve`, `inverse`) and `det`, is one fraction-free
-Gauss-Jordan: each row is scaled by the lcm of its denominators, which
-leaves the reduced echelon form unchanged, the integer rows are reduced
-with Bareiss's exact divisions (Math. Comp. 22, 1968), and every entry is
-divided once at the end.  A row is touched only when it has a nonzero in
-the pivot column, as in Gauss-Jordan with field division, which F_p and
-number fields use.
+Gauss-Jordan for every field, with Bareiss's exact divisions (Math. Comp.
+22, 1968).  Over Q each row is first scaled by the lcm of its
+denominators, which leaves the reduced echelon form unchanged, so the
+rows are reduced as ints, and every entry is divided once at the end.  A
+row is touched only when it has a nonzero in the pivot column.
 
 Each matrix also carries `zero`, the additive zero of its entry type: the
 one it is given, else `x - x` of its first entry, else (no entries) the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import truediv
 from typing import Callable, Sequence
 
 from .errors import NotInvertible, ShapeMismatch
@@ -224,10 +225,57 @@ class Mat:
     # -- reductions ---------------------------------------------------
     def _reduce(self) -> tuple[tuple, list[int], object]:
         """(RREF rows, pivot columns, det): det is the determinant when the
-        matrix is square and every column has a pivot."""
-        if self.zero.__class__ in _RATIONAL:
-            return _reduce_rational(self.data, self.cols)
-        return _reduce_field(self.data, self.cols, self.zero)
+        matrix is square and every column has a pivot.
+
+        Clearing column pc with pivot p takes every other row t to
+        (p * t - t[pc] * pivot row) // den, den the previous pivot; the
+        division is exact, as each entry is a minor.  A row with t[pc] = 0
+        is only scaled by p / den, so it is left as it is and brought up to
+        date when a pivot column reaches it: row i holds its entries times
+        at[i] / den.  At the end every pivot entry is den, the determinant
+        of the scaled, row-swapped matrix when it is square of full rank."""
+        rational = self.zero.__class__ in _RATIONAL
+        m, scale = [], 1
+        for row in self.data:
+            if not rational or all(x.__class__ is int for x in row):
+                m.append(list(row))
+                continue
+            s = lcm(*[x.denominator for x in row])
+            scale *= s
+            m.append([x.numerator * (s // x.denominator) for x in row])
+        zero, den, div = (0, 1, _quotient) if rational else (self.zero, self.zero + 1, truediv)
+        at = [den] * len(m)
+        pivots, swaps = [], 0
+        for pc in range(self.cols):
+            pr = len(pivots)
+            r = next((r for r in range(pr, len(m)) if m[r][pc]), None)
+            if r is None:
+                continue
+            if r != pr:
+                m[pr], m[r] = m[r], m[pr]
+                at[pr], at[r] = at[r], at[pr]
+                swaps += 1
+            row = m[pr]
+            if at[pr] != den:
+                row = m[pr] = [x * den // at[pr] for x in row]
+            p = row[pc]
+            pivot = [(c, row[c]) for c in range(pc + 1, self.cols) if row[c]]
+            for i, target in enumerate(m):
+                if target[pc] and i != pr:
+                    if at[i] != den:
+                        target = [x * den // at[i] for x in target]
+                    f = target[pc]
+                    new = [x * p // den if x else x for x in target] if p != den else target
+                    for c, b in pivot:
+                        new[c] = (target[c] * p - f * b) // den
+                    new[pc] = zero
+                    m[i] = new
+                    at[i] = p
+            at[pr] = den = p
+            pivots.append(pc)
+        rows = tuple(tuple([div(x, s) for x in row]) if s != 1 else tuple(row)
+                     for row, s in zip(m, at))
+        return rows, pivots, div(-den if swaps & 1 else den, scale)
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form; returns (matrix, pivot column list)."""
@@ -343,90 +391,6 @@ class Mat:
             base = base * base if k > 1 else base
             k >>= 1
         return out
-
-
-def _reduce_rational(data: tuple, cols: int) -> tuple[tuple, list[int], object]:
-    """`Mat._reduce` over Q: fraction-free Gauss-Jordan on the rows scaled
-    to integers.  Clearing column pc with pivot p takes every other row t
-    to (p * t - t[pc] * pivot row) / den, den the previous pivot; the
-    division is exact, as each entry is a minor.  A row with t[pc] = 0 is
-    only scaled by p / den, so it is left as it is and brought up to date
-    when a pivot column reaches it: row i holds its entries times
-    at[i] / den.  At the end every pivot entry is den, the determinant of
-    the scaled, row-swapped matrix when it is square of full rank."""
-    m, scale = [], 1
-    for row in data:
-        if all(x.__class__ is int for x in row):
-            m.append(list(row))
-            continue
-        s = lcm(*[x.denominator for x in row])
-        scale *= s
-        m.append([x.numerator * (s // x.denominator) for x in row])
-    at = [1] * len(m)
-    pivots: list[int] = []
-    swaps, den = 0, 1
-    for pc in range(cols):
-        pr = len(pivots)
-        r = next((r for r in range(pr, len(m)) if m[r][pc]), None)
-        if r is None:
-            continue
-        if r != pr:
-            m[pr], m[r] = m[r], m[pr]
-            at[pr], at[r] = at[r], at[pr]
-            swaps += 1
-        row = m[pr]
-        if at[pr] != den:
-            row = m[pr] = [x * den // at[pr] for x in row]
-        p = row[pc]
-        pivot = [(c, row[c]) for c in range(pc + 1, cols) if row[c]]
-        for i, target in enumerate(m):
-            if target[pc] and i != pr:
-                if at[i] != den:
-                    target = [x * den // at[i] for x in target]
-                f = target[pc]
-                new = [x * p // den for x in target] if p != den else target
-                for c, b in pivot:
-                    new[c] = (target[c] * p - f * b) // den
-                new[pc] = 0
-                m[i] = new
-                at[i] = p
-        at[pr] = den = p
-        pivots.append(pc)
-    rows = tuple(tuple([_quotient(x, s) for x in row]) if s != 1 else tuple(row)
-                 for row, s in zip(m, at))
-    return rows, pivots, _quotient(-den if swaps & 1 else den, scale)
-
-
-def _reduce_field(data: tuple, cols: int, zero) -> tuple[tuple, list[int], object]:
-    """`Mat._reduce` over F_p or a number field: Gauss-Jordan with division."""
-    m = [list(r) for r in data]
-    pivots: list[int] = []
-    det = zero + 1
-    for pc in range(cols):
-        pr = len(pivots)
-        r = next((r for r in range(pr, len(m)) if m[r][pc]), None)
-        if r is None:
-            continue
-        if r != pr:
-            m[pr], m[r] = m[r], m[pr]
-            det = -det
-        row = m[pr]
-        inv = row[pc]
-        det = det * inv
-        # entries left of pc are zero: earlier pivot columns are cleared,
-        # and the other columns had no nonzero from row pr down
-        pivot = []
-        for c in range(pc, cols):
-            if row[c]:
-                row[c] = x = row[c] / inv
-                pivot.append((c, x))
-        for i, target in enumerate(m):
-            f = target[pc]
-            if i != pr and f:
-                for c, b in pivot:
-                    target[c] = target[c] - f * b
-        pivots.append(pc)
-    return tuple(map(tuple, m)), pivots, det
 
 
 def column_space_contains(basis: Mat, vecs: Mat) -> bool:

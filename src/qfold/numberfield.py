@@ -27,8 +27,8 @@ from .errors import NotInvertible, PropertyViolation
 # ---------------------------------------------------------------------------
 
 class Fp:
-    """An element of the prime field F_p.  Arithmetic takes ints as elements
-    of F_p, but only an element of the same F_p compares equal."""
+    """An element of the prime field F_p.  Arithmetic takes ints and Fractions
+    as elements of F_p, but only an element of the same F_p compares equal."""
 
     __slots__ = ("v", "p")
 
@@ -41,6 +41,8 @@ class Fp:
             if other.p != self.p:
                 raise ValueError("mixed characteristics")
             return other
+        if isinstance(other, Fraction):   # n/d, refused when p divides d
+            return Fp(other.numerator, self.p) / Fp(other.denominator, self.p)
         return Fp(int(other), self.p)
 
     def __add__(self, other):
@@ -67,6 +69,8 @@ class Fp:
         if o.v == 0:
             raise ZeroDivisionError("division by zero in F_p")
         return Fp(self.v * pow(o.v, -1, self.p), self.p)
+
+    __floordiv__ = __truediv__
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -292,6 +296,8 @@ class NumberFieldElement:
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
+
+    __floordiv__ = __truediv__
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import InputError
+from .errors import InputError, TooLarge
 from .linalg import Mat, qq
 from .module_lab import FramedModule, SigmaData, TransitionWitness, framed_module
 from .quiver_core import DiagramAutomorphism, Quiver
@@ -35,6 +35,27 @@ def dim_entry(value, what: str) -> int:
         except ValueError:
             pass
     raise InputError(f"{what} entries must be integers, got {value!r}")
+
+
+MATRIX_ENTRY_CAP = 10 ** 6
+
+
+def check_matrix_budget(v: Mapping[str, int], w: Mapping[str, int]) -> None:
+    """Refuse dimension vectors read from outside before they size a
+    matrix: a square on V_x + W_x at each vertex x bounds I J, the
+    compositions of B and the twists; a negative dimension counts too."""
+    estimate = sum((abs(v.get(x, 0)) + abs(w.get(x, 0))) ** 2 for x in {*v, *w})
+    if estimate > MATRIX_ENTRY_CAP:
+        raise TooLarge(f"the dimension vectors size {estimate} matrix entries, beyond the "
+                       f"cap of {MATRIX_ENTRY_CAP}", estimate=estimate, cap=MATRIX_ENTRY_CAP)
+
+
+def _flag(obj: dict, key: str, default: bool) -> bool:
+    """A JSON boolean field; anything else, "false" too, is refused."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise InputError(f'"{key}" must be true or false, got {value!r}')
+    return value
 
 
 def mat_to_obj(m: Mat) -> dict:
@@ -91,14 +112,15 @@ def module_to_dict(m: FramedModule) -> dict:
 def module_from_dict(q: Quiver, obj) -> FramedModule:
     obj = json_object(obj, "a module block")
     try:
+        v = {k: dim_entry(x, '"v"') for k, x in json_object(obj["v"], '"v"').items()}
+        w = {k: dim_entry(x, '"w"') for k, x in json_object(obj["w"], '"w"').items()}
+        check_matrix_budget(v, w)
         return framed_module(
-            q,
-            {k: dim_entry(x, '"v"') for k, x in json_object(obj["v"], '"v"').items()},
-            {k: dim_entry(x, '"w"') for k, x in json_object(obj["w"], '"w"').items()},
+            q, v, w,
             B=matmap_from_obj(obj.get("B", {})),
             I=matmap_from_obj(obj.get("I", {})),
             J=matmap_from_obj(obj.get("J", {})),
-            signed=bool(obj.get("signed", True)),
+            signed=_flag(obj, "signed", True),
         )
     except KeyError as exc:
         raise InputError(f"module JSON missing field {exc}") from exc
@@ -130,6 +152,6 @@ def witness_from_dict(obj) -> TransitionWitness:
             block_dims[k] = (dim_entry(v[0], '"block_dims"'), dim_entry(v[1], '"block_dims"'))
     return TransitionWitness(
         matmap_from_obj(obj["g"]),
-        bool(obj.get("summand_swap", False)),
+        _flag(obj, "summand_swap", False),
         block_dims,
     )

@@ -372,16 +372,31 @@ JSON_VALUES = st.recursive(
 PAIR_DOC = pair_doc()
 
 
+def not_a_boolean(doc, block, key) -> bool:
+    """doc[block][key] is there and is not a JSON true or false."""
+    node = doc.get(block) if isinstance(doc, dict) else None
+    return isinstance(node, dict) and key in node and not isinstance(node[key], bool)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.sampled_from(MODULE_FIELDS), JSON_VALUES), min_size=1, max_size=2),
        st.sampled_from(["check", "theta", "transition", "witness", "theorem5"]))
+# a string is not a boolean, whatever it says ("no" and "" would read as a
+# swap and as none)
+@example(changes=[(("module", "signed"), "false")], action="check")
+@example(changes=[(("witness", "summand_swap"), "no")], action="theorem5")
+@example(changes=[(("witness", "summand_swap"), "")], action="theorem5")
 def test_module_fuzz_exits_cleanly(tmp_path_factory, changes, action):
     doc = copy.deepcopy(PAIR_DOC)
     for field, value in changes:
         doc = replaced(doc, field, copy.deepcopy(value))
     path = tmp_path_factory.mktemp("fuzz") / "module.json"
     path.write_text(json.dumps(doc))
-    assert main(["module", action, str(path)]) in (0, 1, 2)
+    code = main(["module", action, str(path)])
+    assert code in (0, 1, 2)
+    if not_a_boolean(doc, "module", "signed") \
+            or action == "theorem5" and not_a_boolean(doc, "witness", "summand_swap"):
+        assert code == 1
 
 
 QUIVER_DOC = entry_to_dict(corpus_entry("D4-swap"))
@@ -506,6 +521,28 @@ def test_too_large_json_error_states_estimate_and_cap(capsys):
     assert json.loads(captured.out) == {"error": {
         "type": "TooLarge", "estimate": 501501, "cap": 100000,
         "message": "the fiber has 501501 split dimension vectors, beyond the cap of 100000"}}
+
+
+def test_dimension_vectors_beyond_the_matrix_budget_are_refused(tmp_path, capsys):
+    # a dimension of 10^9 would ask for 10^18 entries: refused before any is
+    # built, and so is one that is negative
+    doc = module_doc()
+    path, negative = tmp_path / "m.json", tmp_path / "negative.json"
+    doc["module"] = {"v": {"1": 10 ** 9}, "w": {}}
+    path.write_text(json.dumps(doc))
+    doc["module"] = {"v": {"1": -10 ** 9}, "w": {"1": 10 ** 9}}
+    negative.write_text(json.dumps(doc))
+    probes = [(["module", "check", str(path)], 10 ** 18),
+              (["module", "check", str(negative)], 4 * 10 ** 18),
+              (["dims", "--corpus", "A3-flip", "--v", "0,0,0", "--w", f"{10 ** 9},0,{10 ** 9}"],
+               2 * 10 ** 18)]
+    for argv, estimate in probes:
+        code = main([*argv, "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == "", argv
+        error = json.loads(captured.out)["error"]
+        assert error["type"] == "TooLarge", error
+        assert (error["estimate"], error["cap"]) == (estimate, 10 ** 6), error
 
 
 def test_relation_violation_json_error_names_the_vertex(tmp_path, capsys):

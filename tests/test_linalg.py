@@ -229,7 +229,8 @@ def test_operations_keep_the_entry_type(case):
                          ids=["int", "Fraction", "F5", "Q(zeta3)"])
 def test_empty_matrices_keep_their_field(zero):
     """The rational kernels are picked by the entry type, not by a scan of
-    the entries: a matrix with no entries over F_5 stays over F_5."""
+    the entries: a matrix with no entries over F_5 stays over F_5.  So does
+    a row cleared by a unit pivot, which is not divided at the end."""
     one = zero + 1
     empty = Mat(0, 0, [], zero)
     assert same_field(empty.det(), zero) and empty.det() == one
@@ -243,6 +244,9 @@ def test_empty_matrices_keep_their_field(zero):
     tall = Mat(3, 0, [[]] * 3, zero)
     assert tall.nullspace().cols == 0 and same_field(tall.nullspace().zero, zero)
     assert same_field(tall.solve(Mat.zeros(3, 1, zero)).zero, zero)
+    red, _ = Mat(2, 1, [[one], [one]], zero).rref()
+    assert red == Mat(2, 1, [[one], [zero]], zero), red
+    assert all(same_field(x, zero) for r in red.data for x in r), red
 
 
 def test_stacking_onto_an_empty_matrix_takes_the_other_zero():
@@ -436,56 +440,67 @@ def test_sparse_kernels_match_the_dense_oracle(case):
             assert_same(sparse[what], want, what)
 
 
-def _random_rational_matrix(rng, rows, cols, rank, denominators):
-    """A rows x cols matrix, over ints or with halves and thirds: of rank
-    at most `rank`, as a product of two random factors with entries in
-    -2..2, or (rank None) with a third of its entries nonzero; some rows
-    are left zero."""
-    def entry():
-        x = rng.randint(-2, 2)
-        return Fraction(x, rng.choice(denominators)) if len(denominators) > 1 else x
+def _random_matrix(rng, rows, cols, rank, entry, zero):
+    """A rows x cols matrix of entries drawn by entry(): of rank at most
+    `rank`, as a product of two random factors, or (rank None) with a third
+    of its entries nonzero; some rows are left zero."""
     if rank is None:
-        data = [[entry() if rng.random() < 0.35 else 0 for _ in range(cols)]
+        data = [[entry() if rng.random() < 0.35 else zero for _ in range(cols)]
                 for _ in range(rows)]
     else:
         left = [[entry() for _ in range(rank)] for _ in range(rows)]
         right = [[entry() for _ in range(cols)] for _ in range(rank)]
-        data = [[sum((l * r for l, r in zip(lrow, col)), 0) for col in zip(*right)] if rank
-                else [0] * cols for lrow in left]
+        data = [[sum((l * r for l, r in zip(lrow, col)), zero) for col in zip(*right)] if rank
+                else [zero] * cols for lrow in left]
     for r in rng.sample(range(rows), rng.randint(0, rows // 3)) if rows else []:
-        data[r] = [0] * cols
-    return Mat(rows, cols, data, 0)
+        data[r] = [zero] * cols
+    return Mat(rows, cols, data, zero)
 
 
 def test_integer_elimination_matches_the_fraction_oracle():
-    """Fraction-free elimination over Q against the former Gauss-Jordan on
-    Fractions: rref, pivots, rank, nullspace, det and inverse, on integer
-    and fractional matrices up to 7 x 9 of every rank, and sparse ones up
-    to 12 x 14."""
+    """Fraction-free elimination against the dense Gauss-Jordan with field
+    division: rref, pivots, rank, nullspace, det and inverse, over Q on
+    integer and fractional matrices, over F_5 and over Q(zeta3), up to 7 x 9
+    of every rank, and sparse ones up to 12 x 14."""
     import random
     rng = random.Random(12)
-    for trial in range(800):
-        rows, cols = rng.randint(1, 7), rng.randint(1, 9)
-        if trial % 5 == 4:
-            rows, cols = rng.randint(4, 12), rng.randint(4, 14)
-        if trial % 3 == 0:
-            cols = rows
-        rank = None if trial % 5 == 4 else rng.randint(0, min(rows, cols))
-        m = _random_rational_matrix(rng, rows, cols, rank, [1] if trial % 2 else [1, 2, 3])
-        want_red, want_pivots = dense_rref(as_fractions(m))
-        want_det = dense_det(as_fractions(m)) if rows == cols else None
-        red, pivots = m.rref()
-        assert pivots == want_pivots and red == want_red, m
-        assert all(same_field(x, 0) for r in red.data for x in r), red
+
+    def rational(trial):                # ints, or ints over 1, 2 and 3
         if trial % 2:
-            assert all(canonical(x) for r in red.data for x in r), red
-        assert m.rank() == len(want_pivots)
-        assert (m * m.nullspace()).is_zero() and m.nullspace().cols == cols - len(pivots)
-        if rows == cols:
-            det = m.det()
-            assert det == want_det and same_field(det, 0), (m, det, want_det)
-            if det:
-                assert m * m.inverse() == Mat.identity(rows)
+            return rng.randint(-2, 2)
+        return Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
+
+    fields = [(0, 800, rational),
+              (Fp(0, 5), 300, lambda trial: Fp(rng.randint(-2, 2), 5)),
+              (ZETA3.zero, 60, lambda trial: ZETA3.element(
+                  [Fraction(rng.randint(-1, 1)), Fraction(rng.randint(-2, 2), rng.choice([1, 2]))]))]
+    for zero, trials, entry in fields:
+        one = zero + 1
+        for trial in range(trials):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 9)
+            if trial % 5 == 4:
+                rows, cols = rng.randint(4, 12), rng.randint(4, 14)
+            if trial % 3 == 0:
+                cols = rows
+            rank = None if trial % 5 == 4 else rng.randint(0, min(rows, cols))
+            m = _random_matrix(rng, rows, cols, rank, lambda: entry(trial), zero)
+            want_red, want_pivots = dense_rref(as_fractions(m))
+            red, pivots = m.rref()
+            assert pivots == want_pivots and red == want_red, m
+            assert all(same_field(x, zero) for r in red.data for x in r), red
+            if type(zero) is int and trial % 2:
+                assert all(canonical(x) for r in red.data for x in r), red
+            assert m.rank() == len(want_pivots)
+            basis = m.nullspace()
+            assert (m * basis).is_zero() and basis.cols == cols - len(pivots)
+            assert all(same_field(x, zero) for r in basis.data for x in r), basis
+            if rows == cols:
+                det, want_det = m.det(), dense_det(as_fractions(m))
+                assert det == want_det and same_field(det, zero), (m, det, want_det)
+                if det:
+                    inv = m.inverse()
+                    assert m * inv == Mat.identity(rows, one)
+                    assert all(same_field(x, zero) for r in inv.data for x in r), inv
 
 
 def test_integer_charpoly_feeds_the_polynomial_helpers():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qfold.errors import NotInvertible
+from qfold.linalg import Mat
 from qfold.numberfield import (
     Fp,
     NumberField,
@@ -98,3 +99,12 @@ def test_equal_scalars_hash_equal():
     assert len({Fp(1, 3), 1}) == 2
     # arithmetic still takes ints as elements of F_p
     assert Fp(2, 3) + 2 == Fp(1, 3) and 1 - Fp(2, 3) == Fp(2, 3)
+
+
+def test_prime_field_reads_a_fraction_as_a_quotient():
+    # 1/2 is the inverse of 2, that is 3 mod 5, not the integer part 0
+    assert Fp(1, 5) * Fraction(1, 2) == Fp(3, 5) == Fraction(1, 2) * Fp(1, 5)
+    assert Mat.identity(2, Fp(1, 5)).poly_eval([Fraction(1, 2)]) \
+        == Mat.identity(2, Fp(1, 5)).scaled(Fp(3, 5))
+    with pytest.raises(ZeroDivisionError):
+        Fp(1, 5) * Fraction(1, 5)
