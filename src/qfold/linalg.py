@@ -8,18 +8,21 @@ Zero-row and zero-column matrices are first-class citizens; shape is
 always carried explicitly.
 
 Over Q an entry is an `int` when it is integral and a `Fraction` only
-where it is not (`qq`; an integral Fraction is accepted too), so products
-and sums of integers stay ints.  No kernel applies `/` to two ints.
+where it is not (`qq`; an integral Fraction is accepted too).  The kernels
+below work over Q on ints and divide each result entry once at the end, so
+integral results are ints and no kernel applies `/` to two ints.
 
 Storage is dense (`data` is a tuple of row tuples).  A product is formed
 row by row from the nonzero `(col, value)` lists of its right factor
-(Gustavson, ACM TOMS 4, 1978).  Elimination, behind `rref` (and so
-`rank`, `nullspace`, `solve`, `inverse`) and `det`, is one fraction-free
-Gauss-Jordan for every field, with Bareiss's exact divisions (Math. Comp.
-22, 1968).  Over Q each row is first scaled by the lcm of its
-denominators, which leaves the reduced echelon form unchanged, so the
-rows are reduced as ints, and every entry is divided once at the end.  A
-row is touched only when it has a nonzero in the pivot column.
+(Gustavson, ACM TOMS 4, 1978).  Over Q each left row is scaled to ints by
+the lcm of its denominators, the right lists once by the lcm of all of
+theirs, and each entry is its integer sum over the two scales.
+Elimination, behind `rref` (and so `rank`, `nullspace`, `solve`,
+`inverse`) and `det`, is one fraction-free Gauss-Jordan for every field,
+with Bareiss's exact divisions (Math. Comp. 22, 1968).  Over Q each row
+is first scaled in the same way, which leaves the reduced echelon form
+unchanged, and every entry is divided once at the end.  A row is touched
+only when it has a nonzero in the pivot column.
 
 Each matrix also carries `zero`, the additive zero of its entry type: the
 one it is given, else `x - x` of its first entry, else (no entries) the
@@ -31,6 +34,7 @@ another field must therefore be given its zero.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from operator import truediv
@@ -39,13 +43,30 @@ from typing import Callable, Sequence
 from .errors import NotInvertible, ShapeMismatch
 
 _RATIONAL = (int, Fraction)
+_ASCII_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def qq(x):
-    """x (an int, a rational string or a Fraction) as an entry over Q:
-    an int when it is integral, else a Fraction."""
+    """x (an int, a rational string or a Fraction) as an entry over Q: an
+    int when it is integral, else a Fraction.  An int is returned as it is
+    and an ASCII "n" or "n/d" (d not 0) is read with `int`; anything else
+    goes to `Fraction(x)`, so the strings accepted and the errors raised
+    are Fraction's own."""
+    if x.__class__ is int:
+        return x
+    if x.__class__ is str and (m := _ASCII_RATIONAL.fullmatch(x)):
+        n, d = int(m[1]), int(m[2] or 1)
+        if d:
+            return _quotient(n, d)
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _integral(row: Sequence) -> tuple[int, Sequence[int]]:
+    """(s, row * s) for a row over Q, s the lcm of its denominators."""
+    dens = [x.denominator for x in row if x.__class__ is not int]
+    s = lcm(*dens)
+    return (s, [x.numerator * (s // x.denominator) for x in row]) if dens else (1, row)
 
 
 def _quotient(a: int, b: int):
@@ -164,15 +185,25 @@ class Mat:
                 raise ShapeMismatch(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
             zero, width = self.zero, other.cols
             right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
+            rational = zero.__class__ in _RATIONAL and other.zero.__class__ in _RATIONAL
+            dens = [b.denominator for row in right for _, b in row
+                    if b.__class__ is not int] if rational else []
+            fill, scale = 0 if rational else zero, lcm(*dens)
+            if dens:
+                right = [[(j, b.numerator * (scale // b.denominator)) for j, b in row]
+                         for row in right]
             out = []
             for row in self.data:
+                r, row = _integral(row) if rational else (1, row)
+                d = r * scale
                 acc = [None] * width
                 for a, nonzero in zip(row, right):
                     if nonzero and a:
                         for j, b in nonzero:
                             s = acc[j]
                             acc[j] = a * b if s is None else s + a * b
-                out.append(tuple([zero if s is None else s for s in acc]))
+                out.append(tuple([fill if s is None else s for s in acc]) if d == 1 else
+                           tuple([fill if s is None else _quotient(s, d) for s in acc]))
             return _mat(self.rows, width, tuple(out), zero)
         return self.map(lambda x: x * other)
 
@@ -237,14 +268,12 @@ class Mat:
         rational = self.zero.__class__ in _RATIONAL
         m, scale = [], 1
         for row in self.data:
-            if not rational or all(x.__class__ is int for x in row):
-                m.append(list(row))
-                continue
-            s = lcm(*[x.denominator for x in row])
-            scale *= s
-            m.append([x.numerator * (s // x.denominator) for x in row])
-        zero, den, div = (0, 1, _quotient) if rational else (self.zero, self.zero + 1, truediv)
-        at = [den] * len(m)
+            if rational:
+                s, row = _integral(row)
+                scale *= s
+            m.append(list(row))
+        zero, one, div = (0, 1, _quotient) if rational else (self.zero, self.zero + 1, truediv)
+        den, at = one, [one] * len(m)
         pivots, swaps = [], 0
         for pc in range(self.cols):
             pr = len(pivots)
@@ -273,7 +302,7 @@ class Mat:
                     at[i] = p
             at[pr] = den = p
             pivots.append(pc)
-        rows = tuple(tuple([div(x, s) for x in row]) if s != 1 else tuple(row)
+        rows = tuple(tuple([div(x, s) for x in row]) if s != one else tuple(row)
                      for row, s in zip(m, at))
         return rows, pivots, div(-den if swaps & 1 else den, scale)
 

@@ -153,11 +153,12 @@ class RelationReport:
 def check_relations(m: FramedModule) -> RelationReport:
     """Evaluate the preprojective relation at every vertex; reports the
     first violating vertex."""
+    leaving = {}
+    for info in doubled_arrows(m.quiver):
+        leaving.setdefault(info.src, []).append(info)
     for vertex in m.quiver.vertices:
         acc = m.I[vertex] * m.J[vertex]
-        for info in doubled_arrows(m.quiver):
-            if info.src != vertex:
-                continue
+        for info in leaving.get(vertex, ()):
             term = m.B[reverse_key(info.key)] * m.B[info.key]
             if m.signed and info.eps == -1:
                 acc = acc - term

@@ -525,3 +525,35 @@ def test_integer_charpoly_feeds_the_polynomial_helpers():
     span = eigenvector_span(g)
     assert span.cols == 2 and (g.poly_eval(r) * span).is_zero()
     assert all(canonical(x) for row in span.data for x in row), span
+
+
+def test_rational_products_match_the_fraction_oracle():
+    """Products over Q, formed as integer products scaled back once per
+    entry, against the dense product of Fraction dot products: ints, non-integral and
+    integral Fractions side by side, sparse and dense, shapes 0..8, and
+    right factors whose columns cancel the left factor to zero.  The values
+    agree, and every integral entry of a product is an int."""
+    import random
+    rng = random.Random(14)
+
+    def entry(kind):
+        n = rng.randint(-9, 9)
+        return n if kind == 0 else Fraction(n) if kind == 1 else Fraction(n, rng.randint(1, 12))
+
+    def matrix(rows, cols, density):
+        data = [[entry(rng.randrange(3)) if rng.random() < density else 0 for _ in range(cols)]
+                for _ in range(rows)]
+        return Mat(rows, cols, data)
+
+    for trial in range(600):
+        n, k, m = (rng.randint(0, 8) for _ in range(3))
+        density = rng.choice([0.15, 0.5, 1.0])
+        a, b = matrix(n, k, density), matrix(k, m, density)
+        if trial % 4 == 3:            # columns of b in the kernel of a cancel to zero
+            kernel = a.nullspace()
+            if kernel.cols:
+                b = b.hstack(kernel * matrix(kernel.cols, rng.randint(1, 3), 1.0))
+        got = a * b
+        assert got == dense_mul(as_fractions(a), as_fractions(b)), (a, b)
+        assert type(got.zero) is type(a.zero), (a, b)
+        assert all(canonical(x) for row in got.data for x in row), (a, b, got)

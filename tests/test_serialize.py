@@ -1,7 +1,12 @@
 import random
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qfold.errors import InputError
 from qfold.generators import random_graded_pair, random_theta_module
-from qfold.linalg import Mat
+from qfold.linalg import Mat, qq
 from qfold.quiver_core import a_quiver, flip_automorphism
 from qfold.serialize import (
     mat_from_obj,
@@ -53,3 +58,42 @@ def test_witness_round_trip():
     back = witness_from_dict(witness_to_dict(wit))
     assert back.g == dict(wit.g)
     assert back.summand_swap == wit.summand_swap
+
+
+def _read(reader, s):
+    """("ok", type, value) of reader(s), or ("error", exception type, message)."""
+    try:
+        x = reader(s)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return "error", type(exc), str(exc)
+    return "ok", type(x), x
+
+
+def _fraction_entry(s):
+    """The entry Fraction(s) reads: an int when it is integral."""
+    x = Fraction(s)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _check_entry_string(s):
+    want = _read(_fraction_entry, s)
+    assert _read(qq, s) == want, s
+    got = _read(lambda t: mat_from_obj([[t]]), s)
+    if want[0] == "error" or "e" in s.lower():     # an exponent is refused too
+        assert got[:2] == ("error", InputError), (s, got)
+    else:
+        m = got[2]
+        assert (m.rows, m.cols, type(m[0, 0]), m[0, 0]) == (1, 1, want[1], want[2]), s
+
+
+@pytest.mark.parametrize("s", ["3", "-0", "007", "+3", " 3", "1_000", "\u0663", "\u00b2", "3/1",
+                               "-4/6", "1/0", "-3/-4", "1e3", "10/4", "-0/7", "0/0", "1/",
+                               "/2", "", "-", "3\n"])
+def test_entries_are_read_as_fraction_reads_them(s):
+    _check_entry_string(s)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.text(st.sampled_from(list("-+/0123456789") + [" ", "_", "\u0663"]), max_size=8))
+def test_drawn_entry_strings_are_read_as_fraction_reads_them(s):
+    _check_entry_string(s)
