@@ -50,8 +50,8 @@ from .lie_fold import (
     symmetrizer,
 )
 from .rep_branch import (
-    RootSystem,
-    positive_roots,
+    RootDatum,
+    root_datum,
     weyl_dim,
     freudenthal_character,
     restrict_weight,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -123,15 +123,11 @@ def symmetrizer(c: CartanMatrix) -> tuple[int, ...]:
                     comp.append(j)
                 elif d[j] != val:
                     raise NotSymmetrizable("inconsistent symmetrizer along a cycle")
-        denom_lcm = 1
-        for k in comp:
-            denom_lcm = denom_lcm * d[k].denominator // gcd(denom_lcm, d[k].denominator)
-        scaled = [d[k] * denom_lcm for k in comp]
-        g = 0
-        for x in scaled:
-            g = gcd(g, x.numerator)
+        scale = lcm(*(d[k].denominator for k in comp))
+        scaled = [int(d[k] * scale) for k in comp]
+        g = gcd(*scaled)
         for k, x in zip(comp, scaled):
-            d[k] = Fraction(x.numerator // g)
+            d[k] = Fraction(x // g)
     return tuple(int(x) for x in d)
 
 

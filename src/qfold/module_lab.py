@@ -62,9 +62,9 @@ from .quiver_core import (  # ArrowInfo and invariant_orientation are re-exporte
 )
 from .split_quotient import (
     SigmaData,
-    _cyclotomic_nullities,
     is_orbit_constant,
     root_of_unity_eigendims,
+    validate_dimvec,
 )
 
 
@@ -275,6 +275,7 @@ def brute_stability(m: FramedModule) -> bool:
 # ---------------------------------------------------------------------------
 
 def identity_sigma(q: Quiver, a: DiagramAutomorphism, wdims: Mapping[str, int]) -> SigmaData:
+    validate_dimvec(wdims, q)
     if not is_orbit_constant(wdims, orbit_data(q, a)):
         raise NotOrbitConstant("framing dimensions must be constant on orbits")
     maps = {x: Mat.identity(wdims.get(x, 0)) for x in q.vertices}
@@ -384,6 +385,7 @@ def witness_matrix(witness: TransitionWitness, vertex: str) -> Mat:
 def verify_transition(m: FramedModule, sigma: SigmaData, witness: TransitionWitness) -> bool:
     """Is the witness a module isomorphism m -> theta(m)?"""
     _refuse_stray_keys(witness.g, m.quiver, "the witness")
+    _refuse_stray_keys(witness.block_dims or {}, m.quiver, "the witness's block_dims")
     g = {x: witness_matrix(witness, x) for x in m.quiver.vertices}
     return check_framed_embedding(g, m, apply_theta(m, sigma))
 
@@ -481,7 +483,7 @@ def eigen_grade(g_mat: Mat, e: int) -> list[tuple[Fraction, int]]:
         raise NotFiniteOrder("order must be positive")
     if g_mat.rows and g_mat.power(e) != Mat.identity(g_mat.rows, g_mat.zero + 1):
         raise NotFiniteOrder(f"matrix^{e} is not the identity")
-    dims = root_of_unity_eigendims(g_mat, e) if g_mat.rows else [0] * e
+    dims = root_of_unity_eigendims(g_mat, e)
     return [(Fraction(t, e), dims[t]) for t in range(e)]
 
 
@@ -494,8 +496,7 @@ def eigen_profile(g_mat: Mat, e: int) -> dict:
     whatever is not accounted for lands in "other"."""
     if g_mat.rows != g_mat.cols:
         raise ShapeMismatch("eigen_profile needs a square matrix")
-    dims = {Fraction(t, e): nd // phi if nd % phi == 0 else 0
-            for t, (_d, nd, phi) in enumerate(_cyclotomic_nullities(g_mat, e))}
+    dims = {Fraction(t, e): dim for t, dim in enumerate(root_of_unity_eigendims(g_mat, e))}
     return {"roots": dims, "other": g_mat.rows - sum(dims.values())}
 
 
@@ -532,7 +533,7 @@ class FramedEmbedding:
             raise NotAnEmbedding("xi is not injective or fails to intertwine")
 
 
-def _refuse_stray_keys(maps: Mapping[str, Mat], q: Quiver, name: str) -> None:
+def _refuse_stray_keys(maps: Mapping[str, object], q: Quiver, name: str) -> None:
     """A per-vertex map that names no vertex of q is refused, not dropped."""
     stray = next((key for key in maps if key not in q.vertices), None)
     if stray is not None:

@@ -6,6 +6,12 @@ Cartan matrix indexing, JSON output).  Edge direction is arbitrary: the
 underlying diagram is what matters, and automorphisms are allowed to
 reverse edges.
 
+A diagram automorphism is its vertex and edge permutations and nothing
+more: `check_automorphism` refuses a vertex or edge map that is not a
+permutation, and every derived value (orbits, their sizes d and cofactors e, and the
+order n, the lcm of the orbit sizes) comes from `orbit_data`.
+`require_admissible` hands back the orbit data it checked.
+
 The doubled quiver has two arrows per edge e, keyed "e" along it (eps =
 +1) and "e*" against it (eps = -1).  An automorphism a sends the arrow
 (e, eps) to (a(e), -eps) if it reverses e, else to (a(e), eps).  The
@@ -77,34 +83,12 @@ def quiver(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Qu
 class DiagramAutomorphism:
     vertex_perm: Mapping[str, str]
     edge_perm: Mapping[str, str]
-    order: int
 
     def inverse_vertex(self, v: str) -> str:
         for k, im in self.vertex_perm.items():
             if im == v:
                 return k
         raise InputError(f"vertex {v} not in permutation range")
-
-
-def _perm_order(perm: Mapping[str, str]) -> int:
-    """The order of a permutation; raises NotAPermutation for a map whose
-    walk from some start does not come back to it."""
-    order = 1
-    seen = set()
-    for start in perm:
-        if start in seen:
-            continue
-        x, k = start, 0
-        while True:
-            x = perm.get(x)
-            k += 1
-            seen.add(x)
-            if x == start:
-                break
-            if k > len(perm):
-                raise NotAPermutation(f"the map does not permute its keys (from {start})")
-        order = lcm(order, k)
-    return order
 
 
 def check_automorphism(q: Quiver, a: DiagramAutomorphism) -> None:
@@ -125,9 +109,6 @@ def check_automorphism(q: Quiver, a: DiagramAutomorphism) -> None:
             raise IncompatibleWithIncidence(
                 f"edge {e.id}: image {image.id} joins {{{image.src},{image.tgt}}}, expected {sorted(want)}"
             )
-    vorder = _perm_order(a.vertex_perm) if a.vertex_perm else 1
-    if a.order < 1 or a.order % vorder != 0:
-        raise InputError(f"declared order {a.order} does not annihilate the vertex permutation")
 
 
 def derive_edge_perm(q: Quiver, vperm: Mapping[str, str]) -> dict[str, str]:
@@ -149,15 +130,13 @@ def automorphism(q: Quiver, vperm: Mapping[str, str],
     """Build and validate a diagram automorphism; derives the edge map if omitted."""
     if eperm is None:
         eperm = derive_edge_perm(q, vperm)
-    order = lcm(_perm_order(dict(vperm)) if vperm else 1,
-                _perm_order(dict(eperm)) if eperm else 1)
-    a = DiagramAutomorphism(dict(vperm), dict(eperm), order)
+    a = DiagramAutomorphism(dict(vperm), dict(eperm))
     check_automorphism(q, a)
     return a
 
 
 def identity_automorphism(q: Quiver) -> DiagramAutomorphism:
-    return DiagramAutomorphism({v: v for v in q.vertices}, {e.id: e.id for e in q.edges}, 1)
+    return DiagramAutomorphism({v: v for v in q.vertices}, {e.id: e.id for e in q.edges})
 
 
 def compose(q: Quiver, a: DiagramAutomorphism, b: DiagramAutomorphism) -> DiagramAutomorphism:
@@ -169,17 +148,20 @@ def compose(q: Quiver, a: DiagramAutomorphism, b: DiagramAutomorphism) -> Diagra
 
 def is_admissible(q: Quiver, a: DiagramAutomorphism) -> bool:
     """True iff no edge joins two vertices of the same vertex orbit."""
-    check_automorphism(q, a)
-    od = orbit_data(q, a)
-    for e in q.edges:
-        if od.orbit_of_vertex[e.src] == od.orbit_of_vertex[e.tgt]:
-            return False
+    try:
+        require_admissible(q, a)
+    except NotAdmissible:
+        return False
     return True
 
 
-def require_admissible(q: Quiver, a: DiagramAutomorphism) -> None:
-    if not is_admissible(q, a):
+def require_admissible(q: Quiver, a: DiagramAutomorphism) -> OrbitData:
+    """The orbit data of a, which must be admissible; raises NotAdmissible
+    when an edge joins two vertices of one orbit."""
+    od = orbit_data(q, a)
+    if any(od.orbit_of_vertex[e.src] == od.orbit_of_vertex[e.tgt] for e in q.edges):
         raise NotAdmissible("automorphism joins vertices within an orbit")
+    return od
 
 
 @dataclass(frozen=True)
@@ -220,11 +202,7 @@ def orbit_data(q: Quiver, a: DiagramAutomorphism) -> OrbitData:
     eorbs = _orbits(tuple(e.id for e in q.edges), a.edge_perm)
     d_vertex = {v: len(o) for o in vorbs for v in o}
     d_edge = {e: len(o) for o in eorbs for e in o}
-    n = 1
-    for o in vorbs:
-        n = lcm(n, len(o))
-    for o in eorbs:
-        n = lcm(n, len(o))
+    n = lcm(*map(len, vorbs), *map(len, eorbs))
     e_vertex = {v: n // d for v, d in d_vertex.items()}
     e_edge = {e: n // d for e, d in d_edge.items()}
     orbit_of_vertex = {v: i for i, o in enumerate(vorbs) for v in o}

@@ -9,7 +9,10 @@ s_i(lambda)_k = lambda_k - lambda_i * c[i][k].
 
 Each Cartan matrix has one cached `RootDatum`: every row as its nonzero
 entries, and each positive root in simple and fundamental coordinates
-with its norm and the Weyl denominator.  A reflection s_i touches only
+with its norm and the Weyl denominator.  The positive roots are closed up
+from the simple roots by height-raising simple reflections, read off the
+fundamental coordinates, and a matrix of infinite type is refused there
+(`NotFiniteType`), before any walk.  A reflection s_i touches only
 the coordinates where row i is nonzero, and is not applied where
 lambda_i = 0, since it fixes lambda.  The Weyl dimension is one integer
 product divided exactly by the product at rho.
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from operator import add, mul, sub
 from typing import Mapping
 
@@ -61,52 +65,13 @@ DEFAULT_DIM_CAP = 100_000
 
 
 @dataclass(frozen=True)
-class RootSystem:
-    cartan: CartanMatrix
-    positive_roots: tuple[Root, ...]
-
-
-def _require_finite(c: CartanMatrix) -> None:
-    if not is_finite_type(c):
-        raise NotFiniteType("operation requires a finite-type Cartan matrix")
-
-
-def _reflect_root(c: CartanMatrix, beta: Root, i: int) -> Root:
-    pairing = sum(beta[k] * c[k, i] for k in range(c.n))
-    out = list(beta)
-    out[i] -= pairing
-    return tuple(out)
-
-
-@lru_cache(maxsize=256)
-def positive_roots(c: CartanMatrix) -> RootSystem:
-    """All positive roots by closure of the simple roots under reflections."""
-    _require_finite(c)
-    n = c.n
-    simple = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    roots = set(simple)
-    frontier = list(simple)
-    while frontier:
-        new = []
-        for beta in frontier:
-            for i in range(n):
-                img = _reflect_root(c, beta, i)
-                if all(x >= 0 for x in img) and any(img) and img not in roots:
-                    roots.add(img)
-                    new.append(img)
-        frontier = new
-    ordered = sorted(roots, key=lambda r: (sum(r), r))
-    return RootSystem(c, tuple(ordered))
-
-
-@dataclass(frozen=True)
 class RootDatum:
     """What the Weyl-group and character kernels read of a Cartan matrix.
     With d its symmetrizer, (lam, beta) = sum_j lam_j * beta_j * d_j for a
     weight in fundamental and a root in simple coordinates."""
     rows: tuple[tuple[tuple[int, int], ...], ...]  # row i as its nonzero (k, c[i][k])
     neighbours: tuple[frozenset[int], ...]  # the k != i with c[i][k] != 0
-    roots: tuple[Root, ...]                # the positive roots, in positive_roots order
+    roots: tuple[Root, ...]                # the positive roots by height, then lexicographically
     fund: tuple[Weight, ...]               # each root in fundamental coordinates
     paired: tuple[tuple[int, ...], ...]    # each root as (beta_j * d_j)_j
     norm: tuple[int, ...]                  # (beta, beta) of each root
@@ -115,20 +80,38 @@ class RootDatum:
 
 @lru_cache(maxsize=256)
 def root_datum(c: CartanMatrix) -> RootDatum:
-    """The root datum of a finite-type Cartan matrix, built once per matrix."""
-    roots = positive_roots(c).positive_roots
-    d = symmetrizer(c)
+    """The root datum of a finite-type Cartan matrix, built once per matrix.
+
+    Every positive root is reached from a simple root by simple reflections
+    that raise its height (Humphreys, Lie Algebras, 10.2), and s_i raises
+    beta exactly where its fundamental coordinate at i is negative, adding
+    minus that coordinate to beta_i.  The closure keeps each root's
+    fundamental coordinates with it: alpha_i has row i, and s_i subtracts
+    beta's coordinate at i times row i."""
+    if not is_finite_type(c):
+        raise NotFiniteType("operation requires a finite-type Cartan matrix")
     n = c.n
+    found: dict[Root, Weight] = {}
+    for i in range(n):
+        found[tuple(1 if k == i else 0 for k in range(n))] = tuple(c.entries[i])
+    stack = list(found)
+    while stack:
+        beta = stack.pop()
+        f = found[beta]
+        for i, a in enumerate(f):
+            if a < 0:
+                img = beta[:i] + (beta[i] - a,) + beta[i + 1:]
+                if img not in found:
+                    found[img] = tuple(x - a * y for x, y in zip(f, c.entries[i]))
+                    stack.append(img)
+    roots = tuple(sorted(found, key=lambda r: (sum(r), r)))
+    fund = tuple(found[beta] for beta in roots)
+    d = symmetrizer(c)
     rows = tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in c.entries)
     neighbours = tuple(frozenset(k for k, _x in row if k != i) for i, row in enumerate(rows))
-    fund = tuple(tuple(sum(beta[i] * c.entries[i][k] for i in range(n)) for k in range(n))
-                 for beta in roots)
     paired = tuple(tuple(map(mul, beta, d)) for beta in roots)
     norm = tuple(sum(map(mul, p, f)) for p, f in zip(paired, fund))
-    rho_product = 1
-    for p in paired:
-        rho_product *= sum(p)
-    return RootDatum(rows, neighbours, roots, fund, paired, norm, rho_product)
+    return RootDatum(rows, neighbours, roots, fund, paired, norm, prod(map(sum, paired)))
 
 
 def reflect_weight(c: CartanMatrix, lam: Weight, i: int) -> Weight:
@@ -205,9 +188,7 @@ def weyl_dim(c: CartanMatrix, lam: Weight) -> int:
         raise NotDominant(f"{lam} is not dominant")
     rd = root_datum(c)
     lam_rho = tuple(x + 1 for x in lam)
-    num = 1
-    for p in rd.paired:
-        num *= sum(map(mul, lam_rho, p))
+    num = prod(sum(map(mul, lam_rho, p)) for p in rd.paired)
     dim, rest = divmod(num, rd.rho_product)
     if rest or dim <= 0:
         raise CharacterMismatch(f"Weyl's formula gives {num}/{rd.rho_product} at {lam}")

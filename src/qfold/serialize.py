@@ -71,21 +71,24 @@ def _entry(value):
     int when it is integral, else a Fraction (`linalg.qq`).  A JSON float or
     boolean is refused (the float 0.1 is not 1/10), and so is an exponent:
     "1e999999999" would build a billion-digit integer."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)) \
-            or (isinstance(value, str) and "e" in value.lower()):
-        raise InputError(f"matrix entries must be integers or rational strings, got {value!r}")
-    return qq(value)
+    cls = value.__class__
+    if cls is int or (cls is str and "e" not in value and "E" not in value):
+        return qq(value)
+    raise InputError(f"matrix entries must be integers or rational strings, got {value!r}")
 
 
 def mat_from_obj(obj) -> Mat:
+    """A matrix from {"rows", "cols", "data"} or from bare data; the data
+    must be a JSON array of JSON arrays (a string or an object there is
+    refused, not iterated)."""
     try:
+        data = obj["data"] if isinstance(obj, dict) else obj
+        if data.__class__ is not list or any(row.__class__ is not list for row in data):
+            raise InputError("malformed matrix JSON: the data must be an array of arrays")
+        data = [[_entry(x) for x in row] for row in data]
         if isinstance(obj, dict):
-            data = [[_entry(x) for x in row] for row in obj["data"]]
             return Mat(dim_entry(obj["rows"], '"rows"'), dim_entry(obj["cols"], '"cols"'), data)
-        data = [[_entry(x) for x in row] for row in obj]
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return Mat(rows, cols, data)
+        return Mat(len(data), len(data[0]) if data else 0, data)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
 

@@ -7,6 +7,11 @@ An edge joins (i1, j1/e1) and (i2, j2/e2) once per quotient edge orbit h
 and per solution of the congruence j1 = j2 (mod e_h); this is the matching
 of phases that makes an arrow component survive on the fixed locus, and it
 reproduces the classical D/A correspondence.
+
+The framing is graded by `root_of_unity_eigendims`, the one count of
+eigenspace dimensions at roots of unity: nullity(Phi_d(m)) / phi(d) at a
+primitive d-th root, read by `split_framing` here and by
+`module_lab.eigen_grade` and `module_lab.eigen_profile`.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .quiver_core import (
     Quiver,
     arrow_transport,
     check_automorphism,
+    identity_automorphism,
     index_isomorphisms,
     orbit_data,
     quiver,
@@ -75,14 +81,10 @@ class SplitData:
     vertex_table: Mapping[str, SplitVertex]
     orbit_slots: tuple[tuple[str, ...], ...]  # split vertex ids per orbit, j ascending
 
-    def split_vertices_of_orbit(self, orbit_index: int) -> list[str]:
-        return list(self.orbit_slots[orbit_index])
-
 
 def quotient_quiver(q: Quiver, a: DiagramAutomorphism) -> Quiver:
     """Quiver on vertex orbits and edge orbits, labelled by minimal members."""
-    require_admissible(q, a)
-    od = orbit_data(q, a)
+    od = require_admissible(q, a)
     vlabel = {i: orb[0] for i, orb in enumerate(od.vertex_orbits)}
     vertices = [vlabel[i] for i in range(len(od.vertex_orbits))]
     edges = []
@@ -95,17 +97,14 @@ def quotient_quiver(q: Quiver, a: DiagramAutomorphism) -> Quiver:
 
 
 def split_quiver(q: Quiver, a: DiagramAutomorphism) -> SplitData:
-    require_admissible(q, a)
-    od = orbit_data(q, a)
+    od = require_admissible(q, a)
 
     if od.n == 1:
         # all orbits are singletons, so the automorphism is the identity
         # and the split quiver is the input itself, labels included
         table = {v: SplitVertex((v,), 1, 1) for v in q.vertices}
         slots = tuple((v,) for v in q.vertices)
-        induced = DiagramAutomorphism({v: v for v in q.vertices},
-                                      {e.id: e.id for e in q.edges}, 1)
-        return SplitData(q, a, od, q, induced, table, slots)
+        return SplitData(q, a, od, q, identity_automorphism(q), table, slots)
 
     table: dict[str, SplitVertex] = {}
     vertices: list[str] = []
@@ -138,7 +137,7 @@ def split_quiver(q: Quiver, a: DiagramAutomorphism) -> SplitData:
 
     split = quiver(vertices, edges)
     vperm = {sv.id: SplitVertex(sv.orbit, sv.j % sv.e + 1, sv.e).id for sv in table.values()}
-    induced = DiagramAutomorphism(vperm, eperm, od.n)
+    induced = DiagramAutomorphism(vperm, eperm)
     check_automorphism(split, induced)
     return SplitData(q, a, od, split, induced, table, tuple(slots))
 
@@ -220,8 +219,8 @@ def project_dim(vprime: DimVec, sd: SplitData) -> dict[str, int]:
     """
     validate_dimvec(vprime, sd.split)
     out: dict[str, int] = {}
-    for idx, orbit in enumerate(sd.orbits.vertex_orbits):
-        total = sum(vprime.get(svid, 0) for svid in sd.split_vertices_of_orbit(idx))
+    for orbit, slots in zip(sd.orbits.vertex_orbits, sd.orbit_slots):
+        total = sum(vprime.get(svid, 0) for svid in slots)
         for v in orbit:
             out[v] = total
     return out
@@ -251,18 +250,12 @@ def fibers_of_p(v: DimVec, sd: SplitData) -> list[dict[str, int]]:
         raise TooLarge(f"the fiber has {count} split dimension vectors, beyond the cap of {FIBER_CAP}",
                        estimate=count, cap=FIBER_CAP)
 
-    per_orbit: list[list[tuple[int, ...]]] = []
-    slots: list[list[str]] = []
-    for idx, orbit in enumerate(sd.orbits.vertex_orbits):
-        total = v.get(orbit[0], 0)
-        e = sd.orbits.e_vertex[orbit[0]]
-        per_orbit.append(_compositions(total, e))
-        slots.append(sd.split_vertices_of_orbit(idx))
-
+    per_orbit = [_compositions(v.get(orbit[0], 0), sd.orbits.e_vertex[orbit[0]])
+                 for orbit in sd.orbits.vertex_orbits]
     out = []
     for combo in itertools.product(*per_orbit):
         vec: dict[str, int] = {}
-        for slot_ids, parts in zip(slots, combo):
+        for slot_ids, parts in zip(sd.orbit_slots, combo):
             for svid, val in zip(slot_ids, parts):
                 vec[svid] = val
         out.append(vec)
@@ -286,38 +279,28 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
 # framing eigenspace split
 # ---------------------------------------------------------------------------
 
-def _euler_phi(d: int) -> int:
-    return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
-
-
-def _cyclotomic_nullities(m: Mat, e: int) -> list[tuple[int, int, int]]:
-    """(d, nullity of Phi_d(m), phi(d)) for each phase t = 0/e, ..., (e-1)/e,
-    where exp(2*pi*i*t) is a primitive d-th root of unity."""
-    out = []
-    nullities: dict[int, int] = {}
-    for t in range(e):
-        d = e // gcd(t, e) if t else 1
-        if d not in nullities:
-            nullities[d] = m.poly_eval(list(cyclotomic_poly(d))).nullity()
-        out.append((d, nullities[d], _euler_phi(d)))
-    return out
-
-
 def root_of_unity_eigendims(m: Mat, e: int) -> list[int]:
-    """Exact eigenspace dimensions of a rational matrix m with m^e = 1,
-    listed for eigenvalues exp(2*pi*i*t), t = 0/e, 1/e, ..., (e-1)/e.
+    """Exact eigenspace dimensions of a square matrix m at the eigenvalues
+    exp(2*pi*i*t), t = 0/e, 1/e, ..., (e-1)/e; m need not have finite order.
 
-    Galois conjugate eigenvalues of a rational matrix have equal eigenspace
-    dimensions, so the dimension at a primitive d-th root is
-    nullity(Phi_d(m)) / phi(d); no cyclotomic arithmetic is needed.
+    Over Q, ker Phi_d(m) is the direct sum of the eigenspaces of the phi(d)
+    primitive d-th roots of unity, and these Galois conjugates have equal
+    eigenspace dimensions, so the dimension at each is
+    nullity(Phi_d(m)) / phi(d); no cyclotomic arithmetic is needed.  Over
+    another field the quotient need not be whole, and that is refused.
     """
     dims = []
-    for d, nd, phi in _cyclotomic_nullities(m, e):
-        if nd % phi != 0:
-            raise NotDiagonalizableOverCyclotomicEigenvalues(
-                f"kernel of Phi_{d} has dimension {nd}, not a multiple of phi({d})={phi}"
-            )
-        dims.append(nd // phi)
+    by_order: dict[int, int] = {}
+    for t in range(e):
+        d = e // gcd(t, e)
+        if d not in by_order:
+            nd = m.poly_eval(list(cyclotomic_poly(d))).nullity()
+            phi = sum(gcd(k, d) == 1 for k in range(1, d + 1))
+            if nd % phi != 0:
+                raise NotDiagonalizableOverCyclotomicEigenvalues(
+                    f"kernel of Phi_{d} has dimension {nd}, not a multiple of phi({d})={phi}")
+            by_order[d] = nd // phi
+        dims.append(by_order[d])
     return dims
 
 
@@ -390,17 +373,15 @@ def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
         raise IndexMismatch("the framing twists do not belong to this split quiver")
     a, od = sd.auto, sd.orbits
     out: dict[str, int] = {}
-    for idx, orbit in enumerate(od.vertex_orbits):
+    for orbit, slots in zip(od.vertex_orbits, sd.orbit_slots):
         lift = orbit[0]
-        e = od.e_vertex[lift]
         comp = orbit_composite(sigma.maps, a, lift, od.d_vertex[lift])
-        dims = root_of_unity_eigendims(comp, e) if comp.rows else [0] * e
+        dims = root_of_unity_eigendims(comp, od.e_vertex[lift])
         if sum(dims) != comp.rows:
             raise NotDiagonalizableOverCyclotomicEigenvalues(
                 f"eigenspace dimensions {dims} do not fill dimension {comp.rows} at {lift}"
             )
-        for j, svid in zip(range(1, e + 1), sd.split_vertices_of_orbit(idx)):
-            out[svid] = dims[j - 1]
+        out.update(zip(slots, dims))
     return out
 
 

@@ -131,6 +131,21 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and flag in err, err
+    # a negative or unknown framing is an input error, not a property violation
+    framing_probes = [
+        (["dims", "--corpus", "A3-flip", "--v", "1,1,1", "--w=-1,0,-1"], "negative"),
+        (["dims", "--corpus", "A3-flip", "--v", "1,1,1", "--w=0,-2,0"], "negative"),
+        (["dims", "--corpus", "D4-swap", "--v", "1,1,1,1", "--w-split", "0,0,0,-5,0"], "negative"),
+        (["dims", "--corpus", "A3-flip", "--v", "1,1,1", "--w", '{"9": 4}'], "unknown vertex 9"),
+        (["dims", "--corpus", "D4-swap", "--v", "1,1,1,1", "--w-split", '{"zz": 1}'],
+         "unknown vertex zz"),
+    ]
+    for argv, words in framing_probes:
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and words in err, err
+        assert main([*argv, "--json"]) == 1, argv
+        capsys.readouterr()
     # a fiber of 501,501 split dimension vectors is refused before it is listed
     assert main(["dims", "--corpus", "D4-rot3", "--v", "1000,1000,1000,1000",
                  "--w", "1,1,1,1"]) == 1
@@ -155,6 +170,9 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ("check", ("module", "J", "1", "data"), [[True, "1/2"], ["-1", "3/2"]]),
         # an exponent costs time and memory in its value, not in its length
         ("check", ("module", "J", "1", "data"), [["-1e999999", "1/2"], ["-1", "3/2"]]),
+        # a string or an object is not read as a matrix's rows
+        ("check", ("module", "J", "1", "data"), {"12": 0}),
+        ("check", ("module", "J", "1", "data"), [["1", "2"], "34"]),
     ]
     path = tmp_path / "bad.json"
     for action, field, value in module_probes:
@@ -494,6 +512,28 @@ def test_matrix_map_key_naming_no_vertex_is_refused(tmp_path, capsys, action, fi
     assert main(["module", action, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "'zz'" in err, err
+
+
+def test_witness_block_dims_key_naming_no_vertex_is_refused(tmp_path, capsys):
+    doc = pair_doc()
+    doc["witness"]["block_dims"] = {"nowhere": [1, 1]}
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+    assert main(["module", "theorem5", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "'nowhere'" in err, err
+
+
+def test_string_matrix_in_module_file_is_refused(tmp_path, capsys):
+    # "12" would read as the 2x1 matrix [[1], [2]], which fits B at e1
+    doc = {"quiver": quiver_to_dict(a_quiver(3)),
+           "module": {"v": {"1": 1, "2": 2, "3": 0}, "w": {"1": 0, "2": 0, "3": 0},
+                      "B": {"e1": "12"}}}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["module", "check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "array of arrays" in err, err
 
 
 def test_main_builds_the_parser_once_and_calls_share_nothing(capsys, monkeypatch):

@@ -626,6 +626,49 @@ def test_eigen_grade_examples():
         assert sum(d for _t, d in eigen_grade(mat, e)) == mat.rows
 
 
+def test_eigen_profile_counts_cyclotomic_kernels():
+    # the mass at a primitive d-th root is nullity(Phi_d(g)) / phi(d), here
+    # from sympy, on rational matrices that mostly have no finite order: a
+    # signed permutation block beside a random block, conjugated
+    import math
+
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random(15)
+    infinite_order = 0
+    for trial in range(84):
+        n = trial % 7
+        k = rng.randint(0, n)
+        perm = rng.sample(range(k), k)
+        core = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(k):
+            core[perm[i]][i] = Fraction(rng.choice([1, -1]))
+        for i in range(k, n):
+            for j in range(k, n):
+                core[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        lower = [[1 if i == j else rng.randint(-2, 2) if j < i else 0 for j in range(n)]
+                 for i in range(n)]
+        upper = [[1 if i == j else rng.randint(-2, 2) if j > i else 0 for j in range(n)]
+                 for i in range(n)]
+        p = Mat.rational(lower) * Mat.rational(upper)
+        g = p * Mat.rational(core) * p.inverse()
+        e = rng.randint(1, 6)
+        infinite_order += g.power(e) != Mat.identity(n)
+        prof = eigen_profile(g, e)
+        big = sympy.Matrix(n, n, [sympy.Rational(str(v)) for row in g.data for v in row])
+        for t in range(e):
+            d = e // math.gcd(t, e)
+            value = sympy.zeros(n, n)
+            for coeff in sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs():
+                value = value * big + coeff * sympy.eye(n)
+            nullity = n - value.rank()
+            assert nullity % sympy.totient(d) == 0
+            assert prof["roots"][Fraction(t, e)] == nullity // sympy.totient(d), (trial, t, e)
+        assert prof["other"] == n - sum(prof["roots"].values())
+    assert infinite_order >= 50
+
+
 def test_eigen_grade_over_prime_field():
     # the order check compares with an identity of the matrix's own field
     assert eigen_grade(Mat.identity(2, Fp(1, 3)), 1) == [(Fraction(0), 2)]

@@ -54,13 +54,19 @@ def test_check_automorphism_flip_and_failures():
 
     with pytest.raises(IncompatibleWithIncidence):
         check_automorphism(a3, DiagramAutomorphism(
-            {"1": "3", "2": "2", "3": "1"}, {"e1": "e1", "e2": "e2"}, 2))
+            {"1": "3", "2": "2", "3": "1"}, {"e1": "e1", "e2": "e2"}))
 
     with pytest.raises(NotAPermutation):
         check_automorphism(a3, DiagramAutomorphism(
-            {"1": "1", "2": "1", "3": "3"}, {"e1": "e1", "e2": "e2"}, 1))
+            {"1": "1", "2": "1", "3": "3"}, {"e1": "e1", "e2": "e2"}))
 
     check_automorphism(a3, identity_automorphism(a3))
+
+
+def test_automorphism_refuses_a_map_that_does_not_permute():
+    # 3 -> 1 -> 1 never returns to 3; the map is refused, not walked
+    with pytest.raises(NotAPermutation):
+        automorphism(a_quiver(3), {"1": "1", "2": "1", "3": "3"}, {"e1": "e1", "e2": "e2"})
 
 
 def test_admissibility_examples():

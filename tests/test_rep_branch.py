@@ -30,9 +30,9 @@ from qfold.rep_branch import (
     freudenthal_character,
     highest_weight_from_framing,
     is_dominant,
-    positive_roots,
     reflect_weight,
     restrict_weight,
+    root_datum,
     weyl_dim,
     weyl_orbit,
 )
@@ -44,12 +44,12 @@ C2 = cartan_matrix([[2, -1], [-2, 2]])
 
 
 def test_positive_roots_counts():
-    assert positive_roots(A1).positive_roots == ((1,),)
-    assert set(positive_roots(A2).positive_roots) == {(1, 0), (0, 1), (1, 1)}
-    assert len(positive_roots(C2).positive_roots) == 4
-    assert len(positive_roots(canonical_cartan("G", 2)).positive_roots) == 6
+    assert root_datum(A1).roots == ((1,),)
+    assert set(root_datum(A2).roots) == {(1, 0), (0, 1), (1, 1)}
+    assert len(root_datum(C2).roots) == 4
+    assert len(root_datum(canonical_cartan("G", 2)).roots) == 6
     with pytest.raises(NotFiniteType):
-        positive_roots(cartan_from_quiver(affine_a_quiver(2)))
+        root_datum(cartan_from_quiver(affine_a_quiver(2)))
 
 
 def test_weyl_dim_values():
@@ -475,7 +475,7 @@ def fraction_weyl_dim(c, lam):
     """Weyl's formula as a product of Fractions (lam + rho, beta) / (rho, beta)."""
     d = symmetrizer(c)
     num = Fraction(1)
-    for beta in positive_roots(c).positive_roots:
+    for beta in root_datum(c).roots:
         num *= Fraction(sum(beta[j] * (lam[j] + 1) * d[j] for j in range(c.n)),
                         sum(beta[j] * d[j] for j in range(c.n)))
     assert num.denominator == 1 and num > 0
@@ -524,6 +524,46 @@ def oracle_weights(c):
     if c.n <= 4:
         weights.append((1,) * c.n)
     return weights
+
+
+def reflection_closure_roots(c):
+    """The former positive roots: the simple roots closed under every
+    simple reflection that keeps a root positive, sorted by height."""
+    def reflect_root(beta, i):
+        out = list(beta)
+        out[i] -= sum(beta[k] * c[k, i] for k in range(c.n))
+        return tuple(out)
+
+    simple = [tuple(1 if k == i else 0 for k in range(c.n)) for i in range(c.n)]
+    roots = set(simple)
+    frontier = list(simple)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for i in range(c.n):
+                img = reflect_root(beta, i)
+                if all(x >= 0 for x in img) and any(img) and img not in roots:
+                    roots.add(img)
+                    new.append(img)
+        frontier = new
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+
+
+def test_root_datum_roots_match_the_reflection_closure():
+    # A1-A11, B2-B9, C2-C9, D3-D9, E6-E8, F4, G2, then every finite corpus
+    # base, split and folded matrix that differs from these
+    from qfold.corpus import corpus
+
+    ranks = {"A": range(1, 12), "B": range(2, 10), "C": range(2, 10), "D": range(3, 10),
+             "E": range(6, 9), "F": (4,), "G": (2,)}
+    cartans = [canonical_cartan(family, n) for family, rs in ranks.items() for n in rs]
+    bases = [cartan_from_quiver(entry.quiver) for entry in corpus()]
+    for c in corpus_finite_cartans() + bases:
+        if is_finite_type(c) and c not in cartans:
+            cartans.append(c)
+    assert len(cartans) >= 57
+    for c in cartans:
+        assert root_datum(c).roots == reflection_closure_roots(c), c.entries
 
 
 def test_root_datum_kernels_match_dense_oracles():

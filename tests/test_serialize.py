@@ -39,6 +39,22 @@ def test_bare_list_matrix_accepted():
     assert m == Mat.rational([[1, 2], [3, 4]])
 
 
+def test_strings_and_objects_are_not_read_as_matrices():
+    # a string or an object is iterable, but it is no array of rows
+    for obj in ["12", [["1", "2"], "34"], {"rows": 1, "cols": 2, "data": {"12": 0}},
+                {"rows": 1, "cols": 2, "data": "12"}, {"rows": 1, "cols": 2, "data": [{"1": 0}]},
+                "", {"rows": 0, "cols": 0, "data": {}}]:
+        with pytest.raises(InputError):
+            mat_from_obj(obj)
+
+
+def test_entries_other_than_ints_and_plain_rational_strings_are_refused():
+    assert mat_from_obj([[3, "-3/4"]]) == Mat.rational([[3, Fraction(-3, 4)]])
+    for entry in [True, False, 1.0, None, [1], "1e3", "1E3", "-2E999999999"]:
+        with pytest.raises(InputError):
+            mat_from_obj([[entry]])
+
+
 def test_module_round_trip():
     rng = random.Random(6)
     a3 = a_quiver(3)

@@ -98,9 +98,9 @@ def test_split_vertex_count_formula_and_induced_validity():
         assert len(sd.split.vertices) == expect
         check_automorphism(sd.split, sd.induced)
         assert is_admissible(sd.split, sd.induced)
-        # the declared order annihilates the induced permutation
+        # the orbit order n annihilates the induced permutation
         cur = {v: v for v in sd.split.vertices}
-        for _ in range(sd.induced.order):
+        for _ in range(sd.orbits.n):
             cur = {v: sd.induced.vertex_perm[cur[v]] for v in cur}
         assert cur == {v: v for v in sd.split.vertices}
 
