@@ -5,7 +5,11 @@ central recipe builds stable twist-fixed module pairs: data fixed by the
 transport up to an explicit grading gauge g0 (signs at automorphism-fixed
 vertices), then conjugated by a random orbit-constant change of basis.
 That keeps the transition matrices computable in closed form while
-producing generic-looking instances.
+producing generic-looking instances.  The generator does not check the
+witnesses it builds: their consumers do (`theorem5_verify` checks both
+witnesses of a graded pair, and `module transition` checks a stored one).
+Every inverse a generator needs comes from the elimination that drew the
+matrix, or is known in closed form (a sign diagonal is its own inverse).
 
 Modules produced here always satisfy the preprojective relation exactly:
 B is supported on one direction of each edge, and I = 0, so every term of
@@ -24,13 +28,13 @@ from .module_lab import (
     FramedModule,
     SigmaData,
     TransitionWitness,
-    act,
+    _conjugate,
     check_relations,
     framed_module,
-    verify_transition,
 )
 from .quiver_core import (
     DiagramAutomorphism,
+    OrbitData,
     Quiver,
     arrow_transport,
     doubled_arrows,
@@ -48,13 +52,17 @@ def rand_mat(rng: random.Random, rows: int, cols: int, p: Optional[int] = None) 
                             for _ in range(rows)], Fp(0, p))
 
 
-def rand_invertible(rng: random.Random, n: int) -> Mat:
+def rand_invertible(rng: random.Random, n: int) -> tuple[Mat, Mat]:
+    """(m, m^-1) for a random invertible rational n x n matrix m with
+    entries in -2..2, both read from one rref of [m | I]."""
     if n == 0:
-        return Mat.zeros(0, 0)
+        return Mat.zeros(0, 0), Mat.zeros(0, 0)
+    eye = Mat.identity(n)
     for _ in range(200):
         m = rand_mat(rng, n, n)
-        if m.is_invertible():
-            return m
+        red, pivots = m.hstack(eye).rref()
+        if pivots[n - 1] == n - 1:      # every pivot of [m | I] lies in m
+            return m, red.submatrix(range(n), range(n, 2 * n))
     raise InputError("could not sample an invertible matrix")
 
 
@@ -70,8 +78,8 @@ def random_finite_order_matrix(rng: random.Random, n: int, e: int) -> Mat:
         blocks.append(_companion(list(cyclotomic_poly(d))))
         remaining -= _phi_deg(d)
     core = Mat.block_diag(blocks)
-    t = rand_invertible(rng, n)
-    return t * core * t.inverse()
+    t, t_inv = rand_invertible(rng, n)
+    return t * core * t_inv
 
 
 def _phi_deg(d: int) -> int:
@@ -88,9 +96,9 @@ def _companion(coeffs) -> Mat:
     return Mat.from_rows(rows)
 
 
-def random_orbit_constant_dims(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
+def random_orbit_constant_dims(rng: random.Random, od: OrbitData,
                                lo: int = 0, hi: int = 2) -> dict[str, int]:
-    od = orbit_data(q, a)
+    """One dimension in lo..hi per vertex orbit of od."""
     out: dict[str, int] = {}
     for orbit in od.vertex_orbits:
         val = rng.randint(lo, hi)
@@ -116,27 +124,25 @@ def random_one_way_module(rng: random.Random, q: Quiver, v: Mapping[str, int],
     return m
 
 
-def random_sigma(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
+def random_sigma(rng: random.Random, q: Quiver, a: DiagramAutomorphism, od: OrbitData,
                  wdims: Mapping[str, int]) -> SigmaData:
     """A valid framing twist: free along each orbit, with the last map
-    chosen so the composite is a random matrix of exact order dividing e."""
-    od = orbit_data(q, a)
+    chosen so the composite is a random matrix of exact order dividing e.
+    od is `orbit_data(q, a)`."""
     maps: dict[str, Mat] = {}
     for orbit in od.vertex_orbits:
         n = wdims.get(orbit[0], 0)
         e = od.e_vertex[orbit[0]]
-        chain = []
         vertex = orbit[0]
+        # the inverse of the chain g_k ... g_1 walked so far: g_1^-1 ... g_k^-1
+        chain_inv = Mat.identity(n)
         for _ in range(len(orbit) - 1):
-            g = rand_invertible(rng, n)
+            g, g_inv = rand_invertible(rng, n)
             maps[vertex] = g
-            chain.append(g)
+            chain_inv = chain_inv * g_inv
             vertex = a.vertex_perm[vertex]
         target = random_finite_order_matrix(rng, n, e) if n else Mat.zeros(0, 0)
-        partial = Mat.identity(n)
-        for g in chain:
-            partial = g * partial
-        maps[vertex] = target * partial.inverse() if n else Mat.zeros(0, 0)
+        maps[vertex] = target * chain_inv if n else Mat.zeros(0, 0)
     return SigmaData(q, a, maps)
 
 
@@ -146,12 +152,13 @@ def random_theta_module(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
     """A random relation-exact module with orbit-constant dimensions and a
     valid twist, suitable for transport-order tests.  Falls back to an
     unsigned module when no invariant orientation exists."""
-    v = random_orbit_constant_dims(rng, q, a, 0, max_dim)
-    w = random_orbit_constant_dims(rng, q, a, 0, max_dim)
-    signed = arrow_transport(q, a).sign is not None
+    od = orbit_data(q, a)
+    v = random_orbit_constant_dims(rng, od, 0, max_dim)
+    w = random_orbit_constant_dims(rng, od, 0, max_dim)
+    signed = arrow_transport(q, a, od).sign is not None
     m = random_one_way_module(rng, q, v, w, p=p, signed=signed)
     if p is None:
-        sigma = random_sigma(rng, q, a, w)
+        sigma = random_sigma(rng, q, a, od, w)
     else:
         sigma = SigmaData(q, a, {x: Mat.identity(w.get(x, 0), Fp(1, p)) for x in q.vertices})
     return m, sigma
@@ -166,6 +173,7 @@ def _signs(plus: int, minus: int) -> list[int]:
 
 
 def _sign_diag(signs: list[int]) -> Mat:
+    """The diagonal matrix of the signs: its own inverse."""
     n = len(signs)
     return Mat(n, n, [[signs[r] if r == c else 0 for c in range(n)] for r in range(n)])
 
@@ -177,12 +185,15 @@ def random_graded_pair(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
     conjugated by random orbit-constant gauges.
 
     Returns (xi, m_sub, m, sigma, witness_sub, witness), drawn up to 60
-    times.  Requires an involutive automorphism.
+    times.  Requires an involutive automorphism.  The two witnesses are
+    built in closed form, as the gauges conjugating the sign gradings, and
+    are not verified here: their consumer verifies them (`theorem5_verify`,
+    `module transition`).
     """
     od = orbit_data(q, a)
     if any(len(o) > 2 for o in od.vertex_orbits):
         raise InputError("graded pair generation handles involutions only")
-    transport = arrow_transport(q, a)
+    transport = arrow_transport(q, a, od)
     if transport.sign is None:
         raise InputError("graded pair generation needs an invariant orientation")
 
@@ -245,7 +256,7 @@ def _try_graded_pair(rng, q, a, od, transport, max_sub, max_extra):
         if img == h:
             x = _mask_equivariant(x, v_signs[h.tgt], v_signs[h.src])
         elif len(eorb) == 2:
-            mapped = g0[img.tgt].inverse() * x * g0[img.src]
+            mapped = g0[img.tgt] * x * g0[img.src]
             B[img.key] = mapped if transport.sign[h.key] == 1 else -mapped
         else:
             # an edge orbit longer than the vertex involution's
@@ -266,9 +277,9 @@ def _try_graded_pair(rng, q, a, od, transport, max_sub, max_extra):
             j = rand_mat(rng, w[rep], v[rep])
             J[rep] = j
             other = a.vertex_perm[rep]
-            y = rand_invertible(rng, w[rep])
+            y, y_inv = rand_invertible(rng, w[rep])
             sigma_maps[rep] = y
-            sigma_maps[other] = y.inverse()
+            sigma_maps[other] = y_inv
             J[other] = y * j
     for x in q.vertices:
         if J[x].rank() != v[x]:
@@ -293,17 +304,13 @@ def _try_graded_pair(rng, q, a, od, transport, max_sub, max_extra):
         raise PropertyViolation("a graded submodule violates the preprojective relation")
 
     # conjugate both sides by orbit-constant gauges, which commute with theta
-    h = _orbit_constant_gauge(rng, od, v)
-    hsub = _orbit_constant_gauge(rng, od, vsub)
-    m_final = act(h, m)
-    sub_final = act(hsub, m_sub)
-    xi = {x: h[x] * xi0[x] * hsub[x].inverse() for x in q.vertices}
-    witness = TransitionWitness({x: h[x] * g0[x] * h[x].inverse() for x in q.vertices})
-    witness_sub = TransitionWitness({x: hsub[x] * g0_sub[x] * hsub[x].inverse() for x in q.vertices})
-    if not verify_transition(m_final, sigma, witness):
-        raise InputError("conjugated witness failed verification")
-    if not verify_transition(sub_final, sigma, witness_sub):
-        raise InputError("conjugated subwitness failed verification")
+    h, h_inv = _orbit_constant_gauge(rng, od, v)
+    hsub, hsub_inv = _orbit_constant_gauge(rng, od, vsub)
+    m_final = _conjugate(h, h_inv, m)
+    sub_final = _conjugate(hsub, hsub_inv, m_sub)
+    xi = {x: h[x] * xi0[x] * hsub_inv[x] for x in q.vertices}
+    witness = TransitionWitness({x: h[x] * g0[x] * h_inv[x] for x in q.vertices})
+    witness_sub = TransitionWitness({x: hsub[x] * g0_sub[x] * hsub_inv[x] for x in q.vertices})
     return xi, sub_final, m_final, sigma, witness_sub, witness
 
 
@@ -327,10 +334,15 @@ def _random_sign_compatible(rng, row_signs: list[int], col_signs: list[int]) -> 
     return Mat(len(row_signs), len(col_signs), data)
 
 
-def _orbit_constant_gauge(rng, od, dims: Mapping[str, int]) -> dict[str, Mat]:
+def _orbit_constant_gauge(rng, od, dims: Mapping[str, int]
+                          ) -> tuple[dict[str, Mat], dict[str, Mat]]:
+    """A random invertible gauge, one matrix per vertex orbit, with its
+    inverse, drawn once per orbit."""
     out: dict[str, Mat] = {}
+    inv: dict[str, Mat] = {}
     for orbit in od.vertex_orbits:
-        g = rand_invertible(rng, dims.get(orbit[0], 0))
+        g, g_inv = rand_invertible(rng, dims.get(orbit[0], 0))
         for x in orbit:
             out[x] = g
-    return out
+            inv[x] = g_inv
+    return out, inv

@@ -15,8 +15,10 @@ integral results are ints and no kernel applies `/` to two ints.
 Storage is dense (`data` is a tuple of row tuples).  A product is formed
 row by row from the nonzero `(col, value)` lists of its right factor
 (Gustavson, ACM TOMS 4, 1978).  Over Q each left row is scaled to ints by
-the lcm of its denominators, the right lists once by the lcm of all of
-theirs, and each entry is its integer sum over the two scales.
+the lcm of its denominators (an all-int left factor, found by one scan of
+its entry types, is taken as it is), the right lists once by the lcm of
+all of theirs, and each entry is its integer sum over the two scales.  A
+product with an empty dimension is its zero matrix, built at once.
 Elimination, behind `rref` (and so `rank`, `nullspace`, `solve`,
 `inverse`) and `det`, is one fraction-free Gauss-Jordan for every field,
 with Bareiss's exact divisions (Math. Comp. 22, 1968).  Over Q each row
@@ -43,6 +45,7 @@ from typing import Callable, Sequence
 from .errors import NotInvertible, ShapeMismatch
 
 _RATIONAL = (int, Fraction)
+_INT = {int}
 _ASCII_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -184,17 +187,22 @@ class Mat:
             if self.cols != other.rows:
                 raise ShapeMismatch(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
             zero, width = self.zero, other.cols
-            right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
             rational = zero.__class__ in _RATIONAL and other.zero.__class__ in _RATIONAL
+            fill = 0 if rational else zero
+            if not (self.rows and self.cols and width):
+                return _mat(self.rows, width, ((fill,) * width,) * self.rows, zero)
+            right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
             dens = [b.denominator for row in right for _, b in row
                     if b.__class__ is not int] if rational else []
-            fill, scale = 0 if rational else zero, lcm(*dens)
+            scale = lcm(*dens)
             if dens:
                 right = [[(j, b.numerator * (scale // b.denominator)) for j, b in row]
                          for row in right]
+            # an all-int left factor needs no row scaling
+            scaled = rational and not {x.__class__ for row in self.data for x in row} <= _INT
             out = []
             for row in self.data:
-                r, row = _integral(row) if rational else (1, row)
+                r, row = _integral(row) if scaled else (1, row)
                 d = r * scale
                 acc = [None] * width
                 for a, nonzero in zip(row, right):

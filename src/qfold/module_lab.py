@@ -318,8 +318,12 @@ def apply_theta(m: FramedModule, sigma: SigmaData) -> FramedModule:
 def act(g: Mapping[str, Mat], m: FramedModule) -> FramedModule:
     """The change-of-basis action: B goes to g B g^{-1} along arrows,
     I to g I, J to J g^{-1}."""
+    return _conjugate(g, {x: g[x].inverse() for x in m.quiver.vertices}, m)
+
+
+def _conjugate(g: Mapping[str, Mat], inv: Mapping[str, Mat], m: FramedModule) -> FramedModule:
+    """`act` with the inverses g^{-1} given, for a caller that holds them."""
     q = m.quiver
-    inv = {x: g[x].inverse() for x in q.vertices}
     newB = {}
     for info in doubled_arrows(q):
         newB[info.key] = g[info.tgt] * m.B[info.key] * inv[info.src]

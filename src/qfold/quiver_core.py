@@ -13,13 +13,15 @@ order n, the lcm of the orbit sizes) comes from `orbit_data`.
 `require_admissible` hands back the orbit data it checked.
 
 The doubled quiver has two arrows per edge e, keyed "e" along it (eps =
-+1) and "e*" against it (eps = -1).  An automorphism a sends the arrow
++1) and "e*" against it (eps = -1); a `Quiver` lists them once, in
+`doubled`, when it is built.  An automorphism a sends the arrow
 (e, eps) to (a(e), -eps) if it reverses e, else to (a(e), eps).  The
 signed transport multiplies each arrow h by c(h) c(a(h)), with c = -1
 exactly on forward arrows against an a-invariant orientation (the one
 agreeing with each edge orbit's first edge); the signs telescope around
 every orbit.  Without an invariant orientation only unsigned modules
-transport.
+transport.  The orientation and the transport read the orbit data their
+caller already holds.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class Edge(NamedTuple):
 class Quiver:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
+    # the doubled quiver's arrows, derived once from the edges
+    doubled: tuple["ArrowInfo", ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.vertices)) != len(self.vertices):
@@ -60,6 +64,11 @@ class Quiver:
         for e in self.edges:
             if e.src not in vs or e.tgt not in vs:
                 raise InputError(f"edge {e.id} uses unknown vertex")
+        doubled = []
+        for e in self.edges:
+            doubled.append(ArrowInfo(_doubled_key(e.id, 1), e.id, e.src, e.tgt, 1))
+            doubled.append(ArrowInfo(_doubled_key(e.id, -1), e.id, e.tgt, e.src, -1))
+        object.__setattr__(self, "doubled", tuple(doubled))
 
     def edge(self, edge_id: str) -> Edge:
         for e in self.edges:
@@ -302,11 +311,7 @@ def _doubled_key(edge_id: str, eps: int) -> str:
 
 
 def doubled_arrows(q: Quiver) -> list[ArrowInfo]:
-    out = []
-    for e in q.edges:
-        out.append(ArrowInfo(_doubled_key(e.id, 1), e.id, e.src, e.tgt, 1))
-        out.append(ArrowInfo(_doubled_key(e.id, -1), e.id, e.tgt, e.src, -1))
-    return out
+    return list(q.doubled)
 
 
 def reverse_key(key: str) -> str:
@@ -318,11 +323,12 @@ def _direction_sign(q: Quiver, a: DiagramAutomorphism, e: Edge) -> int:
     return 1 if q.edge(a.edge_perm[e.id]).src == a.vertex_perm[e.src] else -1
 
 
-def invariant_orientation(q: Quiver, a: DiagramAutomorphism) -> Optional[dict[str, int]]:
+def invariant_orientation(q: Quiver, a: DiagramAutomorphism,
+                          od: OrbitData) -> Optional[dict[str, int]]:
     """Per-edge sign comparing the input orientation with an automorphism
     invariant one (+1 agree, -1 differ), or None when no invariant
-    orientation exists (an edge orbit with odd reversal holonomy)."""
-    od = orbit_data(q, a)
+    orientation exists (an edge orbit with odd reversal holonomy); od is
+    `orbit_data(q, a)`."""
     orient: dict[str, int] = {}
     for orbit in od.edge_orbits:
         rep = edge = orbit[0]
@@ -346,8 +352,9 @@ class ArrowTransport(NamedTuple):
     sign: Optional[Mapping[str, int]]
 
 
-def arrow_transport(q: Quiver, a: DiagramAutomorphism) -> ArrowTransport:
-    orient = invariant_orientation(q, a)
+def arrow_transport(q: Quiver, a: DiagramAutomorphism, od: OrbitData) -> ArrowTransport:
+    """The transport of the doubled arrows under a; od is `orbit_data(q, a)`."""
+    orient = invariant_orientation(q, a, od)
     image = {}
     for e in q.edges:
         turn = _direction_sign(q, a, e)

@@ -359,7 +359,7 @@ class SigmaData:
                     f"(sigma composite at {lift})^{e} is not the identity")
         object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "orbits", od)
-        object.__setattr__(self, "transport", arrow_transport(q, a))
+        object.__setattr__(self, "transport", arrow_transport(q, a, od))
 
 
 def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:

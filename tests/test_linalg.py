@@ -531,8 +531,9 @@ def test_rational_products_match_the_fraction_oracle():
     """Products over Q, formed as integer products scaled back once per
     entry, against the dense product of Fraction dot products: ints, non-integral and
     integral Fractions side by side, sparse and dense, shapes 0..8, and
-    right factors whose columns cancel the left factor to zero.  The values
-    agree, and every integral entry of a product is an int."""
+    right factors whose columns cancel the left factor to zero.  A quarter
+    of the left factors are all ints against right factors of Fractions.
+    The values agree, and every integral entry of a product is an int."""
     import random
     rng = random.Random(14)
 
@@ -540,15 +541,18 @@ def test_rational_products_match_the_fraction_oracle():
         n = rng.randint(-9, 9)
         return n if kind == 0 else Fraction(n) if kind == 1 else Fraction(n, rng.randint(1, 12))
 
-    def matrix(rows, cols, density):
-        data = [[entry(rng.randrange(3)) if rng.random() < density else 0 for _ in range(cols)]
+    def matrix(rows, cols, density, kinds=(0, 1, 2)):
+        data = [[entry(rng.choice(kinds)) if rng.random() < density else 0 for _ in range(cols)]
                 for _ in range(rows)]
         return Mat(rows, cols, data)
 
     for trial in range(600):
         n, k, m = (rng.randint(0, 8) for _ in range(3))
         density = rng.choice([0.15, 0.5, 1.0])
-        a, b = matrix(n, k, density), matrix(k, m, density)
+        if trial % 4 == 1:            # an all-int left factor skips the row scaling
+            a, b = matrix(n, k, density, (0,)), matrix(k, m, density, (1, 2))
+        else:
+            a, b = matrix(n, k, density), matrix(k, m, density)
         if trial % 4 == 3:            # columns of b in the kernel of a cancel to zero
             kernel = a.nullspace()
             if kernel.cols:
@@ -557,3 +561,21 @@ def test_rational_products_match_the_fraction_oracle():
         assert got == dense_mul(as_fractions(a), as_fractions(b)), (a, b)
         assert type(got.zero) is type(a.zero), (a, b)
         assert all(canonical(x) for row in got.data for x in row), (a, b, got)
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), Fp(0, 5), ZETA3.zero],
+                         ids=["int", "Fraction", "F5", "Q(zeta3)"])
+def test_products_with_an_empty_dimension_match_the_dense_oracle(zero):
+    """0 x k by k x n, m x 0 by 0 x n and m x k by k x 0: the shape, the
+    values and the zero's type of the dense product."""
+    one = zero + 1
+
+    def full(rows, cols):
+        return Mat(rows, cols, [[one + one] * cols for _ in range(rows)], zero)
+
+    for rows, inner, cols in ((0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 2), (2, 0, 0), (0, 0, 0)):
+        a, b = full(rows, inner), full(inner, cols)
+        got, want = a * b, dense_mul(as_fractions(a), as_fractions(b))
+        assert (got.rows, got.cols) == (rows, cols)
+        assert got == want and type(got.zero) is type(zero), (rows, inner, cols)
+        assert_same(got, want, (rows, inner, cols))

@@ -249,7 +249,7 @@ def test_sigma_constraint_checked():
 def test_no_invariant_orientation_for_reversed_edge():
     a4 = a_quiver(4)
     flip4 = flip_automorphism(a4, 4)
-    assert invariant_orientation(a4, flip4) is None
+    assert invariant_orientation(a4, flip4, orbit_data(a4, flip4)) is None
     v = {x: 1 for x in a4.vertices}
     w = dict(v)
     m = framed_module(a4, v, w)
@@ -344,15 +344,16 @@ def test_arrow_transport_matches_the_arrow_oracle():
         q, a = entry.quiver, entry.auto
         orient = oracle_orientation(q, a)
         images, signs = oracle_transport(q, a, orient)
-        transport = arrow_transport(q, a)
+        od = orbit_data(q, a)
+        transport = arrow_transport(q, a, od)
         assert transport.image == images and transport.sign == signs, entry.name
         if orient is None:
             without_orientation.append(entry.name)
         for p in (None, 3):
-            v = random_orbit_constant_dims(rng, q, a, 1, 2)
-            w = random_orbit_constant_dims(rng, q, a, 0, 2)
+            v = random_orbit_constant_dims(rng, od, 1, 2)
+            w = random_orbit_constant_dims(rng, od, 0, 2)
             if p is None:
-                sigma = random_sigma(rng, q, a, w)
+                sigma = random_sigma(rng, q, a, od, w)
             else:
                 sigma = SigmaData(q, a, {x: Mat.identity(w[x], Fp(1, p)) for x in q.vertices})
             B = {info.key: rand_mat(rng, v[info.tgt], v[info.src], p=p)
