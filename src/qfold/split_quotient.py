@@ -25,7 +25,6 @@ from .errors import (
     IndexMismatch,
     IsoNotFound,
     NotDiagonalizableOverCyclotomicEigenvalues,
-    NotInvertible,
     NotOrbitConstant,
     PropertyViolation,
     SigmaConstraintViolated,
@@ -312,9 +311,10 @@ class SigmaData:
     Construction validates the maps and raises SigmaConstraintViolated
     otherwise: every sigma_i is square and invertible and lands in a space
     of its own dimension, so w_i, read off as the size of sigma_i, is
-    constant on orbits.  Validation keeps the inverses sigma_i^{-1}, the
-    orbit data of the automorphism and its arrow transport, so the module
-    transport theta needs nothing else.
+    constant on orbits.  Validation keeps the inverses sigma_i^{-1}, read
+    off the orbit composite (whose (e-1)-st power is its inverse) with no
+    elimination, the orbit data of the automorphism and its arrow
+    transport, so the module transport theta needs nothing else.
     """
 
     quiver: Quiver
@@ -335,7 +335,6 @@ class SigmaData:
         missing = [vertex for vertex in q.vertices if vertex not in self.maps]
         if missing:
             raise SigmaConstraintViolated(f"sigma is missing at {', '.join(missing)}")
-        inverses = {}
         for vertex in q.vertices:
             mat = self.maps[vertex]
             if mat.rows != mat.cols:
@@ -346,20 +345,46 @@ class SigmaData:
                 raise SigmaConstraintViolated(
                     f"sigma at {vertex} is {mat.rows}x{mat.cols} but sigma at {image} "
                     f"has {self.maps[image].cols} columns")
-            try:
-                inverses[vertex] = mat.inverse()
-            except NotInvertible:
-                raise SigmaConstraintViolated(f"sigma at {vertex} is singular") from None
         od = orbit_data(q, a)
+        inverses = {}
         for orbit in od.vertex_orbits:
             lift, e = orbit[0], od.e_vertex[orbit[0]]
-            comp = orbit_composite(self.maps, a, lift, len(orbit))
-            if comp.power(e) != Mat.identity(comp.rows, comp.zero + 1):
+            # chain[k] = a^k(lift), prefix[k] = sigma_{chain[k]} ... sigma_lift,
+            # and the last prefix is the composite c
+            chain, prefix = zip(*_orbit_walk(self.maps, a, lift, len(orbit)))
+            comp = prefix[-1]
+            back = None  # c^(e-1), None for the identity
+            for _ in range(e - 1):
+                back = comp if back is None else back * comp
+            if (comp if back is None else back * comp) != Mat.identity(comp.rows, comp.zero + 1):
+                singular = next((v for v in q.vertices if not self.maps[v].is_invertible()), None)
+                if singular is not None:
+                    raise SigmaConstraintViolated(f"sigma at {singular} is singular")
                 raise SigmaConstraintViolated(
                     f"(sigma composite at {lift})^{e} is not the identity")
+            # c = R_k sigma_k L_k with L_k = prefix[k-1] and
+            # R_k = sigma_{a^(d-1)(lift)} ... sigma_{a^(k+1)(lift)}, and c^-1 = c^(e-1),
+            # so sigma_k^-1 = L_k c^(e-1) R_k
+            suffix = None  # R_k, None for the identity
+            for k in range(len(chain) - 1, -1, -1):
+                inverses[chain[k]] = _product(prefix[k - 1] if k else None, back, suffix,
+                                              like=self.maps[chain[k]])
+                if k:
+                    mat = self.maps[chain[k]]
+                    suffix = mat if suffix is None else suffix * mat
         object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "orbits", od)
         object.__setattr__(self, "transport", arrow_transport(q, a, od))
+
+
+def _product(*factors: Optional[Mat], like: Mat) -> Mat:
+    """The product of the factors that are not None (each None the
+    identity); the identity of like's size and field if all are."""
+    out = None
+    for m in factors:
+        if m is not None:
+            out = m if out is None else out * m
+    return out if out is not None else Mat.identity(like.rows, like.zero + 1)
 
 
 def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
@@ -385,14 +410,21 @@ def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
     return out
 
 
-def orbit_composite(sigma: Mapping[str, Mat], a: DiagramAutomorphism, lift: str, d: int) -> Mat:
-    """sigma_{a^{d-1}(lift)} ... sigma_{a(lift)} sigma_{lift} as one matrix."""
+def _orbit_walk(sigma: Mapping[str, Mat], a: DiagramAutomorphism, lift: str,
+                d: int) -> list[tuple[str, Mat]]:
+    """Each a^k(lift), k < d, with sigma_{a^k(lift)} ... sigma_{a(lift)} sigma_{lift}."""
+    out: list[tuple[str, Mat]] = []
     vertex = lift
-    comp = None
     for _ in range(d):
         m = sigma[vertex]
-        comp = m if comp is None else m * comp
+        out.append((vertex, m * out[-1][1] if out else m))
         vertex = a.vertex_perm[vertex]
     if vertex != lift:
         raise PropertyViolation(f"the orbit of {lift} does not close after {d} steps")
-    return comp if comp is not None else Mat.identity(0)
+    return out
+
+
+def orbit_composite(sigma: Mapping[str, Mat], a: DiagramAutomorphism, lift: str, d: int) -> Mat:
+    """sigma_{a^{d-1}(lift)} ... sigma_{a(lift)} sigma_{lift} as one matrix."""
+    walk = _orbit_walk(sigma, a, lift, d)
+    return walk[-1][1] if walk else Mat.identity(0)

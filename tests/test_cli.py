@@ -102,6 +102,21 @@ def test_branch_d4_rot3_summands_pinned(capsys):
         ([0, 2], 3, 27), ([1, 0], 1, 14), ([0, 1], 2, 7), ([0, 0], 1, 1)]
 
 
+def test_branch_large_framings_pinned(capsys):
+    # one SHA-256 over the --json output of four framings far over the
+    # default cap: D5-swap rho, A9-flip rho, A7-flip (2,1,1,1,2) and
+    # D4-rot3 (3,3,3,3); the hash was taken before the fiber-sum branching
+    digest = hashlib.sha256()
+    for name, framing in (("D5-swap", "1,1,1,1,1,1,1"), ("A9-flip", "1,1,1,1,1,1"),
+                          ("A7-flip", "2,1,1,1,2"), ("D4-rot3", "3,3,3,3")):
+        code, out = run(capsys, "branch", "--corpus", name, "--framing", framing,
+                        "--dim-cap", str(10 ** 11), "--json")
+        assert code == 0, name
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "4a5feaafe02aa40899d3ab8a098b75c7141082605729a6af1a945310611e66ff")
+
+
 def test_dims_identity_twist(capsys):
     code, out = run(capsys, "dims", "--corpus", "D4-swap",
                     "--v", "1,1,1,1", "--w", "1,1,1,1", "--json")

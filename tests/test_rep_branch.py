@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from qfold.errors import (
     NotDominant,
     NotFiniteType,
     NotInvariantWeight,
+    TooLarge,
 )
 from qfold.lie_fold import (
     canonical_cartan,
@@ -439,6 +441,29 @@ def test_branch_checks_cap_before_any_walk(monkeypatch):
         branch(c, (1000,) * c.n, fold)
 
 
+def test_branch_checks_fiber_budget_before_any_fiber(monkeypatch):
+    # a framing under the dimension cap whose fibers hold over FIBER_SUM_CAP
+    # weights is refused before the top character or a fiber is listed
+    from qfold import rep_branch
+    from qfold.corpus import corpus_entry
+    from qfold.split_quotient import split_quiver
+
+    entry = corpus_entry("D4-rot3")
+    sd = split_quiver(entry.quiver, entry.auto)
+    c = cartan_from_quiver(sd.split)
+    fold = fold_cartan(c, sd.induced)
+
+    def no_enumeration(*_args):
+        raise AssertionError("listed weights beyond the fiber budget")
+
+    monkeypatch.setattr(rep_branch, "_freudenthal", no_enumeration)
+    monkeypatch.setattr(rep_branch, "_fiber_points", no_enumeration)
+    with pytest.raises(TooLarge) as raised:
+        branch(c, (0, 30, 0, 30), fold, dim_cap=10 ** 12)
+    assert raised.value.context["cap"] == rep_branch.FIBER_SUM_CAP
+    assert raised.value.context["estimate"] == 1_615_441
+
+
 # ---------------------------------------------------------------------------
 # the dense kernels the root datum replaced, kept as oracles
 # ---------------------------------------------------------------------------
@@ -496,6 +521,30 @@ def spread_oracle(c, lam, fold, depths):
         if rw in depths:
             restricted[rw] = restricted.get(rw, 0) + m
     return restricted, sum(char.values())
+
+
+def orbit_spread(c, lam, orbits, depths):
+    """The former spread, kept as an oracle for the fiber sum: each dominant
+    weight's Weyl orbit walked, every point restricted as it is listed, and
+    the sum of m * |W mu| over the dominant weights."""
+    from qfold.rep_branch import _freudenthal, _restrict
+
+    base = 1 + max(max(nu, default=0) for nu in depths)
+    coeff = [0] * c.n
+    for j, orbit in enumerate(orbits):
+        for k in orbit:
+            coeff[k] = base ** j
+    by_key = {sum(x * base ** j for j, x in enumerate(nu)): nu for nu in depths}
+    restricted = {}
+    spread = 0
+    for mu, m in _freudenthal(c, lam, {}).items():
+        orbit = weyl_orbit(c, mu)
+        spread += m * len(orbit)
+        for w in orbit:
+            nu = by_key.get(sum(map(mul, w, coeff)))
+            if nu is not None and _restrict(w, orbits) == nu:
+                restricted[nu] = restricted.get(nu, 0) + m
+    return restricted, spread
 
 
 def corpus_finite_cartans():
@@ -604,8 +653,57 @@ def test_fused_spread_matches_full_character_restriction():
             if weyl_dim(c, lam) > 3000:
                 continue
             depths = dominant_weights_below(fold.folded, restrict_weight(lam, fold))
-            got = rep_branch._restricted_spread(c, lam, orbits, depths)
+            got = rep_branch._restricted_spread(c, lam, fold.folded, orbits, depths, {})
+            assert got == orbit_spread(c, lam, orbits, depths), (entry.name, lam)
             assert got == spread_oracle(c, lam, fold, depths), (entry.name, lam)
             assert got[1] == weyl_dim(c, lam)
             cases += 1
     assert cases >= 100
+
+
+def test_folded_orbit_size_matches_the_orbit_walk():
+    # every folded-dominant weight of Weyl dimension at most 3000 of each
+    # finite corpus fold, then F4
+    from qfold import rep_branch
+    from qfold.corpus import corpus
+    from qfold.split_quotient import split_quiver
+
+    folded = []
+    for entry in corpus():
+        if not entry.admissible:
+            continue
+        sd = split_quiver(entry.quiver, entry.auto)
+        split_c = cartan_from_quiver(sd.split)
+        base_c = cartan_from_quiver(entry.quiver)
+        for c in (fold_cartan(split_c, sd.induced).folded,
+                  fold_cartan(base_c, entry.auto).folded):
+            if is_finite_type(c) and c not in folded:
+                folded.append(c)
+    kinds = {str(classify_cartan(c)) for c in folded}
+    assert kinds >= {"C2", "C3", "C4", "C5", "B2", "B3", "B4", "B5", "G2"}
+    cases = 0
+    for c in folded + [canonical_cartan("F", 4)]:
+        rd = root_datum(c)
+        for nu in weights_up_to(c, 3000):
+            moved = tuple(x != 0 for x in nu)
+            assert rep_branch._orbit_size(rd, moved) == len(weyl_orbit(c, nu)), (c.labels, nu)
+            cases += 1
+    assert cases >= 1200
+
+
+def weights_up_to(c, cap):
+    """The dominant weights of Weyl dimension at most cap: the dimension
+    grows in every coordinate, so each coordinate is raised until it passes."""
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == c.n:
+            out.append(prefix)
+            return
+        top = 0
+        while weyl_dim(c, prefix + (top,) + (0,) * (c.n - len(prefix) - 1)) <= cap:
+            extend(prefix + (top,))
+            top += 1
+
+    extend(())
+    return out

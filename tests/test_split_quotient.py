@@ -298,3 +298,37 @@ def test_split_keeps_parallel_edges():
     sd = split_quiver(aff1, identity_automorphism(aff1))
     assert sd.split == aff1
     assert str(classify_cartan(cartan_from_quiver(sd.split))) == "affine-A1"
+
+
+def test_sigma_inverses_read_off_the_composite_equal_eliminated_inverses():
+    # random twists on every corpus entry, D4-rot3's rotation included; the
+    # kept inverses come from the orbit composite, not from an elimination
+    import random
+
+    from qfold.generators import random_orbit_constant_dims, random_sigma
+    from qfold.quiver_core import orbit_data
+
+    rng = random.Random(17)
+    names = set()
+    for entry in corpus():
+        od = orbit_data(entry.quiver, entry.auto)
+        for _ in range(3):
+            sigma = random_sigma(rng, entry.quiver, entry.auto, od,
+                                 random_orbit_constant_dims(rng, od, 0, 3))
+            for x in entry.quiver.vertices:
+                assert sigma.inverses[x] == sigma.maps[x].inverse(), (entry.name, x)
+        names.add(entry.name)
+    assert "D4-rot3" in names
+
+
+def test_sigma_errors_name_the_singular_map_first():
+    a3 = a_quiver(3)
+    flip = flip_automorphism(a3, 3)
+    maps = {v: Mat.identity(1) for v in a3.vertices}
+    # the order-2 composite at 2 fails, the singular sigma at 3 is named
+    with pytest.raises(SigmaConstraintViolated, match="sigma at 3 is singular"):
+        SigmaData(a3, flip, {**maps, "2": Mat.rational([[3]]), "3": Mat.rational([[0]])})
+    with pytest.raises(SigmaConstraintViolated, match=r"composite at 2\)\^2 is not the identity"):
+        SigmaData(a3, flip, {**maps, "2": Mat.rational([[3]])})
+    with pytest.raises(SigmaConstraintViolated, match=r"composite at 1\)\^1 is not the identity"):
+        SigmaData(a3, flip, {**maps, "1": Mat.rational([[2]])})
