@@ -5,7 +5,7 @@ automorphisms, folds Cartan matrices to automorphism-fixed subalgebras
 with matrix-level relation checks, solves the associated finite-type
 branching problems, and provides an exact-arithmetic laboratory for
 framed preprojective modules (stability, twisted transport, transition
-matrices, eigenspace gradings and inclusions).
+matrices, eigenspace profiles and inclusions).
 """
 
 from .quiver_core import (
@@ -31,7 +31,6 @@ from .split_quotient import (
     quotient_quiver,
     split_quiver,
     split_involution_check,
-    graph_isomorphic,
     project_dim,
     fibers_of_p,
     fiber_count,
@@ -54,12 +53,10 @@ from .rep_branch import (
     root_datum,
     weyl_dim,
     freudenthal_character,
-    restrict_weight,
     branch,
     highest_weight_from_framing,
 )
 from .module_lab import (
-    FramedEmbedding,
     FramedModule,
     SigmaData,
     TransitionWitness,
@@ -74,10 +71,8 @@ from .module_lab import (
     star,
     build_theta_witness,
     verify_transition,
-    eigen_grade,
     eigen_profile,
     check_framed_embedding,
-    hecke_profile,
     theorem5_verify,
     identity_sigma,
 )

@@ -31,7 +31,6 @@ from .quiver_core import (
     identity_automorphism,
     is_admissible,
     quiver_from_dict,
-    quiver_to_dict,
 )
 
 CORPUS_ENV = "QFOLD_CORPUS_DIR"
@@ -127,12 +126,3 @@ def corpus_entry(name: str) -> CorpusEntry:
             return entry
     known = ", ".join(e.name for e in corpus())
     raise InputError(f"unknown corpus entry {name!r}; known entries: {known}")
-
-
-def entry_to_dict(entry: CorpusEntry) -> dict:
-    out = quiver_to_dict(entry.quiver, entry.auto)
-    out["name"] = entry.name
-    out["admissible"] = entry.admissible
-    if entry.description:
-        out["description"] = entry.description
-    return out

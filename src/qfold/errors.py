@@ -97,10 +97,6 @@ class DimensionCapExceeded(InputError):
     pass
 
 
-class NotInvariantWeight(InputError):
-    pass
-
-
 class CharacterMismatch(PropertyViolation):
     """Weyl's dimension formula and the Freudenthal recursion disagree."""
 
@@ -131,14 +127,6 @@ class NotStable(InputError):
 
 
 class NotInvertible(InputError):
-    pass
-
-
-class NotFiniteOrder(InputError):
-    pass
-
-
-class NotAnEmbedding(InputError):
     pass
 
 

@@ -37,7 +37,6 @@ from .quiver_core import (
     OrbitData,
     Quiver,
     arrow_transport,
-    doubled_arrows,
     orbit_data,
     reverse_key,
 )
@@ -112,7 +111,7 @@ def random_one_way_module(rng: random.Random, q: Quiver, v: Mapping[str, int],
                           signed: bool = True) -> FramedModule:
     """Relation-exact random module: one random direction per edge carries
     a random matrix, J is arbitrary, I = 0."""
-    arrows = {info.key: info for info in doubled_arrows(q)}
+    arrows = {info.key: info for info in q.doubled}
     B: dict[str, Mat] = {}
     for e in q.edges:
         h = arrows[e.id if rng.random() < 0.5 else reverse_key(e.id)]
@@ -247,7 +246,7 @@ def _try_graded_pair(rng, q, a, od, transport, max_sub, max_extra):
 
     # arrow matrices: triangular w.r.t. the sub coordinates; grading
     # equivariant on automorphism-fixed arrows; transported otherwise
-    arrows = {info.key: info for info in doubled_arrows(q)}
+    arrows = {info.key: info for info in q.doubled}
     B: dict[str, Mat] = {}
     for eorb in od.edge_orbits:
         h = arrows[eorb[0] if rng.random() < 0.5 else reverse_key(eorb[0])]
@@ -298,7 +297,7 @@ def _try_graded_pair(rng, q, a, od, transport, max_sub, max_extra):
     m_sub = framed_module(
         q, vsub, w,
         B={info.key: m.B[info.key].submatrix(range(vsub[info.tgt]), range(vsub[info.src]))
-           for info in doubled_arrows(q)},
+           for info in q.doubled},
         J={x: J[x].submatrix(range(w[x]), range(vsub[x])) for x in q.vertices})
     if not check_relations(m_sub).ok:
         raise PropertyViolation("a graded submodule violates the preprojective relation")

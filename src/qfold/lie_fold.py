@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -256,16 +256,15 @@ class FoldedAlgebraData:
     folded: CartanMatrix
 
 
-def _vertex_perm_of(a: Union[DiagramAutomorphism, Mapping[str, str]],
-                    labels: Sequence[str]) -> Mapping[str, str]:
+def _vertex_perm_of(a: DiagramAutomorphism, labels: Sequence[str]) -> Mapping[str, str]:
     """The vertex map of a, checked to permute the labels."""
-    perm = a.vertex_perm if isinstance(a, DiagramAutomorphism) else a
+    perm = a.vertex_perm
     if set(perm) != set(labels) or set(perm.values()) != set(labels):
         raise InputError(f"vertex map is not a permutation of the labels {', '.join(labels)}")
     return perm
 
 
-def fold_cartan(c: CartanMatrix, a: Union[DiagramAutomorphism, Mapping[str, str]]) -> FoldedAlgebraData:
+def fold_cartan(c: CartanMatrix, a: DiagramAutomorphism) -> FoldedAlgebraData:
     """Cartan matrix of the automorphism-fixed subalgebra.
 
     Folded entry at (orbit I, orbit J) is sum over k in J of c[i0][k] for a
@@ -329,8 +328,7 @@ def _so_even_generators(n: int) -> tuple[list[Mat], list[Mat], list[Mat]]:
     return E, F, [_comm(e, f) for e, f in zip(E, F)]
 
 
-def folded_generators(rank: int, family: str,
-                      a: Union[DiagramAutomorphism, Mapping[str, str]]
+def folded_generators(rank: int, family: str, a: DiagramAutomorphism
                       ) -> tuple[list[Mat], list[Mat], list[Mat]]:
     """Orbit-summed Chevalley generators in the defining representation.
 
@@ -378,10 +376,6 @@ class SerreViolation:
 class SerreReport:
     ok: bool
     violations: tuple[SerreViolation, ...]
-
-    @property
-    def first_violation(self) -> Optional[SerreViolation]:
-        return self.violations[0] if self.violations else None
 
     def has_kind(self, kind: str) -> bool:
         return any(v.kind == kind for v in self.violations)

@@ -23,13 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .errors import (
     IndexMismatch,
     InputError,
-    NotAnEmbedding,
-    NotFiniteOrder,
     NotInvertible,
     NotOrbitConstant,
     NotStable,
@@ -51,15 +49,7 @@ from .numberfield import (
     poly_gcd,
     poly_str,
 )
-from .quiver_core import (  # ArrowInfo and invariant_orientation are re-exported
-    ArrowInfo,
-    DiagramAutomorphism,
-    Quiver,
-    doubled_arrows,
-    invariant_orientation,
-    orbit_data,
-    reverse_key,
-)
+from .quiver_core import DiagramAutomorphism, Quiver, orbit_data, reverse_key
 from .split_quotient import (
     SigmaData,
     is_orbit_constant,
@@ -84,7 +74,7 @@ class FramedModule:
         return _entry_zero(self.B, self.I, self.J) + 1
 
     def __post_init__(self):
-        arrows = doubled_arrows(self.quiver)
+        arrows = self.quiver.doubled
         keys = {info.key for info in arrows}
         for name, block in (("v", self.v), ("w", self.w), ("B", self.B),
                             ("I", self.I), ("J", self.J)):
@@ -126,7 +116,7 @@ def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
     I = dict(I or {})
     J = dict(J or {})
     zero = _entry_zero(B, I, J)
-    for info in doubled_arrows(q):
+    for info in q.doubled:
         B.setdefault(info.key, Mat.zeros(v.get(info.tgt, 0), v.get(info.src, 0), zero))
     for vertex in q.vertices:
         I.setdefault(vertex, Mat.zeros(v.get(vertex, 0), w.get(vertex, 0), zero))
@@ -154,7 +144,7 @@ def check_relations(m: FramedModule) -> RelationReport:
     """Evaluate the preprojective relation at every vertex; reports the
     first violating vertex."""
     leaving = {}
-    for info in doubled_arrows(m.quiver):
+    for info in m.quiver.doubled:
         leaving.setdefault(info.src, []).append(info)
     for vertex in m.quiver.vertices:
         acc = m.I[vertex] * m.J[vertex]
@@ -180,7 +170,7 @@ def _path_rows(m: FramedModule) -> dict[str, Mat]:
         red, pivots = mat.rref()
         return red.submatrix(range(len(pivots)), range(mat.cols))
 
-    arrows = doubled_arrows(m.quiver)
+    arrows = m.quiver.doubled
     rows = {x: reduced(m.J[x]) for x in m.quiver.vertices}
     grown = True
     while grown:
@@ -197,12 +187,6 @@ def _path_rows(m: FramedModule) -> dict[str, Mat]:
                 rows[x] = new
                 grown = True
     return rows
-
-
-def invariant_kernel_subspace(m: FramedModule) -> dict[str, Mat]:
-    """The largest B-invariant graded subspace contained in ker J, as
-    per-vertex column bases."""
-    return {x: r.nullspace() for x, r in _path_rows(m).items()}
 
 
 def is_stable(m: FramedModule) -> bool:
@@ -257,7 +241,7 @@ def brute_stability(m: FramedModule) -> bool:
                        estimate=total, cap=500_000)
 
     import itertools
-    arrows = doubled_arrows(m.quiver)
+    arrows = m.quiver.doubled
     for combo in itertools.product(*per_vertex):
         spaces = dict(zip(m.quiver.vertices, combo))
         if all(b.cols == 0 for b in spaces.values()):
@@ -325,7 +309,7 @@ def _conjugate(g: Mapping[str, Mat], inv: Mapping[str, Mat], m: FramedModule) ->
     """`act` with the inverses g^{-1} given, for a caller that holds them."""
     q = m.quiver
     newB = {}
-    for info in doubled_arrows(q):
+    for info in q.doubled:
         newB[info.key] = g[info.tgt] * m.B[info.key] * inv[info.src]
     newI = {x: g[x] * m.I[x] for x in q.vertices}
     newJ = {x: m.J[x] * inv[x] for x in q.vertices}
@@ -341,7 +325,7 @@ def direct_sum(m1: FramedModule, m2: FramedModule) -> FramedModule:
         raise ShapeMismatch("direct sum needs equal framing dimensions")
     v = {x: m1.v.get(x, 0) + m2.v.get(x, 0) for x in q.vertices}
     B = {}
-    for info in doubled_arrows(q):
+    for info in q.doubled:
         B[info.key] = Mat.block_diag([m1.B[info.key], m2.B[info.key]])
     I = {x: m1.I[x].vstack(m2.I[x]) for x in q.vertices}
     J = {x: m1.J[x].hstack(m2.J[x]) for x in q.vertices}
@@ -442,16 +426,18 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat], sigma: SigmaData
     """
     q = m1.quiver
     _refuse_stray_keys(g, q, "the gauge")
+    inv = {}  # g^{-1}, one elimination per block
     for x in q.vertices:
         n = m1.v.get(x, 0)
         mat = g.get(x)
         if mat is None or mat.rows != n or mat.cols != n:
             raise ShapeMismatch(f"gauge block at {x} must be {n}x{n}")
-        if n and not mat.is_invertible():
-            raise NotInvertible(f"gauge block at {x} is singular")
+        try:
+            inv[x] = mat.inverse()
+        except NotInvertible:
+            raise NotInvertible(f"gauge block at {x} is singular") from None
 
-    theta_m1 = apply_theta(m1, sigma)
-    twisted = act(g, theta_m1)
+    twisted = _conjugate(g, inv, apply_theta(m1, sigma))
     big = direct_sum(m1, twisted)
     rep = check_relations(big)
     if not rep.ok:
@@ -464,7 +450,7 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat], sigma: SigmaData
     dims = {}
     for x in q.vertices:
         n = m1.v.get(x, 0)
-        blocks[x] = Mat.block_diag([gstar[x], g[x].inverse()])
+        blocks[x] = Mat.block_diag([gstar[x], inv[x]])
         dims[x] = (n, n)
     witness = TransitionWitness(blocks, summand_swap=True, block_dims=dims)
     if not verify_transition(big, sigma, witness):
@@ -475,21 +461,8 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat], sigma: SigmaData
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue grading and profiles
+# eigenvalue profiles
 # ---------------------------------------------------------------------------
-
-def eigen_grade(g_mat: Mat, e: int) -> list[tuple[Fraction, int]]:
-    """Eigenspace dimensions of a finite-order matrix, one entry per e-th
-    root of unity exp(2*pi*i*t), phases t ascending from 0."""
-    if g_mat.rows != g_mat.cols:
-        raise ShapeMismatch("eigen_grade needs a square matrix")
-    if e < 1:
-        raise NotFiniteOrder("order must be positive")
-    if g_mat.rows and g_mat.power(e) != Mat.identity(g_mat.rows, g_mat.zero + 1):
-        raise NotFiniteOrder(f"matrix^{e} is not the identity")
-    dims = root_of_unity_eigendims(g_mat, e)
-    return [(Fraction(t, e), dims[t]) for t in range(e)]
-
 
 def eigen_profile(g_mat: Mat, e: int) -> dict:
     """Eigenspace masses at the e-th roots of unity plus the residual mass
@@ -517,25 +490,8 @@ def rational_eigenvalues(g_mat: Mat) -> list[tuple[Fraction, int]]:
 
 
 # ---------------------------------------------------------------------------
-# embeddings, Hecke profiles, eigenspace inclusion
+# embeddings and eigenspace inclusion
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FramedEmbedding:
-    """A validated injective map of framed modules over a shared framing.
-
-    Construction re-verifies injectivity and the intertwining equations
-    exactly and raises NotAnEmbedding otherwise.
-    """
-
-    xi: Mapping[str, Mat]
-    sub: FramedModule
-    ambient: FramedModule
-
-    def __post_init__(self):
-        if not check_framed_embedding(self.xi, self.sub, self.ambient):
-            raise NotAnEmbedding("xi is not injective or fails to intertwine")
-
 
 def _refuse_stray_keys(maps: Mapping[str, object], q: Quiver, name: str) -> None:
     """A per-vertex map that names no vertex of q is refused, not dropped."""
@@ -560,32 +516,13 @@ def check_framed_embedding(xi: Mapping[str, Mat], m_sub: FramedModule,
     for x in q.vertices:
         if xi[x].rank() != m_sub.v.get(x, 0):
             return False
-    for info in doubled_arrows(q):
+    for info in q.doubled:
         if m.B[info.key] * xi[info.src] != xi[info.tgt] * m_sub.B[info.key]:
             return False
     for x in q.vertices:
         if xi[x] * m_sub.I[x] != m.I[x]:
             return False
         if m.J[x] * xi[x] != m_sub.J[x]:
-            return False
-    return True
-
-
-def hecke_profile(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
-                  vertex: str, a: DiagramAutomorphism, at_most: bool = False) -> bool:
-    """Codimension pattern of a framed submodule: exactly one (at most one
-    with the relaxation) on the orbit of the vertex, zero elsewhere."""
-    if not check_framed_embedding(xi, m_sub, m):
-        raise NotAnEmbedding("xi is not a framed embedding")
-    od = orbit_data(m.quiver, a)
-    orbit = set(od.vertex_orbits[od.orbit_of_vertex[vertex]])
-    for x in m.quiver.vertices:
-        codim = m.v.get(x, 0) - m_sub.v.get(x, 0)
-        if x in orbit:
-            good = codim <= 1 if at_most else codim == 1
-        else:
-            good = codim == 0
-        if not good:
             return False
     return True
 

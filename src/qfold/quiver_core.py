@@ -26,7 +26,6 @@ caller already holds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -93,12 +92,6 @@ class DiagramAutomorphism:
     vertex_perm: Mapping[str, str]
     edge_perm: Mapping[str, str]
 
-    def inverse_vertex(self, v: str) -> str:
-        for k, im in self.vertex_perm.items():
-            if im == v:
-                return k
-        raise InputError(f"vertex {v} not in permutation range")
-
 
 def check_automorphism(q: Quiver, a: DiagramAutomorphism) -> None:
     """Validate that a is a diagram automorphism of q; raises otherwise.
@@ -148,13 +141,6 @@ def identity_automorphism(q: Quiver) -> DiagramAutomorphism:
     return DiagramAutomorphism({v: v for v in q.vertices}, {e.id: e.id for e in q.edges})
 
 
-def compose(q: Quiver, a: DiagramAutomorphism, b: DiagramAutomorphism) -> DiagramAutomorphism:
-    """The automorphism applying b first, then a."""
-    vperm = {v: a.vertex_perm[b.vertex_perm[v]] for v in q.vertices}
-    eperm = {e.id: a.edge_perm[b.edge_perm[e.id]] for e in q.edges}
-    return automorphism(q, vperm, eperm)
-
-
 def is_admissible(q: Quiver, a: DiagramAutomorphism) -> bool:
     """True iff no edge joins two vertices of the same vertex orbit."""
     try:
@@ -182,8 +168,8 @@ class OrbitData:
     n: int
     e_vertex: Mapping[str, int]
     e_edge: Mapping[str, int]
-    orbit_of_vertex: Mapping[str, int] = field(default_factory=dict)
-    orbit_of_edge: Mapping[str, int] = field(default_factory=dict)
+    orbit_of_vertex: Mapping[str, int]
+    orbit_of_edge: Mapping[str, int]
 
 
 def _orbits(items: tuple[str, ...], perm: Mapping[str, str]) -> list[tuple[str, ...]]:
@@ -308,10 +294,6 @@ class ArrowInfo(NamedTuple):
 
 def _doubled_key(edge_id: str, eps: int) -> str:
     return edge_id if eps == 1 else edge_id + "*"
-
-
-def doubled_arrows(q: Quiver) -> list[ArrowInfo]:
-    return list(q.doubled)
 
 
 def reverse_key(key: str) -> str:
@@ -476,11 +458,3 @@ def quiver_from_dict(d: Mapping) -> tuple[Quiver, Optional[DiagramAutomorphism]]
         except KeyError as exc:
             raise NotAPermutation(f"the automorphism does not permute the ids (at {exc})") from None
     return q, a
-
-
-def quiver_to_json(q: Quiver, a: Optional[DiagramAutomorphism] = None) -> str:
-    return json.dumps(quiver_to_dict(q, a), indent=2, sort_keys=True)
-
-
-def quiver_from_json(text: str) -> tuple[Quiver, Optional[DiagramAutomorphism]]:
-    return quiver_from_dict(json.loads(text))

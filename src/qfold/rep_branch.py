@@ -59,7 +59,6 @@ from .errors import (
     IndexMismatch,
     NotDominant,
     NotFiniteType,
-    NotInvariantWeight,
     StrippingFailure,
     TooLarge,
     UnknownVertex,
@@ -128,15 +127,6 @@ def root_datum(c: CartanMatrix) -> RootDatum:
     paired = tuple(tuple(map(mul, beta, d)) for beta in roots)
     norm = tuple(sum(map(mul, p, f)) for p, f in zip(paired, fund))
     return RootDatum(rows, neighbours, roots, fund, paired, norm, prod(map(sum, paired)))
-
-
-def reflect_weight(c: CartanMatrix, lam: Weight, i: int) -> Weight:
-    a = lam[i]
-    out = list(lam)
-    if a:
-        for k, cik in root_datum(c).rows[i]:
-            out[k] -= a * cik
-    return tuple(out)
 
 
 def _dominant(rows: tuple[tuple[tuple[int, int], ...], ...], lam: Weight) -> Weight:
@@ -249,18 +239,6 @@ def _capped_dim(c: CartanMatrix, lam: Weight, dim_cap: int) -> int:
     return total
 
 
-def dominant_character(c: CartanMatrix, lam: Weight,
-                       dim_cap: int = DEFAULT_DIM_CAP) -> Character:
-    """Multiplicities of the irreducible L(lam) at its dominant weights.
-
-    The Freudenthal recursion runs over the dominant weights below lam in
-    depth order, reading each multiplicity at a dominant representative.
-    Guarded by a dimension cap to keep runs desk-scale.
-    """
-    _capped_dim(c, lam, dim_cap)
-    return _freudenthal(c, lam, {})
-
-
 def _freudenthal(c: CartanMatrix, lam: Weight, dom_of: dict[Weight, Weight]) -> Character:
     """The Freudenthal recursion at the dominant weights below lam; dom_of
     memoizes dominant representatives on c and may be shared between calls
@@ -319,20 +297,9 @@ def freudenthal_character(c: CartanMatrix, lam: Weight,
     return char
 
 
-def character_dim(char: Character) -> int:
-    return sum(char.values())
-
-
 # ---------------------------------------------------------------------------
 # restriction and branching
 # ---------------------------------------------------------------------------
-
-def restrict_weight(lam: Weight, fold: FoldedAlgebraData) -> Weight:
-    """Restriction along the orbit-sum embedding of Cartan elements: the
-    folded coordinate at an orbit is the sum of the coordinates over it."""
-    _check_weight(fold.base, lam)
-    return _restrict(lam, _orbit_indices(fold))
-
 
 def _orbit_indices(fold: FoldedAlgebraData) -> list[list[int]]:
     idx = {v: i for i, v in enumerate(fold.base.labels)}
@@ -432,27 +399,21 @@ def _restricted_spread(c: CartanMatrix, lam: Weight, fc: CartanMatrix, orbits: l
     return restricted, spread
 
 
-def is_invariant_weight(lam: Weight, fold: FoldedAlgebraData) -> bool:
-    return all(len({lam[i] for i in orbit}) == 1 for orbit in _orbit_indices(fold))
-
-
 def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
-           dim_cap: int = DEFAULT_DIM_CAP, require_invariant: bool = False) -> list[tuple[Weight, int]]:
+           dim_cap: int = DEFAULT_DIM_CAP) -> list[tuple[Weight, int]]:
     """Decompose L(lam) restricted to the folded subalgebra.
 
     Returns (folded dominant weight, multiplicity) pairs obtained by
     stripping the restricted character from the top, on folded-dominant
     weights only; conservation of total dimension is checked.  Restriction
-    is defined for every dominant weight; pass require_invariant=True to
-    insist that lam is constant on the folding orbits.
+    is defined for every dominant weight, constant on the folding orbits
+    or not.
     """
     if fold.base.entries != c.entries or fold.base.labels != c.labels:
         raise IndexMismatch("folding data does not belong to this Cartan matrix")
     _check_weight(c, lam)
     if not is_dominant(lam):
         raise NotDominant(f"{lam} is not dominant")
-    if require_invariant and not is_invariant_weight(lam, fold):
-        raise NotInvariantWeight(f"{lam} is not constant on the folding orbits")
     fc = fold.folded
     root_datum(fc)  # a folded matrix of infinite type is refused before any walk
 

@@ -11,7 +11,7 @@ reproduces the classical D/A correspondence.
 The framing is graded by `root_of_unity_eigendims`, the one count of
 eigenspace dimensions at roots of unity: nullity(Phi_d(m)) / phi(d) at a
 primitive d-th root, read by `split_framing` here and by
-`module_lab.eigen_grade` and `module_lab.eigen_profile`.
+`module_lab.eigen_profile`.
 """
 
 from __future__ import annotations
@@ -163,11 +163,6 @@ def graph_isomorphisms(q1: Quiver, q2: Quiver) -> Iterator[dict[str, str]]:
 
     for p in index_isomorphisms(adjacency(q1), adjacency(q2)):
         yield {v: q2.vertices[p[i]] for i, v in enumerate(q1.vertices)}
-
-
-def graph_isomorphic(q1: Quiver, q2: Quiver) -> Optional[dict[str, str]]:
-    """One diagram isomorphism, or None."""
-    return next(graph_isomorphisms(q1, q2), None)
 
 
 @dataclass(frozen=True)

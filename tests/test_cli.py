@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 import qfold
 from qfold import cli
 from qfold.cli import main
-from qfold.corpus import corpus_entry, entry_to_dict
+from qfold.corpus import corpus_entry
 from qfold.errors import PropertyViolation
 from qfold.generators import random_graded_pair
 from qfold.linalg import Mat
@@ -68,8 +68,14 @@ def test_fold_examples(capsys):
     assert payload["folded_type"] == "B3"
 
 
+def entry_doc(name):
+    """The quiver JSON document of a corpus entry."""
+    entry = corpus_entry(name)
+    return quiver_to_dict(entry.quiver, entry.auto)
+
+
 def test_fold_reads_file_and_stdin(tmp_path, capsys, monkeypatch):
-    doc = entry_to_dict(corpus_entry("A5-flip"))
+    doc = entry_doc("A5-flip")
     path = tmp_path / "a5.json"
     path.write_text(json.dumps(doc))
     code, out = run(capsys, "fold", "--file", str(path), "--json")
@@ -432,7 +438,7 @@ def test_module_fuzz_exits_cleanly(tmp_path_factory, changes, action):
         assert code == 1
 
 
-QUIVER_DOC = entry_to_dict(corpus_entry("D4-swap"))
+QUIVER_DOC = entry_doc("D4-swap")
 QUIVER_FIELDS = [
     (), ("vertices",), ("edges",), ("automorphism",), ("automorphism", "vertices"),
     ("automorphism", "edges"), ("vertices", 0), ("vertices", 3), ("edges", 0), ("edges", 0, "id"),

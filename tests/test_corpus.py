@@ -3,9 +3,20 @@ import sys
 
 import pytest
 
-from qfold.corpus import CORPUS_ENV, corpus, corpus_entry, entry_to_dict
+from qfold.corpus import CORPUS_ENV, corpus, corpus_entry
 from qfold.errors import InputError
-from qfold.quiver_core import check_automorphism, is_admissible, quiver_from_dict
+from qfold.quiver_core import check_automorphism, is_admissible, quiver_from_dict, quiver_to_dict
+
+
+def entry_to_dict(entry):
+    """A corpus entry as the quiver JSON document a corpus directory holds,
+    with its name, admissibility and description beside the quiver."""
+    out = quiver_to_dict(entry.quiver, entry.auto)
+    out["name"] = entry.name
+    out["admissible"] = entry.admissible
+    if entry.description:
+        out["description"] = entry.description
+    return out
 
 
 def test_every_entry_is_valid():

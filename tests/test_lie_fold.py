@@ -15,6 +15,7 @@ from qfold.lie_fold import (
 )
 from qfold.linalg import Mat
 from qfold.quiver_core import (
+    DiagramAutomorphism,
     a_quiver,
     affine_a_quiver,
     affine_d_quiver,
@@ -142,7 +143,7 @@ def test_folded_generators_a5_count():
 
 def test_folded_generators_unsupported():
     with pytest.raises(UnsupportedFamily):
-        folded_generators(2, "B", {"1": "1", "2": "2"})
+        folded_generators(2, "B", DiagramAutomorphism({"1": "1", "2": "2"}, {}))
 
 
 def test_serre_check_standard_a1():
@@ -176,7 +177,7 @@ def test_folded_generators_rank_ten_and_up():
         gens = folded_generators(n, "A", a)
         assert len(gens[0]) == fold.folded.n == folded_rank
         assert serre_check(fold.folded, *gens).ok, f"A{n}"
-    not_onto = {str(i): "1" for i in range(1, 11)}
+    not_onto = DiagramAutomorphism({str(i): "1" for i in range(1, 11)}, {})
     with pytest.raises(InputError):
         folded_generators(10, "A", not_onto)
     with pytest.raises(InputError):
@@ -193,7 +194,7 @@ def test_serre_check_transpose_convention_fails():
     report = serre_check(transposed, *gens)
     assert not report.ok
     assert report.has_kind("serre")
-    assert report.first_violation is not None
+    assert report.violations
 
 
 def test_classification_stable_under_relabelling():

@@ -14,8 +14,6 @@ from qfold.cli import main
 from qfold.corpus import corpus
 from qfold.errors import (
     IndexMismatch,
-    NotAnEmbedding,
-    NotFiniteOrder,
     NotInvertible,
     NotOrbitConstant,
     NotStable,
@@ -47,16 +45,11 @@ from qfold.module_lab import (
     check_framed_embedding,
     check_relations,
     direct_sum,
-    doubled_arrows,
-    eigen_grade,
     eigen_profile,
     eigenvector_span,
     find_transition,
     framed_module,
-    hecke_profile,
     identity_sigma,
-    invariant_kernel_subspace,
-    invariant_orientation,
     is_stable,
     star,
     theorem5_verify,
@@ -78,6 +71,7 @@ from qfold.quiver_core import (
     flip_automorphism,
     fork_swap_automorphism,
     identity_automorphism,
+    invariant_orientation,
     orbit_data,
     quiver,
     quiver_to_dict,
@@ -309,7 +303,7 @@ def oracle_transport(q, a, orient):
         return 1 if key.endswith("*") else orient[key]
 
     images, signs = {}, {}
-    for info in doubled_arrows(q):
+    for info in q.doubled:
         arrow = Arrow(info.edge, info.eps)
         image = arrow_key(arrow_image(q, a, arrow))
         images[info.key] = image
@@ -357,7 +351,7 @@ def test_arrow_transport_matches_the_arrow_oracle():
             else:
                 sigma = SigmaData(q, a, {x: Mat.identity(w[x], Fp(1, p)) for x in q.vertices})
             B = {info.key: rand_mat(rng, v[info.tgt], v[info.src], p=p)
-                 for info in doubled_arrows(q)}
+                 for info in q.doubled}
             I = {x: rand_mat(rng, v[x], w[x], p=p) for x in q.vertices}
             J = {x: rand_mat(rng, w[x], v[x], p=p) for x in q.vertices}
             for signed in (True, False):
@@ -457,7 +451,7 @@ def global_intertwiner(m, sigma):
         return offsets[vertex] + r * m.v.get(vertex, 0) + c
 
     rows, rhs = [], []
-    for info in doubled_arrows(q):
+    for info in q.doubled:
         tb, b = theta_m.B[info.key], m.B[info.key]
         nt, ns = m.v.get(info.tgt, 0), m.v.get(info.src, 0)
         for r in range(nt):
@@ -501,6 +495,14 @@ def global_intertwiner(m, sigma):
     return witness
 
 
+def invariant_kernel_subspace(m):
+    """The largest B-invariant graded subspace inside ker J, as per-vertex
+    column bases: the kernels of the path rows."""
+    from qfold.module_lab import _path_rows
+
+    return {x: r.nullspace() for x, r in _path_rows(m).items()}
+
+
 def shrinking_invariant_kernel(m):
     """Oracle for invariant_kernel_subspace: start from ker J and keep the
     part of each space whose B-images stay inside the spaces, until no
@@ -511,7 +513,7 @@ def shrinking_invariant_kernel(m):
         for x in m.quiver.vertices:
             basis = spaces[x]
             constraints = Mat.zeros(0, basis.cols, basis.zero)
-            for info in doubled_arrows(m.quiver):
+            for info in m.quiver.doubled:
                 if info.src == x:
                     left = spaces[info.tgt].transpose().nullspace().transpose()
                     constraints = constraints.vstack(left * m.B[info.key] * basis)
@@ -615,16 +617,51 @@ def test_build_theta_witness_needs_involution():
         build_theta_witness(m, g, sig)
 
 
+def test_build_theta_witness_inverts_each_gauge_block_once(monkeypatch):
+    m1 = framed_module(A3, {x: 1 for x in A3.vertices}, {x: 1 for x in A3.vertices},
+                       B={"e2*": Mat.rational([[1]])},
+                       J={"1": Mat.rational([[1]]), "2": Mat.rational([[1]]),
+                          "3": Mat.rational([[0]])})
+    sig = identity_sigma(A3, FLIP, m1.w)
+    g = {"1": Mat.rational([[1]]), "2": Mat.rational([[2]]), "3": Mat.rational([[1]])}
+    inverted = []
+    inverse = Mat.inverse
+
+    def counted(self):
+        inverted.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(Mat, "inverse", counted)
+    big, witness = build_theta_witness(m1, g, sig)
+    assert sorted(x for x in A3.vertices for m in inverted if m is g[x]) == ["1", "2", "3"]
+    assert witness_matrix(witness, "2") == Mat.rational([[0, Fraction(1, 2)], [2, 0]])
+    g["2"] = Mat.rational([[0]])
+    with pytest.raises(NotInvertible, match="^gauge block at 2 is singular$"):
+        build_theta_witness(m1, g, sig)
+
+
 def test_eigen_grade_examples():
-    assert eigen_grade(Mat.identity(3), 2) == [(Fraction(0), 3), (Fraction(1, 2), 0)]
-    assert eigen_grade(Mat.rational([[1, 0, 0], [0, -1, 0], [0, 0, -1]]), 2) == \
-        [(Fraction(0), 1), (Fraction(1, 2), 2)]
+    # the grading of a finite-order matrix by the e-th roots of unity
+    assert eigen_profile(Mat.identity(3), 2) == \
+        {"roots": {Fraction(0): 3, Fraction(1, 2): 0}, "other": 0}
+    assert eigen_profile(Mat.rational([[1, 0, 0], [0, -1, 0], [0, 0, -1]]), 2) == \
+        {"roots": {Fraction(0): 1, Fraction(1, 2): 2}, "other": 0}
     rot = Mat.rational([[0, -1], [1, -1]])
-    assert eigen_grade(rot, 3) == [(Fraction(0), 0), (Fraction(1, 3), 1), (Fraction(2, 3), 1)]
-    with pytest.raises(NotFiniteOrder):
-        eigen_grade(Mat.rational([[2]]), 2)
+    assert eigen_profile(rot, 3) == \
+        {"roots": {Fraction(0): 0, Fraction(1, 3): 1, Fraction(2, 3): 1}, "other": 0}
     for mat, e in [(Mat.identity(4), 2), (rot, 3)]:
-        assert sum(d for _t, d in eigen_grade(mat, e)) == mat.rows
+        assert sum(eigen_profile(mat, e)["roots"].values()) == mat.rows
+    # no finite order: the eigenvalue 2 is no root of unity
+    assert eigen_profile(Mat.rational([[2]]), 2) == \
+        {"roots": {Fraction(0): 0, Fraction(1, 2): 0}, "other": 1}
+
+
+def test_eigen_grade_over_prime_field():
+    # the cyclotomic values are taken with the identity of the matrix's own field
+    assert eigen_profile(Mat.identity(2, Fp(1, 3)), 1) == {"roots": {Fraction(0): 2}, "other": 0}
+    assert eigen_profile(Mat.identity(2, Fp(2, 3)), 1) == {"roots": {Fraction(0): 0}, "other": 2}
+    assert eigen_profile(Mat.identity(2, Fp(2, 3)), 2) == \
+        {"roots": {Fraction(0): 0, Fraction(1, 2): 2}, "other": 0}
 
 
 def test_eigen_profile_counts_cyclotomic_kernels():
@@ -670,14 +707,7 @@ def test_eigen_profile_counts_cyclotomic_kernels():
     assert infinite_order >= 50
 
 
-def test_eigen_grade_over_prime_field():
-    # the order check compares with an identity of the matrix's own field
-    assert eigen_grade(Mat.identity(2, Fp(1, 3)), 1) == [(Fraction(0), 2)]
-    with pytest.raises(NotFiniteOrder):
-        eigen_grade(Mat.identity(2, Fp(2, 3)), 1)
-
-
-def test_embeddings_and_hecke_profile():
+def test_check_framed_embedding_examples():
     v = {x: 1 for x in A3.vertices}
     w = {x: 1 for x in A3.vertices}
     m = framed_module(A3, v, w, B={"e1": Mat.rational([[1]])}, J=one_dim({"1": 1, "2": 1, "3": 1}))
@@ -693,26 +723,13 @@ def test_embeddings_and_hecke_profile():
                             "3": Mat.zeros(1, 0)})
     xi = {"1": Mat.identity(1), "2": Mat.identity(1), "3": Mat.zeros(1, 0)}
     assert check_framed_embedding(xi, msub, m)
-    assert not hecke_profile(ident, m, m, "3", FLIP)  # codimension zero
-    # codimension one on the {1,3} orbit requires both ends to drop
+    # drop both ends of the {1,3} orbit
     v13 = {"1": 0, "2": 1, "3": 0}
     m13 = framed_module(A3, v13, w,
                         J={"1": Mat.zeros(1, 0), "2": Mat.rational([[1]]),
                            "3": Mat.zeros(1, 0)})
     xi13 = {"1": Mat.zeros(1, 0), "2": Mat.identity(1), "3": Mat.zeros(1, 0)}
     assert check_framed_embedding(xi13, m13, m)
-    assert hecke_profile(xi13, m13, m, "1", FLIP)
-    assert not hecke_profile(xi, msub, m, "3", FLIP)  # only one end dropped
-    with pytest.raises(NotAnEmbedding):
-        hecke_profile(zero_map, m, m, "1", FLIP)
-
-
-def test_hecke_profile_at_most_flag():
-    v = {x: 1 for x in A3.vertices}
-    w = {x: 1 for x in A3.vertices}
-    m = framed_module(A3, v, w, J=one_dim({"1": 1, "2": 1, "3": 1}))
-    ident = {x: Mat.identity(1) for x in A3.vertices}
-    assert hecke_profile(ident, m, m, "1", FLIP, at_most=True)
 
 
 def test_theorem5_trivial_cases():
@@ -781,7 +798,8 @@ def rot3_module():
     r = Mat.rational([[0, -1], [1, -1]])
     h = {"2": Mat.identity(2), "1": Mat.identity(2), "3": r, "4": r * r}
     m = act(h, base)
-    g = {x: h[rot.inverse_vertex(x)] * h[x].inverse() for x in d4.vertices}
+    back = {image: x for x, image in rot.vertex_perm.items()}
+    g = {x: h[back[x]] * h[x].inverse() for x in d4.vertices}
     return m, rot, sig, TransitionWitness(g)
 
 
@@ -799,7 +817,8 @@ def regauged(xi, m, a, witness, h):
     """The ambient module acted on by the gauge h, with its embedding and
     transition: theta(h.m) = g'.(h.m) for g'_x = h_{a^-1(x)} g_x h_x^-1, so a
     gauge that is not constant on orbits breaks eigenspace inclusion."""
-    g = {x: h[a.inverse_vertex(x)] * witness_matrix(witness, x) * h[x].inverse()
+    back = {image: x for x, image in a.vertex_perm.items()}
+    g = {x: h[back[x]] * witness_matrix(witness, x) * h[x].inverse()
          for x in m.quiver.vertices}
     return {x: h[x] * xi[x] for x in xi}, act(h, m), TransitionWitness(g)
 
@@ -1022,19 +1041,6 @@ def test_stable_twisted_double_honest_transition():
         assert found.g[x] == witness_matrix(witness, x)
 
 
-def test_framed_embedding_type_validates():
-    from qfold.module_lab import FramedEmbedding
-
-    v = {x: 1 for x in A3.vertices}
-    w = {x: 1 for x in A3.vertices}
-    m = framed_module(A3, v, w, J=one_dim({"1": 1, "2": 1, "3": 1}))
-    ident = {x: Mat.identity(1) for x in A3.vertices}
-    emb = FramedEmbedding(ident, m, m)
-    assert emb.xi == ident
-    with pytest.raises(NotAnEmbedding):
-        FramedEmbedding({x: Mat.zeros(1, 1) for x in A3.vertices}, m, m)
-
-
 def test_find_transition_is_deterministic():
     rng = random.Random(19)
     _xi, _msub, m, sig, _wsub, _wit = random_graded_pair(rng, A3, FLIP)
@@ -1042,28 +1048,6 @@ def test_find_transition_is_deterministic():
     second = find_transition(m, sig)
     assert first is not None
     assert all(first.g[x] == second.g[x] for x in A3.vertices)
-
-
-def test_hecke_profile_on_fork_orbit():
-    d4 = d_quiver(4)
-    swap = fork_swap_automorphism(d4, 4)
-    w = {x: 1 for x in d4.vertices}
-    m = framed_module(d4, {"1": 0, "2": 0, "3": 1, "4": 1}, w,
-                      J={"1": Mat.zeros(1, 0), "2": Mat.zeros(1, 0),
-                         "3": Mat.rational([[1]]), "4": Mat.rational([[1]])})
-    empty = framed_module(d4, {x: 0 for x in d4.vertices}, w,
-                          J={x: Mat.zeros(1, 0) for x in d4.vertices})
-    xi = {x: Mat.zeros(m.v.get(x, 0), 0) for x in d4.vertices}
-    # codimension one exactly on the fork orbit {3, 4}
-    assert hecke_profile(xi, empty, m, "3", swap)
-    assert hecke_profile(xi, empty, m, "4", swap)
-    assert not hecke_profile(xi, empty, m, "1", swap)
-    # breaking the symmetry at one fork end violates the orbit condition
-    lopsided = framed_module(d4, {"1": 0, "2": 0, "3": 1, "4": 0}, w,
-                             J={"1": Mat.zeros(1, 0), "2": Mat.zeros(1, 0),
-                                "3": Mat.rational([[1]]), "4": Mat.zeros(1, 0)})
-    xi2 = {x: Mat.zeros(lopsided.v.get(x, 0), 0) for x in d4.vertices}
-    assert not hecke_profile(xi2, empty, lopsided, "3", swap)
 
 
 # ---------------------------------------------------------------------------
@@ -1154,7 +1138,7 @@ def invariant_closure(m, seeds):
     grown = True
     while grown:
         grown = False
-        for info in doubled_arrows(m.quiver):
+        for info in m.quiver.doubled:
             new = basis(spaces[info.tgt].hstack(m.B[info.key] * spaces[info.src]))
             if new.cols > spaces[info.tgt].cols:
                 spaces[info.tgt] = new
@@ -1168,7 +1152,7 @@ def framed_submodule(m, xi):
     return framed_module(
         q, {x: xi[x].cols for x in q.vertices}, dict(m.w),
         B={info.key: xi[info.tgt].solve(m.B[info.key] * xi[info.src])
-           for info in doubled_arrows(q)},
+           for info in q.doubled},
         I={x: xi[x].solve(m.I[x]) for x in q.vertices},
         J={x: m.J[x] * xi[x] for x in q.vertices}, signed=m.signed)
 

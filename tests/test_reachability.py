@@ -1,0 +1,215 @@
+"""Everything `src/qfold` defines is reached from what runs it.
+
+The roots are the subcommands (`cli.COMMANDS` and `cli.main`), the release
+properties (`properties.PROPERTIES`), the benchmark tracer's `TARGETS` and
+the qfold names that the benchmark's own files (`perfbench/*.py`, not its
+tests) import.  The walk reads each module's `ast`: a reached definition
+reaches every module-level name it mentions, through `from .x import`
+aliases, annotations included.  A method is reached when its class is and
+its name is read as an attribute anywhere reached, or it is a dunder, or
+it overrides a method of a class from outside qfold (argparse calls
+`_Parser.error`).  A definition only tests reach belongs in the tests, and
+an import its module never reads belongs nowhere.
+"""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "qfold"
+PERFBENCH = ROOT / "perfbench"
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _qfold_module(node: ast.ImportFrom):
+    """The qfold module a `from .x import` or `from qfold.x import` reads,
+    or None."""
+    if node.level == 1:
+        return node.module
+    if node.level == 0 and node.module and node.module.startswith("qfold."):
+        return node.module.split(".", 1)[1]
+    return None
+
+
+def _mentions(nodes) -> tuple[set[str], set[str]]:
+    """The names and the attribute names read anywhere in the nodes."""
+    names, attrs = set(), set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                names.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                attrs.add(sub.attr)
+    return names, attrs
+
+
+class Module:
+    """One module's top level: what it defines and what it imports."""
+
+    def __init__(self, tree: ast.Module):
+        self.tree = tree
+        self.defs: dict[str, ast.AST] = {}             # name -> its statement
+        self.aliases: dict[str, tuple[str, str]] = {}  # name -> (qfold module, name)
+        self.imports: set[str] = set()                 # every name an import binds
+        for stmt in tree.body:
+            if isinstance(stmt, DEFS):
+                self.defs[stmt.name] = stmt
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                self.defs.update((t.id, stmt) for t in targets if isinstance(t, ast.Name))
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+                for alias in stmt.names:
+                    local = alias.asname or alias.name
+                    self.imports.add(local)
+                    if _qfold_module(stmt):
+                        self.aliases[local] = (_qfold_module(stmt), alias.name)
+            elif isinstance(stmt, ast.Import):
+                self.imports.update(alias.asname or alias.name.split(".")[0]
+                                    for alias in stmt.names)
+
+
+def load_modules() -> dict[str, Module]:
+    return {path.stem: Module(ast.parse(path.read_text(), str(path)))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def resolve(modules: dict[str, Module], module: str, name: str):
+    """The (module, name) that defines `name` as seen from `module`, through
+    import aliases, or None when qfold does not define it."""
+    seen = set()
+    while (module, name) not in seen:
+        seen.add((module, name))
+        mod = modules.get(module)
+        if mod is None:
+            return None
+        if name in mod.defs:
+            return module, name
+        if name not in mod.aliases:
+            return None
+        module, name = mod.aliases[name]
+    return None
+
+
+def _methods(cls: ast.ClassDef) -> dict[str, ast.AST]:
+    return {stmt.name: stmt for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def _class_node_parts(cls: ast.ClassDef) -> list[ast.AST]:
+    """A class without its method bodies: bases, decorators, class body."""
+    return [*cls.bases, *cls.keywords, *cls.decorator_list,
+            *(stmt for stmt in cls.body
+              if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)))]
+
+
+def _foreign_overrides(module: str, cls_name: str) -> set[str]:
+    """Method names the class inherits from a class outside qfold."""
+    cls = getattr(importlib.import_module(f"qfold.{module}"), cls_name)
+    return {attr for base in cls.__mro__[1:]
+            if not base.__module__.startswith("qfold")
+            for attr in vars(base)}
+
+
+def tracer_targets() -> list[tuple]:
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+def roots(modules: dict[str, Module]) -> list[tuple[str, str]]:
+    """Definitions as (module, qualified name): the subcommands, the
+    properties, the tracer's targets and what perfbench imports."""
+    out = [("cli", "main"), ("cli", "COMMANDS"), ("properties", "PROPERTIES")]
+    for module, attr, _metric, _kind in tracer_targets():
+        head, _, method = attr.partition(".")
+        found = resolve(modules, module, head)
+        assert found is not None, f"tracer target qfold.{module}.{attr} is not defined"
+        out.append(found)
+        if method:
+            out.append((found[0], f"{found[1]}.{method}"))
+    for path in sorted(PERFBENCH.glob("*.py")):
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and _qfold_module(node):
+                for alias in node.names:
+                    found = resolve(modules, _qfold_module(node), alias.name)
+                    assert found is not None, f"{path.name} imports an undefined {alias.name}"
+                    out.append(found)
+    return out
+
+
+def reached_definitions(modules: dict[str, Module]) -> set[tuple[str, str]]:
+    reached: set[tuple[str, str]] = set()
+    attrs: set[str] = set()
+    queue = roots(modules)
+    while queue:
+        while queue:
+            key = queue.pop()
+            if key in reached:
+                continue
+            reached.add(key)
+            module, qualname = key
+            mod = modules[module]
+            if "." in qualname:
+                cls_name, method = qualname.split(".")
+                parts = [_methods(mod.defs[cls_name])[method]]
+                queue.append((module, cls_name))
+            elif isinstance(mod.defs[qualname], ast.ClassDef):
+                parts = _class_node_parts(mod.defs[qualname])
+            else:
+                parts = [mod.defs[qualname]]
+            names, read = _mentions(parts)
+            attrs |= read
+            queue += filter(None, (resolve(modules, module, name) for name in names))
+        # methods of reached classes whose names are read, or that are implicit
+        for module, qualname in list(reached):
+            node = modules[module].defs.get(qualname)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            foreign = None
+            for method in _methods(node):
+                key = (module, f"{qualname}.{method}")
+                if key in reached:
+                    continue
+                if method in attrs or (method.startswith("__") and method.endswith("__")):
+                    queue.append(key)
+                    continue
+                if foreign is None:
+                    foreign = _foreign_overrides(module, qualname)
+                if method in foreign:
+                    queue.append(key)
+    return reached
+
+
+def test_every_definition_is_reached():
+    modules = load_modules()
+    reached = reached_definitions(modules)
+    unreached = []
+    for name, mod in modules.items():
+        for def_name, node in mod.defs.items():
+            if not isinstance(node, DEFS):
+                continue
+            if (name, def_name) not in reached:
+                unreached.append(f"{name}.{def_name}")
+            elif isinstance(node, ast.ClassDef):
+                unreached += [f"{name}.{def_name}.{method}" for method in _methods(node)
+                              if (name, f"{def_name}.{method}") not in reached]
+    assert not unreached, f"defined in src/qfold but reached only from tests: {unreached}"
+
+
+def test_every_import_is_read():
+    unused = []
+    for name, mod in load_modules().items():
+        if name == "__init__":
+            continue  # the package namespace is all re-exports
+        body = [stmt for stmt in mod.tree.body
+                if not isinstance(stmt, (ast.Import, ast.ImportFrom))]
+        names, _attrs = _mentions(body)
+        unused += [f"{name}: {local}" for local in sorted(mod.imports - names)]
+    assert not unused, f"imported but never read: {unused}"
+

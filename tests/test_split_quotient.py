@@ -27,7 +27,7 @@ from qfold.split_quotient import (
     SigmaData,
     fiber_count,
     fibers_of_p,
-    graph_isomorphic,
+    graph_isomorphisms,
     project_dim,
     quotient_quiver,
     split_framing,
@@ -39,7 +39,7 @@ from qfold.split_quotient import (
 def test_quotient_identity_is_same_quiver():
     d4 = d_quiver(4)
     quo = quotient_quiver(d4, identity_automorphism(d4))
-    assert graph_isomorphic(quo, d4) is not None
+    assert next(graph_isomorphisms(quo, d4), None) is not None
 
 
 def test_quotient_a3_flip_is_a2():
@@ -51,7 +51,7 @@ def test_quotient_a3_flip_is_a2():
 def test_quotient_d4_swap_is_a3_path():
     d4 = d_quiver(4)
     quo = quotient_quiver(d4, fork_swap_automorphism(d4, 4))
-    assert graph_isomorphic(quo, a_quiver(3)) is not None
+    assert next(graph_isomorphisms(quo, a_quiver(3)), None) is not None
 
 
 def test_quotient_requires_admissible():
@@ -130,13 +130,13 @@ def test_split_involution_fails_for_free_action():
 def test_graph_isomorphic_basics():
     a3 = a_quiver(3)
     relabeled = quotient_quiver(a3, identity_automorphism(a3))
-    assert graph_isomorphic(a3, relabeled) is not None
-    assert graph_isomorphic(a3, d_quiver(4)) is None
+    assert next(graph_isomorphisms(a3, relabeled), None) is not None
+    assert next(graph_isomorphisms(a3, d_quiver(4)), None) is None
     d4 = d_quiver(4)
     from qfold.quiver_core import quiver
     relabel = quiver(["a", "b", "c", "d"],
                      [("x", "a", "b"), ("y", "b", "c"), ("z", "b", "d")])
-    iso = graph_isomorphic(d4, relabel)
+    iso = next(graph_isomorphisms(d4, relabel), None)
     assert iso is not None and iso["2"] == "b"
 
 
@@ -275,6 +275,24 @@ def test_split_framing_lift_independence():
         dims = [root_of_unity_eigendims(orbit_composite(sigma.maps, a, lift, len(orbit)), e)
                 for lift in orbit]
         assert all(d == dims[0] for d in dims)
+
+
+def test_root_of_unity_eigendims_examples():
+    from qfold.numberfield import Fp
+    from qfold.split_quotient import root_of_unity_eigendims
+
+    assert root_of_unity_eigendims(Mat.identity(3), 2) == [3, 0]
+    assert root_of_unity_eigendims(Mat.rational([[1, 0, 0], [0, -1, 0], [0, 0, -1]]), 2) == [1, 2]
+    rot = Mat.rational([[0, -1], [1, -1]])
+    assert root_of_unity_eigendims(rot, 3) == [0, 1, 1]
+    for mat, e in [(Mat.identity(4), 2), (rot, 3)]:
+        assert sum(root_of_unity_eigendims(mat, e)) == mat.rows
+    # no finite order: the eigenvalue 2 is no root of unity
+    assert root_of_unity_eigendims(Mat.rational([[2]]), 2) == [0, 0]
+    # over F_3 the cyclotomic values are taken in the matrix's own field
+    assert root_of_unity_eigendims(Mat.identity(2, Fp(1, 3)), 1) == [2]
+    assert root_of_unity_eigendims(Mat.identity(2, Fp(2, 3)), 1) == [0]
+    assert root_of_unity_eigendims(Mat.identity(2, Fp(2, 3)), 2) == [0, 2]
 
 
 def test_affine_split_classifications():
