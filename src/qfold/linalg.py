@@ -10,21 +10,27 @@ always carried explicitly.
 Over Q an entry is an `int` when it is integral and a `Fraction` only
 where it is not (`qq`; an integral Fraction is accepted too).  The kernels
 below work over Q on ints and divide each result entry once at the end, so
-integral results are ints and no kernel applies `/` to two ints.
+integral results are ints and no kernel applies `/` to two ints; a product
+with a rational scalar is brought back to that form too.
 
-Storage is dense (`data` is a tuple of row tuples).  A product is formed
-row by row from the nonzero `(col, value)` lists of its right factor
-(Gustavson, ACM TOMS 4, 1978).  Over Q each left row is scaled to ints by
-the lcm of its denominators (an all-int left factor, found by one scan of
-its entry types, is taken as it is), the right lists once by the lcm of
-all of theirs, and each entry is its integer sum over the two scales.  A
-product with an empty dimension is its zero matrix, built at once.
-Elimination, behind `rref` (and so `rank`, `nullspace`, `solve`,
-`inverse`) and `det`, is one fraction-free Gauss-Jordan for every field,
-with Bareiss's exact divisions (Math. Comp. 22, 1968).  Over Q each row
-is first scaled in the same way, which leaves the reduced echelon form
-unchanged, and every entry is divided once at the end.  A row is touched
-only when it has a nonzero in the pivot column.
+Storage is dense (`data` is a tuple of row tuples), but the kernels do
+their arithmetic on nonzeros only, and a call's fixed cost is kept to a
+few list builds.  A product with an empty
+dimension or an all-zero factor is its zero matrix, returned before any
+entry type is read or any list is built.  Any other product is formed row
+by row from the nonzero `(col, value)` lists of its right factor
+(Gustavson, ACM TOMS 4, 1978).  Over Q the entry types of each factor are
+read once, by the scan that scales it to ints by the lcm of all its
+denominators (a factor of ints is taken as it is), and each entry is its
+integer sum over the two scales.  Elimination, behind `rref` (and so
+`nullspace`, `solve`, `inverse`), `det` and `rank`, is one fraction-free
+Gauss-Jordan for every field, with Bareiss's exact divisions (Math.
+Comp. 22, 1968).  Over Q the matrix is first scaled in the same way,
+which leaves the reduced echelon form unchanged.  A row is touched only
+when it has a nonzero in the pivot column.  `rref` divides every entry
+once at the end; `rank` (and so `nullity`, `is_invertible` and
+`column_space_contains`) counts the pivots of the same loop and divides
+nothing.
 
 Each matrix also carries `zero`, the additive zero of its entry type: the
 one it is given, else `x - x` of its first entry, else (no entries) the
@@ -45,7 +51,6 @@ from typing import Callable, Sequence
 from .errors import NotInvertible, ShapeMismatch
 
 _RATIONAL = (int, Fraction)
-_INT = {int}
 _ASCII_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -65,11 +70,14 @@ def qq(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _integral(row: Sequence) -> tuple[int, Sequence[int]]:
-    """(s, row * s) for a row over Q, s the lcm of its denominators."""
-    dens = [x.denominator for x in row if x.__class__ is not int]
+def _integral(rows: Sequence[Sequence]) -> tuple[int, Sequence[Sequence[int]]]:
+    """(s, rows * s) for rows over Q, s the lcm of all their denominators;
+    rows of ints are returned as they are."""
+    dens = [x.denominator for row in rows for x in row if x.__class__ is not int]
+    if not dens:
+        return 1, rows
     s = lcm(*dens)
-    return (s, [x.numerator * (s // x.denominator) for x in row]) if dens else (1, row)
+    return s, [[x.numerator * (s // x.denominator) if x else 0 for x in row] for row in rows]
 
 
 def _quotient(a: int, b: int):
@@ -78,17 +86,22 @@ def _quotient(a: int, b: int):
     return Fraction(a, b) if r else q
 
 
+def _one_and_division(zero) -> tuple:
+    """The one of zero's field, and the division that ends an elimination:
+    over Q an int quotient of ints where it is integral, else `/`."""
+    return (1, _quotient) if zero.__class__ in _RATIONAL else (zero + 1, truediv)
+
+
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _mat(rows: int, cols: int, data: tuple, zero) -> "Mat":
     """A matrix from a tuple of row tuples built here: no check, no copy."""
     m = _new(Mat)
-    _set(m, "rows", rows)
-    _set(m, "cols", cols)
-    _set(m, "data", data)
-    _set(m, "zero", zero)
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_data(m, data)
+    _set_zero(m, zero)
     return m
 
 
@@ -103,10 +116,10 @@ class Mat:
         data = tuple(tuple(r) for r in data)
         if zero is None:
             zero = data[0][0] - data[0][0] if rows and cols else 0
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "data", data)
-        _set(self, "zero", zero)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_data(self, data)
+        _set_zero(self, zero)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Mat is immutable")
@@ -154,7 +167,7 @@ class Mat:
         return self.data[r][c]
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(map(any, self.data))
 
     def map(self, f: Callable) -> "Mat":
         return _mat(self.rows, self.cols, tuple(tuple([f(x) for x in row]) for row in self.data),
@@ -183,42 +196,42 @@ class Mat:
         return self.map(lambda x: -x)
 
     def __mul__(self, other):
-        if isinstance(other, Mat):
-            if self.cols != other.rows:
-                raise ShapeMismatch(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-            zero, width = self.zero, other.cols
-            rational = zero.__class__ in _RATIONAL and other.zero.__class__ in _RATIONAL
-            fill = 0 if rational else zero
-            if not (self.rows and self.cols and width):
-                return _mat(self.rows, width, ((fill,) * width,) * self.rows, zero)
-            right = [[(j, b) for j, b in enumerate(row) if b] for row in other.data]
-            dens = [b.denominator for row in right for _, b in row
-                    if b.__class__ is not int] if rational else []
-            scale = lcm(*dens)
-            if dens:
-                right = [[(j, b.numerator * (scale // b.denominator)) for j, b in row]
-                         for row in right]
-            # an all-int left factor needs no row scaling
-            scaled = rational and not {x.__class__ for row in self.data for x in row} <= _INT
-            out = []
-            for row in self.data:
-                r, row = _integral(row) if scaled else (1, row)
-                d = r * scale
-                acc = [None] * width
-                for a, nonzero in zip(row, right):
-                    if nonzero and a:
-                        for j, b in nonzero:
-                            s = acc[j]
-                            acc[j] = a * b if s is None else s + a * b
-                out.append(tuple([fill if s is None else s for s in acc]) if d == 1 else
-                           tuple([fill if s is None else _quotient(s, d) for s in acc]))
-            return _mat(self.rows, width, tuple(out), zero)
-        return self.map(lambda x: x * other)
+        if not isinstance(other, Mat):
+            return self.scaled(other)
+        if self.cols != other.rows:
+            raise ShapeMismatch(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
+        zero, width = self.zero, other.cols
+        rational = zero.__class__ in _RATIONAL and other.zero.__class__ in _RATIONAL
+        fill = 0 if rational else zero
+        # an empty dimension leaves a factor with no nonzero entry
+        if not (any(map(any, self.data)) and any(map(any, other.data))):
+            return _mat(self.rows, width, ((fill,) * width,) * self.rows, zero)
+        left, right, d = self.data, other.data, 1
+        if rational:
+            d, left = _integral(left)
+            s, right = _integral(right)
+            d *= s
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in right]
+        out = []
+        for row in left:
+            acc = [None] * width
+            for a, nonzero in zip(row, right):
+                if nonzero and a:
+                    for j, b in nonzero:
+                        s = acc[j]
+                        acc[j] = a * b if s is None else s + a * b
+            out.append(tuple([fill if s is None else s for s in acc]) if d == 1 else
+                       tuple([fill if s is None else _quotient(s, d) for s in acc]))
+        return _mat(self.rows, width, tuple(out), zero)
 
     def __rmul__(self, scalar):
-        return self.map(lambda x: scalar * x)
+        return self.scaled(scalar)
 
     def scaled(self, s) -> "Mat":
+        """self times the scalar s; over Q, by a rational s, an integral
+        entry of the result is an int."""
+        if self.zero.__class__ in _RATIONAL and s.__class__ in _RATIONAL:
+            return self.map(lambda x: qq(x * s))
         return self.map(lambda x: x * s)
 
     # -- block operations ---------------------------------------------
@@ -262,9 +275,12 @@ class Mat:
         return [self.submatrix(range(self.rows), [c]) for c in range(self.cols)]
 
     # -- reductions ---------------------------------------------------
-    def _reduce(self) -> tuple[tuple, list[int], object]:
-        """(RREF rows, pivot columns, det): det is the determinant when the
-        matrix is square and every column has a pivot.
+    def _reduce(self) -> tuple[list, list, list[int], object, object]:
+        """The fraction-free Gauss-Jordan of the rows: (rows, at, pivots,
+        d, scale).  Over Q each row is first scaled to ints by the lcm of
+        its denominators, and `scale` is their product.  Row i of the RREF
+        is rows[i] divided by at[i], and d divided by scale is the
+        determinant when the matrix is square and every column has a pivot.
 
         Clearing column pc with pivot p takes every other row t to
         (p * t - t[pc] * pivot row) // den, den the previous pivot; the
@@ -276,17 +292,20 @@ class Mat:
         rational = self.zero.__class__ in _RATIONAL
         m, scale = [], 1
         for row in self.data:
-            if rational:
-                s, row = _integral(row)
+            if rational:   # each row by its own lcm keeps the minors smaller than one lcm would
+                s, (row,) = _integral((row,))
                 scale *= s
             m.append(list(row))
-        zero, one, div = (0, 1, _quotient) if rational else (self.zero, self.zero + 1, truediv)
-        den, at = one, [one] * len(m)
+        zero, one = (0, 1) if rational else (self.zero, self.zero + 1)
+        n = len(m)
+        den, at = one, [one] * n
         pivots, swaps = [], 0
         for pc in range(self.cols):
             pr = len(pivots)
-            r = next((r for r in range(pr, len(m)) if m[r][pc]), None)
-            if r is None:
+            for r in range(pr, n):
+                if m[r][pc]:
+                    break
+            else:
                 continue
             if r != pr:
                 m[pr], m[r] = m[r], m[pr]
@@ -310,17 +329,18 @@ class Mat:
                     at[i] = p
             at[pr] = den = p
             pivots.append(pc)
-        rows = tuple(tuple([div(x, s) for x in row]) if s != one else tuple(row)
-                     for row, s in zip(m, at))
-        return rows, pivots, div(-den if swaps & 1 else den, scale)
+        return m, at, pivots, -den if swaps & 1 else den, scale
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        rows, pivots, _ = self._reduce()
+        m, at, pivots, _, _ = self._reduce()
+        one, div = _one_and_division(self.zero)
+        rows = tuple(tuple([div(x, s) for x in row]) if s != one else tuple(row)
+                     for row, s in zip(m, at))
         return _mat(self.rows, self.cols, rows, self.zero), pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(self._reduce()[2])
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -371,8 +391,10 @@ class Mat:
         """Determinant, from the same elimination as `rref`."""
         if self.rows != self.cols:
             raise ShapeMismatch("det of non-square matrix")
-        _, pivots, det = self._reduce()
-        return det if len(pivots) == self.rows else self.zero
+        _, _, pivots, d, scale = self._reduce()
+        if len(pivots) < self.rows:
+            return self.zero
+        return _one_and_division(self.zero)[1](d, scale)
 
     def trace(self):
         if self.rows != self.cols:
@@ -428,6 +450,10 @@ class Mat:
             base = base * base if k > 1 else base
             k >>= 1
         return out
+
+
+# The slots are set through their descriptors, which bypass `Mat.__setattr__`.
+_set_rows, _set_cols, _set_data, _set_zero = (Mat.__dict__[n].__set__ for n in Mat.__slots__)
 
 
 def column_space_contains(basis: Mat, vecs: Mat) -> bool:

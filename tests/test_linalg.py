@@ -60,6 +60,14 @@ def test_empty_shapes():
     assert Mat.zeros(0, 0).charpoly() == [Fraction(1)]
 
 
+def test_rational_scalar_products_keep_integral_entries_as_ints():
+    m = Mat.rational([[2, 4, 3]])
+    for got in (m.scaled(Fraction(1, 2)), m * Fraction(1, 2), Fraction(1, 2) * m):
+        assert got == Mat.rational([[1, 2, "3/2"]])
+        assert [type(x) for x in got.data[0]] == [int, int, Fraction], got
+        assert type(got.zero) is int
+
+
 def test_block_operations():
     a = Mat.rational([[1]])
     b = Mat.rational([[2]])
@@ -312,6 +320,14 @@ def dense_rref(self):
     return Mat(self.rows, self.cols, m, self.zero), pivots
 
 
+def dense_rank(self):
+    return len(dense_rref(self)[1])
+
+
+def dense_is_zero(self):
+    return all(not x for row in self.data for x in row)
+
+
 def dense_det(self):
     m = [list(r) for r in self.data]
     det = self.zero + 1
@@ -354,8 +370,8 @@ def dense_poly_eval(self, coeffs):
 
 
 DENSE_KERNELS = {"__mul__": dense_mul, "__add__": dense_add, "__sub__": dense_sub,
-                 "rref": dense_rref, "det": dense_det, "charpoly": dense_charpoly,
-                 "poly_eval": dense_poly_eval}
+                 "rref": dense_rref, "rank": dense_rank, "is_zero": dense_is_zero,
+                 "det": dense_det, "charpoly": dense_charpoly, "poly_eval": dense_poly_eval}
 
 
 @contextlib.contextmanager
@@ -396,7 +412,15 @@ def sparse_cases(draw):
 
 
 def kernel_results(a, a2, b, s) -> dict:
-    out = {"a * b": a * b, "a + a2": a + a2, "a - a2": a - a2, "rref": a.rref(),
+    """Every kernel on one case.  `rank` and `is_zero` have dense oracles
+    of their own; `nullity`, `is_invertible` and `column_space_contains`
+    go through them."""
+    ab = a * b
+    out = {"a * b": ab, "a + a2": a + a2, "a - a2": a - a2, "rref": a.rref(),
+           "rank": a.rank(), "nullity": a.nullity(), "a is invertible": a.is_invertible(),
+           "s is invertible": s.is_invertible(), "a is zero": a.is_zero(),
+           "b is zero": b.is_zero(), "a * b is zero": ab.is_zero(),
+           "a2 in span of a": column_space_contains(a, a2),
            "nullspace": a.nullspace(), "det": s.det(), "solve": s.solve(a),
            "charpoly": s.charpoly(), "poly_eval": s.poly_eval([Fraction(1), Fraction(-2), 3])}
     try:
@@ -579,3 +603,58 @@ def test_products_with_an_empty_dimension_match_the_dense_oracle(zero):
         assert (got.rows, got.cols) == (rows, cols)
         assert got == want and type(got.zero) is type(zero), (rows, inner, cols)
         assert_same(got, want, (rows, inner, cols))
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), Fp(0, 5), ZETA3.zero],
+                         ids=["int", "Fraction", "F5", "Q(zeta3)"])
+def test_products_with_an_all_zero_factor_match_the_dense_oracle(zero):
+    """An all-zero left or right factor against a full one: the shape, the
+    values and the zero's type of the dense product."""
+    one = zero + 1
+
+    def full(rows, cols, entry):
+        return Mat(rows, cols, [[entry] * cols for _ in range(rows)], zero)
+
+    for rows, inner, cols in ((1, 1, 1), (2, 3, 2), (3, 2, 4)):
+        for a, b in ((full(rows, inner, zero), full(inner, cols, one + one)),
+                     (full(rows, inner, one + one), full(inner, cols, zero))):
+            got, want = a * b, dense_mul(as_fractions(a), as_fractions(b))
+            assert (got.rows, got.cols) == (rows, cols) and got.is_zero()
+            assert type(got.zero) is type(zero), (rows, inner, cols)
+            assert_same(got, want, (rows, inner, cols))
+
+
+class CountingFp(Fp):
+    """An element of F_p that counts the products it forms."""
+
+    __slots__ = ()
+    products = 0
+
+    def __mul__(self, other):
+        CountingFp.products += 1
+        return Fp.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+
+def test_products_form_only_the_nonzero_scalar_products():
+    """a * b forms a[i][k] * b[k][j] for nonzero pairs only: sum over k of
+    nnz(a[:, k]) * nnz(b[k, :]) scalar products, where a dense loop forms
+    12 * 14 * 10 = 1,680."""
+    import random
+    rng = random.Random(19)
+
+    def sparse(rows, cols, density):
+        return Mat(rows, cols, [[CountingFp(rng.randint(1, 4), 5) if rng.random() < density
+                                 else CountingFp(0, 5) for _ in range(cols)]
+                                for _ in range(rows)])
+
+    for density in (0.1, 0.15, 0.2):
+        a, b = sparse(12, 14, density), sparse(14, 10, density)
+        want = sum(sum(1 for row in a.data if row[k]) * sum(1 for x in b.data[k] if x)
+                   for k in range(14))
+        CountingFp.products = 0
+        got = a * b
+        assert 0 < CountingFp.products == want < 1680 // 4, (density, CountingFp.products)
+        with dense_kernels():
+            assert got == a * b
