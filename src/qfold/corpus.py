@@ -10,7 +10,6 @@ files to replace the built-ins.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from functools import partial
@@ -32,6 +31,7 @@ from .quiver_core import (
     is_admissible,
     quiver_from_dict,
 )
+from .serialize import json_document
 
 CORPUS_ENV = "QFOLD_CORPUS_DIR"
 
@@ -99,8 +99,7 @@ def _builtin() -> list[CorpusEntry]:
 def _from_dir(path: Path) -> list[CorpusEntry]:
     entries = []
     for file in sorted(path.glob("*.json")):
-        with open(file) as fh:
-            data = json.load(fh)
+        data = json_document(file.read_bytes(), str(file))
         q, a = quiver_from_dict(data)
         if a is None:
             raise InputError(f"{file} has no automorphism block")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import Mapping, Optional
 
-from .errors import InputError, PropertyViolation
+from .errors import InputError, NotInvertible, PropertyViolation
 from .linalg import Mat, qq
 from .numberfield import Fp, cyclotomic_poly
 from .module_lab import (
@@ -53,15 +53,13 @@ def rand_mat(rng: random.Random, rows: int, cols: int, p: Optional[int] = None) 
 
 def rand_invertible(rng: random.Random, n: int) -> tuple[Mat, Mat]:
     """(m, m^-1) for a random invertible rational n x n matrix m with
-    entries in -2..2, both read from one rref of [m | I]."""
-    if n == 0:
-        return Mat.zeros(0, 0), Mat.zeros(0, 0)
-    eye = Mat.identity(n)
+    entries in -2..2; the inverting elimination also refuses singular draws."""
     for _ in range(200):
         m = rand_mat(rng, n, n)
-        red, pivots = m.hstack(eye).rref()
-        if pivots[n - 1] == n - 1:      # every pivot of [m | I] lies in m
-            return m, red.submatrix(range(n), range(n, 2 * n))
+        try:
+            return m, m.inverse()
+        except NotInvertible:
+            pass
     raise InputError("could not sample an invertible matrix")
 
 
@@ -95,14 +93,11 @@ def _companion(coeffs) -> Mat:
     return Mat.from_rows(rows)
 
 
-def random_orbit_constant_dims(rng: random.Random, od: OrbitData,
-                               lo: int = 0, hi: int = 2) -> dict[str, int]:
-    """One dimension in lo..hi per vertex orbit of od."""
+def random_orbit_constant_dims(rng: random.Random, od: OrbitData) -> dict[str, int]:
+    """One dimension in 0..2 per vertex orbit of od."""
     out: dict[str, int] = {}
     for orbit in od.vertex_orbits:
-        val = rng.randint(lo, hi)
-        for x in orbit:
-            out[x] = val
+        out.update(dict.fromkeys(orbit, rng.randint(0, 2)))
     return out
 
 
@@ -145,22 +140,18 @@ def random_sigma(rng: random.Random, q: Quiver, a: DiagramAutomorphism, od: Orbi
     return SigmaData(q, a, maps)
 
 
-def random_theta_module(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
-                        max_dim: int = 2, p: Optional[int] = None
+def random_theta_module(rng: random.Random, q: Quiver, a: DiagramAutomorphism
                         ) -> tuple[FramedModule, SigmaData]:
-    """A random relation-exact module with orbit-constant dimensions and a
-    valid twist, suitable for transport-order tests.  Falls back to an
-    unsigned module when no invariant orientation exists."""
+    """A random relation-exact rational module with orbit-constant
+    dimensions in 0..2 and a valid twist, suitable for transport-order
+    tests.  Falls back to an unsigned module when no invariant orientation
+    exists."""
     od = orbit_data(q, a)
-    v = random_orbit_constant_dims(rng, od, 0, max_dim)
-    w = random_orbit_constant_dims(rng, od, 0, max_dim)
+    v = random_orbit_constant_dims(rng, od)
+    w = random_orbit_constant_dims(rng, od)
     signed = arrow_transport(q, a, od).sign is not None
-    m = random_one_way_module(rng, q, v, w, p=p, signed=signed)
-    if p is None:
-        sigma = random_sigma(rng, q, a, od, w)
-    else:
-        sigma = SigmaData(q, a, {x: Mat.identity(w.get(x, 0), Fp(1, p)) for x in q.vertices})
-    return m, sigma
+    m = random_one_way_module(rng, q, v, w, signed=signed)
+    return m, random_sigma(rng, q, a, od, w)
 
 
 # ---------------------------------------------------------------------------

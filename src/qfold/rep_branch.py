@@ -40,9 +40,10 @@ known, and capped, before any is listed.  Both the restriction and every
 folded character are invariant under the folded Weyl group, so stripping
 highest weights in one pass in integer depth order needs the folded
 characters at their dominant weights alone, never spread over orbits.
-Each weight's Weyl dimension is computed once per call: the cap check
-feeds the conservation sum.  This is slower than crystal combinatorics but
-independently checkable against the Weyl dimension formula.
+Each weight's Weyl dimension is computed once per call, and each summand
+comes back with the one that fed the conservation check.  This is slower
+than crystal combinatorics but independently checkable against the Weyl
+dimension formula.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ from .errors import (
 )
 from .lie_fold import CartanMatrix, FoldedAlgebraData, is_finite_type, symmetrizer
 from .quiver_core import Quiver
+from .split_quotient import _compositions
 
 Weight = tuple[int, ...]
 Root = tuple[int, ...]
@@ -282,12 +284,11 @@ def _freudenthal(c: CartanMatrix, lam: Weight, dom_of: dict[Weight, Weight]) -> 
     return mults
 
 
-def freudenthal_character(c: CartanMatrix, lam: Weight,
-                          dim_cap: int = DEFAULT_DIM_CAP) -> Character:
+def freudenthal_character(c: CartanMatrix, lam: Weight) -> Character:
     """Full weight multiplicity function of the irreducible L(lam): the
     dominant multiplicities spread over Weyl orbits, with the total checked
-    against the Weyl dimension formula."""
-    total = _capped_dim(c, lam, dim_cap)
+    against the Weyl dimension formula, which is capped at DEFAULT_DIM_CAP."""
+    total = _capped_dim(c, lam, DEFAULT_DIM_CAP)
     char: Character = {}
     for mu, m in _freudenthal(c, lam, {}).items():
         for w in weyl_orbit(c, mu):
@@ -311,16 +312,11 @@ def _restrict(lam: Weight, orbits: list[list[int]]) -> Weight:
 
 
 def _fiber_points(alphas: list[Weight], k: int) -> list[Weight]:
-    """sum_j k_j * alphas[j] over every composition (k_j) of k into
+    """sum_j k_j * alphas[j] over every weak composition (k_j) of k into
     len(alphas) parts: the points of one orbit's fiber, as offsets."""
-    head = alphas[0]
-    if len(alphas) == 1:
-        return [tuple([k * x for x in head])]
-    out = []
-    for t in range(k + 1):
-        step = [t * x for x in head]
-        out += [tuple(map(add, step, rest)) for rest in _fiber_points(alphas[1:], k - t)]
-    return out
+    cols = list(zip(*alphas))
+    return [tuple([sum(map(mul, ks, col)) for col in cols])
+            for ks in _compositions(k, len(alphas))]
 
 
 def _fiber_count(orbits: list[list[int]], depths: Mapping[Weight, Root]) -> int:
@@ -400,14 +396,14 @@ def _restricted_spread(c: CartanMatrix, lam: Weight, fc: CartanMatrix, orbits: l
 
 
 def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
-           dim_cap: int = DEFAULT_DIM_CAP) -> list[tuple[Weight, int]]:
+           dim_cap: int = DEFAULT_DIM_CAP) -> list[tuple[Weight, int, int]]:
     """Decompose L(lam) restricted to the folded subalgebra.
 
-    Returns (folded dominant weight, multiplicity) pairs obtained by
-    stripping the restricted character from the top, on folded-dominant
-    weights only; conservation of total dimension is checked.  Restriction
-    is defined for every dominant weight, constant on the folding orbits
-    or not.
+    Returns (folded dominant weight, multiplicity, Weyl dimension) triples
+    obtained by stripping the restricted character from the top, on
+    folded-dominant weights only, and checked to conserve dimension.
+    Restriction is defined for every dominant weight, constant on the
+    folding orbits or not.
     """
     if fold.base.entries != c.entries or fold.base.labels != c.labels:
         raise IndexMismatch("folding data does not belong to this Cartan matrix")
@@ -430,7 +426,7 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
 
     # weights only ever leave `restricted`, so the highest remaining one is
     # the next of this order (deepest last) that has not been stripped yet
-    out: list[tuple[Weight, int]] = []
+    out: list[tuple[Weight, int, int]] = []
     conserved = 0
     folded_dom_of: dict[Weight, Weight] = {}
     for top in sorted(restricted, key=lambda w: (-sum(depths[w]), w), reverse=True):
@@ -439,8 +435,9 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
         mult = restricted[top]
         if mult <= 0:
             raise StrippingFailure(f"negative multiplicity {mult} at {top}")
-        out.append((top, mult))
-        conserved += mult * _capped_dim(fc, top, dim_cap)
+        dim = _capped_dim(fc, top, dim_cap)
+        out.append((top, mult, dim))
+        conserved += mult * dim
         for w, m in _freudenthal(fc, top, folded_dom_of).items():
             rem = restricted.get(w, 0) - mult * m
             if rem < 0:

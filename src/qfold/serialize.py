@@ -1,4 +1,4 @@
-"""JSON (de)serialization for modules, witnesses and matrices.
+"""JSON (de)serialization for modules, witnesses and matrices, from UTF-8 bytes.
 
 Matrices are row-major arrays of rational strings like "3/4" (JSON
 integers are read too; JSON floats, booleans and exponents are refused);
@@ -10,12 +10,23 @@ malformed document.
 
 from __future__ import annotations
 
+import json
 from typing import Mapping
 
 from .errors import InputError, TooLarge
 from .linalg import Mat, qq
 from .module_lab import FramedModule, SigmaData, TransitionWitness, framed_module
 from .quiver_core import DiagramAutomorphism, Quiver
+
+
+def json_document(data: bytes, source: str):
+    """The JSON value in data, read as UTF-8 (RFC 8259) whatever the locale;
+    InputError names the source of bytes that are not UTF-8."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{source} is not UTF-8: {exc.reason} at byte {exc.start}") from None
+    return json.loads(text)
 
 
 def json_object(obj, what: str) -> dict:

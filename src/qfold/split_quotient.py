@@ -10,8 +10,10 @@ reproduces the classical D/A correspondence.
 
 The framing is graded by `root_of_unity_eigendims`, the one count of
 eigenspace dimensions at roots of unity: nullity(Phi_d(m)) / phi(d) at a
-primitive d-th root, read by `split_framing` here and by
-`module_lab.eigen_profile`.
+primitive d-th root, read by `split_framing` here, at the orbit
+composites that `SigmaData` keeps, and by `module_lab.eigen_profile`.
+Weak compositions are listed once, by `_compositions`, for the fibers of p
+here and for the fibers of restriction in `rep_branch`.
 """
 
 from __future__ import annotations
@@ -262,11 +264,8 @@ def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:
         return [()] if total == 0 else []
     if parts == 1:
         return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
+    return [(first,) + rest for first in range(total + 1)
+            for rest in _compositions(total - first, parts - 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +305,17 @@ class SigmaData:
     Construction validates the maps and raises SigmaConstraintViolated
     otherwise: every sigma_i is square and invertible and lands in a space
     of its own dimension, so w_i, read off as the size of sigma_i, is
-    constant on orbits.  Validation keeps the inverses sigma_i^{-1}, read
-    off the orbit composite (whose (e-1)-st power is its inverse) with no
-    elimination, the orbit data of the automorphism and its arrow
-    transport, so the module transport theta needs nothing else.
+    constant on orbits.  Validation keeps the composite c it checked at
+    each orbit's minimal lift, which `split_framing` grades; the inverses
+    sigma_i^{-1}, read off c^(e-1) = c^-1 with no elimination; and the orbit
+    data and arrow transport of the automorphism, so the module transport
+    theta needs nothing else.
     """
 
     quiver: Quiver
     auto: DiagramAutomorphism
     maps: Mapping[str, Mat]
+    composites: Mapping[str, Mat] = field(init=False, repr=False, compare=False)
     inverses: Mapping[str, Mat] = field(init=False, repr=False, compare=False)
     orbits: OrbitData = field(init=False, repr=False, compare=False)
     transport: ArrowTransport = field(init=False, repr=False, compare=False)
@@ -341,13 +342,14 @@ class SigmaData:
                     f"sigma at {vertex} is {mat.rows}x{mat.cols} but sigma at {image} "
                     f"has {self.maps[image].cols} columns")
         od = orbit_data(q, a)
+        composites = {}
         inverses = {}
         for orbit in od.vertex_orbits:
             lift, e = orbit[0], od.e_vertex[orbit[0]]
             # chain[k] = a^k(lift), prefix[k] = sigma_{chain[k]} ... sigma_lift,
             # and the last prefix is the composite c
             chain, prefix = zip(*_orbit_walk(self.maps, a, lift, len(orbit)))
-            comp = prefix[-1]
+            comp = composites[lift] = prefix[-1]
             back = None  # c^(e-1), None for the identity
             for _ in range(e - 1):
                 back = comp if back is None else back * comp
@@ -367,6 +369,7 @@ class SigmaData:
                 if k:
                     mat = self.maps[chain[k]]
                     suffix = mat if suffix is None else suffix * mat
+        object.__setattr__(self, "composites", composites)
         object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "orbits", od)
         object.__setattr__(self, "transport", arrow_transport(q, a, od))
@@ -387,15 +390,16 @@ def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
 
     The slot (orbit, j/e) receives the dimension of the eigenvalue
     exp(2*pi*i*(j-1)/e) eigenspace of the composite at the orbit's minimal
-    lift, so identity twists put everything in the j = 1 slot.
+    lift (`SigmaData.composites`), so identity twists put everything in the
+    j = 1 slot.
     """
     if sigma.quiver != sd.source or sigma.auto != sd.auto:
         raise IndexMismatch("the framing twists do not belong to this split quiver")
-    a, od = sd.auto, sd.orbits
+    od = sd.orbits
     out: dict[str, int] = {}
     for orbit, slots in zip(od.vertex_orbits, sd.orbit_slots):
         lift = orbit[0]
-        comp = orbit_composite(sigma.maps, a, lift, od.d_vertex[lift])
+        comp = sigma.composites[lift]
         dims = root_of_unity_eigendims(comp, od.e_vertex[lift])
         if sum(dims) != comp.rows:
             raise NotDiagonalizableOverCyclotomicEigenvalues(
@@ -417,9 +421,3 @@ def _orbit_walk(sigma: Mapping[str, Mat], a: DiagramAutomorphism, lift: str,
     if vertex != lift:
         raise PropertyViolation(f"the orbit of {lift} does not close after {d} steps")
     return out
-
-
-def orbit_composite(sigma: Mapping[str, Mat], a: DiagramAutomorphism, lift: str, d: int) -> Mat:
-    """sigma_{a^{d-1}(lift)} ... sigma_{a(lift)} sigma_{lift} as one matrix."""
-    walk = _orbit_walk(sigma, a, lift, d)
-    return walk[-1][1] if walk else Mat.identity(0)

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import io
 import json
 import os
 import random
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import qfold
 from qfold import cli
 from qfold.cli import main
-from qfold.corpus import corpus_entry
+from qfold.corpus import CORPUS_ENV, corpus_entry
 from qfold.errors import PropertyViolation
 from qfold.generators import random_graded_pair
 from qfold.linalg import Mat
@@ -106,6 +107,62 @@ def test_branch_d4_rot3_summands_pinned(capsys):
     assert [(p["weight"], p["multiplicity"], p["dim"]) for p in payload["summands"]] == [
         ([0, 4], 1, 182), ([1, 2], 1, 189), ([2, 0], 1, 77), ([0, 3], 2, 77), ([1, 1], 2, 64),
         ([0, 2], 3, 27), ([1, 0], 1, 14), ([0, 1], 2, 7), ([0, 0], 1, 1)]
+
+
+def test_branch_computes_each_weyl_dimension_once(capsys, monkeypatch):
+    # branch computes the dimension of L(lam) and of each of its k summands
+    # once, and the command prints what branch returns: 1 + k calls, counted
+    # under every name a qfold module binds weyl_dim to
+    from qfold import rep_branch
+
+    original = rep_branch.weyl_dim
+    calls = []
+
+    def counted(c, lam):
+        calls.append(lam)
+        return original(c, lam)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qfold") and module is not None:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    code, out = run(capsys, "branch", "--corpus", "D4-rot3", "--framing", "0,2,0,2", "--json")
+    assert code == 0
+    summands = json.loads(out)["summands"]
+    assert len(summands) == 9
+    assert len(calls) == 1 + len(summands)
+
+
+def test_input_that_is_not_utf8_is_one_error(capsys, monkeypatch, tmp_path):
+    # JSON is read as UTF-8 whatever the locale; other bytes, from a file,
+    # from standard input or from a corpus directory, end in exit 1 and one
+    # line, or one error object under --json
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+
+    def outcome(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    for argv in (["split", "--file", str(bad)], ["module", "check", str(bad)]):
+        assert outcome(*argv) == (1, "", f"error: {bad} is not UTF-8: invalid start byte at byte 0\n")
+        code, out, err = outcome(*argv, "--json")
+        assert code == 1 and err == "" and out.count("\n") == 1
+        assert json.loads(out)["error"]["type"] == "InputError"
+
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe")))
+    assert outcome("module", "check", "-") == (
+        1, "", "error: standard input is not UTF-8: invalid start byte at byte 0\n")
+
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    (corpus_dir / "bad.json").write_bytes(b"\xff\xfe")
+    monkeypatch.setenv(CORPUS_ENV, str(corpus_dir))
+    code, out, err = outcome("split", "--corpus", "bad", "--json")
+    assert code == 1 and err == ""
+    assert json.loads(out)["error"]["type"] == "InputError"
 
 
 def test_branch_large_framings_pinned(capsys):

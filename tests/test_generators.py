@@ -87,7 +87,7 @@ def test_graded_pair_witnesses_verify(sizes):
 
 
 def test_rand_invertible_returns_the_inverse():
-    """The inverse read from the drawing elimination is the inverse."""
+    """Each draw comes with its inverse, empty shapes included."""
     rng = random.Random(3)
     for n in range(5):
         for _ in range(20):

@@ -77,6 +77,29 @@ from qfold.quiver_core import (
     quiver_to_dict,
 )
 
+
+def orbit_constant_dims(rng, od, lo, hi):
+    """One dimension in lo..hi per vertex orbit of od."""
+    out = {}
+    for orbit in od.vertex_orbits:
+        out.update(dict.fromkeys(orbit, rng.randint(lo, hi)))
+    return out
+
+
+def theta_module(rng, q, a, max_dim=2, p=None):
+    """A random relation-exact module with orbit-constant dimensions in
+    0..max_dim and a valid twist: over F_p with the identity twist, over Q
+    with a random one as `random_theta_module` draws it."""
+    od = orbit_data(q, a)
+    v = orbit_constant_dims(rng, od, 0, max_dim)
+    w = orbit_constant_dims(rng, od, 0, max_dim)
+    signed = arrow_transport(q, a, od).sign is not None
+    m = random_one_way_module(rng, q, v, w, p=p, signed=signed)
+    if p is None:
+        return m, random_sigma(rng, q, a, od, w)
+    return m, SigmaData(q, a, {x: Mat.identity(w[x], Fp(1, p)) for x in q.vertices})
+
+
 A1 = a_quiver(1)
 A3 = a_quiver(3)
 FLIP = flip_automorphism(A3, 3)
@@ -194,7 +217,7 @@ def test_theta_order_on_sample():
                  (d_quiver(4), automorphism(d_quiver(4), {"1": "3", "3": "4", "4": "1", "2": "2"}))]:
         od = orbit_data(q, a)
         for p in [None] * 10 + [2, 3]:  # F_p modules come with an F_p identity twist
-            m, sig = random_theta_module(rng, q, a, p=p)
+            m, sig = theta_module(rng, q, a, p=p)
             cur = m
             for _ in range(od.n):
                 cur = apply_theta(cur, sig)
@@ -344,8 +367,8 @@ def test_arrow_transport_matches_the_arrow_oracle():
         if orient is None:
             without_orientation.append(entry.name)
         for p in (None, 3):
-            v = random_orbit_constant_dims(rng, od, 1, 2)
-            w = random_orbit_constant_dims(rng, od, 0, 2)
+            v = orbit_constant_dims(rng, od, 1, 2)
+            w = random_orbit_constant_dims(rng, od)
             if p is None:
                 sigma = random_sigma(rng, q, a, od, w)
             else:
@@ -532,7 +555,7 @@ def test_path_rows_match_global_oracles():
                  (d4, automorphism(d4, {"1": "3", "3": "4", "4": "1", "2": "2"})),
                  (a5, flip_automorphism(a5, 5))]:
         for p in [None] * 40 + [3] * 40:
-            m, sigma = random_theta_module(rng, q, a, max_dim=3, p=p)
+            m, sigma = theta_module(rng, q, a, max_dim=3, p=p)
             cases.append((m, a, sigma))
     # the dense oracle takes up to 1 s on a D4 pair, so the pairs are few
     for q, a, count in [(A3, FLIP, 6), (a5, flip_automorphism(a5, 5), 3),

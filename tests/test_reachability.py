@@ -10,6 +10,12 @@ its name is read as an attribute anywhere reached, or it is a dunder, or
 it overrides a method of a class from outside qfold (argparse calls
 `_Parser.error`).  A definition only tests reach belongs in the tests, and
 an import its module never reads belongs nowhere.
+
+Likewise a defaulted parameter is an option: some call in `src/qfold` or in
+the benchmark's own files sets it, by keyword, by position or through `*`
+or `**`, or it belongs in the tests.  Calls are matched by the name they
+use (a class's name for its `__init__`), so a parameter of one function
+counts as set when a call reaches a function of the same name.
 """
 
 import ast
@@ -213,3 +219,64 @@ def test_every_import_is_read():
         unused += [f"{name}: {local}" for local in sorted(mod.imports - names)]
     assert not unused, f"imported but never read: {unused}"
 
+
+def _defaulted(fn: ast.FunctionDef, skip: int) -> dict[str, object]:
+    """The parameters of fn that have a default, each with its index among
+    the positional parameters after the first `skip`, or None when it is
+    keyword-only."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[skip:]
+    first = len(positional) - len(args.defaults)
+    out: dict[str, object] = {a.arg: i for i, a in enumerate(positional) if i >= first}
+    out.update((a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+               if default is not None)
+    return out
+
+
+def defaulted_parameters() -> dict[str, list[tuple[str, dict[str, object]]]]:
+    """By the name a call uses: each src/qfold function of that name, as
+    module.qualname, with its defaulted parameters.  A method's first
+    parameter is its receiver unless it is a staticmethod."""
+    out: dict[str, list] = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods.update((id(fn), cls.name) for fn in _methods(cls).values())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = methods.get(id(fn))
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in fn.decorator_list)
+            params = _defaulted(fn, 1 if owner and not static else 0)
+            if params:
+                called_as = owner if fn.name == "__init__" else fn.name
+                qualname = f"{owner}.{fn.name}" if owner else fn.name
+                out.setdefault(called_as, []).append((f"{path.stem}.{qualname}", params))
+    return out
+
+
+def test_every_default_is_set_by_a_call():
+    functions = defaulted_parameters()
+    paths = sorted(SRC.glob("*.py")) + [path for path in sorted(PERFBENCH.glob("*.py"))
+                                        if not path.name.startswith("test_")]
+    set_by_a_call = set()
+    for path in paths:
+        for call in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords = {k.arg for k in call.keywords}
+            unpacked = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+            for qualname, params in functions.get(name, ()):
+                set_by_a_call.update(
+                    (qualname, param) for param, index in params.items()
+                    if unpacked or param in keywords
+                    or (index is not None and index < len(call.args)))
+    unset = [f"{qualname}.{param}" for lists in functions.values()
+             for qualname, params in lists for param in params
+             if (qualname, param) not in set_by_a_call]
+    assert not unset, f"defaulted parameters that no call in src/qfold or perfbench sets: {unset}"

@@ -48,6 +48,11 @@ def restrict_weight(lam, fold):
     return tuple(sum(lam[fold.base.labels.index(v)] for v in orbit) for orbit in fold.orbits)
 
 
+def pairs(rows):
+    """branch's summands as (weight, multiplicity), without their dimensions."""
+    return [(wt, mult) for wt, mult, _dim in rows]
+
+
 def dominant_character(c, lam, dim_cap=DEFAULT_DIM_CAP):
     """The multiplicities of L(lam) at its dominant weights: the Freudenthal
     recursion behind the dimension cap."""
@@ -115,7 +120,8 @@ def test_character_total_matches_weyl_dim():
 def test_dimension_cap():
     a5 = cartan_from_quiver(a_quiver(5))
     with pytest.raises(DimensionCapExceeded):
-        freudenthal_character(a5, (2, 2, 2, 2, 2), dim_cap=1000)
+        # dimension 14,348,907, above DEFAULT_DIM_CAP
+        freudenthal_character(a5, (2, 2, 2, 2, 2))
 
 
 def test_dominant_representative_and_orbit():
@@ -148,15 +154,15 @@ def test_branch_a3_to_c2():
     a3 = a_quiver(3)
     c = cartan_from_quiver(a3)
     fold = fold_cartan(c, flip_automorphism(a3, 3))
-    assert branch(c, (1, 0, 0), fold) == [((1, 0), 1)]
-    assert dict(branch(c, (0, 1, 0), fold)) == {(0, 1): 1, (0, 0): 1}
-    assert branch(c, (0, 0, 0), fold) == [((0, 0), 1)]
+    assert branch(c, (1, 0, 0), fold) == [((1, 0), 1, 4)]
+    assert dict(pairs(branch(c, (0, 1, 0), fold))) == {(0, 1): 1, (0, 0): 1}
+    assert branch(c, (0, 0, 0), fold) == [((0, 0), 1, 1)]
 
 
 def test_branch_identity_fold():
     c = cartan_from_quiver(a_quiver(3))
     fold = fold_cartan(c, identity_automorphism(a_quiver(3)))
-    assert branch(c, (1, 0, 0), fold) == [((1, 0, 0), 1)]
+    assert branch(c, (1, 0, 0), fold) == [((1, 0, 0), 1, 4)]
 
 
 def test_branch_requires_dominant_and_optionally_invariant():
@@ -166,7 +172,7 @@ def test_branch_requires_dominant_and_optionally_invariant():
     with pytest.raises(NotDominant):
         branch(c, (-1, 0, 0), fold)
     # the weight need not be constant on the folding orbits
-    assert branch(c, (1, 0, 0), fold) == [((1, 0), 1)]
+    assert branch(c, (1, 0, 0), fold) == [((1, 0), 1, 4)]
     assert branch(c, (1, 0, 1), fold) is not None
 
 
@@ -179,8 +185,8 @@ def test_branch_conserves_dimension_a5():
         lam = tuple(rng.randint(0, 1) for _ in range(5))
         lam = (lam[0], lam[1], lam[2], lam[1], lam[0])
         rows = branch(c, lam, fold)
-        assert all(mult > 0 for _w, mult in rows)
-        assert sum(m * weyl_dim(fold.folded, wt) for wt, m in rows) == weyl_dim(c, lam)
+        assert all(mult > 0 for _w, mult, _dim in rows)
+        assert sum(m * weyl_dim(fold.folded, wt) for wt, m, _dim in rows) == weyl_dim(c, lam)
 
 
 def test_highest_weight_from_framing():
@@ -214,9 +220,9 @@ def test_branch_so8_to_so7():
     c = cartan_from_quiver(d4)
     fold = fold_cartan(c, fork_swap_automorphism(d4, 4))
     # vector 8 -> 7 + 1, spinor 8 -> spinor 8, adjoint 28 -> 21 + 7
-    assert branch(c, (1, 0, 0, 0), fold) == [((1, 0, 0), 1), ((0, 0, 0), 1)]
-    assert branch(c, (0, 0, 1, 0), fold) == [((0, 0, 1), 1)]
-    assert dict(branch(c, (0, 1, 0, 0), fold)) == {(0, 1, 0): 1, (1, 0, 0): 1}
+    assert branch(c, (1, 0, 0, 0), fold) == [((1, 0, 0), 1, 7), ((0, 0, 0), 1, 1)]
+    assert branch(c, (0, 0, 1, 0), fold) == [((0, 0, 1), 1, 8)]
+    assert dict(pairs(branch(c, (0, 1, 0, 0), fold))) == {(0, 1, 0): 1, (1, 0, 0): 1}
     assert weyl_dim(fold.folded, (0, 1, 0)) == 21
 
 
@@ -399,7 +405,7 @@ def test_branch_matches_weyl_denominator():
         for lam in small_weights(c, 400):
             by_denominator, order = weyl_denominator_branch(c, lam, fold)
             assert order <= 48
-            assert dict(branch(c, lam, fold)) == by_denominator, (c.labels, lam)
+            assert dict(pairs(branch(c, lam, fold))) == by_denominator, (c.labels, lam)
             types.add(str(classify_cartan(fold.folded)))
             cases += 1
     assert types >= {"C2", "C3", "B3", "G2"}
@@ -429,7 +435,10 @@ def test_branch_matches_full_stripping_on_corpus():
         if entry.name == "D4-rot3":
             weights.append((0, 2, 0, 2))  # the framing of the pinned CLI case
         for lam in weights:
-            assert branch(c, lam, fold) == full_stripping_branch(c, lam, fold), (entry.name, lam)
+            rows = branch(c, lam, fold)
+            assert pairs(rows) == full_stripping_branch(c, lam, fold), (entry.name, lam)
+            assert all(dim == weyl_dim(fold.folded, wt) for wt, _mult, dim in rows), \
+                (entry.name, lam)
     assert set(finite) == {"A3-id", "A3-flip", "A5-flip", "A7-flip", "A9-flip", "D3-swap",
                            "D4-swap", "D5-swap", "D6-swap", "D4-rot3"}
 

@@ -259,20 +259,33 @@ def test_split_framing_constraint_violation():
                                 {v: Mat.identity(1) for v in other.vertices}), sd)
 
 
+def walked_composite(maps, a, lift):
+    """sigma_{a^(d-1)(lift)} ... sigma_{lift}, walked around the orbit."""
+    comp = maps[lift]
+    vertex = a.vertex_perm[lift]
+    while vertex != lift:
+        comp = maps[vertex] * comp
+        vertex = a.vertex_perm[vertex]
+    return comp
+
+
 def test_split_framing_lift_independence():
-    # the eigenvalue dimensions agree at every lift of a swapped orbit
+    # the eigenvalue dimensions agree at every lift of a swapped orbit, and
+    # the composite SigmaData keeps is the walked one at the minimal lift
     d4 = d_quiver(4)
     sd = split_quiver(d4, fork_swap_automorphism(d4, 4))
-    from qfold.split_quotient import orbit_composite, root_of_unity_eigendims
+    from qfold.split_quotient import root_of_unity_eigendims
     maps = {v: Mat.identity(2) for v in d4.vertices}
     maps["3"] = Mat.rational([[1, 1], [0, -1]])
     maps["4"] = maps["3"].inverse()
     sigma = SigmaData(d4, sd.auto, maps)
     od = sd.orbits
     a = sd.auto
+    assert set(sigma.composites) == {orbit[0] for orbit in od.vertex_orbits}
     for orbit in od.vertex_orbits:
         e = od.e_vertex[orbit[0]]
-        dims = [root_of_unity_eigendims(orbit_composite(sigma.maps, a, lift, len(orbit)), e)
+        assert sigma.composites[orbit[0]] == walked_composite(sigma.maps, a, orbit[0])
+        dims = [root_of_unity_eigendims(walked_composite(sigma.maps, a, lift), e)
                 for lift in orbit]
         assert all(d == dims[0] for d in dims)
 
@@ -323,7 +336,7 @@ def test_sigma_inverses_read_off_the_composite_equal_eliminated_inverses():
     # kept inverses come from the orbit composite, not from an elimination
     import random
 
-    from qfold.generators import random_orbit_constant_dims, random_sigma
+    from qfold.generators import random_sigma
     from qfold.quiver_core import orbit_data
 
     rng = random.Random(17)
@@ -331,8 +344,10 @@ def test_sigma_inverses_read_off_the_composite_equal_eliminated_inverses():
     for entry in corpus():
         od = orbit_data(entry.quiver, entry.auto)
         for _ in range(3):
-            sigma = random_sigma(rng, entry.quiver, entry.auto, od,
-                                 random_orbit_constant_dims(rng, od, 0, 3))
+            dims = {}
+            for orbit in od.vertex_orbits:  # one framing dimension in 0..3 per orbit
+                dims.update(dict.fromkeys(orbit, rng.randint(0, 3)))
+            sigma = random_sigma(rng, entry.quiver, entry.auto, od, dims)
             for x in entry.quiver.vertices:
                 assert sigma.inverses[x] == sigma.maps[x].inverse(), (entry.name, x)
         names.add(entry.name)
