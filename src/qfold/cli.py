@@ -67,6 +67,7 @@ EXIT_VIOLATION = 2
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
 
 

@@ -101,10 +101,6 @@ class CharacterMismatch(PropertyViolation):
     """Weyl's dimension formula and the Freudenthal recursion disagree."""
 
 
-class StrippingFailure(PropertyViolation):
-    """Character stripping produced a negative multiplicity."""
-
-
 class IndexMismatch(InputError):
     pass
 

@@ -139,13 +139,9 @@ def symmetrized(c: CartanMatrix) -> Mat:
 def is_finite_type(c: CartanMatrix) -> bool:
     """Positive-definiteness of the symmetrized matrix (Sylvester minors)."""
     try:
-        b = symmetrized(c)
+        return symmetrized(c).is_positive_definite()
     except NotSymmetrizable:
         return False
-    for k in range(1, c.n + 1):
-        if b.submatrix(range(k), range(k)).det() <= 0:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

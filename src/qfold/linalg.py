@@ -23,14 +23,15 @@ by row from the nonzero `(col, value)` lists of its right factor
 read once, by the scan that scales it to ints by the lcm of all its
 denominators (a factor of ints is taken as it is), and each entry is its
 integer sum over the two scales.  Elimination, behind `rref` (and so
-`nullspace`, `solve`, `inverse`), `det` and `rank`, is one fraction-free
-Gauss-Jordan for every field, with Bareiss's exact divisions (Math.
-Comp. 22, 1968).  Over Q the matrix is first scaled in the same way,
-which leaves the reduced echelon form unchanged.  A row is touched only
-when it has a nonzero in the pivot column.  `rref` divides every entry
-once at the end; `rank` (and so `nullity`, `is_invertible` and
-`column_space_contains`) counts the pivots of the same loop and divides
-nothing.
+`nullspace`, `solve`, `inverse`), `rank` and `is_positive_definite`, is
+one fraction-free Gauss-Jordan for every field, with Bareiss's exact
+divisions (Math. Comp. 22, 1968).  Over Q the matrix is first scaled in
+the same way, which leaves the reduced echelon form unchanged.  A row is
+touched only when it has a nonzero in the pivot column.  `rref` divides
+every entry once at the end; `rank` (and so `nullity`, `is_invertible`
+and `column_space_contains`) counts the pivots of the same loop and
+divides nothing, and `is_positive_definite` reads the leading principal
+minors off its pivots.
 
 Each matrix also carries `zero`, the additive zero of its entry type: the
 one it is given, else `x - x` of its first entry, else (no entries) the
@@ -275,33 +276,33 @@ class Mat:
         return [self.submatrix(range(self.rows), [c]) for c in range(self.cols)]
 
     # -- reductions ---------------------------------------------------
-    def _reduce(self) -> tuple[list, list, list[int], object, object]:
-        """The fraction-free Gauss-Jordan of the rows: (rows, at, pivots,
-        d, scale).  Over Q each row is first scaled to ints by the lcm of
-        its denominators, and `scale` is their product.  Row i of the RREF
-        is rows[i] divided by at[i], and d divided by scale is the
-        determinant when the matrix is square and every column has a pivot.
+    def _reduce(self, definite: bool = False) -> tuple[list, list, list[int]]:
+        """The fraction-free Gauss-Jordan of the rows: (rows, at, pivots).
+        Over Q each row is first scaled to ints by the lcm of its
+        denominators.  Row i of the RREF is rows[i] divided by at[i].  With
+        definite set, the elimination ends before the first column whose
+        diagonal entry is not positive (see `is_positive_definite`).
 
         Clearing column pc with pivot p takes every other row t to
         (p * t - t[pc] * pivot row) // den, den the previous pivot; the
         division is exact, as each entry is a minor.  A row with t[pc] = 0
         is only scaled by p / den, so it is left as it is and brought up to
         date when a pivot column reaches it: row i holds its entries times
-        at[i] / den.  At the end every pivot entry is den, the determinant
-        of the scaled, row-swapped matrix when it is square of full rank."""
+        at[i] / den."""
         rational = self.zero.__class__ in _RATIONAL
-        m, scale = [], 1
+        m = []
         for row in self.data:
             if rational:   # each row by its own lcm keeps the minors smaller than one lcm would
-                s, (row,) = _integral((row,))
-                scale *= s
+                (row,) = _integral((row,))[1]
             m.append(list(row))
         zero, one = (0, 1) if rational else (self.zero, self.zero + 1)
         n = len(m)
         den, at = one, [one] * n
-        pivots, swaps = [], 0
+        pivots = []
         for pc in range(self.cols):
             pr = len(pivots)
+            if definite and not m[pr][pc] > 0:
+                break
             for r in range(pr, n):
                 if m[r][pc]:
                     break
@@ -310,7 +311,6 @@ class Mat:
             if r != pr:
                 m[pr], m[r] = m[r], m[pr]
                 at[pr], at[r] = at[r], at[pr]
-                swaps += 1
             row = m[pr]
             if at[pr] != den:
                 row = m[pr] = [x * den // at[pr] for x in row]
@@ -329,11 +329,11 @@ class Mat:
                     at[i] = p
             at[pr] = den = p
             pivots.append(pc)
-        return m, at, pivots, -den if swaps & 1 else den, scale
+        return m, at, pivots
 
     def rref(self) -> tuple["Mat", list[int]]:
         """Reduced row echelon form; returns (matrix, pivot column list)."""
-        m, at, pivots, _, _ = self._reduce()
+        m, at, pivots = self._reduce()
         one, div = _one_and_division(self.zero)
         rows = tuple(tuple([div(x, s) for x in row]) if s != one else tuple(row)
                      for row, s in zip(m, at))
@@ -341,6 +341,12 @@ class Mat:
 
     def rank(self) -> int:
         return len(self._reduce()[2])
+
+    def is_positive_definite(self) -> bool:
+        """Sylvester's test over Q: every leading principal minor is positive.
+        Without row exchanges the k-th fraction-free pivot is the k-th minor
+        times positive row scales, so the first one not positive ends it."""
+        return self.rows == self.cols and len(self._reduce(definite=True)[2]) == self.rows
 
     def nullity(self) -> int:
         return self.cols - self.rank()
@@ -386,15 +392,6 @@ class Mat:
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
-
-    def det(self):
-        """Determinant, from the same elimination as `rref`."""
-        if self.rows != self.cols:
-            raise ShapeMismatch("det of non-square matrix")
-        _, _, pivots, d, scale = self._reduce()
-        if len(pivots) < self.rows:
-            return self.zero
-        return _one_and_division(self.zero)[1](d, scale)
 
     def trace(self):
         if self.rows != self.cols:

@@ -557,9 +557,9 @@ def theorem5_verify(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
     valid embedding.  For an eigenvector u of g_sub with eigenvalue lam,
     (g_big - lam) xi u is D u with D = g_big xi - xi g_sub, so the property
     holds at a vertex exactly when D vanishes on `eigenvector_span(g_sub)`;
-    this is decided over Q.  Only a failing vertex factors the
-    characteristic polynomial, to name an eigenvalue and a counterexample
-    vector exactly in Q[x]/(factor).
+    this is decided over Q, and needs no span where D is zero.  Only a
+    failing vertex factors the characteristic polynomial, to name an
+    eigenvalue and a counterexample vector exactly in Q[x]/(factor).
     """
     if not check_framed_embedding(xi, m_sub, m):
         raise PreconditionViolation("xi is not a framed embedding")
@@ -576,7 +576,7 @@ def theorem5_verify(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
         if g_sub.rows == 0:
             continue
         defect = witness_matrix(witness, x) * xi[x] - xi[x] * g_sub
-        if not (defect * eigenvector_span(g_sub)).is_zero():
+        if not defect.is_zero() and not (defect * eigenvector_span(g_sub)).is_zero():
             return _eigen_counterexample(x, g_sub, defect)
     return EigenInclusionReport(True)
 

@@ -25,25 +25,26 @@ inverse Cartan matrix.
 
 Branching restricts the character of L(lam) along orbit sums of Cartan
 elements and keeps it at the folded-dominant weights only, without ever
-building the full character or walking a Weyl orbit.  Restriction sends
-alpha_j to the folded simple root of j's orbit I, so a weight
-mu = lam - sum_j k_j alpha_j restricts to the folded-dominant nu exactly
-when sum_{j in I} k_j = K_I for every orbit, K the folded depth of nu; and
-mu is a weight exactly when its dominant representative is one.  The
-restricted multiplicity at nu is therefore a sum over the fibers of
-restriction, the compositions of each K_I into |I| parts, of the dominant
-multiplicities (one dominant-representative memo per Cartan matrix and
-call serves the recursion and the fibers).  The sum is checked against the
+building the full character.  Restriction sends alpha_j to the folded
+simple root of j's orbit I, so a weight mu = lam - sum_j k_j alpha_j
+restricts to the folded-dominant nu exactly when sum_{j in I} k_j = K_I
+for every orbit, K the folded depth of nu; and mu is a weight exactly when
+its dominant representative is one.  The restricted multiplicity at nu is
+therefore a sum over the fibers of restriction, the compositions of each
+K_I into |I| parts, of the dominant multiplicities (one
+dominant-representative memo per call serves the recursion and the
+fibers).  The sum is checked against the
 Weyl dimension through the folded orbit sizes |W'nu|, read off the
 positive roots (Kostant/Macdonald), and the number of fiber points is
-known, and capped, before any is listed.  Both the restriction and every
-folded character are invariant under the folded Weyl group, so stripping
-highest weights in one pass in integer depth order needs the folded
-characters at their dominant weights alone, never spread over orbits.
-Each weight's Weyl dimension is computed once per call, and each summand
-comes back with the one that fed the conservation check.  This is slower
-than crystal combinatorics but independently checkable against the Weyl
-dimension formula.
+known, and capped, before any is listed.  The multiplicity of L'(nu) is
+then read off Weyl's character formula as the alternation
+sum_{w in W'} eps(w) r(nu + rho' - w rho') of the restricted character r
+(Racah-Speiser/Klimyk), with W' listed lazily and pruned where the
+weight leaves nu's depth or outgrows the top, so one Freudenthal
+recursion serves the whole call.  Each weight's Weyl dimension is computed once per call, and
+each summand comes back with the one that fed the conservation check.
+This is slower than crystal combinatorics but independently checkable
+against the Weyl dimension formula.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .errors import (
     IndexMismatch,
     NotDominant,
     NotFiniteType,
-    StrippingFailure,
     TooLarge,
     UnknownVertex,
 )
@@ -79,6 +79,11 @@ DEFAULT_DIM_CAP = 100_000
 # in 0.26 s, on one core of a 2-CPU Xeon), so the cap bounds the sum to
 # about 10 s
 FIBER_SUM_CAP = 10 ** 6
+
+# the Weyl alternation of `branch` reaches about 45,000 elements of the folded
+# Weyl group a second at rank 15 (A29-flip, folded B15) and 150,000-270,000 at
+# ranks 3-6, on one core of a 2-CPU Xeon: the cap bounds it to about 10 s
+WALK_CAP = 400_000
 
 
 @dataclass(frozen=True)
@@ -133,16 +138,17 @@ def root_datum(c: CartanMatrix) -> RootDatum:
 
 def _dominant(rows: tuple[tuple[tuple[int, int], ...], ...], lam: Weight) -> Weight:
     """The dominant weight in the Weyl orbit of lam: reflect at the first
-    negative coordinate until there is none."""
-    cur = list(lam)
-    while True:
-        for i, a in enumerate(cur):
-            if a < 0:
-                for k, cik in rows[i]:
-                    cur[k] -= a * cik
-                break
+    negative coordinate, from the first index s_i changed, until none is."""
+    cur, i = list(lam), 0
+    while i < len(cur):
+        a = cur[i]
+        if a < 0:
+            for k, cik in rows[i]:
+                cur[k] -= a * cik
+            i = rows[i][0][0]
         else:
-            return tuple(cur)
+            i += 1
+    return tuple(cur)
 
 
 def dominant_representative(c: CartanMatrix, lam: Weight) -> Weight:
@@ -395,15 +401,56 @@ def _restricted_spread(c: CartanMatrix, lam: Weight, fc: CartanMatrix, orbits: l
     return restricted, spread
 
 
+def _alternation(fc: CartanMatrix, high: Weight, restricted: Character,
+                 depths: Mapping[Weight, Root]) -> dict[Weight, int]:
+    """n_nu = sum over w in W' of eps(w) r(nu + rho' - w rho') at each key nu
+    of restricted, r read at folded-dominant representatives.  W' is the orbit
+    of rho', walked as in `weyl_orbit`: s_i at y = w rho' with y_i > 0 adds
+    y_i to x_i, x = rho' - w rho' in simple roots, and 2 y_i (nu + rho', alpha_i)
+    to |nu + x|^2 - |nu|^2.  Both grow down the walk, and a term is zero once x
+    leaves depths[nu] or nu + x is longer than high, so such a child is dropped
+    with its subtree.  Past WALK_CAP elements in all, TooLarge."""
+    rows, neighbours, d = root_datum(fc).rows, root_datum(fc).neighbours, symmetrizer(fc)
+    mults, visits = {}, 0
+    for nu in restricted:
+        depth, top, n = depths[nu], tuple(x + 1 for x in nu), 0  # top = nu + rho'
+        room = sum(map(mul, depth, map(mul, d, map(add, high, nu))))  # |high|^2 - |nu|^2
+        cost = [2 * dj * t for dj, t in zip(d, top)]
+        stack = [((1,) * fc.n, (0,) * fc.n, 0, 1)]
+        while stack:
+            y, x, used, sign = stack.pop()
+            visits += 1
+            if visits > WALK_CAP:
+                raise TooLarge(f"the Weyl alternation reaches more than {WALK_CAP} elements",
+                               estimate=visits, cap=WALK_CAP)
+            n += sign * restricted.get(_dominant(rows, tuple(map(sub, top, y))), 0)
+            neg = -1  # the first index where y is negative
+            for i, a in enumerate(y):
+                if a < 0 and neg < 0:
+                    neg = i
+                elif a > 0:
+                    if x[i] + a > depth[i] or used + a * cost[i] > room \
+                            or neg >= 0 and neg not in neighbours[i]:
+                        continue
+                    img = list(y)
+                    for k, cik in rows[i]:
+                        img[k] -= a * cik
+                    if neg < 0 or min(img[:i]) >= 0:
+                        stack.append((tuple(img), x[:i] + (x[i] + a,) + x[i + 1:],
+                                      used + a * cost[i], -sign))
+        mults[nu] = n
+    return mults
+
+
 def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
            dim_cap: int = DEFAULT_DIM_CAP) -> list[tuple[Weight, int, int]]:
     """Decompose L(lam) restricted to the folded subalgebra.
 
-    Returns (folded dominant weight, multiplicity, Weyl dimension) triples
-    obtained by stripping the restricted character from the top, on
-    folded-dominant weights only, and checked to conserve dimension.
-    Restriction is defined for every dominant weight, constant on the
-    folding orbits or not.
+    Returns (folded dominant weight, multiplicity, Weyl dimension) triples,
+    shallowest below the restricted top first, then by descending weight,
+    read off the Weyl alternation of the restricted character and checked
+    to conserve dimension.  Restriction is defined for every dominant
+    weight, constant on the folding orbits or not.
     """
     if fold.base.entries != c.entries or fold.base.labels != c.labels:
         raise IndexMismatch("folding data does not belong to this Cartan matrix")
@@ -413,42 +460,25 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData,
     fc = fold.folded
     root_datum(fc)  # a folded matrix of infinite type is refused before any walk
 
-    # the dimension comes first: its cap, and the fiber budget of
-    # _restricted_spread, bound every walk.
-    # Restriction sends alpha_i to the folded simple root of i's orbit, so
-    # every folded-dominant restricted weight is a key of depths
+    # the dimension cap, the fiber budget and the walk cap bound every walk;
+    # every folded-dominant restricted weight, a summand's too, is in depths
     total = _capped_dim(c, lam, dim_cap)
     orbits = _orbit_indices(fold)
-    depths = dominant_weights_below(fc, _restrict(lam, orbits))
+    high = _restrict(lam, orbits)
+    depths = dominant_weights_below(fc, high)
     restricted, spread = _restricted_spread(c, lam, fc, orbits, depths, {})
     if spread != total:
         raise CharacterMismatch(f"character of {lam} has total {spread}, not {total}")
 
-    # weights only ever leave `restricted`, so the highest remaining one is
-    # the next of this order (deepest last) that has not been stripped yet
-    out: list[tuple[Weight, int, int]] = []
-    conserved = 0
-    folded_dom_of: dict[Weight, Weight] = {}
-    for top in sorted(restricted, key=lambda w: (-sum(depths[w]), w), reverse=True):
-        if top not in restricted:
-            continue
-        mult = restricted[top]
-        if mult <= 0:
-            raise StrippingFailure(f"negative multiplicity {mult} at {top}")
-        dim = _capped_dim(fc, top, dim_cap)
-        out.append((top, mult, dim))
-        conserved += mult * dim
-        for w, m in _freudenthal(fc, top, folded_dom_of).items():
-            rem = restricted.get(w, 0) - mult * m
-            if rem < 0:
-                raise StrippingFailure(f"stripping drove weight {w} to multiplicity {rem}")
-            if rem == 0:
-                restricted.pop(w, None)
-            else:
-                restricted[w] = rem
-
-    if conserved != total:
-        raise StrippingFailure(f"the branching of {lam} does not conserve dimension")
+    mults = _alternation(fc, high, restricted, depths)
+    out = []
+    for nu in sorted(restricted, key=lambda w: (-sum(depths[w]), w), reverse=True):
+        if mults[nu] < 0:
+            raise CharacterMismatch(f"negative multiplicity {mults[nu]} at {nu}")
+        if mults[nu]:
+            out.append((nu, mults[nu], weyl_dim(fc, nu)))
+    if sum(mult * dim for _nu, mult, dim in out) != total:
+        raise CharacterMismatch(f"the branching of {lam} does not conserve dimension")
     return out
 
 

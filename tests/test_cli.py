@@ -98,8 +98,9 @@ def test_branch_table_and_conservation(capsys):
 
 
 def test_branch_d4_rot3_summands_pinned(capsys):
-    # D4 -> G2, summands in stripping order (descending height, then weight);
-    # a change to the stripping order or to the characters moves this list
+    # D4 -> G2, summands in branch order (shallowest depth below the top
+    # first, then descending weight); a change to that order or to the
+    # characters moves this list
     code, out = run(capsys, "branch", "--corpus", "D4-rot3", "--framing", "0,2,0,2", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -308,6 +309,35 @@ def test_json_errors_are_one_object(capsys, monkeypatch, tmp_path):
     # a usage error is reported by argparse before --json is known
     code, out, err = outcome("branch", "--corpus", "A3-flip", "--json")
     assert code == 1 and out == "" and err.startswith("usage: ")
+
+
+def test_usage_error_names_what_is_wrong(capsys):
+    # argparse's message is the last line on stderr, after the usage lines
+    for argv, message in (
+            (["branch", "--corpus", "A5-flip", "--framing", "1,0,0,0", "--dim-cap", "x"],
+             "argument --dim-cap: invalid int value: 'x'"),
+            (["branch", "--corpus", "A5-flip"],
+             "the following arguments are required: --framing")):
+        for flags in ((), ("--json",)):
+            assert main([*argv, *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("usage: ")
+            assert captured.err.splitlines()[-1] == f"error: {message}", captured.err
+
+
+def test_walk_cap_is_one_error(capsys, monkeypatch):
+    from qfold import rep_branch
+
+    monkeypatch.setattr(rep_branch, "WALK_CAP", 20)
+    argv = ["branch", "--corpus", "D4-rot3", "--framing", "0,2,0,2"]
+    message = "the Weyl alternation reaches more than 20 elements"
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main([*argv, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.count("\n") == 1
+    assert json.loads(captured.out) == {"error": {"type": "TooLarge", "message": message,
+                                                  "estimate": 21, "cap": 20}}
 
 
 def test_determinism_byte_identical(capsys):

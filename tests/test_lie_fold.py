@@ -1,6 +1,9 @@
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
-from qfold.errors import InputError, NotAdmissible, SelfLoop, UnsupportedFamily
+from qfold.errors import InputError, NotAdmissible, NotSymmetrizable, SelfLoop, UnsupportedFamily
 from qfold.lie_fold import (
     TypeLabel,
     canonical_cartan,
@@ -61,6 +64,72 @@ def test_classification_table():
 def test_finite_type_detection():
     assert is_finite_type(canonical_cartan("E", 8))
     assert not is_finite_type(cartan_from_quiver(affine_a_quiver(3)))
+
+
+def fraction_det(rows):
+    """Gaussian elimination over Fractions, with row exchanges."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for pc in range(len(m)):
+        pr = next((r for r in range(pc, len(m)) if m[r][pc]), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != pc:
+            m[pc], m[pr] = m[pr], m[pc]
+            det = -det
+        det *= m[pc][pc]
+        for r in range(pc + 1, len(m)):
+            f = m[r][pc] / m[pc][pc]
+            m[r] = [a - f * b for a, b in zip(m[r], m[pc])]
+    return det
+
+
+def per_minor_finite_type(c):
+    """The former test: each leading principal minor of the symmetrized
+    matrix by a determinant of its own, all of them positive."""
+    try:
+        d = symmetrizer(c)
+    except NotSymmetrizable:
+        return False
+    b = [[c[i, j] * d[j] for j in range(c.n)] for i in range(c.n)]
+    return all(fraction_det([row[:k] for row in b[:k]]) > 0 for k in range(1, c.n + 1))
+
+
+def test_finite_type_matches_the_per_minor_oracle():
+    # every canonical type up to rank 12, affine A1-A12 and D4-D12, the
+    # twisted pattern of the classification table, then random matrices:
+    # symmetrizable ones with bonds -lcm(d_i, d_j) t / d_j, and others
+    import random
+
+    cartans = []
+    for family in "ABCDEFG":
+        for n in range(1, 13):
+            try:
+                cartans.append(canonical_cartan(family, n))
+            except UnsupportedFamily:
+                pass
+    cartans += [cartan_from_quiver(affine_a_quiver(n)) for n in range(1, 13)]
+    cartans += [cartan_from_quiver(affine_d_quiver(n)) for n in range(4, 13)]
+    cartans.append(cartan_matrix([[2, -1, 0], [-2, 2, -2], [0, -1, 2]]))
+    rng = random.Random(9)
+    for trial in range(600):
+        n = rng.randint(1, 7)
+        entries = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        d = [rng.randint(1, 3) for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                t = rng.choice([0, 0, 0, 1, 1, 2])
+                if trial % 3:
+                    entries[i][j], entries[j][i] = (-t * lcm(d[i], d[j]) // d[j],
+                                                    -t * lcm(d[i], d[j]) // d[i])
+                else:
+                    entries[i][j], entries[j][i] = -t, -rng.randint(1, 3) * (t > 0)
+        cartans.append(cartan_matrix(entries))
+    verdicts = []
+    for c in cartans:
+        verdicts.append(is_finite_type(c))
+        assert verdicts[-1] == per_minor_finite_type(c), c.entries
+    assert 150 <= sum(verdicts) <= len(verdicts) - 150
 
 
 def test_fold_a3_exact():

@@ -1208,3 +1208,28 @@ def test_embedding_into_a_stable_module_makes_the_submodule_stable():
         assert is_stable(msub), trial
         proper += 0 < sum(msub.v.values()) < sum(v.values())
     assert proper >= 20
+
+
+def test_theorem5_skips_the_eigenvector_span_where_the_defect_is_zero(monkeypatch):
+    # on a generated pair D = g xi - xi g_sub is zero at every vertex, so the
+    # inclusion holds there without the span; a failing pair still reads it
+    from qfold import module_lab
+
+    original = module_lab.eigenvector_span
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(module_lab, "eigenvector_span", counted)
+    rng = random.Random(31)
+    d4 = d_quiver(4)
+    for trial in range(10):
+        q, a = [(A3, FLIP), (d4, fork_swap_automorphism(d4, 4))][trial % 2]
+        xi, msub, m, sig, wsub, wit = random_graded_pair(rng, q, a)
+        assert theorem5_verify(xi, msub, m, sig, wsub, wit).ok
+    assert calls == []
+    xi, msub, m, _a, sig, wsub, wit = failing_a3_pair()
+    assert not theorem5_verify(xi, msub, m, sig, wsub, wit).ok
+    assert calls

@@ -485,6 +485,72 @@ def test_branch_checks_fiber_budget_before_any_fiber(monkeypatch):
     assert raised.value.context["estimate"] == 1_615_441
 
 
+@pytest.mark.parametrize("family, rank, order", [
+    ("B", 2, 8), ("B", 3, 48), ("C", 3, 48), ("B", 4, 384), ("C", 4, 384), ("B", 5, 3840),
+    ("G", 2, 12)])
+def test_unpruned_walk_reaches_each_weyl_group_element_once(monkeypatch, family, rank, order):
+    # with a top and depths beyond any walk nothing is pruned: the points
+    # rho' - w rho' met are the orbit of rho', each once, and a character
+    # that is 1 everywhere sums the signs to 0, half of the elements with each
+    from qfold import rep_branch
+
+    class Everywhere(dict):
+        def get(self, key, default=None):
+            return 1
+
+    fc = canonical_cartan(family, rank)
+    rho, zero = (1,) * rank, (0,) * rank
+    seen = []
+
+    def recorded(rows, mu):
+        seen.append(tuple(r - x for r, x in zip(rho, mu)))
+        return mu
+
+    monkeypatch.setattr(rep_branch, "_dominant", recorded)
+    mults = rep_branch._alternation(fc, (10 ** 6,) * rank, Everywhere({zero: 1}),
+                                    {zero: (10 ** 6,) * rank})
+    assert mults == {zero: 0}
+    assert len(seen) == len(set(seen)) == order
+    assert set(seen) == dense_orbit(fc, rho)
+
+
+def test_branch_makes_one_freudenthal_recursion(monkeypatch):
+    from qfold import rep_branch
+    from qfold.corpus import corpus_entry
+    from qfold.split_quotient import split_quiver
+
+    original = rep_branch._freudenthal
+    calls = []
+
+    def counted(*args):
+        calls.append(args[:2])
+        return original(*args)
+
+    monkeypatch.setattr(rep_branch, "_freudenthal", counted)
+    for name, lam in (("D4-rot3", (0, 2, 0, 2)), ("A5-flip", (1, 1, 1, 1)),
+                      ("D5-swap", (1, 0, 1, 0, 1, 0, 1))):
+        entry = corpus_entry(name)
+        sd = split_quiver(entry.quiver, entry.auto)
+        c = cartan_from_quiver(sd.split)
+        calls.clear()
+        rows = branch(c, lam, fold_cartan(c, sd.induced), dim_cap=10 ** 9)
+        assert len(rows) > 1 and calls == [(c, lam)], name
+
+
+def test_branch_refuses_a_walk_past_its_cap(monkeypatch):
+    from qfold import rep_branch
+    from qfold.corpus import corpus_entry
+    from qfold.split_quotient import split_quiver
+
+    entry = corpus_entry("D4-rot3")
+    sd = split_quiver(entry.quiver, entry.auto)
+    c = cartan_from_quiver(sd.split)
+    monkeypatch.setattr(rep_branch, "WALK_CAP", 20)
+    with pytest.raises(TooLarge) as raised:
+        branch(c, (0, 2, 0, 2), fold_cartan(c, sd.induced))
+    assert raised.value.context == {"estimate": 21, "cap": 20}
+
+
 # ---------------------------------------------------------------------------
 # the dense kernels the root datum replaced, kept as oracles
 # ---------------------------------------------------------------------------
