@@ -118,7 +118,7 @@ def _labels_table(sd: SplitData) -> dict:
 
 def _parse_dimvec(text: str, vertices: tuple[str, ...], name: str) -> dict[str, int]:
     """Accept a JSON object keyed by vertex id, or a comma list in
-    canonical vertex order."""
+    canonical vertex order; a negative entry is refused."""
     text = text.strip()
     if text.startswith("{"):
         try:
@@ -130,7 +130,11 @@ def _parse_dimvec(text: str, vertices: tuple[str, ...], name: str) -> dict[str, 
         if len(parts) != len(vertices):
             raise InputError(f"{name} needs {len(vertices)} entries, got {len(parts)}")
         items = zip(vertices, parts)
-    return {str(k): dim_entry(v, name) for k, v in items}
+    dims = {str(k): dim_entry(v, name) for k, v in items}
+    for k, v in dims.items():
+        if v < 0:
+            raise InputError(f"{name} is negative at vertex {k}: {v}")
+    return dims
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +194,7 @@ def cmd_branch(args) -> int:
     framing = _parse_dimvec(args.framing, sd.split.vertices, "--framing")
     lam = highest_weight_from_framing(framing, sd.split)
     fold = fold_cartan(split_c, sd.induced)
-    rows = branch(split_c, lam, fold, dim_cap=args.dim_cap)
+    rows = branch(split_c, lam, fold)
     parts = [{"weight": list(wt), "multiplicity": mult, "dim": dim} for wt, mult, dim in rows]
     # branch has checked that the summands add up to the dimension of L(lam)
     total = sum(mult * dim for _wt, mult, dim in rows)
@@ -391,7 +395,6 @@ def build_parser() -> _Parser:
     add_source(p)
     p.add_argument("--framing", required=True,
                    help="framing dims on the split quiver: JSON object or comma list")
-    p.add_argument("--dim-cap", type=int, default=100_000)
 
     p = sub.add_parser("dims", parents=[common], help="fixed-component dimension table")
     add_source(p)

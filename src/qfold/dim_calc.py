@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import NotOrbitConstant, ShapeMismatch, UnknownVertex
+from .errors import NotOrbitConstant, ShapeMismatch
 from .lie_fold import CartanMatrix, cartan_from_quiver
 from .split_quotient import SplitData, fibers_of_p, is_orbit_constant
 
@@ -52,12 +52,9 @@ def fixed_components(v: DimVec, sd: SplitData, w_split: DimVec) -> list[Componen
     dimension computed on the split quiver.
 
     Negative formula values are flagged rather than clamped; the formula
-    says nothing about emptiness on its own.  A negative framing is refused."""
+    says nothing about emptiness on its own."""
     if not is_orbit_constant(v, sd.orbits):
         raise NotOrbitConstant("dimension vector must be constant on vertex orbits")
-    for key, val in w_split.items():
-        if val < 0:
-            raise UnknownVertex(f"negative framing dimension at {key}")
     c_split = cartan_from_quiver(sd.split)
     out = []
     for v_split in fibers_of_p(v, sd):

@@ -93,10 +93,6 @@ class NotDominant(InputError):
     pass
 
 
-class DimensionCapExceeded(InputError):
-    pass
-
-
 class CharacterMismatch(PropertyViolation):
     """Weyl's dimension formula and the Freudenthal recursion disagree."""
 

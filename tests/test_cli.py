@@ -167,14 +167,13 @@ def test_input_that_is_not_utf8_is_one_error(capsys, monkeypatch, tmp_path):
 
 
 def test_branch_large_framings_pinned(capsys):
-    # one SHA-256 over the --json output of four framings far over the
-    # default cap: D5-swap rho, A9-flip rho, A7-flip (2,1,1,1,2) and
-    # D4-rot3 (3,3,3,3); the hash was taken before the fiber-sum branching
+    # one SHA-256 over the --json output of four framings of modules of
+    # dimension 10^7 to 10^9: D5-swap rho, A9-flip rho, A7-flip (2,1,1,1,2)
+    # and D4-rot3 (3,3,3,3); the hash was taken before the fiber-sum branching
     digest = hashlib.sha256()
     for name, framing in (("D5-swap", "1,1,1,1,1,1,1"), ("A9-flip", "1,1,1,1,1,1"),
                           ("A7-flip", "2,1,1,1,2"), ("D4-rot3", "3,3,3,3")):
-        code, out = run(capsys, "branch", "--corpus", name, "--framing", framing,
-                        "--dim-cap", str(10 ** 11), "--json")
+        code, out = run(capsys, "branch", "--corpus", name, "--framing", framing, "--json")
         assert code == 0, name
         digest.update(out.encode())
     assert digest.hexdigest() == (
@@ -230,10 +229,23 @@ def test_usage_errors_exit_one(capsys, tmp_path):
                  "--w", "1,1,1,1"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "501501" in err, err
-    # a framing far over the dimension cap is refused before any weight is listed
+    # a negative entry is refused where its flag is read, naming the flag and the vertex
+    negative_probes = [
+        (["branch", "--corpus", "A3-flip", "--framing", "0,-1,0"], "--framing", "2@1/2"),
+        (["dims", "--corpus", "A3-flip", "--v", "1,1,1", "--w-split", "0,-1,0"], "--w-split",
+         "2@1/2"),
+        (["dims", "--corpus", "A3-flip", "--v=1,-1,1", "--w", "1,1,1"], "--v", "vertex 2"),
+    ]
+    for argv, flag, vertex in negative_probes:
+        assert main([*argv, "--json"]) == 1, argv
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["type"] == "InputError", error
+        assert flag in error["message"] and vertex in error["message"], error
+    # a framing whose folded dominant weights outrun the root-step budget is
+    # refused while they are listed
     assert main(["branch", "--corpus", "D4-swap", "--framing", "1000,1000,1000,1000,1000"]) == 1
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and "exceeds cap" in err, err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "dominant weights" in err, err
     # a malformed module file is one error line too
     module_probes = [
         ("check", (), []),
@@ -285,13 +297,17 @@ def test_json_errors_are_one_object(capsys, monkeypatch, tmp_path):
         assert out.count("\n") == 1, out
         return json.loads(out)
 
-    capped = ["branch", "--corpus", "A3-flip", "--framing", "1,1,1", "--dim-cap", "2"]
+    from qfold import rep_branch
+
+    monkeypatch.setattr(rep_branch, "ROOT_STEP_CAP", 20)  # A3 has 6 positive roots
+    capped = ["branch", "--corpus", "A3-flip", "--framing", "1,1,1"]
+    message = "more than 3 dominant weights lie below (1, 1, 1)"
     code, out, err = outcome(*capped, "--json")
     assert code == 1 and err == ""
-    assert error_object(out) == {"error": {"type": "DimensionCapExceeded",
-                                           "message": "dim 64 exceeds cap 2"}}
+    assert error_object(out) == {"error": {"type": "TooLarge", "message": message,
+                                           "estimate": 4, "cap": 3}}
     # without --json the error stays one line on stderr
-    assert outcome(*capped) == (1, "", "error: dim 64 exceeds cap 2\n")
+    assert outcome(*capped) == (1, "", f"error: {message}\n")
     # a file that cannot be read is an input error too
     code, out, err = outcome("module", "check", str(tmp_path / "missing.json"), "--json")
     assert code == 1 and err == ""
@@ -314,8 +330,11 @@ def test_json_errors_are_one_object(capsys, monkeypatch, tmp_path):
 def test_usage_error_names_what_is_wrong(capsys):
     # argparse's message is the last line on stderr, after the usage lines
     for argv, message in (
-            (["branch", "--corpus", "A5-flip", "--framing", "1,0,0,0", "--dim-cap", "x"],
-             "argument --dim-cap: invalid int value: 'x'"),
+            (["branch", "--corpus", "A5-flip", "--framing", "1,0,0,0", "--seed", "x"],
+             "argument --seed: invalid int value: 'x'"),
+            # the dimension is not bounded: each enumeration counts its own work
+            (["branch", "--corpus", "A5-flip", "--framing", "1,0,0,0", "--dim-cap", "5"],
+             "unrecognized arguments: --dim-cap 5"),
             (["branch", "--corpus", "A5-flip"],
              "the following arguments are required: --framing")):
         for flags in ((), ("--json",)):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfold.errors import (
-    DimensionCapExceeded,
     NotDominant,
     NotFiniteType,
     TooLarge,
@@ -23,7 +22,6 @@ from qfold.lie_fold import (
 )
 from qfold.quiver_core import a_quiver, affine_a_quiver, flip_automorphism, identity_automorphism
 from qfold.rep_branch import (
-    DEFAULT_DIM_CAP,
     branch,
     dominant_representative,
     dominant_weights_below,
@@ -53,13 +51,22 @@ def pairs(rows):
     return [(wt, mult) for wt, mult, _dim in rows]
 
 
-def dominant_character(c, lam, dim_cap=DEFAULT_DIM_CAP):
+def dominant_character(c, lam):
     """The multiplicities of L(lam) at its dominant weights: the Freudenthal
-    recursion behind the dimension cap."""
-    from qfold.rep_branch import _capped_dim, _freudenthal
+    recursion alone."""
+    from qfold.rep_branch import _freudenthal
 
-    _capped_dim(c, lam, dim_cap)
     return _freudenthal(c, lam, {})
+
+
+class CountingMemo(dict):
+    """A memo of dominant representatives that counts its lookups: the
+    Freudenthal recursion makes one per probe mu + k beta."""
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
 
 
 def test_positive_roots_counts():
@@ -117,11 +124,52 @@ def test_character_total_matches_weyl_dim():
         assert sum(freudenthal_character(c, lam).values()) == weyl_dim(c, lam)
 
 
-def test_dimension_cap():
+def test_character_spread_budget(monkeypatch):
+    # the character is bounded by the points of its Weyl orbits, not by its
+    # dimension: A5 at 2 rho, of dimension 14,348,907, has 62,683 weights;
+    # past the root-step cap the spread is refused before any orbit is listed
+    from qfold import rep_branch
+
     a5 = cartan_from_quiver(a_quiver(5))
-    with pytest.raises(DimensionCapExceeded):
-        # dimension 14,348,907, above DEFAULT_DIM_CAP
-        freudenthal_character(a5, (2, 2, 2, 2, 2))
+    lam = (2, 2, 2, 2, 2)
+    char = freudenthal_character(a5, lam)
+    assert sum(char.values()) == 14_348_907 and len(char) == 62_683
+    monkeypatch.setattr(rep_branch, "ROOT_STEP_CAP", len(char))
+    assert freudenthal_character(a5, lam) == char
+
+    def no_spread(*_args):
+        raise AssertionError("spread an orbit past the cap")
+
+    monkeypatch.setattr(rep_branch, "weyl_orbit", no_spread)
+    monkeypatch.setattr(rep_branch, "ROOT_STEP_CAP", len(char) - 1)
+    with pytest.raises(TooLarge) as raised:
+        freudenthal_character(a5, lam)
+    assert raised.value.context == {"estimate": len(char), "cap": len(char) - 1}
+    # at the calibrated cap: D16 at a fundamental weight has 5 dominant
+    # weights, but 3,836,833 weights in all
+    monkeypatch.undo()
+    monkeypatch.setattr(rep_branch, "weyl_orbit", no_spread)
+    d16 = canonical_cartan("D", 16)
+    with pytest.raises(TooLarge) as raised:
+        freudenthal_character(d16, tuple(int(i == 7) for i in range(16)))
+    assert raised.value.context == {"estimate": 3_836_833, "cap": rep_branch.ROOT_STEP_CAP}
+
+
+def test_dominant_weight_budget(monkeypatch):
+    # each weight listed tries every positive root: the listing stops before
+    # the first weight past ROOT_STEP_CAP // (number of positive roots)
+    from qfold import rep_branch
+
+    b3 = canonical_cartan("B", 3)
+    lam = (3, 2, 4)
+    full = dominant_weights_below(b3, lam)
+    roots = len(root_datum(b3).roots)
+    monkeypatch.setattr(rep_branch, "ROOT_STEP_CAP", len(full) * roots)
+    assert dominant_weights_below(b3, lam) == full
+    monkeypatch.setattr(rep_branch, "ROOT_STEP_CAP", len(full) * roots - 1)
+    with pytest.raises(TooLarge) as raised:
+        dominant_weights_below(b3, lam)
+    assert raised.value.context == {"estimate": len(full), "cap": len(full) - 1}
 
 
 def test_dominant_representative_and_orbit():
@@ -293,15 +341,29 @@ def test_freudenthal_a7_dimension():
     assert sum(freudenthal_character(a7, (1, 0, 1, 0, 1, 0, 1)).values()) == 96228
 
 
-def test_dominant_character_is_freudenthal_at_dominant_weights():
+def test_dominant_character_is_freudenthal_at_dominant_weights(monkeypatch):
     rng = random.Random(3)
     for c in (A1, A2, A3, C2, canonical_cartan("B", 3), canonical_cartan("G", 2)):
         for _ in range(4):
             lam = tuple(rng.randint(0, 2) for _ in range(c.n))
             full = freudenthal_character(c, lam)
             assert dominant_character(c, lam) == {w: m for w, m in full.items() if is_dominant(w)}
-    with pytest.raises(DimensionCapExceeded):
-        dominant_character(cartan_from_quiver(a_quiver(5)), (2, 2, 2, 2, 2), dim_cap=1000)
+    # the recursion is bounded by its probes mu + k beta, not by the
+    # dimension (here 14,348,907), and stops before the first past the cap
+    from qfold import rep_branch
+
+    a5, lam = cartan_from_quiver(a_quiver(5)), (2, 2, 2, 2, 2)
+    memo = CountingMemo()
+    dominant = rep_branch._freudenthal(a5, lam, memo)
+    probes = memo.lookups
+    monkeypatch.setattr(rep_branch, "ROOT_STEP_CAP", probes)
+    assert dominant_character(a5, lam) == dominant
+    monkeypatch.setattr(rep_branch, "ROOT_STEP_CAP", probes - 1)
+    memo = CountingMemo()
+    with pytest.raises(TooLarge) as raised:
+        rep_branch._freudenthal(a5, lam, memo)
+    assert raised.value.context == {"estimate": probes, "cap": probes - 1}
+    assert memo.lookups == probes - 1
 
 
 def full_stripping_branch(c, lam, fold):
@@ -444,7 +506,8 @@ def test_branch_matches_full_stripping_on_corpus():
 
 
 def test_branch_checks_cap_before_any_walk(monkeypatch):
-    # a framing far over the cap is refused before a weight below it is listed
+    # a framing whose folded dominant weights outrun the root-step budget is
+    # refused while they are listed, before the top recursion or any fiber
     from qfold import rep_branch
     from qfold.corpus import corpus_entry
     from qfold.split_quotient import split_quiver
@@ -455,16 +518,19 @@ def test_branch_checks_cap_before_any_walk(monkeypatch):
     fold = fold_cartan(c, sd.induced)
 
     def no_walk(*_args):
-        raise AssertionError("walked below a weight over the cap")
+        raise AssertionError("walked past the folded dominant weights")
 
-    monkeypatch.setattr(rep_branch, "dominant_weights_below", no_walk)
-    with pytest.raises(DimensionCapExceeded):
+    monkeypatch.setattr(rep_branch, "_freudenthal", no_walk)
+    monkeypatch.setattr(rep_branch, "_fiber_points", no_walk)
+    monkeypatch.setattr(rep_branch, "ROOT_STEP_CAP", 9_000)  # C3 has 9 positive roots
+    with pytest.raises(TooLarge) as raised:
         branch(c, (1000,) * c.n, fold)
+    assert raised.value.context == {"estimate": 1001, "cap": 1000}
 
 
 def test_branch_checks_fiber_budget_before_any_fiber(monkeypatch):
-    # a framing under the dimension cap whose fibers hold over FIBER_SUM_CAP
-    # weights is refused before the top character or a fiber is listed
+    # a framing whose fibers hold over FIBER_SUM_CAP weights is refused
+    # before the top character or a fiber is listed
     from qfold import rep_branch
     from qfold.corpus import corpus_entry
     from qfold.split_quotient import split_quiver
@@ -480,7 +546,7 @@ def test_branch_checks_fiber_budget_before_any_fiber(monkeypatch):
     monkeypatch.setattr(rep_branch, "_freudenthal", no_enumeration)
     monkeypatch.setattr(rep_branch, "_fiber_points", no_enumeration)
     with pytest.raises(TooLarge) as raised:
-        branch(c, (0, 30, 0, 30), fold, dim_cap=10 ** 12)
+        branch(c, (0, 30, 0, 30), fold)
     assert raised.value.context["cap"] == rep_branch.FIBER_SUM_CAP
     assert raised.value.context["estimate"] == 1_615_441
 
@@ -533,7 +599,7 @@ def test_branch_makes_one_freudenthal_recursion(monkeypatch):
         sd = split_quiver(entry.quiver, entry.auto)
         c = cartan_from_quiver(sd.split)
         calls.clear()
-        rows = branch(c, lam, fold_cartan(c, sd.induced), dim_cap=10 ** 9)
+        rows = branch(c, lam, fold_cartan(c, sd.induced))
         assert len(rows) > 1 and calls == [(c, lam)], name
 
 
