@@ -53,7 +53,11 @@ def rand_mat(rng: random.Random, rows: int, cols: int, p: Optional[int] = None) 
 
 def rand_invertible(rng: random.Random, n: int) -> tuple[Mat, Mat]:
     """(m, m^-1) for a random invertible rational n x n matrix m with
-    entries in -2..2; the inverting elimination also refuses singular draws."""
+    entries in -2..2; the inverting elimination also refuses singular draws.
+    At n = 0 both are the empty matrix, drawn and inverted without work."""
+    if n == 0:
+        empty = Mat.zeros(0, 0)
+        return empty, empty
     for _ in range(200):
         m = rand_mat(rng, n, n)
         try:

@@ -7,31 +7,34 @@ number fields (`qfold.numberfield.NumberFieldElement`), where `//` is `/`.
 Zero-row and zero-column matrices are first-class citizens; shape is
 always carried explicitly.
 
-Over Q an entry is an `int` when it is integral and a `Fraction` only
-where it is not (`qq`; an integral Fraction is accepted too).  The kernels
-below work over Q on ints and divide each result entry once at the end, so
-integral results are ints and no kernel applies `/` to two ints; a product
-with a rational scalar is brought back to that form too.
+A matrix is stored as `num`, a tuple of row tuples, over one denominator
+`den`, and stands for num / den.  Over Q, `num` holds ints and `den` is a
+positive int with gcd(den, every entry) = 1, so a matrix over Z is
+`den == 1` and equal matrices have equal (num, den).  Over any other field
+`num` holds the entries themselves and `den` is 1.  The entries are read
+through `data` and `m[i, j]`, built when read: over Q an entry is an `int`
+when it is integral and a `Fraction` only where it is not (`qq`), and at
+`den == 1` `data` is `num` itself.  An integral Fraction given by a caller
+is accepted and reads back as an int.
 
-Storage is dense (`data` is a tuple of row tuples), but the kernels do
-their arithmetic on nonzeros only, and a call's fixed cost is kept to a
-few list builds.  A product with an empty
+Each kernel is written once over (num, den), on ints over Q, and builds no
+Fraction.  The one step that depends on the field is bringing a result to
+canonical form (`_canonical`): over Q, one gcd of den with every entry.
+A product is num1 * num2 over den1 * den2; a sum, difference or stack
+works on the nums over their common denominator.  A product with an empty
 dimension or an all-zero factor is its zero matrix, returned before any
-entry type is read or any list is built.  Any other product is formed row
-by row from the nonzero `(col, value)` lists of its right factor
-(Gustavson, ACM TOMS 4, 1978).  Over Q the entry types of each factor are
-read once, by the scan that scales it to ints by the lcm of all its
-denominators (a factor of ints is taken as it is), and each entry is its
-integer sum over the two scales.  Elimination, behind `rref` (and so
-`nullspace`, `solve`, `inverse`), `rank` and `is_positive_definite`, is
-one fraction-free Gauss-Jordan for every field, with Bareiss's exact
-divisions (Math. Comp. 22, 1968).  Over Q the matrix is first scaled in
-the same way, which leaves the reduced echelon form unchanged.  A row is
-touched only when it has a nonzero in the pivot column.  `rref` divides
-every entry once at the end; `rank` (and so `nullity`, `is_invertible`
-and `column_space_contains`) counts the pivots of the same loop and
-divides nothing, and `is_positive_definite` reads the leading principal
-minors off its pivots.
+list is built.  Any other product is formed row by row from the nonzero
+`(col, value)` lists of its right factor (Gustavson, ACM TOMS 4, 1978).
+Elimination, behind `rref` (and so `nullspace`, `solve`, `inverse`),
+`rank` and `is_positive_definite`, is one fraction-free Gauss-Jordan for
+every field, with Bareiss's exact divisions (Math. Comp. 22, 1968).  Over
+Q it runs on num, each row first divided by its content, which leaves the
+reduced echelon form unchanged.  A row is touched only when it has a
+nonzero in the pivot column.  `rref` brings every row to the last pivot,
+which is then the denominator of the result; `rank` (and so `nullity`,
+`is_invertible` and `column_space_contains`) counts the pivots of the same
+loop, and `is_positive_definite` reads the leading principal minors off
+its pivots.
 
 Each matrix also carries `zero`, the additive zero of its entry type: the
 one it is given, else `x - x` of its first entry, else (no entries) the
@@ -45,8 +48,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
-from operator import truediv
+from itertools import chain
+from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .errors import NotInvertible, ShapeMismatch
@@ -71,55 +74,94 @@ def qq(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _integral(rows: Sequence[Sequence]) -> tuple[int, Sequence[Sequence[int]]]:
-    """(s, rows * s) for rows over Q, s the lcm of all their denominators;
-    rows of ints are returned as they are."""
-    dens = [x.denominator for row in rows for x in row if x.__class__ is not int]
-    if not dens:
-        return 1, rows
-    s = lcm(*dens)
-    return s, [[x.numerator * (s // x.denominator) if x else 0 for x in row] for row in rows]
-
-
 def _quotient(a: int, b: int):
     """a / b over Q for ints a and b != 0: an int when b divides a."""
     q, r = divmod(a, b)
     return Fraction(a, b) if r else q
 
 
-def _one_and_division(zero) -> tuple:
-    """The one of zero's field, and the division that ends an elimination:
-    over Q an int quotient of ints where it is integral, else `/`."""
-    return (1, _quotient) if zero.__class__ in _RATIONAL else (zero + 1, truediv)
+def _fill(zero):
+    """The zero of num: the int 0 over Q, else the field's own zero."""
+    return 0 if zero.__class__ in _RATIONAL else zero
 
 
 _new = object.__new__
 
 
-def _mat(rows: int, cols: int, data: tuple, zero) -> "Mat":
-    """A matrix from a tuple of row tuples built here: no check, no copy."""
+def _mat(rows: int, cols: int, num: tuple, den, zero) -> "Mat":
+    """A matrix from a canonical (num, den) built here: no check, no copy."""
     m = _new(Mat)
     _set_rows(m, rows)
     _set_cols(m, cols)
-    _set_data(m, data)
+    _set_num(m, num)
+    _set_den(m, den)
     _set_zero(m, zero)
     return m
+
+
+def _canonical(rows: int, cols: int, num: tuple, den, zero) -> "Mat":
+    """The matrix num / den in canonical form.  Over Q num is brought to
+    lowest terms over a positive den by one gcd; over another field den is
+    1 unless an elimination left its last pivot there, and then every entry
+    is divided by it."""
+    if den.__class__ is int:
+        if den != 1:   # over Q
+            g = gcd(den, *chain.from_iterable(num))
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = tuple(tuple([x // g for x in row]) for row in num)
+                den //= g
+    else:
+        one = zero + 1
+        if den != one:
+            inv = one / den
+            num = tuple(tuple([x * inv if x else x for x in row]) for row in num)
+        den = 1
+    return _mat(rows, cols, num, den, zero)
+
+
+def _common(a: "Mat", b: "Mat") -> tuple[tuple, tuple, int]:
+    """The nums of a and b over their common denominator, and that
+    denominator (the lcm of theirs)."""
+    da, db = a.den, b.den
+    if da == db:
+        return a.num, b.num, da
+    d = lcm(da, db)
+    return _scale(a.num, d // da), _scale(b.num, d // db), d
+
+
+def _scale(num: tuple, s: int) -> tuple:
+    """num times the int s."""
+    return num if s == 1 else tuple(tuple([x * s for x in row]) for row in num)
 
 
 class Mat:
     """Immutable matrix with explicit shape."""
 
-    __slots__ = ("rows", "cols", "data", "zero")
+    __slots__ = ("rows", "cols", "num", "den", "zero")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence], zero=None):
-        if len(data) != rows or any(len(r) != cols for r in data):
+        num = tuple(map(tuple, data))
+        if len(num) != rows or list(map(len, num)).count(cols) != rows:
             raise ShapeMismatch(f"data does not match shape {rows}x{cols}")
-        data = tuple(tuple(r) for r in data)
-        if zero is None:
-            zero = data[0][0] - data[0][0] if rows and cols else 0
+        if zero is None:   # over Q the int 0, as an integral Fraction reads back as an int
+            x = num[0][0] if rows and cols else 0
+            zero = 0 if x.__class__ in _RATIONAL else x - x
+        den = 1
+        if zero.__class__ in _RATIONAL:
+            dens = [x.denominator for row in num for x in row if x.__class__ is not int]
+            if dens:
+                # num = entries * lcm is in lowest terms: a prime's highest
+                # power in the lcm comes from one entry, whose numerator it
+                # does not divide
+                den = lcm(*dens)
+                num = tuple(tuple([x.numerator * (den // x.denominator) for x in row])
+                            for row in num)
         _set_rows(self, rows)
         _set_cols(self, cols)
-        _set_data(self, data)
+        _set_num(self, num)
+        _set_den(self, den)
         _set_zero(self, zero)
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -134,13 +176,16 @@ class Mat:
 
     @staticmethod
     def zeros(rows: int, cols: int, zero=0) -> "Mat":
-        return _mat(rows, cols, ((zero,) * cols,) * rows, zero)
+        return _mat(rows, cols, ((_fill(zero),) * cols,) * rows, 1, zero)
 
     @staticmethod
     def identity(n: int, one=1) -> "Mat":
         zero = one - one
-        return _mat(n, n, tuple(tuple([one if i == j else zero for j in range(n)])
-                                for i in range(n)), zero)
+        fill, den = _fill(zero), 1
+        if one.__class__ is Fraction:
+            one, den = one.numerator, one.denominator
+        num = tuple(tuple([one if i == j else fill for j in range(n)]) for i in range(n))
+        return _canonical(n, n, num, den, zero)
 
     @staticmethod
     def rational(data: Sequence[Sequence]) -> "Mat":
@@ -148,53 +193,66 @@ class Mat:
         entry an int when it is integral, else a Fraction (see `qq`)."""
         return Mat.from_rows([[qq(x) for x in row] for row in data])
 
+    # -- entries --------------------------------------------------------
+    @property
+    def data(self) -> tuple:
+        """The entries, a tuple of row tuples, built when read."""
+        num, den = self.num, self.den
+        if den == 1:
+            return num
+        return tuple(tuple([_quotient(x, den) for x in row]) for row in num)
+
+    def __getitem__(self, rc):
+        r, c = rc
+        den = self.den
+        return self.num[r][c] if den == 1 else _quotient(self.num[r][c], den)
+
     # -- basics -------------------------------------------------------
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.num, self.den))
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, {list(map(list, self.data))})"
 
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.data[r][c]
-
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not any(map(any, self.num))
 
     def map(self, f: Callable) -> "Mat":
-        return _mat(self.rows, self.cols, tuple(tuple([f(x) for x in row]) for row in self.data),
-                    f(self.zero))
+        return Mat(self.rows, self.cols, [[f(x) for x in row] for row in self.data], f(self.zero))
 
     def transpose(self) -> "Mat":
-        data = tuple(zip(*self.data)) if self.rows else ((),) * self.cols
-        return _mat(self.cols, self.rows, data, self.zero)
+        num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
+        return _mat(self.cols, self.rows, num, self.den, self.zero)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("add: shapes differ")
-        return _mat(self.rows, self.cols,
-                    tuple(tuple([(a + b if a else b) if b else a for a, b in zip(r1, r2)])
-                          for r1, r2 in zip(self.data, other.data)), self.zero)
+        a, b, den = _common(self, other)
+        return _canonical(self.rows, self.cols,
+                          tuple(tuple([(x + y if x else y) if y else x for x, y in zip(r1, r2)])
+                                for r1, r2 in zip(a, b)), den, self.zero)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("sub: shapes differ")
-        return _mat(self.rows, self.cols,
-                    tuple(tuple([(a - b if a else -b) if b else a for a, b in zip(r1, r2)])
-                          for r1, r2 in zip(self.data, other.data)), self.zero)
+        a, b, den = _common(self, other)
+        return _canonical(self.rows, self.cols,
+                          tuple(tuple([(x - y if x else -y) if y else x for x, y in zip(r1, r2)])
+                                for r1, r2 in zip(a, b)), den, self.zero)
 
     def __neg__(self) -> "Mat":
-        return self.map(lambda x: -x)
+        return _mat(self.rows, self.cols, tuple(tuple([-x for x in row]) for row in self.num),
+                    self.den, self.zero)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -202,52 +260,49 @@ class Mat:
         if self.cols != other.rows:
             raise ShapeMismatch(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         zero, width = self.zero, other.cols
-        rational = zero.__class__ in _RATIONAL and other.zero.__class__ in _RATIONAL
-        fill = 0 if rational else zero
+        fill = _fill(zero)
         # an empty dimension leaves a factor with no nonzero entry
-        if not (any(map(any, self.data)) and any(map(any, other.data))):
-            return _mat(self.rows, width, ((fill,) * width,) * self.rows, zero)
-        left, right, d = self.data, other.data, 1
-        if rational:
-            d, left = _integral(left)
-            s, right = _integral(right)
-            d *= s
-        right = [[(j, b) for j, b in enumerate(row) if b] for row in right]
+        if not (any(map(any, self.num)) and any(map(any, other.num))):
+            return _mat(self.rows, width, ((fill,) * width,) * self.rows, 1, zero)
+        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.num]
         out = []
-        for row in left:
+        for row in self.num:
             acc = [None] * width
             for a, nonzero in zip(row, right):
                 if nonzero and a:
                     for j, b in nonzero:
                         s = acc[j]
                         acc[j] = a * b if s is None else s + a * b
-            out.append(tuple([fill if s is None else s for s in acc]) if d == 1 else
-                       tuple([fill if s is None else _quotient(s, d) for s in acc]))
-        return _mat(self.rows, width, tuple(out), zero)
+            out.append(tuple([fill if s is None else s for s in acc]))
+        return _canonical(self.rows, width, tuple(out), self.den * other.den, zero)
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
 
     def scaled(self, s) -> "Mat":
-        """self times the scalar s; over Q, by a rational s, an integral
-        entry of the result is an int."""
-        if self.zero.__class__ in _RATIONAL and s.__class__ in _RATIONAL:
-            return self.map(lambda x: qq(x * s))
+        """self times the scalar s."""
+        zero = self.zero
+        if zero.__class__ in _RATIONAL and s.__class__ in _RATIONAL:
+            return _canonical(self.rows, self.cols, _scale(self.num, s.numerator),
+                              self.den * s.denominator, zero)
         return self.map(lambda x: x * s)
 
     # -- block operations ---------------------------------------------
+    # Over Q the nums of the operands are brought to the lcm of their
+    # denominators; like the lcm of entry denominators, it leaves them in
+    # lowest terms.
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise ShapeMismatch("hstack: row counts differ")
+        a, b, den = _common(self, other)
         return _mat(self.rows, self.cols + other.cols,
-                    tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
-                    self._stack_zero(other))
+                    tuple(r1 + r2 for r1, r2 in zip(a, b)), den, self._stack_zero(other))
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise ShapeMismatch("vstack: column counts differ")
-        return _mat(self.rows + other.rows, self.cols, self.data + other.data,
-                    self._stack_zero(other))
+        a, b, den = _common(self, other)
+        return _mat(self.rows + other.rows, self.cols, a + b, den, self._stack_zero(other))
 
     def _stack_zero(self, other: "Mat"):
         """The zero of a stack: an operand with no entries may have been
@@ -258,30 +313,34 @@ class Mat:
     def block_diag(blocks: Sequence["Mat"]) -> "Mat":
         """The blocks down the diagonal, in the entry type of the first."""
         zero = blocks[0].zero if blocks else 0
+        fill = _fill(zero)
+        den = lcm(*(b.den for b in blocks))
         cols = sum(b.cols for b in blocks)
         out = []
         c0 = 0
         for b in blocks:
-            left, right = (zero,) * c0, (zero,) * (cols - c0 - b.cols)
-            out.extend(left + row + right for row in b.data)
+            left, right = (fill,) * c0, (fill,) * (cols - c0 - b.cols)
+            out.extend(left + row + right for row in _scale(b.num, den // b.den))
             c0 += b.cols
-        return _mat(len(out), cols, tuple(out), zero)
+        return _mat(len(out), cols, tuple(out), den, zero)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        data = self.data
-        return _mat(len(row_idx), len(col_idx),
-                    tuple(tuple([data[r][c] for c in col_idx]) for r in row_idx), self.zero)
+        num = self.num
+        return _canonical(len(row_idx), len(col_idx),
+                          tuple(tuple([num[r][c] for c in col_idx]) for r in row_idx),
+                          self.den, self.zero)
 
     def columns(self) -> list["Mat"]:
         return [self.submatrix(range(self.rows), [c]) for c in range(self.cols)]
 
     # -- reductions ---------------------------------------------------
-    def _reduce(self, definite: bool = False) -> tuple[list, list, list[int]]:
-        """The fraction-free Gauss-Jordan of the rows: (rows, at, pivots).
-        Over Q each row is first scaled to ints by the lcm of its
-        denominators.  Row i of the RREF is rows[i] divided by at[i].  With
-        definite set, the elimination ends before the first column whose
-        diagonal entry is not positive (see `is_positive_definite`).
+    def _reduce(self, definite: bool = False) -> tuple[list, list, object, list[int]]:
+        """The fraction-free Gauss-Jordan of the rows of num:
+        (rows, at, den, pivots), den the last pivot.  Row i of the RREF is
+        rows[i] divided by at[i].  Over Q each row is first divided by its
+        content.  With definite set, the elimination ends before the first
+        column whose diagonal entry is not positive (see
+        `is_positive_definite`).
 
         Clearing column pc with pivot p takes every other row t to
         (p * t - t[pc] * pivot row) // den, den the previous pivot; the
@@ -289,13 +348,16 @@ class Mat:
         is only scaled by p / den, so it is left as it is and brought up to
         date when a pivot column reaches it: row i holds its entries times
         at[i] / den."""
-        rational = self.zero.__class__ in _RATIONAL
-        m = []
-        for row in self.data:
-            if rational:   # each row by its own lcm keeps the minors smaller than one lcm would
-                (row,) = _integral((row,))[1]
-            m.append(list(row))
-        zero, one = (0, 1) if rational else (self.zero, self.zero + 1)
+        if self.zero.__class__ in _RATIONAL:
+            zero, one = 0, 1
+            m = []
+            for row in self.num:
+                g = gcd(*row)
+                m.append([x // g for x in row] if g > 1 else list(row))
+        else:
+            zero = self.zero
+            one = zero + 1
+            m = [list(row) for row in self.num]
         n = len(m)
         den, at = one, [one] * n
         pivots = []
@@ -329,39 +391,40 @@ class Mat:
                     at[i] = p
             at[pr] = den = p
             pivots.append(pc)
-        return m, at, pivots
+        return m, at, den, pivots
 
     def rref(self) -> tuple["Mat", list[int]]:
-        """Reduced row echelon form; returns (matrix, pivot column list)."""
-        m, at, pivots = self._reduce()
-        one, div = _one_and_division(self.zero)
-        rows = tuple(tuple([div(x, s) for x in row]) if s != one else tuple(row)
-                     for row, s in zip(m, at))
-        return _mat(self.rows, self.cols, rows, self.zero), pivots
+        """Reduced row echelon form; returns (matrix, pivot column list).
+        Every row is brought to the last pivot, the denominator of the
+        result."""
+        m, at, den, pivots = self._reduce()
+        num = tuple(tuple(row) if a == den else tuple([x * den // a for x in row])
+                    for row, a in zip(m, at))
+        return _canonical(self.rows, self.cols, num, den, self.zero), pivots
 
     def rank(self) -> int:
-        return len(self._reduce()[2])
+        return len(self._reduce()[3])
 
     def is_positive_definite(self) -> bool:
         """Sylvester's test over Q: every leading principal minor is positive.
         Without row exchanges the k-th fraction-free pivot is the k-th minor
         times positive row scales, so the first one not positive ends it."""
-        return self.rows == self.cols and len(self._reduce(definite=True)[2]) == self.rows
+        return self.rows == self.cols and len(self._reduce(definite=True)[3]) == self.rows
 
     def nullity(self) -> int:
         return self.cols - self.rank()
 
     def nullspace(self) -> "Mat":
         """Basis of the right kernel, returned as columns of a cols x k matrix."""
-        zero = self.zero
-        one = zero + 1
         red, pivots = self.rref()
-        pivot_row = dict(zip(pivots, red.data))
+        fill = _fill(self.zero)
+        unit = fill + red.den   # 1 over red's denominator
+        pivot_row = dict(zip(pivots, red.num))
         free = [c for c in range(self.cols) if c not in pivot_row]
-        unit = {fc: tuple([one if k == fc else zero for k in free]) for fc in free}
-        data = tuple(tuple([-pivot_row[c][fc] for fc in free]) if c in pivot_row else unit[c]
-                     for c in range(self.cols))
-        return _mat(self.cols, len(free), data, zero)
+        units = {fc: tuple([unit if k == fc else fill for k in free]) for fc in free}
+        num = tuple(tuple([-pivot_row[c][fc] for fc in free]) if c in pivot_row else units[c]
+                    for c in range(self.cols))
+        return _canonical(self.cols, len(free), num, red.den, self.zero)
 
     def solve(self, rhs: "Mat"):
         """One solution X of self * X = rhs, or None if inconsistent.
@@ -374,21 +437,22 @@ class Mat:
         n = self.cols
         if any(p >= n for p in pivots):
             return None
-        pivot_row = dict(zip(pivots, red.data))
-        zeros = (self.zero,) * rhs.cols
-        data = tuple(pivot_row[c][n:] if c in pivot_row else zeros for c in range(n))
-        return _mat(n, rhs.cols, data, self.zero)
+        pivot_row = dict(zip(pivots, red.num))
+        zeros = (_fill(self.zero),) * rhs.cols
+        num = tuple(pivot_row[c][n:] if c in pivot_row else zeros for c in range(n))
+        return _canonical(n, rhs.cols, num, red.den, self.zero)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
             raise NotInvertible("inverse of non-square matrix")
-        if self.rows == 0:
+        n = self.rows
+        if n == 0:
             return self
-        aug = self.hstack(Mat.identity(self.rows, self.zero + 1))
-        red, pivots = aug.rref()
-        if pivots != list(range(self.rows)):
+        red, pivots = self.hstack(Mat.identity(n, self.zero + 1)).rref()
+        if pivots != list(range(n)):
             raise NotInvertible("singular matrix")
-        return red.submatrix(range(self.rows), range(self.rows, 2 * self.rows))
+        # the left half is den * I, so the right half is in lowest terms too
+        return _mat(n, n, tuple(row[n:] for row in red.num), red.den, self.zero)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -396,7 +460,8 @@ class Mat:
     def trace(self):
         if self.rows != self.cols:
             raise ShapeMismatch("trace of non-square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), self.zero)
+        t = sum((row[i] for i, row in enumerate(self.num)), _fill(self.zero))
+        return t if self.den == 1 else _quotient(t, self.den)
 
     def charpoly(self) -> list:
         """Monic characteristic polynomial det(xI - A), coefficients high to low.
@@ -431,10 +496,16 @@ class Mat:
 
     def _plus_scalar(self, c) -> "Mat":
         """self + c * identity, for a square matrix."""
-        data = [list(r) for r in self.data]
-        for i, row in enumerate(data):
+        den = self.den
+        if self.zero.__class__ in _RATIONAL:
+            new = lcm(den, c.denominator)
+            rows = [list(row) for row in _scale(self.num, new // den)]
+            c, den = c.numerator * (new // c.denominator), new
+        else:
+            rows = [list(row) for row in self.num]
+        for i, row in enumerate(rows):
             row[i] = row[i] + c
-        return _mat(self.rows, self.cols, tuple(map(tuple, data)), self.zero)
+        return _canonical(self.rows, self.cols, tuple(map(tuple, rows)), den, self.zero)
 
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
@@ -450,7 +521,8 @@ class Mat:
 
 
 # The slots are set through their descriptors, which bypass `Mat.__setattr__`.
-_set_rows, _set_cols, _set_data, _set_zero = (Mat.__dict__[n].__set__ for n in Mat.__slots__)
+_set_rows, _set_cols, _set_num, _set_den, _set_zero = (Mat.__dict__[n].__set__
+                                                       for n in Mat.__slots__)
 
 
 def column_space_contains(basis: Mat, vecs: Mat) -> bool:

@@ -96,6 +96,34 @@ def test_rand_invertible_returns_the_inverse():
             assert m * m_inv == Mat.identity(n)
 
 
+def test_no_empty_matrix_is_inverted():
+    """An empty gauge is the empty pair, drawn without touching the random
+    stream; the draws of graded pairs and theta-modules, which ask for
+    empty gauges at zero-dimensional orbits, invert no 0 x 0 matrix."""
+    rng = random.Random(3)
+    state = rng.getstate()
+    assert rand_invertible(rng, 0) == (Mat.zeros(0, 0), Mat.zeros(0, 0))
+    assert rng.getstate() == state
+    inverted = []
+    inverse = Mat.inverse
+
+    def counting_inverse(m):
+        inverted.append((m.rows, m.cols))
+        return inverse(m)
+
+    Mat.inverse = counting_inverse
+    try:
+        for seed in range(1, 4):
+            for name in PAIR_DEFAULT_ENTRIES:
+                entry = corpus_entry(name)
+                random_graded_pair(random.Random(seed), entry.quiver, entry.auto)
+            for entry in corpus():
+                random_theta_module(random.Random(seed), entry.quiver, entry.auto)
+    finally:
+        Mat.inverse = inverse
+    assert inverted and (0, 0) not in inverted
+
+
 def test_sign_diagonals_are_involutions():
     for signs in ([], [1], [-1], [1, -1], [1, 1, -1, -1, -1]):
         d = _sign_diag(signs)

@@ -1,5 +1,7 @@
 import contextlib
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 
@@ -48,7 +50,7 @@ def test_charpoly_and_poly_eval():
 def test_det_matches_charpoly_constant():
     m = Mat.rational([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
     cp = m.charpoly()
-    assert dense_det(as_fractions(m)) == -cp[-1] if m.rows % 2 else cp[-1]
+    assert dense_det(m) == -cp[-1] if m.rows % 2 else cp[-1]
 
 
 def test_empty_shapes():
@@ -127,9 +129,9 @@ def test_inverse_and_nullspace_properties(rows):
     assert m.rank() + m.nullity() == 3
     if m.is_invertible():
         assert m * m.inverse() == Mat.identity(3)
-        assert dense_det(as_fractions(m)) != 0
+        assert dense_det(m) != 0
     else:
-        assert dense_det(as_fractions(m)) == 0
+        assert dense_det(m) == 0
 
 
 @settings(max_examples=60, derandomize=True)
@@ -205,10 +207,9 @@ def canonical(x) -> bool:
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
-@given(typed_matrices())
-def test_operations_keep_the_entry_type(case):
-    zero, a, b = case
+def entry_type_results(zero, a, b) -> tuple[list, list]:
+    """The matrices and scalars of the kernels below on a square a and a b
+    with as many rows."""
     one = zero + 1
     mats = [a, b, a + a, a - a, -a, a.scaled(one + one), a.map(lambda x: x * x),
             a * b, b.transpose() * b, b * b.transpose(), b.transpose(),
@@ -221,16 +222,25 @@ def test_operations_keep_the_entry_type(case):
         mats.append(solved)
     if a.is_invertible():
         mats.append(a.inverse())
-    scalars = [a.trace(), *a.charpoly()]
+    return mats, [a.trace(), *a.charpoly()]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(typed_matrices())
+def test_operations_keep_the_entry_type(case):
+    zero, a, b = case
+    mats, scalars = entry_type_results(zero, a, b)
     for mat in mats:
         assert same_field(mat.zero, zero) and not mat.zero, mat
         assert all(same_field(x, zero) for row in mat.data for x in row), mat
     for scalar in scalars:
         assert same_field(scalar, zero), scalar
-    if type(zero) is int and all(type(x) is int for m in (a, b) for r in m.data for x in r):
-        # integer inputs: integral results are ints, however they were reached
+    if type(zero) in RATIONAL:
+        # over Q every entry reads back an int when it is integral, however
+        # it was reached and whatever it was built from
         assert all(canonical(x) for mat in mats for row in mat.data for x in row), mats
-        assert all(canonical(x) for x in scalars), scalars
+        if type(a.zero) is int:
+            assert all(canonical(x) for x in scalars), scalars
 
 
 @pytest.mark.parametrize("zero", [0, Fraction(0), Fp(0, 5), ZETA3.zero],
@@ -297,8 +307,18 @@ def dense_sub(self, other):
                [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)], self.zero)
 
 
+def as_field(x):
+    """An entry as the dense oracles divide it: over Q a Fraction, since
+    `data` reads an integral entry as an int and int / int is a float."""
+    return Fraction(x) if type(x) is int else x
+
+
+def field_rows(self):
+    return [[as_field(x) for x in r] for r in self.data]
+
+
 def dense_rref(self):
-    m = [list(r) for r in self.data]
+    m = field_rows(self)
     pivots = []
     pr = 0
     for pc in range(self.cols):
@@ -328,7 +348,7 @@ def dense_is_zero(self):
 
 
 def dense_det(self):
-    m = [list(r) for r in self.data]
+    m = field_rows(self)
     det = self.zero + 1
     for pc in range(self.cols):
         pr = next((r for r in range(pc, self.rows) if m[r][pc]), None)
@@ -353,7 +373,7 @@ def dense_charpoly(self):
     m = Mat.identity(n, one)
     for k in range(1, n + 1):
         am = self * m
-        c = -am.trace() / k
+        c = -as_field(am.trace()) / k
         coeffs.append(c)
         m = am + Mat.identity(n, one).scaled(c)
     return coeffs
@@ -443,24 +463,75 @@ def assert_same(got, want, what):
     assert all(same_field(x, y) for x, y in zip(got, want)), what
 
 
-def as_fractions(m: Mat) -> Mat:
-    """m over Q with every entry a Fraction, as the dense oracle wants it
-    (its divisions would make floats of ints)."""
-    return m.map(Fraction) if type(m.zero) in RATIONAL else m
-
-
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(sparse_cases())
 def test_sparse_kernels_match_the_dense_oracle(case):
     sparse = kernel_results(*case)
     with dense_kernels():
-        dense = kernel_results(*map(as_fractions, case))
+        dense = kernel_results(*case)
     assert sparse.keys() == dense.keys()
     for what, want in dense.items():
         if want is None:
             assert sparse[what] is None, what
         else:
             assert_same(sparse[what], want, what)
+
+
+def assert_stored_canonically(mat: Mat) -> None:
+    """mat over Q is num / den with num of ints, den > 0 and gcd(den, num) = 1,
+    so den is 1 exactly when every entry is integral, and every entry reads
+    back as an int when it is integral."""
+    assert type(mat.den) is int and mat.den > 0, mat
+    assert all(type(x) is int for row in mat.num for x in row), mat
+    assert gcd(mat.den, *chain.from_iterable(mat.num)) == 1, mat
+    entries = [Fraction(x) for row in mat.data for x in row]
+    assert (mat.den == 1) == all(x.denominator == 1 for x in entries), mat
+    assert all(canonical(x) for row in mat.data for x in row), mat
+
+
+def assert_one_value(*routes: Mat) -> None:
+    """Matrices reached by different routes: equal, and equal hashes."""
+    for route in routes[1:]:
+        assert route == routes[0] and hash(route) == hash(routes[0]), routes
+
+
+def from_fractions(m: Mat) -> Mat:
+    """m rebuilt by the constructor from its entries, each as a Fraction."""
+    return Mat(m.rows, m.cols, [[Fraction(x) for x in row] for row in m.data])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(sparse_cases())
+def test_results_are_stored_in_lowest_terms(case):
+    """Every result of the kernels above, empty shapes included: over Q in
+    lowest terms over a positive denominator, so one value reached by the
+    constructor from Fractions, a product, `inverse`, `rref` or `scaled`
+    compares and hashes equal; over F_5 and Q(zeta3) the entries are kept
+    as they are, over the denominator 1."""
+    a, _a2, b, s = case
+    zero = a.zero
+    mats, _scalars = entry_type_results(zero, s, a)
+    for value in kernel_results(*case).values():
+        value = value[0] if isinstance(value, tuple) else value
+        if isinstance(value, Mat):
+            mats.append(value)
+    if type(zero) not in RATIONAL:
+        for mat in mats:
+            assert mat.den == 1 and mat.data is mat.num, mat
+            assert all(same_field(x, zero) for row in mat.num for x in row), mat
+        return
+    for mat in mats:
+        assert_stored_canonically(mat)
+    n = s.rows
+    red = s.rref()[0]
+    assert_one_value(red, from_fractions(red), Mat.identity(n) * red, red.rref()[0],
+                     red.scaled(3).scaled(Fraction(1, 3)))
+    if s.is_invertible():
+        inv = s.inverse()
+        via_rref = s.hstack(Mat.identity(n)).rref()[0].submatrix(range(n), range(n, 2 * n))
+        assert_one_value(inv, from_fractions(inv), inv * s * inv, via_rref,
+                         inv.scaled(Fraction(1, 2)).scaled(2), inv.inverse().inverse())
+        assert_one_value(Mat.identity(n), red, s * inv, inv * s, from_fractions(s * inv))
 
 
 def _random_matrix(rng, rows, cols, rank, entry, zero):
@@ -507,7 +578,7 @@ def test_integer_elimination_matches_the_fraction_oracle():
                 cols = rows
             rank = None if trial % 5 == 4 else rng.randint(0, min(rows, cols))
             m = _random_matrix(rng, rows, cols, rank, lambda: entry(trial), zero)
-            want_red, want_pivots = dense_rref(as_fractions(m))
+            want_red, want_pivots = dense_rref(m)
             red, pivots = m.rref()
             assert pivots == want_pivots and red == want_red, m
             assert all(same_field(x, zero) for r in red.data for x in r), red
@@ -518,7 +589,7 @@ def test_integer_elimination_matches_the_fraction_oracle():
             assert (m * basis).is_zero() and basis.cols == cols - len(pivots)
             assert all(same_field(x, zero) for r in basis.data for x in r), basis
             if rows == cols:
-                assert m.is_invertible() == bool(dense_det(as_fractions(m))), m
+                assert m.is_invertible() == bool(dense_det(m)), m
                 if m.is_invertible():
                     inv = m.inverse()
                     assert m * inv == Mat.identity(rows, one)
@@ -580,7 +651,7 @@ def test_rational_products_match_the_fraction_oracle():
             if kernel.cols:
                 b = b.hstack(kernel * matrix(kernel.cols, rng.randint(1, 3), 1.0))
         got = a * b
-        assert got == dense_mul(as_fractions(a), as_fractions(b)), (a, b)
+        assert got == dense_mul(a, b), (a, b)
         assert type(got.zero) is type(a.zero), (a, b)
         assert all(canonical(x) for row in got.data for x in row), (a, b, got)
 
@@ -597,7 +668,7 @@ def test_products_with_an_empty_dimension_match_the_dense_oracle(zero):
 
     for rows, inner, cols in ((0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 2), (2, 0, 0), (0, 0, 0)):
         a, b = full(rows, inner), full(inner, cols)
-        got, want = a * b, dense_mul(as_fractions(a), as_fractions(b))
+        got, want = a * b, dense_mul(a, b)
         assert (got.rows, got.cols) == (rows, cols)
         assert got == want and type(got.zero) is type(zero), (rows, inner, cols)
         assert_same(got, want, (rows, inner, cols))
@@ -616,7 +687,7 @@ def test_products_with_an_all_zero_factor_match_the_dense_oracle(zero):
     for rows, inner, cols in ((1, 1, 1), (2, 3, 2), (3, 2, 4)):
         for a, b in ((full(rows, inner, zero), full(inner, cols, one + one)),
                      (full(rows, inner, one + one), full(inner, cols, zero))):
-            got, want = a * b, dense_mul(as_fractions(a), as_fractions(b))
+            got, want = a * b, dense_mul(a, b)
             assert (got.rows, got.cols) == (rows, cols) and got.is_zero()
             assert type(got.zero) is type(zero), (rows, inner, cols)
             assert_same(got, want, (rows, inner, cols))
