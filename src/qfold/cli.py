@@ -24,12 +24,11 @@ from pathlib import Path
 
 from .corpus import corpus_entry
 from .dim_calc import fixed_components
-from .errors import InputError, PropertyViolation, QfoldError
+from .errors import InputError, PropertyViolation, QfoldError, RelationViolation
 from .lie_fold import cartan_from_quiver, classify_cartan, fold_cartan
 from .module_lab import (
     apply_theta,
     build_theta_witness,
-    check_relations,
     eigen_profile,
     find_transition,
     identity_sigma,
@@ -105,8 +104,13 @@ def _print_stdout(text: str) -> None:
         raise _StdoutClosed from None
 
 
-def _emit(args, payload, human: str) -> None:
-    _print_stdout(json.dumps(payload, indent=2, sort_keys=True) if args.json else human)
+def _emit(args, payload, human) -> None:
+    """Print payload as JSON under --json, else the human text: a string,
+    or a function that builds it, called only when it is printed."""
+    if args.json:
+        _print_stdout(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        _print_stdout(human() if callable(human) else human)
 
 
 def _labels_table(sd: SplitData) -> dict:
@@ -252,13 +256,15 @@ def cmd_module(args) -> int:
         raise InputError(f"module file is missing the {exc} block") from exc
 
     if args.action == "check":
-        rep = check_relations(m)
-        stable = is_stable(m) if rep.ok else None
-        payload = {"relations_ok": rep.ok, "violating_vertex": rep.vertex, "stable": stable}
-        human = (f"relations: {'ok' if rep.ok else 'violated at ' + str(rep.vertex)}"
-                 + (f"; stable: {stable}" if stable is not None else ""))
+        try:
+            stable, vertex = is_stable(m), None
+        except RelationViolation as exc:
+            stable, vertex = None, exc.context["vertex"]
+        ok = vertex is None
+        payload = {"relations_ok": ok, "violating_vertex": vertex, "stable": stable}
+        human = f"relations: ok; stable: {stable}" if ok else f"relations: violated at {vertex}"
         _emit(args, payload, human)
-        return EXIT_OK if rep.ok else EXIT_VIOLATION
+        return EXIT_OK if ok else EXIT_VIOLATION
 
     if a is None:
         raise InputError("this action needs an automorphism in the quiver block")
@@ -268,9 +274,8 @@ def cmd_module(args) -> int:
         sigma = identity_sigma(q, a, m.w)
 
     if args.action == "theta":
-        out = apply_theta(m, sigma)
-        payload = {"module": module_to_dict(out)}
-        _emit(args, payload, json.dumps(module_to_dict(out), indent=2, sort_keys=True))
+        module = module_to_dict(apply_theta(m, sigma))
+        _emit(args, {"module": module}, lambda: json.dumps(module, indent=2, sort_keys=True))
         return EXIT_OK
 
     if args.action == "transition":
@@ -279,9 +284,9 @@ def cmd_module(args) -> int:
             _emit(args, {"witness": None}, "no transition: module is not isomorphic to its transport")
             return EXIT_OK
         payload = {"witness": witness_to_dict(witness)}
-        human_rows = [f"{x}: {[[str(v) for v in row] for row in witness.g[x].data]}"
-                      for x in q.vertices]
-        _emit(args, payload, "transition witness\n" + "\n".join(human_rows))
+        g = payload["witness"]["g"]   # each entry printed as str prints it
+        _emit(args, payload, lambda: "transition witness\n"
+              + "\n".join(f"{x}: {g[x]['data']}" for x in q.vertices))
         return EXIT_OK
 
     if args.action == "witness":

@@ -15,7 +15,9 @@ positive int with gcd(den, every entry) = 1, so a matrix over Z is
 through `data` and `m[i, j]`, built when read: over Q an entry is an `int`
 when it is integral and a `Fraction` only where it is not (`qq`), and at
 `den == 1` `data` is `num` itself.  An integral Fraction given by a caller
-is accepted and reads back as an int.
+is accepted and reads back as an int.  `rational_rows`, behind
+`Mat.rational` and the module-file reader, reads ints and ASCII "n" and
+"n/d" strings straight into (num, den).
 
 Each kernel is written once over (num, den), on ints over Q, and builds no
 Fraction.  The one step that depends on the field is bringing a result to
@@ -78,6 +80,51 @@ def _quotient(a: int, b: int):
     """a / b over Q for ints a and b != 0: an int when b divides a."""
     q, r = divmod(a, b)
     return Fraction(a, b) if r else q
+
+
+def rational_rows(data: Sequence[Sequence], entry: Callable) -> tuple[tuple, int]:
+    """The rows of data, entries over Q, as (num, den) in canonical form
+    (see `Mat`), with no Fraction built on the way.  An int and an ASCII
+    "n" or "n/d" string (d not 0) are read with `int` and at most one gcd
+    (a string of ASCII digits alone is tested for first); any other
+    entry goes to entry(x), which returns it as `qq` does (an int or a
+    Fraction) or raises, so the entries accepted and the errors raised are
+    entry's own, met in row-major order.  The rows may differ in length:
+    the caller checks the shape."""
+    rows, dens = [], []
+    for row in data:
+        out = []
+        for x in row:
+            if x.__class__ is str and x.isdigit() and x.isascii():   # most entries
+                x = int(x)
+            elif x.__class__ is not int:
+                m = _ASCII_RATIONAL.fullmatch(x) if x.__class__ is str else None
+                d = int(m[2] or 1) if m else 0
+                if d:
+                    n = int(m[1])
+                    g = gcd(n, d)
+                    n, d = n // g, d // g
+                else:
+                    x = entry(x)
+                    n, d = x.numerator, x.denominator
+                if d == 1:
+                    x = n
+                else:
+                    x = (n, d)
+                    dens.append(d)
+            out.append(x)
+        rows.append(out)
+    if not dens:
+        return tuple(map(tuple, rows)), 1
+    # num = entries * lcm is in lowest terms (see `Mat.__init__`)
+    den = lcm(*dens)
+    return tuple(tuple([x[0] * (den // x[1]) if x.__class__ is tuple else x * den
+                        for x in row]) for row in rows), den
+
+
+def _check_shape(rows: int, cols: int, num: tuple) -> None:
+    if len(num) != rows or list(map(len, num)).count(cols) != rows:
+        raise ShapeMismatch(f"data does not match shape {rows}x{cols}")
 
 
 def _fill(zero):
@@ -143,8 +190,7 @@ class Mat:
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence], zero=None):
         num = tuple(map(tuple, data))
-        if len(num) != rows or list(map(len, num)).count(cols) != rows:
-            raise ShapeMismatch(f"data does not match shape {rows}x{cols}")
+        _check_shape(rows, cols, num)
         if zero is None:   # over Q the int 0, as an integral Fraction reads back as an int
             x = num[0][0] if rows and cols else 0
             zero = 0 if x.__class__ in _RATIONAL else x - x
@@ -189,9 +235,17 @@ class Mat:
 
     @staticmethod
     def rational(data: Sequence[Sequence]) -> "Mat":
-        """A matrix over Q from ints, rational strings and Fractions: each
-        entry an int when it is integral, else a Fraction (see `qq`)."""
-        return Mat.from_rows([[qq(x) for x in row] for row in data])
+        """A matrix over Q from ints, rational strings and Fractions, each
+        entry read as `qq` reads it (see `rational_rows`)."""
+        num, den = rational_rows(data, qq)
+        return Mat.over_q(len(num), len(num[0]) if num else 0, num, den)
+
+    @staticmethod
+    def over_q(rows: int, cols: int, num: tuple, den: int) -> "Mat":
+        """The matrix num / den over Q, for (num, den) in canonical form
+        (as `rational_rows` gives it); only the shape is checked."""
+        _check_shape(rows, cols, num)
+        return _mat(rows, cols, num, den, 0)
 
     # -- entries --------------------------------------------------------
     @property

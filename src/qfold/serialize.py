@@ -3,7 +3,12 @@
 Matrices are row-major arrays of rational strings like "3/4" (JSON
 integers are read too; JSON floats, booleans and exponents are refused);
 shapes are carried alongside so zero-dimensional matrices survive the
-round trip.
+round trip.  A matrix is read straight into its (num, den) form (see
+`linalg.Mat`): an int entry and an ASCII "n" or "n/d" string go through
+`int` and one gcd (`linalg.rational_rows`), and only any other string
+reaches `linalg.qq`, so the strings accepted and the errors raised stay
+Fraction's.  It is written from (num, den) too, each entry as `str`
+prints it, with no Fraction built either way.
 Every reader checks the JSON types it is given and raises InputError on a
 malformed document.
 """
@@ -11,10 +16,11 @@ malformed document.
 from __future__ import annotations
 
 import json
+from math import gcd
 from typing import Mapping
 
 from .errors import InputError, TooLarge
-from .linalg import Mat, qq
+from .linalg import Mat, qq, rational_rows
 from .module_lab import FramedModule, SigmaData, TransitionWitness, framed_module
 from .quiver_core import DiagramAutomorphism, Quiver
 
@@ -70,36 +76,47 @@ def _flag(obj: dict, key: str, default: bool) -> bool:
 
 
 def mat_to_obj(m: Mat) -> dict:
-    return {
-        "rows": m.rows,
-        "cols": m.cols,
-        "data": [[str(x) for x in row] for row in m.data],
-    }
+    """{"rows", "cols", "data"}, each entry printed from (num, den) as
+    `str` prints it ("n" or "n/d" in lowest terms), with no Fraction built."""
+    num, den = m.num, m.den
+    if den == 1:
+        data = [[str(x) for x in row] for row in num]
+    else:
+        data = [[_ratio(x, den) for x in row] for row in num]
+    return {"rows": m.rows, "cols": m.cols, "data": data}
+
+
+def _ratio(n: int, d: int) -> str:
+    """n / d for a positive int d, as str(Fraction(n, d)) prints it."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 def _entry(value):
-    """A matrix entry given as a JSON integer or a rational string, as an
-    int when it is integral, else a Fraction (`linalg.qq`).  A JSON float or
-    boolean is refused (the float 0.1 is not 1/10), and so is an exponent:
-    "1e999999999" would build a billion-digit integer."""
-    cls = value.__class__
-    if cls is int or (cls is str and "e" not in value and "E" not in value):
+    """A matrix entry that is not an int or an ASCII "n" or "n/d" string
+    (those `rational_rows` reads itself), read as `linalg.qq` reads it.  A
+    JSON float or boolean is refused (the float 0.1 is not 1/10), and so is
+    an exponent: "1e999999999" would build a billion-digit integer."""
+    if value.__class__ is str and "e" not in value and "E" not in value:
         return qq(value)
     raise InputError(f"matrix entries must be integers or rational strings, got {value!r}")
 
 
 def mat_from_obj(obj) -> Mat:
-    """A matrix from {"rows", "cols", "data"} or from bare data; the data
-    must be a JSON array of JSON arrays (a string or an object there is
-    refused, not iterated)."""
+    """A matrix over Q from {"rows", "cols", "data"} or from bare data; the
+    data must be a JSON array of JSON arrays (a string or an object there
+    is refused, not iterated).  The entries are checked first, then
+    "rows" and "cols", then the shape."""
     try:
         data = obj["data"] if isinstance(obj, dict) else obj
         if data.__class__ is not list or any(row.__class__ is not list for row in data):
             raise InputError("malformed matrix JSON: the data must be an array of arrays")
-        data = [[_entry(x) for x in row] for row in data]
+        num, den = rational_rows(data, _entry)
         if isinstance(obj, dict):
-            return Mat(dim_entry(obj["rows"], '"rows"'), dim_entry(obj["cols"], '"cols"'), data)
-        return Mat(len(data), len(data[0]) if data else 0, data)
+            rows, cols = dim_entry(obj["rows"], '"rows"'), dim_entry(obj["cols"], '"cols"')
+        else:
+            rows, cols = len(num), len(num[0]) if num else 0
+        return Mat.over_q(rows, cols, num, den)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qfold
-from qfold import cli
+from qfold import cli, module_lab, serialize
 from qfold.cli import main
 from qfold.corpus import CORPUS_ENV, corpus_entry
 from qfold.errors import PropertyViolation
@@ -494,6 +495,102 @@ def test_dims_requires_orbit_constant(capsys):
     code, _ = run(capsys, "dims", "--corpus", "D4-swap",
                   "--v", "1,1,1,2", "--w", "1,1,1,1")
     assert code == 1
+
+
+def test_module_check_evaluates_the_relation_once(tmp_path, capsys, monkeypatch):
+    real = module_lab.check_relations
+    calls = []
+    monkeypatch.setattr(module_lab, "check_relations", lambda m: calls.append(m) or real(m))
+    doc = module_doc()
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "module", "check", str(path)) == (0, "relations: ok; stable: True\n")
+    doc["module"]["I"]["1"] = {"rows": 1, "cols": 1, "data": [["1"]]}   # I J != 0 at vertex 1
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "module", "check", str(path)) == (2, "relations: violated at 1\n")
+    code, out = run(capsys, "module", "check", str(path), "--json")
+    assert code == 2
+    assert json.loads(out) == {"relations_ok": False, "violating_vertex": "1", "stable": None}
+    assert len(calls) == 3
+
+
+def walk_matrices(node):
+    """Every matrix object ({"rows", "cols", "data"}) in a JSON document."""
+    if isinstance(node, dict):
+        if "data" in node:
+            yield node
+        else:
+            for value in node.values():
+                yield from walk_matrices(value)
+
+
+def test_plain_module_file_is_read_without_qq(tmp_path, capsys, monkeypatch):
+    # ints and ASCII "n" and "n/d" strings are read into (num, den) directly
+    doc = pair_doc()
+    entries = [x for m in walk_matrices(doc) for row in m["data"] for x in row]
+    assert any("/" in x for x in entries)
+    assert all(re.fullmatch(r"-?[0-9]+(/[0-9]+)?", x) for x in entries)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(doc))
+
+    def refuse(x):
+        raise AssertionError(f"qq read {x!r}")
+
+    monkeypatch.setattr(serialize, "qq", refuse)
+    code, out = run(capsys, "module", "check", str(path), "--json")
+    assert code == 0 and json.loads(out)["stable"] is True
+    code, out = run(capsys, "module", "theorem5", str(path), "--json")
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
+def _mutate(doc, rng: random.Random) -> str:
+    """Change doc in place in one of four ways; returns what was done."""
+    mats = list(walk_matrices(doc))
+    kind = rng.choice(["entry", "rows", "drop", "ragged"])
+    if kind == "entry":
+        m = rng.choice([m for m in mats if m["rows"] and m["cols"]])
+        row = rng.choice(m["data"])
+        row[rng.randrange(len(row))] = "".join(
+            rng.choice("-+/_.eE 0123456789\u0663\u00b2x\n") for _ in range(rng.randrange(6)))
+    elif kind == "rows":
+        m = rng.choice(mats)
+        m[rng.choice(["rows", "cols"])] += rng.choice([-1, 1])
+    elif kind == "drop":
+        # a block, or one key of a block: a matrix of a map, a field, a map
+        parent = doc if rng.random() < 0.5 else rng.choice(list(doc.values()))
+        del parent[rng.choice(sorted(parent))]
+    else:
+        m = rng.choice([m for m in mats if m["rows"]])
+        row = rng.choice(m["data"])
+        if row and rng.random() < 0.5:
+            row.pop()
+        else:
+            row.append("1")
+    return kind
+
+
+def test_mutated_module_files_exit_cleanly(tmp_path, capsys):
+    # each run exits 0, 1 or 2; an exit 1 is one error line, or one JSON
+    # error object under --json, and never a traceback
+    path = tmp_path / "module.json"
+    kinds = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        doc = copy.deepcopy(PAIR_DOC)
+        kinds.add(_mutate(doc, rng))
+        path.write_text(json.dumps(doc))
+        for action in ("check", "transition", "theorem5"):
+            for flags in ([], ["--json"]):
+                code = main(["module", action, str(path), *flags])
+                out, err = capsys.readouterr()
+                what = (seed, action, flags, code, out, err)
+                assert code in (0, 1, 2), what
+                if code == 1 and flags:
+                    assert err == "" and out.count("\n") == 1, what
+                    assert list(json.loads(out)) == ["error"], what
+                elif code == 1:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, what
+    assert kinds == {"entry", "rows", "drop", "ragged"}
 
 
 MODULE_FIELDS = [

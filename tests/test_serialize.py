@@ -9,6 +9,7 @@ from qfold.generators import random_graded_pair, random_theta_module
 from qfold.linalg import Mat, qq
 from qfold.quiver_core import a_quiver, flip_automorphism
 from qfold.serialize import (
+    dim_entry,
     mat_from_obj,
     mat_to_obj,
     module_from_dict,
@@ -113,3 +114,90 @@ def test_entries_are_read_as_fraction_reads_them(s):
 @given(st.text(st.sampled_from(list("-+/0123456789") + [" ", "_", "\u0663"]), max_size=8))
 def test_drawn_entry_strings_are_read_as_fraction_reads_them(s):
     _check_entry_string(s)
+
+
+def _fraction_entry_json(value):
+    """The matrix entry reader before matrices were read into (num, den):
+    every entry, after the JSON checks, read as `qq` reads it, here by
+    `Fraction` itself (see `test_entries_are_read_as_fraction_reads_them`),
+    so that the oracle shares no code with the reader."""
+    cls = value.__class__
+    if cls is int or (cls is str and "e" not in value and "E" not in value):
+        return _fraction_entry(value)
+    raise InputError(f"matrix entries must be integers or rational strings, got {value!r}")
+
+
+def fraction_reader(obj) -> Mat:
+    """The oracle for `mat_from_obj`: the reader before matrices were read
+    into (num, den), one entry at a time (a Fraction for each "n/d"),
+    then `Mat(rows, cols, data)`, which takes each Fraction apart again."""
+    try:
+        data = obj["data"] if isinstance(obj, dict) else obj
+        if data.__class__ is not list or any(row.__class__ is not list for row in data):
+            raise InputError("malformed matrix JSON: the data must be an array of arrays")
+        data = [[_fraction_entry_json(x) for x in row] for row in data]
+        if isinstance(obj, dict):
+            return Mat(dim_entry(obj["rows"], '"rows"'), dim_entry(obj["cols"], '"cols"'), data)
+        return Mat(len(data), len(data[0]) if data else 0, data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed matrix JSON: {exc}") from exc
+
+
+def _outcome(reader, obj):
+    """(rows, cols, num, den, zero) of the matrix reader(obj) reads, or the
+    type and message of what it raises."""
+    try:
+        m = reader(obj)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc), str(exc)
+    return m.rows, m.cols, m.num, m.den, m.zero
+
+
+# strings over the characters of rationals, signs, exponents, separators,
+# whitespace and non-ASCII digits, strings near the ASCII "n" and "n/d"
+# forms, and those forms themselves, which the reader reads itself
+ENTRY_STRINGS = st.one_of(
+    st.text(st.sampled_from(list("-+/_.eE 0123456789\u0663\u00b2\t\n\u00a0")), max_size=8),
+    st.text(st.sampled_from(list("-+/_0123")), max_size=5),
+    st.integers().map(str),
+    st.builds("{}/{}".format, st.integers(), st.integers(0, 10 ** 20)))
+ENTRIES = st.one_of(st.integers(), st.booleans(), st.floats(), st.none(), ENTRY_STRINGS)
+
+
+@st.composite
+def matrix_documents(draw):
+    """A matrix as JSON gives it: 0-3 rows of 0-3 entries, now and then a
+    ragged row, bare or in an object whose "rows" and "cols" are right,
+    wrong, negative or strings."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    data = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    if rows and draw(st.booleans()):
+        data[draw(st.integers(0, rows - 1))].extend(draw(st.lists(ENTRIES, max_size=2)))
+    if draw(st.booleans()):
+        return data
+
+    def dim(right):
+        return draw(st.one_of(st.just(right), st.integers(-2, 4), st.just(str(right)),
+                              st.integers(-2, 4).map(str)))
+
+    return {"rows": dim(rows), "cols": dim(cols), "data": data}
+
+
+@settings(max_examples=1000, derandomize=True)
+@given(matrix_documents())
+def test_reader_matches_the_fraction_reader(obj):
+    assert _outcome(mat_from_obj, obj) == _outcome(fraction_reader, obj)
+    if isinstance(obj, list):
+        # Mat.rational reads what qq reads, floats and booleans too
+        assert _outcome(Mat.rational, obj) == \
+            _outcome(lambda d: Mat.from_rows([[_fraction_entry(x) for x in row] for row in d]), obj)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.integers(0, 3).flatmap(lambda cols: st.lists(
+    st.lists(st.one_of(st.integers(), st.fractions()), min_size=cols, max_size=cols),
+    max_size=3)))
+def test_writer_prints_entries_as_str_does(rows):
+    m = Mat.from_rows(rows)
+    assert mat_to_obj(m)["data"] == [[str(x) for x in row] for row in m.data]
+    assert mat_from_obj(mat_to_obj(m)) == m
