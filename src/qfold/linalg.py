@@ -63,15 +63,10 @@ _ASCII_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 def qq(x):
     """x (an int, a rational string or a Fraction) as an entry over Q: an
     int when it is integral, else a Fraction.  An int is returned as it is
-    and an ASCII "n" or "n/d" (d not 0) is read with `int`; anything else
-    goes to `Fraction(x)`, so the strings accepted and the errors raised
-    are Fraction's own."""
+    and anything else goes to `Fraction(x)`, so the strings accepted and
+    the errors raised are Fraction's own."""
     if x.__class__ is int:
         return x
-    if x.__class__ is str and (m := _ASCII_RATIONAL.fullmatch(x)):
-        n, d = int(m[1]), int(m[2] or 1)
-        if d:
-            return _quotient(n, d)
     x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
 
@@ -125,6 +120,13 @@ def rational_rows(data: Sequence[Sequence], entry: Callable) -> tuple[tuple, int
 def _check_shape(rows: int, cols: int, num: tuple) -> None:
     if len(num) != rows or list(map(len, num)).count(cols) != rows:
         raise ShapeMismatch(f"data does not match shape {rows}x{cols}")
+
+
+def _over_q(rows: int, cols: int, num: tuple, den: int) -> "Mat":
+    """The matrix num / den over Q for (num, den) as `rational_rows` gives
+    it, already canonical: only the shape is checked."""
+    _check_shape(rows, cols, num)
+    return _mat(rows, cols, num, den, 0)
 
 
 def _fill(zero):
@@ -238,14 +240,7 @@ class Mat:
         """A matrix over Q from ints, rational strings and Fractions, each
         entry read as `qq` reads it (see `rational_rows`)."""
         num, den = rational_rows(data, qq)
-        return Mat.over_q(len(num), len(num[0]) if num else 0, num, den)
-
-    @staticmethod
-    def over_q(rows: int, cols: int, num: tuple, den: int) -> "Mat":
-        """The matrix num / den over Q, for (num, den) in canonical form
-        (as `rational_rows` gives it); only the shape is checked."""
-        _check_shape(rows, cols, num)
-        return _mat(rows, cols, num, den, 0)
+        return _over_q(len(num), len(num[0]) if num else 0, num, den)
 
     # -- entries --------------------------------------------------------
     @property

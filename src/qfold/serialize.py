@@ -20,7 +20,7 @@ from math import gcd
 from typing import Mapping
 
 from .errors import InputError, TooLarge
-from .linalg import Mat, qq, rational_rows
+from .linalg import Mat, _over_q, qq, rational_rows
 from .module_lab import FramedModule, SigmaData, TransitionWitness, framed_module
 from .quiver_core import DiagramAutomorphism, Quiver
 
@@ -116,7 +116,7 @@ def mat_from_obj(obj) -> Mat:
             rows, cols = dim_entry(obj["rows"], '"rows"'), dim_entry(obj["cols"], '"cols"')
         else:
             rows, cols = len(num), len(num[0]) if num else 0
-        return Mat.over_q(rows, cols, num, den)
+        return _over_q(rows, cols, num, den)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise InputError(f"malformed matrix JSON: {exc}") from exc
 
