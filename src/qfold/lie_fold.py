@@ -213,8 +213,10 @@ def canonical_cartan(family: str, rank: int) -> CartanMatrix:
     raise UnsupportedFamily(family)
 
 
+@lru_cache(maxsize=256)
 def classify_cartan(c: CartanMatrix) -> TypeLabel:
     """Recognize finite types A..G and untwisted affine A/D; otherwise other.
+    The index searches run once per matrix.
 
     Rank-2 double-bond matrices are isomorphic as diagrams; the label is
     read off literally: [[2,-1],[-2,2]] is C2, [[2,-2],[-1,2]] is B2.

@@ -9,7 +9,8 @@ s_i(lambda)_k = lambda_k - lambda_i * c[i][k].
 
 Each Cartan matrix has one cached `RootDatum`: every row as its nonzero
 entries, and each positive root in simple and fundamental coordinates
-with its norm and the Weyl denominator.  The positive roots are closed up
+with its norm, the Weyl denominator, and each simple reflection as a
+table of root indices.  The positive roots are closed up
 from the simple roots by height-raising simple reflections, read off the
 fundamental coordinates, and a matrix of infinite type is refused there
 (`NotFiniteType`), before any walk.  A reflection s_i touches only
@@ -22,6 +23,20 @@ positive-root steps that stay dominant (Stembridge, "The partial order of
 dominant weights", 1998), carrying lam - mu along as integer simple-root
 coordinates, so neither the Freudenthal recursion nor branching needs an
 inverse Cartan matrix.
+
+Freudenthal's formula at a dominant mu sums the root strings
+sum_k (mu + k beta, beta) m(mu + k beta) over the positive roots, and the
+string is the same on a whole class of roots (Moody and Patera, "Fast
+recursion formula for weight multiplicities", Bull. AMS 7, 1982): an s_j
+with mu_j = 0 fixes mu and preserves the form and the multiplicities, so
+beta and s_j beta, when both are positive, have the same string.  The
+recursion walks one string per class and counts it as often as the class
+has roots; every probe still counts against ROOT_STEP_CAP.  What depends
+on the matrix alone is derived once per matrix, in bounded caches keyed
+by the hashable CartanMatrix (never by a RootDatum, whose hash walks
+every root): the root datum, the classes of each zero pattern, the orbit
+size |W nu| of each support pattern, the offsets of each fiber of
+restriction, and `lie_fold.classify_cartan`.
 
 Branching restricts the character of L(lam) along orbit sums of Cartan
 elements and keeps it at the folded-dominant weights only, without ever
@@ -75,9 +90,10 @@ Character = dict[Weight, int]
 # a root step moves a weight by one root: the dominant-weight listing tries
 # every positive root at each weight, a Freudenthal probe mu + k beta adds
 # one, and an orbit point is one simple reflection from its parent.  One core
-# of a 2-CPU Xeon lists about 900,000 a second, and probes or spreads about
-# 400,000 at ranks 4-6 and 90,000 at rank 16: the cap bounds each count to
-# 2.5-5.5 s at rank 5 and lets D4-swap at 6 rho (2,105,246 probes) answer
+# of a 2-CPU Xeon lists about 1,100,000 a second at rank 5, probes about
+# 550,000-630,000 at rank 5 and 105,000-150,000 at rank 16, and spreads about
+# 650,000 at rank 5: the cap bounds each count to 2-4 s at rank 5 and lets
+# D4-swap at 6 rho (1,653,024 probes) answer
 ROOT_STEP_CAP = 2_200_000
 
 # the fiber sum reaches about 100,000 points a second (the 34,252 of D6-swap
@@ -104,6 +120,7 @@ class RootDatum:
     paired: tuple[tuple[int, ...], ...]    # each root as (beta_j * d_j)_j
     norm: tuple[int, ...]                  # (beta, beta) of each root
     rho_product: int                       # the product of (rho, beta): Weyl's denominator
+    reflect: tuple[tuple[int, ...], ...]   # reflect[j][i]: the index of s_j beta_i, or -1
 
 
 @lru_cache(maxsize=256)
@@ -115,7 +132,8 @@ def root_datum(c: CartanMatrix) -> RootDatum:
     beta exactly where its fundamental coordinate at i is negative, adding
     minus that coordinate to beta_i.  The closure keeps each root's
     fundamental coordinates with it: alpha_i has row i, and s_i subtracts
-    beta's coordinate at i times row i."""
+    beta's coordinate at i times row i.  s_j beta = beta - f_j alpha_j for
+    f beta's fundamental coordinates, and is negative only at beta = alpha_j."""
     if not is_finite_type(c):
         raise NotFiniteType("operation requires a finite-type Cartan matrix")
     n = c.n
@@ -139,7 +157,11 @@ def root_datum(c: CartanMatrix) -> RootDatum:
     neighbours = tuple(frozenset(k for k, _x in row if k != i) for i, row in enumerate(rows))
     paired = tuple(tuple(map(mul, beta, d)) for beta in roots)
     norm = tuple(sum(map(mul, p, f)) for p, f in zip(paired, fund))
-    return RootDatum(rows, neighbours, roots, fund, paired, norm, prod(map(sum, paired)))
+    index = {beta: i for i, beta in enumerate(roots)}
+    reflect = tuple(tuple(index.get(beta[:j] + (beta[j] - f[j],) + beta[j + 1:], -1)
+                          for beta, f in zip(roots, fund)) for j in range(n))
+    return RootDatum(rows, neighbours, roots, fund, paired, norm, prod(map(sum, paired)),
+                     reflect)
 
 
 def _dominant(rows: tuple[tuple[tuple[int, int], ...], ...], lam: Weight) -> Weight:
@@ -245,10 +267,43 @@ def dominant_weights_below(c: CartanMatrix, lam: Weight) -> dict[Weight, Root]:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _root_classes(c: CartanMatrix, zeros: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of c, as indices into root_datum(c).roots, in the
+    classes of beta ~ s_j beta for the j in zeros where s_j beta is
+    positive: the components of the reflection table's graph on those j,
+    each grown from its first index.  At a dominant mu with mu_j = 0
+    exactly for j in zeros, these s_j fix mu, so every root of a class has
+    the same Freudenthal string sum.  Each class is in increasing index
+    order, and the classes by their first index."""
+    rd = root_datum(c)
+    reflect = rd.reflect
+    seen = [False] * len(rd.roots)
+    classes = []
+    for i, done in enumerate(seen):
+        if not done:
+            seen[i] = True
+            cls = [i]
+            for k in cls:
+                for j in zeros:
+                    r = reflect[j][k]
+                    if r >= 0 and not seen[r]:
+                        seen[r] = True
+                        cls.append(r)
+            classes.append(tuple(sorted(cls)))
+    return tuple(classes)
+
+
 def _freudenthal(c: CartanMatrix, lam: Weight, dom_of: dict[Weight, Weight]) -> Character:
     """The Freudenthal recursion at the dominant weights below lam; dom_of
     memoizes dominant representatives on c and may be shared between calls
-    on the same matrix.  Past ROOT_STEP_CAP probes mu + k beta, TooLarge."""
+    on the same matrix.  At each mu one root string is walked per class of
+    `_root_classes` at mu's zeros and counted as often as the class has
+    roots.  It is the string of the class's highest root beta: no s_j with
+    mu_j = 0 raises it, so its fundamental coordinates there are not
+    negative, mu + k beta lies nearer the dominant chamber than along the
+    class's other roots, and `_dominant` has less to walk.  Past
+    ROOT_STEP_CAP probes mu + k beta, TooLarge."""
     rd = root_datum(c)
     rows = rd.rows
     steps = tuple(zip(rd.fund, rd.paired, rd.norm))
@@ -264,10 +319,12 @@ def _freudenthal(c: CartanMatrix, lam: Weight, dom_of: dict[Weight, Weight]) -> 
             mults[mu] = 1
             continue
         acc = 0
-        for beta_fund, beta_paired, beta_norm in steps:
+        for cls in _root_classes(c, tuple(j for j, x in enumerate(mu) if not x)):
+            beta_fund, beta_paired, beta_norm = steps[cls[-1]]
             # (mu + k beta, beta) for k = 1, 2, ... while mu + k beta is a
             # weight; (mu, beta) is read only once mu + beta is one
             ip = None
+            string = 0
             nu = mu
             while True:
                 probes += 1
@@ -284,7 +341,8 @@ def _freudenthal(c: CartanMatrix, lam: Weight, dom_of: dict[Weight, Weight]) -> 
                 if ip is None:
                     ip = sum(map(mul, mu, beta_paired))
                 ip += beta_norm
-                acc += m * ip
+                string += m * ip
+            acc += len(cls) * string
         # |lam+rho|^2 - |mu+rho|^2 = (lam - mu, lam + mu + 2 rho), lam - mu = depth
         denom = sum(depth[j] * d[j] * (lam[j] + mu[j] + 2) for j in range(c.n))
         if denom <= 0 or (2 * acc) % denom != 0:
@@ -300,8 +358,7 @@ def freudenthal_character(c: CartanMatrix, lam: Weight) -> Character:
     sum |W mu|, TooLarge before any orbit is spread."""
     total = weyl_dim(c, lam)
     mults = _freudenthal(c, lam, {})
-    rd = root_datum(c)
-    points = sum(_orbit_size(rd, tuple(map(bool, mu))) for mu in mults)
+    points = sum(_orbit_size(c, tuple(map(bool, mu))) for mu in mults)
     if points > ROOT_STEP_CAP:
         raise TooLarge(f"the weights of {lam} number {points}, beyond the cap of "
                        f"{ROOT_STEP_CAP}", estimate=points, cap=ROOT_STEP_CAP)
@@ -327,12 +384,13 @@ def _restrict(lam: Weight, orbits: list[list[int]]) -> Weight:
     return tuple([sum([lam[i] for i in orbit]) for orbit in orbits])
 
 
-def _fiber_points(alphas: list[Weight], k: int) -> list[Weight]:
+@lru_cache(maxsize=1024)
+def _fiber_points(alphas: tuple[Weight, ...], k: int) -> tuple[Weight, ...]:
     """sum_j k_j * alphas[j] over every weak composition (k_j) of k into
     len(alphas) parts: the points of one orbit's fiber, as offsets."""
     cols = list(zip(*alphas))
-    return [tuple([sum(map(mul, ks, col)) for col in cols])
-            for ks in _compositions(k, len(alphas))]
+    return tuple([tuple([sum(map(mul, ks, col)) for col in cols])
+                  for ks in _compositions(k, len(alphas))])
 
 
 def _fiber_count(orbits: list[list[int]], depths: Mapping[Weight, Root]) -> int:
@@ -342,13 +400,14 @@ def _fiber_count(orbits: list[list[int]], depths: Mapping[Weight, Root]) -> int:
                for depth in depths.values())
 
 
-def _orbit_size(rd: RootDatum, moved: tuple[bool, ...]) -> int:
+@lru_cache(maxsize=1024)
+def _orbit_size(c: CartanMatrix, moved: tuple[bool, ...]) -> int:
     """|W nu| for a dominant nu with moved = (nu_i != 0)_i: |W| / |W_J|
     with W_J generated by the s_i that fix nu, each the product of
     (ht beta + 1) / ht beta over its positive roots (Kostant/Macdonald),
     so over the roots whose support meets a moved index."""
     num = den = 1
-    for beta in rd.roots:
+    for beta in root_datum(c).roots:
         if any(b and m for b, m in zip(beta, moved)):
             height = sum(beta)
             num *= height + 1
@@ -381,19 +440,14 @@ def _restricted_spread(c: CartanMatrix, lam: Weight, fc: CartanMatrix, orbits: l
                        f"of {FIBER_SUM_CAP}", estimate=count, cap=FIBER_SUM_CAP)
     mults = _freudenthal(c, lam, dom_of)
     rows = root_datum(c).rows
-    folded = root_datum(fc)
-    alphas = [[c.entries[j] for j in orbit] for orbit in orbits]
-    offsets: dict[tuple[int, int], list[Weight]] = {}
-    sizes: dict[tuple[bool, ...], int] = {}  # |W'nu| by where nu is not zero
+    alphas = [tuple(c.entries[j] for j in orbit) for orbit in orbits]
     restricted: Character = {}
     spread = 0
     for nu, depth in depths.items():
         points = [lam]
         for i, k in enumerate(depth):
             if k:
-                step = offsets.get((i, k))
-                if step is None:
-                    step = offsets[i, k] = _fiber_points(alphas[i], k)
+                step = _fiber_points(alphas[i], k)
                 points = [tuple(map(sub, mu, off)) for mu in points for off in step]
         total = 0
         for mu in points:
@@ -403,11 +457,7 @@ def _restricted_spread(c: CartanMatrix, lam: Weight, fc: CartanMatrix, orbits: l
             total += mults.get(dom, 0)
         if total:
             restricted[nu] = total
-            moved = tuple(map(bool, nu))
-            size = sizes.get(moved)
-            if size is None:
-                size = sizes[moved] = _orbit_size(folded, moved)
-            spread += total * size
+            spread += total * _orbit_size(fc, tuple(map(bool, nu)))
     return restricted, spread
 
 

@@ -366,6 +366,195 @@ def test_dominant_character_is_freudenthal_at_dominant_weights(monkeypatch):
     assert memo.lookups == probes - 1
 
 
+def per_root_freudenthal(c, lam):
+    """The former recursion, kept as an oracle: at each dominant mu, one
+    root string per positive root, with no grouping."""
+    from qfold.rep_branch import _dominant
+
+    rd = root_datum(c)
+    d = symmetrizer(c)
+    dominants = dominant_weights_below(c, lam)
+    mults = {}
+    for mu, depth in sorted(dominants.items(), key=lambda kv: (sum(kv[1]), kv[0])):
+        if mu == lam:
+            mults[mu] = 1
+            continue
+        acc = 0
+        for beta_fund, beta_paired, beta_norm in zip(rd.fund, rd.paired, rd.norm):
+            ip = sum(map(mul, mu, beta_paired))
+            nu = mu
+            while True:
+                nu = tuple(x + y for x, y in zip(nu, beta_fund))
+                m = mults.get(_dominant(rd.rows, nu))
+                if m is None:
+                    break
+                ip += beta_norm
+                acc += m * ip
+        denom = sum(depth[j] * d[j] * (lam[j] + mu[j] + 2) for j in range(c.n))
+        assert denom > 0 and (2 * acc) % denom == 0
+        mults[mu] = (2 * acc) // denom
+    return mults
+
+
+GROUPING_TYPES = ([("A", n) for n in range(1, 8)] + [("B", n) for n in range(2, 6)]
+                  + [("C", n) for n in range(2, 6)] + [("D", n) for n in range(4, 7)]
+                  + [("E", 6), ("F", 4), ("G", 2)])
+
+
+def sparse_weights(c, count, seed):
+    """count seeded weights with entries 0-3, most of them 0, where the
+    stabilizers and so the root classes are large."""
+    rng = random.Random(seed)
+    return [tuple(rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(c.n)) for _ in range(count)]
+
+
+def test_grouped_freudenthal_matches_the_per_root_sum():
+    for family, rank in GROUPING_TYPES:
+        c = canonical_cartan(family, rank)
+        weights = sparse_weights(c, 6, f"grouping:{family}{rank}")
+        for lam in weights + [(0,) * rank, (1,) * rank]:
+            if len(dominant_weights_below(c, lam)) > 300:
+                continue  # the per-root oracle's time grows with the weights
+            assert dominant_character(c, lam) == per_root_freudenthal(c, lam), (family, rank, lam)
+
+
+def reflection_orbit(rd, zeros, i):
+    """The indices reached from root i by the s_j, j in zeros, that keep a
+    root positive, each read off the roots themselves."""
+    index = {beta: k for k, beta in enumerate(rd.roots)}
+    seen, stack = {i}, [i]
+    while stack:
+        k = stack.pop()
+        beta, f = rd.roots[k], rd.fund[k]
+        for j in zeros:
+            img = index.get(beta[:j] + (beta[j] - f[j],) + beta[j + 1:])
+            if img is not None and img not in seen:
+                seen.add(img)
+                stack.append(img)
+    return seen
+
+
+def test_root_classes_are_the_stabilizer_orbits():
+    from qfold.rep_branch import _root_classes
+
+    for family, rank in GROUPING_TYPES:
+        c = canonical_cartan(family, rank)
+        rd = root_datum(c)
+        # the reflection table against the roots themselves: s_j alpha_j is
+        # the one negative image
+        for j in range(rank):
+            simple = tuple(int(k == j) for k in range(rank))
+            for i, (beta, f) in enumerate(zip(rd.roots, rd.fund)):
+                img = beta[:j] + (beta[j] - f[j],) + beta[j + 1:]
+                want = rd.roots.index(img) if min(img) >= 0 else -1
+                assert rd.reflect[j][i] == want and (want < 0) == (beta == simple)
+        assert _root_classes(c, ()) == tuple((i,) for i in range(len(rd.roots)))
+        patterns = {tuple(j for j, x in enumerate(lam) if not x)
+                    for lam in sparse_weights(c, 8, f"classes:{family}{rank}")}
+        for zeros in patterns | {tuple(range(rank))}:
+            classes = _root_classes(c, zeros)
+            assert sorted(i for cls in classes for i in cls) == list(range(len(rd.roots)))
+            assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes)
+            for cls in classes:
+                assert list(cls) == sorted(cls)
+                assert reflection_orbit(rd, zeros, cls[0]) == set(cls), (family, rank, zeros)
+                # the string walked: the highest root, no s_j of the class raises it
+                assert all(rd.fund[cls[-1]][j] >= 0 for j in zeros)
+                for i in cls:
+                    for j in zeros:
+                        assert rd.reflect[j][i] < 0 or rd.reflect[j][i] in cls
+
+
+def test_string_sum_is_constant_on_each_root_class():
+    from qfold.rep_branch import _root_classes
+
+    for c, lam in ((canonical_cartan("A", 5), (2, 0, 0, 0, 2)),
+                   (canonical_cartan("B", 4), (0, 0, 0, 3)),
+                   (canonical_cartan("D", 5), (1, 0, 0, 2, 0)),
+                   (canonical_cartan("F", 4), (0, 0, 1, 1)),
+                   (canonical_cartan("E", 6), (1, 0, 0, 0, 0, 1))):
+        rd = root_datum(c)
+        mults = dominant_character(c, lam)
+        grouped = 0
+        for mu in mults:
+            zeros = tuple(j for j, x in enumerate(mu) if not x)
+            for cls in _root_classes(c, zeros):
+                sums = set()
+                for i in cls:
+                    total, k = 0, 1
+                    while True:
+                        nu = tuple(x + k * y for x, y in zip(mu, rd.fund[i]))
+                        m = mults.get(dominant_representative(c, nu))
+                        if m is None:
+                            break
+                        total += m * sum(map(mul, nu, rd.paired[i]))
+                        k += 1
+                    sums.add(total)
+                assert len(sums) == 1, (c.labels, lam, mu, cls)
+                grouped += len(cls) - 1
+        assert grouped > 0
+
+
+def corpus_split_and_folded():
+    """Every corpus entry's split Cartan matrix and the folded matrix of its
+    induced automorphism, each once, finite type or not."""
+    from qfold.corpus import corpus
+    from qfold.split_quotient import split_quiver
+
+    found = []
+    for entry in corpus():
+        if not entry.admissible:
+            continue
+        sd = split_quiver(entry.quiver, entry.auto)
+        split_c = cartan_from_quiver(sd.split)
+        for c in (split_c, fold_cartan(split_c, sd.induced).folded):
+            if c not in found:
+                found.append(c)
+    return found
+
+
+def test_per_matrix_caches_match_their_uncached_functions():
+    # each cached helper against the function it wraps, on every corpus
+    # split and folded matrix; each result is immutable, so no caller can
+    # change what the next one reads
+    from qfold import rep_branch
+    from qfold.corpus import corpus
+    from qfold.split_quotient import split_quiver
+
+    matrices = corpus_split_and_folded()
+    assert any(not is_finite_type(c) for c in matrices)
+    for c in matrices:
+        label = classify_cartan(c)
+        assert label == classify_cartan.__wrapped__(c) and classify_cartan(c) is label
+        with pytest.raises(AttributeError):
+            label.family = "other"
+        if not is_finite_type(c):
+            continue
+        for pattern in itertools.product((False, True), repeat=c.n):
+            size = rep_branch._orbit_size(c, pattern)
+            assert isinstance(size, int) and size == rep_branch._orbit_size.__wrapped__(c, pattern)
+            zeros = tuple(j for j, moved in enumerate(pattern) if not moved)
+            classes = rep_branch._root_classes(c, zeros)
+            assert classes == rep_branch._root_classes.__wrapped__(c, zeros)
+            assert isinstance(classes, tuple) and all(isinstance(cls, tuple) for cls in classes)
+    cases = 0
+    for entry in corpus():
+        if not entry.admissible:
+            continue
+        sd = split_quiver(entry.quiver, entry.auto)
+        c = cartan_from_quiver(sd.split)
+        if not is_finite_type(c):
+            continue
+        for orbit in rep_branch._orbit_indices(fold_cartan(c, sd.induced)):
+            alphas = tuple(c.entries[j] for j in orbit)
+            for k in range(5):
+                points = rep_branch._fiber_points(alphas, k)
+                assert points == rep_branch._fiber_points.__wrapped__(alphas, k)
+                assert isinstance(points, tuple) and all(isinstance(p, tuple) for p in points)
+                cases += 1
+    assert cases >= 100
+
+
 def full_stripping_branch(c, lam, fold):
     """The former branching, kept as an oracle: the whole restricted
     character, heights of the folded fundamental weights from the inverse
@@ -834,10 +1023,9 @@ def test_folded_orbit_size_matches_the_orbit_walk():
     assert kinds >= {"C2", "C3", "C4", "C5", "B2", "B3", "B4", "B5", "G2"}
     cases = 0
     for c in folded + [canonical_cartan("F", 4)]:
-        rd = root_datum(c)
         for nu in weights_up_to(c, 3000):
             moved = tuple(x != 0 for x in nu)
-            assert rep_branch._orbit_size(rd, moved) == len(weyl_orbit(c, nu)), (c.labels, nu)
+            assert rep_branch._orbit_size(c, moved) == len(weyl_orbit(c, nu)), (c.labels, nu)
             cases += 1
     assert cases >= 1200
 
