@@ -19,6 +19,7 @@ the relation has a zero factor.
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import InputError, NotInvertible, PropertyViolation
@@ -74,20 +75,20 @@ def random_finite_order_matrix(rng: random.Random, n: int, e: int) -> Mat:
     blocks: list[Mat] = []
     remaining = n
     while remaining > 0:
-        options = [d for d in divisors if _phi_deg(d) <= remaining]
-        d = rng.choice(options)
-        blocks.append(_companion(list(cyclotomic_poly(d))))
-        remaining -= _phi_deg(d)
+        options = [d for d in divisors if _cyclotomic_block(d).rows <= remaining]
+        block = _cyclotomic_block(rng.choice(options))
+        blocks.append(block)
+        remaining -= block.rows
     core = Mat.block_diag(blocks)
     t, t_inv = rand_invertible(rng, n)
     return t * core * t_inv
 
 
-def _phi_deg(d: int) -> int:
-    return len(cyclotomic_poly(d)) - 1
-
-
-def _companion(coeffs) -> Mat:
+@lru_cache(maxsize=64)
+def _cyclotomic_block(d: int) -> Mat:
+    """The companion matrix of the d-th cyclotomic polynomial, built once
+    per d and shared by every draw (a Mat is immutable)."""
+    coeffs = cyclotomic_poly(d)
     n = len(coeffs) - 1
     rows = [[0] * n for _ in range(n)]
     for r in range(1, n):
@@ -110,10 +111,9 @@ def random_one_way_module(rng: random.Random, q: Quiver, v: Mapping[str, int],
                           signed: bool = True) -> FramedModule:
     """Relation-exact random module: one random direction per edge carries
     a random matrix, J is arbitrary, I = 0."""
-    arrows = {info.key: info for info in q.doubled}
     B: dict[str, Mat] = {}
     for e in q.edges:
-        h = arrows[e.id if rng.random() < 0.5 else reverse_key(e.id)]
+        h = q.arrows[e.id if rng.random() < 0.5 else reverse_key(e.id)]
         B[h.key] = rand_mat(rng, v.get(h.tgt, 0), v.get(h.src, 0), p=p)
     J = {x: rand_mat(rng, w.get(x, 0), v.get(x, 0), p=p) for x in q.vertices}
     m = framed_module(q, v, w, B=B, J=J, signed=signed)
@@ -122,11 +122,11 @@ def random_one_way_module(rng: random.Random, q: Quiver, v: Mapping[str, int],
     return m
 
 
-def random_sigma(rng: random.Random, q: Quiver, a: DiagramAutomorphism, od: OrbitData,
+def random_sigma(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
                  wdims: Mapping[str, int]) -> SigmaData:
     """A valid framing twist: free along each orbit, with the last map
-    chosen so the composite is a random matrix of exact order dividing e.
-    od is `orbit_data(q, a)`."""
+    chosen so the composite is a random matrix of exact order dividing e."""
+    od = orbit_data(q, a)
     maps: dict[str, Mat] = {}
     for orbit in od.vertex_orbits:
         n = wdims.get(orbit[0], 0)
@@ -153,9 +153,9 @@ def random_theta_module(rng: random.Random, q: Quiver, a: DiagramAutomorphism
     od = orbit_data(q, a)
     v = random_orbit_constant_dims(rng, od)
     w = random_orbit_constant_dims(rng, od)
-    signed = arrow_transport(q, a, od).sign is not None
+    signed = arrow_transport(q, a).sign is not None
     m = random_one_way_module(rng, q, v, w, signed=signed)
-    return m, random_sigma(rng, q, a, od, w)
+    return m, random_sigma(rng, q, a, w)
 
 
 # ---------------------------------------------------------------------------
@@ -184,21 +184,20 @@ def random_graded_pair(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
     are not verified here: their consumer verifies them (`theorem5_verify`,
     `module transition`).
     """
-    od = orbit_data(q, a)
-    if any(len(o) > 2 for o in od.vertex_orbits):
+    if any(len(o) > 2 for o in orbit_data(q, a).vertex_orbits):
         raise InputError("graded pair generation handles involutions only")
-    transport = arrow_transport(q, a, od)
-    if transport.sign is None:
+    if arrow_transport(q, a).sign is None:
         raise InputError("graded pair generation needs an invariant orientation")
 
     for _ in range(60):
-        result = _try_graded_pair(rng, q, a, od, transport, max_sub, max_extra)
+        result = _try_graded_pair(rng, q, a, max_sub, max_extra)
         if result is not None:
             return result
     raise InputError("failed to generate a stable graded pair")
 
 
-def _try_graded_pair(rng, q, a, od, transport, max_sub, max_extra):
+def _try_graded_pair(rng, q, a, max_sub, max_extra):
+    od, transport = orbit_data(q, a), arrow_transport(q, a)
     fixed = {x for x in q.vertices if a.vertex_perm[x] == x}
 
     # per-vertex layout: coordinates [sub+, sub-, ext+, ext-] at fixed
@@ -241,12 +240,11 @@ def _try_graded_pair(rng, q, a, od, transport, max_sub, max_extra):
 
     # arrow matrices: triangular w.r.t. the sub coordinates; grading
     # equivariant on automorphism-fixed arrows; transported otherwise
-    arrows = {info.key: info for info in q.doubled}
     B: dict[str, Mat] = {}
     for eorb in od.edge_orbits:
-        h = arrows[eorb[0] if rng.random() < 0.5 else reverse_key(eorb[0])]
+        h = q.arrows[eorb[0] if rng.random() < 0.5 else reverse_key(eorb[0])]
         x = _random_triangular(rng, v[h.tgt], v[h.src], sub_dim[h.tgt], sub_dim[h.src])
-        img = arrows[transport.image[h.key]]
+        img = q.arrows[transport.image[h.key]]
         if img == h:
             x = _mask_equivariant(x, v_signs[h.tgt], v_signs[h.src])
         elif len(eorb) == 2:

@@ -74,18 +74,17 @@ class FramedModule:
         return _entry_zero(self.B, self.I, self.J) + 1
 
     def __post_init__(self):
-        arrows = self.quiver.doubled
-        keys = {info.key for info in arrows}
+        q = self.quiver
         for name, block in (("v", self.v), ("w", self.w), ("B", self.B),
                             ("I", self.I), ("J", self.J)):
             for key in block:
-                if key not in (keys if name == "B" else self.quiver.vertices):
+                if key not in (q.arrows if name == "B" else q.vertex_set):
                     kind = "doubled arrow" if name == "B" else "vertex"
                     raise ShapeMismatch(f"{name} names {key!r}, which is no {kind} of the quiver")
-        for vertex in self.quiver.vertices:
+        for vertex in q.vertices:
             if self.v.get(vertex, 0) < 0 or self.w.get(vertex, 0) < 0:
                 raise ShapeMismatch(f"negative dimension at {vertex}")
-        for info in arrows:
+        for info in q.doubled:
             m = self.B.get(info.key)
             if m is None:
                 raise ShapeMismatch(f"missing arrow matrix {info.key}")
@@ -94,7 +93,7 @@ class FramedModule:
                     f"B[{info.key}] is {m.rows}x{m.cols}, expected "
                     f"{self.v.get(info.tgt, 0)}x{self.v.get(info.src, 0)}"
                 )
-        for vertex in self.quiver.vertices:
+        for vertex in q.vertices:
             iv, wv = self.v.get(vertex, 0), self.w.get(vertex, 0)
             im, jm = self.I.get(vertex), self.J.get(vertex)
             if im is None or jm is None:
@@ -143,12 +142,9 @@ class RelationReport:
 def check_relations(m: FramedModule) -> RelationReport:
     """Evaluate the preprojective relation at every vertex; reports the
     first violating vertex."""
-    leaving = {}
-    for info in m.quiver.doubled:
-        leaving.setdefault(info.src, []).append(info)
-    for vertex in m.quiver.vertices:
+    for vertex, leaving in m.quiver.leaving.items():
         acc = m.I[vertex] * m.J[vertex]
-        for info in leaving.get(vertex, ()):
+        for info in leaving:
             term = m.B[reverse_key(info.key)] * m.B[info.key]
             if m.signed and info.eps == -1:
                 acc = acc - term
@@ -170,7 +166,6 @@ def _path_rows(m: FramedModule) -> dict[str, Mat]:
         red, pivots = mat.rref()
         return red.submatrix(range(len(pivots)), range(mat.cols))
 
-    arrows = m.quiver.doubled
     rows = {x: reduced(m.J[x]) for x in m.quiver.vertices}
     grown = True
     while grown:
@@ -179,9 +174,8 @@ def _path_rows(m: FramedModule) -> dict[str, Mat]:
             if rows[x].rows == m.v.get(x, 0):
                 continue
             stacked = rows[x]
-            for info in arrows:
-                if info.src == x:
-                    stacked = stacked.vstack(rows[info.tgt] * m.B[info.key])
+            for info in m.quiver.leaving[x]:
+                stacked = stacked.vstack(rows[info.tgt] * m.B[info.key])
             new = reduced(stacked)
             if new.rows > rows[x].rows:
                 rows[x] = new

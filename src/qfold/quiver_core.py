@@ -7,27 +7,35 @@ underlying diagram is what matters, and automorphisms are allowed to
 reverse edges.
 
 A diagram automorphism is its vertex and edge permutations and nothing
-more: `check_automorphism` refuses a vertex or edge map that is not a
-permutation, and every derived value (orbits, their sizes d and cofactors e, and the
-order n, the lcm of the orbit sizes) comes from `orbit_data`.
-`require_admissible` hands back the orbit data it checked.
+more, frozen when it is built and hashable by value: `check_automorphism`
+refuses a vertex or edge map that is not a permutation, and every derived
+value (orbits, their sizes d and cofactors e, and the order n, the lcm of
+the orbit sizes) comes from `orbit_data`.  `require_admissible` hands back
+the orbit data it checked.
 
 The doubled quiver has two arrows per edge e, keyed "e" along it (eps =
 +1) and "e*" against it (eps = -1); a `Quiver` lists them once, in
-`doubled`, when it is built.  An automorphism a sends the arrow
-(e, eps) to (a(e), -eps) if it reverses e, else to (a(e), eps).  The
-signed transport multiplies each arrow h by c(h) c(a(h)), with c = -1
-exactly on forward arrows against an a-invariant orientation (the one
-agreeing with each edge orbit's first edge); the signs telescope around
-every orbit.  Without an invariant orientation only unsigned modules
-transport.  The orientation and the transport read the orbit data their
-caller already holds.
+`doubled`, when it is built, with the same arrows by key and by source
+vertex.  An automorphism a sends the arrow (e, eps) to (a(e), -eps) if it
+reverses e, else to (a(e), eps).  The signed transport multiplies each
+arrow h by c(h) c(a(h)), with c = -1 exactly on forward arrows against an
+a-invariant orientation (the one agreeing with each edge orbit's first
+edge); the signs telescope around every orbit.  Without an invariant
+orientation only unsigned modules transport.
+
+`orbit_data` and `arrow_transport` depend on the (quiver, automorphism)
+pair alone, so each is computed once per pair value, in a bounded cache,
+and callers share what it returns: read-only mappings.  The automorphism
+check runs once per distinct pair; an invalid pair raises on every call,
+since a raised call is not cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -50,16 +58,20 @@ class Edge(NamedTuple):
 class Quiver:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-    # the doubled quiver's arrows, derived once from the edges
+    # derived once from the edges: the doubled quiver's arrows, in order, by
+    # key and by source vertex (every vertex, in order), and the vertex set
     doubled: tuple["ArrowInfo", ...] = field(init=False, repr=False, compare=False)
+    arrows: Mapping[str, "ArrowInfo"] = field(init=False, repr=False, compare=False)
+    leaving: Mapping[str, tuple["ArrowInfo", ...]] = field(init=False, repr=False, compare=False)
+    vertex_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.vertices)) != len(self.vertices):
+        vs = frozenset(self.vertices)
+        if len(vs) != len(self.vertices):
             raise InputError("duplicate vertex ids")
         ids = [e.id for e in self.edges]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate edge ids")
-        vs = set(self.vertices)
         for e in self.edges:
             if e.src not in vs or e.tgt not in vs:
                 raise InputError(f"edge {e.id} uses unknown vertex")
@@ -67,7 +79,14 @@ class Quiver:
         for e in self.edges:
             doubled.append(ArrowInfo(_doubled_key(e.id, 1), e.id, e.src, e.tgt, 1))
             doubled.append(ArrowInfo(_doubled_key(e.id, -1), e.id, e.tgt, e.src, -1))
+        leaving: dict[str, list[ArrowInfo]] = {v: [] for v in self.vertices}
+        for h in doubled:
+            leaving[h.src].append(h)
         object.__setattr__(self, "doubled", tuple(doubled))
+        object.__setattr__(self, "arrows", MappingProxyType({h.key: h for h in doubled}))
+        object.__setattr__(self, "leaving", MappingProxyType(
+            {v: tuple(hs) for v, hs in leaving.items()}))
+        object.__setattr__(self, "vertex_set", vs)
 
     def edge(self, edge_id: str) -> Edge:
         for e in self.edges:
@@ -89,8 +108,21 @@ def quiver(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Qu
 
 @dataclass(frozen=True)
 class DiagramAutomorphism:
+    """A vertex map and an edge map, kept as read-only views of private
+    copies, so that the value is fixed and can key the pair caches."""
+
     vertex_perm: Mapping[str, str]
     edge_perm: Mapping[str, str]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        vperm, eperm = dict(self.vertex_perm), dict(self.edge_perm)
+        object.__setattr__(self, "vertex_perm", MappingProxyType(vperm))
+        object.__setattr__(self, "edge_perm", MappingProxyType(eperm))
+        object.__setattr__(self, "_hash", hash((frozenset(vperm.items()), frozenset(eperm.items()))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def check_automorphism(q: Quiver, a: DiagramAutomorphism) -> None:
@@ -132,7 +164,7 @@ def automorphism(q: Quiver, vperm: Mapping[str, str],
     """Build and validate a diagram automorphism; derives the edge map if omitted."""
     if eperm is None:
         eperm = derive_edge_perm(q, vperm)
-    a = DiagramAutomorphism(dict(vperm), dict(eperm))
+    a = DiagramAutomorphism(vperm, eperm)
     check_automorphism(q, a)
     return a
 
@@ -190,18 +222,21 @@ def _orbits(items: tuple[str, ...], perm: Mapping[str, str]) -> list[tuple[str, 
     return orbits
 
 
+@lru_cache(maxsize=256)
 def orbit_data(q: Quiver, a: DiagramAutomorphism) -> OrbitData:
-    """Orbit partition, orbit sizes d, their lcm n, and the cofactors e = n/d."""
+    """Orbit partition, orbit sizes d, their lcm n, and the cofactors e = n/d;
+    checked and built once per pair value."""
     check_automorphism(q, a)
     vorbs = _orbits(q.vertices, a.vertex_perm)
     eorbs = _orbits(tuple(e.id for e in q.edges), a.edge_perm)
-    d_vertex = {v: len(o) for o in vorbs for v in o}
-    d_edge = {e: len(o) for o in eorbs for e in o}
+    frozen = MappingProxyType
+    d_vertex = frozen({v: len(o) for o in vorbs for v in o})
+    d_edge = frozen({e: len(o) for o in eorbs for e in o})
     n = lcm(*map(len, vorbs), *map(len, eorbs))
-    e_vertex = {v: n // d for v, d in d_vertex.items()}
-    e_edge = {e: n // d for e, d in d_edge.items()}
-    orbit_of_vertex = {v: i for i, o in enumerate(vorbs) for v in o}
-    orbit_of_edge = {e: i for i, o in enumerate(eorbs) for e in o}
+    e_vertex = frozen({v: n // d for v, d in d_vertex.items()})
+    e_edge = frozen({e: n // d for e, d in d_edge.items()})
+    orbit_of_vertex = frozen({v: i for i, o in enumerate(vorbs) for v in o})
+    orbit_of_edge = frozen({e: i for i, o in enumerate(eorbs) for e in o})
     return OrbitData(tuple(vorbs), tuple(eorbs), d_vertex, d_edge, n,
                      e_vertex, e_edge, orbit_of_vertex, orbit_of_edge)
 
@@ -305,14 +340,12 @@ def _direction_sign(q: Quiver, a: DiagramAutomorphism, e: Edge) -> int:
     return 1 if q.edge(a.edge_perm[e.id]).src == a.vertex_perm[e.src] else -1
 
 
-def invariant_orientation(q: Quiver, a: DiagramAutomorphism,
-                          od: OrbitData) -> Optional[dict[str, int]]:
+def invariant_orientation(q: Quiver, a: DiagramAutomorphism) -> Optional[dict[str, int]]:
     """Per-edge sign comparing the input orientation with an automorphism
     invariant one (+1 agree, -1 differ), or None when no invariant
-    orientation exists (an edge orbit with odd reversal holonomy); od is
-    `orbit_data(q, a)`."""
+    orientation exists (an edge orbit with odd reversal holonomy)."""
     orient: dict[str, int] = {}
-    for orbit in od.edge_orbits:
+    for orbit in orbit_data(q, a).edge_orbits:
         rep = edge = orbit[0]
         orient[rep] = sign = 1
         while True:
@@ -334,20 +367,22 @@ class ArrowTransport(NamedTuple):
     sign: Optional[Mapping[str, int]]
 
 
-def arrow_transport(q: Quiver, a: DiagramAutomorphism, od: OrbitData) -> ArrowTransport:
-    """The transport of the doubled arrows under a; od is `orbit_data(q, a)`."""
-    orient = invariant_orientation(q, a, od)
+@lru_cache(maxsize=256)
+def arrow_transport(q: Quiver, a: DiagramAutomorphism) -> ArrowTransport:
+    """The transport of the doubled arrows under a, built once per pair value."""
+    orient = invariant_orientation(q, a)
     image = {}
     for e in q.edges:
         turn = _direction_sign(q, a, e)
         for eps in (1, -1):
             image[_doubled_key(e.id, eps)] = _doubled_key(a.edge_perm[e.id], eps * turn)
     if orient is None:
-        return ArrowTransport(image, None)
+        return ArrowTransport(MappingProxyType(image), None)
 
     def c(key: str) -> int:
         return 1 if key.endswith("*") else orient[key]
-    return ArrowTransport(image, {key: c(key) * c(im) for key, im in image.items()})
+    return ArrowTransport(MappingProxyType(image),
+                          MappingProxyType({key: c(key) * c(im) for key, im in image.items()}))
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from .errors import (
     NotDiagonalizableOverCyclotomicEigenvalues,
     NotOrbitConstant,
     PropertyViolation,
+    ShapeMismatch,
     SigmaConstraintViolated,
     TooLarge,
     UnknownVertex,
@@ -200,11 +201,11 @@ def split_involution_check(q: Quiver, a: DiagramAutomorphism) -> InvolutionWitne
 
 def validate_dimvec(v: DimVec, q: Quiver) -> None:
     for key in v:
-        if key not in q.vertices:
+        if key not in q.vertex_set:
             raise UnknownVertex(f"dimension vector mentions unknown vertex {key}")
     for key, val in v.items():
         if val < 0:
-            raise UnknownVertex(f"negative dimension at {key}")
+            raise ShapeMismatch(f"negative dimension at {key}")
 
 
 def project_dim(vprime: DimVec, sd: SplitData) -> dict[str, int]:
@@ -325,7 +326,7 @@ class SigmaData:
 
     def validate(self) -> None:
         a, q = self.auto, self.quiver
-        stray = next((key for key in self.maps if key not in q.vertices), None)
+        stray = next((key for key in self.maps if key not in q.vertex_set), None)
         if stray is not None:
             raise SigmaConstraintViolated(f"sigma names {stray!r}, which is no vertex of the quiver")
         missing = [vertex for vertex in q.vertices if vertex not in self.maps]
@@ -372,7 +373,7 @@ class SigmaData:
         object.__setattr__(self, "composites", composites)
         object.__setattr__(self, "inverses", inverses)
         object.__setattr__(self, "orbits", od)
-        object.__setattr__(self, "transport", arrow_transport(q, a, od))
+        object.__setattr__(self, "transport", arrow_transport(q, a))
 
 
 def _product(*factors: Optional[Mat], like: Mat) -> Mat:

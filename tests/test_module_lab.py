@@ -93,10 +93,10 @@ def theta_module(rng, q, a, max_dim=2, p=None):
     od = orbit_data(q, a)
     v = orbit_constant_dims(rng, od, 0, max_dim)
     w = orbit_constant_dims(rng, od, 0, max_dim)
-    signed = arrow_transport(q, a, od).sign is not None
+    signed = arrow_transport(q, a).sign is not None
     m = random_one_way_module(rng, q, v, w, p=p, signed=signed)
     if p is None:
-        return m, random_sigma(rng, q, a, od, w)
+        return m, random_sigma(rng, q, a, w)
     return m, SigmaData(q, a, {x: Mat.identity(w[x], Fp(1, p)) for x in q.vertices})
 
 
@@ -266,7 +266,7 @@ def test_sigma_constraint_checked():
 def test_no_invariant_orientation_for_reversed_edge():
     a4 = a_quiver(4)
     flip4 = flip_automorphism(a4, 4)
-    assert invariant_orientation(a4, flip4, orbit_data(a4, flip4)) is None
+    assert invariant_orientation(a4, flip4) is None
     v = {x: 1 for x in a4.vertices}
     w = dict(v)
     m = framed_module(a4, v, w)
@@ -362,7 +362,7 @@ def test_arrow_transport_matches_the_arrow_oracle():
         orient = oracle_orientation(q, a)
         images, signs = oracle_transport(q, a, orient)
         od = orbit_data(q, a)
-        transport = arrow_transport(q, a, od)
+        transport = arrow_transport(q, a)
         assert transport.image == images and transport.sign == signs, entry.name
         if orient is None:
             without_orientation.append(entry.name)
@@ -370,7 +370,7 @@ def test_arrow_transport_matches_the_arrow_oracle():
             v = orbit_constant_dims(rng, od, 1, 2)
             w = random_orbit_constant_dims(rng, od)
             if p is None:
-                sigma = random_sigma(rng, q, a, od, w)
+                sigma = random_sigma(rng, q, a, w)
             else:
                 sigma = SigmaData(q, a, {x: Mat.identity(w[x], Fp(1, p)) for x in q.vertices})
             B = {info.key: rand_mat(rng, v[info.tgt], v[info.src], p=p)

@@ -11,10 +11,13 @@ from qfold.errors import (
     IncompatibleWithIncidence,
     NotAPermutation,
 )
+from qfold.corpus import corpus
 from qfold.quiver_core import (
+    DiagramAutomorphism,
     a_quiver,
     affine_a_quiver,
     affine_d_quiver,
+    arrow_transport,
     automorphism,
     check_automorphism,
     d_quiver,
@@ -29,6 +32,7 @@ from qfold.quiver_core import (
     quiver_to_dict,
     reverse_key,
 )
+from qfold.split_quotient import split_quiver
 
 
 def test_doubling_counts():
@@ -45,12 +49,20 @@ def test_doubling_counts():
         assert (rev.src, rev.tgt) == (info.tgt, info.src)
 
 
+def test_quiver_indices_follow_the_doubled_arrows():
+    for q in (a_quiver(1), d_quiver(4), affine_a_quiver(1), quiver(["x"], [("e", "x", "x")])):
+        assert list(q.arrows.values()) == list(q.doubled)
+        assert list(q.leaving) == list(q.vertices)
+        assert [h for x in q.vertices for h in q.leaving[x]] == sorted(
+            q.doubled, key=lambda h: q.vertices.index(h.src))
+        assert all(h.src == x for x, hs in q.leaving.items() for h in hs)
+        assert q.vertex_set == set(q.vertices)
+
+
 def test_check_automorphism_flip_and_failures():
     a3 = a_quiver(3)
     flip = flip_automorphism(a3, 3)
     check_automorphism(a3, flip)  # no raise
-
-    from qfold.quiver_core import DiagramAutomorphism
 
     with pytest.raises(IncompatibleWithIncidence):
         check_automorphism(a3, DiagramAutomorphism(
@@ -436,3 +448,77 @@ def test_long_chains_and_cycles_stay_under_the_index_budget(label):
     else:
         c = canonical_cartan(label[0], 30)
     assert str(classify_cartan(c)) == label
+
+
+# ---------------------------------------------------------------------------
+# the per-pair caches of orbit_data and arrow_transport
+# ---------------------------------------------------------------------------
+
+def test_pair_caches_match_the_uncached_computation():
+    """The uncached functions stay as the oracle: on every corpus entry, and
+    on its split quiver with the induced automorphism where it has one, the
+    cached orbit data and arrow transport equal a fresh computation."""
+    split = 0
+    for entry in corpus():
+        pairs = [(entry.quiver, entry.auto)]
+        if is_admissible(entry.quiver, entry.auto):
+            sd = split_quiver(entry.quiver, entry.auto)
+            pairs.append((sd.split, sd.induced))
+            split += 1
+        for q, a in pairs:
+            assert orbit_data(q, a) == orbit_data.__wrapped__(q, a), entry.name
+            assert arrow_transport(q, a) == arrow_transport.__wrapped__(q, a), entry.name
+    assert split >= 10
+
+
+def test_value_equal_pairs_share_one_cached_entry():
+    q1, q2 = d_quiver(4), d_quiver(4)
+    a1, a2 = fork_swap_automorphism(q1, 4), fork_swap_automorphism(q2, 4)
+    assert q1 is not q2 and a1 is not a2
+    assert orbit_data(q1, a1) is orbit_data(q2, a2)
+    assert arrow_transport(q1, a1) is arrow_transport(q2, a2)
+    # equal by value whatever the order the maps were written in
+    a3 = a_quiver(3)
+    forward = DiagramAutomorphism({"1": "3", "2": "2", "3": "1"}, {"e1": "e2", "e2": "e1"})
+    backward = DiagramAutomorphism({"3": "1", "2": "2", "1": "3"}, {"e2": "e1", "e1": "e2"})
+    assert forward == backward and hash(forward) == hash(backward)
+    assert forward == flip_automorphism(a3, 3) and hash(forward) == hash(flip_automorphism(a3, 3))
+    assert forward != identity_automorphism(a3)
+
+
+def test_an_invalid_pair_raises_on_every_call():
+    a3 = a_quiver(3)
+    for bad, error in [
+        (DiagramAutomorphism({"1": "1", "2": "1", "3": "3"}, {"e1": "e1", "e2": "e2"}),
+         NotAPermutation),
+        (DiagramAutomorphism({"1": "3", "2": "2", "3": "1"}, {"e1": "e1", "e2": "e2"}),
+         IncompatibleWithIncidence),
+    ]:
+        for cached in (orbit_data, arrow_transport):
+            for _ in range(2):
+                with pytest.raises(error):
+                    cached(a3, bad)
+
+
+def test_shared_values_are_read_only():
+    a3 = a_quiver(3)
+    vperm = {"1": "3", "2": "2", "3": "1"}
+    flip = automorphism(a3, vperm)
+    vperm["2"] = "3"  # the automorphism keeps its own copy
+    assert flip.vertex_perm["2"] == "2"
+    with pytest.raises(TypeError):
+        flip.vertex_perm["2"] = "3"
+    with pytest.raises(TypeError):
+        flip.edge_perm["e1"] = "e1"
+    od = orbit_data(a3, flip)
+    for mapping in (od.d_vertex, od.d_edge, od.e_vertex, od.e_edge,
+                    od.orbit_of_vertex, od.orbit_of_edge):
+        with pytest.raises(TypeError):
+            mapping["2"] = 0
+    transport = arrow_transport(a3, flip)
+    for mapping in (transport.image, transport.sign):
+        with pytest.raises(TypeError):
+            mapping["e1"] = "e1"
+    for mapping in (a3.arrows, a3.leaving):
+        with pytest.raises(TypeError):
+            mapping["1"] = ()

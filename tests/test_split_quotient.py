@@ -8,7 +8,9 @@ from qfold.errors import (
     IsoNotFound,
     NotAdmissible,
     NotOrbitConstant,
+    ShapeMismatch,
     SigmaConstraintViolated,
+    UnknownVertex,
 )
 from qfold.lie_fold import cartan_from_quiver, classify_cartan
 from qfold.linalg import Mat
@@ -149,6 +151,17 @@ def test_project_dim_examples():
     assert project_dim(ones, sd) == {"1": 2, "2": 2, "3": 1, "4": 1}
     fork_only = {"3@1/1": 3}
     assert project_dim(fork_only, sd) == {"1": 0, "2": 0, "3": 3, "4": 3}
+
+
+def test_project_dim_refuses_negative_and_unknown_entries():
+    # a negative dimension is a shape fault, as in a module; a key that
+    # names no split vertex (a source vertex, say) is an unknown vertex
+    d4 = d_quiver(4)
+    sd = split_quiver(d4, fork_swap_automorphism(d4, 4))
+    with pytest.raises(ShapeMismatch, match="negative dimension at 3@1/1"):
+        project_dim({"3@1/1": -1}, sd)
+    with pytest.raises(UnknownVertex, match="unknown vertex 3"):
+        project_dim({"3": 1}, sd)
 
 
 def test_fibers_d4_and_roundtrip():
@@ -347,7 +360,7 @@ def test_sigma_inverses_read_off_the_composite_equal_eliminated_inverses():
             dims = {}
             for orbit in od.vertex_orbits:  # one framing dimension in 0..3 per orbit
                 dims.update(dict.fromkeys(orbit, rng.randint(0, 3)))
-            sigma = random_sigma(rng, entry.quiver, entry.auto, od, dims)
+            sigma = random_sigma(rng, entry.quiver, entry.auto, dims)
             for x in entry.quiver.vertices:
                 assert sigma.inverses[x] == sigma.maps[x].inverse(), (entry.name, x)
         names.add(entry.name)
