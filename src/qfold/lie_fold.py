@@ -5,6 +5,12 @@ bracket [H_i, E_j] scales E_j by c[j][i] and the Serre relation for the
 pair (i, j) reads ad(E_i)^(1 - c[j][i])(E_j) = 0.  Folding sums each row
 over the column orbit at a fixed row representative; with this convention
 the flip of A_3 yields [[2,-1],[-2,2]], which is the Bourbaki C_2 matrix.
+
+A type is read off the diagram in one pass, component by component, with
+no search and no elimination: a finite or affine Dynkin diagram is fixed by
+its bonds, vertex degrees and arrow directions (Kac, Infinite-dimensional
+Lie algebras, 4.8).  `classify_cartan` names a connected diagram, and a
+matrix is of finite type when every component is.
 """
 
 from __future__ import annotations
@@ -25,18 +31,7 @@ from .errors import (
     UnsupportedFamily,
 )
 from .linalg import Mat
-from .quiver_core import (
-    DiagramAutomorphism,
-    Quiver,
-    _orbits,
-    a_quiver,
-    affine_a_quiver,
-    affine_d_quiver,
-    d_quiver,
-    index_isomorphisms,
-)
-
-FINITE_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+from .quiver_core import DiagramAutomorphism, Quiver, _orbits, a_quiver, d_quiver
 
 
 @dataclass(frozen=True)
@@ -69,9 +64,6 @@ class CartanMatrix:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def as_mat(self) -> Mat:
-        return Mat.rational(self.entries)
-
 
 def cartan_matrix(entries: Sequence[Sequence[int]],
                   labels: Optional[Sequence[str]] = None) -> CartanMatrix:
@@ -95,32 +87,45 @@ def cartan_from_quiver(q: Quiver) -> CartanMatrix:
 
 
 # ---------------------------------------------------------------------------
-# symmetrizer and definiteness
+# the diagram: components, symmetrizer and type labels
 # ---------------------------------------------------------------------------
+
+def _reach(links: list[list[int]], start: int) -> dict[int, int]:
+    """The indices linked to start, in the order reached, with their distances."""
+    order, depth = [start], {start: 0}
+    for i in order:
+        for j in links[i]:
+            if j not in depth:
+                depth[j] = depth[i] + 1
+                order.append(j)
+    return depth
+
+
+def _components(c: CartanMatrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Each index's neighbours in the diagram, and the connected components,
+    each reached from its least index."""
+    links = [[j for j, x in enumerate(row) if x and j != i] for i, row in enumerate(c.entries)]
+    comps: list[list[int]] = []
+    for start in range(c.n):
+        if all(start not in comp for comp in comps):
+            comps.append(list(_reach(links, start)))
+    return links, comps
+
 
 @lru_cache(maxsize=256)
 def symmetrizer(c: CartanMatrix) -> tuple[int, ...]:
     """Positive integers d with c[i][j]*d[j] == c[j][i]*d[i], minimal per
     connected component."""
-    n = c.n
-    d: list[Optional[Fraction]] = [None] * n
-    for start in range(n):
-        if d[start] is not None:
-            continue
-        d[start] = Fraction(1)
-        stack = [start]
-        comp = [start]
-        while stack:
-            i = stack.pop()
-            for j in range(n):
-                if i == j or c[i, j] == 0:
-                    continue
+    links, comps = _components(c)
+    d: list[Optional[Fraction]] = [None] * c.n
+    for comp in comps:
+        d[comp[0]] = Fraction(1)
+        for i in comp:  # each index is reached from one already set
+            for j in links[i]:
                 # want d[i]*c[j][i] == d[j]*c[i][j]
                 val = d[i] * Fraction(c[j, i], c[i, j])
                 if d[j] is None:
                     d[j] = val
-                    stack.append(j)
-                    comp.append(j)
                 elif d[j] != val:
                     raise NotSymmetrizable("inconsistent symmetrizer along a cycle")
         scale = lcm(*(d[k].denominator for k in comp))
@@ -131,23 +136,7 @@ def symmetrizer(c: CartanMatrix) -> tuple[int, ...]:
     return tuple(int(x) for x in d)
 
 
-def symmetrized(c: CartanMatrix) -> Mat:
-    d = symmetrizer(c)
-    return Mat.rational([[c[i, j] * d[j] for j in range(c.n)] for i in range(c.n)])
-
-
-def is_finite_type(c: CartanMatrix) -> bool:
-    """Positive-definiteness of the symmetrized matrix (Sylvester minors)."""
-    try:
-        return symmetrized(c).is_positive_definite()
-    except NotSymmetrizable:
-        return False
-
-
-# ---------------------------------------------------------------------------
-# type labels and classification
-# ---------------------------------------------------------------------------
-
+# the finite families, and the ranks `canonical_cartan` builds each at
 _RANK_OK = {
     "A": lambda n: n >= 1,
     "B": lambda n: n >= 2,
@@ -156,22 +145,13 @@ _RANK_OK = {
     "E": lambda n: n in (6, 7, 8),
     "F": lambda n: n == 4,
     "G": lambda n: n == 2,
-    "affine-A": lambda n: n >= 1,
-    "affine-D": lambda n: n >= 4,
-    "other": lambda n: n >= 0,
 }
 
 
 @dataclass(frozen=True)
 class TypeLabel:
-    family: str
+    family: str  # a finite family, "affine-A", "affine-D" or "other"
     rank: int
-
-    def __post_init__(self):
-        if self.family not in _RANK_OK:
-            raise InputError(f"unknown family {self.family}")
-        if not _RANK_OK[self.family](self.rank):
-            raise InputError(f"invalid rank {self.rank} for family {self.family}")
 
     def __str__(self):
         return f"{self.family}{self.rank}"
@@ -213,34 +193,65 @@ def canonical_cartan(family: str, rank: int) -> CartanMatrix:
     raise UnsupportedFamily(family)
 
 
-@lru_cache(maxsize=256)
-def classify_cartan(c: CartanMatrix) -> TypeLabel:
-    """Recognize finite types A..G and untwisted affine A/D; otherwise other.
-    The index searches run once per matrix.
-
-    Rank-2 double-bond matrices are isomorphic as diagrams; the label is
-    read off literally: [[2,-1],[-2,2]] is C2, [[2,-2],[-1,2]] is B2.
-    """
-    n = c.n
-    if n == 2 and c.entries == ((2, -1), (-2, 2)):
-        return TypeLabel("C", 2)
-    if n == 2 and c.entries == ((2, -2), (-1, 2)):
-        return TypeLabel("B", 2)
-
-    def matches(target: CartanMatrix) -> bool:
-        return next(index_isomorphisms(c.entries, target.entries), None) is not None
-
-    if is_finite_type(c):
-        for family in FINITE_FAMILIES:
-            if _RANK_OK[family](n) and matches(canonical_cartan(family, n)):
-                return TypeLabel(family, n)
+def _component_type(c: CartanMatrix, links: list[list[int]], comp: list[int]) -> TypeLabel:
+    """The type of the connected diagram on the indices comp (least first),
+    read off its bonds c[i][j]*c[j][i], degrees and arms (Kac, Tables Fin
+    and Aff 1).  Affine A is the simply laced cycle, or the bond (-2, -2).
+    A finite diagram is a tree.  A simply laced tree is A (a path), D or E
+    (one fork, arms of (1, 1, k) or (1, 2, 2..4) vertices) or affine D
+    (four leaves, each on a fork).  One double bond on a path is F4 in the
+    middle of four vertices, and B or C at an end: B when the end's
+    neighbour has the -2 in its row.  At rank 2 the later index is the
+    end, so [[2,-1],[-2,2]] is C2 and [[2,-2],[-1,2]] is B2."""
+    n, e = len(comp), c.entries
+    bonds = {(i, j): e[i][j] * e[j][i] for i in comp for j in links[i] if i < j}
+    products = sorted(bonds.values())
+    degree = {i: len(links[i]) for i in comp}
+    leaves = [i for i in comp if degree[i] == 1]
+    if products == [1] * n and not leaves:
+        return TypeLabel("affine-A", n - 1)
+    if len(bonds) != n - 1:  # not a tree
         return TypeLabel("other", n)
-    if c.as_mat().rank() == n - 1:
-        if n >= 2 and matches(cartan_from_quiver(affine_a_quiver(n - 1))):
-            return TypeLabel("affine-A", n - 1)
-        if n >= 5 and matches(cartan_from_quiver(affine_d_quiver(n - 1))):
+    forks = [i for i in comp if degree[i] > 2]
+    if products == [1] * (n - 1):
+        if not forks:
+            return TypeLabel("A", n)
+        if len(leaves) == 4 and all(degree[links[i][0]] > 2 for i in leaves):
             return TypeLabel("affine-D", n - 1)
+        depth = _reach(links, forks[0])
+        arms = sorted(depth[i] for i in leaves)
+        if len(arms) == 3 and (arms[:2] == [1, 1] or (arms[:2] == [1, 2] and arms[2] <= 4)):
+            return TypeLabel("D" if arms[1] == 1 else "E", n)
+    elif products == [3] and n == 2:
+        return TypeLabel("G", 2)
+    elif products == [4] and n == 2 and e[comp[0]][comp[1]] == -2:
+        return TypeLabel("affine-A", 1)
+    elif products[-2:] in ([2], [1, 2]) and not forks:
+        i, j = next(ij for ij, p in bonds.items() if p == 2)
+        end, inner = (j, i) if degree[j] == 1 else (i, j)
+        if degree[end] == 1:
+            return TypeLabel("B" if e[inner][end] == -2 else "C", n)
+        if n == 4:
+            return TypeLabel("F", 4)
     return TypeLabel("other", n)
+
+
+def _diagram_types(c: CartanMatrix) -> list[TypeLabel]:
+    """The type of each connected component of c's diagram."""
+    links, comps = _components(c)
+    return [_component_type(c, links, comp) for comp in comps]
+
+
+def is_finite_type(c: CartanMatrix) -> bool:
+    """Every component of the diagram is of finite type."""
+    return all(t.family in _RANK_OK for t in _diagram_types(c))
+
+
+def classify_cartan(c: CartanMatrix) -> TypeLabel:
+    """The finite, affine-A or affine-D type of a connected diagram;
+    "other" for any other diagram, a disconnected one included."""
+    types = _diagram_types(c)
+    return types[0] if len(types) == 1 else TypeLabel("other", c.n)
 
 
 # ---------------------------------------------------------------------------

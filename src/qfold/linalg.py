@@ -27,16 +27,14 @@ works on the nums over their common denominator.  A product with an empty
 dimension or an all-zero factor is its zero matrix, returned before any
 list is built.  Any other product is formed row by row from the nonzero
 `(col, value)` lists of its right factor (Gustavson, ACM TOMS 4, 1978).
-Elimination, behind `rref` (and so `nullspace`, `solve`, `inverse`),
-`rank` and `is_positive_definite`, is one fraction-free Gauss-Jordan for
-every field, with Bareiss's exact divisions (Math. Comp. 22, 1968).  Over
-Q it runs on num, each row first divided by its content, which leaves the
-reduced echelon form unchanged.  A row is touched only when it has a
-nonzero in the pivot column.  `rref` brings every row to the last pivot,
-which is then the denominator of the result; `rank` (and so `nullity`,
-`is_invertible` and `column_space_contains`) counts the pivots of the same
-loop, and `is_positive_definite` reads the leading principal minors off
-its pivots.
+Elimination, behind `rref` (and so `nullspace`, `solve`, `inverse`) and
+`rank`, is one fraction-free Gauss-Jordan for every field, with Bareiss's
+exact divisions (Math. Comp. 22, 1968).  Over Q it runs on num, each row
+first divided by its content, which leaves the reduced echelon form
+unchanged.  A row is touched only when it has a nonzero in the pivot
+column.  `rref` brings every row to the last pivot, which is then the
+denominator of the result; `rank` (and so `nullity`, `is_invertible` and
+`column_space_contains`) counts the pivots of the same loop.
 
 Each matrix also carries `zero`, the additive zero of its entry type: the
 one it is given, else `x - x` of its first entry, else (no entries) the
@@ -383,13 +381,11 @@ class Mat:
         return [self.submatrix(range(self.rows), [c]) for c in range(self.cols)]
 
     # -- reductions ---------------------------------------------------
-    def _reduce(self, definite: bool = False) -> tuple[list, list, object, list[int]]:
+    def _reduce(self) -> tuple[list, list, object, list[int]]:
         """The fraction-free Gauss-Jordan of the rows of num:
         (rows, at, den, pivots), den the last pivot.  Row i of the RREF is
         rows[i] divided by at[i].  Over Q each row is first divided by its
-        content.  With definite set, the elimination ends before the first
-        column whose diagonal entry is not positive (see
-        `is_positive_definite`).
+        content.
 
         Clearing column pc with pivot p takes every other row t to
         (p * t - t[pc] * pivot row) // den, den the previous pivot; the
@@ -412,8 +408,6 @@ class Mat:
         pivots = []
         for pc in range(self.cols):
             pr = len(pivots)
-            if definite and not m[pr][pc] > 0:
-                break
             for r in range(pr, n):
                 if m[r][pc]:
                     break
@@ -453,12 +447,6 @@ class Mat:
 
     def rank(self) -> int:
         return len(self._reduce()[3])
-
-    def is_positive_definite(self) -> bool:
-        """Sylvester's test over Q: every leading principal minor is positive.
-        Without row exchanges the k-th fraction-free pivot is the k-th minor
-        times positive row scales, so the first one not positive ends it."""
-        return self.rows == self.cols and len(self._reduce(definite=True)[3]) == self.rows
 
     def nullity(self) -> int:
         return self.cols - self.rank()

@@ -254,8 +254,8 @@ INDEX_SEARCH_CAP = 10 ** 6
 def index_isomorphisms(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
                        ) -> Iterator[tuple[int, ...]]:
     """Every index bijection p, as a tuple, with a[i][j] == b[p[i]][p[j]]
-    for two square integer matrices; the one search behind diagram
-    isomorphism (adjacency matrices) and Cartan matrix classification.
+    for two square integer matrices; the search behind diagram isomorphism
+    (`split_quotient.graph_isomorphisms`, on adjacency matrices).
 
     Index i goes only to an index t of b with the same diagonal entry and
     the same multiset of off-diagonal pairs (a[i][j], a[j][i]).  The most

@@ -35,8 +35,8 @@ has roots; every probe still counts against ROOT_STEP_CAP.  What depends
 on the matrix alone is derived once per matrix, in bounded caches keyed
 by the hashable CartanMatrix (never by a RootDatum, whose hash walks
 every root): the root datum, the classes of each zero pattern, the orbit
-size |W nu| of each support pattern, the offsets of each fiber of
-restriction, and `lie_fold.classify_cartan`.
+size |W nu| of each support pattern, and the offsets of each fiber of
+restriction.
 
 Branching restricts the character of L(lam) along orbit sums of Cartan
 elements and keeps it at the folded-dominant weights only, without ever

@@ -1,9 +1,10 @@
-from fractions import Fraction
+import random
 from math import lcm
 
 import pytest
+from cartan_oracle import oracle_classify, per_minor_finite_type
 
-from qfold.errors import InputError, NotAdmissible, NotSymmetrizable, SelfLoop, UnsupportedFamily
+from qfold.errors import InputError, NotAdmissible, SelfLoop, UnsupportedFamily
 from qfold.lie_fold import (
     TypeLabel,
     canonical_cartan,
@@ -66,42 +67,33 @@ def test_finite_type_detection():
     assert not is_finite_type(cartan_from_quiver(affine_a_quiver(3)))
 
 
-def fraction_det(rows):
-    """Gaussian elimination over Fractions, with row exchanges."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for pc in range(len(m)):
-        pr = next((r for r in range(pc, len(m)) if m[r][pc]), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != pc:
-            m[pc], m[pr] = m[pr], m[pc]
-            det = -det
-        det *= m[pc][pc]
-        for r in range(pc + 1, len(m)):
-            f = m[r][pc] / m[pc][pc]
-            m[r] = [a - f * b for a, b in zip(m[r], m[pc])]
-    return det
-
-
-def per_minor_finite_type(c):
-    """The former test: each leading principal minor of the symmetrized
-    matrix by a determinant of its own, all of them positive."""
-    try:
-        d = symmetrizer(c)
-    except NotSymmetrizable:
-        return False
-    b = [[c[i, j] * d[j] for j in range(c.n)] for i in range(c.n)]
-    return all(fraction_det([row[:k] for row in b[:k]]) > 0 for k in range(1, c.n + 1))
+def block_diagonal(*blocks):
+    """The Cartan matrix with the given blocks on its diagonal."""
+    n = sum(b.n for b in blocks)
+    entries = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i in range(b.n):
+            entries[at + i][at:at + b.n] = b.entries[i]
+        at += b.n
+    return cartan_matrix(entries)
 
 
 def test_finite_type_matches_the_per_minor_oracle():
     # every canonical type up to rank 12, affine A1-A12 and D4-D12, the
-    # twisted pattern of the classification table, then random matrices:
-    # symmetrizable ones with bonds -lcm(d_i, d_j) t / d_j, and others
-    import random
+    # twisted pattern of the classification table, block-diagonal sums of
+    # finite and affine blocks, then random matrices: symmetrizable ones
+    # with bonds -lcm(d_i, d_j) t / d_j, and others
+    a2, b2, g2 = canonical_cartan("A", 2), canonical_cartan("B", 2), canonical_cartan("G", 2)
+    affine_a1 = cartan_from_quiver(affine_a_quiver(1))
+    sums = {block_diagonal(a2, b2): True, block_diagonal(g2, a2, canonical_cartan("F", 4)): True,
+            block_diagonal(a2, affine_a1): False, block_diagonal(affine_a1, b2): False,
+            block_diagonal(b2, cartan_from_quiver(affine_d_quiver(4))): False}
+    for c, finite in sums.items():
+        assert is_finite_type(c) == per_minor_finite_type(c) == finite, c.entries
+        assert classify_cartan(c) == TypeLabel("other", c.n)
 
-    cartans = []
+    cartans = list(sums)
     for family in "ABCDEFG":
         for n in range(1, 13):
             try:
@@ -267,8 +259,6 @@ def test_serre_check_transpose_convention_fails():
 
 
 def test_classification_stable_under_relabelling():
-    import random
-
     rng = random.Random(77)
     families = [("A", 4), ("B", 4), ("C", 4), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
     for family, rank in families:
@@ -283,3 +273,130 @@ def test_classification_stable_under_relabelling():
                 assert got.family in ("B", "C") and got.rank == 2
             else:
                 assert got == TypeLabel(family, rank), (family, rank, perm)
+
+
+def relabelled(c, perm):
+    return cartan_matrix([[c[perm[i], perm[j]] for j in range(c.n)] for i in range(c.n)])
+
+
+def transposed(c):
+    return cartan_matrix([[c[j, i] for j in range(c.n)] for i in range(c.n)])
+
+
+TREE_BONDS = [(-1, -1), (-1, -2), (-2, -1), (-1, -3), (-3, -1), (-2, -2), (-1, -4)]
+
+
+def random_tree(rng, n, simple):
+    """A tree on n shuffled indices, each bond (-1, -1) with probability
+    `simple` and otherwise drawn from TREE_BONDS."""
+    entries = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(1, n):
+        j = rng.randrange(k)
+        entries[k][j], entries[j][k] = (-1, -1) if rng.random() < simple else rng.choice(TREE_BONDS)
+    return entries
+
+
+def star(arms):
+    """The simply laced tree with one fork and arms of the given numbers of
+    vertices: T(1, 1, k) is D, T(1, 2, 2..4) is E, T(2, 2, 2), T(1, 3, 3)
+    and T(1, 2, 5) are affine E."""
+    n = 1 + sum(arms)
+    entries = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    at = 1
+    for length in arms:
+        for k, prev in zip(range(at, at + length), [0] + list(range(at, at + length - 1))):
+            entries[k][prev] = entries[prev][k] = -1
+        at += length
+    return cartan_matrix(entries)
+
+
+def random_cartans(rng, count):
+    """Seeded random matrices of rank at most 9, a quarter of each kind:
+    symmetrizable (bonds -lcm(d_i, d_j) t / d_j), unconstrained (most of
+    them not symmetrizable), trees with bonds from TREE_BONDS (every third
+    with one extra edge), and block sums of two trees, relabelled."""
+    cartans = []
+    for trial in range(count):
+        kind, n = trial % 4, rng.randint(1, 9)
+        entries = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        if kind < 2:
+            d = [rng.randint(1, 3) for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    t = rng.choice([0, 0, 0, 0, 1, 1, 2])
+                    if kind == 0:
+                        entries[i][j], entries[j][i] = (-t * lcm(d[i], d[j]) // d[j],
+                                                        -t * lcm(d[i], d[j]) // d[i])
+                    else:
+                        entries[i][j], entries[j][i] = -t, -rng.randint(1, 3) * (t > 0)
+        elif kind == 2:
+            entries = random_tree(rng, n, 0.7)
+            if trial % 3 == 0 and n > 2:
+                i, j = rng.sample(range(n), 2)
+                if not entries[i][j]:
+                    entries[i][j], entries[j][i] = rng.choice(TREE_BONDS)
+        else:
+            k = rng.randint(1, n - 1) if n > 1 else 1
+            first, second = random_tree(rng, k, 0.8), random_tree(rng, n - k, 0.8)
+            for i in range(n - k):
+                entries[k + i][k:] = second[i]
+            for i in range(k):
+                entries[i][:k] = first[i]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cartans.append(relabelled(cartan_matrix(entries), perm))
+    return cartans
+
+
+def test_diagram_reading_matches_the_former_classifier():
+    # the label and the finite verdict of the former search-based classifier
+    # (tests/cartan_oracle.py) on every finite family up to rank 12 with five
+    # relabellings and their transposes, affine A1-A12 and D4-D12, every
+    # tree with one fork up to rank 12, every corpus base, split and folded
+    # matrix, and 6,000 random matrices
+    from qfold.corpus import corpus
+    from qfold.split_quotient import split_quiver
+
+    rng = random.Random(28)
+    cartans = []
+    for family in "ABCDEFG":
+        for n in range(1, 13):
+            try:
+                canon = canonical_cartan(family, n)
+            except UnsupportedFamily:
+                continue
+            for _ in range(5):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                cartans += [relabelled(canon, perm), transposed(relabelled(canon, perm))]
+    affine = [cartan_from_quiver(affine_a_quiver(n)) for n in range(1, 13)]
+    affine += [cartan_from_quiver(affine_d_quiver(n)) for n in range(4, 13)]
+    for c in affine:
+        perm = list(range(c.n))
+        rng.shuffle(perm)
+        cartans += [c, relabelled(c, perm)]
+    for p in range(1, 4):
+        for q in range(p, 6):
+            for r in range(q, 12 - p - q):
+                c = star((p, q, r))
+                perm = list(range(c.n))
+                rng.shuffle(perm)
+                cartans += [c, relabelled(c, perm)]
+    for entry in corpus():
+        base = cartan_from_quiver(entry.quiver)
+        cartans.append(base)
+        if entry.admissible:
+            sd = split_quiver(entry.quiver, entry.auto)
+            split = cartan_from_quiver(sd.split)
+            cartans += [split, fold_cartan(base, entry.auto).folded,
+                        fold_cartan(split, sd.induced).folded]
+    cartans += random_cartans(rng, 6000)
+
+    labels = {}
+    for c in cartans:
+        got, want = classify_cartan(c), oracle_classify(c)
+        assert got == want, (c.entries, got, want)
+        assert is_finite_type(c) == per_minor_finite_type(c), c.entries
+        labels[got.family] = labels.get(got.family, 0) + 1
+    assert set(labels) == set("ABCDEFG") | {"affine-A", "affine-D", "other"}, labels
+    assert min(labels.values()) >= 10, labels

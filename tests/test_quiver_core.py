@@ -321,20 +321,13 @@ def shuffled(rng, entries):
 
 
 def test_index_isomorphisms_match_the_former_cartan_search():
-    from qfold.lie_fold import (
-        FINITE_FAMILIES,
-        _RANK_OK,
-        canonical_cartan,
-        cartan_from_quiver,
-        cartan_matrix,
-    )
+    from cartan_oracle import affine_targets, finite_targets
+
+    from qfold.lie_fold import cartan_matrix
     from qfold.quiver_core import index_isomorphisms
 
-    targets = {}
-    for n in range(1, 9):
-        targets[n] = [canonical_cartan(f, n) for f in FINITE_FAMILIES if _RANK_OK[f](n)]
-        targets[n] += [cartan_from_quiver(affine_a_quiver(n - 1))] if n >= 2 else []
-        targets[n] += [cartan_from_quiver(affine_d_quiver(n - 1))] if n >= 5 else []
+    targets = {n: [c for _family, c in finite_targets(n) + affine_targets(n)]
+               for n in range(1, 9)}
     rng = random.Random(4)
     compared = agreed = 0
     for n, cs in targets.items():
@@ -439,14 +432,17 @@ def test_index_search_budget(monkeypatch):
 
 @pytest.mark.parametrize("label", ["A30", "D30", "affine-A30"])
 def test_long_chains_and_cycles_stay_under_the_index_budget(label):
-    """A path, a forked path and a cycle of rank about 30 are classified at
-    once: an index linked to a placed one has at most the links left free."""
+    """A path, a forked path and a cycle of rank about 30 stay under the
+    index search's budget, since an index linked to a placed one has at
+    most the links left free; and each is classified by its diagram."""
     from qfold.lie_fold import canonical_cartan, cartan_from_quiver, classify_cartan
+    from qfold.quiver_core import index_isomorphisms
 
     if label.startswith("affine"):
         c = cartan_from_quiver(affine_a_quiver(30))
     else:
         c = canonical_cartan(label[0], 30)
+    assert next(index_isomorphisms(c.entries, c.entries), None) is not None
     assert str(classify_cartan(c)) == label
 
 

@@ -211,8 +211,6 @@ def test_every_definition_is_reached():
 def test_every_import_is_read():
     unused = []
     for name, mod in load_modules().items():
-        if name == "__init__":
-            continue  # the package namespace is all re-exports
         body = [stmt for stmt in mod.tree.body
                 if not isinstance(stmt, (ast.Import, ast.ImportFrom))]
         names, _attrs = _mentions(body)
