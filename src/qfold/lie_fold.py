@@ -30,7 +30,7 @@ from .errors import (
     SelfLoop,
     UnsupportedFamily,
 )
-from .linalg import Mat
+from .linalg import Mat, sum_of_products
 from .quiver_core import DiagramAutomorphism, Quiver, _orbits, a_quiver, d_quiver
 
 
@@ -60,9 +60,6 @@ class CartanMatrix:
     def __getitem__(self, ij) -> int:
         i, j = ij
         return self.entries[i][j]
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
 
 
 def cartan_matrix(entries: Sequence[Sequence[int]],
@@ -280,12 +277,14 @@ def fold_cartan(c: CartanMatrix, a: DiagramAutomorphism) -> FoldedAlgebraData:
     representative i0 of I; representative independence is re-checked.
     """
     perm = _vertex_perm_of(a, c.labels)
+    pos = {v: i for i, v in enumerate(c.labels)}
+    image = [pos[perm[v]] for v in c.labels]
     for i, li in enumerate(c.labels):
+        row, image_row = c.entries[i], c.entries[image[i]]
         for j, lj in enumerate(c.labels):
-            if c[i, j] != c[c.index(perm[li]), c.index(perm[lj])]:
+            if row[j] != image_row[image[j]]:
                 raise InputError(f"map does not preserve the Cartan matrix at ({li},{lj})")
 
-    pos = {v: i for i, v in enumerate(c.labels)}
     orbits = _orbits(c.labels, perm)
 
     for orb in orbits:
@@ -391,7 +390,7 @@ class SerreReport:
 
 
 def _comm(a: Mat, b: Mat) -> Mat:
-    return a * b - b * a
+    return sum_of_products(((1, a, b), (-1, b, a)))
 
 
 def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence[Mat]) -> SerreReport:

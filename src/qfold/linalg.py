@@ -21,12 +21,18 @@ is accepted and reads back as an int.  `rational_rows`, behind
 
 Each kernel is written once over (num, den), on ints over Q, and builds no
 Fraction.  The one step that depends on the field is bringing a result to
-canonical form (`_canonical`): over Q, one gcd of den with every entry.
-A product is num1 * num2 over den1 * den2; a sum, difference or stack
-works on the nums over their common denominator.  A product with an empty
-dimension or an all-zero factor is its zero matrix, returned before any
-list is built.  Any other product is formed row by row from the nonzero
-`(col, value)` lists of its right factor (Gustavson, ACM TOMS 4, 1978).
+canonical form (`_canonical`): over Q, one gcd of den with every entry,
+skipped when den is 1.  A sum, difference or stack works on the nums over
+their common denominator.  There is one product loop, `sum_of_products`:
+a signed sum s1 * A1 * B1 + s2 * A2 * B2 + ... is formed row by row from
+the nonzero `(col, value)` lists of each right factor (Gustavson, ACM
+TOMS 4, 1978), with every term added into one accumulator per row, over
+one common denominator, and brought to canonical form once.  A product
+`A * B` is its one-term case.  A term with an empty dimension, an
+all-zero factor or s = 0 adds nothing and builds no list; when no term
+is left, the sum is its zero matrix.  Zero matrices and identities over Q
+are shared from caches bounded in size and keyed by shape; over another
+field they are built with that field's own zero and one.
 Elimination, behind `rref` (and so `nullspace`, `solve`, `inverse`) and
 `rank`, is one fraction-free Gauss-Jordan for every field, with Bareiss's
 exact divisions (Math. Comp. 22, 1968).  Over Q it runs on num, each row
@@ -48,6 +54,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Sequence
@@ -55,6 +62,7 @@ from typing import Callable, Sequence
 from .errors import NotInvertible, ShapeMismatch
 
 _RATIONAL = (int, Fraction)
+_INT = frozenset([int])
 _ASCII_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
@@ -183,6 +191,82 @@ def _scale(num: tuple, s: int) -> tuple:
     return num if s == 1 else tuple(tuple([x * s for x in row]) for row in num)
 
 
+@lru_cache(maxsize=256)
+def _rational_zeros(rows: int, cols: int) -> "Mat":
+    return _mat(rows, cols, ((0,) * cols,) * rows, 1, 0)
+
+
+@lru_cache(maxsize=64)
+def _rational_identity(n: int) -> "Mat":
+    return _mat(n, n, tuple(((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)), 1, 0)
+
+
+def _zeros(rows: int, cols: int, zero) -> "Mat":
+    """The zero matrix over the field of zero; over Q with the int 0 it is
+    shared, and a Fraction or any other zero gets a matrix of its own."""
+    if zero.__class__ is int:
+        return _rational_zeros(rows, cols)
+    return _mat(rows, cols, ((_fill(zero),) * cols,) * rows, 1, zero)
+
+
+def _nonzeros(num: tuple, s) -> list:
+    """Per row of num, the (col, value) list of its nonzero entries, each
+    value times s."""
+    if s == 1:
+        return [[(j, x) for j, x in enumerate(row) if x] for row in num]
+    if s == -1:
+        return [[(j, -x) for j, x in enumerate(row) if x] for row in num]
+    return [[(j, x * s) for j, x in enumerate(row) if x] for row in num]
+
+
+def sum_of_products(terms: Sequence[tuple]) -> "Mat":
+    """s1 * A1 * B1 + s2 * A2 * B2 + ... for the terms (s, A, B), in the
+    entry type of the first A; each s is an int, or over Q a Fraction, or
+    over another field an element of it.
+
+    The sum is the one product [A1 A2 ...] * [s1 B1; s2 B2; ...], formed
+    row by row: the rows of the A's side by side, against the nonzero lists
+    of the scaled B's one after another.  Over Q term k lies over
+    d_k = den(A) * den(B) * den(s) and the sum over their lcm D, so term k
+    scales num(B) by num(s) * (D // d_k)."""
+    _, first, last = terms[0]
+    rows, width, zero = first.rows, last.cols, first.zero
+    rational = zero.__class__ in _RATIONAL
+    live, den = [], 1
+    for s, a, b in terms:
+        if a.cols != b.rows or a.rows != rows or b.cols != width:
+            raise ShapeMismatch(f"mul: {a.rows}x{a.cols} by {b.rows}x{b.cols} in a "
+                                f"{rows}x{width} sum")
+        # an empty dimension leaves a factor with no nonzero entry
+        if s and any(map(any, a.num)) and any(map(any, b.num)):
+            d = 1
+            if rational:
+                d = a.den * b.den * s.denominator
+                s = s.numerator
+                if d != den:
+                    den = lcm(den, d)
+            live.append((s, d, a.num, b.num))
+    if not live:
+        return _zeros(rows, width, zero)
+    right = []
+    for s, d, _, num in live:
+        right += _nonzeros(num, s if d == den else s * (den // d))
+    left = live[0][2] if len(live) == 1 else \
+        map(chain.from_iterable, zip(*[t[2] for t in live]))
+    fill = 0 if rational else zero
+    out = []
+    for row in left:
+        acc = [fill] * width
+        for a, nonzero in zip(row, right):
+            if nonzero and a:
+                for j, b in nonzero:
+                    acc[j] += a * b
+        out.append(tuple(acc))
+    if den == 1:
+        return _mat(rows, width, tuple(out), 1, zero)
+    return _canonical(rows, width, tuple(out), den, zero)
+
+
 class Mat:
     """Immutable matrix with explicit shape."""
 
@@ -195,15 +279,14 @@ class Mat:
             x = num[0][0] if rows and cols else 0
             zero = 0 if x.__class__ in _RATIONAL else x - x
         den = 1
-        if zero.__class__ in _RATIONAL:
+        if zero.__class__ in _RATIONAL and not _INT.issuperset(map(type, chain.from_iterable(num))):
             dens = [x.denominator for row in num for x in row if x.__class__ is not int]
-            if dens:
-                # num = entries * lcm is in lowest terms: a prime's highest
-                # power in the lcm comes from one entry, whose numerator it
-                # does not divide
-                den = lcm(*dens)
-                num = tuple(tuple([x.numerator * (den // x.denominator) for x in row])
-                            for row in num)
+            # num = entries * lcm is in lowest terms: a prime's highest
+            # power in the lcm comes from one entry, whose numerator it
+            # does not divide
+            den = lcm(*dens)
+            num = tuple(tuple([x.numerator * (den // x.denominator) for x in row])
+                        for row in num)
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_num(self, num)
@@ -222,10 +305,12 @@ class Mat:
 
     @staticmethod
     def zeros(rows: int, cols: int, zero=0) -> "Mat":
-        return _mat(rows, cols, ((_fill(zero),) * cols,) * rows, 1, zero)
+        return _zeros(rows, cols, zero)
 
     @staticmethod
     def identity(n: int, one=1) -> "Mat":
+        if one.__class__ is int and one == 1:
+            return _rational_identity(n)
         zero = one - one
         fill, den = _fill(zero), 1
         if one.__class__ is Fraction:
@@ -304,24 +389,7 @@ class Mat:
     def __mul__(self, other):
         if not isinstance(other, Mat):
             return self.scaled(other)
-        if self.cols != other.rows:
-            raise ShapeMismatch(f"mul: {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        zero, width = self.zero, other.cols
-        fill = _fill(zero)
-        # an empty dimension leaves a factor with no nonzero entry
-        if not (any(map(any, self.num)) and any(map(any, other.num))):
-            return _mat(self.rows, width, ((fill,) * width,) * self.rows, 1, zero)
-        right = [[(j, b) for j, b in enumerate(row) if b] for row in other.num]
-        out = []
-        for row in self.num:
-            acc = [None] * width
-            for a, nonzero in zip(row, right):
-                if nonzero and a:
-                    for j, b in nonzero:
-                        s = acc[j]
-                        acc[j] = a * b if s is None else s + a * b
-            out.append(tuple([fill if s is None else s for s in acc]))
-        return _canonical(self.rows, width, tuple(out), self.den * other.den, zero)
+        return sum_of_products(((1, self, other),))
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
@@ -408,6 +476,8 @@ class Mat:
         pivots = []
         for pc in range(self.cols):
             pr = len(pivots)
+            if pr == n:
+                break
             for r in range(pr, n):
                 if m[r][pc]:
                     break
@@ -485,7 +555,15 @@ class Mat:
         n = self.rows
         if n == 0:
             return self
-        red, pivots = self.hstack(Mat.identity(n, self.zero + 1)).rref()
+        # [num | den * I] over den stands for [self | I]
+        fill = _fill(self.zero)
+        unit = fill + self.den
+        rows = []
+        for i, row in enumerate(self.num):
+            right = [fill] * n
+            right[i] = unit
+            rows.append(row + tuple(right))
+        red, pivots = _mat(n, 2 * n, tuple(rows), self.den, self.zero).rref()
         if pivots != list(range(n)):
             raise NotInvertible("singular matrix")
         # the left half is den * I, so the right half is in lowest terms too

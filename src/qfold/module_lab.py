@@ -39,7 +39,7 @@ from .errors import (
     TooLarge,
     WitnessVerificationFailed,
 )
-from .linalg import Mat, column_space_contains
+from .linalg import Mat, column_space_contains, sum_of_products
 from .numberfield import (
     Fp,
     NumberField,
@@ -143,14 +143,10 @@ def check_relations(m: FramedModule) -> RelationReport:
     """Evaluate the preprojective relation at every vertex; reports the
     first violating vertex."""
     for vertex, leaving in m.quiver.leaving.items():
-        acc = m.I[vertex] * m.J[vertex]
-        for info in leaving:
-            term = m.B[reverse_key(info.key)] * m.B[info.key]
-            if m.signed and info.eps == -1:
-                acc = acc - term
-            else:
-                acc = acc + term
-        if not acc.is_zero():
+        terms = [(1, m.I[vertex], m.J[vertex])]
+        terms += [(-1 if m.signed and info.eps == -1 else 1, m.B[reverse_key(info.key)],
+                   m.B[info.key]) for info in leaving]
+        if not sum_of_products(terms).is_zero():
             return RelationReport(False, vertex)
     return RelationReport(True)
 
@@ -511,7 +507,8 @@ def check_framed_embedding(xi: Mapping[str, Mat], m_sub: FramedModule,
         if xi[x].rank() != m_sub.v.get(x, 0):
             return False
     for info in q.doubled:
-        if m.B[info.key] * xi[info.src] != xi[info.tgt] * m_sub.B[info.key]:
+        if not sum_of_products(((1, m.B[info.key], xi[info.src]),
+                                (-1, xi[info.tgt], m_sub.B[info.key]))).is_zero():
             return False
     for x in q.vertices:
         if xi[x] * m_sub.I[x] != m.I[x]:
@@ -569,7 +566,7 @@ def theorem5_verify(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
         g_sub = witness_matrix(witness_sub, x)
         if g_sub.rows == 0:
             continue
-        defect = witness_matrix(witness, x) * xi[x] - xi[x] * g_sub
+        defect = sum_of_products(((1, witness_matrix(witness, x), xi[x]), (-1, xi[x], g_sub)))
         if not defect.is_zero() and not (defect * eigenvector_span(g_sub)).is_zero():
             return _eigen_counterexample(x, g_sub, defect)
     return EigenInclusionReport(True)

@@ -4,6 +4,7 @@ from math import lcm
 import pytest
 from cartan_oracle import oracle_classify, per_minor_finite_type
 
+from qfold import lie_fold
 from qfold.errors import InputError, NotAdmissible, SelfLoop, UnsupportedFamily
 from qfold.lie_fold import (
     TypeLabel,
@@ -18,6 +19,7 @@ from qfold.lie_fold import (
     symmetrizer,
 )
 from qfold.linalg import Mat
+from qfold.numberfield import Fp
 from qfold.quiver_core import (
     DiagramAutomorphism,
     a_quiver,
@@ -37,7 +39,7 @@ def test_cartan_from_quiver_examples():
     aff1 = cartan_from_quiver(affine_a_quiver(1))
     assert aff1.entries == ((2, -2), (-2, 2))
     d4 = cartan_from_quiver(d_quiver(4))
-    fork_row = d4.entries[d4.index("2")]
+    fork_row = d4.entries[d4.labels.index("2")]
     assert sorted(fork_row) == [-1, -1, -1, 2]
     with pytest.raises(SelfLoop):
         cartan_from_quiver(quiver(["x"], [("e", "x", "x")]))
@@ -256,6 +258,47 @@ def test_serre_check_transpose_convention_fails():
     assert not report.ok
     assert report.has_kind("serre")
     assert report.violations
+
+
+def comm_oracle(a: Mat, b: Mat) -> Mat:
+    """The commutator the one signed sum of products replaced: two products
+    and a difference."""
+    return a * b - b * a
+
+
+def test_serre_check_matches_the_product_commutator_oracle(monkeypatch):
+    """serre_check's whole report, with each commutator one signed sum of
+    products and with its two products formed apart: folded generators of
+    A3, A5 and D4 over Q and F_3, the transposed A3 convention, and the
+    generators with one entry of E_i, F_i or H_i raised by one for each i."""
+    rng = random.Random(47)
+    cases = []
+    for family, n, a in (("A", 3, flip_automorphism(a_quiver(3), 3)),
+                         ("A", 5, flip_automorphism(a_quiver(5), 5)),
+                         ("D", 4, fork_swap_automorphism(d_quiver(4), 4))):
+        q = a_quiver(n) if family == "A" else d_quiver(n)
+        c = fold_cartan(cartan_from_quiver(q), a).folded
+        for p in (None, 3):
+            gens = folded_generators(n, family, a)
+            if p is not None:
+                gens = tuple([g.map(lambda x: Fp(x, p)) for g in group] for group in gens)
+            cases.append((c, gens))
+            if family == "A" and n == 3:
+                cases.append((cartan_matrix([[c[j, i] for j in range(c.n)]
+                                             for i in range(c.n)]), gens))
+            for i in range(c.n):
+                bent = [list(group) for group in gens]
+                which = rng.randrange(3)
+                g = bent[which][i]
+                data = [list(row) for row in g.data]
+                data[rng.randrange(g.rows)][rng.randrange(g.cols)] += 1
+                bent[which][i] = Mat(g.rows, g.cols, data, g.zero)
+                cases.append((c, bent))
+    reports = [serre_check(c, *gens) for c, gens in cases]
+    monkeypatch.setattr(lie_fold, "_comm", comm_oracle)
+    assert [serre_check(c, *gens) for c, gens in cases] == reports
+    assert {r.ok for r in reports} == {True, False}
+    assert {v.kind for r in reports for v in r.violations} == {"hh", "he", "hf", "ef", "serre"}
 
 
 def test_classification_stable_under_relabelling():

@@ -1,12 +1,14 @@
 import contextlib
+import random
 from fractions import Fraction
 from itertools import chain
 from math import gcd
 
 import pytest
 
-from qfold.errors import NotInvertible
-from qfold.linalg import Mat, column_space_contains
+from qfold import linalg
+from qfold.errors import NotInvertible, ShapeMismatch
+from qfold.linalg import Mat, column_space_contains, sum_of_products
 from qfold.numberfield import Fp, NumberField, NumberFieldElement, cyclotomic_poly
 
 
@@ -213,6 +215,8 @@ def entry_type_results(zero, a, b) -> tuple[list, list]:
     one = zero + 1
     mats = [a, b, a + a, a - a, -a, a.scaled(one + one), a.map(lambda x: x * x),
             a * b, b.transpose() * b, b * b.transpose(), b.transpose(),
+            sum_of_products(((1, a, b), (one + one, a, a * b))),
+            sum_of_products(((-1, b, b.transpose()), (3, a, a))),
             a.hstack(b), b.vstack(b), Mat.block_diag([b, a]),
             b.submatrix(range(b.rows), range(b.cols)), a.rref()[0], a.nullspace(),
             b.nullspace(), a.power(0), a.power(3), a.poly_eval([Fraction(1), Fraction(-2)])]
@@ -388,6 +392,15 @@ def dense_poly_eval(self, coeffs):
     return out
 
 
+def dense_sum_of_products(terms):
+    """Each product formed and scaled apart, then added up."""
+    total = None
+    for s, a, b in terms:
+        term = dense_mul(dense_mul(a, b), s)
+        total = term if total is None else dense_add(total, term)
+    return total
+
+
 DENSE_KERNELS = {"__mul__": dense_mul, "__add__": dense_add, "__sub__": dense_sub,
                  "rref": dense_rref, "rank": dense_rank, "is_zero": dense_is_zero,
                  "charpoly": dense_charpoly, "poly_eval": dense_poly_eval}
@@ -395,15 +408,18 @@ DENSE_KERNELS = {"__mul__": dense_mul, "__add__": dense_add, "__sub__": dense_su
 
 @contextlib.contextmanager
 def dense_kernels():
-    """Run `Mat` on the dense kernels inside the block."""
+    """Run `Mat` and `linalg.sum_of_products` on the dense kernels inside
+    the block."""
     saved = {name: Mat.__dict__[name] for name in DENSE_KERNELS}
     try:
         for name, kernel in DENSE_KERNELS.items():
             setattr(Mat, name, kernel)
+        linalg.sum_of_products = dense_sum_of_products
         yield
     finally:
         for name, kernel in saved.items():
             setattr(Mat, name, kernel)
+        linalg.sum_of_products = sum_of_products
 
 
 @st.composite
@@ -435,7 +451,10 @@ def kernel_results(a, a2, b, s) -> dict:
     of their own; `nullity`, `is_invertible` and `column_space_contains`
     go through them."""
     ab = a * b
-    out = {"a * b": ab, "a + a2": a + a2, "a - a2": a - a2, "rref": a.rref(),
+    out = {"a * b": ab, "a + a2": a + a2, "a - a2": a - a2,
+           "a * b - a2 * b - 3/2 s * a * b":
+               linalg.sum_of_products(((1, a, b), (-1, a2, b), (Fraction(-3, 2), s, ab))),
+           "rref": a.rref(),
            "rank": a.rank(), "nullity": a.nullity(), "a is invertible": a.is_invertible(),
            "s is invertible": s.is_invertible(), "a is zero": a.is_zero(),
            "b is zero": b.is_zero(), "a * b is zero": ab.is_zero(),
@@ -706,11 +725,17 @@ class CountingFp(Fp):
     __rmul__ = __mul__
 
 
+def nonzero_products(a: Mat, b: Mat) -> int:
+    """sum over k of nnz(a[:, k]) * nnz(b[k, :])."""
+    return sum(sum(1 for row in a.data if row[k]) * sum(1 for x in b.data[k] if x)
+               for k in range(a.cols))
+
+
 def test_products_form_only_the_nonzero_scalar_products():
     """a * b forms a[i][k] * b[k][j] for nonzero pairs only: sum over k of
     nnz(a[:, k]) * nnz(b[k, :]) scalar products, where a dense loop forms
-    12 * 14 * 10 = 1,680."""
-    import random
+    12 * 14 * 10 = 1,680.  So does a signed sum a * b - c * d, term by term,
+    with no product for its signs."""
     rng = random.Random(19)
 
     def sparse(rows, cols, density):
@@ -720,10 +745,114 @@ def test_products_form_only_the_nonzero_scalar_products():
 
     for density in (0.1, 0.15, 0.2):
         a, b = sparse(12, 14, density), sparse(14, 10, density)
-        want = sum(sum(1 for row in a.data if row[k]) * sum(1 for x in b.data[k] if x)
-                   for k in range(14))
+        want = nonzero_products(a, b)
         CountingFp.products = 0
         got = a * b
         assert 0 < CountingFp.products == want < 1680 // 4, (density, CountingFp.products)
+        c, d = sparse(12, 9, density), sparse(9, 10, density)
+        want += nonzero_products(c, d)
+        CountingFp.products = 0
+        fused = sum_of_products(((1, a, b), (-1, c, d)))
+        assert CountingFp.products == want, (density, CountingFp.products)
         with dense_kernels():
             assert got == a * b
+            assert fused == a * b - c * d
+
+
+SUM_FIELDS = [0, Fraction(0), Fp(0, 5), ZETA3.zero]
+SUM_FIELD_IDS = ["int", "Fraction", "F5", "Q(zeta3)"]
+
+
+@pytest.mark.parametrize("zero", SUM_FIELDS, ids=SUM_FIELD_IDS)
+def test_sum_of_products_matches_the_separate_products(zero):
+    """sum_of_products against each product formed apart by the dense
+    oracle and combined with + and - (scaled first when s is not 1 or -1):
+    one to four terms with their own inner dimensions, shapes 0..4, all-zero
+    and sparse factors, over Q a denominator of its own in each term, and
+    coefficients 2, -3, 1/2, -5/3 or a field element beside 1 and -1."""
+    rng = random.Random(31)
+    one = zero + 1
+    if type(zero) is int:
+        coefficients = [1, -1, 2, -3]
+    elif type(zero) is Fraction:
+        coefficients = [1, -1, 2, Fraction(1, 2), Fraction(-5, 3)]
+    else:
+        coefficients = [1, -1, 2, one + one + one]
+    if isinstance(zero, NumberFieldElement):
+        coefficients.append(ZETA3.generator)
+
+    def entry(d):
+        n = rng.randint(-4, 4)
+        if type(zero) is int:
+            return n
+        if type(zero) is Fraction:
+            return Fraction(n, d)
+        if type(zero) is Fp:
+            return Fp(n, 5)
+        return ZETA3.element([Fraction(n, d), Fraction(rng.randint(-2, 2))])
+
+    def matrix(rows, cols, density, d):
+        return Mat(rows, cols, [[entry(d) if rng.random() < density else zero
+                                 for _ in range(cols)] for _ in range(rows)], zero)
+
+    for trial in range(120):
+        rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            inner, d = rng.randint(0, 4), rng.choice([1, 2, 3, 5, 7])
+            terms.append((rng.choice(coefficients),
+                          matrix(rows, inner, rng.choice([0, 0.3, 1]), d),
+                          matrix(inner, cols, rng.choice([0, 0.3, 1]), rng.choice([1, d]))))
+        want = Mat.zeros(rows, cols, zero)
+        for s, a, b in terms:
+            product = dense_mul(a, b)
+            if s == 1:
+                want = want + product
+            elif s == -1:
+                want = want - product
+            else:
+                want = want + product.scaled(s)
+        got = sum_of_products(terms)
+        assert_same(got, want, (trial, terms))
+        assert type(got.zero) is type(zero), (trial, terms)
+        if type(zero) in RATIONAL:
+            assert_stored_canonically(got)
+    with pytest.raises(ShapeMismatch):
+        sum_of_products(((1, Mat.zeros(2, 3), Mat.zeros(3, 2)), (1, Mat.zeros(2, 2), Mat.zeros(2, 3))))
+
+
+def test_zero_and_identity_caches_match_the_uncached_construction():
+    """Over Q, zeros and identities of shapes 0..8 equal the matrices the
+    constructor builds, are shared between calls (a product with an empty
+    dimension or an all-zero factor too) and cannot be changed."""
+    for rows in range(9):
+        for cols in range(9):
+            zeros = Mat.zeros(rows, cols)
+            assert_one_value(zeros, Mat(rows, cols, [[0] * cols for _ in range(rows)]))
+            assert type(zeros.zero) is int and zeros is Mat.zeros(rows, cols)
+            assert Mat.identity(rows) * zeros is zeros
+        ident = Mat.identity(rows)
+        assert_one_value(ident, Mat(rows, rows, [[int(i == j) for j in range(rows)]
+                                                 for i in range(rows)]))
+        assert type(ident.zero) is int and ident is Mat.identity(rows)
+    for shared in (Mat.zeros(2, 3), Mat.identity(3)):
+        assert type(shared.num) is tuple and all(type(row) is tuple for row in shared.num)
+        with pytest.raises(AttributeError):
+            shared.num = ((1, 2, 3),) * shared.rows
+
+
+@pytest.mark.parametrize("zero", SUM_FIELDS[1:], ids=SUM_FIELD_IDS[1:])
+def test_zeros_and_identities_of_other_entry_types_are_their_own(zero):
+    """A Fraction, F_5 or Q(zeta3) zero or one gives a matrix of its own entry
+    type, never a shared matrix over the int 0, and so does a product or a
+    signed sum that comes out zero."""
+    one = zero + 1
+    for m in (Mat.zeros(2, 3, zero), Mat.identity(3, one),
+              Mat.zeros(2, 2, zero) * Mat.identity(2, one),
+              Mat(2, 0, [[], []], zero) * Mat(0, 3, [], zero),
+              sum_of_products(((1, Mat.zeros(2, 2, zero), Mat.identity(2, one)),))):
+        assert type(m.zero) is type(zero) and not m.zero, m
+        assert all(same_field(x, zero) for row in m.data for x in row), m
+        assert m is not Mat.zeros(m.rows, m.cols) and m is not Mat.identity(m.rows)
+    assert Mat.identity(3, one) == Mat(3, 3, [[one if i == j else zero for j in range(3)]
+                                              for i in range(3)], zero)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -36,6 +37,7 @@ from qfold.numberfield import Fp, NumberField, factor_rational_poly, poly_str
 from qfold.module_lab import (
     EigenInclusionReport,
     FramedModule,
+    RelationReport,
     SigmaData,
     TransitionWitness,
     act,
@@ -75,6 +77,7 @@ from qfold.quiver_core import (
     orbit_data,
     quiver,
     quiver_to_dict,
+    reverse_key,
 )
 
 
@@ -728,6 +731,134 @@ def test_eigen_profile_counts_cyclotomic_kernels():
             assert prof["roots"][Fraction(t, e)] == nullity // sympy.totient(d), (trial, t, e)
         assert prof["other"] == n - sum(prof["roots"].values())
     assert infinite_order >= 50
+
+
+# -- the product-then-compare checks that each relation's one signed sum
+# of products replaced, kept as oracles ----------------------------------
+
+def relations_oracle(m: FramedModule) -> RelationReport:
+    """`check_relations` with I J and each B_rev B formed apart, then added
+    or subtracted."""
+    for vertex, leaving in m.quiver.leaving.items():
+        acc = m.I[vertex] * m.J[vertex]
+        for info in leaving:
+            term = m.B[reverse_key(info.key)] * m.B[info.key]
+            if m.signed and info.eps == -1:
+                acc = acc - term
+            else:
+                acc = acc + term
+        if not acc.is_zero():
+            return RelationReport(False, vertex)
+    return RelationReport(True)
+
+
+def embedding_oracle(xi, m_sub: FramedModule, m: FramedModule) -> bool:
+    """The verdict of `check_framed_embedding` on valid shapes, with B xi
+    and xi B_sub formed apart and compared."""
+    q = m.quiver
+    if any(xi[x].rank() != m_sub.v.get(x, 0) for x in q.vertices):
+        return False
+    if any(m.B[info.key] * xi[info.src] != xi[info.tgt] * m_sub.B[info.key]
+           for info in q.doubled):
+        return False
+    return all(xi[x] * m_sub.I[x] == m.I[x] and m.J[x] * xi[x] == m_sub.J[x]
+               for x in q.vertices)
+
+
+def corrupted(rng, m: FramedModule, x: str):
+    """m with one entry of I[x], J[x] or a B leaving x raised by one, or
+    None when all of them are empty."""
+    blocks = [("I", x), ("J", x)] + [("B", info.key) for info in m.quiver.leaving[x]]
+    blocks = [(name, key) for name, key in blocks
+              if getattr(m, name)[key].rows and getattr(m, name)[key].cols]
+    if not blocks:
+        return None
+    name, key = rng.choice(blocks)
+    mat = getattr(m, name)[key]
+    data = [list(row) for row in mat.data]
+    r, c = rng.randrange(mat.rows), rng.randrange(mat.cols)
+    data[r][c] = data[r][c] + 1
+    return dataclasses.replace(m, **{name: {**getattr(m, name),
+                                            key: Mat(mat.rows, mat.cols, data, mat.zero)}})
+
+
+def balanced_module(rng, q, v, p=None) -> FramedModule:
+    """A signed module with B in both directions along every edge, w = v and
+    an invertible J, and I = -(sum of eps B_rev B) J^-1 at each vertex, so
+    that every relation holds by its signs."""
+    B = {info.key: rand_mat(rng, v[info.tgt], v[info.src], p) for info in q.doubled}
+    I, J = {}, {}
+    for x in q.vertices:
+        J[x] = rand_mat(rng, v[x], v[x], p)
+        while not J[x].is_invertible():
+            J[x] = rand_mat(rng, v[x], v[x], p)
+        total = Mat.zeros(v[x], v[x], J[x].zero)
+        for info in q.leaving[x]:
+            term = B[reverse_key(info.key)] * B[info.key]
+            total = total - term if info.eps == -1 else total + term
+        I[x] = -(total * J[x].inverse())
+    return framed_module(q, v, v, B=B, I=I, J=J)
+
+
+def oracle_modules(rng):
+    """Seeded modules over Q and F_3, each signed and unsigned: relation-exact
+    one-way modules, and balanced modules whose relations hold by the signs
+    of their terms."""
+    for trial in range(16):
+        q = [A3, d_quiver(4)][trial % 2]
+        v = {x: rng.randint(0, 3) for x in q.vertices}
+        w = {x: rng.randint(0, 2) for x in q.vertices}
+        p = 3 if trial % 4 < 2 else None
+        for m in (random_one_way_module(rng, q, v, w, p=p), balanced_module(rng, q, v, p)):
+            yield m
+            yield dataclasses.replace(m, signed=False)
+
+
+def test_check_relations_matches_the_product_oracle():
+    """The verdict and the first failing vertex, on each module and on it
+    with one B, I or J entry corrupted at each vertex in turn."""
+    rng = random.Random(41)
+    verdicts = set()
+    for m in oracle_modules(rng):
+        cases = [m] + [corrupted(rng, m, x) for x in m.quiver.vertices]
+        for case in filter(None, cases):
+            want = relations_oracle(case)
+            assert check_relations(case) == want, case
+            verdicts.add((want.ok, type(case.J[case.quiver.vertices[0]].zero), case.signed))
+    assert len(verdicts) == 8, verdicts   # both verdicts over Q and F_3, signed and unsigned
+
+
+def test_check_framed_embedding_matches_the_product_oracle():
+    """Generated stable pairs over Q, and identity maps of a module over F_3
+    into itself, each with one entry of the submodule or of xi corrupted at
+    each vertex in turn."""
+    rng = random.Random(43)
+    d4 = d_quiver(4)
+    cases = []
+    for trial in range(8):
+        q, a = [(A3, FLIP), (d4, fork_swap_automorphism(d4, 4))][trial % 2]
+        xi, m_sub, m, _sig, _wsub, _wit = random_graded_pair(rng, q, a)
+        cases.append((xi, m_sub, m))
+        v = {x: rng.randint(0, 3) for x in q.vertices}
+        w = {x: rng.randint(0, 2) for x in q.vertices}
+        m3 = random_one_way_module(rng, q, v, w, p=3, signed=trial % 4 < 2)
+        cases.append(({x: Mat.identity(v[x], Fp(1, 3)) for x in q.vertices}, m3, m3))
+    verdicts = set()
+    for xi, m_sub, m in cases:
+        variants = [(xi, m_sub)]
+        for x in m.quiver.vertices:
+            sub = corrupted(rng, m_sub, x)
+            if sub is not None:
+                variants.append((xi, sub))
+            if xi[x].rows and xi[x].cols:
+                data = [list(row) for row in xi[x].data]
+                data[rng.randrange(xi[x].rows)][rng.randrange(xi[x].cols)] += 1
+                variants.append(({**xi, x: Mat(xi[x].rows, xi[x].cols, data, xi[x].zero)}, m_sub))
+        for xi_case, sub_case in variants:
+            want = embedding_oracle(xi_case, sub_case, m)
+            assert check_framed_embedding(xi_case, sub_case, m) == want
+            verdicts.add((want, type(m.J[m.quiver.vertices[0]].zero)))
+    assert len(verdicts) == 4, verdicts
 
 
 def test_check_framed_embedding_examples():
