@@ -48,7 +48,7 @@ class NotAdmissible(InputError):
 
 
 class IsoNotFound(PropertyViolation):
-    """Expected diagram isomorphism does not exist."""
+    """The natural map from s(s(Q)) to Q is no isomorphism of the pair."""
 
 
 class UnknownVertex(InputError):

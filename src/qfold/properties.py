@@ -23,7 +23,7 @@ from typing import Callable
 
 from .corpus import corpus
 from .dim_calc import dim_quiver_variety, dim_steinberg
-from .errors import NotAdmissible
+from .errors import IsoNotFound, NotAdmissible
 from .generators import random_graded_pair, random_one_way_module, random_theta_module
 from .lie_fold import (
     canonical_cartan,
@@ -111,8 +111,10 @@ def split_involution(seed: int, size: int) -> list[str]:
     bad = []
     for entry in corpus():
         if entry.admissible:
-            if not split_involution_check(entry.quiver, entry.auto).automorphism_matched:
-                bad.append(f"{entry.name}: isomorphism does not match automorphisms")
+            try:
+                split_involution_check(entry.quiver, entry.auto)
+            except IsoNotFound as exc:
+                bad.append(f"{entry.name}: {exc}")
             continue
         try:
             split_involution_check(entry.quiver, entry.auto)

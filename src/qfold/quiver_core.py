@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .errors import (
     AmbiguousEdgeMap,
@@ -44,7 +44,6 @@ from .errors import (
     InputError,
     NotAPermutation,
     NotAdmissible,
-    TooLarge,
 )
 
 
@@ -239,80 +238,6 @@ def orbit_data(q: Quiver, a: DiagramAutomorphism) -> OrbitData:
     orbit_of_edge = frozen({e: i for i, o in enumerate(eorbs) for e in o})
     return OrbitData(tuple(vorbs), tuple(eorbs), d_vertex, d_edge, n,
                      e_vertex, e_edge, orbit_of_vertex, orbit_of_edge)
-
-
-# ---------------------------------------------------------------------------
-# index bijections
-# ---------------------------------------------------------------------------
-
-# a full search reaches about 170,000 assignments a second (all 3,628,800
-# of ten unlinked indices in 21 s on one core of a 2-CPU Xeon), so the
-# cap bounds a search to about 6 s
-INDEX_SEARCH_CAP = 10 ** 6
-
-
-def index_isomorphisms(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
-                       ) -> Iterator[tuple[int, ...]]:
-    """Every index bijection p, as a tuple, with a[i][j] == b[p[i]][p[j]]
-    for two square integer matrices; the search behind diagram isomorphism
-    (`split_quotient.graph_isomorphisms`, on adjacency matrices).
-
-    Index i goes only to an index t of b with the same diagonal entry and
-    the same multiset of off-diagonal pairs (a[i][j], a[j][i]).  The most
-    constrained index is placed next: the most nonzero links to indices
-    already placed, then the fewest candidates.
-
-    TooLarge is raised before the search when its estimate, the number of
-    full assignments it can reach, exceeds INDEX_SEARCH_CAP.  An index has
-    at most as many images as it has candidates not taken by the placed
-    indices, and, if it is linked to a placed index j, at most as many as
-    p[j] has links not yet taken: as many as j has, less those to placed
-    indices.
-    """
-    n = len(a)
-    if len(b) != n:
-        return
-
-    def profiles(m):
-        return [(m[i][i], sorted((m[i][j], m[j][i]) for j in range(n) if j != i))
-                for i in range(n)]
-
-    pa, pb = profiles(a), profiles(b)
-    if sorted(pa) != sorted(pb):
-        return
-    candidates = [[t for t in range(n) if pb[t] == pa[i]] for i in range(n)]
-    linked = [[j for j in range(n) if j != i and (a[i][j] or a[j][i])] for i in range(n)]
-    order: list[int] = []
-    links = [0] * n
-    estimate = 1
-    for _ in range(n):
-        i = min(set(range(n)) - set(order), key=lambda i: (-links[i], len(candidates[i]), i))
-        taken = sum(pa[j] == pa[i] for j in order)
-        estimate *= min([len(candidates[i]) - taken]
-                        + [len(linked[j]) - links[j] for j in linked[i] if j in order])
-        order.append(i)
-        for j in linked[i]:
-            links[j] += 1
-    if estimate > INDEX_SEARCH_CAP:
-        raise TooLarge(f"the index search may reach {estimate} assignments, beyond the cap "
-                       f"of {INDEX_SEARCH_CAP}", estimate=estimate, cap=INDEX_SEARCH_CAP)
-
-    image, used = [0] * n, [False] * n
-
-    def extend(k: int) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            yield tuple(image)
-            return
-        i = order[k]
-        for t in candidates[i]:
-            if not used[t] and all(a[i][j] == b[t][image[j]] and a[j][i] == b[image[j]][t]
-                                   for j in order[:k]):
-                image[i] = t
-                used[t] = True
-                yield from extend(k + 1)
-                used[t] = False
-
-    yield from extend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, prod
+from math import prod
 from operator import add, mul, sub
 from typing import Mapping
 
@@ -81,7 +81,7 @@ from .errors import (
 )
 from .lie_fold import CartanMatrix, FoldedAlgebraData, is_finite_type, symmetrizer
 from .quiver_core import Quiver
-from .split_quotient import _compositions
+from .split_quotient import _composition_count, _compositions
 
 Weight = tuple[int, ...]
 Root = tuple[int, ...]
@@ -396,7 +396,7 @@ def _fiber_points(alphas: tuple[Weight, ...], k: int) -> tuple[Weight, ...]:
 def _fiber_count(orbits: list[list[int]], depths: Mapping[Weight, Root]) -> int:
     """How many weights the fiber sum visits: for each key nu of depths, the
     compositions of every K_I = depths[nu][I] into |I| parts."""
-    return sum(prod(comb(k + len(orbit) - 1, len(orbit) - 1) for k, orbit in zip(depth, orbits))
+    return sum(prod(_composition_count(k, len(orbit)) for k, orbit in zip(depth, orbits))
                for depth in depths.values())
 
 

@@ -8,20 +8,26 @@ and per solution of the congruence j1 = j2 (mod e_h); this is the matching
 of phases that makes an arrow component survive on the fixed locus, and it
 reproduces the classical D/A correspondence.
 
+Splitting twice returns (Q, a): `split_involution_check` reads the
+natural map s(s(Q)) -> Q off the phase slots and checks it, with no
+search for an isomorphism.
+
 The framing is graded by `root_of_unity_eigendims`, the one count of
 eigenspace dimensions at roots of unity: nullity(Phi_d(m)) / phi(d) at a
 primitive d-th root, read by `split_framing` here, at the orbit
 composites that `SigmaData` keeps, and by `module_lab.eigen_profile`.
-Weak compositions are listed once, by `_compositions`, for the fibers of p
-here and for the fibers of restriction in `rep_branch`.
+Weak compositions are listed once, by `_compositions`, and counted once,
+by `_composition_count`, for the fibers of p here and for the fibers of
+restriction in `rep_branch`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, gcd
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .errors import (
     IndexMismatch,
@@ -44,7 +50,6 @@ from .quiver_core import (
     arrow_transport,
     check_automorphism,
     identity_automorphism,
-    index_isomorphisms,
     orbit_data,
     quiver,
     require_admissible,
@@ -149,50 +154,74 @@ def _split_edge_id(edge_orbit: str, j1: int, e1: int, j2: int, e2: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# diagram isomorphism
+# splitting twice
 # ---------------------------------------------------------------------------
-
-def graph_isomorphisms(q1: Quiver, q2: Quiver) -> Iterator[dict[str, str]]:
-    """All undirected diagram isomorphisms q1 -> q2 (multiplicity preserving):
-    the index bijections between their adjacency matrices, which count
-    the edges joining two vertices, with loops on the diagonal."""
-    def adjacency(q: Quiver) -> list[list[int]]:
-        pos = {v: i for i, v in enumerate(q.vertices)}
-        adj = [[0] * len(pos) for _ in pos]
-        for e in q.edges:
-            adj[pos[e.src]][pos[e.tgt]] += 1
-            adj[pos[e.tgt]][pos[e.src]] += e.src != e.tgt
-        return adj
-
-    for p in index_isomorphisms(adjacency(q1), adjacency(q2)):
-        yield {v: q2.vertices[p[i]] for i, v in enumerate(q1.vertices)}
-
 
 @dataclass(frozen=True)
 class InvolutionWitness:
     vertex_map: Mapping[str, str]  # vertices of s(s(Q)) -> vertices of Q
-    automorphism_matched: bool
 
 
 def split_involution_check(q: Quiver, a: DiagramAutomorphism) -> InvolutionWitness:
-    """Witness that splitting twice returns the original diagram.
+    """Witness that splitting twice returns (Q, a): the natural map, checked.
 
-    Prefers an isomorphism that also intertwines the twice-induced
-    automorphism with the original one.
+    The induced automorphism of s(Q) has one vertex orbit per a-orbit O,
+    the phases (O, j/e_O), in the order of the a-orbits.  The natural map
+    sends the slot j' of O's orbit in s(s(Q)) to a^(j'-1)(b_O) for a base
+    b_O in O.  An edge of s(s(Q)) joins the slots j' = 1 of any two orbits
+    that an edge joins, so the bases are taken joined likewise: a walk
+    over the edges of Q, from the first member of each orbit it has not
+    reached, takes the first vertex it meets in each new orbit as its base.
+    On a tree of orbits any such choice serves; around a cycle of orbits
+    another choice may succeed where the walk's fails.
+    `_check_natural_map` raises IsoNotFound where the map is no
+    isomorphism.
     """
     sd = split_quiver(q, a)
     sd2 = split_quiver(sd.split, sd.induced)
-    first: Optional[dict[str, str]] = None
-    for iso in graph_isomorphisms(sd2.split, q):
-        if first is None:
-            first = iso
-        if all(iso[sd2.induced.vertex_perm[x]] == a.vertex_perm[iso[x]] for x in iso):
-            return InvolutionWitness(iso, True)
-    if first is not None:
-        return InvolutionWitness(first, False)
-    raise IsoNotFound(
-        f"s(s(Q)) has {len(sd2.split.vertices)} vertices, Q has {len(q.vertices)}; no diagram isomorphism"
-    )
+    orbit_of = sd.orbits.orbit_of_vertex
+    base: dict[int, str] = {}
+    for k, orbit in enumerate(sd.orbits.vertex_orbits):
+        if k in base:
+            continue
+        base[k] = orbit[0]
+        todo = [orbit[0]]
+        while todo:
+            for h in q.leaving[todo.pop()]:
+                if orbit_of[h.tgt] not in base:
+                    base[orbit_of[h.tgt]] = h.tgt
+                    todo.append(h.tgt)
+    vertex_map = {}
+    for k, slots in enumerate(sd2.orbit_slots):
+        v = base[k]
+        for x in slots:
+            vertex_map[x] = v
+            v = a.vertex_perm[v]
+    _check_natural_map(sd2, q, a, vertex_map)
+    return InvolutionWitness(vertex_map)
+
+
+def _check_natural_map(sd2: SplitData, q: Quiver, a: DiagramAutomorphism,
+                       vertex_map: Mapping[str, str]) -> None:
+    """Raise IsoNotFound, naming the vertex or the edges where it fails,
+    unless vertex_map is a bijection from the vertices of s(s(Q)) onto Q's
+    that carries the multiset of undirected edges of s(s(Q)), loops
+    counted, onto Q's and the twice-induced automorphism onto a."""
+    hits = Counter(vertex_map.values())
+    for v in q.vertices:
+        if hits[v] != 1:
+            raise IsoNotFound(f"{hits[v]} vertices of s(s(Q)) go to {v}")
+    got = Counter(tuple(sorted((vertex_map[e.src], vertex_map[e.tgt]))) for e in sd2.split.edges)
+    want = Counter(tuple(sorted((e.src, e.tgt))) for e in q.edges)
+    for u, v in got | want:
+        if got[u, v] != want[u, v]:
+            raise IsoNotFound(f"{got[u, v]} edges of s(s(Q)) go onto {u}--{v}, "
+                              f"which Q joins by {want[u, v]}")
+    for x, v in vertex_map.items():
+        image = vertex_map[sd2.induced.vertex_perm[x]]
+        if image != a.vertex_perm[v]:
+            raise IsoNotFound(f"{x} goes to {v}, and its image under the twice-induced "
+                              f"automorphism to {image}, not to a({v}) = {a.vertex_perm[v]}")
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +261,7 @@ def fiber_count(v: DimVec, sd: SplitData) -> int:
     count = 1
     for orbit in sd.orbits.vertex_orbits:
         e = sd.orbits.e_vertex[orbit[0]]
-        count *= comb(v.get(orbit[0], 0) + e - 1, e - 1)
+        count *= _composition_count(v.get(orbit[0], 0), e)
     return count
 
 
@@ -257,6 +286,13 @@ def fibers_of_p(v: DimVec, sd: SplitData) -> list[dict[str, int]]:
                 vec[svid] = val
         out.append(vec)
     return out
+
+
+def _composition_count(total: int, parts: int) -> int:
+    """len(_compositions(total, parts)), without listing them."""
+    if parts == 0:
+        return int(total == 0)
+    return comb(total + parts - 1, parts - 1)
 
 
 def _compositions(total: int, parts: int) -> list[tuple[int, ...]]:

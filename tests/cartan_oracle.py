@@ -11,10 +11,12 @@ A and D diagrams.  The rank-2 double bonds are read literally.
 from fractions import Fraction
 from functools import lru_cache
 
+from iso_oracle import index_isomorphisms
+
 from qfold.errors import NotSymmetrizable, UnsupportedFamily
 from qfold.lie_fold import TypeLabel, canonical_cartan, cartan_from_quiver, symmetrizer
 from qfold.linalg import Mat
-from qfold.quiver_core import affine_a_quiver, affine_d_quiver, index_isomorphisms
+from qfold.quiver_core import affine_a_quiver, affine_d_quiver
 
 FINITE_FAMILIES = "ABCDEFG"
 

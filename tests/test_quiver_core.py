@@ -297,7 +297,7 @@ def relabelled(rng, q):
 
 
 def test_graph_isomorphisms_match_the_former_search():
-    from qfold.split_quotient import graph_isomorphisms
+    from iso_oracle import graph_isomorphisms
 
     rng = random.Random(10)
     found = 0
@@ -322,9 +322,9 @@ def shuffled(rng, entries):
 
 def test_index_isomorphisms_match_the_former_cartan_search():
     from cartan_oracle import affine_targets, finite_targets
+    from iso_oracle import index_isomorphisms
 
     from qfold.lie_fold import cartan_matrix
-    from qfold.quiver_core import index_isomorphisms
 
     targets = {n: [c for _family, c in finite_targets(n) + affine_targets(n)]
                for n in range(1, 9)}
@@ -353,7 +353,7 @@ def test_index_isomorphisms_match_the_former_cartan_search():
 def test_index_isomorphisms_on_asymmetric_matrices():
     # every bijection, each exactly once, where a[i][j] != a[j][i]: b is a
     # shuffled copy of a, with two entry pairs transposed in every other trial
-    from qfold.quiver_core import index_isomorphisms
+    from iso_oracle import index_isomorphisms
 
     rng = random.Random(12)
     hits = 0
@@ -378,21 +378,22 @@ def test_index_search_budget(monkeypatch):
     """Every corpus diagram and Cartan matrix, and E6, E7, E8 and F4, stay
     under the index search's cap with room to spare; a cap one below a
     search's estimate refuses it before it starts, stating both."""
-    from qfold import quiver_core
+    import iso_oracle
+    from iso_oracle import INDEX_SEARCH_CAP, index_isomorphisms
+
     from qfold.corpus import corpus
     from qfold.errors import TooLarge
     from qfold.lie_fold import canonical_cartan, cartan_from_quiver, fold_cartan
-    from qfold.quiver_core import INDEX_SEARCH_CAP, index_isomorphisms
     from qfold.split_quotient import quotient_quiver, split_quiver
 
     def adjacency(q):
         return [[oracle_adjacency(q)[v].get(w, 0) for w in q.vertices] for v in q.vertices]
 
     def refusal(m, cap):
-        monkeypatch.setattr(quiver_core, "INDEX_SEARCH_CAP", cap)
+        monkeypatch.setattr(iso_oracle, "INDEX_SEARCH_CAP", cap)
         with pytest.raises(TooLarge) as info:
             next(index_isomorphisms(m, m))
-        monkeypatch.setattr(quiver_core, "INDEX_SEARCH_CAP", INDEX_SEARCH_CAP)
+        monkeypatch.setattr(iso_oracle, "INDEX_SEARCH_CAP", INDEX_SEARCH_CAP)
         return info.value
 
     def estimate(m):
@@ -419,7 +420,7 @@ def test_index_search_budget(monkeypatch):
     # the affine A3 cycle of the corpus: its estimate is the cap it needs
     cycle = matrices["affineA3-rot"]
     need = estimates["affineA3-rot"]
-    monkeypatch.setattr(quiver_core, "INDEX_SEARCH_CAP", need)
+    monkeypatch.setattr(iso_oracle, "INDEX_SEARCH_CAP", need)
     assert len(list(index_isomorphisms(cycle, cycle))) == 8
     error = refusal(cycle, need - 1)
     assert error.context == {"estimate": need, "cap": need - 1}
@@ -435,8 +436,9 @@ def test_long_chains_and_cycles_stay_under_the_index_budget(label):
     """A path, a forked path and a cycle of rank about 30 stay under the
     index search's budget, since an index linked to a placed one has at
     most the links left free; and each is classified by its diagram."""
+    from iso_oracle import index_isomorphisms
+
     from qfold.lie_fold import canonical_cartan, cartan_from_quiver, classify_cartan
-    from qfold.quiver_core import index_isomorphisms
 
     if label.startswith("affine"):
         c = cartan_from_quiver(affine_a_quiver(30))

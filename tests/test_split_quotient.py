@@ -1,8 +1,13 @@
+import dataclasses
 import itertools
+import math
+import random
 
+import iso_oracle
 import pytest
+from iso_oracle import graph_isomorphisms
 
-from qfold.corpus import corpus
+from qfold.corpus import corpus, corpus_entry
 from qfold.errors import (
     IndexMismatch,
     IsoNotFound,
@@ -10,6 +15,7 @@ from qfold.errors import (
     NotOrbitConstant,
     ShapeMismatch,
     SigmaConstraintViolated,
+    TooLarge,
     UnknownVertex,
 )
 from qfold.lie_fold import cartan_from_quiver, classify_cartan
@@ -24,12 +30,15 @@ from qfold.quiver_core import (
     fork_swap_automorphism,
     identity_automorphism,
     is_admissible,
+    quiver,
 )
 from qfold.split_quotient import (
     SigmaData,
+    _check_natural_map,
+    _composition_count,
+    _compositions,
     fiber_count,
     fibers_of_p,
-    graph_isomorphisms,
     project_dim,
     quotient_quiver,
     split_framing,
@@ -114,7 +123,8 @@ def test_split_involution_on_corpus():
                 split_quiver(entry.quiver, entry.auto)
             continue
         witness = split_involution_check(entry.quiver, entry.auto)
-        assert witness.automorphism_matched, entry.name
+        assert sorted(witness.vertex_map.values()) == sorted(entry.quiver.vertices), entry.name
+        assert iso_oracle.split_involution(entry.quiver, entry.auto) is not None, entry.name
 
 
 def test_split_involution_fails_for_free_action():
@@ -127,6 +137,149 @@ def test_split_involution_fails_for_free_action():
     assert len(sd.split.vertices) == 2  # double edge
     with pytest.raises(IsoNotFound):
         split_involution_check(aff3, rot2)
+    assert iso_oracle.split_involution(aff3, rot2) is None
+
+
+def symmetric_star(rng):
+    """A star whose legs come in 1-4 groups of equal legs, each group
+    rotated cyclically; leg lengths 1-3, random edge directions and a
+    shuffled vertex order."""
+    vertices, edges, vperm = ["c"], [], {"c": "c"}
+    for g in range(rng.randint(1, 4)):
+        legs, length = rng.randint(1, 4), rng.randint(1, 3)
+        for leg in range(legs):
+            prev = "c"
+            for depth in range(length):
+                v = f"g{g}l{leg}d{depth}"
+                vertices.append(v)
+                vperm[v] = f"g{g}l{(leg + 1) % legs}d{depth}"
+                edges.append((f"e{v}", prev, v) if rng.random() < 0.5 else (f"e{v}", v, prev))
+                prev = v
+    rng.shuffle(vertices)
+    q = quiver(vertices, edges)
+    return q, automorphism(q, vperm)
+
+
+def cyclic_copies(rng):
+    """2-3 copies of A_n, n = 1..5, permuted cyclically: a free action."""
+    n, copies = rng.randint(1, 5), rng.randint(2, 3)
+    vertices = [f"{c}.{k}" for c in range(copies) for k in range(1, n + 1)]
+    edges = [(f"e{c}.{k}", f"{c}.{k}", f"{c}.{k + 1}") for c in range(copies) for k in range(1, n)]
+    q = quiver(vertices, edges)
+    return q, automorphism(q, {f"{c}.{k}": f"{(c + 1) % copies}.{k}"
+                               for c in range(copies) for k in range(1, n + 1)})
+
+
+def relabelled_entry(rng, q, a):
+    """The pair with shuffled vertex and edge names and orders, and random
+    edge directions."""
+    name = {v: f"v{i}" for i, v in enumerate(rng.sample(q.vertices, len(q.vertices)))}
+    ename = {e.id: f"f{i}" for i, e in enumerate(rng.sample(q.edges, len(q.edges)))}
+    edges = [(ename[e.id], name[e.src], name[e.tgt]) if rng.random() < 0.5
+             else (ename[e.id], name[e.tgt], name[e.src]) for e in q.edges]
+    rng.shuffle(edges)
+    vertices = list(name.values())
+    rng.shuffle(vertices)
+    q2 = quiver(vertices, edges)
+    return q2, automorphism(q2, {name[v]: name[w] for v, w in a.vertex_perm.items()},
+                            {ename[e]: ename[f] for e, f in a.edge_perm.items()})
+
+
+def test_split_involution_matches_the_search_on_seeded_quivers(monkeypatch):
+    """The natural map answers as the former search does wherever the
+    search answers: on 400 symmetric stars, 10 free actions and 5
+    relabellings of each admissible corpus entry.  Each search is held to
+    10^5 assignments, so that the test stays short."""
+    monkeypatch.setattr(iso_oracle, "INDEX_SEARCH_CAP", 10 ** 5)
+    rng = random.Random(30)
+    cases = [symmetric_star(rng) for _ in range(400)] + [cyclic_copies(rng) for _ in range(10)]
+    cases += [relabelled_entry(rng, e.quiver, e.auto) for e in corpus() if e.admissible
+              for _ in range(5)]
+    verdicts = {True: 0, False: 0, "refused": 0}
+    for q, a in cases:
+        assert is_admissible(q, a)
+        try:
+            want = iso_oracle.split_involution(q, a) is not None
+        except TooLarge:
+            split_involution_check(q, a)
+            verdicts["refused"] += 1
+            continue
+        try:
+            split_involution_check(q, a)
+            got = True
+        except IsoNotFound:
+            got = False
+        assert got == want, (q, a)
+        verdicts[want] += 1
+    assert verdicts[True] > 300 and verdicts[False] == 10 and verdicts["refused"] > 0, verdicts
+
+
+def star_k1_10(swaps: bool):
+    q = quiver(["c"] + [f"l{i}" for i in range(10)], [(f"e{i}", "c", f"l{i}") for i in range(10)])
+    vperm = {"c": "c", **{f"l{i}": f"l{i ^ 1 if swaps else i}" for i in range(10)}}
+    return q, automorphism(q, vperm)
+
+
+@pytest.mark.parametrize("swaps", [True, False], ids=["five-leaf-swaps", "identity"])
+def test_split_involution_answers_where_the_search_is_refused(swaps):
+    """K_{1,10}: the search could reach all 10! leaf bijections, beyond
+    its cap, and is refused; the natural map answers."""
+    q, a = star_k1_10(swaps)
+    with pytest.raises(TooLarge) as info:
+        iso_oracle.split_involution(q, a)
+    assert info.value.context["estimate"] == math.factorial(10) > iso_oracle.INDEX_SEARCH_CAP
+    witness = split_involution_check(q, a)
+    assert sorted(witness.vertex_map.values()) == sorted(q.vertices)
+
+
+def natural_map_parts(name):
+    entry = corpus_entry(name)
+    q, a = entry.quiver, entry.auto
+    sd = split_quiver(q, a)
+    sd2 = split_quiver(sd.split, sd.induced)
+    vertex_map = dict(split_involution_check(q, a).vertex_map)
+    _check_natural_map(sd2, q, a, vertex_map)
+    return q, a, sd2, vertex_map
+
+
+def test_a_swap_within_an_orbit_fails_the_automorphism_check():
+    # two leaves of the rotated D4 trade images: every edge still lands
+    # on an edge, but the map no longer carries the rotation to a
+    q, a, sd2, vertex_map = natural_map_parts("D4-rot3")
+    x1, x2 = next(slots for slots in sd2.orbit_slots if len(slots) == 3)[:2]
+    vertex_map[x1], vertex_map[x2] = vertex_map[x2], vertex_map[x1]
+    with pytest.raises(IsoNotFound, match="twice-induced automorphism") as info:
+        _check_natural_map(sd2, q, a, vertex_map)
+    assert x1 in str(info.value) or x2 in str(info.value)
+
+
+def test_a_deleted_edge_fails_the_edge_check():
+    q, a, sd2, vertex_map = natural_map_parts("D5-swap")
+    gone = sd2.split.edges[0]
+    split = quiver(sd2.split.vertices, sd2.split.edges[1:])
+    u, v = sorted((vertex_map[gone.src], vertex_map[gone.tgt]))
+    with pytest.raises(IsoNotFound,
+                       match=f"0 edges of s\\(s\\(Q\\)\\) go onto {u}--{v}, which Q joins by 1"):
+        _check_natural_map(dataclasses.replace(sd2, split=split), q, a, vertex_map)
+
+
+def test_shifted_phases_fail_the_edge_check():
+    # the slots of the orbit {1, 5} of A5-flip go one phase on: still a
+    # bijection that carries the flip to a, but 1 and 5 trade neighbours
+    q, a, sd2, vertex_map = natural_map_parts("A5-flip")
+    slots = next(s for s in sd2.orbit_slots if {vertex_map[x] for x in s} == {"1", "5"})
+    images = [vertex_map[x] for x in slots]
+    vertex_map.update(zip(slots, images[1:] + images[:1]))
+    with pytest.raises(IsoNotFound, match="1 edges of s\\(s\\(Q\\)\\) go onto (1--2|2--5), "
+                                          "which Q joins by 0"):
+        _check_natural_map(sd2, q, a, vertex_map)
+
+
+def test_composition_count_matches_the_listing():
+    # parts = 0 included, where comb(total + parts - 1, parts - 1) would raise
+    for total in range(9):
+        for parts in range(6):
+            assert _composition_count(total, parts) == len(_compositions(total, parts))
 
 
 def test_graph_isomorphic_basics():
@@ -135,7 +288,6 @@ def test_graph_isomorphic_basics():
     assert next(graph_isomorphisms(a3, relabeled), None) is not None
     assert next(graph_isomorphisms(a3, d_quiver(4)), None) is None
     d4 = d_quiver(4)
-    from qfold.quiver_core import quiver
     relabel = quiver(["a", "b", "c", "d"],
                      [("x", "a", "b"), ("y", "b", "c"), ("z", "b", "d")])
     iso = next(graph_isomorphisms(d4, relabel), None)
