@@ -10,6 +10,17 @@ successful parse is one object {"error": {"type", "message"}} on standard
 output, plus the error's context fields (`qfold.errors.QfoldError`);
 otherwise it is one line on standard error.  A reader that closes
 standard output early ends the run with exit 1 and no traceback.
+
+A one-shot call pays for importing, and compiling, what it loads, so the
+module laboratory and the property suite load only in the subcommands that
+run them: `module` imports `module_lab`, `dims` imports `dim_calc` and
+`module_lab`, and `verify-all` imports `properties` (and with it
+`generators`).  `import qfold.cli` loads `corpus`, `quiver_core`,
+`split_quotient`, `lie_fold`, `rep_branch` and `serialize` with their
+dependencies.  `lie_fold` and `rep_branch` stay among them although
+`module` never runs them: the benchmark's tracer (`perfbench/tracer.py`)
+looks up every module it patches in `sys.modules`, after `import qfold.cli`
+and the warm-up ops, and on its module workload nothing else loads those two.
 """
 
 from __future__ import annotations
@@ -23,20 +34,8 @@ import time
 from pathlib import Path
 
 from .corpus import corpus_entry
-from .dim_calc import fixed_components
 from .errors import InputError, PropertyViolation, QfoldError, RelationViolation
 from .lie_fold import cartan_from_quiver, classify_cartan, fold_cartan
-from .module_lab import (
-    apply_theta,
-    build_theta_witness,
-    eigen_profile,
-    find_transition,
-    identity_sigma,
-    is_stable,
-    rational_eigenvalues,
-    theorem5_verify,
-)
-from .properties import PROPERTIES
 from .quiver_core import (
     DiagramAutomorphism,
     Quiver,
@@ -221,6 +220,9 @@ def cmd_branch(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    from .dim_calc import fixed_components
+    from .module_lab import identity_sigma
+
     q, a = _load_entry(args)
     sd = split_quiver(q, a)
     v = _parse_dimvec(args.v, q.vertices, "--v")
@@ -248,6 +250,17 @@ def _load_module_file(path: str) -> dict:
 
 
 def cmd_module(args) -> int:
+    from .module_lab import (
+        apply_theta,
+        build_theta_witness,
+        eigen_profile,
+        find_transition,
+        identity_sigma,
+        is_stable,
+        rational_eigenvalues,
+        theorem5_verify,
+    )
+
     data = _load_module_file(args.file)
     try:
         q, a = quiver_from_dict(data["quiver"])
@@ -342,6 +355,8 @@ def cmd_verify_all(args) -> int:
     """Run every release property.  The verdicts go to stdout; each
     property's duration and size (its trial count, see `qfold.properties`)
     go to stderr, one line each, so stdout stays byte-identical per seed."""
+    from .properties import PROPERTIES
+
     failures = 0
     payload = {}
     lines = []

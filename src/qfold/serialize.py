@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import json
 from math import gcd
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import InputError, TooLarge
 from .linalg import Mat, _over_q, qq, rational_rows
-from .module_lab import FramedModule, SigmaData, TransitionWitness, framed_module
 from .quiver_core import DiagramAutomorphism, Quiver
+
+if TYPE_CHECKING:
+    from .module_lab import FramedModule, SigmaData, TransitionWitness
 
 
 def json_document(data: bytes, source: str):
@@ -141,6 +143,8 @@ def module_to_dict(m: FramedModule) -> dict:
 
 
 def module_from_dict(q: Quiver, obj) -> FramedModule:
+    from .module_lab import framed_module
+
     obj = json_object(obj, "a module block")
     try:
         v = {k: dim_entry(x, '"v"') for k, x in json_object(obj["v"], '"v"').items()}
@@ -162,6 +166,8 @@ def sigma_to_dict(sigma: SigmaData) -> dict:
 
 
 def sigma_from_dict(q: Quiver, a: DiagramAutomorphism, obj) -> SigmaData:
+    from .module_lab import SigmaData
+
     return SigmaData(q, a, matmap_from_obj(obj))
 
 
@@ -173,6 +179,8 @@ def witness_to_dict(w: TransitionWitness) -> dict:
 
 
 def witness_from_dict(obj) -> TransitionWitness:
+    from .module_lab import TransitionWitness
+
     obj = json_object(obj, "a witness block")
     block_dims = None
     if obj.get("block_dims"):

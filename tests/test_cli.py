@@ -724,6 +724,41 @@ def test_closed_stdout_exits_one_without_traceback():
         assert proc.stderr == b"", proc.stderr.decode()
 
 
+# a fresh interpreter runs one subcommand and lists the qfold modules it loaded
+LOADED = """
+import contextlib, io, json, sys
+import qfold.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = qfold.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps([code, sorted(name[6:] for name in sys.modules if name.startswith("qfold."))]))
+"""
+LABORATORY = {"module_lab", "generators", "properties", "dim_calc"}
+
+
+@pytest.mark.parametrize("argv, absent, present", [
+    ([], LABORATORY, {"cli"}),
+    (["split", "--corpus", "A5-flip"], LABORATORY, {"split_quotient"}),
+    (["quotient", "--corpus", "A5-flip"], LABORATORY, {"split_quotient"}),
+    (["fold", "--corpus", "A5-flip"], LABORATORY, {"lie_fold"}),
+    (["branch", "--corpus", "A5-flip", "--framing", "1,0,0,1"], LABORATORY, {"rep_branch"}),
+    (["module", "check", "FILE"], {"properties", "generators", "dim_calc"}, {"module_lab"}),
+    (["dims", "--corpus", "D4-swap", "--v", "1,1,1,1", "--w", "1,1,1,1"],
+     {"properties", "generators"}, {"dim_calc", "module_lab"}),
+], ids=["import", "split", "quotient", "fold", "branch", "module-check", "dims"])
+def test_a_subcommand_imports_only_what_it_runs(tmp_path, argv, absent, present):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(module_doc()))
+    argv = [str(path) if arg == "FILE" else arg for arg in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(qfold.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", LOADED, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout)
+    assert code == 0, argv
+    assert not absent & set(loaded), (argv, loaded)
+    assert present <= set(loaded), (argv, loaded)
+
+
 @pytest.mark.parametrize("action, field", [
     ("theorem5", ("xi", "zz")),
     ("theorem5", ("witness", "g", "zz")),

@@ -5,11 +5,14 @@ properties (`properties.PROPERTIES`), the benchmark tracer's `TARGETS` and
 the qfold names that the benchmark's own files (`perfbench/*.py`, not its
 tests) import.  The walk reads each module's `ast`: a reached definition
 reaches every module-level name it mentions, through `from .x import`
-aliases, annotations included.  A method is reached when its class is and
-its name is read as an attribute anywhere reached, or it is a dunder, or
-it overrides a method of a class from outside qfold (argparse calls
-`_Parser.error`).  A definition only tests reach belongs in the tests, and
-an import its module never reads belongs nowhere.
+aliases, annotations included, and each name `y` that a `from .x import y`
+inside it imports (a subcommand imports what only it runs).  Imports in a
+top-level `if` block (`if TYPE_CHECKING:`) count as module-level.  A method
+is reached when its class is and its name is read as an attribute anywhere
+reached, or it is a dunder, or it overrides a method of a class from
+outside qfold (argparse calls `_Parser.error`).  A definition only tests
+reach belongs in the tests, and an import its module, or the function that
+makes it, never reads belongs nowhere.
 
 Likewise a defaulted parameter is an option: some call in `src/qfold` or in
 the benchmark's own files sets it, by keyword, by position or through `*`
@@ -40,6 +43,18 @@ def _qfold_module(node: ast.ImportFrom):
     return None
 
 
+def _imports(stmt: ast.AST) -> list[tuple[str, object]]:
+    """The names an import statement binds, each with the (qfold module,
+    name) it reads, or None when it reads from outside qfold."""
+    if isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+        source = _qfold_module(stmt)
+        return [(alias.asname or alias.name, source and (source, alias.name))
+                for alias in stmt.names]
+    if isinstance(stmt, ast.Import):
+        return [(alias.asname or alias.name.split(".")[0], None) for alias in stmt.names]
+    return []
+
+
 def _mentions(nodes) -> tuple[set[str], set[str]]:
     """The names and the attribute names read anywhere in the nodes."""
     names, attrs = set(), set()
@@ -60,21 +75,17 @@ class Module:
         self.defs: dict[str, ast.AST] = {}             # name -> its statement
         self.aliases: dict[str, tuple[str, str]] = {}  # name -> (qfold module, name)
         self.imports: set[str] = set()                 # every name an import binds
-        for stmt in tree.body:
+        guarded = [inner for stmt in tree.body if isinstance(stmt, ast.If) for inner in stmt.body]
+        for stmt in [*tree.body, *guarded]:
             if isinstance(stmt, DEFS):
                 self.defs[stmt.name] = stmt
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 self.defs.update((t.id, stmt) for t in targets if isinstance(t, ast.Name))
-            elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
-                for alias in stmt.names:
-                    local = alias.asname or alias.name
-                    self.imports.add(local)
-                    if _qfold_module(stmt):
-                        self.aliases[local] = (_qfold_module(stmt), alias.name)
-            elif isinstance(stmt, ast.Import):
-                self.imports.update(alias.asname or alias.name.split(".")[0]
-                                    for alias in stmt.names)
+            for local, source in _imports(stmt):
+                self.imports.add(local)
+                if source:
+                    self.aliases[local] = source
 
 
 def load_modules() -> dict[str, Module]:
@@ -172,6 +183,9 @@ def reached_definitions(modules: dict[str, Module]) -> set[tuple[str, str]]:
             names, read = _mentions(parts)
             attrs |= read
             queue += filter(None, (resolve(modules, module, name) for name in names))
+            queue += filter(None, (resolve(modules, *source) for part in parts
+                                   for stmt in ast.walk(part)
+                                   for _local, source in _imports(stmt) if source))
         # methods of reached classes whose names are read, or that are implicit
         for module, qualname in list(reached):
             node = modules[module].defs.get(qualname)
@@ -215,6 +229,11 @@ def test_every_import_is_read():
                 if not isinstance(stmt, (ast.Import, ast.ImportFrom))]
         names, _attrs = _mentions(body)
         unused += [f"{name}: {local}" for local in sorted(mod.imports - names)]
+        for fn in ast.walk(mod.tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local = {bound for stmt in ast.walk(fn) for bound, _source in _imports(stmt)}
+                names, _attrs = _mentions([fn])
+                unused += [f"{name}.{fn.name}: {bound}" for bound in sorted(local - names)]
     assert not unused, f"imported but never read: {unused}"
 
 

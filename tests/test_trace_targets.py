@@ -4,16 +4,45 @@
 looks them up when `--trace 1` starts, and it counts `Mat` constructions
 by wrapping `Mat.__init__`; a rename, a deletion or a changed constructor
 in `src/` would otherwise surface only as a failed traced benchmark run.
+`Tracer.install` reads each target's module from `sys.modules`, so every
+such module must be loaded by then: by `import qfold.cli` or by what the
+benchmark runs before it installs the tracer.
 """
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+import qfold.generators  # noqa: F401  (the benchmark's workloads load it before install)
 from qfold.linalg import Mat
 from qfold.numberfield import Fp
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+# what perfbench/run.py does before Tracer.install, in a fresh interpreter
+BEFORE_INSTALL = """
+import contextlib, io, sys
+from pathlib import Path
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import qfold.cli
+import workloads
+from tracer import Tracer
+for argv in workloads.warmup_argvs(sys.argv[3], Path(sys.argv[4])):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = qfold.cli.main(argv)
+    if code != 0:
+        sys.exit(f"warm-up op {argv} exited {code}")
+tracer = Tracer()
+tracer.install()
+tracer.uninstall()
+print("installed")
+"""
 
 
 def tracer_module():
@@ -43,6 +72,19 @@ def test_every_trace_target_resolves():
         if not found:
             missing.append(f"qfold.{module}.{attr}")
     assert not missing, missing
+
+
+@pytest.mark.parametrize("workload", ["verify-all", "branch-large", "module-lab"])
+def test_tracer_installs_after_the_warm_up(tmp_path, workload):
+    # a module that only a subcommand imports is missing from sys.modules
+    # at install time unless the warm-up ops have loaded it
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", BEFORE_INSTALL, str(ROOT / "src"), str(ROOT / "perfbench"),
+         workload, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["installed"]
 
 
 def test_tracer_counts_a_prime_field_product():
