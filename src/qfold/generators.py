@@ -23,8 +23,8 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import InputError, NotInvertible, PropertyViolation
-from .linalg import Mat, qq
-from .numberfield import Fp, cyclotomic_poly
+from .linalg import Mat
+from .numberfield import Fp, companion, cyclotomic_poly
 from .module_lab import (
     FramedModule,
     SigmaData,
@@ -88,14 +88,7 @@ def random_finite_order_matrix(rng: random.Random, n: int, e: int) -> Mat:
 def _cyclotomic_block(d: int) -> Mat:
     """The companion matrix of the d-th cyclotomic polynomial, built once
     per d and shared by every draw (a Mat is immutable)."""
-    coeffs = cyclotomic_poly(d)
-    n = len(coeffs) - 1
-    rows = [[0] * n for _ in range(n)]
-    for r in range(1, n):
-        rows[r][r - 1] = 1
-    for r in range(n):
-        rows[r][n - 1] = qq(-coeffs[n - r])  # constant term topmost
-    return Mat.from_rows(rows)
+    return companion(cyclotomic_poly(d))
 
 
 def random_orbit_constant_dims(rng: random.Random, od: OrbitData) -> dict[str, int]:

@@ -1,9 +1,10 @@
 """Exact linear algebra over an arbitrary field.
 
 Matrices are immutable and generic over the entry type: anything with
-field arithmetic (+, -, *, /, ==, bool) and exact division `//` works, so
-the same code runs over Q, prime fields (`qfold.numberfield.Fp`) and
-number fields (`qfold.numberfield.NumberFieldElement`), where `//` is `/`.
+field arithmetic (+, -, *, /, ==, bool) and exact division `//` works.
+The program runs them over Q and over the prime fields
+(`qfold.numberfield.Fp`, where `//` is `/`); an eigenvector over a number
+field is carried as a rational matrix of its coordinates.
 Zero-row and zero-column matrices are first-class citizens; shape is
 always carried explicitly.
 
@@ -444,9 +445,6 @@ class Mat:
         return _canonical(len(row_idx), len(col_idx),
                           tuple(tuple([num[r][c] for c in col_idx]) for r in row_idx),
                           self.den, self.zero)
-
-    def columns(self) -> list["Mat"]:
-        return [self.submatrix(range(self.rows), [c]) for c in range(self.cols)]
 
     # -- reductions ---------------------------------------------------
     def _reduce(self) -> tuple[list, list, object, list[int]]:

@@ -42,7 +42,7 @@ from .errors import (
 from .linalg import Mat, column_space_contains, sum_of_products
 from .numberfield import (
     Fp,
-    NumberField,
+    companion,
     factor_rational_poly,
     poly_derivative,
     poly_divmod,
@@ -550,7 +550,8 @@ def theorem5_verify(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
     holds at a vertex exactly when D vanishes on `eigenvector_span(g_sub)`;
     this is decided over Q, and needs no span where D is zero.  Only a
     failing vertex factors the characteristic polynomial, to name an
-    eigenvalue and a counterexample vector exactly in Q[x]/(factor).
+    eigenvalue and a counterexample vector exactly (`_eigen_counterexample`),
+    still over Q.
     """
     if not check_framed_embedding(xi, m_sub, m):
         raise PreconditionViolation("xi is not a framed embedding")
@@ -574,17 +575,31 @@ def theorem5_verify(xi: Mapping[str, Mat], m_sub: FramedModule, m: FramedModule,
 
 def _eigen_counterexample(x: str, g_sub: Mat, defect: Mat) -> EigenInclusionReport:
     """The first eigenvector u of g_sub with defect u != 0, one irreducible
-    factor f of the characteristic polynomial at a time, in Q[x]/(f); a
-    degree-1 field prints its elements as Fractions do."""
+    factor f of the characteristic polynomial at a time, over Q alone.
+
+    For a root a of f of degree k, write u = X (1, a, ..., a^(k-1))^T with
+    X rational n x k.  Then g u = a u is the Sylvester equation
+    g X = X C^T, C the companion matrix of f, whose row-major vec(X) is
+    the kernel of K = kron(g, I_k) - kron(I_n, C) (Horn and Johnson,
+    Topics in Matrix Analysis, ch. 4), and defect u = 0 is defect X = 0.  The k columns of K at a column c of g - a span the
+    Q(a)-line through it, so they are free together or not at all, and the
+    kernel vector at the first of a free block is the kernel vector of
+    g - a over Q(a) that is 1 at c and 0 at the other free columns.  An
+    entry of u prints as its polynomial in a; at k = 1 as its rational.
+    """
+    n, g = g_sub.rows, g_sub.data
     for factor, _mult in factor_rational_poly(g_sub.charpoly()):
-        field = NumberField(factor)
-        shift = g_sub.map(field.from_rational) \
-            - Mat.identity(g_sub.rows, field.one).scaled(field.generator)
-        defect_k = defect.map(field.from_rational)
-        for u in shift.nullspace().columns():
-            if not (defect_k * u).is_zero():
-                lam = str(-factor[1]) if len(factor) == 2 else f"root of {poly_str(factor)}"
-                return EigenInclusionReport(False, x, lam,
-                                            tuple(repr(u[r, 0]) for r in range(u.rows)))
+        c = companion(factor).data
+        k = len(c)
+        kernel = Mat.from_rows([[g[r][s] * (i == j) - (r == s) * c[i][j]
+                                 for s in range(n) for j in range(k)]
+                                for r in range(n) for i in range(k)]).nullspace()
+        for col in range(0, kernel.cols, k):
+            coords = Mat.from_rows([[kernel[r * k + j, col] for j in range(k)]
+                                    for r in range(n)])
+            if not (defect * coords).is_zero():
+                lam = str(-factor[1]) if k == 1 else f"root of {poly_str(factor)}"
+                return EigenInclusionReport(False, x, lam, tuple(
+                    poly_str(row[::-1], "a") for row in coords.data))
     raise PropertyViolation(f"the defect at {x} vanishes on every eigenvector but not "
                             f"on their span")

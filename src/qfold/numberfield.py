@@ -1,13 +1,13 @@
-"""Small exact fields: prime fields and number fields Q[x]/(f).
+"""Small exact fields and rational polynomials: the prime fields F_p, the
+helpers for polynomials over Q, and the companion matrix of a monic one.
 
-Number field elements are polynomials in the field generator with Fraction
-coefficients, reduced modulo an irreducible monic f.  They name the
-eigenvalues and eigenvectors of a rational matrix exactly: work in
-Q[x]/(f) for each irreducible factor f of the characteristic polynomial,
-one Galois-conjugacy class of eigenvalues at a time.  Deciding a property
-on all eigenvectors at once needs only the rational polynomial helpers:
-gcd and derivative give the square-free part of the characteristic
-polynomial.
+The eigenvalues of a rational matrix are named one irreducible factor f of
+its characteristic polynomial at a time, without leaving Q: a vector over
+Q[x]/(f) is a rational matrix whose columns are its coordinates in the
+basis 1, a, ..., a^(k-1) of a root a, and multiplication by a is the
+companion matrix of f (`companion`).  Deciding a property on all
+eigenvectors at once needs only gcd and derivative, which give the
+square-free part of the characteristic polynomial.
 
 Polynomials are plain coefficient lists, highest degree first.
 """
@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from typing import Sequence
 
-from .errors import NotInvertible, PropertyViolation
+from .errors import PropertyViolation
+from .linalg import Mat, qq
 
 
 # ---------------------------------------------------------------------------
@@ -104,16 +104,6 @@ def poly_trim(p: Sequence[Fraction]) -> list[Fraction]:
     return p
 
 
-def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
     """Quotient and remainder over Q, as Fractions; int coefficients are
     read as Fractions, so no division below is one int by another."""
@@ -180,6 +170,20 @@ def cyclotomic_poly(d: int) -> tuple[Fraction, ...]:
     return tuple(num)
 
 
+def companion(poly: Sequence[Fraction]) -> Mat:
+    """The companion matrix of a monic polynomial (coefficients high to
+    low) of degree k >= 1: ones on the subdiagonal, and minus the
+    coefficients in the last column, constant term topmost.  It is the
+    matrix of multiplication by a root a in the basis 1, a, ..., a^(k-1)."""
+    k = len(poly) - 1
+    rows = [[0] * k for _ in range(k)]
+    for r in range(1, k):
+        rows[r][r - 1] = 1
+    for r in range(k):
+        rows[r][k - 1] = qq(-poly[k - r])
+    return Mat.from_rows(rows)
+
+
 def factor_rational_poly(coeffs: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:
     """Factor a polynomial over Q into (monic irreducible, multiplicity) pairs."""
     import sympy  # deferred: only this helper needs it
@@ -195,134 +199,3 @@ def factor_rational_poly(coeffs: Sequence[Fraction]) -> list[tuple[list[Fraction
         cs = [c / lead for c in cs]
         out.append((cs, int(mult)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# number fields
-# ---------------------------------------------------------------------------
-
-class NumberField:
-    """Q[x]/(f) for monic irreducible f with Fraction coefficients."""
-
-    def __init__(self, modulus: Sequence[Fraction]):
-        mod = poly_trim([Fraction(c) for c in modulus])
-        if mod[0] != 1:
-            mod = [c / mod[0] for c in mod]
-        self.modulus = tuple(mod)
-        self.degree = len(mod) - 1
-        if self.degree < 1:
-            raise ValueError("modulus must have positive degree")
-
-    def element(self, coeffs: Sequence[Fraction]) -> "NumberFieldElement":
-        return NumberFieldElement(self, coeffs)
-
-    def from_rational(self, q) -> "NumberFieldElement":
-        return self.element([Fraction(q)])
-
-    @property
-    def zero(self) -> "NumberFieldElement":
-        return self.element([Fraction(0)])
-
-    @property
-    def one(self) -> "NumberFieldElement":
-        return self.element([Fraction(1)])
-
-    @property
-    def generator(self) -> "NumberFieldElement":
-        """A root of the modulus."""
-        return self.element([Fraction(1), Fraction(0)])
-
-    def __eq__(self, other):
-        return isinstance(other, NumberField) and self.modulus == other.modulus
-
-    def __hash__(self):
-        return hash(self.modulus)
-
-    def __repr__(self):
-        return f"NumberField(deg {self.degree})"
-
-
-class NumberFieldElement:
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: NumberField, coeffs: Sequence[Fraction]):
-        cs = [Fraction(c) for c in coeffs]
-        if len(cs) > field.degree:
-            _, cs = poly_divmod(cs, list(field.modulus))
-        cs = poly_trim(cs)
-        self.field = field
-        self.coeffs = tuple(cs)
-
-    def _coerce(self, other) -> "NumberFieldElement":
-        if isinstance(other, NumberFieldElement):
-            if other.field != self.field:
-                raise ValueError("mixed number fields")
-            return other
-        return self.field.from_rational(other)
-
-    def __add__(self, other):
-        return NumberFieldElement(self.field, _poly_add(self.coeffs, self._coerce(other).coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return NumberFieldElement(self.field, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return NumberFieldElement(self.field, _poly_sub(self.coeffs, self._coerce(other).coeffs))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NumberFieldElement(self.field, poly_mul(self.coeffs, o.coeffs))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "NumberFieldElement":
-        if not self:
-            raise NotInvertible("zero has no inverse")
-        # extended Euclid in Q[x]: s*self + t*modulus = gcd = 1
-        r0, r1 = list(self.field.modulus), list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while poly_trim(r1) != [Fraction(0)]:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_trim(_poly_sub(s0, poly_mul(q, s1)))
-        lead = r0[0]
-        inv = [c / lead for c in s0]
-        return NumberFieldElement(self.field, inv)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    __floordiv__ = __truediv__
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __eq__(self, other):
-        if isinstance(other, (NumberFieldElement, int, Fraction)):
-            return (self - self._coerce(other)).coeffs == (Fraction(0),)
-        return NotImplemented
-
-    def __bool__(self):
-        return self.coeffs != (Fraction(0),)
-
-    def __hash__(self):
-        # a constant equals, so hashes like, the rational it holds
-        if len(self.coeffs) == 1:
-            return hash(self.coeffs[0])
-        return hash((self.field, self.coeffs))
-
-    def __repr__(self):
-        return poly_str(self.coeffs, "a")  # in the generator a
-
-
-def _poly_add(a, b):
-    return [x + y for x, y in zip_longest(a[::-1], b[::-1], fillvalue=Fraction(0))][::-1]
-
-
-def _poly_sub(a, b):
-    return [x - y for x, y in zip_longest(a[::-1], b[::-1], fillvalue=Fraction(0))][::-1]

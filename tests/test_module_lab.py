@@ -25,6 +25,7 @@ from qfold.errors import (
     WitnessVerificationFailed,
 )
 from qfold.generators import (
+    rand_invertible,
     rand_mat,
     random_graded_pair,
     random_one_way_module,
@@ -33,9 +34,10 @@ from qfold.generators import (
     random_theta_module,
 )
 from qfold.linalg import Mat, column_space_contains
-from qfold.numberfield import Fp, NumberField, factor_rational_poly, poly_str
+from qfold.numberfield import Fp, companion, factor_rational_poly, poly_str
 from qfold.module_lab import (
     EigenInclusionReport,
+    _eigen_counterexample,
     FramedModule,
     RelationReport,
     SigmaData,
@@ -79,6 +81,8 @@ from qfold.quiver_core import (
     quiver_to_dict,
     reverse_key,
 )
+
+from numberfield_oracle import NumberField, columns, eigen_counterexample
 
 
 def orbit_constant_dims(rng, od, lo, hi):
@@ -1007,7 +1011,7 @@ def per_factor_report(xi, m_sub, m, witness_sub, witness):
                 lam = -factor[1]
                 eig_sub = (g_sub - Mat.identity(g_sub.rows).scaled(lam)).nullspace()
                 big_shift = g_big - Mat.identity(g_big.rows).scaled(lam)
-                for u in eig_sub.columns():
+                for u in columns(eig_sub):
                     if not (big_shift * (xi[x] * u)).is_zero():
                         return EigenInclusionReport(
                             False, x, str(lam), tuple(str(u[r, 0]) for r in range(u.rows)))
@@ -1019,7 +1023,7 @@ def per_factor_report(xi, m_sub, m, witness_sub, witness):
                 shift_big = g_big.map(field.from_rational) \
                     - Mat.identity(g_big.rows, one).scaled(lam)
                 xi_k = xi[x].map(field.from_rational)
-                for u in shift_sub.nullspace().columns():
+                for u in columns(shift_sub.nullspace()):
                     if not (shift_big * (xi_k * u)).is_zero():
                         return EigenInclusionReport(
                             False, x, f"root of {poly_str(factor)}",
@@ -1134,15 +1138,80 @@ def test_eigenvector_span_is_the_sum_of_factor_kernels():
         span = eigenvector_span(g)
         kernels = [g.poly_eval(f).nullspace() for f, _ in factor_rational_poly(g.charpoly())]
         assert span.cols == span.rank() == sum(k.cols for k in kernels)
-        assert all(column_space_contains(span, col) for k in kernels for col in k.columns())
+        assert all(column_space_contains(span, col) for k in kernels for col in columns(k))
+
+
+# irreducible cubics x^3 - 2, x^3 - x - 1 and x^3 + x^2 - 1
+CUBICS = ([1, 0, 0, -2], [1, 0, -1, -1], [1, 1, 0, -1])
+
+
+def sylvester_kernel(g, c):
+    """K = kron(g, I_k) - kron(I_n, c): its kernel is the row-major vec(X)
+    of the solutions of g X = X c^T."""
+    n, k = g.rows, c.rows
+    return Mat.from_rows([[g[r, s] * (i == j) - (r == s) * c[i, j]
+                           for s in range(n) for j in range(k)]
+                          for r in range(n) for i in range(k)])
+
+
+def reported_coordinates(report, k):
+    """The rational n x k matrix X of a reported vector u: row r holds the
+    coefficients of u_r in 1, a, ..., a^(k-1)."""
+    import sympy
+
+    a = sympy.Symbol("a")
+    rows = []
+    for text in report.vector:
+        coeffs = sympy.Poly(sympy.sympify(text.replace("^", "**")), a).all_coeffs()[::-1]
+        rows.append([Fraction(int(c.p), int(c.q)) for c in coeffs] + [0] * (k - len(coeffs)))
+    return Mat.from_rows(rows)
+
+
+def test_eigen_counterexample_solves_the_sylvester_form():
+    """Over Q, through the kernel of the Sylvester form, the counterexample
+    is the one elimination over Q(a) names, report for report, on matrices
+    with irreducible factors of degree 1 to 3 and defects that kill the
+    eigenvectors of no factor, of some or of all."""
+    rng = random.Random(41)
+    degrees = []
+    for trial in range(70):
+        g = jordan_conjugate(rng, rng.randint(1, 4))
+        if trial % 2:
+            cubic = companion([Fraction(c) for c in rng.choice(CUBICS)])
+            p, p_inv = rand_invertible(rng, g.rows + 3)
+            g = p * Mat.block_diag([g, cubic]) * p_inv
+        n = g.rows
+        factors = factor_rational_poly(g.charpoly())
+        defect = rand_mat(rng, rng.randint(1, 3), n)
+        killed = rng.sample(factors, rng.randint(0, len(factors)))
+        for f, _mult in killed:
+            defect = defect * g.poly_eval(f)
+        want = eigen_counterexample("x", g, defect)
+        if want is None:
+            assert (defect * eigenvector_span(g)).is_zero()
+            continue
+        got = _eigen_counterexample("x", g, defect)
+        assert got == want
+
+        for f, _mult in factors:
+            c = companion(f)
+            field = NumberField(f)
+            shift = g.map(field.from_rational) - Mat.identity(n, field.one).scaled(field.generator)
+            assert sylvester_kernel(g, c).nullity() == c.rows * shift.nullity()
+        c = next(companion(f) for f, _mult in factors
+                 if got.eigenvalue == (str(-f[1]) if len(f) == 2 else f"root of {poly_str(f)}"))
+        coords = reported_coordinates(got, c.rows)
+        assert g * coords == coords * c.transpose() and not (defect * coords).is_zero()
+        degrees.append(c.rows)
+    assert {1, 2, 3} <= set(degrees) and len(degrees) >= 40, degrees
 
 
 def test_passing_theorem5_imports_no_sympy(tmp_path):
     xi, msub, m, sig, wsub, wit = random_graded_pair(random.Random(5), A3, FLIP)
     path = theorem5_file(tmp_path, xi, msub, m, FLIP, sig, wsub, wit)
-    # factoring and number fields are unreachable: using them raises TypeError
+    # factoring is unreachable: using it raises TypeError
     code = ("import sys, qfold.module_lab as ml; from qfold.cli import main; "
-            "ml.NumberField = ml.factor_rational_poly = None; "
+            "ml.factor_rational_poly = None; "
             f"rc = main(['module', 'theorem5', {str(path)!r}]); "
             "print(rc, 'sympy' in sys.modules)")
     src = Path(qfold.__file__).resolve().parents[1]

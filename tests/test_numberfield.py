@@ -4,14 +4,9 @@ import pytest
 
 from qfold.errors import NotInvertible
 from qfold.linalg import Mat
-from qfold.numberfield import (
-    Fp,
-    NumberField,
-    cyclotomic_poly,
-    factor_rational_poly,
-    poly_divmod,
-    poly_mul,
-)
+from qfold.numberfield import Fp, companion, cyclotomic_poly, factor_rational_poly, poly_divmod
+
+from numberfield_oracle import NumberField, poly_mul
 
 
 def test_prime_field_arithmetic():
@@ -38,6 +33,16 @@ def test_cyclotomic_polynomials():
     for d in (1, 2, 3, 4, 6, 12):
         prod = poly_mul(prod, list(cyclotomic_poly(d)))
     assert prod == x([1] + [0] * 11 + [-1])
+
+
+def test_companion_matrix():
+    # ones below the diagonal, minus the coefficients up the last column,
+    # constant term topmost; its characteristic polynomial is the input
+    f = [Fraction(1), Fraction(-1, 2), Fraction(0), Fraction(3)]
+    c = companion(f)
+    assert c == Mat.rational([[0, 0, -3], [1, 0, 0], [0, 1, Fraction(1, 2)]])
+    assert c.charpoly() == f
+    assert companion(cyclotomic_poly(3)) == Mat.rational([[0, -1], [1, -1]])
 
 
 def test_poly_divmod():
