@@ -24,7 +24,7 @@ from typing import Mapping, Optional
 
 from .errors import InputError, NotInvertible, PropertyViolation
 from .linalg import Mat
-from .numberfield import Fp, companion, cyclotomic_poly
+from .numberfield import companion, cyclotomic_poly
 from .module_lab import (
     FramedModule,
     SigmaData,
@@ -48,8 +48,7 @@ def rand_mat(rng: random.Random, rows: int, cols: int, p: Optional[int] = None) 
     if p is None:
         return Mat(rows, cols, [[rng.randint(-2, 2) for _ in range(cols)]
                                 for _ in range(rows)])
-    return Mat(rows, cols, [[Fp(rng.randrange(p), p) for _ in range(cols)]
-                            for _ in range(rows)], Fp(0, p))
+    return Mat(rows, cols, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], p)
 
 
 def rand_invertible(rng: random.Random, n: int) -> tuple[Mat, Mat]:
@@ -308,7 +307,7 @@ def _random_triangular(rng, rows, cols, sub_rows, sub_cols) -> Mat:
 
 
 def _mask_equivariant(m: Mat, row_signs: list[int], col_signs: list[int]) -> Mat:
-    data = [[m[r, c] if row_signs[r] == col_signs[c] else m.zero
+    data = [[m[r, c] if row_signs[r] == col_signs[c] else 0
              for c in range(m.cols)] for r in range(m.rows)]
     return Mat(m.rows, m.cols, data)
 

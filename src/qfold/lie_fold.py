@@ -424,7 +424,7 @@ def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence
                 bad.append(SerreViolation("hf", i, j))
     for i in range(n):
         for j in range(n):
-            expect = H[i] if i == j else Mat.zeros(size, size)
+            expect = H[i] if i == j else Mat.zeros(size, size, H[i].p)
             if not (_comm(E[i], F[j]) - expect).is_zero():
                 bad.append(SerreViolation("ef", i, j))
     for i in range(n):

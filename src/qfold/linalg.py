@@ -1,54 +1,53 @@
-"""Exact linear algebra over an arbitrary field.
+"""Exact linear algebra over Q and over the prime fields F_p.
 
-Matrices are immutable and generic over the entry type: anything with
-field arithmetic (+, -, *, /, ==, bool) and exact division `//` works.
-The program runs them over Q and over the prime fields
-(`qfold.numberfield.Fp`, where `//` is `/`); an eigenvector over a number
-field is carried as a rational matrix of its coordinates.
-Zero-row and zero-column matrices are first-class citizens; shape is
-always carried explicitly.
+Matrices are immutable.  Each one holds one field, named by `p`: 0 for Q,
+else the prime p of F_p.  Zero-row and zero-column matrices are
+first-class citizens; shape is always carried explicitly.  An eigenvector
+over a number field is carried as a rational matrix of its coordinates.
 
-A matrix is stored as `num`, a tuple of row tuples, over one denominator
-`den`, and stands for num / den.  Over Q, `num` holds ints and `den` is a
-positive int with gcd(den, every entry) = 1, so a matrix over Z is
-`den == 1` and equal matrices have equal (num, den).  Over any other field
-`num` holds the entries themselves and `den` is 1.  The entries are read
-through `data` and `m[i, j]`, built when read: over Q an entry is an `int`
-when it is integral and a `Fraction` only where it is not (`qq`), and at
-`den == 1` `data` is `num` itself.  An integral Fraction given by a caller
+A matrix is stored as `num`, a tuple of row tuples of ints, over one
+denominator `den`, and stands for num / den.  Over Q, `den` is a positive
+int with gcd(den, every entry) = 1, so a matrix over Z is `den == 1`; over
+F_p, `num` holds residues in [0, p) and `den` is 1.  So equal matrices of
+one field have equal (num, den), and `__eq__` and `__hash__` compare
+(num, den, p).  The entries are read through `data` and `m[i, j]`, built
+when read: over Q an entry is an `int` when it is integral and a
+`Fraction` only where it is not (`qq`), and at `den == 1` `data` is `num`
+itself; over F_p an entry reads as `qfold.numberfield.Fp`, as do `trace`
+and the coefficients of `charpoly`.  The constructor takes ints, Fractions
+and `Fp` entries; an `Fp` entry, or a given p, puts the matrix over F_p,
+where an int n reads as n mod p.  An integral Fraction given by a caller
 is accepted and reads back as an int.  `rational_rows`, behind
 `Mat.rational` and the module-file reader, reads ints and ASCII "n" and
-"n/d" strings straight into (num, den).
+"n/d" strings straight into (num, den).  A scalar is an int or a Fraction,
+or over F_p also an `Fp`.
 
-Each kernel is written once over (num, den), on ints over Q, and builds no
-Fraction.  The one step that depends on the field is bringing a result to
-canonical form (`_canonical`): over Q, one gcd of den with every entry,
-skipped when den is 1.  A sum, difference or stack works on the nums over
-their common denominator.  There is one product loop, `sum_of_products`:
-a signed sum s1 * A1 * B1 + s2 * A2 * B2 + ... is formed row by row from
-the nonzero `(col, value)` lists of each right factor (Gustavson, ACM
-TOMS 4, 1978), with every term added into one accumulator per row, over
-one common denominator, and brought to canonical form once.  A product
-`A * B` is its one-term case.  A term with an empty dimension, an
-all-zero factor or s = 0 adds nothing and builds no list; when no term
-is left, the sum is its zero matrix.  Zero matrices and identities over Q
-are shared from caches bounded in size and keyed by shape; over another
-field they are built with that field's own zero and one.
+Each kernel is written once over (num, den), on ints for both fields, and
+builds no Fraction and no `Fp` but the scalars it returns.  Two steps
+depend on the field.  One is bringing a result to canonical form
+(`_canonical`): over Q, one gcd of den with every entry, skipped when den
+is 1; over F_p, every entry mod p.  The other is elimination (`_reduce`,
+below).  A sum, difference or stack works on the nums over their common
+denominator.  There is one product loop,
+`sum_of_products`: a signed sum s1 * A1 * B1 + s2 * A2 * B2 + ... is
+formed row by row from the nonzero `(col, value)` lists of each right
+factor (Gustavson, ACM TOMS 4, 1978), with every term added into one
+accumulator per row, over one common denominator, and brought to
+canonical form once.  A product `A * B` is its one-term case.  A term with
+an empty dimension, an all-zero factor or s = 0 adds nothing and builds no
+list; when no term is left, the sum is its zero matrix.  Zero matrices and
+identities are shared from caches bounded in size and keyed by shape and
+field.  Operands over different fields are refused.
 Elimination, behind `rref` (and so `nullspace`, `solve`, `inverse`) and
-`rank`, is one fraction-free Gauss-Jordan for every field, with Bareiss's
-exact divisions (Math. Comp. 22, 1968).  Over Q it runs on num, each row
-first divided by its content, which leaves the reduced echelon form
-unchanged.  A row is touched only when it has a nonzero in the pivot
-column.  `rref` brings every row to the last pivot, which is then the
-denominator of the result; `rank` (and so `nullity`, `is_invertible` and
+`rank`, is one fraction-free Gauss-Jordan for both fields, with Bareiss's
+exact divisions (Math. Comp. 22, 1968).  Over Q each row is first divided
+by its content, which leaves the reduced echelon form unchanged.  Over
+F_p each pivot row is scaled to 1 by the inverse of its pivot, and each
+updated entry is reduced mod p, so every pivot and the denominator stay 1.
+A row is touched only when it has a nonzero in the pivot column.  `rref`
+brings every row to the last pivot, which is then the denominator of the
+result; `rank` (and so `nullity`, `is_invertible` and
 `column_space_contains`) counts the pivots of the same loop.
-
-Each matrix also carries `zero`, the additive zero of its entry type: the
-one it is given, else `x - x` of its first entry, else (no entries) the
-rational 0.  Every matrix and scalar built here takes its zero and one
-from the operands, so a result keeps the entry type of its inputs even
-when it has no entries or is all zeros.  A matrix with no entries over
-another field must therefore be given its zero.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ from math import gcd, lcm
 from typing import Callable, Sequence
 
 from .errors import NotInvertible, ShapeMismatch
+from .numberfield import Fp
 
-_RATIONAL = (int, Fraction)
 _INT = frozenset([int])
 _ASCII_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -82,6 +81,15 @@ def _quotient(a: int, b: int):
     """a / b over Q for ints a and b != 0: an int when b divides a."""
     q, r = divmod(a, b)
     return Fraction(a, b) if r else q
+
+
+def _residue(x, p: int) -> int:
+    """x (an int, a Fraction or an `Fp` of F_p) as a residue in [0, p), by
+    `Fp`'s own arithmetic, which reads a Fraction n/d as n / d and refuses
+    an `Fp` of another characteristic."""
+    if x.__class__ is int:
+        return x % p
+    return (Fp(1, p) * x).v
 
 
 def rational_rows(data: Sequence[Sequence], entry: Callable) -> tuple[tuple, int]:
@@ -118,10 +126,24 @@ def rational_rows(data: Sequence[Sequence], entry: Callable) -> tuple[tuple, int
         rows.append(out)
     if not dens:
         return tuple(map(tuple, rows)), 1
-    # num = entries * lcm is in lowest terms (see `Mat.__init__`)
+    # num = entries * lcm is in lowest terms (see `_read_entries`)
     den = lcm(*dens)
     return tuple(tuple([x[0] * (den // x[1]) if x.__class__ is tuple else x * den
                         for x in row]) for row in rows), den
+
+
+def _read_entries(num: tuple, p: int) -> tuple[tuple, int, int]:
+    """(num, den, p) in canonical form for rows of ints, Fractions and
+    `Fp`s: over F_p when p is given or an entry is an `Fp`, else over Q."""
+    entries = chain.from_iterable(num)
+    p = p or next((x.p for x in entries if x.__class__ is Fp), 0)
+    if p:
+        return tuple(tuple([_residue(x, p) for x in row]) for row in num), 1, p
+    # num = entries * lcm is in lowest terms: a prime's highest power in
+    # the lcm comes from one entry, whose numerator it does not divide
+    den = lcm(*[x.denominator for row in num for x in row if x.__class__ is not int])
+    return tuple(tuple([x.numerator * (den // x.denominator) for x in row])
+                 for row in num), den, 0
 
 
 def _check_shape(rows: int, cols: int, num: tuple) -> None:
@@ -136,50 +158,41 @@ def _over_q(rows: int, cols: int, num: tuple, den: int) -> "Mat":
     return _mat(rows, cols, num, den, 0)
 
 
-def _fill(zero):
-    """The zero of num: the int 0 over Q, else the field's own zero."""
-    return 0 if zero.__class__ in _RATIONAL else zero
-
-
 _new = object.__new__
 
 
-def _mat(rows: int, cols: int, num: tuple, den, zero) -> "Mat":
+def _mat(rows: int, cols: int, num: tuple, den: int, p: int) -> "Mat":
     """A matrix from a canonical (num, den) built here: no check, no copy."""
     m = _new(Mat)
     _set_rows(m, rows)
     _set_cols(m, cols)
     _set_num(m, num)
     _set_den(m, den)
-    _set_zero(m, zero)
+    _set_p(m, p)
     return m
 
 
-def _canonical(rows: int, cols: int, num: tuple, den, zero) -> "Mat":
-    """The matrix num / den in canonical form.  Over Q num is brought to
-    lowest terms over a positive den by one gcd; over another field den is
-    1 unless an elimination left its last pivot there, and then every entry
-    is divided by it."""
-    if den.__class__ is int:
-        if den != 1:   # over Q
-            g = gcd(den, *chain.from_iterable(num))
-            if den < 0:
-                g = -g
-            if g != 1:
-                num = tuple(tuple([x // g for x in row]) for row in num)
-                den //= g
-    else:
-        one = zero + 1
-        if den != one:
-            inv = one / den
-            num = tuple(tuple([x * inv if x else x for x in row]) for row in num)
-        den = 1
-    return _mat(rows, cols, num, den, zero)
+def _canonical(rows: int, cols: int, num: tuple, den: int, p: int) -> "Mat":
+    """The matrix num / den in canonical form: over F_p (where den is 1)
+    every entry mod p, over Q num in lowest terms over a positive den by
+    one gcd."""
+    if p:
+        num = tuple(tuple([x % p for x in row]) for row in num)
+    elif den != 1:
+        g = gcd(den, *chain.from_iterable(num))
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = tuple(tuple([x // g for x in row]) for row in num)
+            den //= g
+    return _mat(rows, cols, num, den, p)
 
 
 def _common(a: "Mat", b: "Mat") -> tuple[tuple, tuple, int]:
-    """The nums of a and b over their common denominator, and that
-    denominator (the lcm of theirs)."""
+    """The nums of a and b, which lie over one field, over their common
+    denominator, and that denominator (the lcm of theirs)."""
+    if a.p != b.p:
+        raise ValueError("mixed characteristics")
     da, db = a.den, b.den
     if da == db:
         return a.num, b.num, da
@@ -193,24 +206,16 @@ def _scale(num: tuple, s: int) -> tuple:
 
 
 @lru_cache(maxsize=256)
-def _rational_zeros(rows: int, cols: int) -> "Mat":
-    return _mat(rows, cols, ((0,) * cols,) * rows, 1, 0)
+def _zeros(rows: int, cols: int, p: int) -> "Mat":
+    return _mat(rows, cols, ((0,) * cols,) * rows, 1, p)
 
 
 @lru_cache(maxsize=64)
-def _rational_identity(n: int) -> "Mat":
-    return _mat(n, n, tuple(((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)), 1, 0)
+def _identity(n: int, p: int) -> "Mat":
+    return _mat(n, n, tuple(((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)), 1, p)
 
 
-def _zeros(rows: int, cols: int, zero) -> "Mat":
-    """The zero matrix over the field of zero; over Q with the int 0 it is
-    shared, and a Fraction or any other zero gets a matrix of its own."""
-    if zero.__class__ is int:
-        return _rational_zeros(rows, cols)
-    return _mat(rows, cols, ((_fill(zero),) * cols,) * rows, 1, zero)
-
-
-def _nonzeros(num: tuple, s) -> list:
+def _nonzeros(num: tuple, s: int) -> list:
     """Per row of num, the (col, value) list of its nonzero entries, each
     value times s."""
     if s == 1:
@@ -221,78 +226,66 @@ def _nonzeros(num: tuple, s) -> list:
 
 
 def sum_of_products(terms: Sequence[tuple]) -> "Mat":
-    """s1 * A1 * B1 + s2 * A2 * B2 + ... for the terms (s, A, B), in the
-    entry type of the first A; each s is an int, or over Q a Fraction, or
-    over another field an element of it.
+    """s1 * A1 * B1 + s2 * A2 * B2 + ... for the terms (s, A, B), all over
+    one field; each s is a scalar.
 
     The sum is the one product [A1 A2 ...] * [s1 B1; s2 B2; ...], formed
     row by row: the rows of the A's side by side, against the nonzero lists
-    of the scaled B's one after another.  Over Q term k lies over
-    d_k = den(A) * den(B) * den(s) and the sum over their lcm D, so term k
-    scales num(B) by num(s) * (D // d_k)."""
+    of the scaled B's one after another.  Term k lies over
+    d_k = den(A) * den(B) * den(s) and the sum over their lcm D (1 over
+    F_p, where s is an int or its residue), so term k scales num(B) by
+    num(s) * (D // d_k)."""
     _, first, last = terms[0]
-    rows, width, zero = first.rows, last.cols, first.zero
-    rational = zero.__class__ in _RATIONAL
+    rows, width, p = first.rows, last.cols, first.p
     live, den = [], 1
     for s, a, b in terms:
         if a.cols != b.rows or a.rows != rows or b.cols != width:
             raise ShapeMismatch(f"mul: {a.rows}x{a.cols} by {b.rows}x{b.cols} in a "
                                 f"{rows}x{width} sum")
+        if a.p != p or b.p != p:
+            raise ValueError("mixed characteristics")
+        if p and s.__class__ is not int:   # an int is reduced with the sum
+            s = _residue(s, p)
         # an empty dimension leaves a factor with no nonzero entry
         if s and any(map(any, a.num)) and any(map(any, b.num)):
-            d = 1
-            if rational:
-                d = a.den * b.den * s.denominator
-                s = s.numerator
-                if d != den:
-                    den = lcm(den, d)
-            live.append((s, d, a.num, b.num))
+            d = a.den * b.den * s.denominator
+            if d != den:
+                den = lcm(den, d)
+            live.append((s.numerator, d, a.num, b.num))
     if not live:
-        return _zeros(rows, width, zero)
+        return _zeros(rows, width, p)
     right = []
     for s, d, _, num in live:
         right += _nonzeros(num, s if d == den else s * (den // d))
     left = live[0][2] if len(live) == 1 else \
         map(chain.from_iterable, zip(*[t[2] for t in live]))
-    fill = 0 if rational else zero
     out = []
     for row in left:
-        acc = [fill] * width
+        acc = [0] * width
         for a, nonzero in zip(row, right):
             if nonzero and a:
                 for j, b in nonzero:
                     acc[j] += a * b
         out.append(tuple(acc))
-    if den == 1:
-        return _mat(rows, width, tuple(out), 1, zero)
-    return _canonical(rows, width, tuple(out), den, zero)
+    return _canonical(rows, width, tuple(out), den, p)
 
 
 class Mat:
-    """Immutable matrix with explicit shape."""
+    """Immutable matrix with explicit shape over Q (p = 0) or F_p."""
 
-    __slots__ = ("rows", "cols", "num", "den", "zero")
+    __slots__ = ("rows", "cols", "num", "den", "p")
 
-    def __init__(self, rows: int, cols: int, data: Sequence[Sequence], zero=None):
+    def __init__(self, rows: int, cols: int, data: Sequence[Sequence], p: int = 0):
         num = tuple(map(tuple, data))
         _check_shape(rows, cols, num)
-        if zero is None:   # over Q the int 0, as an integral Fraction reads back as an int
-            x = num[0][0] if rows and cols else 0
-            zero = 0 if x.__class__ in _RATIONAL else x - x
         den = 1
-        if zero.__class__ in _RATIONAL and not _INT.issuperset(map(type, chain.from_iterable(num))):
-            dens = [x.denominator for row in num for x in row if x.__class__ is not int]
-            # num = entries * lcm is in lowest terms: a prime's highest
-            # power in the lcm comes from one entry, whose numerator it
-            # does not divide
-            den = lcm(*dens)
-            num = tuple(tuple([x.numerator * (den // x.denominator) for x in row])
-                        for row in num)
+        if p or not _INT.issuperset(map(type, chain.from_iterable(num))):
+            num, den, p = _read_entries(num, p)
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_num(self, num)
         _set_den(self, den)
-        _set_zero(self, zero)
+        _set_p(self, p)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Mat is immutable")
@@ -305,19 +298,12 @@ class Mat:
         return Mat(rows, cols, data)
 
     @staticmethod
-    def zeros(rows: int, cols: int, zero=0) -> "Mat":
-        return _zeros(rows, cols, zero)
+    def zeros(rows: int, cols: int, p: int = 0) -> "Mat":
+        return _zeros(rows, cols, p)
 
     @staticmethod
-    def identity(n: int, one=1) -> "Mat":
-        if one.__class__ is int and one == 1:
-            return _rational_identity(n)
-        zero = one - one
-        fill, den = _fill(zero), 1
-        if one.__class__ is Fraction:
-            one, den = one.numerator, one.denominator
-        num = tuple(tuple([one if i == j else fill for j in range(n)]) for i in range(n))
-        return _canonical(n, n, num, den, zero)
+    def identity(n: int, p: int = 0) -> "Mat":
+        return _identity(n, p)
 
     @staticmethod
     def rational(data: Sequence[Sequence]) -> "Mat":
@@ -330,15 +316,22 @@ class Mat:
     @property
     def data(self) -> tuple:
         """The entries, a tuple of row tuples, built when read."""
-        num, den = self.num, self.den
+        num, den, p = self.num, self.den, self.p
+        if p:
+            return tuple(tuple([Fp(x, p) for x in row]) for row in num)
         if den == 1:
             return num
         return tuple(tuple([_quotient(x, den) for x in row]) for row in num)
 
     def __getitem__(self, rc):
         r, c = rc
-        den = self.den
-        return self.num[r][c] if den == 1 else _quotient(self.num[r][c], den)
+        return self._entry(self.num[r][c])
+
+    def _entry(self, x: int):
+        """The entry read from x over den."""
+        if self.p:
+            return Fp(x, self.p)
+        return x if self.den == 1 else _quotient(x, self.den)
 
     # -- basics -------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -346,12 +339,13 @@ class Mat:
             isinstance(other, Mat)
             and self.rows == other.rows
             and self.cols == other.cols
+            and self.p == other.p
             and self.den == other.den
             and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.num, self.den))
+        return hash((self.rows, self.cols, self.num, self.den, self.p))
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols}, {list(map(list, self.data))})"
@@ -359,12 +353,9 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(map(any, self.num))
 
-    def map(self, f: Callable) -> "Mat":
-        return Mat(self.rows, self.cols, [[f(x) for x in row] for row in self.data], f(self.zero))
-
     def transpose(self) -> "Mat":
         num = tuple(zip(*self.num)) if self.rows else ((),) * self.cols
-        return _mat(self.cols, self.rows, num, self.den, self.zero)
+        return _mat(self.cols, self.rows, num, self.den, self.p)
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other: "Mat") -> "Mat":
@@ -373,7 +364,7 @@ class Mat:
         a, b, den = _common(self, other)
         return _canonical(self.rows, self.cols,
                           tuple(tuple([(x + y if x else y) if y else x for x, y in zip(r1, r2)])
-                                for r1, r2 in zip(a, b)), den, self.zero)
+                                for r1, r2 in zip(a, b)), den, self.p)
 
     def __sub__(self, other: "Mat") -> "Mat":
         if self.rows != other.rows or self.cols != other.cols:
@@ -381,11 +372,13 @@ class Mat:
         a, b, den = _common(self, other)
         return _canonical(self.rows, self.cols,
                           tuple(tuple([(x - y if x else -y) if y else x for x, y in zip(r1, r2)])
-                                for r1, r2 in zip(a, b)), den, self.zero)
+                                for r1, r2 in zip(a, b)), den, self.p)
 
     def __neg__(self) -> "Mat":
-        return _mat(self.rows, self.cols, tuple(tuple([-x for x in row]) for row in self.num),
-                    self.den, self.zero)
+        num = tuple(tuple([-x for x in row]) for row in self.num)
+        if self.p:
+            return _canonical(self.rows, self.cols, num, 1, self.p)
+        return _mat(self.rows, self.cols, num, self.den, 0)   # still in lowest terms
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -397,11 +390,11 @@ class Mat:
 
     def scaled(self, s) -> "Mat":
         """self times the scalar s."""
-        zero = self.zero
-        if zero.__class__ in _RATIONAL and s.__class__ in _RATIONAL:
-            return _canonical(self.rows, self.cols, _scale(self.num, s.numerator),
-                              self.den * s.denominator, zero)
-        return self.map(lambda x: x * s)
+        p = self.p
+        if p:
+            s = _residue(s, p)
+        return _canonical(self.rows, self.cols, _scale(self.num, s.numerator),
+                          self.den * s.denominator, p)
 
     # -- block operations ---------------------------------------------
     # Over Q the nums of the operands are brought to the lcm of their
@@ -412,42 +405,38 @@ class Mat:
             raise ShapeMismatch("hstack: row counts differ")
         a, b, den = _common(self, other)
         return _mat(self.rows, self.cols + other.cols,
-                    tuple(r1 + r2 for r1, r2 in zip(a, b)), den, self._stack_zero(other))
+                    tuple(r1 + r2 for r1, r2 in zip(a, b)), den, self.p)
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
             raise ShapeMismatch("vstack: column counts differ")
         a, b, den = _common(self, other)
-        return _mat(self.rows + other.rows, self.cols, a + b, den, self._stack_zero(other))
-
-    def _stack_zero(self, other: "Mat"):
-        """The zero of a stack: an operand with no entries may have been
-        built without its zero, so the other operand's is taken then."""
-        return self.zero if self.rows and self.cols else other.zero
+        return _mat(self.rows + other.rows, self.cols, a + b, den, self.p)
 
     @staticmethod
     def block_diag(blocks: Sequence["Mat"]) -> "Mat":
-        """The blocks down the diagonal, in the entry type of the first."""
-        zero = blocks[0].zero if blocks else 0
-        fill = _fill(zero)
+        """The blocks down the diagonal, all over one field."""
+        p = blocks[0].p if blocks else 0
+        if any(b.p != p for b in blocks):
+            raise ValueError("mixed characteristics")
         den = lcm(*(b.den for b in blocks))
         cols = sum(b.cols for b in blocks)
         out = []
         c0 = 0
         for b in blocks:
-            left, right = (fill,) * c0, (fill,) * (cols - c0 - b.cols)
+            left, right = (0,) * c0, (0,) * (cols - c0 - b.cols)
             out.extend(left + row + right for row in _scale(b.num, den // b.den))
             c0 += b.cols
-        return _mat(len(out), cols, tuple(out), den, zero)
+        return _mat(len(out), cols, tuple(out), den, p)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
         num = self.num
         return _canonical(len(row_idx), len(col_idx),
                           tuple(tuple([num[r][c] for c in col_idx]) for r in row_idx),
-                          self.den, self.zero)
+                          self.den, self.p)
 
     # -- reductions ---------------------------------------------------
-    def _reduce(self) -> tuple[list, list, object, list[int]]:
+    def _reduce(self) -> tuple[list, list, int, list[int]]:
         """The fraction-free Gauss-Jordan of the rows of num:
         (rows, at, den, pivots), den the last pivot.  Row i of the RREF is
         rows[i] divided by at[i].  Over Q each row is first divided by its
@@ -458,19 +447,19 @@ class Mat:
         division is exact, as each entry is a minor.  A row with t[pc] = 0
         is only scaled by p / den, so it is left as it is and brought up to
         date when a pivot column reaches it: row i holds its entries times
-        at[i] / den."""
-        if self.zero.__class__ in _RATIONAL:
-            zero, one = 0, 1
+        at[i] / den.  Over F_p the pivot row is first scaled to 1, so p,
+        den and every at[i] stay 1, and each updated entry is reduced mod
+        the characteristic."""
+        q = self.p
+        if q:
+            m = [list(row) for row in self.num]
+        else:
             m = []
             for row in self.num:
                 g = gcd(*row)
                 m.append([x // g for x in row] if g > 1 else list(row))
-        else:
-            zero = self.zero
-            one = zero + 1
-            m = [list(row) for row in self.num]
         n = len(m)
-        den, at = one, [one] * n
+        den, at = 1, [1] * n
         pivots = []
         for pc in range(self.cols):
             pr = len(pivots)
@@ -487,6 +476,9 @@ class Mat:
             row = m[pr]
             if at[pr] != den:
                 row = m[pr] = [x * den // at[pr] for x in row]
+            if q and row[pc] != 1:
+                inv = pow(row[pc], -1, q)
+                row = m[pr] = [x * inv % q for x in row]
             p = row[pc]
             pivot = [(c, row[c]) for c in range(pc + 1, self.cols) if row[c]]
             for i, target in enumerate(m):
@@ -495,9 +487,13 @@ class Mat:
                         target = [x * den // at[i] for x in target]
                     f = target[pc]
                     new = [x * p // den if x else x for x in target] if p != den else target
-                    for c, b in pivot:
-                        new[c] = (target[c] * p - f * b) // den
-                    new[pc] = zero
+                    if q:
+                        for c, b in pivot:
+                            new[c] = (target[c] - f * b) % q
+                    else:
+                        for c, b in pivot:
+                            new[c] = (target[c] * p - f * b) // den
+                    new[pc] = 0
                     m[i] = new
                     at[i] = p
             at[pr] = den = p
@@ -511,7 +507,7 @@ class Mat:
         m, at, den, pivots = self._reduce()
         num = tuple(tuple(row) if a == den else tuple([x * den // a for x in row])
                     for row, a in zip(m, at))
-        return _canonical(self.rows, self.cols, num, den, self.zero), pivots
+        return _canonical(self.rows, self.cols, num, den, self.p), pivots
 
     def rank(self) -> int:
         return len(self._reduce()[3])
@@ -522,14 +518,13 @@ class Mat:
     def nullspace(self) -> "Mat":
         """Basis of the right kernel, returned as columns of a cols x k matrix."""
         red, pivots = self.rref()
-        fill = _fill(self.zero)
-        unit = fill + red.den   # 1 over red's denominator
+        unit = red.den   # 1 over red's denominator
         pivot_row = dict(zip(pivots, red.num))
         free = [c for c in range(self.cols) if c not in pivot_row]
-        units = {fc: tuple([unit if k == fc else fill for k in free]) for fc in free}
+        units = {fc: tuple([unit if k == fc else 0 for k in free]) for fc in free}
         num = tuple(tuple([-pivot_row[c][fc] for fc in free]) if c in pivot_row else units[c]
                     for c in range(self.cols))
-        return _canonical(self.cols, len(free), num, red.den, self.zero)
+        return _canonical(self.cols, len(free), num, red.den, self.p)
 
     def solve(self, rhs: "Mat"):
         """One solution X of self * X = rhs, or None if inconsistent.
@@ -543,9 +538,9 @@ class Mat:
         if any(p >= n for p in pivots):
             return None
         pivot_row = dict(zip(pivots, red.num))
-        zeros = (_fill(self.zero),) * rhs.cols
+        zeros = (0,) * rhs.cols
         num = tuple(pivot_row[c][n:] if c in pivot_row else zeros for c in range(n))
-        return _canonical(n, rhs.cols, num, red.den, self.zero)
+        return _canonical(n, rhs.cols, num, red.den, self.p)
 
     def inverse(self) -> "Mat":
         if self.rows != self.cols:
@@ -554,18 +549,16 @@ class Mat:
         if n == 0:
             return self
         # [num | den * I] over den stands for [self | I]
-        fill = _fill(self.zero)
-        unit = fill + self.den
         rows = []
         for i, row in enumerate(self.num):
-            right = [fill] * n
-            right[i] = unit
+            right = [0] * n
+            right[i] = self.den
             rows.append(row + tuple(right))
-        red, pivots = _mat(n, 2 * n, tuple(rows), self.den, self.zero).rref()
+        red, pivots = _mat(n, 2 * n, tuple(rows), self.den, self.p).rref()
         if pivots != list(range(n)):
             raise NotInvertible("singular matrix")
         # the left half is den * I, so the right half is in lowest terms too
-        return _mat(n, n, tuple(row[n:] for row in red.num), red.den, self.zero)
+        return _mat(n, n, tuple(row[n:] for row in red.num), red.den, self.p)
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
@@ -573,57 +566,51 @@ class Mat:
     def trace(self):
         if self.rows != self.cols:
             raise ShapeMismatch("trace of non-square matrix")
-        t = sum((row[i] for i, row in enumerate(self.num)), _fill(self.zero))
-        return t if self.den == 1 else _quotient(t, self.den)
+        return self._entry(sum(row[i] for i, row in enumerate(self.num)))
 
     def charpoly(self) -> list:
         """Monic characteristic polynomial det(xI - A), coefficients high to low.
 
-        Faddeev-LeVerrier; valid over characteristic-zero fields.
+        Faddeev-LeVerrier, which divides by 1, ..., n: valid over Q, and
+        over F_p for fewer than p rows.
         """
         if self.rows != self.cols:
             raise ShapeMismatch("charpoly of non-square matrix")
-        n = self.rows
-        one = self.zero + 1
-        coeffs = [one]
-        m = Mat.identity(n, one)
+        n, p = self.rows, self.p
+        coeffs = [Fp(1, p) if p else 1]
+        m = Mat.identity(n, p)
         for k in range(1, n + 1):
             am = self * m
-            t = am.trace()
-            c = _quotient(-t, k) if t.__class__ is int else -t / k
+            c = -am.trace() / k if p else qq(Fraction(-am.trace(), k))
             coeffs.append(c)
             m = am._plus_scalar(c)
         return coeffs
 
     def poly_eval(self, coeffs: Sequence) -> "Mat":
-        """Evaluate a polynomial (coefficients high to low) at this matrix."""
+        """Evaluate a polynomial (coefficients high to low, scalars) at
+        this matrix."""
         if self.rows != self.cols:
             raise ShapeMismatch("poly_eval of non-square matrix")
-        one = self.zero + 1
-        if one.__class__ in _RATIONAL:
-            coeffs = [qq(c) for c in coeffs]
-        out = Mat.zeros(self.rows, self.rows, self.zero)
+        out = Mat.zeros(self.rows, self.rows, self.p)
         for c in coeffs:
-            out = (out * self)._plus_scalar(c * one)
+            out = (out * self)._plus_scalar(c)
         return out
 
     def _plus_scalar(self, c) -> "Mat":
-        """self + c * identity, for a square matrix."""
-        den = self.den
-        if self.zero.__class__ in _RATIONAL:
-            new = lcm(den, c.denominator)
-            rows = [list(row) for row in _scale(self.num, new // den)]
-            c, den = c.numerator * (new // c.denominator), new
-        else:
-            rows = [list(row) for row in self.num]
+        """self + c * identity, for a square matrix and a scalar c."""
+        p, den = self.p, self.den
+        c = _residue(c, p) if p else qq(c)
+        new = lcm(den, c.denominator)
+        rows = [list(row) for row in _scale(self.num, new // den)]
+        c = c.numerator * (new // c.denominator)
         for i, row in enumerate(rows):
-            row[i] = row[i] + c
-        return _canonical(self.rows, self.cols, tuple(map(tuple, rows)), den, self.zero)
+            row[i] += c
+        return _canonical(self.rows, self.cols, tuple(map(tuple, rows)), new, p)
 
     def power(self, k: int) -> "Mat":
         if self.rows != self.cols:
             raise ShapeMismatch("power of non-square matrix")
-        out = Mat.identity(self.rows, self.zero + 1)
+        out = Mat.identity(self.rows, self.p)
         base = self
         while k:
             if k & 1:
@@ -634,8 +621,8 @@ class Mat:
 
 
 # The slots are set through their descriptors, which bypass `Mat.__setattr__`.
-_set_rows, _set_cols, _set_num, _set_den, _set_zero = (Mat.__dict__[n].__set__
-                                                       for n in Mat.__slots__)
+_set_rows, _set_cols, _set_num, _set_den, _set_p = (Mat.__dict__[n].__set__
+                                                    for n in Mat.__slots__)
 
 
 def column_space_contains(basis: Mat, vecs: Mat) -> bool:

@@ -41,7 +41,6 @@ from .errors import (
 )
 from .linalg import Mat, column_space_contains, sum_of_products
 from .numberfield import (
-    Fp,
     companion,
     factor_rational_poly,
     poly_derivative,
@@ -67,11 +66,6 @@ class FramedModule:
     I: Mapping[str, Mat]
     J: Mapping[str, Mat]
     signed: bool = True
-
-    @property
-    def one(self):
-        """The multiplicative one of the entry type of the module's matrices."""
-        return _entry_zero(self.B, self.I, self.J) + 1
 
     def __post_init__(self):
         q = self.quiver
@@ -109,24 +103,18 @@ def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
                   I: Optional[Mapping[str, Mat]] = None,
                   J: Optional[Mapping[str, Mat]] = None,
                   signed: bool = True) -> FramedModule:
-    """Build a module, filling unspecified matrices with zeros of the entry
-    type of the first matrix supplied (rational without one)."""
+    """Build a module, filling unspecified matrices with zeros over the
+    field of the first matrix supplied (Q without one)."""
     B = dict(B or {})
     I = dict(I or {})
     J = dict(J or {})
-    zero = _entry_zero(B, I, J)
+    p = next((m.p for m in chain(B.values(), I.values(), J.values())), 0)
     for info in q.doubled:
-        B.setdefault(info.key, Mat.zeros(v.get(info.tgt, 0), v.get(info.src, 0), zero))
+        B.setdefault(info.key, Mat.zeros(v.get(info.tgt, 0), v.get(info.src, 0), p))
     for vertex in q.vertices:
-        I.setdefault(vertex, Mat.zeros(v.get(vertex, 0), w.get(vertex, 0), zero))
-        J.setdefault(vertex, Mat.zeros(w.get(vertex, 0), v.get(vertex, 0), zero))
+        I.setdefault(vertex, Mat.zeros(v.get(vertex, 0), w.get(vertex, 0), p))
+        J.setdefault(vertex, Mat.zeros(w.get(vertex, 0), v.get(vertex, 0), p))
     return FramedModule(q, dict(v), dict(w), B, I, J, signed)
-
-
-def _entry_zero(*mats: Mapping[str, Mat]):
-    """The zero of the first matrix in the maps, else the rational zero."""
-    first = next(chain.from_iterable(m.values() for m in mats), None)
-    return first.zero if first is not None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +180,7 @@ def is_stable(m: FramedModule) -> bool:
 def _all_subspace_bases(n: int, p: int) -> list[Mat]:
     """Column bases of all subspaces of F_p^n, from reduced echelon forms."""
     import itertools
-    one = Fp(1, p)
-    zero = Fp(0, p)
-    out = [Mat.zeros(n, 0, zero)]
+    out = [Mat.zeros(n, 0, p)]
     for k in range(1, n + 1):
         for pivots in itertools.combinations(range(n), k):
             free_positions = [
@@ -202,12 +188,12 @@ def _all_subspace_bases(n: int, p: int) -> list[Mat]:
                 if c > pivots[r] and c not in pivots
             ]
             for values in itertools.product(range(p), repeat=len(free_positions)):
-                rows = [[zero] * n for _ in range(k)]
+                rows = [[0] * n for _ in range(k)]
                 for r, c in zip(range(k), pivots):
-                    rows[r][c] = one
+                    rows[r][c] = 1
                 for (r, c), val in zip(free_positions, values):
-                    rows[r][c] = Fp(val, p)
-                out.append(Mat.from_rows(rows).transpose())
+                    rows[r][c] = val
+                out.append(Mat(k, n, rows, p).transpose())
     return out
 
 
@@ -215,10 +201,9 @@ def brute_stability(m: FramedModule) -> bool:
     """Independent stability oracle over a prime field: enumerate every
     graded subspace, at most 4 dimensions per vertex, and test containment
     in ker J plus B-invariance."""
-    one = m.one
-    if not isinstance(one, Fp):
+    p = m.J[m.quiver.vertices[0]].p
+    if not p:
         raise TooLarge("brute-force stability is restricted to prime fields")
-    p = one.p
     dims = [m.v.get(x, 0) for x in m.quiver.vertices]
     if any(d > 4 for d in dims):
         raise TooLarge("per-vertex dimension exceeds 4", estimate=max(dims), cap=4)

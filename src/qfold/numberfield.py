@@ -1,5 +1,11 @@
-"""Small exact fields and rational polynomials: the prime fields F_p, the
-helpers for polynomials over Q, and the companion matrix of a monic one.
+"""Small exact fields and rational polynomials: the elements of the prime
+fields F_p, the helpers for polynomials over Q, and the companion matrix
+of a monic one.
+
+`Fp` is how a matrix over F_p reads its entries in and out: `Mat` itself
+holds residues as ints (see `qfold.linalg`).  `linalg` imports `Fp` from
+here, so `companion`, the one matrix built here, imports `linalg` when
+called.
 
 The eigenvalues of a rational matrix are named one irreducible factor f of
 its characteristic polynomial at a time, without leaving Q: a vector over
@@ -16,10 +22,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import PropertyViolation
-from .linalg import Mat, qq
+
+if TYPE_CHECKING:
+    from .linalg import Mat
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +77,6 @@ class Fp:
         if o.v == 0:
             raise ZeroDivisionError("division by zero in F_p")
         return Fp(self.v * pow(o.v, -1, self.p), self.p)
-
-    __floordiv__ = __truediv__
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -175,6 +181,8 @@ def companion(poly: Sequence[Fraction]) -> Mat:
     low) of degree k >= 1: ones on the subdiagonal, and minus the
     coefficients in the last column, constant term topmost.  It is the
     matrix of multiplication by a root a in the basis 1, a, ..., a^(k-1)."""
+    from .linalg import Mat, qq   # deferred: linalg imports Fp from here
+
     k = len(poly) - 1
     rows = [[0] * k for _ in range(k)]
     for r in range(1, k):

@@ -79,10 +79,11 @@ def _flag(obj: dict, key: str, default: bool) -> bool:
 
 def mat_to_obj(m: Mat) -> dict:
     """{"rows", "cols", "data"}, each entry printed from (num, den) as
-    `str` prints it ("n" or "n/d" in lowest terms), with no Fraction built."""
+    `str` prints it ("n" or "n/d" in lowest terms), with no Fraction built;
+    an entry over F_p prints as its `Fp` does, which no reader takes."""
     num, den = m.num, m.den
     if den == 1:
-        data = [[str(x) for x in row] for row in num]
+        data = [[str(x) for x in row] for row in m.data]
     else:
         data = [[_ratio(x, den) for x in row] for row in num]
     return {"rows": m.rows, "cols": m.cols, "data": data}

@@ -390,7 +390,7 @@ class SigmaData:
             back = None  # c^(e-1), None for the identity
             for _ in range(e - 1):
                 back = comp if back is None else back * comp
-            if (comp if back is None else back * comp) != Mat.identity(comp.rows, comp.zero + 1):
+            if (comp if back is None else back * comp) != Mat.identity(comp.rows, comp.p):
                 singular = next((v for v in q.vertices if not self.maps[v].is_invertible()), None)
                 if singular is not None:
                     raise SigmaConstraintViolated(f"sigma at {singular} is singular")
@@ -419,7 +419,7 @@ def _product(*factors: Optional[Mat], like: Mat) -> Mat:
     for m in factors:
         if m is not None:
             out = m if out is None else out * m
-    return out if out is not None else Mat.identity(like.rows, like.zero + 1)
+    return out if out is not None else Mat.identity(like.rows, like.p)
 
 
 def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:

@@ -1,8 +1,9 @@
 """Number fields Q[x]/(f), kept as the oracle of the rational computation
 that replaced them: `module_lab._eigen_counterexample` names a failing
 eigenvector over Q alone, through the Sylvester form g X = X C^T, and
-these fields name it by elimination over Q(a) itself.  They also give the
-`Mat` kernels a field other than Q and F_p to run over.
+these fields name it by elimination over Q(a) itself.  `Mat` holds Q and
+F_p only, so a matrix over Q(a) here is a list of rows, with a product
+(`apply`) and a Gauss-Jordan nullspace (`nullspace`) of its own.
 
 Elements are polynomials in the field generator with Fraction
 coefficients, reduced modulo an irreducible monic f; inverses come from
@@ -139,8 +140,6 @@ class NumberFieldElement:
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
-    __floordiv__ = __truediv__
-
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
 
@@ -162,18 +161,62 @@ class NumberFieldElement:
         return poly_str(self.coeffs, "a")  # in the generator a
 
 
+def rows_over(field: NumberField, m: Mat) -> list[list]:
+    """The rows of a rational matrix, each entry an element of field."""
+    return [[field.from_rational(x) for x in row] for row in m.data]
+
+
+def shifted(field: NumberField, m: Mat) -> list[list]:
+    """The rows of m - a for a square rational m, a the generator of field."""
+    rows = rows_over(field, m)
+    for i, row in enumerate(rows):
+        row[i] = row[i] - field.generator
+    return rows
+
+
+def apply(rows: list[list], u: list) -> list:
+    """The matrix with these rows times the vector u, over one field."""
+    return [sum((x * y for x, y in zip(row, u)), 0) for row in rows]
+
+
+def nullspace(field: NumberField, rows: list[list], cols: int) -> list[list]:
+    """A basis of the right kernel of a matrix over field with these rows,
+    by Gauss-Jordan: per free column c the vector that is 1 at c and 0 at
+    the other free columns, as `Mat.nullspace` orders and scales it."""
+    m = [list(row) for row in rows]
+    pivots = []
+    for pc in range(cols):
+        pr = len(pivots)
+        r = next((r for r in range(pr, len(m)) if m[r][pc]), None)
+        if r is None:
+            continue
+        m[pr], m[r] = m[r], m[pr]
+        inv = m[pr][pc].inverse()
+        m[pr] = [x * inv for x in m[pr]]
+        for i, row in enumerate(m):
+            if i != pr and row[pc]:
+                f = row[pc]
+                m[i] = [x - f * y for x, y in zip(row, m[pr])]
+        pivots.append(pc)
+    basis = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        u = [field.zero] * cols
+        u[fc] = field.one
+        for row, pc in zip(m, pivots):
+            u[pc] = -row[fc]
+        basis.append(u)
+    return basis
+
+
 def eigen_counterexample(x: str, g_sub: Mat, defect: Mat):
     """The counterexample of `module_lab._eigen_counterexample` found by
     elimination over Q[x]/(f): the first kernel vector u of g_sub - a,
     one irreducible factor f at a time, with defect u != 0, or None."""
     for factor, _mult in factor_rational_poly(g_sub.charpoly()):
         field = NumberField(factor)
-        shift = g_sub.map(field.from_rational) \
-            - Mat.identity(g_sub.rows, field.one).scaled(field.generator)
-        defect_k = defect.map(field.from_rational)
-        for u in columns(shift.nullspace()):
-            if not (defect_k * u).is_zero():
+        defect_k = rows_over(field, defect)
+        for u in nullspace(field, shifted(field, g_sub), g_sub.cols):
+            if any(apply(defect_k, u)):
                 lam = str(-factor[1]) if len(factor) == 2 else f"root of {poly_str(factor)}"
-                return EigenInclusionReport(False, x, lam,
-                                            tuple(repr(u[r, 0]) for r in range(u.rows)))
+                return EigenInclusionReport(False, x, lam, tuple(map(repr, u)))
     return None

@@ -35,6 +35,15 @@ def test_matrix_round_trip_zero_shapes():
         assert back.rows == rows and back.cols == cols
 
 
+def test_a_prime_field_matrix_is_written_as_fp_prints_and_not_read_back():
+    # module files are over Q: the residues of an F_p matrix are not
+    # written as bare ints, which would read back over Q
+    obj = mat_to_obj(Mat(1, 2, [[2, 0]], 3))
+    assert obj["data"] == [["2 mod 3", "0 mod 3"]]
+    with pytest.raises(InputError):
+        mat_from_obj(obj)
+
+
 def test_bare_list_matrix_accepted():
     m = mat_from_obj([["1", "2"], ["3", "4"]])
     assert m == Mat.rational([[1, 2], [3, 4]])
@@ -144,13 +153,13 @@ def fraction_reader(obj) -> Mat:
 
 
 def _outcome(reader, obj):
-    """(rows, cols, num, den, zero) of the matrix reader(obj) reads, or the
+    """(rows, cols, num, den, p) of the matrix reader(obj) reads, or the
     type and message of what it raises."""
     try:
         m = reader(obj)
     except Exception as exc:  # noqa: BLE001 - the exception is the result
         return type(exc), str(exc)
-    return m.rows, m.cols, m.num, m.den, m.zero
+    return m.rows, m.cols, m.num, m.den, m.p
 
 
 # strings over the characters of rationals, signs, exponents, separators,

@@ -468,9 +468,9 @@ def test_root_of_unity_eigendims_examples():
     # no finite order: the eigenvalue 2 is no root of unity
     assert root_of_unity_eigendims(Mat.rational([[2]]), 2) == [0, 0]
     # over F_3 the cyclotomic values are taken in the matrix's own field
-    assert root_of_unity_eigendims(Mat.identity(2, Fp(1, 3)), 1) == [2]
-    assert root_of_unity_eigendims(Mat.identity(2, Fp(2, 3)), 1) == [0]
-    assert root_of_unity_eigendims(Mat.identity(2, Fp(2, 3)), 2) == [0, 2]
+    assert root_of_unity_eigendims(Mat.identity(2, 3), 1) == [2]
+    assert root_of_unity_eigendims(Mat.identity(2, 3).scaled(2), 1) == [0]
+    assert root_of_unity_eigendims(Mat.identity(2, 3).scaled(Fp(2, 3)), 2) == [0, 2]
 
 
 def test_affine_split_classifications():
