@@ -8,8 +8,16 @@ That keeps the transition matrices computable in closed form while
 producing generic-looking instances.  The generator does not check the
 witnesses it builds: their consumers do (`theorem5_verify` checks both
 witnesses of a graded pair, and `module transition` checks a stored one).
-Every inverse a generator needs comes from the elimination that drew the
-matrix, or is known in closed form (a sign diagonal is its own inverse).
+Every inverse a generator needs is computed once, by `Mat.inverse` on the
+matrix it draws (by cofactors up to 3 x 3), or is known in closed form (a
+sign diagonal is its own inverse).  No product is formed with an identity
+that a generator built itself: an identity factor is left out.
+
+An entry in -2..2 is drawn by `rng.choice(_SMALL)`, and one of F_p by
+`rng.choice(range(p))`: one `_randbelow` call each, the call that
+`randint(-2, 2)` and `randrange(p)` make, so the draws are theirs.  The
+drawn rows are ints already in canonical form and go into a `Mat`
+without being read again.
 
 Modules produced here always satisfy the preprojective relation exactly:
 B is supported on one direction of each edge, and I = 0, so every term of
@@ -23,7 +31,7 @@ from functools import lru_cache
 from typing import Mapping, Optional
 
 from .errors import InputError, NotInvertible, PropertyViolation
-from .linalg import Mat
+from .linalg import Mat, _mat
 from .numberfield import companion, cyclotomic_poly
 from .module_lab import (
     FramedModule,
@@ -43,18 +51,22 @@ from .quiver_core import (
 )
 
 
+_SMALL = (-2, -1, 0, 1, 2)
+
+
 def rand_mat(rng: random.Random, rows: int, cols: int, p: Optional[int] = None) -> Mat:
     """Entries drawn from -2..2, or uniformly from F_p."""
-    if p is None:
-        return Mat(rows, cols, [[rng.randint(-2, 2) for _ in range(cols)]
-                                for _ in range(rows)])
-    return Mat(rows, cols, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], p)
+    values = _SMALL if p is None else range(p)
+    choice = rng.choice
+    return _mat(rows, cols, tuple(tuple([choice(values) for _ in range(cols)])
+                                  for _ in range(rows)), 1, p or 0)
 
 
 def rand_invertible(rng: random.Random, n: int) -> tuple[Mat, Mat]:
     """(m, m^-1) for a random invertible rational n x n matrix m with
-    entries in -2..2; the inverting elimination also refuses singular draws.
-    At n = 0 both are the empty matrix, drawn and inverted without work."""
+    entries in -2..2; `Mat.inverse` (by cofactors up to 3 x 3, else by
+    elimination) also refuses singular draws, which are drawn again.  At
+    n = 0 both are the empty matrix, drawn and inverted without work."""
     if n == 0:
         empty = Mat.zeros(0, 0)
         return empty, empty
@@ -69,18 +81,20 @@ def rand_invertible(rng: random.Random, n: int) -> tuple[Mat, Mat]:
 
 def random_finite_order_matrix(rng: random.Random, n: int, e: int) -> Mat:
     """A rational n x n matrix with matrix^e = identity, built from
-    companion blocks of cyclotomic polynomials and a random conjugation."""
+    companion blocks of cyclotomic polynomials and a random conjugation.
+    When every block is Phi_1's, the core is the identity and so is the
+    result: the conjugation is drawn but not formed."""
     divisors = [d for d in range(1, e + 1) if e % d == 0]
-    blocks: list[Mat] = []
+    orders: list[int] = []
     remaining = n
     while remaining > 0:
         options = [d for d in divisors if _cyclotomic_block(d).rows <= remaining]
-        block = _cyclotomic_block(rng.choice(options))
-        blocks.append(block)
-        remaining -= block.rows
-    core = Mat.block_diag(blocks)
+        orders.append(rng.choice(options))
+        remaining -= _cyclotomic_block(orders[-1]).rows
     t, t_inv = rand_invertible(rng, n)
-    return t * core * t_inv
+    if set(orders) <= {1}:
+        return Mat.identity(n)
+    return t * Mat.block_diag([_cyclotomic_block(d) for d in orders]) * t_inv
 
 
 @lru_cache(maxsize=64)
@@ -124,15 +138,24 @@ def random_sigma(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
         n = wdims.get(orbit[0], 0)
         e = od.e_vertex[orbit[0]]
         vertex = orbit[0]
-        # the inverse of the chain g_k ... g_1 walked so far: g_1^-1 ... g_k^-1
-        chain_inv = Mat.identity(n)
+        # the inverse of the chain g_k ... g_1 walked so far, g_1^-1 ... g_k^-1,
+        # or None before the first step
+        chain_inv = None
         for _ in range(len(orbit) - 1):
             g, g_inv = rand_invertible(rng, n)
             maps[vertex] = g
-            chain_inv = chain_inv * g_inv
+            chain_inv = g_inv if chain_inv is None else chain_inv * g_inv
             vertex = a.vertex_perm[vertex]
-        target = random_finite_order_matrix(rng, n, e) if n else Mat.zeros(0, 0)
-        maps[vertex] = target * chain_inv if n else Mat.zeros(0, 0)
+        if not n:
+            maps[vertex] = Mat.zeros(0, 0)
+            continue
+        target = random_finite_order_matrix(rng, n, e)
+        if chain_inv is None:
+            maps[vertex] = target
+        elif target == Mat.identity(n):
+            maps[vertex] = chain_inv
+        else:
+            maps[vertex] = target * chain_inv
     return SigmaData(q, a, maps)
 
 
@@ -159,8 +182,11 @@ def _signs(plus: int, minus: int) -> list[int]:
 
 
 def _sign_diag(signs: list[int]) -> Mat:
-    """The diagonal matrix of the signs: its own inverse."""
+    """The diagonal matrix of the signs: its own inverse, and the shared
+    identity when no sign is -1."""
     n = len(signs)
+    if -1 not in signs:
+        return Mat.identity(n)
     return Mat(n, n, [[signs[r] if r == c else 0 for c in range(n)] for r in range(n)])
 
 
@@ -240,7 +266,12 @@ def _try_graded_pair(rng, q, a, max_sub, max_extra):
         if img == h:
             x = _mask_equivariant(x, v_signs[h.tgt], v_signs[h.src])
         elif len(eorb) == 2:
-            mapped = g0[img.tgt] * x * g0[img.src]
+            # g0 * x * g0, with no product where g0 is the identity
+            mapped = x
+            if -1 in v_signs[img.tgt]:
+                mapped = g0[img.tgt] * mapped
+            if -1 in v_signs[img.src]:
+                mapped = mapped * g0[img.src]
             B[img.key] = mapped if transport.sign[h.key] == 1 else -mapped
         else:
             # an edge orbit longer than the vertex involution's
@@ -278,7 +309,6 @@ def _try_graded_pair(rng, q, a, max_sub, max_extra):
     if not check_relations(m).ok:
         raise PropertyViolation("a graded module violates the preprojective relation")
 
-    xi0 = {x: Mat.identity(v[x]).submatrix(range(v[x]), range(vsub[x])) for x in q.vertices}
     m_sub = framed_module(
         q, vsub, w,
         B={info.key: m.B[info.key].submatrix(range(vsub[info.tgt]), range(vsub[info.src]))
@@ -292,30 +322,43 @@ def _try_graded_pair(rng, q, a, max_sub, max_extra):
     hsub, hsub_inv = _orbit_constant_gauge(rng, od, vsub)
     m_final = _conjugate(h, h_inv, m)
     sub_final = _conjugate(hsub, hsub_inv, m_sub)
-    xi = {x: h[x] * xi0[x] * hsub_inv[x] for x in q.vertices}
-    witness = TransitionWitness({x: h[x] * g0[x] * h_inv[x] for x in q.vertices})
-    witness_sub = TransitionWitness({x: hsub[x] * g0_sub[x] * hsub_inv[x] for x in q.vertices})
+    # xi is h * xi0 * hsub^-1, xi0 the inclusion of the sub coordinates:
+    # h * xi0 is the first vsub columns of h, and all of h where the
+    # submodule fills the vertex
+    xi = {x: (h[x] if vsub[x] == v[x] else h[x].submatrix(range(v[x]), range(vsub[x])))
+          * hsub_inv[x] for x in q.vertices}
+    # h * g0 * h^-1 is the identity wherever g0 is
+    witness = TransitionWitness({x: h[x] * g0[x] * h_inv[x] if -1 in v_signs[x] else g0[x]
+                                 for x in q.vertices})
+    witness_sub = TransitionWitness({x: hsub[x] * g0_sub[x] * hsub_inv[x]
+                                     if -1 in sub_signs[x] else g0_sub[x]
+                                     for x in q.vertices})
     return xi, sub_final, m_final, sigma, witness_sub, witness
 
 
 def _random_triangular(rng, rows, cols, sub_rows, sub_cols) -> Mat:
-    m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
-    for r in range(sub_rows, rows):
-        for c in range(sub_cols):
-            m[r][c] = 0
-    return Mat(rows, cols, m)
+    """Entries in -2..2, all drawn, with the block below the sub rows and
+    left of the sub columns set to 0."""
+    choice, zeros = rng.choice, (0,) * sub_cols
+    out = []
+    for r in range(rows):
+        row = tuple([choice(_SMALL) for _ in range(cols)])
+        out.append(row if r < sub_rows else zeros + row[sub_cols:])
+    return _mat(rows, cols, tuple(out), 1, 0)
 
 
 def _mask_equivariant(m: Mat, row_signs: list[int], col_signs: list[int]) -> Mat:
-    data = [[m[r, c] if row_signs[r] == col_signs[c] else 0
-             for c in range(m.cols)] for r in range(m.rows)]
-    return Mat(m.rows, m.cols, data)
+    """The integral m with the entries between opposite signs set to 0."""
+    num = tuple(tuple([x if rs == cs else 0 for x, cs in zip(row, col_signs)])
+                for row, rs in zip(m.num, row_signs))
+    return _mat(m.rows, m.cols, num, 1, 0)
 
 
 def _random_sign_compatible(rng, row_signs: list[int], col_signs: list[int]) -> Mat:
-    data = [[rng.randint(-2, 2) if row_signs[r] == col_signs[c] else 0
-             for c in range(len(col_signs))] for r in range(len(row_signs))]
-    return Mat(len(row_signs), len(col_signs), data)
+    choice = rng.choice
+    num = tuple(tuple([choice(_SMALL) if rs == cs else 0 for cs in col_signs])
+                for rs in row_signs)
+    return _mat(len(row_signs), len(col_signs), num, 1, 0)
 
 
 def _orbit_constant_gauge(rng, od, dims: Mapping[str, int]

@@ -38,16 +38,21 @@ an empty dimension, an all-zero factor or s = 0 adds nothing and builds no
 list; when no term is left, the sum is its zero matrix.  Zero matrices and
 identities are shared from caches bounded in size and keyed by shape and
 field.  Operands over different fields are refused.
-Elimination, behind `rref` (and so `nullspace`, `solve`, `inverse`) and
-`rank`, is one fraction-free Gauss-Jordan for both fields, with Bareiss's
-exact divisions (Math. Comp. 22, 1968).  Over Q each row is first divided
-by its content, which leaves the reduced echelon form unchanged.  Over
-F_p each pivot row is scaled to 1 by the inverse of its pivot, and each
-updated entry is reduced mod p, so every pivot and the denominator stay 1.
-A row is touched only when it has a nonzero in the pivot column.  `rref`
-brings every row to the last pivot, which is then the denominator of the
-result; `rank` (and so `nullity`, `is_invertible` and
-`column_space_contains`) counts the pivots of the same loop.
+Elimination, behind `rref` (and so `nullspace`, `solve` and `inverse`
+beyond 3 x 3) and `rank`, is one fraction-free Gauss-Jordan for both
+fields, with Bareiss's exact divisions (Math. Comp. 22, 1968).  Over Q
+each row is first divided by its content, which leaves the reduced
+echelon form unchanged.  Over F_p each pivot row is scaled to 1 by the
+inverse of its pivot, and each updated entry is reduced mod p, so every
+pivot and the denominator stay 1.  A row is touched only when it has a
+nonzero in the pivot column.  `rref` brings every row to the last pivot,
+which is then the denominator of the result; `rank` (and so `nullity`,
+`is_invertible` and `column_space_contains`) counts the pivots of the same
+loop.  On [A | I] that loop ends with a multiple of det A as its last
+pivot and the same multiple of adj A as its right half, so `inverse` up to
+3 x 3 reads adj and det off the cofactors of num instead (`_adjugate`):
+over Q, (num / den)^-1 = den * adj(num) / det(num), and over F_p,
+adj(num) times the inverse of det(num) mod p.
 """
 
 from __future__ import annotations
@@ -223,6 +228,20 @@ def _nonzeros(num: tuple, s: int) -> list:
     if s == -1:
         return [[(j, -x) for j, x in enumerate(row) if x] for row in num]
     return [[(j, x * s) for j, x in enumerate(row) if x] for row in num]
+
+
+def _adjugate(num: tuple) -> tuple[tuple, int]:
+    """(adj, det) of the square num of 1 to 3 rows of ints, by cofactors."""
+    if len(num) == 1:
+        return ((1,),), num[0][0]
+    if len(num) == 2:
+        (a, b), (c, d) = num
+        return ((d, -b), (-c, a)), a * d - b * c
+    (a, b, c), (d, e, f), (g, h, i) = num
+    x, y, z = e * i - f * h, f * g - d * i, d * h - e * g   # cofactors of row 0
+    return ((x, c * h - b * i, b * f - c * e),
+            (y, a * i - c * g, c * d - a * f),
+            (z, b * g - a * h, a * e - b * d)), a * x + b * y + c * z
 
 
 def sum_of_products(terms: Sequence[tuple]) -> "Mat":
@@ -548,6 +567,17 @@ class Mat:
         n = self.rows
         if n == 0:
             return self
+        if n <= 3:
+            adj, det = _adjugate(self.num)
+            p = self.p
+            if p:
+                det %= p
+            if not det:
+                raise NotInvertible("singular matrix")
+            if p:
+                return _canonical(n, n, _scale(adj, pow(det, -1, p)), 1, p)
+            # (num / den)^-1 = den * adj(num) / det(num)
+            return _canonical(n, n, _scale(adj, self.den), det, 0)
         # [num | den * I] over den stands for [self | I]
         rows = []
         for i, row in enumerate(self.num):

@@ -7,7 +7,16 @@ import random
 import pytest
 
 from qfold.corpus import corpus, corpus_entry
-from qfold.generators import _sign_diag, rand_invertible, random_graded_pair, random_theta_module
+from qfold.generators import (
+    _random_sign_compatible,
+    _random_triangular,
+    _sign_diag,
+    rand_invertible,
+    rand_mat,
+    random_graded_pair,
+    random_one_way_module,
+    random_theta_module,
+)
 from qfold.linalg import Mat
 from qfold.module_lab import check_framed_embedding, verify_transition
 
@@ -21,6 +30,12 @@ MODULE_LAB_SIZES = {"max_sub": 3, "max_extra": 2}
 # seed, so this pin is what shows that a change to the generators' work
 # left every seed's draws where they were
 DRAWS_SHA256 = "3d05bfbfe0f655006865eaedb28554b9259104f7d398ea540ca0c1fe782b4eca"
+
+# SHA-256 of `_fp_draws_digest()`: the draws over F_p, which stability-oracle
+# makes, pinned as DRAWS_SHA256 pins those over Q.  It was computed when
+# the drawers still drew each entry with `randrange(p)`
+FP_DRAWS_SHA256 = "a73c6bac7800752ad655b9c3f45694cc55fa7a3e379a3462546035641d8a5a28"
+FP_SHAPES = ((0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (4, 4))
 
 
 def _feed_mat(h, m: Mat) -> None:
@@ -68,8 +83,71 @@ def _draws_digest() -> str:
     return h.hexdigest()
 
 
+def _fp_draws_digest() -> str:
+    h = hashlib.sha256()
+    for seed in range(1, 6):
+        for p in (2, 3, 5, 7):
+            rng = random.Random(seed)
+            for rows, cols in FP_SHAPES:
+                _feed_mat(h, rand_mat(rng, rows, cols, p))
+            for entry in corpus():
+                q = entry.quiver
+                v = {x: rng.randint(0, 3) for x in q.vertices}
+                w = {x: rng.randint(0, 2) for x in q.vertices}
+                _feed_module(h, random_one_way_module(rng, q, v, w, p=p))
+    return h.hexdigest()
+
+
 def test_draws_are_pinned():
     assert _draws_digest() == DRAWS_SHA256
+
+
+def test_draws_over_prime_fields_are_pinned():
+    assert _fp_draws_digest() == FP_DRAWS_SHA256
+
+
+# The drawers as they drew with `randint(-2, 2)` and `randrange(p)`: the
+# oracle of the drawers that read each entry with one `rng.choice`
+def _randint_rand_mat(rng, rows, cols, p=None):
+    if p is None:
+        return Mat(rows, cols, [[rng.randint(-2, 2) for _ in range(cols)]
+                                for _ in range(rows)])
+    return Mat(rows, cols, [[rng.randrange(p) for _ in range(cols)] for _ in range(rows)], p)
+
+
+def _randint_triangular(rng, rows, cols, sub_rows, sub_cols):
+    m = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
+    for r in range(sub_rows, rows):
+        for c in range(sub_cols):
+            m[r][c] = 0
+    return Mat(rows, cols, m)
+
+
+def _randint_sign_compatible(rng, row_signs, col_signs):
+    data = [[rng.randint(-2, 2) if row_signs[r] == col_signs[c] else 0
+             for c in range(len(col_signs))] for r in range(len(row_signs))]
+    return Mat(len(row_signs), len(col_signs), data)
+
+
+def test_drawers_match_the_randint_loops():
+    """Each drawer gives the matrix of the loop it replaced, entry by entry,
+    and leaves the random stream where that loop left it."""
+    shapes = ((0, 0), (0, 2), (2, 0), (1, 1), (3, 3), (2, 5), (4, 1))
+    for seed in range(200):
+        signs = random.Random(-seed)
+        for rows, cols in shapes:
+            sub_rows, sub_cols = signs.randint(0, rows), signs.randint(0, cols)
+            row_signs = [signs.choice((1, -1)) for _ in range(rows)]
+            col_signs = [signs.choice((1, -1)) for _ in range(cols)]
+            draws = [(rand_mat, _randint_rand_mat, (rows, cols, p)) for p in (None, 2, 3, 5, 7)]
+            draws += [(_random_triangular, _randint_triangular, (rows, cols, sub_rows, sub_cols)),
+                      (_random_sign_compatible, _randint_sign_compatible, (row_signs, col_signs))]
+            for new, old, args in draws:
+                rng, oracle = random.Random(seed), random.Random(seed)
+                got, want = new(rng, *args), old(oracle, *args)
+                assert (got.rows, got.cols, got.p) == (want.rows, want.cols, want.p)
+                assert got.data == want.data and got == want, (new.__name__, seed, args)
+                assert rng.getstate() == oracle.getstate(), (new.__name__, seed, args)
 
 
 @pytest.mark.parametrize("sizes", [{}, MODULE_LAB_SIZES], ids=["default", "module-lab"])
@@ -87,12 +165,15 @@ def test_graded_pair_witnesses_verify(sizes):
 
 
 def test_rand_invertible_returns_the_inverse():
-    """Each draw comes with its inverse, empty shapes included."""
+    """Each draw comes with its inverse, the right half of the rref of
+    [m | I], empty shapes included."""
     rng = random.Random(3)
     for n in range(5):
         for _ in range(20):
             m, m_inv = rand_invertible(rng, n)
-            assert m_inv == m.inverse()
+            red, pivots = m.hstack(Mat.identity(n)).rref()
+            assert pivots == list(range(n))
+            assert m_inv == red.submatrix(range(n), range(n, 2 * n))
             assert m * m_inv == Mat.identity(n)
 
 

@@ -1,7 +1,7 @@
 import contextlib
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd
 
 import pytest
@@ -656,6 +656,72 @@ def test_integer_elimination_matches_the_fraction_oracle():
                     inv = m.inverse()
                     assert m * inv == Mat.identity(rows, p)
                     assert all(same_field(x, p) for r in inv.data for x in r), inv
+
+
+def elimination_inverse(m: Mat):
+    """The inverse of the square m as the elimination gives it: the right
+    half of the rref of [m | I], or None when that rref has fewer than n
+    pivots in its left half."""
+    n = m.rows
+    red, pivots = m.hstack(Mat.identity(n, m.p)).rref()
+    if sum(c < n for c in pivots) < n:
+        return None
+    return red.submatrix(range(n), range(n, 2 * n))
+
+
+def _square_cases():
+    """Every square matrix of 1 and 2 rows over F_2, F_3 and F_5, of 3 rows
+    over F_2, and of 1 and 2 rows over Q with entries in -1..1; then seeded
+    ones of 1 to 4 rows and of every rank, over Q with integral and with
+    fractional entries, and over F_3 and F_5."""
+    for p, values, top in ((2, range(2), 3), (3, range(3), 2), (5, range(5), 2),
+                           (0, range(-1, 2), 2)):
+        for n in range(1, top + 1):
+            for entries in product(values, repeat=n * n):
+                yield Mat(n, n, [entries[r * n:(r + 1) * n] for r in range(n)], p)
+    rng = random.Random(35)
+    fields = [(0, lambda: rng.randint(-3, 3)),
+              (0, lambda: Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))),
+              (3, lambda: rng.randrange(3)), (5, lambda: rng.randrange(5))]
+    for p, entry in fields:
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            yield _random_matrix(rng, n, n, rng.randint(n - 1, n), entry, p)
+
+
+def test_tiny_inverses_match_the_elimination():
+    """`inverse` up to 3 x 3 reads adj and det off the cofactors: it equals
+    the right half of the rref of [m | I], and raises NotInvertible exactly
+    when that rref has fewer than n pivots in its left half.  At 4 x 4 it
+    hands off to the elimination, with the same results."""
+    seen = set()
+    for m in _square_cases():
+        want = elimination_inverse(m)
+        if want is None:
+            with pytest.raises(NotInvertible):
+                m.inverse()
+        else:
+            assert m.inverse() == want, m
+        seen.add((m.p, m.rows, want is None, m.den != 1))
+    for p in (0, 2, 3, 5):
+        for n in (1, 2, 3):
+            assert {(p, n, False), (p, n, True)} <= {c[:3] for c in seen}, (p, n)
+    for n in (1, 2, 3, 4):   # over Q with den != 1, both verdicts past 1 x 1
+        assert (0, n, False, True) in seen and (n == 1 or (0, n, True, True) in seen), n
+
+
+def test_tiny_inverses_run_no_elimination(monkeypatch):
+    """No `_reduce` runs inside `inverse` on any input of 1 to 3 rows over
+    Q or F_p, singular ones included; one runs on each of 4 rows."""
+    cases = list(_square_cases())
+    calls = []
+    reduce = Mat._reduce
+    monkeypatch.setattr(Mat, "_reduce", lambda m: calls.append(m) or reduce(m))
+    for m in cases:
+        calls.clear()
+        with contextlib.suppress(NotInvertible):
+            m.inverse()
+        assert len(calls) == (m.rows == 4), m
 
 
 def test_integer_charpoly_feeds_the_polynomial_helpers():
