@@ -121,7 +121,7 @@ def _labels_table(sd: SplitData) -> dict:
 
 def _parse_dimvec(text: str, vertices: tuple[str, ...], name: str) -> dict[str, int]:
     """Accept a JSON object keyed by vertex id, or a comma list in
-    canonical vertex order; a negative entry is refused."""
+    canonical vertex order; an empty or a negative entry is refused."""
     text = text.strip()
     if text.startswith("{"):
         try:
@@ -129,7 +129,7 @@ def _parse_dimvec(text: str, vertices: tuple[str, ...], name: str) -> dict[str, 
         except json.JSONDecodeError as exc:
             raise InputError(f"{name} is not valid JSON: {exc}") from None
     else:
-        parts = [p for p in text.split(",") if p.strip() != ""]
+        parts = text.split(",") if text else []
         if len(parts) != len(vertices):
             raise InputError(f"{name} needs {len(vertices)} entries, got {len(parts)}")
         items = zip(vertices, parts)

@@ -201,6 +201,11 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ("--framing", ["branch", "--corpus", "A3-flip", "--framing", '{"1@1/2": "x"}']),
         ("--framing", ["branch", "--corpus", "A3-flip", "--framing", '{"1@1/2": 1.5}']),
         ("--framing", ["branch", "--corpus", "A3-flip", "--framing", '{"1@1/2": 1']),
+        # an empty field is refused, not dropped
+        ("--framing", ["branch", "--corpus", "A3-flip", "--framing", "1,,1,1"]),
+        ("--framing", ["branch", "--corpus", "A3-flip", "--framing", "1,1,1,"]),
+        ("--framing", ["branch", "--corpus", "A3-flip", "--framing", ",1,1,1"]),
+        ("--v", ["dims", "--corpus", "D4-swap", "--v", "1,1, ,1,1", "--w", "1,1,1,1"]),
         ("--v", ["dims", "--corpus", "D4-swap", "--v", "1,x,1,1", "--w", "1,1,1,1"]),
         ("--w", ["dims", "--corpus", "D4-swap", "--v", "1,1,1,1", "--w", "1,1,x,1"]),
         ("--w-split", ["dims", "--corpus", "D4-swap", "--v", "1,1,1,1",

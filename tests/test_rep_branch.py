@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfold.errors import (
+    CharacterMismatch,
     NotDominant,
     NotFiniteType,
     TooLarge,
@@ -86,6 +88,17 @@ def test_weyl_dim_values():
     assert weyl_dim(C2, (0, 1)) == 5
     with pytest.raises(NotDominant):
         weyl_dim(A2, (-1, 0))
+
+
+def test_weyl_dim_refuses_an_inexact_quotient(monkeypatch):
+    # with Weyl's denominator off by one, (1, 1) on A2 gives 16 / 3: a
+    # positive quotient with a remainder, which is refused all the same
+    from qfold import rep_branch
+    rd = root_datum(A2)
+    monkeypatch.setattr(rep_branch, "root_datum",
+                        lambda c: dataclasses.replace(rd, rho_product=rd.rho_product + 1))
+    with pytest.raises(CharacterMismatch, match="16/3"):
+        weyl_dim(A2, (1, 1))
 
 
 def test_block_diagonal_matrices_are_finite_per_component():

@@ -326,6 +326,9 @@ def test_fibers_d4_and_roundtrip():
         assert project_dim(f, sd) == v
     zero = {x: 0 for x in d4.vertices}
     assert fibers_of_p(zero, sd) == [{v: 0 for v in sd.split.vertices}]
+    # a vertex v leaves out counts as 0
+    for v in ({}, {"1": 2, "2": 2}, {"3": 1, "4": 1}):
+        assert fiber_count(v, sd) == len(fibers_of_p(v, sd))
 
 
 def test_fibers_a3_flip_slices():
@@ -335,6 +338,20 @@ def test_fibers_a3_flip_slices():
     pairs = [(f["2@1/2"], f["2@2/2"]) for f in fib]
     assert sorted(pairs) == [(0, 2), (1, 1), (2, 0)]
     assert all(f["1@1/1"] == 1 for f in fib)
+
+
+def test_fibers_at_the_cap(monkeypatch):
+    # a fiber of exactly FIBER_CAP vectors is listed, one past it refused
+    from qfold import split_quotient
+    d4 = d_quiver(4)
+    sd = split_quiver(d4, fork_swap_automorphism(d4, 4))
+    v = {"1": 2, "2": 2, "3": 2, "4": 2}
+    count = fiber_count(v, sd)
+    monkeypatch.setattr(split_quotient, "FIBER_CAP", count)
+    assert len(fibers_of_p(v, sd)) == count
+    monkeypatch.setattr(split_quotient, "FIBER_CAP", count - 1)
+    with pytest.raises(TooLarge):
+        fibers_of_p(v, sd)
 
 
 def test_fibers_not_orbit_constant():
