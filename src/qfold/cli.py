@@ -21,6 +21,9 @@ dependencies.  `lie_fold` and `rep_branch` stay among them although
 `module` never runs them: the benchmark's tracer (`perfbench/tracer.py`)
 looks up every module it patches in `sys.modules`, after `import qfold.cli`
 and the warm-up ops, and on its module workload nothing else loads those two.
+No qfold module imports `dataclasses`, which would bring `inspect` with it
+and build each record's methods with `exec`: a record is a `NamedTuple`, or
+a slotted class on `quiver_core.Record`.
 """
 
 from __future__ import annotations
@@ -458,7 +461,7 @@ def main(argv=None) -> int:
             return COMMANDS[args.command](args)
         except PropertyViolation as exc:
             return _fail(args, exc, "property violated", EXIT_VIOLATION)
-        except (QfoldError, OSError, json.JSONDecodeError) as exc:
+        except (QfoldError, OSError) as exc:
             return _fail(args, exc, "error", EXIT_INPUT)
     except _StdoutClosed:
         return EXIT_INPUT

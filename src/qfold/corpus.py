@@ -11,10 +11,9 @@ files to replace the built-ins.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import InputError
 from .quiver_core import (
@@ -36,8 +35,7 @@ from .serialize import json_document
 CORPUS_ENV = "QFOLD_CORPUS_DIR"
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     quiver: Quiver
     auto: DiagramAutomorphism

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import NotOrbitConstant, ShapeMismatch
 from .lie_fold import CartanMatrix, cartan_from_quiver
@@ -31,8 +30,7 @@ def dim_steinberg(v1: DimVec, v2: DimVec, w: DimVec, c: CartanMatrix) -> Fractio
     return Fraction(dim_quiver_variety(v1, w, c) + dim_quiver_variety(v2, w, c), 2)
 
 
-@dataclass(frozen=True)
-class ComponentRecord:
+class ComponentRecord(NamedTuple):
     v_split: Mapping[str, int]
     w_split: Mapping[str, int]
     dim: int

@@ -15,11 +15,10 @@ matrix is of finite type when every component is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -31,26 +30,27 @@ from .errors import (
     UnsupportedFamily,
 )
 from .linalg import Mat, sum_of_products
-from .quiver_core import DiagramAutomorphism, Quiver, _orbits, a_quiver, d_quiver
+from .quiver_core import (DiagramAutomorphism, Quiver, Record, _orbits, _setattr, a_quiver,
+                          d_quiver)
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    labels: tuple[str, ...]
-    entries: tuple[tuple[int, ...], ...]
+class CartanMatrix(Record):
+    __slots__ = _fields = ("labels", "entries")
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
+    def __init__(self, labels: tuple[str, ...], entries: tuple[tuple[int, ...], ...]):
+        _setattr(self, "labels", labels)
+        _setattr(self, "entries", entries)
+        n = len(labels)
+        if len(entries) != n or any(len(r) != n for r in entries):
             raise InputError("Cartan matrix must be square over its labels")
         for i in range(n):
-            if self.entries[i][i] != 2:
-                raise InputError(f"diagonal entry at {self.labels[i]} must be 2")
+            if entries[i][i] != 2:
+                raise InputError(f"diagonal entry at {labels[i]} must be 2")
             for j in range(n):
                 if i != j:
-                    if self.entries[i][j] > 0:
+                    if entries[i][j] > 0:
                         raise InputError("off-diagonal Cartan entries must be <= 0")
-                    if (self.entries[i][j] == 0) != (self.entries[j][i] == 0):
+                    if (entries[i][j] == 0) != (entries[j][i] == 0):
                         raise InputError("zero pattern must be symmetric")
 
     @property
@@ -145,8 +145,7 @@ _RANK_OK = {
 }
 
 
-@dataclass(frozen=True)
-class TypeLabel:
+class TypeLabel(NamedTuple):
     family: str  # a finite family, "affine-A", "affine-D" or "other"
     rank: int
 
@@ -255,8 +254,7 @@ def classify_cartan(c: CartanMatrix) -> TypeLabel:
 # folding
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FoldedAlgebraData:
+class FoldedAlgebraData(NamedTuple):
     base: CartanMatrix
     orbits: tuple[tuple[str, ...], ...]
     folded: CartanMatrix
@@ -370,8 +368,7 @@ def folded_generators(rank: int, family: str, a: DiagramAutomorphism
 # Serre-type relation checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SerreViolation:
+class SerreViolation(NamedTuple):
     kind: str  # "hh" | "he" | "hf" | "ef" | "serre"
     i: int
     j: int
@@ -380,8 +377,7 @@ class SerreViolation:
         return f"{self.kind} relation violated at pair ({self.i}, {self.j})"
 
 
-@dataclass(frozen=True)
-class SerreReport:
+class SerreReport(NamedTuple):
     ok: bool
     violations: tuple[SerreViolation, ...]
 

@@ -20,10 +20,9 @@ modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
     IndexMismatch,
@@ -48,7 +47,7 @@ from .numberfield import (
     poly_gcd,
     poly_str,
 )
-from .quiver_core import DiagramAutomorphism, Quiver, orbit_data, reverse_key
+from .quiver_core import DiagramAutomorphism, Quiver, Record, _setattr, orbit_data, reverse_key
 from .split_quotient import (
     SigmaData,
     is_orbit_constant,
@@ -57,39 +56,40 @@ from .split_quotient import (
 )
 
 
-@dataclass(frozen=True, eq=True)
-class FramedModule:
-    quiver: Quiver
-    v: Mapping[str, int]
-    w: Mapping[str, int]
-    B: Mapping[str, Mat]
-    I: Mapping[str, Mat]
-    J: Mapping[str, Mat]
-    signed: bool = True
+class FramedModule(Record):
+    __slots__ = _fields = ("quiver", "v", "w", "B", "I", "J", "signed")
 
-    def __post_init__(self):
-        q = self.quiver
-        for name, block in (("v", self.v), ("w", self.w), ("B", self.B),
-                            ("I", self.I), ("J", self.J)):
+    def __init__(self, quiver: Quiver, v: Mapping[str, int], w: Mapping[str, int],
+                 B: Mapping[str, Mat], I: Mapping[str, Mat], J: Mapping[str, Mat],
+                 signed: bool = True):
+        _setattr(self, "quiver", quiver)
+        _setattr(self, "v", v)
+        _setattr(self, "w", w)
+        _setattr(self, "B", B)
+        _setattr(self, "I", I)
+        _setattr(self, "J", J)
+        _setattr(self, "signed", signed)
+        q = quiver
+        for name, block in (("v", v), ("w", w), ("B", B), ("I", I), ("J", J)):
             for key in block:
                 if key not in (q.arrows if name == "B" else q.vertex_set):
                     kind = "doubled arrow" if name == "B" else "vertex"
                     raise ShapeMismatch(f"{name} names {key!r}, which is no {kind} of the quiver")
         for vertex in q.vertices:
-            if self.v.get(vertex, 0) < 0 or self.w.get(vertex, 0) < 0:
+            if v.get(vertex, 0) < 0 or w.get(vertex, 0) < 0:
                 raise ShapeMismatch(f"negative dimension at {vertex}")
         for info in q.doubled:
-            m = self.B.get(info.key)
+            m = B.get(info.key)
             if m is None:
                 raise ShapeMismatch(f"missing arrow matrix {info.key}")
-            if m.rows != self.v.get(info.tgt, 0) or m.cols != self.v.get(info.src, 0):
+            if m.rows != v.get(info.tgt, 0) or m.cols != v.get(info.src, 0):
                 raise ShapeMismatch(
                     f"B[{info.key}] is {m.rows}x{m.cols}, expected "
-                    f"{self.v.get(info.tgt, 0)}x{self.v.get(info.src, 0)}"
+                    f"{v.get(info.tgt, 0)}x{v.get(info.src, 0)}"
                 )
         for vertex in q.vertices:
-            iv, wv = self.v.get(vertex, 0), self.w.get(vertex, 0)
-            im, jm = self.I.get(vertex), self.J.get(vertex)
+            iv, wv = v.get(vertex, 0), w.get(vertex, 0)
+            im, jm = I.get(vertex), J.get(vertex)
             if im is None or jm is None:
                 raise ShapeMismatch(f"missing framing matrix at {vertex}")
             if im.rows != iv or im.cols != wv:
@@ -121,8 +121,7 @@ def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
 # relations and stability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationReport:
+class RelationReport(NamedTuple):
     ok: bool
     vertex: Optional[str] = None
 
@@ -311,8 +310,7 @@ def direct_sum(m1: FramedModule, m2: FramedModule) -> FramedModule:
 # transition matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransitionWitness:
+class TransitionWitness(NamedTuple):
     """Per-vertex matrices g of a module isomorphism M -> theta(M).
 
     When summand_swap is set the witness is recorded relative to the
@@ -503,8 +501,7 @@ def check_framed_embedding(xi: Mapping[str, Mat], m_sub: FramedModule,
     return True
 
 
-@dataclass(frozen=True)
-class EigenInclusionReport:
+class EigenInclusionReport(NamedTuple):
     ok: bool
     vertex: Optional[str] = None
     eigenvalue: Optional[str] = None

@@ -32,9 +32,9 @@ since a raised call is not cached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import lcm
+from operator import attrgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional
 
@@ -53,39 +53,71 @@ class Edge(NamedTuple):
     tgt: str
 
 
-@dataclass(frozen=True)
-class Quiver:
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+_setattr = object.__setattr__
+
+
+class Record:
+    """The dunders shared by the slotted records: equality and hash by the
+    constructor's fields, `_fields` (two or more), against the same type
+    only; a repr of those fields; and no assignment or deletion once built.
+    A subclass writes its own `__init__`, which sets each slot through
+    `object.__setattr__`, and may add derived slots outside `_fields`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = property(attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Quiver(Record):
     # derived once from the edges: the doubled quiver's arrows, in order, by
     # key and by source vertex (every vertex, in order), and the vertex set
-    doubled: tuple["ArrowInfo", ...] = field(init=False, repr=False, compare=False)
-    arrows: Mapping[str, "ArrowInfo"] = field(init=False, repr=False, compare=False)
-    leaving: Mapping[str, tuple["ArrowInfo", ...]] = field(init=False, repr=False, compare=False)
-    vertex_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertices", "edges", "doubled", "arrows", "leaving", "vertex_set")
+    _fields = ("vertices", "edges")
 
-    def __post_init__(self):
-        vs = frozenset(self.vertices)
-        if len(vs) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        _setattr(self, "vertices", vertices)
+        _setattr(self, "edges", edges)
+        vs = frozenset(vertices)
+        if len(vs) != len(vertices):
             raise InputError("duplicate vertex ids")
-        ids = [e.id for e in self.edges]
+        ids = [e.id for e in edges]
         if len(set(ids)) != len(ids):
             raise InputError("duplicate edge ids")
-        for e in self.edges:
+        for e in edges:
             if e.src not in vs or e.tgt not in vs:
                 raise InputError(f"edge {e.id} uses unknown vertex")
         doubled = []
-        for e in self.edges:
+        for e in edges:
             doubled.append(ArrowInfo(_doubled_key(e.id, 1), e.id, e.src, e.tgt, 1))
             doubled.append(ArrowInfo(_doubled_key(e.id, -1), e.id, e.tgt, e.src, -1))
-        leaving: dict[str, list[ArrowInfo]] = {v: [] for v in self.vertices}
+        leaving: dict[str, list[ArrowInfo]] = {v: [] for v in vertices}
         for h in doubled:
             leaving[h.src].append(h)
-        object.__setattr__(self, "doubled", tuple(doubled))
-        object.__setattr__(self, "arrows", MappingProxyType({h.key: h for h in doubled}))
-        object.__setattr__(self, "leaving", MappingProxyType(
-            {v: tuple(hs) for v, hs in leaving.items()}))
-        object.__setattr__(self, "vertex_set", vs)
+        _setattr(self, "doubled", tuple(doubled))
+        _setattr(self, "arrows", MappingProxyType({h.key: h for h in doubled}))
+        _setattr(self, "leaving", MappingProxyType({v: tuple(hs) for v, hs in leaving.items()}))
+        _setattr(self, "vertex_set", vs)
 
     def edge(self, edge_id: str) -> Edge:
         for e in self.edges:
@@ -105,20 +137,18 @@ def quiver(vertices: Iterable[str], edges: Iterable[tuple[str, str, str]]) -> Qu
     return Quiver(tuple(vertices), tuple(Edge(*e) for e in edges))
 
 
-@dataclass(frozen=True)
-class DiagramAutomorphism:
+class DiagramAutomorphism(Record):
     """A vertex map and an edge map, kept as read-only views of private
     copies, so that the value is fixed and can key the pair caches."""
 
-    vertex_perm: Mapping[str, str]
-    edge_perm: Mapping[str, str]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("vertex_perm", "edge_perm", "_hash")
+    _fields = ("vertex_perm", "edge_perm")
 
-    def __post_init__(self):
-        vperm, eperm = dict(self.vertex_perm), dict(self.edge_perm)
-        object.__setattr__(self, "vertex_perm", MappingProxyType(vperm))
-        object.__setattr__(self, "edge_perm", MappingProxyType(eperm))
-        object.__setattr__(self, "_hash", hash((frozenset(vperm.items()), frozenset(eperm.items()))))
+    def __init__(self, vertex_perm: Mapping[str, str], edge_perm: Mapping[str, str]):
+        vperm, eperm = dict(vertex_perm), dict(edge_perm)
+        _setattr(self, "vertex_perm", MappingProxyType(vperm))
+        _setattr(self, "edge_perm", MappingProxyType(eperm))
+        _setattr(self, "_hash", hash((frozenset(vperm.items()), frozenset(eperm.items()))))
 
     def __hash__(self) -> int:
         return self._hash
@@ -190,8 +220,7 @@ def require_admissible(q: Quiver, a: DiagramAutomorphism) -> OrbitData:
     return od
 
 
-@dataclass(frozen=True)
-class OrbitData:
+class OrbitData(NamedTuple):
     vertex_orbits: tuple[tuple[str, ...], ...]
     edge_orbits: tuple[tuple[str, ...], ...]
     d_vertex: Mapping[str, int]

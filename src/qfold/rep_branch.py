@@ -65,11 +65,10 @@ each counts what it lists against ROOT_STEP_CAP, FIBER_SUM_CAP or WALK_CAP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
 from operator import add, mul, sub
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     CharacterMismatch,
@@ -108,8 +107,7 @@ FIBER_SUM_CAP = 10 ** 6
 WALK_CAP = 400_000
 
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(NamedTuple):
     """What the Weyl-group and character kernels read of a Cartan matrix.
     With d its symmetrizer, (lam, beta) = sum_j lam_j * beta_j * d_j for a
     weight in fundamental and a root in simple coordinates."""

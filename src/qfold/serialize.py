@@ -29,12 +29,15 @@ if TYPE_CHECKING:
 
 def json_document(data: bytes, source: str):
     """The JSON value in data, read as UTF-8 (RFC 8259) whatever the locale;
-    InputError names the source of bytes that are not UTF-8."""
+    InputError names the source of bytes that are not UTF-8 or not JSON."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{source} is not UTF-8: {exc.reason} at byte {exc.start}") from None
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{source} is not valid JSON: {exc}") from None
 
 
 def json_object(obj, what: str) -> dict:

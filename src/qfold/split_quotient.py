@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from math import comb, gcd
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
     IndexMismatch,
@@ -43,10 +42,11 @@ from .errors import (
 from .linalg import Mat
 from .numberfield import cyclotomic_poly
 from .quiver_core import (
-    ArrowTransport,
     DiagramAutomorphism,
     OrbitData,
     Quiver,
+    Record,
+    _setattr,
     arrow_transport,
     check_automorphism,
     identity_automorphism,
@@ -61,16 +61,16 @@ DimVec = Mapping[str, int]
 FIBER_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class SplitVertex:
+class SplitVertex(Record):
     """A split-quiver vertex: a vertex orbit together with a phase j/e."""
 
-    orbit: tuple[str, ...]
-    j: int
-    e: int
+    __slots__ = _fields = ("orbit", "j", "e")
 
-    def __post_init__(self):
-        if not 1 <= self.j <= self.e:
+    def __init__(self, orbit: tuple[str, ...], j: int, e: int):
+        _setattr(self, "orbit", orbit)
+        _setattr(self, "j", j)
+        _setattr(self, "e", e)
+        if not 1 <= j <= e:
             raise ValueError("phase numerator out of range")
 
     @property
@@ -78,8 +78,7 @@ class SplitVertex:
         return f"{self.orbit[0]}@{self.j}/{self.e}"
 
 
-@dataclass(frozen=True)
-class SplitData:
+class SplitData(NamedTuple):
     source: Quiver
     auto: DiagramAutomorphism
     orbits: OrbitData
@@ -157,8 +156,7 @@ def _split_edge_id(edge_orbit: str, j1: int, e1: int, j2: int, e2: int) -> str:
 # splitting twice
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvolutionWitness:
+class InvolutionWitness(NamedTuple):
     vertex_map: Mapping[str, str]  # vertices of s(s(Q)) -> vertices of Q
 
 
@@ -334,8 +332,7 @@ def root_of_unity_eigendims(m: Mat, e: int) -> list[int]:
     return dims
 
 
-@dataclass(frozen=True)
-class SigmaData:
+class SigmaData(Record):
     """Framing twists sigma_i : W_i -> W_{a(i)} with the around-the-orbit
     composite of exact finite order e_i.
 
@@ -349,15 +346,13 @@ class SigmaData:
     theta needs nothing else.
     """
 
-    quiver: Quiver
-    auto: DiagramAutomorphism
-    maps: Mapping[str, Mat]
-    composites: Mapping[str, Mat] = field(init=False, repr=False, compare=False)
-    inverses: Mapping[str, Mat] = field(init=False, repr=False, compare=False)
-    orbits: OrbitData = field(init=False, repr=False, compare=False)
-    transport: ArrowTransport = field(init=False, repr=False, compare=False)
+    __slots__ = ("quiver", "auto", "maps", "composites", "inverses", "orbits", "transport")
+    _fields = ("quiver", "auto", "maps")
 
-    def __post_init__(self):
+    def __init__(self, quiver: Quiver, auto: DiagramAutomorphism, maps: Mapping[str, Mat]):
+        _setattr(self, "quiver", quiver)
+        _setattr(self, "auto", auto)
+        _setattr(self, "maps", maps)
         self.validate()
 
     def validate(self) -> None:
@@ -406,10 +401,10 @@ class SigmaData:
                 if k:
                     mat = self.maps[chain[k]]
                     suffix = mat if suffix is None else suffix * mat
-        object.__setattr__(self, "composites", composites)
-        object.__setattr__(self, "inverses", inverses)
-        object.__setattr__(self, "orbits", od)
-        object.__setattr__(self, "transport", arrow_transport(q, a))
+        _setattr(self, "composites", composites)
+        _setattr(self, "inverses", inverses)
+        _setattr(self, "orbits", od)
+        _setattr(self, "transport", arrow_transport(q, a))
 
 
 def _product(*factors: Optional[Mat], like: Mat) -> Mat:

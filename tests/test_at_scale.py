@@ -2,9 +2,10 @@
 
 Each gate is its steps, in order, and the digest of the bytes they write.  A
 `Cli` step runs `python -m qfold.cli` from this checkout's `src` in a fresh
-directory; its stdout goes to the digest, or with `pipe` to the next call's
-stdin.  A `Py` step runs in this process: it writes an input file there or
-feeds the digest.  QFOLD_CORPUS_DIR is ignored.  Run one gate with
+directory, under this interpreter's `-O` and `-W` flags; its stdout goes to
+the digest, or with `pipe` to the next call's stdin.  A `Py` step runs in
+this process: it writes an input file there or feeds the digest.
+QFOLD_CORPUS_DIR is ignored.  Run one gate with
 `pytest tests/test_at_scale.py -k NAME`; compute a new gate's digest on the
 commit before the change it guards.
 """
@@ -49,6 +50,11 @@ class Py(NamedTuple):
     fn: Callable  # fn(out, tmp, *args): out is the digest, tmp the directory
     args: tuple = ()
     limit: float = math.inf
+
+
+# the interpreter flags of this run, so that the `python -O` and `-W error`
+# passes run the CLI under them too
+FLAGS = ["-O"] * sys.flags.optimize + [f"-W{option}" for option in sys.warnoptions]
 
 
 LARGE = {"a121-flip": (a_quiver, flip_automorphism, 121),
@@ -193,8 +199,9 @@ def test_gate(name, tmp_path, monkeypatch):
             took = time.monotonic() - start
             assert took <= step.limit, f"{name}: {step.fn.__name__} took {took:.1f} s"
             continue
-        proc = subprocess.run([sys.executable, "-m", "qfold.cli", *step.argv], input=stdin,
-                              capture_output=True, cwd=tmp_path, env=env, timeout=step.limit)
+        proc = subprocess.run([sys.executable, *FLAGS, "-m", "qfold.cli", *step.argv],
+                              input=stdin, capture_output=True, cwd=tmp_path, env=env,
+                              timeout=step.limit)
         assert proc.returncode == step.code, (name, step.argv, proc.stderr.decode())
         stdin = proc.stdout if step.pipe else b""
         if not step.pipe:

@@ -167,6 +167,29 @@ def test_input_that_is_not_utf8_is_one_error(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["error"]["type"] == "InputError"
 
 
+def test_input_that_is_not_json_names_its_source(capsys, monkeypatch, tmp_path):
+    # a syntax error is one InputError that names the file or standard
+    # input, then gives the decoder's message
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vertices": []\n"edges": []}')
+    message = "is not valid JSON: Expecting ',' delimiter: line 2 column 1 (char 16)"
+
+    def outcome(*argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    for argv in (["fold", "--file", str(bad)], ["module", "check", str(bad)]):
+        assert outcome(*argv) == (1, "", f"error: {bad} {message}\n")
+        code, out, err = outcome(*argv, "--json")
+        assert code == 1 and err == "" and out.count("\n") == 1
+        assert json.loads(out)["error"] == {"type": "InputError",
+                                            "message": f"{bad} {message}"}
+
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes())))
+    assert outcome("module", "check", "-") == (1, "", f"error: standard input {message}\n")
+
+
 def test_branch_large_framings_pinned(capsys):
     # one SHA-256 over the --json output of four framings of modules of
     # dimension 10^7 to 10^9: D5-swap rho, A9-flip rho, A7-flip (2,1,1,1,2)
@@ -729,15 +752,18 @@ def test_closed_stdout_exits_one_without_traceback():
         assert proc.stderr == b"", proc.stderr.decode()
 
 
-# a fresh interpreter runs one subcommand and lists the qfold modules it loaded
+# a fresh interpreter runs one subcommand and lists the modules it loaded
 LOADED = """
 import contextlib, io, json, sys
 import qfold.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = qfold.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(json.dumps([code, sorted(name[6:] for name in sys.modules if name.startswith("qfold."))]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 LABORATORY = {"module_lab", "generators", "properties", "dim_calc"}
+# the standard modules whose import alone would cost a one-shot call
+# several milliseconds: what `dataclasses` pulls in
+NEVER = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv, absent, present", [
@@ -749,7 +775,8 @@ LABORATORY = {"module_lab", "generators", "properties", "dim_calc"}
     (["module", "check", "FILE"], {"properties", "generators", "dim_calc"}, {"module_lab"}),
     (["dims", "--corpus", "D4-swap", "--v", "1,1,1,1", "--w", "1,1,1,1"],
      {"properties", "generators"}, {"dim_calc", "module_lab"}),
-], ids=["import", "split", "quotient", "fold", "branch", "module-check", "dims"])
+    (["verify-all", "--seed", "1"], set(), LABORATORY),
+], ids=["import", "split", "quotient", "fold", "branch", "module-check", "dims", "verify-all"])
 def test_a_subcommand_imports_only_what_it_runs(tmp_path, argv, absent, present):
     path = tmp_path / "m.json"
     path.write_text(json.dumps(module_doc()))
@@ -760,8 +787,10 @@ def test_a_subcommand_imports_only_what_it_runs(tmp_path, argv, absent, present)
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout)
     assert code == 0, argv
-    assert not absent & set(loaded), (argv, loaded)
-    assert present <= set(loaded), (argv, loaded)
+    ours = {name[6:] for name in loaded if name.startswith("qfold.")}
+    assert not absent & ours, (argv, ours)
+    assert present <= ours, (argv, ours)
+    assert not NEVER & set(loaded), (argv, NEVER & set(loaded))
 
 
 @pytest.mark.parametrize("action, field", [

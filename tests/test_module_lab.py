@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -790,8 +789,9 @@ def corrupted(rng, m: FramedModule, x: str):
     data = [list(row) for row in mat.data]
     r, c = rng.randrange(mat.rows), rng.randrange(mat.cols)
     data[r][c] = data[r][c] + 1
-    return dataclasses.replace(m, **{name: {**getattr(m, name),
-                                            key: Mat(mat.rows, mat.cols, data, mat.p)}})
+    maps = {"B": m.B, "I": m.I, "J": m.J}
+    maps[name] = {**maps[name], key: Mat(mat.rows, mat.cols, data, mat.p)}
+    return FramedModule(m.quiver, m.v, m.w, signed=m.signed, **maps)
 
 
 def balanced_module(rng, q, v, p=None) -> FramedModule:
@@ -823,7 +823,7 @@ def oracle_modules(rng):
         p = 3 if trial % 4 < 2 else None
         for m in (random_one_way_module(rng, q, v, w, p=p), balanced_module(rng, q, v, p)):
             yield m
-            yield dataclasses.replace(m, signed=False)
+            yield FramedModule(m.quiver, m.v, m.w, m.B, m.I, m.J, signed=False)
 
 
 def test_check_relations_matches_the_product_oracle():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -96,7 +95,7 @@ def test_weyl_dim_refuses_an_inexact_quotient(monkeypatch):
     from qfold import rep_branch
     rd = root_datum(A2)
     monkeypatch.setattr(rep_branch, "root_datum",
-                        lambda c: dataclasses.replace(rd, rho_product=rd.rho_product + 1))
+                        lambda c: rd._replace(rho_product=rd.rho_product + 1))
     with pytest.raises(CharacterMismatch, match="16/3"):
         weyl_dim(A2, (1, 1))
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -260,7 +259,7 @@ def test_a_deleted_edge_fails_the_edge_check():
     u, v = sorted((vertex_map[gone.src], vertex_map[gone.tgt]))
     with pytest.raises(IsoNotFound,
                        match=f"0 edges of s\\(s\\(Q\\)\\) go onto {u}--{v}, which Q joins by 1"):
-        _check_natural_map(dataclasses.replace(sd2, split=split), q, a, vertex_map)
+        _check_natural_map(sd2._replace(split=split), q, a, vertex_map)
 
 
 def test_shifted_phases_fail_the_edge_check():
