@@ -36,7 +36,7 @@ import sys
 import time
 from pathlib import Path
 
-from .corpus import corpus_entry
+from .corpus import corpus, corpus_entry
 from .errors import InputError, PropertyViolation, QfoldError, RelationViolation
 from .lie_fold import cartan_from_quiver, classify_cartan, fold_cartan
 from .quiver_core import (
@@ -360,6 +360,7 @@ def cmd_verify_all(args) -> int:
     go to stderr, one line each, so stdout stays byte-identical per seed."""
     from .properties import PROPERTIES
 
+    corpus()   # a corpus directory that cannot be read is one input error
     failures = 0
     payload = {}
     lines = []

@@ -10,8 +10,10 @@ witnesses it builds: their consumers do (`theorem5_verify` checks both
 witnesses of a graded pair, and `module transition` checks a stored one).
 Every inverse a generator needs is computed once, by `Mat.inverse` on the
 matrix it draws (by cofactors up to 3 x 3), or is known in closed form (a
-sign diagonal is its own inverse).  No product is formed with an identity
-that a generator built itself: an identity factor is left out.
+sign diagonal is its own inverse).  Products are written plainly,
+identity factors included, since `Mat` forms no product with one; only a
+product that an identity cancels, such as h * g0 * h^-1 where g0 is the
+identity, is left unformed.
 
 An entry in -2..2 is drawn by `rng.choice(_SMALL)`, and one of F_p by
 `rng.choice(range(p))`: one `_randbelow` call each, the call that
@@ -138,24 +140,14 @@ def random_sigma(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
         n = wdims.get(orbit[0], 0)
         e = od.e_vertex[orbit[0]]
         vertex = orbit[0]
-        # the inverse of the chain g_k ... g_1 walked so far, g_1^-1 ... g_k^-1,
-        # or None before the first step
-        chain_inv = None
+        # the inverse of the chain g_k ... g_1 walked so far, g_1^-1 ... g_k^-1
+        chain_inv = Mat.identity(n)
         for _ in range(len(orbit) - 1):
             g, g_inv = rand_invertible(rng, n)
             maps[vertex] = g
-            chain_inv = g_inv if chain_inv is None else chain_inv * g_inv
+            chain_inv = chain_inv * g_inv
             vertex = a.vertex_perm[vertex]
-        if not n:
-            maps[vertex] = Mat.zeros(0, 0)
-            continue
-        target = random_finite_order_matrix(rng, n, e)
-        if chain_inv is None:
-            maps[vertex] = target
-        elif target == Mat.identity(n):
-            maps[vertex] = chain_inv
-        else:
-            maps[vertex] = target * chain_inv
+        maps[vertex] = random_finite_order_matrix(rng, n, e) * chain_inv
     return SigmaData(q, a, maps)
 
 
@@ -266,12 +258,7 @@ def _try_graded_pair(rng, q, a, max_sub, max_extra):
         if img == h:
             x = _mask_equivariant(x, v_signs[h.tgt], v_signs[h.src])
         elif len(eorb) == 2:
-            # g0 * x * g0, with no product where g0 is the identity
-            mapped = x
-            if -1 in v_signs[img.tgt]:
-                mapped = g0[img.tgt] * mapped
-            if -1 in v_signs[img.src]:
-                mapped = mapped * g0[img.src]
+            mapped = g0[img.tgt] * x * g0[img.src]
             B[img.key] = mapped if transport.sign[h.key] == 1 else -mapped
         else:
             # an edge orbit longer than the vertex involution's

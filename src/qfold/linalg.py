@@ -33,13 +33,18 @@ denominator.  There is one product loop,
 formed row by row from the nonzero `(col, value)` lists of each right
 factor (Gustavson, ACM TOMS 4, 1978), with every term added into one
 accumulator per row, over one common denominator, and brought to
-canonical form once.  A product `A * B` is its one-term case.  A term with
+canonical form once.  A product `A * B` is its one-term case, save that a
+factor equal to the identity of its size and field is no product: once
+the shapes and fields agree, `A * B` is B when A equals that identity,
+and else A when B does, shared or not.  So a caller writes a plain
+product and leaves no identity factor out itself.  A term with
 an empty dimension, an all-zero factor or s = 0 adds nothing and builds no
 list; when no term is left, the sum is its zero matrix.  Zero matrices and
 identities are shared from caches bounded in size and keyed by shape and
 field.  Operands over different fields are refused.
 Elimination, behind `rref` (and so `nullspace`, `solve` and `inverse`
-beyond 3 x 3) and `rank`, is one fraction-free Gauss-Jordan for both
+beyond 3 x 3, which solves A X = I) and `rank`, is one fraction-free
+Gauss-Jordan for both
 fields, with Bareiss's exact divisions (Math. Comp. 22, 1968).  Over Q
 each row is first divided by its content, which leaves the reduced
 echelon form unchanged.  Over F_p each pivot row is scaled to 1 by the
@@ -218,6 +223,12 @@ def _zeros(rows: int, cols: int, p: int) -> "Mat":
 @lru_cache(maxsize=64)
 def _identity(n: int, p: int) -> "Mat":
     return _mat(n, n, tuple(((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)), 1, p)
+
+
+def _is_identity(m: "Mat") -> bool:
+    """m equals the identity of its size and field, whether or not it is
+    the shared one."""
+    return m.rows == m.cols and m.den == 1 and m.num == _identity(m.rows, m.p).num
 
 
 def _nonzeros(num: tuple, s: int) -> list:
@@ -402,6 +413,12 @@ class Mat:
     def __mul__(self, other):
         if not isinstance(other, Mat):
             return self.scaled(other)
+        if self.cols == other.rows and self.p == other.p:
+            # a factor equal to the identity is no product; the left one first
+            if _is_identity(self):
+                return other
+            if _is_identity(other):
+                return self
         return sum_of_products(((1, self, other),))
 
     def __rmul__(self, scalar):
@@ -578,17 +595,10 @@ class Mat:
                 return _canonical(n, n, _scale(adj, pow(det, -1, p)), 1, p)
             # (num / den)^-1 = den * adj(num) / det(num)
             return _canonical(n, n, _scale(adj, self.den), det, 0)
-        # [num | den * I] over den stands for [self | I]
-        rows = []
-        for i, row in enumerate(self.num):
-            right = [0] * n
-            right[i] = self.den
-            rows.append(row + tuple(right))
-        red, pivots = _mat(n, 2 * n, tuple(rows), self.den, self.p).rref()
-        if pivots != list(range(n)):
+        out = self.solve(_identity(n, self.p))
+        if out is None:
             raise NotInvertible("singular matrix")
-        # the left half is den * I, so the right half is in lowest terms too
-        return _mat(n, n, tuple(row[n:] for row in red.num), red.den, self.p)
+        return out
 
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows

@@ -192,7 +192,7 @@ def weyl_orbit(c: CartanMatrix, lam: Weight) -> set[Weight]:
     or its first one is at a neighbour of i."""
     rd = root_datum(c)
     rows, neighbours = rd.rows, rd.neighbours
-    top = tuple(lam) if is_dominant(lam) else _dominant(rows, lam)
+    top = dominant_representative(c, lam)
     orbit = {top}
     stack = [top]
     while stack:

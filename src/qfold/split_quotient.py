@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from math import comb, gcd
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple
 
 from .errors import (
     IndexMismatch,
@@ -341,7 +341,8 @@ class SigmaData(Record):
     of its own dimension, so w_i, read off as the size of sigma_i, is
     constant on orbits.  Validation keeps the composite c it checked at
     each orbit's minimal lift, which `split_framing` grades; the inverses
-    sigma_i^{-1}, read off c^(e-1) = c^-1 with no elimination; and the orbit
+    sigma_i^{-1}, plain products of c^(e-1) = c^-1 (`Mat.power`) with the
+    partial composites beside sigma_i, so no elimination; and the orbit
     data and arrow transport of the automorphism, so the module transport
     theta needs nothing else.
     """
@@ -382,10 +383,9 @@ class SigmaData(Record):
             # and the last prefix is the composite c
             chain, prefix = zip(*_orbit_walk(self.maps, a, lift, len(orbit)))
             comp = composites[lift] = prefix[-1]
-            back = None  # c^(e-1), None for the identity
-            for _ in range(e - 1):
-                back = comp if back is None else back * comp
-            if (comp if back is None else back * comp) != Mat.identity(comp.rows, comp.p):
+            back = comp.power(e - 1)
+            identity = Mat.identity(comp.rows, comp.p)
+            if back * comp != identity:
                 singular = next((v for v in q.vertices if not self.maps[v].is_invertible()), None)
                 if singular is not None:
                     raise SigmaConstraintViolated(f"sigma at {singular} is singular")
@@ -394,27 +394,15 @@ class SigmaData(Record):
             # c = R_k sigma_k L_k with L_k = prefix[k-1] and
             # R_k = sigma_{a^(d-1)(lift)} ... sigma_{a^(k+1)(lift)}, and c^-1 = c^(e-1),
             # so sigma_k^-1 = L_k c^(e-1) R_k
-            suffix = None  # R_k, None for the identity
+            suffix = identity  # R_k
             for k in range(len(chain) - 1, -1, -1):
-                inverses[chain[k]] = _product(prefix[k - 1] if k else None, back, suffix,
-                                              like=self.maps[chain[k]])
+                inverses[chain[k]] = (prefix[k - 1] if k else identity) * back * suffix
                 if k:
-                    mat = self.maps[chain[k]]
-                    suffix = mat if suffix is None else suffix * mat
+                    suffix = suffix * self.maps[chain[k]]
         _setattr(self, "composites", composites)
         _setattr(self, "inverses", inverses)
         _setattr(self, "orbits", od)
         _setattr(self, "transport", arrow_transport(q, a))
-
-
-def _product(*factors: Optional[Mat], like: Mat) -> Mat:
-    """The product of the factors that are not None (each None the
-    identity); the identity of like's size and field if all are."""
-    out = None
-    for m in factors:
-        if m is not None:
-            out = m if out is None else out * m
-    return out if out is not None else Mat.identity(like.rows, like.p)
 
 
 def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:

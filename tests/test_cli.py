@@ -165,6 +165,13 @@ def test_input_that_is_not_utf8_is_one_error(capsys, monkeypatch, tmp_path):
     code, out, err = outcome("split", "--corpus", "bad", "--json")
     assert code == 1 and err == ""
     assert json.loads(out)["error"]["type"] == "InputError"
+    # verify-all reads the corpus before any property runs
+    bad_corpus = corpus_dir / "bad.json"
+    assert outcome("verify-all", "--seed", "1") == (
+        1, "", f"error: {bad_corpus} is not UTF-8: invalid start byte at byte 0\n")
+    code, out, err = outcome("verify-all", "--seed", "1", "--json")
+    assert code == 1 and err == "" and out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "InputError"
 
 
 def test_input_that_is_not_json_names_its_source(capsys, monkeypatch, tmp_path):
@@ -188,6 +195,13 @@ def test_input_that_is_not_json_names_its_source(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes())))
     assert outcome("module", "check", "-") == (1, "", f"error: standard input {message}\n")
+
+    # from a corpus directory, verify-all reports it once, before any property runs
+    monkeypatch.setenv(CORPUS_ENV, str(tmp_path))
+    assert outcome("verify-all", "--seed", "1") == (1, "", f"error: {bad} {message}\n")
+    code, out, err = outcome("verify-all", "--seed", "1", "--json")
+    assert code == 1 and err == "" and out.count("\n") == 1
+    assert json.loads(out)["error"] == {"type": "InputError", "message": f"{bad} {message}"}
 
 
 def test_branch_large_framings_pinned(capsys):

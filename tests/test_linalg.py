@@ -1,5 +1,6 @@
 import contextlib
 import random
+import sys
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd
@@ -466,14 +467,21 @@ def dense_kernels():
 def sparse_cases(draw):
     """(A, A2, B, S) over one field: A and A2 are n x k, B is k x m and S is
     n x n, with n, k, m in 0..4.  Each matrix is all zero, has one nonzero
-    entry, or has each entry nonzero with a drawn density."""
+    entry, or has each entry nonzero with a drawn density; a square one may
+    also be the identity, the shared one or one the constructor builds."""
     p, make = ENTRY_MAKERS[draw(st.sampled_from(sorted(ENTRY_MAKERS)))]
     zero = make(0, 0)
     nonzero = st.builds(make, st.sampled_from([-2, -1, 1, 2]), st.integers(-1, 1))
 
     def mat(rows, cols):
         cells = rows * cols
-        density = draw(st.sampled_from(["single", 0, 1, 2, 4]))   # in quarters
+        kinds = ["single", 0, 1, 2, 4]   # densities in quarters
+        density = draw(st.sampled_from(kinds + ["identity", "built identity"] * (rows == cols)))
+        if density == "identity":
+            return Mat.identity(rows, p)
+        if density == "built identity":
+            return Mat(rows, rows, [[make(int(r == c), 0) for c in range(rows)]
+                                    for r in range(rows)], p)
         if density == "single":
             hit = {draw(st.integers(0, cells - 1))} if cells else set()
         else:
@@ -949,3 +957,51 @@ def test_zeros_and_identities_of_other_entry_types_are_their_own(p):
         assert m != Mat.zeros(m.rows, m.cols) and m != Mat.identity(m.rows)
     assert Mat.identity(3, p) == Mat(3, 3, [[Fp(int(i == j), p) for j in range(3)]
                                             for i in range(3)])
+
+
+@pytest.mark.parametrize("p", [0, 5], ids=["Q", "F5"])
+def test_a_factor_equal_to_the_identity_is_no_product(p):
+    """A product with a factor equal to the identity of its size and field,
+    shared or built by the constructor, is the other factor itself; over
+    another field or at another size it is refused as any product is."""
+    a = Mat(2, 3, [[1, Fraction(1, 2) if not p else 3, 0], [0, -1, 2]], p)
+
+    def built(n, p):
+        return Mat(n, n, [[int(i == j) for j in range(n)] for i in range(n)], p)
+
+    for ident in (Mat.identity, built):
+        assert ident(2, p) * a is a and a * ident(3, p) is a
+    fresh = built(2, p)
+    assert Mat.identity(2, p) * fresh is fresh   # the left factor is tested first
+    other = 3 if p else 5
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        Mat.identity(2, other) * a
+    with pytest.raises(ValueError, match="mixed characteristics"):
+        a * Mat.identity(3, other)
+    with pytest.raises(ShapeMismatch):
+        Mat.identity(3, p) * a
+    with pytest.raises(ShapeMismatch):
+        a * Mat.identity(2, p)
+
+
+def test_verify_all_forms_no_product_with_an_identity_factor(monkeypatch):
+    """No one-term product that verify-all forms has a factor equal to an
+    identity: `Mat.__mul__` returns the other factor, and no caller passes
+    one to `sum_of_products` itself."""
+    import qfold.properties  # noqa: F401  (loads every module verify-all runs)
+    from qfold.cli import main
+
+    identity_factors = []
+
+    def recording(terms):
+        if len(terms) == 1:
+            _, a, b = terms[0]
+            identity_factors.extend(m for m in (a, b) if m.rows == m.cols
+                                    and m == Mat.identity(m.rows, m.p))
+        return sum_of_products(terms)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("qfold.") and getattr(module, "sum_of_products", None) is sum_of_products:
+            monkeypatch.setattr(module, "sum_of_products", recording)
+    assert main(["verify-all", "--seed", "1"]) == 0
+    assert not identity_factors, len(identity_factors)

@@ -12,7 +12,8 @@ is reached when its class is and its name is read as an attribute anywhere
 reached, or it is a dunder, or it overrides a method of a class from
 outside qfold (argparse calls `_Parser.error`).  A definition only tests
 reach belongs in the tests, and an import its module, or the function that
-makes it, never reads belongs nowhere.
+makes it, never reads belongs nowhere.  A second walk, without the tracer's
+targets, finds what only the benchmark reaches: at most `module_lab.act`.
 
 Likewise a defaulted parameter is an option: some call in `src/qfold` or in
 the benchmark's own files sets it, by keyword, by position or through `*`
@@ -137,11 +138,12 @@ def tracer_targets() -> list[tuple]:
     return tracer.TARGETS
 
 
-def roots(modules: dict[str, Module]) -> list[tuple[str, str]]:
+def roots(modules: dict[str, Module], tracer: bool) -> list[tuple[str, str]]:
     """Definitions as (module, qualified name): the subcommands, the
-    properties, the tracer's targets and what perfbench imports."""
+    properties, the tracer's targets (when `tracer`) and what perfbench
+    imports."""
     out = [("cli", "main"), ("cli", "COMMANDS"), ("properties", "PROPERTIES")]
-    for module, attr, _metric, _kind in tracer_targets():
+    for module, attr, _metric, _kind in tracer_targets() if tracer else ():
         head, _, method = attr.partition(".")
         found = resolve(modules, module, head)
         assert found is not None, f"tracer target qfold.{module}.{attr} is not defined"
@@ -160,10 +162,11 @@ def roots(modules: dict[str, Module]) -> list[tuple[str, str]]:
     return out
 
 
-def reached_definitions(modules: dict[str, Module]) -> set[tuple[str, str]]:
+def reached_definitions(modules: dict[str, Module], tracer: bool = True
+                        ) -> set[tuple[str, str]]:
     reached: set[tuple[str, str]] = set()
     attrs: set[str] = set()
-    queue = roots(modules)
+    queue = roots(modules, tracer)
     while queue:
         while queue:
             key = queue.pop()
@@ -220,6 +223,15 @@ def test_every_definition_is_reached():
                 unreached += [f"{name}.{def_name}.{method}" for method in _methods(node)
                               if (name, f"{def_name}.{method}") not in reached]
     assert not unreached, f"defined in src/qfold but reached only from tests: {unreached}"
+
+
+def test_what_only_the_tracer_reaches_is_at_most_act():
+    """Without the tracer's targets as roots, the walk misses at most
+    `module_lab.act`: a definition that only the benchmark times has no
+    caller in the program, and a new one fails here."""
+    modules = load_modules()
+    only_traced = reached_definitions(modules) - reached_definitions(modules, tracer=False)
+    assert only_traced <= {("module_lab", "act")}, sorted(only_traced)
 
 
 def test_every_import_is_read():
