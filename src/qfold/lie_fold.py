@@ -11,6 +11,10 @@ no search and no elimination: a finite or affine Dynkin diagram is fixed by
 its bonds, vertex degrees and arrow directions (Kac, Infinite-dimensional
 Lie algebras, 4.8).  `classify_cartan` names a connected diagram, and a
 matrix is of finite type when every component is.
+
+Chevalley generators are built from the Cartan matrix alone, on the
+minuscule module of its first index (R. M. Green, Combinatorics of
+Minuscule Representations, Cambridge Tracts 199, 2013).
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     DimensionMismatch,
     InputError,
     NotAdmissible,
+    NotFiniteType,
     NotSymmetrizable,
     RepresentativeDependence,
     SelfLoop,
@@ -260,21 +265,15 @@ class FoldedAlgebraData(NamedTuple):
     folded: CartanMatrix
 
 
-def _vertex_perm_of(a: DiagramAutomorphism, labels: Sequence[str]) -> Mapping[str, str]:
-    """The vertex map of a, checked to permute the labels."""
-    perm = a.vertex_perm
-    if set(perm) != set(labels) or set(perm.values()) != set(labels):
-        raise InputError(f"vertex map is not a permutation of the labels {', '.join(labels)}")
-    return perm
-
-
 def fold_cartan(c: CartanMatrix, a: DiagramAutomorphism) -> FoldedAlgebraData:
     """Cartan matrix of the automorphism-fixed subalgebra.
 
     Folded entry at (orbit I, orbit J) is sum over k in J of c[i0][k] for a
     representative i0 of I; representative independence is re-checked.
     """
-    perm = _vertex_perm_of(a, c.labels)
+    perm, labels = a.vertex_perm, set(c.labels)
+    if set(perm) != labels or set(perm.values()) != labels:
+        raise InputError(f"vertex map is not a permutation of the labels {', '.join(c.labels)}")
     pos = {v: i for i, v in enumerate(c.labels)}
     image = [pos[perm[v]] for v in c.labels]
     for i, li in enumerate(c.labels):
@@ -304,60 +303,52 @@ def fold_cartan(c: CartanMatrix, a: DiagramAutomorphism) -> FoldedAlgebraData:
 
 
 # ---------------------------------------------------------------------------
-# Chevalley generators in defining representations
+# Chevalley generators on a minuscule module
 # ---------------------------------------------------------------------------
 
-def _unit(size: int, r: int, c: int) -> Mat:
-    m = [[0] * size for _ in range(size)]
-    m[r][c] = 1
-    return Mat.from_rows(m)
+def minuscule_generators(c: CartanMatrix) -> tuple[list[Mat], list[Mat]]:
+    """E_i and F_i on L(w), w the fundamental weight of c's first index,
+    which must be minuscule.
 
-
-def _sl_generators(n: int) -> tuple[list[Mat], list[Mat], list[Mat]]:
-    """Chevalley triple of sl_{n+1} in the defining (n+1)-dim representation."""
-    E = [_unit(n + 1, i, i + 1) for i in range(n)]
-    F = [_unit(n + 1, i + 1, i) for i in range(n)]
-    return E, F, [_comm(e, f) for e, f in zip(E, F)]
-
-
-def _so_even_generators(n: int) -> tuple[list[Mat], list[Mat], list[Mat]]:
-    """Chevalley triple of so_{2n} (type D_n) in the defining 2n-dim
-    representation preserving the anti-diagonal symmetric form."""
-    size = 2 * n
-    E, F = [], []
-    for i in range(1, n):  # alpha_i = eps_i - eps_{i+1}
-        E.append(_unit(size, i - 1, i) - _unit(size, size - 1 - i, size - i))
-        F.append(_unit(size, i, i - 1) - _unit(size, size - i, size - 1 - i))
-    # alpha_n = eps_{n-1} + eps_n
-    E.append(_unit(size, n - 2, n) - _unit(size, n - 1, n + 1))
-    F.append(_unit(size, n, n - 2) - _unit(size, n + 1, n - 1))
-    return E, F, [_comm(e, f) for e, f in zip(E, F)]
-
-
-def folded_generators(rank: int, family: str, a: DiagramAutomorphism
-                      ) -> tuple[list[Mat], list[Mat], list[Mat]]:
-    """Orbit-summed Chevalley generators in the defining representation.
-
-    Vertices of the canonical diagram are labelled "1".."rank"; generators
-    are returned in orbit order (orbits sorted by minimal member).
+    The weights are one Weyl orbit, each once, listed breadth first from w
+    by the steps mu -> mu - alpha_i where mu_i = 1 (alpha_i is row i of c).
+    F_i sends v_mu along each such step and E_i sends it back; every other
+    entry is 0.  On the labels of `a_quiver` and `d_quiver`, L(w_1) is the
+    defining representation.
     """
-    if family == "A":
-        if rank < 1:
-            raise UnsupportedFamily("A needs rank >= 1")
-        E, F, H = _sl_generators(rank)
-    elif family == "D":
-        if rank < 3:
-            raise UnsupportedFamily("D needs rank >= 3")
-        E, F, H = _so_even_generators(rank)
-    else:
-        raise UnsupportedFamily(f"no defining representation wired for family {family}")
+    if not is_finite_type(c):
+        raise NotFiniteType("operation requires a finite-type Cartan matrix")
+    weights = [tuple(int(k == 0) for k in range(c.n))]
+    index = {weights[0]: 0}
+    steps: list[list[tuple[int, int]]] = [[] for _ in range(c.n)]  # F_i's (source, target)
+    for col, mu in enumerate(weights):
+        for i, x in enumerate(mu):
+            if x not in (-1, 0, 1):
+                raise UnsupportedFamily(f"the fundamental weight at {c.labels[0]} is not minuscule")
+            if x == 1:
+                nu = tuple(m - a for m, a in zip(mu, c.entries[i]))
+                if nu not in index:
+                    index[nu] = len(weights)
+                    weights.append(nu)
+                steps[i].append((col, index[nu]))
+    size = len(weights)
+    F = []
+    for pairs in steps:
+        f = [[0] * size for _ in range(size)]
+        for col, row in pairs:
+            f[row][col] = 1
+        F.append(Mat(size, size, f))
+    return [f.transpose() for f in F], F
 
-    labels = tuple(str(i + 1) for i in range(rank))
-    perm = _vertex_perm_of(a, labels)
 
+def folded_generators(fold: FoldedAlgebraData) -> tuple[list[Mat], list[Mat], list[Mat]]:
+    """Orbit sums E_I, F_I and H_I = [E_I, F_I] of the Chevalley generators of
+    fold.base on its minuscule module, in the index order of fold.folded."""
+    E, F = minuscule_generators(fold.base)
+    pos = {v: i for i, v in enumerate(fold.base.labels)}
     Ef, Ff, Hf = [], [], []
-    for orb in _orbits(labels, perm):
-        first, *rest = [int(s) - 1 for s in orb]
+    for orb in fold.orbits:
+        first, *rest = [pos[v] for v in orb]
         Ef.append(sum((E[k] for k in rest), E[first]))
         Ff.append(sum((F[k] for k in rest), F[first]))
         Hf.append(_comm(Ef[-1], Ff[-1]))

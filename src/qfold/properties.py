@@ -48,6 +48,7 @@ from .module_lab import (
 )
 from .quiver_core import (
     a_quiver,
+    automorphism,
     d_quiver,
     flip_automorphism,
     fork_swap_automorphism,
@@ -77,6 +78,11 @@ def _a_flip(n: int):
 def _d_swap(n: int):
     q = d_quiver(n)
     return q, fork_swap_automorphism(q, n)
+
+
+def _d4_rot3():
+    q = d_quiver(4)
+    return q, automorphism(q, {"1": "3", "3": "4", "4": "1", "2": "2"})
 
 
 def admissibility(seed: int, size: int) -> list[str]:
@@ -143,16 +149,17 @@ def folded_generators_relations(seed: int, size: int) -> list[str]:
     """The orbit-summed Chevalley generators satisfy the folded relations,
     and the transposed Cartan convention breaks a Serre relation on A3."""
     bad = []
-    cases = [("A", n, "flip", _a_flip(n)) for n in (1, 3, 5, 7)]  # admissible below rank 8
-    cases += [("D", n, "swap", _d_swap(n)) for n in (3, 4, 5)]
-    for family, n, kind, (q, a) in cases:
+    cases = [(f"A{n} flip", _a_flip(n)) for n in (1, 3, 5, 7)]  # admissible below rank 8
+    cases += [(f"D{n} swap", _d_swap(n)) for n in (3, 4, 5)]
+    cases.append(("D4 rot3", _d4_rot3()))
+    for label, (q, a) in cases:
         fold = fold_cartan(cartan_from_quiver(q), a)
-        if not serre_check(fold.folded, *folded_generators(n, family, a)).ok:
-            bad.append(f"{family}{n} {kind} generators fail")
+        if not serre_check(fold.folded, *folded_generators(fold)).ok:
+            bad.append(f"{label} generators fail")
     q, a = _a_flip(3)
-    folded = fold_cartan(cartan_from_quiver(q), a).folded
-    transposed = cartan_matrix([[folded[j, i] for j in range(2)] for i in range(2)])
-    rep = serre_check(transposed, *folded_generators(3, "A", a))
+    fold = fold_cartan(cartan_from_quiver(q), a)
+    transposed = cartan_matrix([[fold.folded[j, i] for j in range(2)] for i in range(2)])
+    rep = serre_check(transposed, *folded_generators(fold))
     if rep.ok or not rep.has_kind("serre"):
         bad.append("the transposed convention does not break a Serre relation on A3")
     return bad

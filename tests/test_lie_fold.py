@@ -3,10 +3,12 @@ from math import lcm
 
 import pytest
 from cartan_oracle import oracle_classify, per_minor_finite_type
+from lie_oracle import oracle_folded_generators
 
 from qfold import lie_fold
-from qfold.errors import InputError, NotAdmissible, SelfLoop, UnsupportedFamily
+from qfold.errors import InputError, NotAdmissible, NotFiniteType, SelfLoop, UnsupportedFamily
 from qfold.lie_fold import (
+    FoldedAlgebraData,
     TypeLabel,
     canonical_cartan,
     cartan_from_quiver,
@@ -15,6 +17,7 @@ from qfold.lie_fold import (
     fold_cartan,
     folded_generators,
     is_finite_type,
+    minuscule_generators,
     serre_check,
     symmetrizer,
 )
@@ -179,8 +182,18 @@ def test_folded_matrices_symmetrizable():
                 assert fold.folded[i, j] * d[j] == fold.folded[j, i] * d[i]
 
 
+def fold_of(q, a):
+    return fold_cartan(cartan_from_quiver(q), a)
+
+
+def d4_rot3():
+    q = d_quiver(4)
+    return q, automorphism(q, {"1": "3", "3": "4", "4": "1", "2": "2"})
+
+
 def test_folded_generators_a1_identity():
-    e, f, h = folded_generators(1, "A", identity_automorphism(a_quiver(1)))
+    a1 = a_quiver(1)
+    e, f, h = folded_generators(fold_of(a1, identity_automorphism(a1)))
     assert e[0] == Mat.rational([[0, 1], [0, 0]])
     assert serre_check(cartan_matrix([[2]]), e, f, h).ok
 
@@ -188,7 +201,7 @@ def test_folded_generators_a1_identity():
 def test_folded_generators_a3_matrices():
     a3 = a_quiver(3)
     flip = flip_automorphism(a3, 3)
-    e, f, h = folded_generators(3, "A", flip)
+    e, f, h = folded_generators(fold_of(a3, flip))
     e1_plus_e3 = Mat.rational([[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
     e2 = Mat.rational([[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
     assert e[0] == e1_plus_e3
@@ -198,14 +211,25 @@ def test_folded_generators_a3_matrices():
 
 def test_folded_generators_a5_count():
     a5 = a_quiver(5)
-    e, f, h = folded_generators(5, "A", flip_automorphism(a5, 5))
+    e, f, h = folded_generators(fold_of(a5, flip_automorphism(a5, 5)))
     assert len(e) == len(f) == len(h) == 3
     assert e[0].rows == 6
 
 
+def identity_fold(c):
+    return fold_cartan(c, DiagramAutomorphism({v: v for v in c.labels}, {}))
+
+
 def test_folded_generators_unsupported():
-    with pytest.raises(UnsupportedFamily):
-        folded_generators(2, "B", DiagramAutomorphism({"1": "1", "2": "2"}, {}))
+    # the adjoint module of D4 (its centre first) and the 3875-dimensional
+    # L(w_1) of E8 are not minuscule; an affine matrix has an infinite orbit
+    d4 = d_quiver(4)
+    centre_first = quiver(["2", "1", "3", "4"], [(e.id, e.src, e.tgt) for e in d4.edges])
+    for c in (cartan_from_quiver(centre_first), canonical_cartan("E", 8)):
+        with pytest.raises(UnsupportedFamily, match="not minuscule"):
+            folded_generators(identity_fold(c))
+    with pytest.raises(NotFiniteType):
+        folded_generators(identity_fold(cartan_from_quiver(affine_a_quiver(3))))
 
 
 def test_serre_check_standard_a1():
@@ -218,16 +242,12 @@ def test_serre_check_standard_a1():
 def test_serre_check_folded_pairs():
     for n in (1, 3, 5, 7):
         q = a_quiver(n)
-        a = flip_automorphism(q, n)
-        fold = fold_cartan(cartan_from_quiver(q), a)
-        gens = folded_generators(n, "A", a)
-        assert serre_check(fold.folded, *gens).ok, f"A{n}"
+        fold = fold_of(q, flip_automorphism(q, n))
+        assert serre_check(fold.folded, *folded_generators(fold)).ok, f"A{n}"
     for n in (3, 4, 5):
         q = d_quiver(n)
-        a = fork_swap_automorphism(q, n)
-        fold = fold_cartan(cartan_from_quiver(q), a)
-        gens = folded_generators(n, "D", a)
-        assert serre_check(fold.folded, *gens).ok, f"D{n}"
+        fold = fold_of(q, fork_swap_automorphism(q, n))
+        assert serre_check(fold.folded, *folded_generators(fold)).ok, f"D{n}"
 
 
 def test_folded_generators_rank_ten_and_up():
@@ -235,28 +255,96 @@ def test_folded_generators_rank_ten_and_up():
     # compares sets of labels, so every rank is accepted
     for n, a, folded_rank in ((10, identity_automorphism(a_quiver(10)), 10),
                               (11, flip_automorphism(a_quiver(11), 11), 6)):
-        fold = fold_cartan(cartan_from_quiver(a_quiver(n)), a)
-        gens = folded_generators(n, "A", a)
+        fold = fold_of(a_quiver(n), a)
+        gens = folded_generators(fold)
         assert len(gens[0]) == fold.folded.n == folded_rank
         assert serre_check(fold.folded, *gens).ok, f"A{n}"
     not_onto = DiagramAutomorphism({str(i): "1" for i in range(1, 11)}, {})
-    with pytest.raises(InputError):
-        folded_generators(10, "A", not_onto)
     with pytest.raises(InputError):
         fold_cartan(cartan_from_quiver(a_quiver(10)), not_onto)
 
 
 def test_serre_check_transpose_convention_fails():
     a3 = a_quiver(3)
-    flip = flip_automorphism(a3, 3)
-    fold = fold_cartan(cartan_from_quiver(a3), flip)
-    gens = folded_generators(3, "A", flip)
+    fold = fold_of(a3, flip_automorphism(a3, 3))
+    gens = folded_generators(fold)
     transposed = cartan_matrix(
         [[fold.folded[j, i] for j in range(2)] for i in range(2)])
     report = serre_check(transposed, *gens)
     assert not report.ok
     assert report.has_kind("serre")
     assert report.violations
+
+
+def oracle_cases():
+    """(label, family, rank, automorphism) for every folding the hand-built
+    generators cover, D4-rot3 included."""
+    cases = [(f"A{n} flip", "A", n, flip_automorphism(a_quiver(n), n)) for n in range(1, 12, 2)]
+    cases += [(f"A{n} identity", "A", n, identity_automorphism(a_quiver(n))) for n in (1, 2, 10)]
+    cases += [(f"D{n} swap", "D", n, fork_swap_automorphism(d_quiver(n), n)) for n in range(3, 8)]
+    cases.append(("D4 rot3", "D", 4, d4_rot3()[1]))
+    return cases
+
+
+def test_minuscule_generators_match_the_hand_built_oracle():
+    """The whole Serre report, the module's size and the rank of the
+    minuscule generators equal the hand-built ones on every case, and on
+    A3-flip against the transposed convention, which both fail alike."""
+    for label, family, n, a in oracle_cases():
+        fold = fold_of(a_quiver(n) if family == "A" else d_quiver(n), a)
+        got, want = folded_generators(fold), oracle_folded_generators(n, family, a)
+        assert [len(g) for g in got] == [len(g) for g in want] == [fold.folded.n] * 3, label
+        assert {m.rows for g in got for m in g} == {m.rows for g in want for m in g}, label
+        report = serre_check(fold.folded, *got)
+        assert report.ok and report == serre_check(fold.folded, *want), label
+    a3 = a_quiver(3)
+    flip = flip_automorphism(a3, 3)
+    c = fold_of(a3, flip).folded
+    transposed = cartan_matrix([[c[j, i] for j in range(c.n)] for i in range(c.n)])
+    report = serre_check(transposed, *folded_generators(fold_of(a3, flip)))
+    assert report == serre_check(transposed, *oracle_folded_generators(3, "A", flip))
+    assert sorted(v.kind for v in report.violations) == ["he", "he", "hf", "hf", "serre", "serre"]
+
+
+def test_e6_flip_folds_to_f4_on_the_27_dimensional_module():
+    # Bourbaki labels: the chain 1-3-4-5-6, with 2 on 4; the flip fixes 2 and 4
+    e6 = quiver([str(i) for i in range(1, 7)],
+                [("e1", "1", "3"), ("e2", "3", "4"), ("e3", "4", "5"), ("e4", "5", "6"),
+                 ("e5", "2", "4")])
+    fold = fold_of(e6, automorphism(e6, {"1": "6", "6": "1", "3": "5", "5": "3",
+                                         "2": "2", "4": "4"}))
+    assert classify_cartan(fold.base) == TypeLabel("E", 6)
+    assert classify_cartan(fold.folded) == TypeLabel("F", 4)
+    e, f, h = folded_generators(fold)
+    assert {m.rows for g in (e, f, h) for m in g} == {27}
+    assert serre_check(fold.folded, e, f, h).ok
+
+
+def test_c3_at_its_first_fundamental_weight():
+    # w_1 of C3 is minuscule though C3 is not simply laced; w_1 of B3 is not
+    c3 = canonical_cartan("C", 3)
+    e, f = minuscule_generators(c3)
+    assert {m.rows for m in e + f} == {6}
+    assert serre_check(c3, e, f, [x * y - y * x for x, y in zip(e, f)]).ok
+    with pytest.raises(UnsupportedFamily, match="not minuscule"):
+        minuscule_generators(canonical_cartan("B", 3))
+
+
+def test_generators_that_break_the_folding_fail_serre():
+    a3 = a_quiver(3)
+    a3_flip = fold_of(a3, flip_automorphism(a3, 3))
+    # a wrong orbit: {1, 2} and {3}
+    wrong = FoldedAlgebraData(a3_flip.base, (("1", "2"), ("3",)), a3_flip.folded)
+    assert not serre_check(wrong.folded, *folded_generators(wrong)).ok
+    # D4-rot3's orbit sums listed in reversed order against the G2 matrix
+    rot3 = fold_of(*d4_rot3())
+    e, f, h = folded_generators(rot3)
+    assert serre_check(rot3.folded, e, f, h).ok
+    assert not serre_check(rot3.folded, e[::-1], f[::-1], h[::-1]).ok
+    # E_I and F_I exchanged for one orbit of A3-flip
+    e, f, h = folded_generators(a3_flip)
+    report = serre_check(a3_flip.folded, [f[0], e[1]], [e[0], f[1]], h)
+    assert {v.kind for v in report.violations} == {"he", "hf", "ef"}
 
 
 def comm_oracle(a: Mat, b: Mat) -> Mat:
@@ -272,17 +360,17 @@ def test_serre_check_matches_the_product_commutator_oracle(monkeypatch):
     generators with one entry of E_i, F_i or H_i raised by one for each i."""
     rng = random.Random(47)
     cases = []
-    for family, n, a in (("A", 3, flip_automorphism(a_quiver(3), 3)),
-                         ("A", 5, flip_automorphism(a_quiver(5), 5)),
-                         ("D", 4, fork_swap_automorphism(d_quiver(4), 4))):
-        q = a_quiver(n) if family == "A" else d_quiver(n)
-        c = fold_cartan(cartan_from_quiver(q), a).folded
+    for name, (q, a) in (("A3", (a_quiver(3), flip_automorphism(a_quiver(3), 3))),
+                         ("A5", (a_quiver(5), flip_automorphism(a_quiver(5), 5))),
+                         ("D4", (d_quiver(4), fork_swap_automorphism(d_quiver(4), 4)))):
+        fold = fold_of(q, a)
+        c = fold.folded
         for p in (None, 3):
-            gens = folded_generators(n, family, a)
+            gens = folded_generators(fold)
             if p is not None:
                 gens = tuple([Mat(g.rows, g.cols, g.data, p) for g in group] for group in gens)
             cases.append((c, gens))
-            if family == "A" and n == 3:
+            if name == "A3":
                 cases.append((cartan_matrix([[c[j, i] for j in range(c.n)]
                                              for i in range(c.n)]), gens))
             for i in range(c.n):
