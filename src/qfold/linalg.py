@@ -612,11 +612,14 @@ class Mat:
         """Monic characteristic polynomial det(xI - A), coefficients high to low.
 
         Faddeev-LeVerrier, which divides by 1, ..., n: valid over Q, and
-        over F_p for fewer than p rows.
+        over F_p for fewer than p rows; from p rows on, NotInvertible.
         """
         if self.rows != self.cols:
             raise ShapeMismatch("charpoly of non-square matrix")
         n, p = self.rows, self.p
+        if p and n >= p:
+            raise NotInvertible(f"charpoly of a {n}x{n} matrix over F_{p} divides by {p}, "
+                                f"which is not invertible there")
         coeffs = [Fp(1, p) if p else 1]
         m = Mat.identity(n, p)
         for k in range(1, n + 1):

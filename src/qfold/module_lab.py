@@ -246,7 +246,8 @@ def apply_theta(m: FramedModule, sigma: SigmaData) -> FramedModule:
     B'[image of h] = sign(h) * B[h], J'_{a(i)} = sigma_i J_i and
     I'_{a(i)} = I_i sigma_i^{-1}, with the images and signs of
     `quiver_core.arrow_transport`; the signs telescope to +1 over a full
-    period, so iterating n times returns the module exactly.
+    period, so iterating n times returns the module exactly.  sigma_i is
+    inverted only where I_i is nonzero: a zero I_i is its own image.
     """
     q = m.quiver
     if q != sigma.quiver:
@@ -268,7 +269,8 @@ def apply_theta(m: FramedModule, sigma: SigmaData) -> FramedModule:
         newB = {image[key]: m.B[key] if signs[key] == 1 else -m.B[key] for key in image}
 
     perm = sigma.auto.vertex_perm
-    newI = {perm[x]: m.I[x] * sigma.inverses[x] for x in q.vertices}
+    newI = {perm[x]: m.I[x] if m.I[x].is_zero() else m.I[x] * sigma.maps[x].inverse()
+            for x in q.vertices}
     newJ = {perm[x]: sigma.maps[x] * m.J[x] for x in q.vertices}
     return FramedModule(q, dict(m.v), dict(m.w), newB, newI, newJ, m.signed)
 

@@ -88,11 +88,13 @@ Character = dict[Weight, int]
 
 # a root step moves a weight by one root: the dominant-weight listing tries
 # every positive root at each weight, a Freudenthal probe mu + k beta adds
-# one, and an orbit point is one simple reflection from its parent.  One core
-# of a 2-CPU Xeon lists about 1,100,000 a second at rank 5, probes about
-# 550,000-630,000 at rank 5 and 105,000-150,000 at rank 16, and spreads about
-# 650,000 at rank 5: the cap bounds each count to 2-4 s at rank 5 and lets
-# D4-swap at 6 rho (1,653,024 probes) answer
+# one, and an orbit point is found by a simple reflection of a point found
+# before it.  One core of a 2-CPU Xeon lists about 1,100,000 a second at
+# rank 5, probes about 550,000-630,000 at rank 5 and 105,000-150,000 at
+# rank 16, and spreads about 250,000 orbit points at rank 5 (A5 and D5,
+# each point reflected at every nonzero coordinate): the cap bounds the
+# listing and the probes to 2-4 s at rank 5 and the spread to about 9 s, and
+# lets D4-swap at 6 rho (1,653,024 probes) answer
 ROOT_STEP_CAP = 2_200_000
 
 # the fiber sum reaches about 100,000 points a second (the 34,252 of D6-swap
@@ -183,36 +185,23 @@ def dominant_representative(c: CartanMatrix, lam: Weight) -> Weight:
 
 
 def weyl_orbit(c: CartanMatrix, lam: Weight) -> set[Weight]:
-    """The Weyl orbit of lam, listed down from its dominant weight without
-    a repeat.  Each other point w has one parent s_i w, with i the first
-    index where w_i < 0: that parent is higher, and (s_i w)_i > 0.  So the
-    walk applies s_i to x only where x_i > 0, and keeps s_i x only when no
-    coordinate before i is negative.  s_i changes only i and its
-    neighbours, so s_i x is built only when x has no negative coordinate
-    or its first one is at a neighbour of i."""
-    rd = root_datum(c)
-    rows, neighbours = rd.rows, rd.neighbours
+    """The Weyl orbit of lam: the closure of its dominant weight under the
+    simple reflections, each applied where it moves the weight (x_i != 0)."""
+    rows = root_datum(c).rows
     top = dominant_representative(c, lam)
     orbit = {top}
     stack = [top]
     while stack:
         w = stack.pop()
-        neg = -1  # the first index where w is negative
         for i, a in enumerate(w):
-            if a < 0:
-                if neg < 0:
-                    neg = i
-            elif a > 0:
-                if neg >= 0 and neg not in neighbours[i]:
-                    continue
+            if a:
                 img = list(w)
                 for k, cik in rows[i]:
                     img[k] -= a * cik
-                if neg >= 0 and min(img[:i]) < 0:
-                    continue
                 img = tuple(img)
-                orbit.add(img)
-                stack.append(img)
+                if img not in orbit:
+                    orbit.add(img)
+                    stack.append(img)
     return orbit
 
 
@@ -463,8 +452,13 @@ def _alternation(fc: CartanMatrix, high: Weight, restricted: Character,
                  depths: Mapping[Weight, Root]) -> dict[Weight, int]:
     """n_nu = sum over w in W' of eps(w) r(nu + rho' - w rho') at each key nu
     of restricted, r read at folded-dominant representatives.  W' is the orbit
-    of rho', walked as in `weyl_orbit`: s_i at y = w rho' with y_i > 0 adds
-    y_i to x_i, x = rho' - w rho' in simple roots, and 2 y_i (nu + rho', alpha_i)
+    of rho', listed down from rho' without a repeat.  Each other point y = w rho'
+    has one parent s_i y, with i the first index where y_i < 0: that parent is
+    higher, and (s_i y)_i > 0.  So the walk applies s_i to y only where
+    y_i > 0, and keeps s_i y only when no coordinate before i is negative.
+    s_i changes only i and its neighbours, so s_i y is built only when y has
+    no negative coordinate or its first one is at a neighbour of i.  Each step
+    adds y_i to x_i, x = rho' - w rho' in simple roots, and 2 y_i (nu + rho', alpha_i)
     to |nu + x|^2 - |nu|^2.  Both grow down the walk, and a term is zero once x
     leaves depths[nu] or nu + x is longer than high, so such a child is dropped
     with its subtree.  Past WALK_CAP elements in all, TooLarge."""

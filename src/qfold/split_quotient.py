@@ -15,7 +15,8 @@ search for an isomorphism.
 The framing is graded by `root_of_unity_eigendims`, the one count of
 eigenspace dimensions at roots of unity: nullity(Phi_d(m)) / phi(d) at a
 primitive d-th root, read by `split_framing` here, at the orbit
-composites that `SigmaData` keeps, and by `module_lab.eigen_profile`.
+composites that `SigmaData` checks and keeps (it keeps no inverse), and by
+`module_lab.eigen_profile`.
 Weak compositions are listed once, by `_compositions`, and counted once,
 by `_composition_count`, for the fibers of p here and for the fibers of
 restriction in `rep_branch`.
@@ -33,7 +34,6 @@ from .errors import (
     IsoNotFound,
     NotDiagonalizableOverCyclotomicEigenvalues,
     NotOrbitConstant,
-    PropertyViolation,
     ShapeMismatch,
     SigmaConstraintViolated,
     TooLarge,
@@ -339,15 +339,15 @@ class SigmaData(Record):
     Construction validates the maps and raises SigmaConstraintViolated
     otherwise: every sigma_i is square and invertible and lands in a space
     of its own dimension, so w_i, read off as the size of sigma_i, is
-    constant on orbits.  Validation keeps the composite c it checked at
-    each orbit's minimal lift, which `split_framing` grades; the inverses
-    sigma_i^{-1}, plain products of c^(e-1) = c^-1 (`Mat.power`) with the
-    partial composites beside sigma_i, so no elimination; and the orbit
-    data and arrow transport of the automorphism, so the module transport
-    theta needs nothing else.
+    constant on orbits.  Validation keeps what it checked: the composite c
+    at each orbit's minimal lift, the plain product along the orbit with
+    c^e the identity, which `split_framing` grades; and the orbit data and
+    arrow transport of the automorphism, so the module transport theta
+    needs nothing else.  It keeps no inverse: c^e = 1 proves every sigma_i
+    invertible, and theta inverts sigma_i only where it moves a nonzero I_i.
     """
 
-    __slots__ = ("quiver", "auto", "maps", "composites", "inverses", "orbits", "transport")
+    __slots__ = ("quiver", "auto", "maps", "composites", "orbits", "transport")
     _fields = ("quiver", "auto", "maps")
 
     def __init__(self, quiver: Quiver, auto: DiagramAutomorphism, maps: Mapping[str, Mat]):
@@ -376,31 +376,21 @@ class SigmaData(Record):
                     f"has {self.maps[image].cols} columns")
         od = orbit_data(q, a)
         composites = {}
-        inverses = {}
         for orbit in od.vertex_orbits:
             lift, e = orbit[0], od.e_vertex[orbit[0]]
-            # chain[k] = a^k(lift), prefix[k] = sigma_{chain[k]} ... sigma_lift,
-            # and the last prefix is the composite c
-            chain, prefix = zip(*_orbit_walk(self.maps, a, lift, len(orbit)))
-            comp = composites[lift] = prefix[-1]
-            back = comp.power(e - 1)
-            identity = Mat.identity(comp.rows, comp.p)
-            if back * comp != identity:
+            # c = sigma_{a^(d-1)(lift)} ... sigma_{a(lift)} sigma_lift
+            comp, vertex = self.maps[lift], a.vertex_perm[lift]
+            while vertex != lift:
+                comp = self.maps[vertex] * comp
+                vertex = a.vertex_perm[vertex]
+            if comp.power(e) != Mat.identity(comp.rows, comp.p):
                 singular = next((v for v in q.vertices if not self.maps[v].is_invertible()), None)
                 if singular is not None:
                     raise SigmaConstraintViolated(f"sigma at {singular} is singular")
                 raise SigmaConstraintViolated(
                     f"(sigma composite at {lift})^{e} is not the identity")
-            # c = R_k sigma_k L_k with L_k = prefix[k-1] and
-            # R_k = sigma_{a^(d-1)(lift)} ... sigma_{a^(k+1)(lift)}, and c^-1 = c^(e-1),
-            # so sigma_k^-1 = L_k c^(e-1) R_k
-            suffix = identity  # R_k
-            for k in range(len(chain) - 1, -1, -1):
-                inverses[chain[k]] = (prefix[k - 1] if k else identity) * back * suffix
-                if k:
-                    suffix = suffix * self.maps[chain[k]]
+            composites[lift] = comp
         _setattr(self, "composites", composites)
-        _setattr(self, "inverses", inverses)
         _setattr(self, "orbits", od)
         _setattr(self, "transport", arrow_transport(q, a))
 
@@ -428,16 +418,3 @@ def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
         out.update(zip(slots, dims))
     return out
 
-
-def _orbit_walk(sigma: Mapping[str, Mat], a: DiagramAutomorphism, lift: str,
-                d: int) -> list[tuple[str, Mat]]:
-    """Each a^k(lift), k < d, with sigma_{a^k(lift)} ... sigma_{a(lift)} sigma_{lift}."""
-    out: list[tuple[str, Mat]] = []
-    vertex = lift
-    for _ in range(d):
-        m = sigma[vertex]
-        out.append((vertex, m * out[-1][1] if out else m))
-        vertex = a.vertex_perm[vertex]
-    if vertex != lift:
-        raise PropertyViolation(f"the orbit of {lift} does not close after {d} steps")
-    return out

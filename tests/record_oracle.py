@@ -198,7 +198,6 @@ class SigmaData:
     auto: quiver_core.DiagramAutomorphism
     maps: Mapping[str, Mat]
     composites: Mapping[str, Mat] = field(init=False, repr=False, compare=False)
-    inverses: Mapping[str, Mat] = field(init=False, repr=False, compare=False)
     orbits: quiver_core.OrbitData = field(init=False, repr=False, compare=False)
     transport: ArrowTransport = field(init=False, repr=False, compare=False)
 

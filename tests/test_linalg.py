@@ -52,6 +52,21 @@ def test_charpoly_and_poly_eval():
     assert m.poly_eval(m.charpoly()).is_zero()
 
 
+def test_charpoly_over_a_too_small_field_is_refused_before_any_product(monkeypatch):
+    # Faddeev-LeVerrier divides by k = 1, ..., n, and k = p is 0 in F_p
+    products = []
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(a) or mul(a, b))
+    for p in (2, 3, 5):
+        m = Mat(p, p, [[(i + 2 * j) % p for j in range(p)] for i in range(p)], p)
+        with pytest.raises(NotInvertible, match=rf"^charpoly of a {p}x{p} matrix over F_{p} "
+                                                rf"divides by {p}, which is not invertible"):
+            m.charpoly()
+    assert products == []
+    # one row fewer than p still has its charpoly: (x - 1)^2 = x^2 + x + 1 over F_3
+    assert Mat.identity(2, 3).charpoly() == [Fp(1, 3)] * 3
+
+
 def test_det_matches_charpoly_constant():
     m = Mat.rational([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
     cp = m.charpoly()

@@ -274,6 +274,40 @@ def test_shifted_phases_fail_the_edge_check():
         _check_natural_map(sd2, q, a, vertex_map)
 
 
+def cycle_of_orbits():
+    """A fixed vertex c joined to the 3-orbits {x_k} and {y_k}, the edges
+    x_k -- y_(k+1), and the rotation: the orbits form a cycle."""
+    vertices = ["c"] + [f"{s}{k}" for s in "xy" for k in range(3)]
+    edges = [(f"c{s}{k}", "c", f"{s}{k}") for s in "xy" for k in range(3)]
+    edges += [(f"xy{k}", f"x{k}", f"y{(k + 1) % 3}") for k in range(3)]
+    q = quiver(vertices, edges)
+    return q, automorphism(q, {"c": "c", **{f"{s}{k}": f"{s}{(k + 1) % 3}"
+                                           for s in "xy" for k in range(3)}})
+
+
+def test_split_twice_returns_the_cycle_of_orbits():
+    # the natural map from the bases c, x0 and y1, which an edge of Q joins,
+    # is an isomorphism s(s(Q)) -> Q that carries the twice-induced rotation to a
+    q, a = cycle_of_orbits()
+    sd = split_quiver(q, a)
+    sd2 = split_quiver(sd.split, sd.induced)
+    vertex_map = {}
+    for slots, v in zip(sd2.orbit_slots, ("c", "x0", "y1"), strict=True):
+        for x in slots:
+            vertex_map[x] = v
+            v = a.vertex_perm[v]
+    _check_natural_map(sd2, q, a, vertex_map)
+
+
+@pytest.mark.xfail(strict=True, raises=IsoNotFound, reason="ROADMAP item 12")
+def test_split_involution_check_answers_on_the_cycle_of_orbits():
+    # the walk from c takes x0 and y0 as bases, and its map sends an edge
+    # of s(s(Q)) onto x0 -- y0, which Q lacks: a false "no"
+    q, a = cycle_of_orbits()
+    witness = split_involution_check(q, a)
+    assert sorted(witness.vertex_map.values()) == sorted(q.vertices)
+
+
 def test_composition_count_matches_the_listing():
     # parts = 0 included, where comb(total + parts - 1, parts - 1) would raise
     for total in range(9):
@@ -512,27 +546,72 @@ def test_split_keeps_parallel_edges():
     assert str(classify_cartan(cartan_from_quiver(sd.split))) == "affine-A1"
 
 
-def test_sigma_inverses_read_off_the_composite_equal_eliminated_inverses():
-    # random twists on every corpus entry, D4-rot3's rotation included; the
-    # kept inverses come from the orbit composite, not from an elimination
-    import random
+def _theta_moves_i(monkeypatch, m, sigma):
+    """theta sends I_x to I_x sigma_x^-1 at a(x), inverting sigma_x once at
+    each vertex whose I is nonzero and nowhere else; returns that count."""
+    from qfold.module_lab import apply_theta
 
-    from qfold.generators import random_sigma
+    q, perm = m.quiver, sigma.auto.vertex_perm
+    want = {perm[x]: m.I[x] * sigma.maps[x].inverse() for x in q.vertices}
+    inverted = []
+    inverse = Mat.inverse
+
+    def counted(self):
+        inverted.append(id(self))
+        return inverse(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Mat, "inverse", counted)
+        got = apply_theta(m, sigma)
+    assert got.I == want
+    moved = [id(sigma.maps[x]) for x in q.vertices if not m.I[x].is_zero()]
+    assert sorted(inverted) == sorted(moved)
+    return len(moved)
+
+
+def _module_with_i(q, v, w, I, p=0):
+    """The module with framing maps I and zero B and J."""
+    from qfold.module_lab import FramedModule
+
+    B = {info.key: Mat.zeros(v[info.tgt], v[info.src], p) for info in q.doubled}
+    J = {x: Mat.zeros(w[x], v[x], p) for x in q.vertices}
+    return FramedModule(q, v, w, B, I, J, signed=False)
+
+
+def test_theta_inverts_sigma_only_where_i_is_nonzero(monkeypatch):
+    # random twists on every corpus entry, D4-rot3's rotation included, move
+    # a random I, zero at about a third of the vertices; SigmaData keeps no
+    # inverse, so theta inverts what it moves and nothing else
+    from qfold.generators import rand_mat, random_sigma
     from qfold.quiver_core import orbit_data
 
     rng = random.Random(17)
-    names = set()
+    names, moved, kept = set(), 0, 0
     for entry in corpus():
-        od = orbit_data(entry.quiver, entry.auto)
+        q = entry.quiver
+        od = orbit_data(q, entry.auto)
         for _ in range(3):
-            dims = {}
-            for orbit in od.vertex_orbits:  # one framing dimension in 0..3 per orbit
-                dims.update(dict.fromkeys(orbit, rng.randint(0, 3)))
-            sigma = random_sigma(rng, entry.quiver, entry.auto, dims)
-            for x in entry.quiver.vertices:
-                assert sigma.inverses[x] == sigma.maps[x].inverse(), (entry.name, x)
+            v, w = {}, {}
+            for orbit in od.vertex_orbits:  # per orbit, v in 1..2 and a framing in 0..3
+                v.update(dict.fromkeys(orbit, rng.randint(1, 2)))
+                w.update(dict.fromkeys(orbit, rng.randint(0, 3)))
+            sigma = random_sigma(rng, q, entry.auto, w)
+            I = {x: rand_mat(rng, v[x], w[x]) if rng.randrange(3) else Mat.zeros(v[x], w[x])
+                 for x in q.vertices}
+            n = _theta_moves_i(monkeypatch, _module_with_i(q, v, w, I), sigma)
+            moved, kept = moved + n, kept + len(q.vertices) - n
         names.add(entry.name)
     assert "D4-rot3" in names
+    assert moved and kept
+    # over F_3: the flip of A3 with the order-2 swap at its centre
+    a3 = a_quiver(3)
+    g = Mat(2, 2, [[1, 1], [0, 1]], 3)
+    sigma = SigmaData(a3, flip_automorphism(a3, 3),
+                      {"1": g, "2": Mat(2, 2, [[0, 1], [1, 0]], 3), "3": g.inverse()})
+    dims = dict.fromkeys(a3.vertices, 2)
+    I = {"1": Mat(2, 2, [[1, 2], [0, 1]], 3), "2": Mat(2, 2, [[2, 0], [1, 1]], 3),
+         "3": Mat.zeros(2, 2, 3)}
+    assert _theta_moves_i(monkeypatch, _module_with_i(a3, dims, dims, I, 3), sigma) == 2
 
 
 def test_sigma_errors_name_the_singular_map_first():
