@@ -4,8 +4,10 @@ Built-in entries cover the finite A/D flip and swap families, the affine
 cycle with its reflection and rotation, the affine D double swap, and the
 order-3 rotation of the four-point star.  Entries are not required to be
 admissible: the non-admissible ones are kept as counterexamples and are
-recorded as such.  Set QFOLD_CORPUS_DIR to a directory of quiver JSON
-files to replace the built-ins.
+recorded as such.  An entry is a name, a quiver, an automorphism and its
+admissibility.  Set QFOLD_CORPUS_DIR to a directory of quiver JSON files
+to replace the built-ins; a file's other keys, such as "description", are
+not read.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ class CorpusEntry(NamedTuple):
     quiver: Quiver
     auto: DiagramAutomorphism
     admissible: bool
-    description: str = ""
 
 
-def _entry(name: str, q: Quiver, a: DiagramAutomorphism, description: str = "") -> CorpusEntry:
-    return CorpusEntry(name, q, a, is_admissible(q, a), description)
+def _entry(name: str, q: Quiver, a: DiagramAutomorphism) -> CorpusEntry:
+    return CorpusEntry(name, q, a, is_admissible(q, a))
 
 
 def _builtin_makers() -> dict[str, Callable[[], CorpusEntry]]:
@@ -53,40 +54,31 @@ def _builtin_makers() -> dict[str, Callable[[], CorpusEntry]]:
     makers: dict[str, Callable[[], CorpusEntry]] = {}
 
     def add(name: str, make_quiver: Callable[[], Quiver],
-            make_auto: Callable[[Quiver], DiagramAutomorphism], description: str) -> None:
+            make_auto: Callable[[Quiver], DiagramAutomorphism]) -> None:
         def make() -> CorpusEntry:
             q = make_quiver()
-            return _entry(name, q, make_auto(q), description)
+            return _entry(name, q, make_auto(q))
         makers[name] = make
 
-    add("A3-id", lambda: a_quiver(3), identity_automorphism, "path with the identity")
-    for n in (3, 5, 7, 9):
-        add(f"A{n}-flip", partial(a_quiver, n), partial(flip_automorphism, n=n),
-            "odd path with the end-to-end flip")
-    for n in (4, 6, 8):
-        add(f"A{n}-flip", partial(a_quiver, n), partial(flip_automorphism, n=n),
-            "even path flip: reverses the middle edge, not admissible")
-    for n in (3, 4, 5, 6):
-        add(f"D{n}-swap", partial(d_quiver, n), partial(fork_swap_automorphism, n=n),
-            "fork swap")
-    add("D4-rot3", lambda: d_quiver(4),
-        lambda q: automorphism(q, {"1": "3", "3": "4", "4": "1", "2": "2"}),
-        "order-3 rotation of the three legs")
-    add("affineA1-swap", lambda: affine_a_quiver(1),
-        lambda q: automorphism(q, {"0": "1", "1": "0"}, {"e0": "e1", "e1": "e0"}),
-        "double edge with the vertex swap, not admissible")
-    add("affineA3-rot", lambda: affine_a_quiver(3),
-        lambda q: automorphism(q, {"0": "1", "1": "2", "2": "3", "3": "0"}),
-        "cycle rotation, not admissible")
-    add("affineA3-flip", lambda: affine_a_quiver(3),
-        lambda q: automorphism(q, {"0": "0", "2": "2", "1": "3", "3": "1"}),
-        "cycle reflection fixing two opposite vertices")
-    add("affineD4-swap", lambda: affine_d_quiver(4),
-        lambda q: automorphism(q, {"0": "0", "1": "1", "2": "2", "3": "4", "4": "3"}),
-        "swap of one fork pair")
-    add("affineD4-doubleswap", lambda: affine_d_quiver(4),
-        lambda q: automorphism(q, {"0": "1", "1": "0", "2": "2", "3": "4", "4": "3"}),
-        "swap of both fork pairs")
+    add("A3-id", lambda: a_quiver(3), identity_automorphism)   # the path with the identity
+    for n in (3, 5, 7, 9):   # odd paths with the end-to-end flip
+        add(f"A{n}-flip", partial(a_quiver, n), partial(flip_automorphism, n=n))
+    for n in (4, 6, 8):   # even path flips: each reverses the middle edge, not admissible
+        add(f"A{n}-flip", partial(a_quiver, n), partial(flip_automorphism, n=n))
+    for n in (3, 4, 5, 6):   # fork swaps
+        add(f"D{n}-swap", partial(d_quiver, n), partial(fork_swap_automorphism, n=n))
+    add("D4-rot3", lambda: d_quiver(4),   # the order-3 rotation of the three legs
+        lambda q: automorphism(q, {"1": "3", "3": "4", "4": "1", "2": "2"}))
+    add("affineA1-swap", lambda: affine_a_quiver(1),   # double edge, ends swapped, not admissible
+        lambda q: automorphism(q, {"0": "1", "1": "0"}, {"e0": "e1", "e1": "e0"}))
+    add("affineA3-rot", lambda: affine_a_quiver(3),   # the cycle rotation, not admissible
+        lambda q: automorphism(q, {"0": "1", "1": "2", "2": "3", "3": "0"}))
+    add("affineA3-flip", lambda: affine_a_quiver(3),   # the cycle reflection fixing 0 and 2
+        lambda q: automorphism(q, {"0": "0", "2": "2", "1": "3", "3": "1"}))
+    add("affineD4-swap", lambda: affine_d_quiver(4),   # the swap of one fork pair
+        lambda q: automorphism(q, {"0": "0", "1": "1", "2": "2", "3": "4", "4": "3"}))
+    add("affineD4-doubleswap", lambda: affine_d_quiver(4),   # the swap of both fork pairs
+        lambda q: automorphism(q, {"0": "1", "1": "0", "2": "2", "3": "4", "4": "3"}))
     return makers
 
 
@@ -101,7 +93,7 @@ def _from_dir(path: Path) -> list[CorpusEntry]:
         q, a = quiver_from_dict(data)
         if a is None:
             raise InputError(f"{file} has no automorphism block")
-        entries.append(_entry(file.stem, q, a, data.get("description", "")))
+        entries.append(_entry(file.stem, q, a))
     return entries
 
 

@@ -364,9 +364,6 @@ class SerreViolation(NamedTuple):
     i: int
     j: int
 
-    def __str__(self):
-        return f"{self.kind} relation violated at pair ({self.i}, {self.j})"
-
 
 class SerreReport(NamedTuple):
     ok: bool

@@ -16,7 +16,8 @@ when read: over Q an entry is an `int` when it is integral and a
 itself; over F_p an entry reads as `qfold.numberfield.Fp`, as do `trace`
 and the coefficients of `charpoly`.  The constructor takes ints, Fractions
 and `Fp` entries; an `Fp` entry, or a given p, puts the matrix over F_p,
-where an int n reads as n mod p.  An integral Fraction given by a caller
+where an int n reads as n mod p and a Fraction n/d as n * d^-1 mod p
+(NotInvertible when p divides d).  An integral Fraction given by a caller
 is accepted and reads back as an int.  `rational_rows`, behind
 `Mat.rational` and the module-file reader, reads ints and ASCII "n" and
 "n/d" strings straight into (num, den).  A scalar is an int or a Fraction,
@@ -94,12 +95,19 @@ def _quotient(a: int, b: int):
 
 
 def _residue(x, p: int) -> int:
-    """x (an int, a Fraction or an `Fp` of F_p) as a residue in [0, p), by
-    `Fp`'s own arithmetic, which reads a Fraction n/d as n / d and refuses
-    an `Fp` of another characteristic."""
+    """x (an int, a Fraction or an `Fp` of F_p) as a residue in [0, p): a
+    Fraction n/d is n * d^-1 mod p, and NotInvertible when p divides d; an
+    `Fp` of another characteristic is refused."""
     if x.__class__ is int:
         return x % p
-    return (Fp(1, p) * x).v
+    if x.__class__ is Fp:
+        if x.p != p:
+            raise ValueError("mixed characteristics")
+        return x.v
+    n, d = x.numerator, x.denominator
+    if not d % p:
+        raise NotInvertible(f"the denominator {d} is not invertible mod {p}")
+    return n * pow(d, -1, p) % p
 
 
 def rational_rows(data: Sequence[Sequence], entry: Callable) -> tuple[tuple, int]:
@@ -620,14 +628,15 @@ class Mat:
         if p and n >= p:
             raise NotInvertible(f"charpoly of a {n}x{n} matrix over F_{p} divides by {p}, "
                                 f"which is not invertible there")
-        coeffs = [Fp(1, p) if p else 1]
+        coeffs = [1]
         m = Mat.identity(n, p)
         for k in range(1, n + 1):
             am = self * m
-            c = -am.trace() / k if p else qq(Fraction(-am.trace(), k))
+            c = -sum(row[i] for i, row in enumerate(am.num)) * pow(k, -1, p) % p if p \
+                else qq(Fraction(-am.trace(), k))
             coeffs.append(c)
             m = am._plus_scalar(c)
-        return coeffs
+        return [Fp(c, p) for c in coeffs] if p else coeffs
 
     def poly_eval(self, coeffs: Sequence) -> "Mat":
         """Evaluate a polynomial (coefficients high to low, scalars) at

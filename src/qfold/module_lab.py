@@ -47,7 +47,7 @@ from .numberfield import (
     poly_gcd,
     poly_str,
 )
-from .quiver_core import DiagramAutomorphism, Quiver, Record, _setattr, orbit_data, reverse_key
+from .quiver_core import DiagramAutomorphism, Quiver, orbit_data, reverse_key
 from .split_quotient import (
     SigmaData,
     is_orbit_constant,
@@ -56,46 +56,18 @@ from .split_quotient import (
 )
 
 
-class FramedModule(Record):
-    __slots__ = _fields = ("quiver", "v", "w", "B", "I", "J", "signed")
+class FramedModule(NamedTuple):
+    """A framed module, as `framed_module` checks it.  The record itself
+    checks nothing: the transport, the gauge action and the direct sum
+    build it from modules already checked."""
 
-    def __init__(self, quiver: Quiver, v: Mapping[str, int], w: Mapping[str, int],
-                 B: Mapping[str, Mat], I: Mapping[str, Mat], J: Mapping[str, Mat],
-                 signed: bool = True):
-        _setattr(self, "quiver", quiver)
-        _setattr(self, "v", v)
-        _setattr(self, "w", w)
-        _setattr(self, "B", B)
-        _setattr(self, "I", I)
-        _setattr(self, "J", J)
-        _setattr(self, "signed", signed)
-        q = quiver
-        for name, block in (("v", v), ("w", w), ("B", B), ("I", I), ("J", J)):
-            for key in block:
-                if key not in (q.arrows if name == "B" else q.vertex_set):
-                    kind = "doubled arrow" if name == "B" else "vertex"
-                    raise ShapeMismatch(f"{name} names {key!r}, which is no {kind} of the quiver")
-        for vertex in q.vertices:
-            if v.get(vertex, 0) < 0 or w.get(vertex, 0) < 0:
-                raise ShapeMismatch(f"negative dimension at {vertex}")
-        for info in q.doubled:
-            m = B.get(info.key)
-            if m is None:
-                raise ShapeMismatch(f"missing arrow matrix {info.key}")
-            if m.rows != v.get(info.tgt, 0) or m.cols != v.get(info.src, 0):
-                raise ShapeMismatch(
-                    f"B[{info.key}] is {m.rows}x{m.cols}, expected "
-                    f"{v.get(info.tgt, 0)}x{v.get(info.src, 0)}"
-                )
-        for vertex in q.vertices:
-            iv, wv = v.get(vertex, 0), w.get(vertex, 0)
-            im, jm = I.get(vertex), J.get(vertex)
-            if im is None or jm is None:
-                raise ShapeMismatch(f"missing framing matrix at {vertex}")
-            if im.rows != iv or im.cols != wv:
-                raise ShapeMismatch(f"I[{vertex}] must be {iv}x{wv}")
-            if jm.rows != wv or jm.cols != iv:
-                raise ShapeMismatch(f"J[{vertex}] must be {wv}x{iv}")
+    quiver: Quiver
+    v: Mapping[str, int]
+    w: Mapping[str, int]
+    B: Mapping[str, Mat]
+    I: Mapping[str, Mat]
+    J: Mapping[str, Mat]
+    signed: bool = True
 
 
 def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
@@ -104,7 +76,10 @@ def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
                   J: Optional[Mapping[str, Mat]] = None,
                   signed: bool = True) -> FramedModule:
     """Build a module, filling unspecified matrices with zeros over the
-    field of the first matrix supplied (Q without one)."""
+    field of the first matrix supplied (Q without one), and check it: a key
+    that names no vertex or doubled arrow, a negative dimension or a matrix
+    of the wrong shape raises ShapeMismatch.  Every module from outside the
+    program enters here."""
     B = dict(B or {})
     I = dict(I or {})
     J = dict(J or {})
@@ -114,6 +89,27 @@ def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
     for vertex in q.vertices:
         I.setdefault(vertex, Mat.zeros(v.get(vertex, 0), w.get(vertex, 0), p))
         J.setdefault(vertex, Mat.zeros(w.get(vertex, 0), v.get(vertex, 0), p))
+    for name, block in (("v", v), ("w", w), ("B", B), ("I", I), ("J", J)):
+        for key in block:
+            if key not in (q.arrows if name == "B" else q.vertex_set):
+                kind = "doubled arrow" if name == "B" else "vertex"
+                raise ShapeMismatch(f"{name} names {key!r}, which is no {kind} of the quiver")
+    for vertex in q.vertices:
+        if v.get(vertex, 0) < 0 or w.get(vertex, 0) < 0:
+            raise ShapeMismatch(f"negative dimension at {vertex}")
+    for info in q.doubled:
+        m = B[info.key]
+        if m.rows != v.get(info.tgt, 0) or m.cols != v.get(info.src, 0):
+            raise ShapeMismatch(
+                f"B[{info.key}] is {m.rows}x{m.cols}, expected "
+                f"{v.get(info.tgt, 0)}x{v.get(info.src, 0)}"
+            )
+    for vertex in q.vertices:
+        iv, wv = v.get(vertex, 0), w.get(vertex, 0)
+        if I[vertex].rows != iv or I[vertex].cols != wv:
+            raise ShapeMismatch(f"I[{vertex}] must be {iv}x{wv}")
+        if J[vertex].rows != wv or J[vertex].cols != iv:
+            raise ShapeMismatch(f"J[{vertex}] must be {wv}x{iv}")
     return FramedModule(q, dict(v), dict(w), B, I, J, signed)
 
 
@@ -138,29 +134,30 @@ def check_relations(m: FramedModule) -> RelationReport:
     return RelationReport(True)
 
 
-def _path_rows(m: FramedModule) -> dict[str, Mat]:
-    """Per vertex x, a reduced row basis of span{J_t B_p : p a path from x}.
+def _path_rows(m: FramedModule) -> dict[str, tuple[Mat, list[int]]]:
+    """Per vertex x, a row basis of span{J_t B_p : p a path from x} in
+    reduced echelon form, with its pivot columns.
 
     The rows grow one arrow at a time, rows_x += rows_tgt * B_h for every
     arrow h leaving x, until no rank grows; a vertex at full column rank
     is done.  Their kernels form the largest B-invariant graded subspace
     inside ker J (King, Q. J. Math. 45, 1994)."""
-    def reduced(mat: Mat) -> Mat:
+    def reduced(mat: Mat) -> tuple[Mat, list[int]]:
         red, pivots = mat.rref()
-        return red.submatrix(range(len(pivots)), range(mat.cols))
+        return red.submatrix(range(len(pivots)), range(mat.cols)), pivots
 
     rows = {x: reduced(m.J[x]) for x in m.quiver.vertices}
     grown = True
     while grown:
         grown = False
         for x in m.quiver.vertices:
-            if rows[x].rows == m.v.get(x, 0):
+            if len(rows[x][1]) == m.v.get(x, 0):
                 continue
-            stacked = rows[x]
+            stacked = rows[x][0]
             for info in m.quiver.leaving[x]:
-                stacked = stacked.vstack(rows[info.tgt] * m.B[info.key])
+                stacked = stacked.vstack(rows[info.tgt][0] * m.B[info.key])
             new = reduced(stacked)
-            if new.rows > rows[x].rows:
+            if len(new[1]) > len(rows[x][1]):
                 rows[x] = new
                 grown = True
     return rows
@@ -173,7 +170,7 @@ def is_stable(m: FramedModule) -> bool:
         raise RelationViolation(f"preprojective relation fails at vertex {rep.vertex}",
                                 vertex=rep.vertex)
     rows = _path_rows(m)
-    return all(rows[x].rows == m.v.get(x, 0) for x in m.quiver.vertices)
+    return all(len(rows[x][1]) == m.v.get(x, 0) for x in m.quiver.vertices)
 
 
 def _all_subspace_bases(n: int, p: int) -> list[Mat]:
@@ -371,7 +368,7 @@ def find_transition(m: FramedModule, sigma: SigmaData) -> Optional[TransitionWit
     g: dict[str, Mat] = {}
     for x in m.quiver.vertices:
         n = m.v.get(x, 0)
-        red, pivots = rows[x].rref()
+        red, pivots = rows[x]
         if pivots[:n] != list(range(n)):
             raise PropertyViolation(f"the transport of a stable module is unstable at {x}")
         if len(pivots) > n:

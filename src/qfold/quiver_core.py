@@ -9,9 +9,9 @@ reverse edges.
 A diagram automorphism is its vertex and edge permutations and nothing
 more, frozen when it is built and hashable by value: `check_automorphism`
 refuses a vertex or edge map that is not a permutation, and every derived
-value (orbits, their sizes d and cofactors e, and the order n, the lcm of
-the orbit sizes) comes from `orbit_data`.  `require_admissible` hands back
-the orbit data it checked.
+value (orbits, whose lengths are the sizes d, the cofactors e and the
+order n, the lcm of the orbit sizes) comes from `orbit_data`.
+`require_admissible` hands back the orbit data it checked.
 
 The doubled quiver has two arrows per edge e, keyed "e" along it (eps =
 +1) and "e*" against it (eps = -1); a `Quiver` lists them once, in
@@ -221,15 +221,17 @@ def require_admissible(q: Quiver, a: DiagramAutomorphism) -> OrbitData:
 
 
 class OrbitData(NamedTuple):
+    """The orbits of a on vertices and on edges, n (the lcm of the orbit
+    sizes), the cofactor e = n / (orbit size) of each vertex and edge, and
+    the index of each vertex's orbit.  An orbit's size is the length of its
+    tuple."""
+
     vertex_orbits: tuple[tuple[str, ...], ...]
     edge_orbits: tuple[tuple[str, ...], ...]
-    d_vertex: Mapping[str, int]
-    d_edge: Mapping[str, int]
     n: int
     e_vertex: Mapping[str, int]
     e_edge: Mapping[str, int]
     orbit_of_vertex: Mapping[str, int]
-    orbit_of_edge: Mapping[str, int]
 
 
 def _orbits(items: tuple[str, ...], perm: Mapping[str, str]) -> list[tuple[str, ...]]:
@@ -258,15 +260,11 @@ def orbit_data(q: Quiver, a: DiagramAutomorphism) -> OrbitData:
     vorbs = _orbits(q.vertices, a.vertex_perm)
     eorbs = _orbits(tuple(e.id for e in q.edges), a.edge_perm)
     frozen = MappingProxyType
-    d_vertex = frozen({v: len(o) for o in vorbs for v in o})
-    d_edge = frozen({e: len(o) for o in eorbs for e in o})
     n = lcm(*map(len, vorbs), *map(len, eorbs))
-    e_vertex = frozen({v: n // d for v, d in d_vertex.items()})
-    e_edge = frozen({e: n // d for e, d in d_edge.items()})
-    orbit_of_vertex = frozen({v: i for i, o in enumerate(vorbs) for v in o})
-    orbit_of_edge = frozen({e: i for i, o in enumerate(eorbs) for e in o})
-    return OrbitData(tuple(vorbs), tuple(eorbs), d_vertex, d_edge, n,
-                     e_vertex, e_edge, orbit_of_vertex, orbit_of_edge)
+    return OrbitData(tuple(vorbs), tuple(eorbs), n,
+                     frozen({v: n // len(o) for o in vorbs for v in o}),
+                     frozen({e: n // len(o) for o in eorbs for e in o}),
+                     frozen({v: i for i, o in enumerate(vorbs) for v in o}))
 
 
 # ---------------------------------------------------------------------------

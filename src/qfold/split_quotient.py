@@ -61,17 +61,14 @@ DimVec = Mapping[str, int]
 FIBER_CAP = 100_000
 
 
-class SplitVertex(Record):
-    """A split-quiver vertex: a vertex orbit together with a phase j/e."""
+class SplitVertex(NamedTuple):
+    """A split-quiver vertex: a vertex orbit together with a phase j/e,
+    1 <= j <= e; only `split_quiver` builds one, so the range is not
+    checked."""
 
-    __slots__ = _fields = ("orbit", "j", "e")
-
-    def __init__(self, orbit: tuple[str, ...], j: int, e: int):
-        _setattr(self, "orbit", orbit)
-        _setattr(self, "j", j)
-        _setattr(self, "e", e)
-        if not 1 <= j <= e:
-            raise ValueError("phase numerator out of range")
+    orbit: tuple[str, ...]
+    j: int
+    e: int
 
     @property
     def id(self) -> str:

@@ -1,7 +1,9 @@
 """The frozen dataclasses that qfold's records used to be, kept as the
 oracle of the NamedTuples and slotted classes that replaced them: each
 class here has the name, the fields, the defaults and the constructor
-checks of its successor, as the dataclass machinery built them.
+checks of its successor, as the dataclass machinery built them.  The
+checks of `FramedModule` are those of `module_lab.framed_module`, the one
+place that checks a module; the record itself checks nothing.
 
 A field typed by a qfold record holds the new record; only the outermost
 type is old.  `SigmaData` validates itself with the new class's
@@ -75,13 +77,10 @@ class DiagramAutomorphism:
 class OrbitData:
     vertex_orbits: tuple[tuple[str, ...], ...]
     edge_orbits: tuple[tuple[str, ...], ...]
-    d_vertex: Mapping[str, int]
-    d_edge: Mapping[str, int]
     n: int
     e_vertex: Mapping[str, int]
     e_edge: Mapping[str, int]
     orbit_of_vertex: Mapping[str, int]
-    orbit_of_edge: Mapping[str, int]
 
 
 # -- lie_fold --------------------------------------------------------------
@@ -152,7 +151,6 @@ class CorpusEntry:
     quiver: quiver_core.Quiver
     auto: quiver_core.DiagramAutomorphism
     admissible: bool
-    description: str = ""
 
 
 @dataclass(frozen=True)
@@ -170,10 +168,6 @@ class SplitVertex:
     orbit: tuple[str, ...]
     j: int
     e: int
-
-    def __post_init__(self):
-        if not 1 <= self.j <= self.e:
-            raise ValueError("phase numerator out of range")
 
 
 @dataclass(frozen=True)

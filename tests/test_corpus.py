@@ -10,12 +10,10 @@ from qfold.quiver_core import check_automorphism, is_admissible, quiver_from_dic
 
 def entry_to_dict(entry):
     """A corpus entry as the quiver JSON document a corpus directory holds,
-    with its name, admissibility and description beside the quiver."""
+    with its name and admissibility beside the quiver."""
     out = quiver_to_dict(entry.quiver, entry.auto)
     out["name"] = entry.name
     out["admissible"] = entry.admissible
-    if entry.description:
-        out["description"] = entry.description
     return out
 
 
@@ -58,6 +56,7 @@ def test_entry_round_trips_through_json():
 def test_corpus_dir_override(tmp_path, monkeypatch):
     entry = corpus_entry("A3-flip")
     doc = entry_to_dict(entry)
+    doc["description"] = "odd path with the end-to-end flip"   # a key not read
     (tmp_path / "custom.json").write_text(json.dumps(doc))
     monkeypatch.setenv(CORPUS_ENV, str(tmp_path))
     entries = corpus()

@@ -67,6 +67,19 @@ def test_charpoly_over_a_too_small_field_is_refused_before_any_product(monkeypat
     assert Mat.identity(2, 3).charpoly() == [Fp(1, 3)] * 3
 
 
+def test_a_fraction_whose_denominator_p_divides_is_refused_over_f_p():
+    # 1/5 has no value in F_5: each way a rational scalar or entry enters a
+    # matrix over F_5 refuses it by name
+    fifth, one = Fraction(1, 5), Mat.identity(1, 5)
+    calls = [lambda: Mat(1, 1, [[fifth]], 5), lambda: one.scaled(fifth),
+             lambda: sum_of_products([(fifth, one, one)]), lambda: one.poly_eval([1, fifth])]
+    for call in calls:
+        with pytest.raises(NotInvertible, match="^the denominator 5 is not invertible mod 5$"):
+            call()
+    # a denominator prime to p is its inverse: 3/10 is 3 * 10^-1 = 3 * 5 = 15 = 1 mod 7
+    assert Mat(1, 1, [[Fraction(3, 10)]], 7) == Mat.identity(1, 7)
+
+
 def test_det_matches_charpoly_constant():
     m = Mat.rational([[1, 2, 0], [0, 1, 3], [4, 0, 1]])
     cp = m.charpoly()

@@ -534,10 +534,15 @@ def global_intertwiner(m, sigma):
 
 def invariant_kernel_subspace(m):
     """The largest B-invariant graded subspace inside ker J, as per-vertex
-    column bases: the kernels of the path rows."""
+    column bases: the kernels of the path rows, which are kept in reduced
+    echelon form with their pivot columns."""
     from qfold.module_lab import _path_rows
 
-    return {x: r.nullspace() for x, r in _path_rows(m).items()}
+    out = {}
+    for x, (rows, pivots) in _path_rows(m).items():
+        assert rows.rref() == (rows, pivots)
+        out[x] = rows.nullspace()
+    return out
 
 
 def shrinking_invariant_kernel(m):
@@ -838,6 +843,57 @@ def test_check_relations_matches_the_product_oracle():
             assert check_relations(case) == want, case
             verdicts.add((want.ok, case.J[case.quiver.vertices[0]].p, case.signed))
     assert len(verdicts) == 8, verdicts   # both verdicts over Q and F_3, signed and unsigned
+
+
+def test_every_built_module_passes_the_entry_check(monkeypatch):
+    """theta, the gauge action and the direct sum build their records with
+    no check; `framed_module`, which checks a module where it enters,
+    accepts each one they return and gives it back equal.  The modules come
+    from `oracle_modules`, from `random_theta_module` on every corpus entry
+    and from `random_graded_pair` on the involutions with an invariant
+    orientation."""
+    from qfold import generators, module_lab
+
+    built = {"apply_theta": [], "_conjugate": [], "direct_sum": []}
+    for name, out in built.items():
+        def recorded(*args, _build=getattr(module_lab, name), _out=out):
+            _out.append(_build(*args))
+            return _out[-1]
+        monkeypatch.setattr(module_lab, name, recorded)
+        if hasattr(generators, name):
+            monkeypatch.setattr(generators, name, recorded)
+
+    def gauge(rng, m):
+        g = {}
+        for x in m.quiver.vertices:
+            n, p = m.v[x], m.J[x].p or None
+            g[x] = rand_mat(rng, n, n, p)
+            while not g[x].is_invertible():
+                g[x] = rand_mat(rng, n, n, p)
+        return g
+
+    rng = random.Random(43)
+    for m in oracle_modules(rng):
+        q, p = m.quiver, m.J[m.quiver.vertices[0]].p
+        ident = SigmaData(q, identity_automorphism(q), {x: Mat.identity(m.w[x], p)
+                                                        for x in q.vertices})
+        module_lab.apply_theta(m, ident)
+        module_lab.act(gauge(rng, m), m)
+        module_lab.direct_sum(m, m)
+    for entry in corpus():
+        m, sigma = random_theta_module(rng, entry.quiver, entry.auto)
+        module_lab.apply_theta(m, sigma)
+        if is_stable(m):
+            module_lab.find_transition(m, sigma)
+        od = orbit_data(entry.quiver, entry.auto)
+        if entry.admissible and max(map(len, od.vertex_orbits)) == 2 \
+                and arrow_transport(entry.quiver, entry.auto).sign is not None:
+            _xi, m_sub, m, sigma, _ws, _w = random_graded_pair(rng, entry.quiver, entry.auto)
+            module_lab.build_theta_witness(m_sub, gauge(rng, m_sub), sigma)
+    assert min(map(len, built.values())) >= 50, {name: len(out) for name, out in built.items()}
+    for out in built.values():
+        for m in out:
+            assert framed_module(*m) == m
 
 
 def test_check_framed_embedding_matches_the_product_oracle():

@@ -113,5 +113,5 @@ def test_prime_field_reads_a_fraction_as_a_quotient():
     assert Mat(1, 2, [[Fraction(1, 2), Fraction(-1, 2)]], 5) == Mat.from_rows([[Fp(3, 5), Fp(2, 5)]])
     with pytest.raises(ZeroDivisionError):
         Fp(1, 5) * Fraction(1, 5)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(NotInvertible):
         Mat.identity(2, 5).scaled(Fraction(1, 5))

@@ -102,7 +102,7 @@ def test_orbit_data_identity():
     d4 = d_quiver(4)
     od = orbit_data(d4, identity_automorphism(d4))
     assert od.n == 1
-    assert all(v == 1 for v in od.d_vertex.values())
+    assert all(len(orbit) == 1 for orbit in od.vertex_orbits)
     assert all(v == 1 for v in od.e_vertex.values())
 
 
@@ -110,7 +110,7 @@ def test_orbit_data_a3_flip():
     a3 = a_quiver(3)
     od = orbit_data(a3, flip_automorphism(a3, 3))
     assert od.vertex_orbits == (("1", "3"), ("2",))
-    assert od.d_vertex == {"1": 2, "3": 2, "2": 1}
+    assert {v: len(o) for o in od.vertex_orbits for v in o} == {"1": 2, "3": 2, "2": 1}
     assert od.n == 2
     assert od.e_vertex == {"1": 1, "3": 1, "2": 2}
 
@@ -118,7 +118,7 @@ def test_orbit_data_a3_flip():
 def test_orbit_data_d4_swap():
     d4 = d_quiver(4)
     od = orbit_data(d4, fork_swap_automorphism(d4, 4))
-    assert od.d_vertex == {"1": 1, "2": 1, "3": 2, "4": 2}
+    assert {v: len(o) for o in od.vertex_orbits for v in o} == {"1": 1, "2": 1, "3": 2, "4": 2}
     assert od.n == 2
     assert od.e_vertex == {"1": 2, "2": 2, "3": 1, "4": 1}
 
@@ -509,8 +509,7 @@ def test_shared_values_are_read_only():
     with pytest.raises(TypeError):
         flip.edge_perm["e1"] = "e1"
     od = orbit_data(a3, flip)
-    for mapping in (od.d_vertex, od.d_edge, od.e_vertex, od.e_edge,
-                    od.orbit_of_vertex, od.orbit_of_edge):
+    for mapping in (od.e_vertex, od.e_edge, od.orbit_of_vertex):
         with pytest.raises(TypeError):
             mapping["2"] = 0
     transport = arrow_transport(a3, flip)
