@@ -13,14 +13,14 @@ standard output early ends the run with exit 1 and no traceback.
 
 A one-shot call pays for importing, and compiling, what it loads, so the
 module laboratory and the property suite load only in the subcommands that
-run them: `module` imports `module_lab`, `dims` imports `dim_calc` and
-`module_lab`, and `verify-all` imports `properties` (and with it
-`generators`).  `import qfold.cli` loads `corpus`, `quiver_core`,
-`split_quotient`, `lie_fold`, `rep_branch` and `serialize` with their
-dependencies.  `lie_fold` and `rep_branch` stay among them although
-`module` never runs them: the benchmark's tracer (`perfbench/tracer.py`)
-looks up every module it patches in `sys.modules`, after `import qfold.cli`
-and the warm-up ops, and on its module workload nothing else loads those two.
+run them: `module` imports `module_lab`, `dims` imports `dim_calc`, and
+`verify-all` imports `properties` (and with it `generators`).
+`import qfold.cli` loads `corpus`, `quiver_core`, `split_quotient`,
+`lie_fold`, `rep_branch` and `serialize` with their dependencies.
+`lie_fold` and `rep_branch` stay among them although `module` never runs
+them: the benchmark's tracer (`perfbench/tracer.py`) looks up every module
+it patches in `sys.modules`, after `import qfold.cli` and the warm-up ops,
+and on its module workload nothing else loads those two.
 No qfold module imports `dataclasses`, which would bring `inspect` with it
 and build each record's methods with `exec`: a record is a `NamedTuple`, or
 a slotted class on `quiver_core.Record`.
@@ -58,7 +58,14 @@ from .serialize import (
     witness_from_dict,
     witness_to_dict,
 )
-from .split_quotient import SplitData, fiber_count, quotient_quiver, split_framing, split_quiver
+from .split_quotient import (
+    SplitData,
+    fiber_count,
+    identity_sigma,
+    quotient_quiver,
+    split_framing,
+    split_quiver,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -224,7 +231,6 @@ def cmd_branch(args) -> int:
 
 def cmd_dims(args) -> int:
     from .dim_calc import fixed_components
-    from .module_lab import identity_sigma
 
     q, a = _load_entry(args)
     sd = split_quiver(q, a)
@@ -258,7 +264,6 @@ def cmd_module(args) -> int:
         build_theta_witness,
         eigen_profile,
         find_transition,
-        identity_sigma,
         is_stable,
         rational_eigenvalues,
         theorem5_verify,

@@ -25,6 +25,12 @@ class PropertyViolation(QfoldError):
     """A checked mathematical property failed; signals a bug or bad data."""
 
 
+# linalg and numberfield
+class MixedCharacteristics(InputError, ValueError):
+    """Matrices or field elements over two different fields met in one
+    operation; a ValueError too, as it was before it had a class."""
+
+
 # quiver_core
 class NotAPermutation(InputError):
     pass

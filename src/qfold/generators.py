@@ -8,6 +8,9 @@ That keeps the transition matrices computable in closed form while
 producing generic-looking instances.  The generator does not check the
 witnesses it builds: their consumers do (`theorem5_verify` checks both
 witnesses of a graded pair, and `module transition` checks a stored one).
+Nor does it check its modules against the relation or its twists with
+`SigmaData.validate`: both are valid by construction (see below, and
+`random_sigma`), and `tests/test_generators.py` checks every kind.
 Every inverse a generator needs is computed once, by `Mat.inverse` on the
 matrix it draws (by cofactors up to 3 x 3), or is known in closed form (a
 sign diagonal is its own inverse).  Products are written plainly,
@@ -32,7 +35,7 @@ import random
 from functools import lru_cache
 from typing import Mapping, Optional
 
-from .errors import InputError, NotInvertible, PropertyViolation
+from .errors import InputError, NotInvertible
 from .linalg import Mat, _mat
 from .numberfield import companion, cyclotomic_poly
 from .module_lab import (
@@ -40,7 +43,6 @@ from .module_lab import (
     SigmaData,
     TransitionWitness,
     _conjugate,
-    check_relations,
     framed_module,
 )
 from .quiver_core import (
@@ -124,16 +126,14 @@ def random_one_way_module(rng: random.Random, q: Quiver, v: Mapping[str, int],
         h = q.arrows[e.id if rng.random() < 0.5 else reverse_key(e.id)]
         B[h.key] = rand_mat(rng, v.get(h.tgt, 0), v.get(h.src, 0), p=p)
     J = {x: rand_mat(rng, w.get(x, 0), v.get(x, 0), p=p) for x in q.vertices}
-    m = framed_module(q, v, w, B=B, J=J, signed=signed)
-    if not check_relations(m).ok:
-        raise PropertyViolation("a one-way module violates the preprojective relation")
-    return m
+    return framed_module(q, v, w, B=B, J=J, signed=signed)
 
 
 def random_sigma(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
                  wdims: Mapping[str, int]) -> SigmaData:
     """A valid framing twist: free along each orbit, with the last map
-    chosen so the composite is a random matrix of exact order dividing e."""
+    chosen so the composite is a random matrix of exact order dividing e,
+    built unchecked."""
     od = orbit_data(q, a)
     maps: dict[str, Mat] = {}
     for orbit in od.vertex_orbits:
@@ -292,17 +292,13 @@ def _try_graded_pair(rng, q, a, max_sub, max_extra):
     m = framed_module(q, v, w, B=B, J=J)
     sigma = SigmaData(q, a, sigma_maps)
     # J is injective at every vertex, for the pair and for its submodule, so
-    # ker J = 0 and both are stable once the relation holds
-    if not check_relations(m).ok:
-        raise PropertyViolation("a graded module violates the preprojective relation")
-
+    # ker J = 0 and both are stable, since the relation holds (I = 0, and B
+    # lies on one direction of each edge)
     m_sub = framed_module(
         q, vsub, w,
         B={info.key: m.B[info.key].submatrix(range(vsub[info.tgt]), range(vsub[info.src]))
            for info in q.doubled},
         J={x: J[x].submatrix(range(w[x]), range(vsub[x])) for x in q.vertices})
-    if not check_relations(m_sub).ok:
-        raise PropertyViolation("a graded submodule violates the preprojective relation")
 
     # conjugate both sides by orbit-constant gauges, which commute with theta
     h, h_inv = _orbit_constant_gauge(rng, od, v)

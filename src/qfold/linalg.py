@@ -70,7 +70,7 @@ from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Sequence
 
-from .errors import NotInvertible, ShapeMismatch
+from .errors import MixedCharacteristics, NotInvertible, ShapeMismatch
 from .numberfield import Fp
 
 _INT = frozenset([int])
@@ -102,7 +102,7 @@ def _residue(x, p: int) -> int:
         return x % p
     if x.__class__ is Fp:
         if x.p != p:
-            raise ValueError("mixed characteristics")
+            raise MixedCharacteristics("mixed characteristics")
         return x.v
     n, d = x.numerator, x.denominator
     if not d % p:
@@ -210,7 +210,7 @@ def _common(a: "Mat", b: "Mat") -> tuple[tuple, tuple, int]:
     """The nums of a and b, which lie over one field, over their common
     denominator, and that denominator (the lcm of theirs)."""
     if a.p != b.p:
-        raise ValueError("mixed characteristics")
+        raise MixedCharacteristics("mixed characteristics")
     da, db = a.den, b.den
     if da == db:
         return a.num, b.num, da
@@ -281,7 +281,7 @@ def sum_of_products(terms: Sequence[tuple]) -> "Mat":
             raise ShapeMismatch(f"mul: {a.rows}x{a.cols} by {b.rows}x{b.cols} in a "
                                 f"{rows}x{width} sum")
         if a.p != p or b.p != p:
-            raise ValueError("mixed characteristics")
+            raise MixedCharacteristics("mixed characteristics")
         if p and s.__class__ is not int:   # an int is reduced with the sum
             s = _residue(s, p)
         # an empty dimension leaves a factor with no nonzero entry
@@ -462,7 +462,7 @@ class Mat:
         """The blocks down the diagonal, all over one field."""
         p = blocks[0].p if blocks else 0
         if any(b.p != p for b in blocks):
-            raise ValueError("mixed characteristics")
+            raise MixedCharacteristics("mixed characteristics")
         den = lcm(*(b.den for b in blocks))
         cols = sum(b.cols for b in blocks)
         out = []

@@ -10,7 +10,10 @@ with eps(h) = +1 on forward arrows and -1 on reversed ones (signed mode;
 unsigned mode drops eps).  The arrow keys, the image of each arrow under
 the diagram automorphism and the signs of the transport are defined in
 `quiver_core`; the transport theta reads them, with the framing twists,
-from its `SigmaData`.
+from its `SigmaData`.  A module is checked where it enters, by
+`framed_module`, and a twist by `SigmaData.validate`; the modules and
+twists the program builds itself are valid by construction, and
+`apply_theta` checks only that a twist fits its module.
 
 A transition g is a module isomorphism m -> theta(m), checked as a module
 map by `check_framed_embedding` through the inverse-free equations
@@ -21,12 +24,12 @@ modules.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
     IndexMismatch,
     InputError,
+    MixedCharacteristics,
     NotInvertible,
     NotOrbitConstant,
     NotStable,
@@ -47,12 +50,11 @@ from .numberfield import (
     poly_gcd,
     poly_str,
 )
-from .quiver_core import DiagramAutomorphism, Quiver, orbit_data, reverse_key
+from .quiver_core import DiagramAutomorphism, Quiver, reverse_key
 from .split_quotient import (
     SigmaData,
     is_orbit_constant,
     root_of_unity_eigendims,
-    validate_dimvec,
 )
 
 
@@ -76,14 +78,22 @@ def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
                   J: Optional[Mapping[str, Mat]] = None,
                   signed: bool = True) -> FramedModule:
     """Build a module, filling unspecified matrices with zeros over the
-    field of the first matrix supplied (Q without one), and check it: a key
-    that names no vertex or doubled arrow, a negative dimension or a matrix
-    of the wrong shape raises ShapeMismatch.  Every module from outside the
-    program enters here."""
+    field of the supplied matrices (Q without one), and check it: matrices
+    over two fields raise MixedCharacteristics; a key that names no vertex
+    or doubled arrow, a negative dimension or a matrix of the wrong shape
+    raises ShapeMismatch.  Every module from outside the program enters
+    here."""
     B = dict(B or {})
     I = dict(I or {})
     J = dict(J or {})
-    p = next((m.p for m in chain(B.values(), I.values(), J.values())), 0)
+    supplied = [(m.p, name, key) for name, block in (("B", B), ("I", I), ("J", J))
+                for key, m in block.items()]
+    p = supplied[0][0] if supplied else 0
+    other = next((s for s in supplied if s[0] != p), None)
+    if other is not None:
+        raise MixedCharacteristics(
+            f"{other[1]}[{other[2]}] lies over {_field_name(other[0])}, "
+            f"but {supplied[0][1]}[{supplied[0][2]}] over {_field_name(p)}")
     for info in q.doubled:
         B.setdefault(info.key, Mat.zeros(v.get(info.tgt, 0), v.get(info.src, 0), p))
     for vertex in q.vertices:
@@ -111,6 +121,10 @@ def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
         if J[vertex].rows != wv or J[vertex].cols != iv:
             raise ShapeMismatch(f"J[{vertex}] must be {wv}x{iv}")
     return FramedModule(q, dict(v), dict(w), B, I, J, signed)
+
+
+def _field_name(p: int) -> str:
+    return f"F_{p}" if p else "Q"
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +242,6 @@ def brute_stability(m: FramedModule) -> bool:
 # ---------------------------------------------------------------------------
 # the automorphism action
 # ---------------------------------------------------------------------------
-
-def identity_sigma(q: Quiver, a: DiagramAutomorphism, wdims: Mapping[str, int]) -> SigmaData:
-    validate_dimvec(wdims, q)
-    if not is_orbit_constant(wdims, orbit_data(q, a)):
-        raise NotOrbitConstant("framing dimensions must be constant on orbits")
-    maps = {x: Mat.identity(wdims.get(x, 0)) for x in q.vertices}
-    return SigmaData(q, a, maps)
-
 
 def apply_theta(m: FramedModule, sigma: SigmaData) -> FramedModule:
     """Transport module data along the diagram automorphism sigma.auto.

@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import PropertyViolation
+from .errors import MixedCharacteristics, PropertyViolation
 
 if TYPE_CHECKING:
     from .linalg import Mat
@@ -47,7 +47,7 @@ class Fp:
     def _coerce(self, other) -> "Fp":
         if isinstance(other, Fp):
             if other.p != self.p:
-                raise ValueError("mixed characteristics")
+                raise MixedCharacteristics("mixed characteristics")
             return other
         if isinstance(other, Fraction):   # n/d, refused when p divides d
             return Fp(other.numerator, self.p) / Fp(other.denominator, self.p)

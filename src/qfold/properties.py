@@ -41,7 +41,6 @@ from .module_lab import (
     build_theta_witness,
     eigen_profile,
     framed_module,
-    identity_sigma,
     is_stable,
     theorem5_verify,
     verify_transition,
@@ -58,6 +57,7 @@ from .rep_branch import branch, freudenthal_character, weyl_dim
 from .split_quotient import (
     fiber_count,
     fibers_of_p,
+    identity_sigma,
     project_dim,
     split_involution_check,
     split_quiver,

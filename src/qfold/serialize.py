@@ -24,7 +24,8 @@ from .linalg import Mat, _over_q, qq, rational_rows
 from .quiver_core import DiagramAutomorphism, Quiver
 
 if TYPE_CHECKING:
-    from .module_lab import FramedModule, SigmaData, TransitionWitness
+    from .module_lab import FramedModule, TransitionWitness
+    from .split_quotient import SigmaData
 
 
 def json_document(data: bytes, source: str):
@@ -170,9 +171,13 @@ def sigma_to_dict(sigma: SigmaData) -> dict:
 
 
 def sigma_from_dict(q: Quiver, a: DiagramAutomorphism, obj) -> SigmaData:
-    from .module_lab import SigmaData
+    """Framing twists read from outside, checked by `SigmaData.validate`:
+    the one place a twist enters the program."""
+    from .split_quotient import SigmaData
 
-    return SigmaData(q, a, matmap_from_obj(obj))
+    sigma = SigmaData(q, a, matmap_from_obj(obj))
+    sigma.validate()
+    return sigma
 
 
 def witness_to_dict(w: TransitionWitness) -> dict:

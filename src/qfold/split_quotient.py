@@ -15,8 +15,9 @@ search for an isomorphism.
 The framing is graded by `root_of_unity_eigendims`, the one count of
 eigenspace dimensions at roots of unity: nullity(Phi_d(m)) / phi(d) at a
 primitive d-th root, read by `split_framing` here, at the orbit
-composites that `SigmaData` checks and keeps (it keeps no inverse), and by
-`module_lab.eigen_profile`.
+composites of `SigmaData.composite`, and by `module_lab.eigen_profile`.
+A `SigmaData` is built unchecked; its `validate` is the entry check of a
+twist read from outside, and `identity_sigma` builds the identity twists.
 Weak compositions are listed once, by `_compositions`, and counted once,
 by `_composition_count`, for the fibers of p here and for the fibers of
 restriction in `rep_branch`.
@@ -333,27 +334,42 @@ class SigmaData(Record):
     """Framing twists sigma_i : W_i -> W_{a(i)} with the around-the-orbit
     composite of exact finite order e_i.
 
-    Construction validates the maps and raises SigmaConstraintViolated
-    otherwise: every sigma_i is square and invertible and lands in a space
-    of its own dimension, so w_i, read off as the size of sigma_i, is
-    constant on orbits.  Validation keeps what it checked: the composite c
-    at each orbit's minimal lift, the plain product along the orbit with
-    c^e the identity, which `split_framing` grades; and the orbit data and
+    Construction checks nothing.  It keeps the maps with the orbit data and
     arrow transport of the automorphism, so the module transport theta
-    needs nothing else.  It keeps no inverse: c^e = 1 proves every sigma_i
-    invertible, and theta inverts sigma_i only where it moves a nonzero I_i.
+    needs nothing else.  `validate` is the entry check, which
+    `serialize.sigma_from_dict` runs on every twist read from outside; the
+    program's own twists (`identity_sigma`, the generators' draws) are
+    valid by construction.  It keeps no inverse: c^e = 1 proves every
+    sigma_i invertible, and theta inverts sigma_i only where it moves a
+    nonzero I_i.
     """
 
-    __slots__ = ("quiver", "auto", "maps", "composites", "orbits", "transport")
+    __slots__ = ("quiver", "auto", "maps", "orbits", "transport")
     _fields = ("quiver", "auto", "maps")
 
     def __init__(self, quiver: Quiver, auto: DiagramAutomorphism, maps: Mapping[str, Mat]):
         _setattr(self, "quiver", quiver)
         _setattr(self, "auto", auto)
         _setattr(self, "maps", maps)
-        self.validate()
+        _setattr(self, "orbits", orbit_data(quiver, auto))
+        _setattr(self, "transport", arrow_transport(quiver, auto))
+
+    def composite(self, lift: str) -> Mat:
+        """c = sigma_{a^(d-1)(lift)} ... sigma_{a(lift)} sigma_lift, the
+        plain product around the orbit of lift."""
+        perm = self.auto.vertex_perm
+        comp, vertex = self.maps[lift], perm[lift]
+        while vertex != lift:
+            comp = self.maps[vertex] * comp
+            vertex = perm[vertex]
+        return comp
 
     def validate(self) -> None:
+        """Raise SigmaConstraintViolated unless sigma names each vertex and
+        nothing else, every sigma_i is square and lands in a space of its
+        own dimension, so w_i, read off as the size of sigma_i, is constant
+        on orbits, and c^e is the identity for the composite c at each
+        orbit's minimal lift."""
         a, q = self.auto, self.quiver
         stray = next((key for key in self.maps if key not in q.vertex_set), None)
         if stray is not None:
@@ -371,25 +387,24 @@ class SigmaData(Record):
                 raise SigmaConstraintViolated(
                     f"sigma at {vertex} is {mat.rows}x{mat.cols} but sigma at {image} "
                     f"has {self.maps[image].cols} columns")
-        od = orbit_data(q, a)
-        composites = {}
+        od = self.orbits
         for orbit in od.vertex_orbits:
             lift, e = orbit[0], od.e_vertex[orbit[0]]
-            # c = sigma_{a^(d-1)(lift)} ... sigma_{a(lift)} sigma_lift
-            comp, vertex = self.maps[lift], a.vertex_perm[lift]
-            while vertex != lift:
-                comp = self.maps[vertex] * comp
-                vertex = a.vertex_perm[vertex]
+            comp = self.composite(lift)
             if comp.power(e) != Mat.identity(comp.rows, comp.p):
                 singular = next((v for v in q.vertices if not self.maps[v].is_invertible()), None)
                 if singular is not None:
                     raise SigmaConstraintViolated(f"sigma at {singular} is singular")
                 raise SigmaConstraintViolated(
                     f"(sigma composite at {lift})^{e} is not the identity")
-            composites[lift] = comp
-        _setattr(self, "composites", composites)
-        _setattr(self, "orbits", od)
-        _setattr(self, "transport", arrow_transport(q, a))
+
+
+def identity_sigma(q: Quiver, a: DiagramAutomorphism, wdims: DimVec) -> SigmaData:
+    """The identity twists on framing dimensions constant on orbits."""
+    validate_dimvec(wdims, q)
+    if not is_orbit_constant(wdims, orbit_data(q, a)):
+        raise NotOrbitConstant("framing dimensions must be constant on orbits")
+    return SigmaData(q, a, {x: Mat.identity(wdims.get(x, 0)) for x in q.vertices})
 
 
 def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
@@ -397,8 +412,8 @@ def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
 
     The slot (orbit, j/e) receives the dimension of the eigenvalue
     exp(2*pi*i*(j-1)/e) eigenspace of the composite at the orbit's minimal
-    lift (`SigmaData.composites`), so identity twists put everything in the
-    j = 1 slot.
+    lift (`SigmaData.composite`, the product `SigmaData.validate` checks),
+    so identity twists put everything in the j = 1 slot.
     """
     if sigma.quiver != sd.source or sigma.auto != sd.auto:
         raise IndexMismatch("the framing twists do not belong to this split quiver")
@@ -406,7 +421,7 @@ def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
     out: dict[str, int] = {}
     for orbit, slots in zip(od.vertex_orbits, sd.orbit_slots):
         lift = orbit[0]
-        comp = sigma.composites[lift]
+        comp = sigma.composite(lift)
         dims = root_of_unity_eigendims(comp, od.e_vertex[lift])
         if sum(dims) != comp.rows:
             raise NotDiagonalizableOverCyclotomicEigenvalues(

@@ -3,11 +3,13 @@ oracle of the NamedTuples and slotted classes that replaced them: each
 class here has the name, the fields, the defaults and the constructor
 checks of its successor, as the dataclass machinery built them.  The
 checks of `FramedModule` are those of `module_lab.framed_module`, the one
-place that checks a module; the record itself checks nothing.
+place that checks a module, and those of `SigmaData` are those of
+`split_quotient.SigmaData.validate`, the entry check of a twist; neither
+new record checks anything when it is built.  Both oracles keep their
+checks in their constructors, as the dataclasses did.
 
 A field typed by a qfold record holds the new record; only the outermost
-type is old.  `SigmaData` validates itself with the new class's
-`validate`, which the move off dataclasses left as it was.
+type is old.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from qfold import lie_fold, quiver_core, split_quotient
-from qfold.errors import InputError, ShapeMismatch
+from qfold.errors import InputError, ShapeMismatch, SigmaConstraintViolated
 from qfold.linalg import Mat
 from qfold.quiver_core import ArrowInfo, ArrowTransport, Edge, _doubled_key
 
@@ -191,14 +193,42 @@ class SigmaData:
     quiver: quiver_core.Quiver
     auto: quiver_core.DiagramAutomorphism
     maps: Mapping[str, Mat]
-    composites: Mapping[str, Mat] = field(init=False, repr=False, compare=False)
     orbits: quiver_core.OrbitData = field(init=False, repr=False, compare=False)
     transport: ArrowTransport = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.validate()
-
-    validate = split_quotient.SigmaData.validate
+        a, q = self.auto, self.quiver
+        stray = next((key for key in self.maps if key not in q.vertex_set), None)
+        if stray is not None:
+            raise SigmaConstraintViolated(f"sigma names {stray!r}, which is no vertex of the quiver")
+        missing = [vertex for vertex in q.vertices if vertex not in self.maps]
+        if missing:
+            raise SigmaConstraintViolated(f"sigma is missing at {', '.join(missing)}")
+        for vertex in q.vertices:
+            mat = self.maps[vertex]
+            if mat.rows != mat.cols:
+                raise SigmaConstraintViolated(
+                    f"sigma at {vertex} must be square, not {mat.rows}x{mat.cols}")
+            image = a.vertex_perm[vertex]
+            if mat.rows != self.maps[image].cols:
+                raise SigmaConstraintViolated(
+                    f"sigma at {vertex} is {mat.rows}x{mat.cols} but sigma at {image} "
+                    f"has {self.maps[image].cols} columns")
+        od = quiver_core.orbit_data(q, a)
+        for orbit in od.vertex_orbits:
+            lift, e = orbit[0], od.e_vertex[orbit[0]]
+            comp, vertex = self.maps[lift], a.vertex_perm[lift]
+            while vertex != lift:
+                comp = self.maps[vertex] * comp
+                vertex = a.vertex_perm[vertex]
+            if comp.power(e) != Mat.identity(comp.rows, comp.p):
+                singular = next((v for v in q.vertices if not self.maps[v].is_invertible()), None)
+                if singular is not None:
+                    raise SigmaConstraintViolated(f"sigma at {singular} is singular")
+                raise SigmaConstraintViolated(
+                    f"(sigma composite at {lift})^{e} is not the identity")
+        object.__setattr__(self, "orbits", od)
+        object.__setattr__(self, "transport", quiver_core.arrow_transport(q, a))
 
 
 # -- module_lab ------------------------------------------------------------

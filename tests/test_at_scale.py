@@ -28,11 +28,11 @@ from qfold.corpus import CORPUS_ENV, corpus, corpus_entry
 from qfold.generators import (rand_invertible, rand_mat, random_graded_pair,
                               random_one_way_module, random_theta_module)
 from qfold.linalg import Mat
-from qfold.module_lab import (TransitionWitness, act, apply_theta, framed_module,
-                              identity_sigma, is_stable)
+from qfold.module_lab import TransitionWitness, act, apply_theta, framed_module, is_stable
 from qfold.quiver_core import (a_quiver, d_quiver, flip_automorphism, fork_swap_automorphism,
                                quiver_to_dict)
 from qfold.serialize import matmap_to_obj, module_to_dict, sigma_to_dict, witness_to_dict
+from qfold.split_quotient import identity_sigma
 
 with pytest.MonkeyPatch.context() as env:
     env.delenv(CORPUS_ENV, raising=False)

@@ -788,7 +788,7 @@ NEVER = {"dataclasses", "inspect"}
     (["branch", "--corpus", "A5-flip", "--framing", "1,0,0,1"], LABORATORY, {"rep_branch"}),
     (["module", "check", "FILE"], {"properties", "generators", "dim_calc"}, {"module_lab"}),
     (["dims", "--corpus", "D4-swap", "--v", "1,1,1,1", "--w", "1,1,1,1"],
-     {"properties", "generators"}, {"dim_calc", "module_lab"}),
+     {"properties", "generators", "module_lab"}, {"dim_calc"}),
     (["verify-all", "--seed", "1"], set(), LABORATORY),
 ], ids=["import", "split", "quotient", "fold", "branch", "module-check", "dims", "verify-all"])
 def test_a_subcommand_imports_only_what_it_runs(tmp_path, argv, absent, present):

@@ -1,5 +1,6 @@
-"""The seeded generators: pinned draws, and the witnesses they build in
-closed form checked by the consumers' verifiers."""
+"""The seeded generators: pinned draws, the witnesses they build in closed
+form checked by the consumers' verifiers, and the twists and modules they
+draw, which they build unchecked, checked here."""
 
 import hashlib
 import random
@@ -15,10 +16,13 @@ from qfold.generators import (
     rand_mat,
     random_graded_pair,
     random_one_way_module,
+    random_sigma,
     random_theta_module,
 )
 from qfold.linalg import Mat
-from qfold.module_lab import check_framed_embedding, verify_transition
+from qfold.module_lab import check_framed_embedding, check_relations, verify_transition
+from qfold.quiver_core import orbit_data
+from qfold.split_quotient import identity_sigma
 
 # verify-all's eigenspace-inclusion setups at the generator's default sizes,
 # and module-lab's entries at its sizes
@@ -162,6 +166,39 @@ def test_graded_pair_witnesses_verify(sizes):
             assert verify_transition(m, sigma, wit), (name, seed)
             assert verify_transition(m_sub, sigma, w_sub), (name, seed)
             assert check_framed_embedding(xi, m_sub, m), (name, seed)
+
+
+def test_every_draw_is_valid_as_built():
+    """The generators check neither the twists nor the modules they draw,
+    as both are valid by construction: every twist passes the entry check
+    `SigmaData.validate`, and every module and submodule satisfies the
+    preprojective relation."""
+    sigmas, modules = [], []
+    for seed in range(1, 6):
+        for entry in corpus():
+            q, a = entry.quiver, entry.auto
+            m, sigma = random_theta_module(random.Random(seed), q, a)
+            sigmas += [sigma, identity_sigma(q, a, m.w)]
+            modules.append(m)
+            # wider framings than random_theta_module draws, and modules over F_3
+            rng = random.Random(-seed)
+            w = {}
+            for orbit in orbit_data(q, a).vertex_orbits:
+                w.update(dict.fromkeys(orbit, rng.randint(0, 3)))
+            sigmas.append(random_sigma(rng, q, a, w))
+            v = {x: rng.randint(0, 2) for x in q.vertices}
+            modules.append(random_one_way_module(rng, q, v, w, p=3))
+        for names, sizes in ((PAIR_DEFAULT_ENTRIES, {}),
+                             (PAIR_MODULE_LAB_ENTRIES, MODULE_LAB_SIZES)):
+            for name in names:
+                entry = corpus_entry(name)
+                _xi, m_sub, m, sigma, _w_sub, _wit = random_graded_pair(
+                    random.Random(seed), entry.quiver, entry.auto, **sizes)
+                sigmas.append(sigma)
+                modules += [m_sub, m]
+    for sigma in sigmas:
+        sigma.validate()
+    assert [m for m in modules if not check_relations(m).ok] == []
 
 
 def test_rand_invertible_returns_the_inverse():

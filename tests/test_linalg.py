@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from qfold import linalg
-from qfold.errors import NotInvertible, ShapeMismatch
+from qfold.errors import InputError, MixedCharacteristics, NotInvertible, ShapeMismatch
 from qfold.linalg import Mat, column_space_contains, sum_of_products
 from qfold.numberfield import Fp
 
@@ -78,6 +78,19 @@ def test_a_fraction_whose_denominator_p_divides_is_refused_over_f_p():
             call()
     # a denominator prime to p is its inverse: 3/10 is 3 * 10^-1 = 3 * 5 = 15 = 1 mod 7
     assert Mat(1, 1, [[Fraction(3, 10)]], 7) == Mat.identity(1, 7)
+
+
+def test_two_fields_in_one_operation_are_an_input_error():
+    # each place that meets two fields raises the one named input error,
+    # still a ValueError with its old message
+    over_3 = Mat.identity(1, 3)
+    calls = [lambda: Mat(1, 1, [[Fp(1, 5)]], 3), lambda: Mat.identity(1) + over_3,
+             lambda: sum_of_products([(1, Mat.identity(1), over_3)]),
+             lambda: Mat.block_diag([Mat.identity(1), over_3]), lambda: Fp(1, 3) + Fp(1, 5)]
+    for call in calls:
+        with pytest.raises(MixedCharacteristics, match="^mixed characteristics$") as caught:
+            call()
+        assert isinstance(caught.value, InputError) and isinstance(caught.value, ValueError)
 
 
 def test_det_matches_charpoly_constant():

@@ -14,6 +14,7 @@ from qfold.cli import main
 from qfold.corpus import corpus
 from qfold.errors import (
     IndexMismatch,
+    MixedCharacteristics,
     NotInvertible,
     NotOrbitConstant,
     NotStable,
@@ -52,7 +53,6 @@ from qfold.module_lab import (
     eigenvector_span,
     find_transition,
     framed_module,
-    identity_sigma,
     is_stable,
     star,
     theorem5_verify,
@@ -80,6 +80,7 @@ from qfold.quiver_core import (
     quiver_to_dict,
     reverse_key,
 )
+from qfold.split_quotient import identity_sigma
 
 from numberfield_oracle import (
     NumberField,
@@ -135,6 +136,15 @@ def test_relations_trivial_cases():
                         I=one_dim({"1": 1}), J=one_dim({"1": 1}))
     report = check_relations(bad)
     assert not report.ok and report.vertex == "1"
+
+
+def test_matrices_over_two_fields_are_refused_where_they_enter():
+    # B over F_3 and J over Q: framed_module names both before it fills any
+    # zeros, so no relation check ever meets the two fields
+    with pytest.raises(MixedCharacteristics, match=r"^J\[1\] lies over Q, but B\[e1\] over F_3$"):
+        framed_module(a_quiver(2), {"1": 1, "2": 1}, {"1": 1, "2": 1},
+                      B={"e1": Mat(1, 1, [[1]], 3)},
+                      J={"1": Mat.identity(1), "2": Mat.identity(1)})
 
 
 def test_relation_signs_cancel_commutator():
@@ -255,7 +265,7 @@ def test_theta_requires_orbit_constant_dims():
 
 
 def test_sigma_constraint_checked():
-    # a bad sigma raises when it is built, directly or from JSON
+    # a bad sigma is refused by the entry check, run directly or by the JSON reader
     ok = {v: Mat.identity(1) for v in A3.vertices}
     bad_cases = [
         {**ok, "2": Mat.rational([[3]])},                 # 3^2 != 1 at the fixed vertex
@@ -268,7 +278,7 @@ def test_sigma_constraint_checked():
     ]
     for maps in bad_cases:
         with pytest.raises(SigmaConstraintViolated):
-            SigmaData(A3, FLIP, maps)
+            SigmaData(A3, FLIP, maps).validate()
         with pytest.raises(SigmaConstraintViolated):
             sigma_from_dict(A3, FLIP, matmap_to_obj(maps))
     sigma = SigmaData(A3, FLIP, ok)

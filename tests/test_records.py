@@ -5,7 +5,8 @@ now; `record_oracle` keeps the dataclass each one used to be.  Built from
 the same field values, old and new must show the same repr, compare and
 hash alike within their own type, refuse assignment, and refuse the same
 bad input with the same error; a module's input is refused by
-`framed_module`, which checks it where it enters.
+`framed_module`, and a twist's by `SigmaData.validate`, which
+`sigma_from_dict` runs: each is checked where it enters.
 """
 
 import dataclasses
@@ -23,6 +24,7 @@ from qfold.module_lab import framed_module
 from qfold.quiver_core import (Edge, a_quiver, d_quiver, flip_automorphism,
                                fork_swap_automorphism, orbit_data)
 from qfold.rep_branch import root_datum
+from qfold.serialize import matmap_to_obj, sigma_from_dict
 from qfold.split_quotient import split_quiver
 
 HOMES = {
@@ -109,8 +111,15 @@ REFUSED = {
         module_values(J={**MODULE.J, "1": Mat.zeros(2, 2)}),
     ],
 }
+
+
+def entered_sigma(q, a, maps):
+    """Twists as they enter from outside: as JSON, through `sigma_from_dict`."""
+    return sigma_from_dict(q, a, matmap_to_obj(maps))
+
+
 # where a type's input is checked, when not in its constructor
-CHECKED_BY = {"FramedModule": framed_module}
+CHECKED_BY = {"FramedModule": framed_module, "SigmaData": entered_sigma}
 # the places in REFUSED's order of the cases whose check is gone: SplitVertex
 # phases outside 1..e, which only split_quiver builds and always in range, and
 # a module's missing B or I, which framed_module fills with zeros; each other

@@ -31,6 +31,7 @@ from qfold.quiver_core import (
     is_admissible,
     quiver,
 )
+from qfold.serialize import matmap_to_obj, sigma_from_dict
 from qfold.split_quotient import (
     SigmaData,
     _check_natural_map,
@@ -466,7 +467,7 @@ def test_split_framing_constraint_violation():
     maps = {v: Mat.identity(1) for v in a3.vertices}
     maps["2"] = Mat.rational([[2]])  # (2)^2 != 1
     with pytest.raises(SigmaConstraintViolated):
-        split_framing(SigmaData(a3, sd.auto, maps), sd)
+        split_framing(sigma_from_dict(a3, sd.auto, matmap_to_obj(maps)), sd)
     # twists that belong to another quiver
     other = a_quiver(5)
     with pytest.raises(IndexMismatch):
@@ -486,7 +487,7 @@ def walked_composite(maps, a, lift):
 
 def test_split_framing_lift_independence():
     # the eigenvalue dimensions agree at every lift of a swapped orbit, and
-    # the composite SigmaData keeps is the walked one at the minimal lift
+    # SigmaData.composite is the walked one at every lift
     d4 = d_quiver(4)
     sd = split_quiver(d4, fork_swap_automorphism(d4, 4))
     from qfold.split_quotient import root_of_unity_eigendims
@@ -496,10 +497,10 @@ def test_split_framing_lift_independence():
     sigma = SigmaData(d4, sd.auto, maps)
     od = sd.orbits
     a = sd.auto
-    assert set(sigma.composites) == {orbit[0] for orbit in od.vertex_orbits}
     for orbit in od.vertex_orbits:
         e = od.e_vertex[orbit[0]]
-        assert sigma.composites[orbit[0]] == walked_composite(sigma.maps, a, orbit[0])
+        for lift in orbit:
+            assert sigma.composite(lift) == walked_composite(sigma.maps, a, lift)
         dims = [root_of_unity_eigendims(walked_composite(sigma.maps, a, lift), e)
                 for lift in orbit]
         assert all(d == dims[0] for d in dims)
@@ -620,8 +621,9 @@ def test_sigma_errors_name_the_singular_map_first():
     maps = {v: Mat.identity(1) for v in a3.vertices}
     # the order-2 composite at 2 fails, the singular sigma at 3 is named
     with pytest.raises(SigmaConstraintViolated, match="sigma at 3 is singular"):
-        SigmaData(a3, flip, {**maps, "2": Mat.rational([[3]]), "3": Mat.rational([[0]])})
+        SigmaData(a3, flip, {**maps, "2": Mat.rational([[3]]),
+                             "3": Mat.rational([[0]])}).validate()
     with pytest.raises(SigmaConstraintViolated, match=r"composite at 2\)\^2 is not the identity"):
-        SigmaData(a3, flip, {**maps, "2": Mat.rational([[3]])})
+        SigmaData(a3, flip, {**maps, "2": Mat.rational([[3]])}).validate()
     with pytest.raises(SigmaConstraintViolated, match=r"composite at 1\)\^1 is not the identity"):
-        SigmaData(a3, flip, {**maps, "1": Mat.rational([[2]])})
+        SigmaData(a3, flip, {**maps, "1": Mat.rational([[2]])}).validate()

@@ -108,11 +108,12 @@ def test_tracer_counts_one_transition_solve():
     # argument for its unknowns count, and counts the transports beneath it
     from qfold import module_lab
     from qfold.quiver_core import a_quiver, flip_automorphism
+    from qfold.split_quotient import identity_sigma
 
     a3 = a_quiver(3)
     v = {"1": 2, "2": 1, "3": 2}
     m = module_lab.framed_module(a3, v, v, J={x: Mat.identity(v[x]) for x in a3.vertices})
-    sigma = module_lab.identity_sigma(a3, flip_automorphism(a3, 3), v)
+    sigma = identity_sigma(a3, flip_automorphism(a3, 3), v)
     original = module_lab.find_transition
     tracer = tracer_module().Tracer()
     tracer.install()
