@@ -31,6 +31,11 @@ class MixedCharacteristics(InputError, ValueError):
     operation; a ValueError too, as it was before it had a class."""
 
 
+class MalformedEntry(InputError, ValueError):
+    """A matrix entry string that `Fraction` cannot read, with Fraction's
+    own message; a ValueError too, as Fraction's error is."""
+
+
 # quiver_core
 class NotAPermutation(InputError):
     pass

@@ -14,14 +14,15 @@ one field have equal (num, den), and `__eq__` and `__hash__` compare
 when read: over Q an entry is an `int` when it is integral and a
 `Fraction` only where it is not (`qq`), and at `den == 1` `data` is `num`
 itself; over F_p an entry reads as `qfold.numberfield.Fp`, as do `trace`
-and the coefficients of `charpoly`.  The constructor takes ints, Fractions
-and `Fp` entries; an `Fp` entry, or a given p, puts the matrix over F_p,
-where an int n reads as n mod p and a Fraction n/d as n * d^-1 mod p
-(NotInvertible when p divides d).  An integral Fraction given by a caller
-is accepted and reads back as an int.  `rational_rows`, behind
-`Mat.rational` and the module-file reader, reads ints and ASCII "n" and
-"n/d" strings straight into (num, den).  A scalar is an int or a Fraction,
-or over F_p also an `Fp`.
+and the coefficients of `charpoly`.  Entries are read in by one policy,
+`_rational`'s: ints, Fractions and rational strings, as `Fraction` reads
+them save an exponent; a float, a boolean, None, an `Fp` or any other
+value is refused with InputError.  Over Q, `rational_rows` reads them
+straight into (num, den), behind `Mat(rows, cols, data)`, `Mat.rational`
+and the module-file reader, and an integral Fraction reads back as an
+int.  `Mat(rows, cols, data, p)` is the one way into F_p: `_residue`
+reads an int n as n mod p and any other entry n/d as n * d^-1 mod p
+(NotInvertible when p divides d).  A scalar is an int or a Fraction.
 
 Each kernel is written once over (num, den), on ints for both fields, and
 builds no Fraction and no `Fp` but the scalars it returns.  Two steps
@@ -68,9 +69,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .errors import MixedCharacteristics, NotInvertible, ShapeMismatch
+from .errors import InputError, MalformedEntry, MixedCharacteristics, NotInvertible, ShapeMismatch
 from .numberfield import Fp
 
 _INT = frozenset([int])
@@ -94,31 +95,49 @@ def _quotient(a: int, b: int):
     return Fraction(a, b) if r else q
 
 
+def _rational(x):
+    """An entry other than those `rational_rows` reads itself (an int, an
+    ASCII "n" or "n/d" string), as an int or a Fraction: a Fraction as it
+    is, and a string as `qq` reads it, save one with an exponent
+    ("1e999999999" would build a billion-digit integer); a string Fraction
+    cannot read raises MalformedEntry with Fraction's message.  Anything
+    else is refused: a float (0.1 is not 1/10), a boolean, None, an `Fp`."""
+    if x.__class__ is Fraction:
+        return x
+    if x.__class__ is str and "e" not in x and "E" not in x:
+        try:
+            return qq(x)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise MalformedEntry(str(exc)) from None
+    raise InputError(f"matrix entries must be integers or rational strings, got {x!r}")
+
+
 def _residue(x, p: int) -> int:
-    """x (an int, a Fraction or an `Fp` of F_p) as a residue in [0, p): a
-    Fraction n/d is n * d^-1 mod p, and NotInvertible when p divides d; an
-    `Fp` of another characteristic is refused."""
+    """x, an entry or a scalar over F_p, as a residue in [0, p): an int n
+    is n mod p, and any other x is read as `_rational` reads it, n/d being
+    n * d^-1 mod p, and NotInvertible when p divides d."""
     if x.__class__ is int:
         return x % p
-    if x.__class__ is Fp:
-        if x.p != p:
-            raise MixedCharacteristics("mixed characteristics")
-        return x.v
+    if x.__class__ is not Fraction:
+        x = _rational(x)
     n, d = x.numerator, x.denominator
     if not d % p:
         raise NotInvertible(f"the denominator {d} is not invertible mod {p}")
     return n * pow(d, -1, p) % p
 
 
-def rational_rows(data: Sequence[Sequence], entry: Callable) -> tuple[tuple, int]:
+def rational_rows(data: Sequence[Sequence]) -> tuple[tuple, int]:
     """The rows of data, entries over Q, as (num, den) in canonical form
-    (see `Mat`), with no Fraction built on the way.  An int and an ASCII
-    "n" or "n/d" string (d not 0) are read with `int` and at most one gcd
-    (a string of ASCII digits alone is tested for first); any other
-    entry goes to entry(x), which returns it as `qq` does (an int or a
-    Fraction) or raises, so the entries accepted and the errors raised are
-    entry's own, met in row-major order.  The rows may differ in length:
-    the caller checks the shape."""
+    (see `Mat`), with no Fraction built on the way: the one reader of
+    entries over Q.  Rows of ints alone are kept as they are.  Else an int
+    and an ASCII "n" or "n/d" string (d not 0) are read with `int` and at
+    most one gcd (a string of ASCII digits alone is tested for first); any
+    other entry goes to `_rational`, so the entries accepted and the errors
+    raised are its own, met in row-major order.  The rows may differ in
+    length: the caller checks the shape."""
+    data = tuple(map(tuple, data))
+    if _INT.issuperset(map(type, chain.from_iterable(data))):
+        return data, 1
     rows, dens = [], []
     for row in data:
         out = []
@@ -133,7 +152,7 @@ def rational_rows(data: Sequence[Sequence], entry: Callable) -> tuple[tuple, int
                     g = gcd(n, d)
                     n, d = n // g, d // g
                 else:
-                    x = entry(x)
+                    x = _rational(x)
                     n, d = x.numerator, x.denominator
                 if d == 1:
                     x = n
@@ -144,24 +163,11 @@ def rational_rows(data: Sequence[Sequence], entry: Callable) -> tuple[tuple, int
         rows.append(out)
     if not dens:
         return tuple(map(tuple, rows)), 1
-    # num = entries * lcm is in lowest terms (see `_read_entries`)
+    # num = entries * lcm is in lowest terms: a prime's highest power in
+    # the lcm comes from one entry, whose numerator it does not divide
     den = lcm(*dens)
     return tuple(tuple([x[0] * (den // x[1]) if x.__class__ is tuple else x * den
                         for x in row]) for row in rows), den
-
-
-def _read_entries(num: tuple, p: int) -> tuple[tuple, int, int]:
-    """(num, den, p) in canonical form for rows of ints, Fractions and
-    `Fp`s: over F_p when p is given or an entry is an `Fp`, else over Q."""
-    entries = chain.from_iterable(num)
-    p = p or next((x.p for x in entries if x.__class__ is Fp), 0)
-    if p:
-        return tuple(tuple([_residue(x, p) for x in row]) for row in num), 1, p
-    # num = entries * lcm is in lowest terms: a prime's highest power in
-    # the lcm comes from one entry, whose numerator it does not divide
-    den = lcm(*[x.denominator for row in num for x in row if x.__class__ is not int])
-    return tuple(tuple([x.numerator * (den // x.denominator) for x in row])
-                 for row in num), den, 0
 
 
 def _check_shape(rows: int, cols: int, num: tuple) -> None:
@@ -314,11 +320,11 @@ class Mat:
     __slots__ = ("rows", "cols", "num", "den", "p")
 
     def __init__(self, rows: int, cols: int, data: Sequence[Sequence], p: int = 0):
-        num = tuple(map(tuple, data))
+        if p:
+            num, den = tuple(tuple([_residue(x, p) for x in row]) for row in data), 1
+        else:
+            num, den = rational_rows(data)
         _check_shape(rows, cols, num)
-        den = 1
-        if p or not _INT.issuperset(map(type, chain.from_iterable(num))):
-            num, den, p = _read_entries(num, p)
         _set_rows(self, rows)
         _set_cols(self, cols)
         _set_num(self, num)
@@ -330,12 +336,6 @@ class Mat:
 
     # -- constructors -------------------------------------------------
     @staticmethod
-    def from_rows(data: Sequence[Sequence]) -> "Mat":
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        return Mat(rows, cols, data)
-
-    @staticmethod
     def zeros(rows: int, cols: int, p: int = 0) -> "Mat":
         return _zeros(rows, cols, p)
 
@@ -345,9 +345,8 @@ class Mat:
 
     @staticmethod
     def rational(data: Sequence[Sequence]) -> "Mat":
-        """A matrix over Q from ints, rational strings and Fractions, each
-        entry read as `qq` reads it (see `rational_rows`)."""
-        num, den = rational_rows(data, qq)
+        """A matrix over Q of the shape of data, read by `rational_rows`."""
+        num, den = rational_rows(data)
         return _over_q(len(num), len(num[0]) if num else 0, num, den)
 
     # -- entries --------------------------------------------------------

@@ -24,6 +24,7 @@ modules.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
@@ -94,11 +95,10 @@ def framed_module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int],
         raise MixedCharacteristics(
             f"{other[1]}[{other[2]}] lies over {_field_name(other[0])}, "
             f"but {supplied[0][1]}[{supplied[0][2]}] over {_field_name(p)}")
-    for info in q.doubled:
-        B.setdefault(info.key, Mat.zeros(v.get(info.tgt, 0), v.get(info.src, 0), p))
-    for vertex in q.vertices:
-        I.setdefault(vertex, Mat.zeros(v.get(vertex, 0), w.get(vertex, 0), p))
-        J.setdefault(vertex, Mat.zeros(w.get(vertex, 0), v.get(vertex, 0), p))
+    B.update({info.key: Mat.zeros(v.get(info.tgt, 0), v.get(info.src, 0), p)
+              for info in q.doubled if info.key not in B})
+    I.update({x: Mat.zeros(v.get(x, 0), w.get(x, 0), p) for x in q.vertices if x not in I})
+    J.update({x: Mat.zeros(w.get(x, 0), v.get(x, 0), p) for x in q.vertices if x not in J})
     for name, block in (("v", v), ("w", w), ("B", B), ("I", I), ("J", J)):
         for key in block:
             if key not in (q.arrows if name == "B" else q.vertex_set):
@@ -187,8 +187,10 @@ def is_stable(m: FramedModule) -> bool:
     return all(len(rows[x][1]) == m.v.get(x, 0) for x in m.quiver.vertices)
 
 
-def _all_subspace_bases(n: int, p: int) -> list[Mat]:
-    """Column bases of all subspaces of F_p^n, from reduced echelon forms."""
+@lru_cache(maxsize=32)
+def _all_subspace_bases(n: int, p: int) -> tuple[Mat, ...]:
+    """Column bases of all subspaces of F_p^n, from reduced echelon forms;
+    built once per (n, p) and shared, as a Mat is immutable."""
     import itertools
     out = [Mat.zeros(n, 0, p)]
     for k in range(1, n + 1):
@@ -204,7 +206,7 @@ def _all_subspace_bases(n: int, p: int) -> list[Mat]:
                 for (r, c), val in zip(free_positions, values):
                     rows[r][c] = val
                 out.append(Mat(k, n, rows, p).transpose())
-    return out
+    return tuple(out)
 
 
 def brute_stability(m: FramedModule) -> bool:
@@ -578,12 +580,12 @@ def _eigen_counterexample(x: str, g_sub: Mat, defect: Mat) -> EigenInclusionRepo
     for factor, _mult in factor_rational_poly(g_sub.charpoly()):
         c = companion(factor).data
         k = len(c)
-        kernel = Mat.from_rows([[g[r][s] * (i == j) - (r == s) * c[i][j]
-                                 for s in range(n) for j in range(k)]
-                                for r in range(n) for i in range(k)]).nullspace()
+        kernel = Mat.rational([[g[r][s] * (i == j) - (r == s) * c[i][j]
+                                for s in range(n) for j in range(k)]
+                               for r in range(n) for i in range(k)]).nullspace()
         for col in range(0, kernel.cols, k):
-            coords = Mat.from_rows([[kernel[r * k + j, col] for j in range(k)]
-                                    for r in range(n)])
+            coords = Mat.rational([[kernel[r * k + j, col] for j in range(k)]
+                                   for r in range(n)])
             if not (defect * coords).is_zero():
                 lam = str(-factor[1]) if k == 1 else f"root of {poly_str(factor)}"
                 return EigenInclusionReport(False, x, lam, tuple(

@@ -2,8 +2,9 @@
 fields F_p, the helpers for polynomials over Q, and the companion matrix
 of a monic one.
 
-`Fp` is how a matrix over F_p reads its entries in and out: `Mat` itself
-holds residues as ints (see `qfold.linalg`).  `linalg` imports `Fp` from
+`Fp` is how a matrix over F_p reads its entries out: `Mat` itself holds
+residues as ints, and takes ints and Fractions with p given (see
+`qfold.linalg`).  `linalg` imports `Fp` from
 here, so `companion`, the one matrix built here, imports `linalg` when
 called.
 
@@ -181,15 +182,15 @@ def companion(poly: Sequence[Fraction]) -> Mat:
     low) of degree k >= 1: ones on the subdiagonal, and minus the
     coefficients in the last column, constant term topmost.  It is the
     matrix of multiplication by a root a in the basis 1, a, ..., a^(k-1)."""
-    from .linalg import Mat, qq   # deferred: linalg imports Fp from here
+    from .linalg import Mat   # deferred: linalg imports Fp from here
 
     k = len(poly) - 1
     rows = [[0] * k for _ in range(k)]
     for r in range(1, k):
         rows[r][r - 1] = 1
     for r in range(k):
-        rows[r][k - 1] = qq(-poly[k - r])
-    return Mat.from_rows(rows)
+        rows[r][k - 1] = -poly[k - r]
+    return Mat.rational(rows)
 
 
 def factor_rational_poly(coeffs: Sequence[Fraction]) -> list[tuple[list[Fraction], int]]:

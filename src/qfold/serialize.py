@@ -3,12 +3,13 @@
 Matrices are row-major arrays of rational strings like "3/4" (JSON
 integers are read too; JSON floats, booleans and exponents are refused);
 shapes are carried alongside so zero-dimensional matrices survive the
-round trip.  A matrix is read straight into its (num, den) form (see
-`linalg.Mat`): an int entry and an ASCII "n" or "n/d" string go through
-`int` and one gcd (`linalg.rational_rows`), and only any other string
-reaches `linalg.qq`, so the strings accepted and the errors raised stay
-Fraction's.  It is written from (num, den) too, each entry as `str`
-prints it, with no Fraction built either way.
+round trip.  A matrix is read straight into its (num, den) form by
+`linalg.rational_rows`, the reader behind `Mat` and `Mat.rational` too,
+so a module file takes the entries they take: an int entry and an ASCII
+"n" or "n/d" string go through `int` and one gcd, and only any other
+string reaches `Fraction`, whose errors are reported as malformed matrix
+JSON.  It is written from (num, den) too, each entry as `str` prints it,
+with no Fraction built either way.
 Every reader checks the JSON types it is given and raises InputError on a
 malformed document.
 """
@@ -20,7 +21,7 @@ from math import gcd
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import InputError, TooLarge
-from .linalg import Mat, _over_q, qq, rational_rows
+from .linalg import Mat, _over_q, rational_rows
 from .quiver_core import DiagramAutomorphism, Quiver
 
 if TYPE_CHECKING:
@@ -99,16 +100,6 @@ def _ratio(n: int, d: int) -> str:
     return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
-def _entry(value):
-    """A matrix entry that is not an int or an ASCII "n" or "n/d" string
-    (those `rational_rows` reads itself), read as `linalg.qq` reads it.  A
-    JSON float or boolean is refused (the float 0.1 is not 1/10), and so is
-    an exponent: "1e999999999" would build a billion-digit integer."""
-    if value.__class__ is str and "e" not in value and "E" not in value:
-        return qq(value)
-    raise InputError(f"matrix entries must be integers or rational strings, got {value!r}")
-
-
 def mat_from_obj(obj) -> Mat:
     """A matrix over Q from {"rows", "cols", "data"} or from bare data; the
     data must be a JSON array of JSON arrays (a string or an object there
@@ -118,7 +109,7 @@ def mat_from_obj(obj) -> Mat:
         data = obj["data"] if isinstance(obj, dict) else obj
         if data.__class__ is not list or any(row.__class__ is not list for row in data):
             raise InputError("malformed matrix JSON: the data must be an array of arrays")
-        num, den = rational_rows(data, _entry)
+        num, den = rational_rows(data)
         if isinstance(obj, dict):
             rows, cols = dim_entry(obj["rows"], '"rows"'), dim_entry(obj["cols"], '"cols"')
         else:

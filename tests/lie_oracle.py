@@ -17,7 +17,7 @@ from qfold.quiver_core import DiagramAutomorphism, _orbits
 def _unit(size: int, r: int, c: int) -> Mat:
     m = [[0] * size for _ in range(size)]
     m[r][c] = 1
-    return Mat.from_rows(m)
+    return Mat.rational(m)
 
 
 def _sl_generators(n: int) -> tuple[list[Mat], list[Mat], list[Mat]]:

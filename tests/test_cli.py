@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qfold
-from qfold import cli, module_lab, serialize
+from qfold import cli, linalg, module_lab
 from qfold.cli import main
 from qfold.corpus import CORPUS_ENV, corpus_entry
 from qfold.errors import PropertyViolation
@@ -576,9 +576,9 @@ def test_plain_module_file_is_read_without_qq(tmp_path, capsys, monkeypatch):
     path.write_text(json.dumps(doc))
 
     def refuse(x):
-        raise AssertionError(f"qq read {x!r}")
+        raise AssertionError(f"_rational read {x!r}")
 
-    monkeypatch.setattr(serialize, "qq", refuse)
+    monkeypatch.setattr(linalg, "_rational", refuse)
     code, out = run(capsys, "module", "check", str(path), "--json")
     assert code == 0 and json.loads(out)["stable"] is True
     code, out = run(capsys, "module", "theorem5", str(path), "--json")

@@ -377,7 +377,7 @@ def test_serre_check_matches_the_product_commutator_oracle(monkeypatch):
                 bent = [list(group) for group in gens]
                 which = rng.randrange(3)
                 g = bent[which][i]
-                data = [list(row) for row in g.data]
+                data = [list(row) for row in (g.num if g.p else g.data)]   # residues over F_p
                 data[rng.randrange(g.rows)][rng.randrange(g.cols)] += 1
                 bent[which][i] = Mat(g.rows, g.cols, data, g.p)
                 cases.append((c, bent))

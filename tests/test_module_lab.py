@@ -93,6 +93,12 @@ from numberfield_oracle import (
 )
 
 
+def residue(x):
+    """An entry read off a matrix, or computed from such entries, as
+    `Mat(.., p)` takes it back: an `Fp` by its residue."""
+    return x.v if type(x) is Fp else x
+
+
 def orbit_constant_dims(rng, od, lo, hi):
     """One dimension in lo..hi per vertex orbit of od."""
     out = {}
@@ -527,6 +533,8 @@ def global_intertwiner(m, sigma):
                 rows.append(row)
                 rhs.append(m.J[x][r, c])
 
+    rows = [[residue(x) for x in row] for row in rows]
+    rhs = [residue(x) for x in rhs]
     system = Mat(len(rows), total, rows, p)
     sol = system.solve(Mat(len(rhs), 1, [[x] for x in rhs], p))
     if sol is None:
@@ -535,7 +543,8 @@ def global_intertwiner(m, sigma):
     g = {}
     for x in q.vertices:
         n = m.v.get(x, 0)
-        g[x] = Mat(n, n, [[sol[offsets[x] + r * n + c, 0] for c in range(n)] for r in range(n)], p)
+        g[x] = Mat(n, n, [[residue(sol[offsets[x] + r * n + c, 0]) for c in range(n)]
+                          for r in range(n)], p)
         assert n == 0 or g[x].is_invertible()
     witness = TransitionWitness(g)
     assert verify_transition(m, sigma, witness)
@@ -712,7 +721,7 @@ def test_eigen_grade_over_prime_field():
     # the cyclotomic values are taken with the identity of the matrix's own field
     assert eigen_profile(Mat.identity(2, 3), 1) == {"roots": {Fraction(0): 2}, "other": 0}
     assert eigen_profile(Mat.identity(2, 3).scaled(2), 1) == {"roots": {Fraction(0): 0}, "other": 2}
-    assert eigen_profile(Mat.identity(2, 3).scaled(Fp(2, 3)), 2) == \
+    assert eigen_profile(Mat.identity(2, 3).scaled(2), 2) == \
         {"roots": {Fraction(0): 0, Fraction(1, 2): 2}, "other": 0}
 
 
@@ -801,7 +810,7 @@ def corrupted(rng, m: FramedModule, x: str):
         return None
     name, key = rng.choice(blocks)
     mat = getattr(m, name)[key]
-    data = [list(row) for row in mat.data]
+    data = [[residue(x) for x in row] for row in mat.data]
     r, c = rng.randrange(mat.rows), rng.randrange(mat.cols)
     data[r][c] = data[r][c] + 1
     maps = {"B": m.B, "I": m.I, "J": m.J}
@@ -929,7 +938,7 @@ def test_check_framed_embedding_matches_the_product_oracle():
             if sub is not None:
                 variants.append((xi, sub))
             if xi[x].rows and xi[x].cols:
-                data = [list(row) for row in xi[x].data]
+                data = [[residue(e) for e in row] for row in xi[x].data]
                 data[rng.randrange(xi[x].rows)][rng.randrange(xi[x].cols)] += 1
                 variants.append(({**xi, x: Mat(xi[x].rows, xi[x].cols, data, xi[x].p)}, m_sub))
         for xi_case, sub_case in variants:
@@ -1216,9 +1225,9 @@ def sylvester_kernel(g, c):
     """K = kron(g, I_k) - kron(I_n, c): its kernel is the row-major vec(X)
     of the solutions of g X = X c^T."""
     n, k = g.rows, c.rows
-    return Mat.from_rows([[g[r, s] * (i == j) - (r == s) * c[i, j]
-                           for s in range(n) for j in range(k)]
-                          for r in range(n) for i in range(k)])
+    return Mat.rational([[g[r, s] * (i == j) - (r == s) * c[i, j]
+                          for s in range(n) for j in range(k)]
+                         for r in range(n) for i in range(k)])
 
 
 def reported_coordinates(report, k):
@@ -1231,7 +1240,7 @@ def reported_coordinates(report, k):
     for text in report.vector:
         coeffs = sympy.Poly(sympy.sympify(text.replace("^", "**")), a).all_coeffs()[::-1]
         rows.append([Fraction(int(c.p), int(c.q)) for c in coeffs] + [0] * (k - len(coeffs)))
-    return Mat.from_rows(rows)
+    return Mat.rational(rows)
 
 
 def test_eigen_counterexample_solves_the_sylvester_form():
@@ -1366,8 +1375,8 @@ def with_zero_row(rng, g):
     if g.rows == 0:
         return g
     k = rng.randrange(g.rows)
-    return Mat.from_rows([[c * 0 for c in row] if r == k else row
-                          for r, row in enumerate(g.data)])
+    return Mat.rational([[c * 0 for c in row] if r == k else row
+                         for r, row in enumerate(g.data)])
 
 
 def test_verify_transition_matches_the_act_oracle():

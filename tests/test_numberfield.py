@@ -109,8 +109,8 @@ def test_equal_scalars_hash_equal():
 def test_prime_field_reads_a_fraction_as_a_quotient():
     # 1/2 is the inverse of 2, that is 3 mod 5, not the integer part 0
     assert Fp(1, 5) * Fraction(1, 2) == Fp(3, 5) == Fraction(1, 2) * Fp(1, 5)
-    assert Mat.identity(2, 5).poly_eval([Fraction(1, 2)]) == Mat.identity(2, 5).scaled(Fp(3, 5))
-    assert Mat(1, 2, [[Fraction(1, 2), Fraction(-1, 2)]], 5) == Mat.from_rows([[Fp(3, 5), Fp(2, 5)]])
+    assert Mat.identity(2, 5).poly_eval([Fraction(1, 2)]) == Mat.identity(2, 5).scaled(3)
+    assert Mat(1, 2, [[Fraction(1, 2), Fraction(-1, 2)]], 5) == Mat(1, 2, [[3, 2]], 5)
     with pytest.raises(ZeroDivisionError):
         Fp(1, 5) * Fraction(1, 5)
     with pytest.raises(NotInvertible):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfold.errors import InputError
+from qfold.errors import InputError, MalformedEntry
 from qfold.generators import random_graded_pair, random_theta_module
 from qfold.linalg import Mat, qq
 from qfold.quiver_core import a_quiver, flip_automorphism
@@ -195,11 +195,15 @@ def matrix_documents(draw):
 @settings(max_examples=1000, derandomize=True)
 @given(matrix_documents())
 def test_reader_matches_the_fraction_reader(obj):
-    assert _outcome(mat_from_obj, obj) == _outcome(fraction_reader, obj)
+    want = _outcome(fraction_reader, obj)
+    assert _outcome(mat_from_obj, obj) == want
     if isinstance(obj, list):
-        # Mat.rational reads what qq reads, floats and booleans too
-        assert _outcome(Mat.rational, obj) == \
-            _outcome(lambda d: Mat.from_rows([[_fraction_entry(x) for x in row] for row in d]), obj)
+        # Mat.rational reads what the file reader reads, and reports what
+        # Fraction cannot read as a MalformedEntry with Fraction's message
+        got = _outcome(Mat.rational, obj)
+        if got[0] is MalformedEntry:
+            got = InputError, f"malformed matrix JSON: {got[1]}"
+        assert got == want
 
 
 @settings(max_examples=300, derandomize=True)
@@ -207,6 +211,6 @@ def test_reader_matches_the_fraction_reader(obj):
     st.lists(st.one_of(st.integers(), st.fractions()), min_size=cols, max_size=cols),
     max_size=3)))
 def test_writer_prints_entries_as_str_does(rows):
-    m = Mat.from_rows(rows)
+    m = Mat.rational(rows)
     assert mat_to_obj(m)["data"] == [[str(x) for x in row] for row in m.data]
     assert mat_from_obj(mat_to_obj(m)) == m

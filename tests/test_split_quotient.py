@@ -507,7 +507,6 @@ def test_split_framing_lift_independence():
 
 
 def test_root_of_unity_eigendims_examples():
-    from qfold.numberfield import Fp
     from qfold.split_quotient import root_of_unity_eigendims
 
     assert root_of_unity_eigendims(Mat.identity(3), 2) == [3, 0]
@@ -521,7 +520,7 @@ def test_root_of_unity_eigendims_examples():
     # over F_3 the cyclotomic values are taken in the matrix's own field
     assert root_of_unity_eigendims(Mat.identity(2, 3), 1) == [2]
     assert root_of_unity_eigendims(Mat.identity(2, 3).scaled(2), 1) == [0]
-    assert root_of_unity_eigendims(Mat.identity(2, 3).scaled(Fp(2, 3)), 2) == [0, 2]
+    assert root_of_unity_eigendims(Mat.identity(2, 3).scaled(2), 2) == [0, 2]
 
 
 def test_affine_split_classifications():

@@ -20,7 +20,6 @@ import pytest
 
 import qfold.generators  # noqa: F401  (the benchmark's workloads load it before install)
 from qfold.linalg import Mat
-from qfold.numberfield import Fp
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -92,15 +91,42 @@ def test_tracer_counts_a_prime_field_product():
     tracer = tracer_module().Tracer()
     tracer.install()
     try:
-        a = Mat.from_rows([[Fp(1, 3), Fp(2, 3)], [Fp(0, 3), Fp(1, 3)]])
+        a = Mat(2, 2, [[1, 2], [0, 1]], 3)
         product = a * a
     finally:
         tracer.uninstall()
-    assert product == Mat.from_rows([[Fp(1, 3), Fp(1, 3)], [Fp(0, 3), Fp(1, 3)]])
+    assert product == Mat(2, 2, [[1, 1], [0, 1]], 3)
     assert Mat.__dict__["__init__"] is original_init
     assert tracer.mat_new_calls > 0
     assert tracer.stats["linalg.mul"]["calls"] == 1
     assert "fp_self_s" in tracer.stats["linalg.mul"]
+
+
+def test_no_program_path_builds_an_fp(monkeypatch, tmp_path, capsys):
+    """`Fp` is only how a matrix over F_p reads out: verify-all seeds 1-3
+    and the benchmark's warm-up ops (the A5-flip branch, and the A3-flip
+    seed-5 module file through check, transition and theorem5) construct
+    none."""
+    from qfold.cli import main
+    from qfold.numberfield import Fp
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)   # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    argvs = [["verify-all", "--seed", str(seed), "--json"] for seed in (1, 2, 3)]
+    argvs += workloads.warmup_argvs("verify-all", tmp_path)
+    assert [argv[:2] for argv in argvs[3:]] == [["branch", "--corpus"], ["module", "check"],
+                                                ["module", "transition"], ["module", "theorem5"]]
+    built = []
+    init = Fp.__init__
+    monkeypatch.setattr(Fp, "__init__", lambda self, v, p: built.append(p) or init(self, v, p))
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert built == []
+    assert Mat.identity(1, 3)[0, 0] == Fp(1, 3) and built == [3, 3]   # the count is live
 
 
 def test_tracer_counts_one_transition_solve():
