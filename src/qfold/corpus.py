@@ -13,7 +13,7 @@ not read.
 from __future__ import annotations
 
 import os
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -82,8 +82,11 @@ def _builtin_makers() -> dict[str, Callable[[], CorpusEntry]]:
     return makers
 
 
-def _builtin() -> list[CorpusEntry]:
-    return [make() for make in _builtin_makers().values()]
+@lru_cache(maxsize=1)
+def _builtin() -> tuple[CorpusEntry, ...]:
+    """Every built-in entry, built once per process (an entry is not
+    changed once built)."""
+    return tuple(make() for make in _builtin_makers().values())
 
 
 def _from_dir(path: Path) -> list[CorpusEntry]:
@@ -101,7 +104,7 @@ def corpus() -> list[CorpusEntry]:
     override = os.environ.get(CORPUS_ENV)
     if override:
         return _from_dir(Path(override))
-    return _builtin()
+    return list(_builtin())
 
 
 def corpus_entry(name: str) -> CorpusEntry:

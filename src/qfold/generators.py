@@ -18,11 +18,17 @@ identity factors included, since `Mat` forms no product with one; only a
 product that an identity cancels, such as h * g0 * h^-1 where g0 is the
 identity, is left unformed.
 
-An entry in -2..2 is drawn by `rng.choice(_SMALL)`, and one of F_p by
-`rng.choice(range(p))`: one `_randbelow` call each, the call that
-`randint(-2, 2)` and `randrange(p)` make, so the draws are theirs.  The
-drawn rows are ints already in canonical form and go into a `Mat`
-without being read again.
+Every entry and every dimension is drawn by `_choices`, a whole matrix
+(or a run of dimensions) at a time.  It replays `random.Random._randbelow`,
+the one call behind `rng.choice`, `randint(a, b)` and `randrange(p)`, so
+an entry in -2..2, one of F_p, a dimension in 0..k and a block order are
+the draws those calls make, and each drawer leaves `rng` where they leave
+it.  The drawn rows are ints already in canonical form and go into a
+`Mat` without being read again.  The drawn modules are built unchecked,
+as `FramedModule` records with I = 0 and a zero block wherever B names no
+arrow (`_module`), since their shapes and field are right by
+construction; `tests/test_generators.py` checks each kind against
+`framed_module`.
 
 Modules produced here always satisfy the preprojective relation exactly:
 B is supported on one direction of each edge, and I = 0, so every term of
@@ -38,13 +44,7 @@ from typing import Mapping, Optional
 from .errors import InputError, NotInvertible
 from .linalg import Mat, _mat
 from .numberfield import companion, cyclotomic_poly
-from .module_lab import (
-    FramedModule,
-    SigmaData,
-    TransitionWitness,
-    _conjugate,
-    framed_module,
-)
+from .module_lab import FramedModule, SigmaData, TransitionWitness, _conjugate
 from .quiver_core import (
     DiagramAutomorphism,
     OrbitData,
@@ -58,12 +58,35 @@ from .quiver_core import (
 _SMALL = (-2, -1, 0, 1, 2)
 
 
+def _choices(rng: random.Random, seq, count: int) -> list:
+    """count draws from the sequence seq, as `count` calls of
+    `rng.choice(seq)` make them, leaving rng where they leave it.  Each
+    such call is one `rng._randbelow(n)`, n = len(seq): `getrandbits(k)`,
+    k = n.bit_length(), drawn again while it is n or more.  `randint(a, b)`
+    makes the same call as `choice(range(a, b + 1))`, and `randrange(p)`
+    as `choice(range(p))`."""
+    n = len(seq)
+    if not n:   # getrandbits(0) is 0, which would be drawn again forever
+        raise InputError("nothing to draw from")
+    k, bits = n.bit_length(), rng.getrandbits
+    out = []
+    for _ in range(count):
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        out.append(seq[r])
+    return out
+
+
+def _rows(values: list, rows: int, cols: int) -> tuple:
+    """values, rows * cols of them, as row tuples in row-major order."""
+    return tuple(zip(*[iter(values)] * cols)) if cols else ((),) * rows
+
+
 def rand_mat(rng: random.Random, rows: int, cols: int, p: Optional[int] = None) -> Mat:
     """Entries drawn from -2..2, or uniformly from F_p."""
-    values = _SMALL if p is None else range(p)
-    choice = rng.choice
-    return _mat(rows, cols, tuple(tuple([choice(values) for _ in range(cols)])
-                                  for _ in range(rows)), 1, p or 0)
+    values = _choices(rng, _SMALL if p is None else range(p), rows * cols)
+    return _mat(rows, cols, _rows(values, rows, cols), 1, p or 0)
 
 
 def rand_invertible(rng: random.Random, n: int) -> tuple[Mat, Mat]:
@@ -93,7 +116,7 @@ def random_finite_order_matrix(rng: random.Random, n: int, e: int) -> Mat:
     remaining = n
     while remaining > 0:
         options = [d for d in divisors if _cyclotomic_block(d).rows <= remaining]
-        orders.append(rng.choice(options))
+        orders += _choices(rng, options, 1)
         remaining -= _cyclotomic_block(orders[-1]).rows
     t, t_inv = rand_invertible(rng, n)
     if set(orders) <= {1}:
@@ -111,9 +134,21 @@ def _cyclotomic_block(d: int) -> Mat:
 def random_orbit_constant_dims(rng: random.Random, od: OrbitData) -> dict[str, int]:
     """One dimension in 0..2 per vertex orbit of od."""
     out: dict[str, int] = {}
-    for orbit in od.vertex_orbits:
-        out.update(dict.fromkeys(orbit, rng.randint(0, 2)))
+    for orbit, d in zip(od.vertex_orbits, _choices(rng, range(3), len(od.vertex_orbits))):
+        out.update(dict.fromkeys(orbit, d))
     return out
+
+
+def _module(q: Quiver, v: Mapping[str, int], w: Mapping[str, int], B: dict, J: dict,
+            p: int = 0, signed: bool = True) -> FramedModule:
+    """The module with arrows B, a zero block filled in wherever B names no
+    arrow, framing J (one map per vertex) and I = 0, built unchecked: each
+    drawer gives B and J their shapes over the field p itself."""
+    for info in q.doubled:
+        if info.key not in B:
+            B[info.key] = Mat.zeros(v.get(info.tgt, 0), v.get(info.src, 0), p)
+    I = {x: Mat.zeros(v.get(x, 0), w.get(x, 0), p) for x in q.vertices}
+    return FramedModule(q, dict(v), dict(w), B, I, J, signed)
 
 
 def random_one_way_module(rng: random.Random, q: Quiver, v: Mapping[str, int],
@@ -126,7 +161,7 @@ def random_one_way_module(rng: random.Random, q: Quiver, v: Mapping[str, int],
         h = q.arrows[e.id if rng.random() < 0.5 else reverse_key(e.id)]
         B[h.key] = rand_mat(rng, v.get(h.tgt, 0), v.get(h.src, 0), p=p)
     J = {x: rand_mat(rng, w.get(x, 0), v.get(x, 0), p=p) for x in q.vertices}
-    return framed_module(q, v, w, B=B, J=J, signed=signed)
+    return _module(q, v, w, B, J, p or 0, signed)
 
 
 def random_sigma(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
@@ -169,13 +204,14 @@ def random_theta_module(rng: random.Random, q: Quiver, a: DiagramAutomorphism
 # graded stable pairs with computable transitions
 # ---------------------------------------------------------------------------
 
-def _signs(plus: int, minus: int) -> list[int]:
-    return [1] * plus + [-1] * minus
+def _signs(plus: int, minus: int) -> tuple[int, ...]:
+    return (1,) * plus + (-1,) * minus
 
 
-def _sign_diag(signs: list[int]) -> Mat:
-    """The diagonal matrix of the signs: its own inverse, and the shared
-    identity when no sign is -1."""
+@lru_cache(maxsize=256)
+def _sign_diag(signs: tuple[int, ...]) -> Mat:
+    """The diagonal matrix of the signs, built once per sign tuple: its own
+    inverse, and the shared identity when no sign is -1."""
     n = len(signs)
     if -1 not in signs:
         return Mat.identity(n)
@@ -209,35 +245,34 @@ def random_graded_pair(rng: random.Random, q: Quiver, a: DiagramAutomorphism,
 def _try_graded_pair(rng, q, a, max_sub, max_extra):
     od, transport = orbit_data(q, a), arrow_transport(q, a)
     fixed = {x for x in q.vertices if a.vertex_perm[x] == x}
+    subs, extras, bit = range(max_sub + 1), range(max_extra + 1), range(2)
 
     # per-vertex layout: coordinates [sub+, sub-, ext+, ext-] at fixed
     # vertices, [sub, ext] elsewhere (orbit-constant sizes)
     sub_dim: dict[str, int] = {}
     ext_dim: dict[str, int] = {}
-    v_signs: dict[str, list[int]] = {}
-    sub_signs: dict[str, list[int]] = {}
-    w_signs: dict[str, list[int]] = {}
+    v_signs: dict[str, tuple[int, ...]] = {}
+    sub_signs: dict[str, tuple[int, ...]] = {}
+    w_signs: dict[str, tuple[int, ...]] = {}
     for orbit in od.vertex_orbits:
         rep = orbit[0]
         if rep in fixed:
-            sp, sm = rng.randint(0, max_sub), rng.randint(0, max_sub)
-            ep, em = rng.randint(0, max_extra), rng.randint(0, max_extra)
+            sp, sm = _choices(rng, subs, 2)
+            ep, em = _choices(rng, extras, 2)
+            wp, wm = _choices(rng, bit, 2)
             sub_dim[rep] = sp + sm
             ext_dim[rep] = ep + em
             sub_signs[rep] = _signs(sp, sm)
             v_signs[rep] = _signs(sp, sm) + _signs(ep, em)
-            wp = sp + ep + rng.randint(0, 1)
-            wm = sm + em + rng.randint(0, 1)
-            w_signs[rep] = _signs(wp, wm)
+            w_signs[rep] = _signs(sp + ep + wp, sm + em + wm)
         else:
-            s, ex = rng.randint(0, max_sub), rng.randint(0, max_extra)
-            wdim = s + ex + rng.randint(0, 1)
+            s, ex, extra = (_choices(rng, r, 1)[0] for r in (subs, extras, bit))
             for x in orbit:
                 sub_dim[x] = s
                 ext_dim[x] = ex
-                sub_signs[x] = [1] * s
-                v_signs[x] = [1] * (s + ex)
-                w_signs[x] = [1] * wdim
+                sub_signs[x] = (1,) * s
+                v_signs[x] = (1,) * (s + ex)
+                w_signs[x] = (1,) * (s + ex + extra)
 
     v = {x: sub_dim[x] + ext_dim[x] for x in q.vertices}
     vsub = {x: sub_dim[x] for x in q.vertices}
@@ -249,8 +284,10 @@ def _try_graded_pair(rng, q, a, max_sub, max_extra):
     g0_sub = {x: _sign_diag(sub_signs[x]) for x in q.vertices}
 
     # arrow matrices: triangular w.r.t. the sub coordinates; grading
-    # equivariant on automorphism-fixed arrows; transported otherwise
+    # equivariant on automorphism-fixed arrows; transported otherwise, once
+    # the try is accepted
     B: dict[str, Mat] = {}
+    transported = []
     for eorb in od.edge_orbits:
         h = q.arrows[eorb[0] if rng.random() < 0.5 else reverse_key(eorb[0])]
         x = _random_triangular(rng, v[h.tgt], v[h.src], sub_dim[h.tgt], sub_dim[h.src])
@@ -258,8 +295,7 @@ def _try_graded_pair(rng, q, a, max_sub, max_extra):
         if img == h:
             x = _mask_equivariant(x, v_signs[h.tgt], v_signs[h.src])
         elif len(eorb) == 2:
-            mapped = g0[img.tgt] * x * g0[img.src]
-            B[img.key] = mapped if transport.sign[h.key] == 1 else -mapped
+            transported.append((img, x, transport.sign[h.key]))
         else:
             # an edge orbit longer than the vertex involution's
             return None
@@ -269,36 +305,43 @@ def _try_graded_pair(rng, q, a, max_sub, max_extra):
     # transported along swapped orbits; injective on both sub and total
     J: dict[str, Mat] = {}
     sigma_maps: dict[str, Mat] = {}
+    swapped = []
     for orbit in od.vertex_orbits:
         rep = orbit[0]
         if rep in fixed:
-            j = _random_sign_compatible(rng, w_signs[rep], v_signs[rep])
-            J[rep] = j
+            J[rep] = _random_sign_compatible(rng, w_signs[rep], v_signs[rep])
             sigma_maps[rep] = _sign_diag(w_signs[rep])
         else:
-            j = rand_mat(rng, w[rep], v[rep])
-            J[rep] = j
+            j = J[rep] = rand_mat(rng, w[rep], v[rep])
             other = a.vertex_perm[rep]
             y, y_inv = rand_invertible(rng, w[rep])
             sigma_maps[rep] = y
             sigma_maps[other] = y_inv
-            J[other] = y * j
-    for x in q.vertices:
-        if J[x].rank() != v[x]:
+            swapped.append((other, y, j))
+    # the swapped orbit's other J is y * j, whose ranks (and those of its
+    # first columns) are j's, y being invertible: so J is tested at the
+    # orbits' first vertices alone
+    for x, j in J.items():
+        if j.rank() != v[x]:
             return None
-        if vsub[x] and J[x].submatrix(range(w[x]), range(vsub[x])).rank() != vsub[x]:
+        if vsub[x] and j.submatrix(range(w[x]), range(vsub[x])).rank() != vsub[x]:
             return None
+    for other, y, j in swapped:
+        J[other] = y * j
+    for img, x, sign in transported:
+        mapped = g0[img.tgt] * x * g0[img.src]
+        B[img.key] = mapped if sign == 1 else -mapped
 
-    m = framed_module(q, v, w, B=B, J=J)
+    m = _module(q, v, w, B, J)
     sigma = SigmaData(q, a, sigma_maps)
     # J is injective at every vertex, for the pair and for its submodule, so
     # ker J = 0 and both are stable, since the relation holds (I = 0, and B
     # lies on one direction of each edge)
-    m_sub = framed_module(
+    m_sub = _module(
         q, vsub, w,
-        B={info.key: m.B[info.key].submatrix(range(vsub[info.tgt]), range(vsub[info.src]))
-           for info in q.doubled},
-        J={x: J[x].submatrix(range(w[x]), range(vsub[x])) for x in q.vertices})
+        {info.key: m.B[info.key].submatrix(range(vsub[info.tgt]), range(vsub[info.src]))
+         for info in q.doubled},
+        {x: J[x].submatrix(range(w[x]), range(vsub[x])) for x in q.vertices})
 
     # conjugate both sides by orbit-constant gauges, which commute with theta
     h, h_inv = _orbit_constant_gauge(rng, od, v)
@@ -322,24 +365,25 @@ def _try_graded_pair(rng, q, a, max_sub, max_extra):
 def _random_triangular(rng, rows, cols, sub_rows, sub_cols) -> Mat:
     """Entries in -2..2, all drawn, with the block below the sub rows and
     left of the sub columns set to 0."""
-    choice, zeros = rng.choice, (0,) * sub_cols
-    out = []
-    for r in range(rows):
-        row = tuple([choice(_SMALL) for _ in range(cols)])
-        out.append(row if r < sub_rows else zeros + row[sub_cols:])
-    return _mat(rows, cols, tuple(out), 1, 0)
+    zeros = (0,) * sub_cols
+    num = _rows(_choices(rng, _SMALL, rows * cols), rows, cols)
+    if sub_rows < rows and sub_cols:
+        num = num[:sub_rows] + tuple(zeros + row[sub_cols:] for row in num[sub_rows:])
+    return _mat(rows, cols, num, 1, 0)
 
 
-def _mask_equivariant(m: Mat, row_signs: list[int], col_signs: list[int]) -> Mat:
+def _mask_equivariant(m: Mat, row_signs: tuple[int, ...], col_signs: tuple[int, ...]) -> Mat:
     """The integral m with the entries between opposite signs set to 0."""
     num = tuple(tuple([x if rs == cs else 0 for x, cs in zip(row, col_signs)])
                 for row, rs in zip(m.num, row_signs))
     return _mat(m.rows, m.cols, num, 1, 0)
 
 
-def _random_sign_compatible(rng, row_signs: list[int], col_signs: list[int]) -> Mat:
-    choice = rng.choice
-    num = tuple(tuple([choice(_SMALL) if rs == cs else 0 for cs in col_signs])
+def _random_sign_compatible(rng, row_signs: tuple[int, ...], col_signs: tuple[int, ...]) -> Mat:
+    """Entries in -2..2 between equal signs, drawn in row-major order, and
+    0 between opposite ones."""
+    drawn = iter(_choices(rng, _SMALL, sum(map(col_signs.count, row_signs))))
+    num = tuple(tuple([next(drawn) if rs == cs else 0 for cs in col_signs])
                 for rs in row_signs)
     return _mat(len(row_signs), len(col_signs), num, 1, 0)
 

@@ -22,7 +22,8 @@ straight into (num, den), behind `Mat(rows, cols, data)`, `Mat.rational`
 and the module-file reader, and an integral Fraction reads back as an
 int.  `Mat(rows, cols, data, p)` is the one way into F_p: `_residue`
 reads an int n as n mod p and any other entry n/d as n * d^-1 mod p
-(NotInvertible when p divides d).  A scalar is an int or a Fraction.
+(NotInvertible when p divides d).  A scalar is read by the same policy
+(`_rational`, `_residue`), an int as it is.
 
 Each kernel is written once over (num, den), on ints for both fields, and
 builds no Fraction and no `Fp` but the scalars it returns.  Two steps
@@ -30,20 +31,17 @@ depend on the field.  One is bringing a result to canonical form
 (`_canonical`): over Q, one gcd of den with every entry, skipped when den
 is 1; over F_p, every entry mod p.  The other is elimination (`_reduce`,
 below).  A sum, difference or stack works on the nums over their common
-denominator.  There is one product loop,
-`sum_of_products`: a signed sum s1 * A1 * B1 + s2 * A2 * B2 + ... is
-formed row by row from the nonzero `(col, value)` lists of each right
-factor (Gustavson, ACM TOMS 4, 1978), with every term added into one
-accumulator per row, over one common denominator, and brought to
-canonical form once.  A product `A * B` is its one-term case, save that a
-factor equal to the identity of its size and field is no product: once
-the shapes and fields agree, `A * B` is B when A equals that identity,
-and else A when B does, shared or not.  So a caller writes a plain
-product and leaves no identity factor out itself.  A term with
-an empty dimension, an all-zero factor or s = 0 adds nothing and builds no
-list; when no term is left, the sum is its zero matrix.  Zero matrices and
-identities are shared from caches bounded in size and keyed by shape and
-field.  Operands over different fields are refused.
+denominator.  There is one product loop, `_product`: rows of ints against
+the nonzero `(col, value)` lists of a right factor's rows (Gustavson,
+ACM TOMS 4, 1978), one accumulator per row, in canonical form once.
+`A * B` feeds it num(A) and num(B)'s lists, and `sum_of_products` the
+sum s1 * A1 * B1 + ... as one product [A1 A2 ...] * [s1 B1; s2 B2; ...]
+over a common denominator.  A factor equal to the identity of its size
+and field is no product: `A * B` is then B, or else A, shared or not, so
+no caller leaves an identity out itself.  A term or product with an
+empty dimension, an all-zero factor or s = 0 is zero and builds no list.
+Zero matrices and identities are shared from caches bounded in size and
+keyed by shape and field; operands over two fields are refused.
 Elimination, behind `rref` (and so `nullspace`, `solve` and `inverse`
 beyond 3 x 3, which solves A X = I) and `rank`, is one fraction-free
 Gauss-Jordan for both
@@ -239,12 +237,6 @@ def _identity(n: int, p: int) -> "Mat":
     return _mat(n, n, tuple(((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)), 1, p)
 
 
-def _is_identity(m: "Mat") -> bool:
-    """m equals the identity of its size and field, whether or not it is
-    the shared one."""
-    return m.rows == m.cols and m.den == 1 and m.num == _identity(m.rows, m.p).num
-
-
 def _nonzeros(num: tuple, s: int) -> list:
     """Per row of num, the (col, value) list of its nonzero entries, each
     value times s."""
@@ -273,9 +265,8 @@ def sum_of_products(terms: Sequence[tuple]) -> "Mat":
     """s1 * A1 * B1 + s2 * A2 * B2 + ... for the terms (s, A, B), all over
     one field; each s is a scalar.
 
-    The sum is the one product [A1 A2 ...] * [s1 B1; s2 B2; ...], formed
-    row by row: the rows of the A's side by side, against the nonzero lists
-    of the scaled B's one after another.  Term k lies over
+    The sum is the one product [A1 A2 ...] * [s1 B1; s2 B2; ...], the rows
+    of the A's side by side against the scaled B's.  Term k lies over
     d_k = den(A) * den(B) * den(s) and the sum over their lcm D (1 over
     F_p, where s is an int or its residue), so term k scales num(B) by
     num(s) * (D // d_k)."""
@@ -288,8 +279,8 @@ def sum_of_products(terms: Sequence[tuple]) -> "Mat":
                                 f"{rows}x{width} sum")
         if a.p != p or b.p != p:
             raise MixedCharacteristics("mixed characteristics")
-        if p and s.__class__ is not int:   # an int is reduced with the sum
-            s = _residue(s, p)
+        if s.__class__ is not int:   # an int is reduced with the sum
+            s = _residue(s, p) if p else _rational(s)
         # an empty dimension leaves a factor with no nonzero entry
         if s and any(map(any, a.num)) and any(map(any, b.num)):
             d = a.den * b.den * s.denominator
@@ -303,6 +294,12 @@ def sum_of_products(terms: Sequence[tuple]) -> "Mat":
         right += _nonzeros(num, s if d == den else s * (den // d))
     left = live[0][2] if len(live) == 1 else \
         map(chain.from_iterable, zip(*[t[2] for t in live]))
+    return _product(left, right, den, p, rows, width)
+
+
+def _product(left, right: list, den: int, p: int, rows: int, width: int) -> "Mat":
+    """(left times right) / den, rows x width, in canonical form: left the
+    rows of ints of one factor, right the nonzero lists of the other's."""
     out = []
     for row in left:
         acc = [0] * width
@@ -420,13 +417,17 @@ class Mat:
     def __mul__(self, other):
         if not isinstance(other, Mat):
             return self.scaled(other)
-        if self.cols == other.rows and self.p == other.p:
-            # a factor equal to the identity is no product; the left one first
-            if _is_identity(self):
-                return other
-            if _is_identity(other):
-                return self
-        return sum_of_products(((1, self, other),))
+        p, a, b = self.p, self.num, other.num
+        if self.cols != other.rows or other.p != p:
+            return sum_of_products(((1, self, other),))   # raises the mismatch
+        # a factor equal to the identity is no product; the left one first
+        if self.den == 1 and self.rows == self.cols and a == _identity(self.rows, p).num:
+            return other
+        if other.den == 1 and other.rows == other.cols and b == _identity(other.rows, p).num:
+            return self
+        if not (any(map(any, a)) and any(map(any, b))):   # an empty dimension too
+            return _zeros(self.rows, other.cols, p)
+        return _product(a, _nonzeros(b, 1), self.den * other.den, p, self.rows, other.cols)
 
     def __rmul__(self, scalar):
         return self.scaled(scalar)
@@ -434,8 +435,7 @@ class Mat:
     def scaled(self, s) -> "Mat":
         """self times the scalar s."""
         p = self.p
-        if p:
-            s = _residue(s, p)
+        s = _residue(s, p) if p else s if s.__class__ is int else _rational(s)
         return _canonical(self.rows, self.cols, _scale(self.num, s.numerator),
                           self.den * s.denominator, p)
 
@@ -650,7 +650,7 @@ class Mat:
     def _plus_scalar(self, c) -> "Mat":
         """self + c * identity, for a square matrix and a scalar c."""
         p, den = self.p, self.den
-        c = _residue(c, p) if p else qq(c)
+        c = _residue(c, p) if p else c if c.__class__ is int else _rational(c)
         new = lcm(den, c.denominator)
         rows = [list(row) for row in _scale(self.num, new // den)]
         c = c.numerator * (new // c.denominator)

@@ -83,3 +83,19 @@ def test_a_named_builtin_entry_is_built_alone(monkeypatch):
 
     monkeypatch.setattr(corpus_module, "corpus", every_entry)
     assert corpus_entry("D5-swap").name == "D5-swap"
+
+
+def test_the_builtin_corpus_is_built_once_per_process(tmp_path, monkeypatch):
+    """Each call returns a fresh list of the same entries, built once; the
+    corpus directory is still read on every call, cache or not."""
+    monkeypatch.delenv(CORPUS_ENV, raising=False)
+    first = corpus()
+    first.pop()
+    second = corpus()
+    assert len(second) == 18 and second is not corpus()
+    assert all(a is b for a, b in zip(first, second))
+    (tmp_path / "custom.json").write_text(json.dumps(entry_to_dict(second[1])))
+    monkeypatch.setenv(CORPUS_ENV, str(tmp_path))
+    assert [e.name for e in corpus()] == ["custom"]
+    monkeypatch.delenv(CORPUS_ENV)
+    assert corpus() == second

@@ -8,7 +8,9 @@ import random
 import pytest
 
 from qfold.corpus import corpus, corpus_entry
+from qfold.errors import InputError
 from qfold.generators import (
+    _choices,
     _random_sign_compatible,
     _random_triangular,
     _sign_diag,
@@ -16,11 +18,13 @@ from qfold.generators import (
     rand_mat,
     random_graded_pair,
     random_one_way_module,
+    random_orbit_constant_dims,
     random_sigma,
     random_theta_module,
 )
 from qfold.linalg import Mat
-from qfold.module_lab import check_framed_embedding, check_relations, verify_transition
+from qfold.module_lab import (check_framed_embedding, check_relations, framed_module,
+                              verify_transition)
 from qfold.quiver_core import orbit_data
 from qfold.split_quotient import identity_sigma
 
@@ -133,9 +137,16 @@ def _randint_sign_compatible(rng, row_signs, col_signs):
     return Mat(len(row_signs), len(col_signs), data)
 
 
+# the option lists `random_finite_order_matrix` draws a block order from
+BLOCK_ORDER_OPTIONS = ([1], [1, 2], [1, 2, 3, 6], [1, 2, 4], [1, 3, 5, 15], list(range(1, 10)))
+
+
 def test_drawers_match_the_randint_loops():
     """Each drawer gives the matrix of the loop it replaced, entry by entry,
-    and leaves the random stream where that loop left it."""
+    and so do the dimension and block-order draws, each against the
+    `randint` or `choice` call it replays; each leaves the random stream
+    where that loop left it.  An empty range is refused, not drawn from
+    forever."""
     shapes = ((0, 0), (0, 2), (2, 0), (1, 1), (3, 3), (2, 5), (4, 1))
     for seed in range(200):
         signs = random.Random(-seed)
@@ -152,6 +163,30 @@ def test_drawers_match_the_randint_loops():
                 assert (got.rows, got.cols, got.p) == (want.rows, want.cols, want.p)
                 assert got.data == want.data and got == want, (new.__name__, seed, args)
                 assert rng.getstate() == oracle.getstate(), (new.__name__, seed, args)
+        # `_choices`, which also draws the dimensions and the block orders,
+        # against `randint(0, k)` and `choice(options)`, a run at a time
+        for count in (0, 1, 2, 7):
+            for k in range(5):
+                rng, oracle = random.Random(seed), random.Random(seed)
+                assert _choices(rng, range(k + 1), count) == \
+                    [oracle.randint(0, k) for _ in range(count)], (seed, k, count)
+                assert rng.getstate() == oracle.getstate(), (seed, k, count)
+            for options in BLOCK_ORDER_OPTIONS:
+                rng, oracle = random.Random(seed), random.Random(seed)
+                assert _choices(rng, options, count) == \
+                    [oracle.choice(options) for _ in range(count)], (seed, options, count)
+                assert rng.getstate() == oracle.getstate(), (seed, options, count)
+    for entry in corpus():
+        od = orbit_data(entry.quiver, entry.auto)
+        for seed in range(20):
+            rng, oracle = random.Random(seed), random.Random(seed)
+            want = {}
+            for orbit in od.vertex_orbits:
+                want.update(dict.fromkeys(orbit, oracle.randint(0, 2)))
+            assert random_orbit_constant_dims(rng, od) == want, (entry.name, seed)
+            assert rng.getstate() == oracle.getstate(), (entry.name, seed)
+    with pytest.raises(InputError, match="^nothing to draw from$"):
+        _choices(random.Random(0), [], 1)
 
 
 @pytest.mark.parametrize("sizes", [{}, MODULE_LAB_SIZES], ids=["default", "module-lab"])
@@ -172,7 +207,10 @@ def test_every_draw_is_valid_as_built():
     """The generators check neither the twists nor the modules they draw,
     as both are valid by construction: every twist passes the entry check
     `SigmaData.validate`, and every module and submodule satisfies the
-    preprojective relation."""
+    preprojective relation and is the module `framed_module` builds from
+    its maps with every check (one-way modules over Q and F_3,
+    theta-modules, and both modules of a graded pair at the default and
+    the module-lab sizes)."""
     sigmas, modules = [], []
     for seed in range(1, 6):
         for entry in corpus():
@@ -187,7 +225,8 @@ def test_every_draw_is_valid_as_built():
                 w.update(dict.fromkeys(orbit, rng.randint(0, 3)))
             sigmas.append(random_sigma(rng, q, a, w))
             v = {x: rng.randint(0, 2) for x in q.vertices}
-            modules.append(random_one_way_module(rng, q, v, w, p=3))
+            modules += [random_one_way_module(rng, q, v, w, p=3),
+                        random_one_way_module(rng, q, v, w, signed=False)]
         for names, sizes in ((PAIR_DEFAULT_ENTRIES, {}),
                              (PAIR_MODULE_LAB_ENTRIES, MODULE_LAB_SIZES)):
             for name in names:
@@ -199,6 +238,9 @@ def test_every_draw_is_valid_as_built():
     for sigma in sigmas:
         sigma.validate()
     assert [m for m in modules if not check_relations(m).ok] == []
+    assert {m.B[k].p for m in modules for k in m.B} == {0, 3}
+    assert [m for m in modules if m != framed_module(m.quiver, m.v, m.w, B=m.B, I=m.I, J=m.J,
+                                                     signed=m.signed)] == []
 
 
 def test_rand_invertible_returns_the_inverse():
@@ -243,6 +285,6 @@ def test_no_empty_matrix_is_inverted():
 
 
 def test_sign_diagonals_are_involutions():
-    for signs in ([], [1], [-1], [1, -1], [1, 1, -1, -1, -1]):
+    for signs in ((), (1,), (-1,), (1, -1), (1, 1, -1, -1, -1)):
         d = _sign_diag(signs)
         assert d * d == Mat.identity(len(signs))

@@ -450,6 +450,41 @@ def test_constructors_read_entries_as_the_fraction_oracle_does(case):
         assert all(canonical(x) for row in m.data for x in row), (data, m)
 
 
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from([0, 2, 3, 5, 7]), FUZZ_ENTRIES)
+@example(0, 0.5)
+@example(0, 0.1)
+@example(0, "1/2")
+@example(0, True)
+@example(0, Fp(1, 3))
+def test_scalars_are_read_as_the_fraction_oracle_does(p, s):
+    """A scalar over Q or F_p, to `scaled`, `*`, a term of
+    `sum_of_products` or a coefficient of `poly_eval` (and so
+    `_plus_scalar`), drawn as the entries above are: each call gives the
+    matrix its Fraction value names, or raises a QfoldError where the
+    oracle names none (or, over F_p, p divides its denominator)."""
+    m = Mat(2, 2, [[1, 2], [0, -3]], p)
+    calls = {"scaled": lambda: m.scaled(s), "m * s": lambda: m * s,
+             "sum_of_products": lambda: sum_of_products(((s, m, Mat.identity(2, p)),)),
+             "poly_eval [s]": lambda: m.poly_eval([s]),
+             "poly_eval [1, s]": lambda: m.poly_eval([1, s])}
+    value = oracle_entry(s)
+    if value is None or p and value.denominator % p == 0:
+        for what, call in calls.items():
+            with pytest.raises(QfoldError):
+                call()
+        return
+    scaled = Mat(2, 2, [[value, 2 * value], [0, -3 * value]], p)
+    plus = Mat(2, 2, [[1 + value, 2], [0, value - 3]], p)
+    want = {"scaled": scaled, "m * s": scaled, "sum_of_products": scaled,
+            "poly_eval [s]": Mat(2, 2, [[value, 0], [0, value]], p), "poly_eval [1, s]": plus}
+    for what, call in calls.items():
+        got = call()
+        assert got == want[what] and got.p == p, (what, s, got)
+        if not p:
+            assert_stored_canonically(got)
+
+
 # -- dense oracles ----------------------------------------------------------
 # `qfold.linalg` walks nonzero entries only.  These are the dense kernels it
 # replaced, which form every scalar product and update every entry; the test
@@ -1116,23 +1151,78 @@ def test_a_factor_equal_to_the_identity_is_no_product(p):
 
 
 def test_verify_all_forms_no_product_with_an_identity_factor(monkeypatch):
-    """No one-term product that verify-all forms has a factor equal to an
-    identity: `Mat.__mul__` returns the other factor, and no caller passes
-    one to `sum_of_products` itself."""
+    """No product that verify-all forms has a factor equal to an identity:
+    `Mat.__mul__` returns the other factor before it reaches the product
+    loop `linalg._product`, and no caller passes one to `sum_of_products`
+    as a one-term sum.  The loop is wrapped, and each of its calls from
+    `__mul__` or from a one-term `sum_of_products` has its factors read off
+    the caller's frame."""
     import qfold.properties  # noqa: F401  (loads every module verify-all runs)
     from qfold.cli import main
 
-    identity_factors = []
+    identity_factors, calls = [], []
+    product = linalg._product
 
-    def recording(terms):
-        if len(terms) == 1:
-            _, a, b = terms[0]
-            identity_factors.extend(m for m in (a, b) if m.rows == m.cols
-                                    and m == Mat.identity(m.rows, m.p))
-        return sum_of_products(terms)
+    def recording(*args):
+        caller = sys._getframe(1)
+        if caller.f_code is Mat.__mul__.__code__:
+            factors = caller.f_locals["self"], caller.f_locals["other"]
+        elif caller.f_code is sum_of_products.__code__ and len(caller.f_locals["terms"]) == 1:
+            factors = caller.f_locals["terms"][0][1:]
+        else:
+            factors = ()
+        calls.append(len(factors))
+        identity_factors.extend(m for m in factors if m.rows == m.cols
+                                and m == Mat.identity(m.rows, m.p))
+        return product(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("qfold.") and getattr(module, "sum_of_products", None) is sum_of_products:
-            monkeypatch.setattr(module, "sum_of_products", recording)
+    monkeypatch.setattr(linalg, "_product", recording)
     assert main(["verify-all", "--seed", "1"]) == 0
+    assert calls.count(2) > 1000, len(calls)
     assert not identity_factors, len(identity_factors)
+
+
+@pytest.mark.parametrize("p, one", ONES[1:], ids=ONE_IDS[1:])
+def test_a_product_is_the_one_term_sum(p, one):
+    """`A * B` and `sum_of_products(((1, A, B),))` give the same num, den
+    and p on the dense-oracle cases above: full factors with an empty
+    dimension, all-zero factors, and sparse ones (over Q with a
+    denominator of their own); with an identity factor `A * B` is the other factor itself,
+    and on a shape or field mismatch both raise one exception with one
+    message."""
+    rng = random.Random(46)
+    zero = one - one
+
+    def full(rows, cols, entry):
+        return Mat(rows, cols, [[entry] * cols for _ in range(rows)], p)
+
+    def sparse(rows, cols, d):
+        return Mat(rows, cols, [[Fraction(rng.randint(-4, 4), 1 if p else d)
+                                 if rng.random() < 0.4 else zero for _ in range(cols)]
+                                for _ in range(rows)], p)
+
+    pairs = [(full(n, k, -one), full(k, m, -one))
+             for n, k, m in ((0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 2), (2, 0, 0), (0, 0, 0))]
+    for n, k, m in ((1, 1, 1), (2, 3, 2), (3, 2, 4)):
+        pairs += [(full(n, k, zero), full(k, m, -one)), (full(n, k, -one), full(k, m, zero))]
+    for _ in range(60):
+        n, k, m = (rng.randint(0, 4) for _ in range(3))
+        pairs.append((sparse(n, k, rng.choice([1, 3])), sparse(k, m, rng.choice([1, 2]))))
+    for a, b in pairs:
+        got, want = a * b, sum_of_products(((1, a, b),))
+        assert (got.rows, got.cols, got.num, got.den, got.p) == \
+            (want.rows, want.cols, want.num, want.den, want.p), (a, b)
+        assert got == dense_mul(a, b), (a, b)
+    a = sparse(2, 3, 3)
+    for ident in (Mat.identity(2, p), Mat(2, 2, [[1, 0], [0, 1]], p)):
+        assert ident * a is a and sum_of_products(((1, ident, a),)) == a
+    other = 3 if p == 5 else 5
+    for x, y in ((a, Mat.identity(2, p)), (Mat.identity(3, p), a), (a, a),
+                 (a, Mat.identity(3, other)), (Mat.identity(2, other), a),
+                 (a, Mat.zeros(2, 2, other))):
+        with pytest.raises(QfoldError) as product:
+            x * y
+        with pytest.raises(QfoldError) as one_term_sum:
+            sum_of_products(((1, x, y),))
+        assert type(product.value) is type(one_term_sum.value), (x, y)
+        assert str(product.value) == str(one_term_sum.value), (x, y)
