@@ -25,10 +25,10 @@ class PropertyViolation(QfoldError):
     """A checked mathematical property failed; signals a bug or bad data."""
 
 
-# linalg and numberfield
+# linalg and module_lab
 class MixedCharacteristics(InputError, ValueError):
-    """Matrices or field elements over two different fields met in one
-    operation; a ValueError too, as it was before it had a class."""
+    """Matrices over two different fields met in one operation or one
+    module; a ValueError too, as it was before it had a class."""
 
 
 class MalformedEntry(InputError, ValueError):

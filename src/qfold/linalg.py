@@ -13,11 +13,11 @@ one field have equal (num, den), and `__eq__` and `__hash__` compare
 (num, den, p).  The entries are read through `data` and `m[i, j]`, built
 when read: over Q an entry is an `int` when it is integral and a
 `Fraction` only where it is not (`qq`), and at `den == 1` `data` is `num`
-itself; over F_p an entry reads as `qfold.numberfield.Fp`, as do `trace`
-and the coefficients of `charpoly`.  Entries are read in by one policy,
-`_rational`'s: ints, Fractions and rational strings, as `Fraction` reads
-them save an exponent; a float, a boolean, None, an `Fp` or any other
-value is refused with InputError.  Over Q, `rational_rows` reads them
+itself; over F_p an entry reads as `qfold.numberfield.Fp`, as does
+`trace`, and `charpoly` is taken over Q only.  Entries are read in by one
+policy, `_rational`'s: ints, Fractions and rational strings, as `Fraction`
+reads them save an exponent; a float, a boolean, None, an `Fp` or any
+other value is refused with InputError.  Over Q, `rational_rows` reads them
 straight into (num, den), behind `Mat(rows, cols, data)`, `Mat.rational`
 and the module-file reader, and an integral Fraction reads back as an
 int.  `Mat(rows, cols, data, p)` is the one way into F_p: `_residue`
@@ -616,26 +616,21 @@ class Mat:
         return self._entry(sum(row[i] for i, row in enumerate(self.num)))
 
     def charpoly(self) -> list:
-        """Monic characteristic polynomial det(xI - A), coefficients high to low.
-
-        Faddeev-LeVerrier, which divides by 1, ..., n: valid over Q, and
-        over F_p for fewer than p rows; from p rows on, NotInvertible.
-        """
+        """Monic characteristic polynomial det(xI - A) over Q, coefficients
+        high to low, by Faddeev-LeVerrier; a matrix over F_p is refused."""
         if self.rows != self.cols:
             raise ShapeMismatch("charpoly of non-square matrix")
-        n, p = self.rows, self.p
-        if p and n >= p:
-            raise NotInvertible(f"charpoly of a {n}x{n} matrix over F_{p} divides by {p}, "
-                                f"which is not invertible there")
+        if self.p:
+            raise InputError(f"charpoly is taken over Q only, not over F_{self.p}")
+        n = self.rows
         coeffs = [1]
-        m = Mat.identity(n, p)
+        m = Mat.identity(n)
         for k in range(1, n + 1):
             am = self * m
-            c = -sum(row[i] for i, row in enumerate(am.num)) * pow(k, -1, p) % p if p \
-                else qq(Fraction(-am.trace(), k))
+            c = qq(Fraction(-am.trace(), k))
             coeffs.append(c)
             m = am._plus_scalar(c)
-        return [Fp(c, p) for c in coeffs] if p else coeffs
+        return coeffs
 
     def poly_eval(self, coeffs: Sequence) -> "Mat":
         """Evaluate a polynomial (coefficients high to low, scalars) at

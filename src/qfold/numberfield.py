@@ -1,12 +1,13 @@
-"""Small exact fields and rational polynomials: the elements of the prime
-fields F_p, the helpers for polynomials over Q, and the companion matrix
+"""Rational polynomials, and the prime fields F_p as matrices read them
+out: `Fp`, the helpers for polynomials over Q, and the companion matrix
 of a monic one.
 
-`Fp` is how a matrix over F_p reads its entries out: `Mat` itself holds
-residues as ints, and takes ints and Fractions with p given (see
-`qfold.linalg`).  `linalg` imports `Fp` from
-here, so `companion`, the one matrix built here, imports `linalg` when
-called.
+`Fp` is how a matrix over F_p reads its entries out: a residue and its p,
+which compare and hash, with no arithmetic.  `Mat` itself holds residues
+as ints, computes on them, and takes ints and Fractions with p given (see
+`qfold.linalg`); the reference arithmetic on elements of F_p is the tests'
+oracle (`tests/numberfield_oracle.py`).  `linalg` imports `Fp` from here,
+so `companion`, the one matrix built here, imports `linalg` when called.
 
 The eigenvalues of a rational matrix are named one irreducible factor f of
 its characteristic polynomial at a time, without leaving Q: a vector over
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import MixedCharacteristics, PropertyViolation
+from .errors import PropertyViolation
 
 if TYPE_CHECKING:
     from .linalg import Mat
@@ -36,54 +37,15 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 class Fp:
-    """An element of the prime field F_p.  Arithmetic takes ints and Fractions
-    as elements of F_p, but only an element of the same F_p compares equal."""
+    """An element of the prime field F_p, as a matrix over F_p reads its
+    entries out.  It compares equal only to an element of the same F_p,
+    and has no arithmetic: `Mat` computes on residues as ints."""
 
     __slots__ = ("v", "p")
 
     def __init__(self, v: int, p: int):
         self.v = v % p
         self.p = p
-
-    def _coerce(self, other) -> "Fp":
-        if isinstance(other, Fp):
-            if other.p != self.p:
-                raise MixedCharacteristics("mixed characteristics")
-            return other
-        if isinstance(other, Fraction):   # n/d, refused when p divides d
-            return Fp(other.numerator, self.p) / Fp(other.denominator, self.p)
-        return Fp(int(other), self.p)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return Fp(self.v + o.v, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return Fp(self.v - o.v, self.p)
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return Fp(self.v * o.v, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return Fp(self.v * pow(o.v, -1, self.p), self.p)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __neg__(self):
-        return Fp(-self.v, self.p)
 
     def __eq__(self, other):
         if isinstance(other, Fp):
@@ -112,26 +74,19 @@ def poly_trim(p: Sequence[Fraction]) -> list[Fraction]:
 
 
 def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]):
-    """Quotient and remainder over Q, as Fractions; int coefficients are
-    read as Fractions, so no division below is one int by another."""
-    a = poly_trim(map(Fraction, a))
+    """Quotient and remainder over Q, as Fractions, by the schoolbook loop;
+    int coefficients are read as Fractions, so no division below is one
+    int by another."""
+    r = poly_trim(map(Fraction, a))
     b = poly_trim(map(Fraction, b))
-    if b == [Fraction(0)]:
+    if b == [0]:
         raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and poly_trim(r) != [Fraction(0)]:
-        shift = len(r) - len(b)
+    q = []
+    while len(r) >= len(b):
         f = r[0] / b[0]
-        if not f and len(r) == len(b):
-            break
-        q[len(q) - 1 - shift] = f
-        for i, y in enumerate(b):
-            r[i] -= f * y
-        r.pop(0)
-        if not r:
-            r = [Fraction(0)]
-    return poly_trim(q), poly_trim(r)
+        q.append(f)
+        r = [x - f * y for x, y in zip(r[1:], b[1:] + [0] * (len(r) - len(b)))]
+    return poly_trim(q or [Fraction(0)]), poly_trim(r or [Fraction(0)])
 
 
 def poly_derivative(p: Sequence[Fraction]) -> list[Fraction]:

@@ -183,9 +183,10 @@ def witness_from_dict(obj) -> TransitionWitness:
 
     obj = json_object(obj, "a witness block")
     block_dims = None
-    if obj.get("block_dims"):
+    raw = obj.get("block_dims")
+    if raw is not None and json_object(raw, '"block_dims"'):
         block_dims = {}
-        for k, v in json_object(obj["block_dims"], '"block_dims"').items():
+        for k, v in raw.items():
             if not isinstance(v, list) or len(v) != 2:
                 raise InputError(f'"block_dims" at {k} must be a pair of integers, got {v!r}')
             block_dims[k] = (dim_entry(v[0], '"block_dims"'), dim_entry(v[1], '"block_dims"'))

@@ -9,16 +9,81 @@ Elements are polynomials in the field generator with Fraction
 coefficients, reduced modulo an irreducible monic f; inverses come from
 the extended Euclidean algorithm in Q[x].  Polynomials are plain
 coefficient lists, highest degree first.
+
+The prime fields have their reference arithmetic here too: `Mat` reads an
+entry over F_p out as an `Fp`, which has none, and the dense oracles
+compute with the `FpElement` of its residue (`element`).
 """
 
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Sequence
 
-from qfold.errors import NotInvertible
+from qfold.errors import MixedCharacteristics, NotInvertible
 from qfold.linalg import Mat
 from qfold.module_lab import EigenInclusionReport
-from qfold.numberfield import factor_rational_poly, poly_divmod, poly_str, poly_trim
+from qfold.numberfield import Fp, factor_rational_poly, poly_divmod, poly_str, poly_trim
+
+
+class FpElement(Fp):
+    """An element of the prime field F_p with arithmetic.  Arithmetic takes
+    ints and Fractions as elements of F_p, and an `Fp` of the same F_p by
+    its residue; like an `Fp`, it compares equal only to an element of the
+    same F_p."""
+
+    __slots__ = ()
+
+    def _coerce(self, other) -> "FpElement":
+        if isinstance(other, Fp):
+            if other.p != self.p:
+                raise MixedCharacteristics("mixed characteristics")
+            return FpElement(other.v, self.p)
+        if isinstance(other, Fraction):   # n/d, refused when p divides d
+            return FpElement(other.numerator, self.p) / FpElement(other.denominator, self.p)
+        return FpElement(int(other), self.p)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return FpElement(self.v + o.v, self.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return FpElement(self.v - o.v, self.p)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        return FpElement(self.v * o.v, self.p)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o.v == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return FpElement(self.v * pow(o.v, -1, self.p), self.p)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __neg__(self):
+        return FpElement(-self.v, self.p)
+
+
+def element(x):
+    """An entry read off a matrix as the oracles compute with it: an `Fp`
+    as the `FpElement` of its residue, an int or a Fraction as it is."""
+    return FpElement(x.v, x.p) if type(x) is Fp else x
+
+
+def residue(x):
+    """An entry or a scalar computed in a field, as `Mat(.., p)` takes it
+    back: an `Fp` (an `FpElement` too) by its residue."""
+    return x.v if isinstance(x, Fp) else x
 
 
 def columns(m: Mat) -> list[Mat]:

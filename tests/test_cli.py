@@ -662,6 +662,13 @@ def not_a_boolean(doc, block, key) -> bool:
     return isinstance(node, dict) and key in node and not isinstance(node[key], bool)
 
 
+def not_an_object(doc, block, key) -> bool:
+    """doc[block][key] is there and is neither null nor a JSON object."""
+    node = doc.get(block) if isinstance(doc, dict) else None
+    return isinstance(node, dict) and node.get(key) is not None \
+        and not isinstance(node[key], dict)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.sampled_from(MODULE_FIELDS), JSON_VALUES), min_size=1, max_size=2),
        st.sampled_from(["check", "theta", "transition", "witness", "theorem5"]))
@@ -670,6 +677,11 @@ def not_a_boolean(doc, block, key) -> bool:
 @example(changes=[(("module", "signed"), "false")], action="check")
 @example(changes=[(("witness", "summand_swap"), "no")], action="theorem5")
 @example(changes=[(("witness", "summand_swap"), "")], action="theorem5")
+# a falsy "block_dims" that is not an object is refused, not read as none
+@example(changes=[(("witness", "block_dims"), [])], action="theorem5")
+@example(changes=[(("witness", "block_dims"), 0)], action="theorem5")
+@example(changes=[(("witness", "block_dims"), False)], action="theorem5")
+@example(changes=[(("witness", "block_dims"), "")], action="theorem5")
 def test_module_fuzz_exits_cleanly(tmp_path_factory, changes, action):
     doc = copy.deepcopy(PAIR_DOC)
     for field, value in changes:
@@ -679,7 +691,8 @@ def test_module_fuzz_exits_cleanly(tmp_path_factory, changes, action):
     code = main(["module", action, str(path)])
     assert code in (0, 1, 2)
     if not_a_boolean(doc, "module", "signed") \
-            or action == "theorem5" and not_a_boolean(doc, "witness", "summand_swap"):
+            or action == "theorem5" and (not_a_boolean(doc, "witness", "summand_swap")
+                                         or not_an_object(doc, "witness", "block_dims")):
         assert code == 1
 
 
@@ -829,6 +842,34 @@ def test_witness_block_dims_key_naming_no_vertex_is_refused(tmp_path, capsys):
     assert main(["module", "theorem5", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and "'nowhere'" in err, err
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("swap", [False, True], ids=["no swap", "swap"])
+def test_witness_block_dims_that_is_not_an_object_is_refused(tmp_path, capsys, swap, flags):
+    """A present "block_dims" that is not a JSON object is refused, the
+    falsy ones too ([], 0, false and ""), with or without a summand swap;
+    null and {} read as an absent one."""
+    path = tmp_path / "pair.json"
+
+    def theorem5(**witness):
+        doc = pair_doc()
+        doc["witness"].update(summand_swap=swap, **witness)
+        path.write_text(json.dumps(doc))
+        code = main(["module", "theorem5", str(path), *flags])
+        return (code, *capsys.readouterr())
+
+    for value, kind in (([], "list"), (0, "int"), (False, "bool"), ("", "str")):
+        message = f'"block_dims" must be a JSON object, not {kind}'
+        code, out, err = theorem5(block_dims=value)
+        assert code == 1, value
+        if flags:
+            assert err == "" and out.count("\n") == 1, value
+            assert json.loads(out) == {"error": {"type": "InputError", "message": message}}
+        else:
+            assert (out, err) == ("", f"error: {message}\n"), value
+    absent = theorem5()
+    assert theorem5(block_dims=None) == absent and theorem5(block_dims={}) == absent
 
 
 def test_string_matrix_in_module_file_is_refused(tmp_path, capsys):

@@ -13,7 +13,7 @@ from qfold.errors import (InputError, MixedCharacteristics, NotInvertible, Qfold
 from qfold.linalg import Mat, column_space_contains, sum_of_products
 from qfold.numberfield import Fp
 
-from numberfield_oracle import columns
+from numberfield_oracle import FpElement, columns, element, residue
 
 
 def test_rref_and_rank():
@@ -53,19 +53,20 @@ def test_charpoly_and_poly_eval():
     assert m.poly_eval(m.charpoly()).is_zero()
 
 
-def test_charpoly_over_a_too_small_field_is_refused_before_any_product(monkeypatch):
-    # Faddeev-LeVerrier divides by k = 1, ..., n, and k = p is 0 in F_p
+def test_charpoly_over_a_prime_field_is_refused_before_any_product(monkeypatch):
+    # charpoly is taken over Q only: over F_p, Faddeev-LeVerrier would
+    # divide by k = p, which is 0 there, and nothing needs it below p rows
     products = []
     mul = Mat.__mul__
     monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(a) or mul(a, b))
     for p in (2, 3, 5):
-        m = Mat(p, p, [[(i + 2 * j) % p for j in range(p)] for i in range(p)], p)
-        with pytest.raises(NotInvertible, match=rf"^charpoly of a {p}x{p} matrix over F_{p} "
-                                                rf"divides by {p}, which is not invertible"):
-            m.charpoly()
+        for n in range(7):
+            for m in (Mat(n, n, [[(i + 2 * j) % p for j in range(n)] for i in range(n)], p),
+                      Mat.identity(n, p)):
+                with pytest.raises(InputError, match=rf"^charpoly is taken over Q only, "
+                                                     rf"not over F_{p}$"):
+                    m.charpoly()
     assert products == []
-    # one row fewer than p still has its charpoly: (x - 1)^2 = x^2 + x + 1 over F_3
-    assert Mat.identity(2, 3).charpoly() == [Fp(1, 3)] * 3
 
 
 def test_a_fraction_whose_denominator_p_divides_is_refused_over_f_p():
@@ -87,7 +88,7 @@ def test_two_fields_in_one_operation_are_an_input_error():
     over_3 = Mat.identity(1, 3)
     calls = [lambda: Mat.identity(1) + over_3,
              lambda: sum_of_products([(1, Mat.identity(1), over_3)]),
-             lambda: Mat.block_diag([Mat.identity(1), over_3]), lambda: Fp(1, 3) + Fp(1, 5)]
+             lambda: Mat.block_diag([Mat.identity(1), over_3])]
     for call in calls:
         with pytest.raises(MixedCharacteristics, match="^mixed characteristics$") as caught:
             call()
@@ -242,12 +243,6 @@ ONES = [(0, 1), (0, Fraction(1)), (5, 1), (3, 1), (2, 1)]
 ONE_IDS = ["int", "Fraction", "F5", "F3", "F2"]
 
 
-def residue(x):
-    """An entry or a scalar computed in a field, as `Mat` takes it: an `Fp`
-    by its residue, with the field given as p."""
-    return x.v if type(x) is Fp else x
-
-
 def field_mat(rows, cols, entries, p):
     """The matrix of entries computed in the field p."""
     return Mat(rows, cols, [[residue(x) for x in row] for row in entries], p)
@@ -286,8 +281,8 @@ def canonical(x) -> bool:
 
 
 def has_charpoly(m: Mat) -> bool:
-    """Faddeev-LeVerrier divides by 1, ..., n, which F_p cannot for n >= p."""
-    return not m.p or m.rows < m.p
+    """`charpoly` is taken over Q only."""
+    return not m.p
 
 
 def entry_type_results(p, a, b) -> tuple[list, list]:
@@ -334,7 +329,11 @@ def test_empty_matrices_keep_their_field(p, one):
     pivot, built from ints or Fractions."""
     empty = Mat(0, 0, [], p)
     assert same_field(empty.trace(), p) and not empty.trace()
-    assert [same_field(c, p) for c in empty.charpoly()] == [True]
+    if p:
+        with pytest.raises(InputError, match=f"^charpoly is taken over Q only, not over F_{p}$"):
+            empty.charpoly()
+    else:
+        assert [same_field(c, p) for c in empty.charpoly()] == [True]
     assert empty.inverse() == empty and empty.inverse().p == p
     wide = Mat(0, 3, [], p)
     assert wide.rref() == (wide, []) and wide.rref()[0].p == p
@@ -499,34 +498,36 @@ def _dot(r, c):
 
 def dense_mul(self, other):
     if not isinstance(other, Mat):
-        return field_mat(self.rows, self.cols, [[x * other for x in row] for row in self.data],
-                         self.p)
+        return field_mat(self.rows, self.cols,
+                         [[x * other for x in row] for row in field_rows(self)], self.p)
     assert self.cols == other.rows
-    ot = other.transpose().data
-    return field_mat(self.rows, other.cols, [[_dot(r, c) for c in ot] for r in self.data], self.p)
+    ot = field_rows(other.transpose())
+    return field_mat(self.rows, other.cols, [[_dot(r, c) for c in ot] for r in field_rows(self)],
+                     self.p)
 
 
 def dense_add(self, other):
     return field_mat(self.rows, self.cols,
-                     [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-                     self.p)
+                     [[a + b for a, b in zip(r1, r2)]
+                      for r1, r2 in zip(field_rows(self), field_rows(other))], self.p)
 
 
 def dense_sub(self, other):
     return field_mat(self.rows, self.cols,
-                     [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-                     self.p)
+                     [[a - b for a, b in zip(r1, r2)]
+                      for r1, r2 in zip(field_rows(self), field_rows(other))], self.p)
 
 
 def as_field(x):
-    """An entry as the dense oracles divide it: over Q a Fraction, since
-    `data` reads an integral entry as an int and int / int is a float."""
-    return Fraction(x) if type(x) is int else x
+    """An entry as the dense oracles compute with it: over Q a Fraction,
+    since `data` reads an integral entry as an int and int / int is a
+    float; over F_p the `FpElement` of the `Fp` it reads as."""
+    return Fraction(x) if type(x) is int else element(x)
 
 
 def unit(p):
     """1 as the dense oracles compute with it over the field p."""
-    return Fp(1, p) if p else Fraction(1)
+    return FpElement(1, p) if p else Fraction(1)
 
 
 def field_rows(self):
@@ -583,14 +584,14 @@ def dense_det(self):
 
 
 def dense_charpoly(self):
-    n, p = self.rows, self.p
-    coeffs = [unit(p)]
-    m = Mat.identity(n, p)
+    n = self.rows
+    coeffs = [Fraction(1)]
+    m = Mat.identity(n)
     for k in range(1, n + 1):
         am = self * m
-        c = -as_field(am.trace()) / k
+        c = -Fraction(am.trace()) / k
         coeffs.append(c)
-        m = am + Mat.identity(n, p).scaled(residue(c))
+        m = am + Mat.identity(n).scaled(c)
     return coeffs
 
 

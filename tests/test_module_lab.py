@@ -34,7 +34,7 @@ from qfold.generators import (
     random_theta_module,
 )
 from qfold.linalg import Mat, column_space_contains
-from qfold.numberfield import Fp, companion, factor_rational_poly, poly_str
+from qfold.numberfield import companion, factor_rational_poly, poly_str
 from qfold.module_lab import (
     EigenInclusionReport,
     _eigen_counterexample,
@@ -87,16 +87,12 @@ from numberfield_oracle import (
     apply,
     columns,
     eigen_counterexample,
+    element,
     nullspace,
+    residue,
     rows_over,
     shifted,
 )
-
-
-def residue(x):
-    """An entry read off a matrix, or computed from such entries, as
-    `Mat(.., p)` takes it back: an `Fp` by its residue."""
-    return x.v if type(x) is Fp else x
 
 
 def orbit_constant_dims(rng, od, lo, hi):
@@ -511,9 +507,9 @@ def global_intertwiner(m, sigma):
             for c in range(ns):
                 row = [0] * total
                 for k in range(ns):
-                    row[g_entry(info.src, k, c)] += tb[r, k]
+                    row[g_entry(info.src, k, c)] += element(tb[r, k])
                 for k in range(nt):
-                    row[g_entry(info.tgt, r, k)] -= b[k, c]
+                    row[g_entry(info.tgt, r, k)] -= element(b[k, c])
                 rows.append(row)
                 rhs.append(0)
     for x in q.vertices:
@@ -522,14 +518,14 @@ def global_intertwiner(m, sigma):
             for c in range(nw):
                 row = [0] * total
                 for k in range(nv):
-                    row[g_entry(x, r, k)] += m.I[x][k, c]
+                    row[g_entry(x, r, k)] += element(m.I[x][k, c])
                 rows.append(row)
                 rhs.append(theta_m.I[x][r, c])
         for r in range(nw):
             for c in range(nv):
                 row = [0] * total
                 for k in range(nv):
-                    row[g_entry(x, k, c)] += theta_m.J[x][r, k]
+                    row[g_entry(x, k, c)] += element(theta_m.J[x][r, k])
                 rows.append(row)
                 rhs.append(m.J[x][r, c])
 

@@ -20,7 +20,6 @@ ALLOWED = {
     ("linalg.py", "Mat.__setattr__", "AttributeError"),
     ("quiver_core.py", "Record.__setattr__", "AttributeError"),
     ("quiver_core.py", "Record.__delattr__", "AttributeError"),
-    ("numberfield.py", "Fp.__truediv__", "ZeroDivisionError"),
     ("numberfield.py", "poly_divmod", "ZeroDivisionError"),
 }
 
