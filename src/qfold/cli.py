@@ -80,15 +80,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_entry(args) -> tuple[Quiver, DiagramAutomorphism]:
-    if args.corpus:
+    if args.corpus is not None:
         entry = corpus_entry(args.corpus)
         return entry.quiver, entry.auto
-    if args.file:
-        q, a = quiver_from_dict(_read_json(args.file))
-        if a is None:
-            raise InputError("input JSON has no automorphism block")
-        return q, a
-    raise InputError("supply --corpus NAME or --file PATH")
+    q, a = quiver_from_dict(_read_json(args.file))
+    if a is None:
+        raise InputError("input JSON has no automorphism block")
+    return q, a
 
 
 def _read_json(path: str):
@@ -235,14 +233,12 @@ def cmd_dims(args) -> int:
     q, a = _load_entry(args)
     sd = split_quiver(q, a)
     v = _parse_dimvec(args.v, q.vertices, "--v")
-    if args.w_split:
+    if args.w_split is not None:
         w_split = _parse_dimvec(args.w_split, sd.split.vertices, "--w-split")
-    elif args.w:
+    else:
         w = _parse_dimvec(args.w, q.vertices, "--w")
         check_matrix_budget({}, w)
         w_split = split_framing(identity_sigma(q, a, w), sd)
-    else:
-        raise InputError("supply --w-split or --w")
     records = fixed_components(v, sd, w_split)
     payload = [r.to_dict() for r in records]
     lines = [f"{'v_split':<40} {'dim':>5}  empty?"]
@@ -408,8 +404,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_source(p):
-        p.add_argument("--corpus", help="named corpus entry")
-        p.add_argument("--file", help="quiver+automorphism JSON file, - for stdin")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--corpus", help="named corpus entry")
+        source.add_argument("--file", help="quiver+automorphism JSON file, - for stdin")
 
     p = sub.add_parser("split", parents=[common], help="split-quotient quiver")
     add_source(p)
@@ -428,8 +425,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("dims", parents=[common], help="fixed-component dimension table")
     add_source(p)
     p.add_argument("--v", required=True, help="dimension vector on the base quiver")
-    p.add_argument("--w", help="framing dims on the base quiver (identity twist)")
-    p.add_argument("--w-split", help="framing dims on the split quiver")
+    framing = p.add_mutually_exclusive_group(required=True)
+    framing.add_argument("--w", help="framing dims on the base quiver (identity twist)")
+    framing.add_argument("--w-split", help="framing dims on the split quiver")
 
     p = sub.add_parser("module", parents=[common], help="framed module laboratory")
     p.add_argument("action", choices=["check", "theta", "transition", "witness", "theorem5"])

@@ -5,9 +5,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .errors import NotOrbitConstant, ShapeMismatch
+from .errors import UnknownVertex
 from .lie_fold import CartanMatrix, cartan_from_quiver
-from .split_quotient import SplitData, fibers_of_p, is_orbit_constant
+from .split_quotient import SplitData, fibers_of_p
 
 DimVec = Mapping[str, int]
 
@@ -17,7 +17,7 @@ def dim_quiver_variety(v: DimVec, w: DimVec, c: CartanMatrix) -> int:
     attached to (v, w) for the diagram of c."""
     for key in list(v) + list(w):
         if key not in c.labels:
-            raise ShapeMismatch(f"dimension vector mentions unknown vertex {key}")
+            raise UnknownVertex(f"dimension vector mentions unknown vertex {key}")
     vv = [v.get(x, 0) for x in c.labels]
     ww = [w.get(x, 0) for x in c.labels]
     dot = 2 * sum(a * b for a, b in zip(vv, ww))
@@ -51,8 +51,6 @@ def fixed_components(v: DimVec, sd: SplitData, w_split: DimVec) -> list[Componen
 
     Negative formula values are flagged rather than clamped; the formula
     says nothing about emptiness on its own."""
-    if not is_orbit_constant(v, sd.orbits):
-        raise NotOrbitConstant("dimension vector must be constant on vertex orbits")
     c_split = cartan_from_quiver(sd.split)
     out = []
     for v_split in fibers_of_p(v, sd):

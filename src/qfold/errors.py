@@ -79,10 +79,6 @@ class NotDiagonalizableOverCyclotomicEigenvalues(PropertyViolation):
 
 
 # lie_fold
-class RepresentativeDependence(PropertyViolation):
-    pass
-
-
 class UnsupportedFamily(InputError):
     pass
 

@@ -30,7 +30,6 @@ from .errors import (
     NotAdmissible,
     NotFiniteType,
     NotSymmetrizable,
-    RepresentativeDependence,
     SelfLoop,
     UnsupportedFamily,
 )
@@ -268,8 +267,9 @@ class FoldedAlgebraData(NamedTuple):
 def fold_cartan(c: CartanMatrix, a: DiagramAutomorphism) -> FoldedAlgebraData:
     """Cartan matrix of the automorphism-fixed subalgebra.
 
-    Folded entry at (orbit I, orbit J) is sum over k in J of c[i0][k] for a
-    representative i0 of I; representative independence is re-checked.
+    Folded entry at (orbit I, orbit J) is sum over k in J of c[i0][k] for
+    the orbit's first member i0.  Since c[i][j] = c[a(i)][a(j)], every
+    member of I gives the same row.
     """
     perm, labels = a.vertex_perm, set(c.labels)
     if set(perm) != labels or set(perm.values()) != labels:
@@ -292,12 +292,8 @@ def fold_cartan(c: CartanMatrix, a: DiagramAutomorphism) -> FoldedAlgebraData:
 
     folded_entries = []
     for orb_i in orbits:
-        rows = []
-        for rep in orb_i:
-            rows.append([sum(c[pos[rep], pos[k]] for k in orb_j) for orb_j in orbits])
-        if any(r != rows[0] for r in rows[1:]):
-            raise RepresentativeDependence(f"folded row for orbit {orb_i} depends on the representative")
-        folded_entries.append(rows[0])
+        rep = orb_i[0]
+        folded_entries.append([sum(c[pos[rep], pos[k]] for k in orb_j) for orb_j in orbits])
     folded = cartan_matrix(folded_entries, [orb[0] for orb in orbits])
     return FoldedAlgebraData(c, tuple(orbits), folded)
 

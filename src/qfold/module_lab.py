@@ -15,10 +15,11 @@ from its `SigmaData`.  A module is checked where it enters, by
 twists the program builds itself are valid by construction, and
 `apply_theta` checks only that a twist fits its module.
 
-A transition g is a module isomorphism m -> theta(m), checked as a module
-map by `check_framed_embedding` through the inverse-free equations
-theta(B) g = g B, g I = theta(I) and theta(J) g = J; `act` only builds
-modules.
+A transition g is a module isomorphism m -> theta(m); `find_transition`
+reads it off one reduction, which decides all but g I = theta(I).
+`check_framed_embedding` checks a given map through the inverse-free
+equations theta(B) g = g B, g I = theta(I) and theta(J) g = J; `act` only
+builds modules.
 """
 
 from __future__ import annotations
@@ -177,12 +178,17 @@ def _path_rows(m: FramedModule) -> dict[str, tuple[Mat, list[int]]]:
     return rows
 
 
-def is_stable(m: FramedModule) -> bool:
-    """No nonzero B-invariant graded subspace inside ker J."""
+def _require_relations(m: FramedModule) -> None:
+    """Raise RelationViolation at the first vertex where the relation fails."""
     rep = check_relations(m)
     if not rep.ok:
         raise RelationViolation(f"preprojective relation fails at vertex {rep.vertex}",
                                 vertex=rep.vertex)
+
+
+def is_stable(m: FramedModule) -> bool:
+    """No nonzero B-invariant graded subspace inside ker J."""
+    _require_relations(m)
     rows = _path_rows(m)
     return all(len(rows[x][1]) == m.v.get(x, 0) for x in m.quiver.vertices)
 
@@ -362,27 +368,31 @@ def find_transition(m: FramedModule, sigma: SigmaData) -> Optional[TransitionWit
     """The unique isomorphism g: m -> theta(m) for a stable module, or None
     when m and theta(m) are not isomorphic.
 
-    Solves one vertex at a time.  The path rows of theta(m) + m at x are
-    [J'_t B'_p | J_t B_p]; theta(m) is stable, so its half has full column
-    rank v_x and the reduced rows read [1 | g_x], with any further row
-    meaning no g_x exists.  These g satisfy the B and J equations; the
-    module-map check decides g I = theta(I), and a g that fails it means m
-    and theta(m) are not isomorphic.
+    The path rows of theta(m) + m at x span [J'_t B'_p | J_t B_p], p a
+    path from x.  Their left half spans those of theta(m), of full column
+    rank v_x at every x exactly when m is stable (sigma is invertible and
+    the signs move no invariant subspace); else NotStable.  A further row
+    means no g_x exists.  Else the rows are the graph {[u | u g_x]}: the
+    empty path gives theta(J) g = J; an arrow h: x -> t maps the rows at t
+    into those at x, so g_t B_h = theta(B)_h g_x; and the right half spans
+    the full-rank path rows of m, so g_x is invertible.  The rows do not
+    see I, and g I = theta(I) is checked alone.
     """
-    if not is_stable(m):
-        raise NotStable("transition matrices are only unique for stable modules")
+    _require_relations(m)
     theta_m = apply_theta(m, sigma)
     rows = _path_rows(direct_sum(theta_m, m))
+    vertices = m.quiver.vertices
+    if any(rows[x][1][:m.v.get(x, 0)] != list(range(m.v.get(x, 0))) for x in vertices):
+        raise NotStable("transition matrices are only unique for stable modules")
+    if any(len(rows[x][1]) > m.v.get(x, 0) for x in vertices):
+        return None
     g: dict[str, Mat] = {}
-    for x in m.quiver.vertices:
+    for x in vertices:
         n = m.v.get(x, 0)
-        red, pivots = rows[x]
-        if pivots[:n] != list(range(n)):
-            raise PropertyViolation(f"the transport of a stable module is unstable at {x}")
-        if len(pivots) > n:
+        g[x] = rows[x][0].submatrix(range(n), range(n, 2 * n))
+        if g[x] * m.I[x] != theta_m.I[x]:
             return None
-        g[x] = red.submatrix(range(n), range(n, 2 * n))
-    return TransitionWitness(g) if check_framed_embedding(g, m, theta_m) else None
+    return TransitionWitness(g)
 
 
 def star(g: Mapping[str, Mat], a: DiagramAutomorphism) -> dict[str, Mat]:

@@ -49,7 +49,6 @@ from .quiver_core import (
     Record,
     _setattr,
     arrow_transport,
-    check_automorphism,
     identity_automorphism,
     orbit_data,
     quiver,
@@ -142,7 +141,6 @@ def split_quiver(q: Quiver, a: DiagramAutomorphism) -> SplitData:
     split = quiver(vertices, edges)
     vperm = {sv.id: SplitVertex(sv.orbit, sv.j % sv.e + 1, sv.e).id for sv in table.values()}
     induced = DiagramAutomorphism(vperm, eperm)
-    check_automorphism(split, induced)
     return SplitData(q, a, od, split, induced, table, tuple(slots))
 
 
@@ -413,7 +411,9 @@ def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
     The slot (orbit, j/e) receives the dimension of the eigenvalue
     exp(2*pi*i*(j-1)/e) eigenspace of the composite at the orbit's minimal
     lift (`SigmaData.composite`, the product `SigmaData.validate` checks),
-    so identity twists put everything in the j = 1 slot.
+    so identity twists put everything in the j = 1 slot.  The slots of an
+    orbit add up to w: c^e = 1, and over Q the polynomial x^e - 1 is
+    square-free, so the eigenspaces fill the framing.
     """
     if sigma.quiver != sd.source or sigma.auto != sd.auto:
         raise IndexMismatch("the framing twists do not belong to this split quiver")
@@ -423,10 +423,6 @@ def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
         lift = orbit[0]
         comp = sigma.composite(lift)
         dims = root_of_unity_eigendims(comp, od.e_vertex[lift])
-        if sum(dims) != comp.rows:
-            raise NotDiagonalizableOverCyclotomicEigenvalues(
-                f"eigenspace dimensions {dims} do not fill dimension {comp.rows} at {lift}"
-            )
         out.update(zip(slots, dims))
     return out
 

@@ -266,7 +266,9 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: ") and words in err, err
         assert main([*argv, "--json"]) == 1, argv
-        capsys.readouterr()
+        error = json.loads(capsys.readouterr().out)["error"]
+        if "unknown vertex" in words:   # one class, on the base and the split quiver
+            assert error["type"] == "UnknownVertex", error
     # a fiber of 501,501 split dimension vectors is refused before it is listed
     assert main(["dims", "--corpus", "D4-rot3", "--v", "1000,1000,1000,1000",
                  "--w", "1,1,1,1"]) == 1
@@ -385,6 +387,41 @@ def test_usage_error_names_what_is_wrong(capsys):
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err.startswith("usage: ")
             assert captured.err.splitlines()[-1] == f"error: {message}", captured.err
+
+
+def test_two_flags_for_one_question_are_one_usage_error(capsys, tmp_path):
+    # --corpus or --file names the input, --w or --w-split the framing:
+    # both, or neither, is a usage error that names the pair, under --json too
+    absent = str(tmp_path / "absent.json")
+    for base, pair in ((["fold"], ["--corpus", "A3-flip", "--file", absent]),
+                       (["dims", "--corpus", "A3-flip", "--v", "1,1,1"],
+                        ["--w", "5,5,5", "--w-split", "0,0,0"])):
+        names = pair[0::2]
+        for argv in ([*base, *pair], base):
+            for flags in ((), ("--json",)):
+                assert main([*argv, *flags]) == 1, argv
+                captured = capsys.readouterr()
+                assert captured.out == "" and captured.err.startswith("usage: ")
+                last = captured.err.splitlines()[-1]
+                assert last.startswith("error: ") and all(n in last for n in names), captured.err
+
+
+def test_orbit_constancy_is_refused_where_it_is_used(capsys, tmp_path):
+    # dims: the fiber of p refuses v, in its own words
+    assert main(["dims", "--corpus", "A3-flip", "--v", "1,2,3", "--w", "1,1,1"]) == 1
+    assert capsys.readouterr() == ("", "error: dimension vector is not constant on vertex "
+                                       "orbits\n")
+    # transition: theta refuses an unstable module whose v is not orbit-constant
+    # before any stability is decided
+    a3 = a_quiver(3)
+    doc = {"quiver": quiver_to_dict(a3, flip_automorphism(a3, 3)),
+           "module": module_to_dict(framed_module(a3, {"1": 1}, {}))}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["module", "check", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["stable"] is False
+    assert main(["module", "transition", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "NotOrbitConstant"
 
 
 def test_walk_cap_is_one_error(capsys, monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qfold.dim_calc import dim_quiver_variety, dim_steinberg, fixed_components
-from qfold.errors import NotOrbitConstant, ShapeMismatch
+from qfold.errors import NotOrbitConstant, UnknownVertex
 from qfold.lie_fold import cartan_from_quiver, cartan_matrix
 from qfold.quiver_core import a_quiver, d_quiver, fork_swap_automorphism
 from qfold.split_quotient import fiber_count, split_quiver
@@ -21,7 +21,7 @@ def test_cotangent_grassmannian_oracle():
 
 
 def test_dim_rejects_unknown_vertex():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(UnknownVertex):
         dim_quiver_variety({"9": 1}, {}, A1)
 
 

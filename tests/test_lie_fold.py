@@ -165,6 +165,26 @@ def test_fold_rejects_non_admissible():
         fold_cartan(cartan_from_quiver(a4), flip_automorphism(a4, 4))
 
 
+def test_folded_rows_agree_over_every_orbit_member():
+    # fold_cartan reads each folded row off the orbit's first member; every
+    # other member gives the same row sums, on the base and the split quiver
+    from qfold.corpus import corpus
+    from qfold.split_quotient import split_quiver
+
+    for entry in corpus():
+        if not entry.admissible:
+            continue
+        sd = split_quiver(entry.quiver, entry.auto)
+        for c, auto in ((cartan_from_quiver(entry.quiver), entry.auto),
+                        (cartan_from_quiver(sd.split), sd.induced)):
+            fold = fold_cartan(c, auto)
+            pos = {label: i for i, label in enumerate(c.labels)}
+            for orb_i, row in zip(fold.orbits, fold.folded.entries):
+                for member in orb_i:
+                    sums = [sum(c[pos[member], pos[k]] for k in orb_j) for orb_j in fold.orbits]
+                    assert sums == list(row), (entry.name, orb_i, member)
+
+
 def test_folded_matrices_symmetrizable():
     cases = []
     for n in (3, 5, 7):

@@ -483,6 +483,28 @@ def test_find_transition_i_equation_decided_by_verification():
     assert found is not None and found.g["2"] == Mat.identity(1)
 
 
+def test_find_transition_reduces_once(monkeypatch):
+    # one reduction of the path rows decides stability, B, J and
+    # invertibility: no stability pass before it, no module-map check after
+    import qfold.module_lab as lab
+
+    calls = {}
+
+    def count(name):
+        original = getattr(lab, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(lab, name, counted)
+
+    _xi, _msub, m, sigma, _wsub, _wit = random_graded_pair(random.Random(7), A3, FLIP)
+    for name in ("_path_rows", "is_stable", "check_framed_embedding"):
+        count(name)
+    assert find_transition(m, sigma) is not None
+    assert calls == {"_path_rows": 1}
+
+
 def global_intertwiner(m, sigma):
     """Oracle for find_transition: the theta(B) g = g B, g I = theta(I) and
     theta(J) g = J equations as one dense system in the sum of v_x^2
@@ -602,6 +624,8 @@ def test_path_rows_match_global_oracles():
         new, old = invariant_kernel_subspace(m), shrinking_invariant_kernel(m)
         assert all(new[x].cols == old[x].cols for x in m.quiver.vertices)
         if not is_stable(m):
+            with pytest.raises(NotStable):
+                find_transition(m, sigma)
             continue
         outcomes["stable"] += 1
         found, oracle = find_transition(m, sigma), global_intertwiner(m, sigma)
@@ -609,6 +633,8 @@ def test_path_rows_match_global_oracles():
         if found is None:
             outcomes["none"] += 1
         else:
+            # the full module-map check, which the reduction makes needless
+            assert check_framed_embedding(found.g, m, apply_theta(m, sigma))
             assert all(found.g[x] == oracle.g[x] for x in m.quiver.vertices)
     # both outcomes are exercised, over Q and over F_3
     assert outcomes["stable"] >= 100 and 40 <= outcomes["none"] <= outcomes["stable"] - 40

@@ -11,6 +11,7 @@ from qfold.errors import (
     IndexMismatch,
     IsoNotFound,
     NotAdmissible,
+    NotDiagonalizableOverCyclotomicEigenvalues,
     NotOrbitConstant,
     ShapeMismatch,
     SigmaConstraintViolated,
@@ -475,6 +476,25 @@ def test_split_framing_constraint_violation():
                                 {v: Mat.identity(1) for v in other.vertices}), sd)
 
 
+def test_split_framing_slots_fill_the_framing():
+    # on random twists of every admissible corpus entry, the eigenvalue
+    # slots of each orbit add up to the framing dimension w
+    from qfold.generators import random_sigma
+
+    rng = random.Random(48)
+    for entry in corpus():
+        if not entry.admissible:
+            continue
+        sd = split_quiver(entry.quiver, entry.auto)
+        for _ in range(3):
+            w = {}
+            for orbit in sd.orbits.vertex_orbits:
+                w.update(dict.fromkeys(orbit, rng.randint(0, 3)))
+            out = split_framing(random_sigma(rng, entry.quiver, entry.auto, w), sd)
+            for orbit, slots in zip(sd.orbits.vertex_orbits, sd.orbit_slots):
+                assert sum(out[s] for s in slots) == w[orbit[0]], (entry.name, orbit)
+
+
 def walked_composite(maps, a, lift):
     """sigma_{a^(d-1)(lift)} ... sigma_{lift}, walked around the orbit."""
     comp = maps[lift]
@@ -521,6 +541,10 @@ def test_root_of_unity_eigendims_examples():
     assert root_of_unity_eigendims(Mat.identity(2, 3), 1) == [2]
     assert root_of_unity_eigendims(Mat.identity(2, 3).scaled(2), 1) == [0]
     assert root_of_unity_eigendims(Mat.identity(2, 3).scaled(2), 2) == [0, 2]
+    # over F_3, Phi_3(1) = 3 = 0: a kernel of dimension 1 is not split by phi(3) = 2
+    with pytest.raises(NotDiagonalizableOverCyclotomicEigenvalues,
+                       match=r"kernel of Phi_3 has dimension 1, not a multiple of phi\(3\)=2"):
+        root_of_unity_eigendims(Mat.identity(1, 3), 3)
 
 
 def test_affine_split_classifications():
