@@ -37,7 +37,7 @@ import time
 from pathlib import Path
 
 from .corpus import corpus, corpus_entry
-from .errors import InputError, PropertyViolation, QfoldError, RelationViolation
+from .errors import InputError, PropertyViolation, QfoldError, RelationViolation, UnknownVertex
 from .lie_fold import cartan_from_quiver, classify_cartan, fold_cartan
 from .quiver_core import (
     DiagramAutomorphism,
@@ -51,10 +51,10 @@ from .serialize import (
     dim_entry,
     json_document,
     json_object,
-    matmap_from_obj,
     module_from_dict,
     module_to_dict,
     sigma_from_dict,
+    vertex_matmap_from_obj,
     witness_from_dict,
     witness_to_dict,
 )
@@ -129,7 +129,7 @@ def _labels_table(sd: SplitData) -> dict:
 
 def _parse_dimvec(text: str, vertices: tuple[str, ...], name: str) -> dict[str, int]:
     """Accept a JSON object keyed by vertex id, or a comma list in
-    canonical vertex order; an empty or a negative entry is refused."""
+    canonical vertex order; an empty or negative entry or a stray key is refused."""
     text = text.strip()
     if text.startswith("{"):
         try:
@@ -143,6 +143,8 @@ def _parse_dimvec(text: str, vertices: tuple[str, ...], name: str) -> dict[str, 
         items = zip(vertices, parts)
     dims = {str(k): dim_entry(v, name) for k, v in items}
     for k, v in dims.items():
+        if k not in vertices:
+            raise UnknownVertex(f"{name} names unknown vertex {k}")
         if v < 0:
             raise InputError(f"{name} is negative at vertex {k}: {v}")
     return dims
@@ -309,7 +311,7 @@ def cmd_module(args) -> int:
     if args.action == "witness":
         if "g" not in data:
             raise InputError("the witness action needs a \"g\" block of gauge matrices")
-        g = matmap_from_obj(data["g"])
+        g = vertex_matmap_from_obj(q, data["g"], "the gauge")
         big, witness = build_theta_witness(m, g, sigma)
         eigen_report = {}
         for x in q.vertices:
@@ -335,9 +337,9 @@ def cmd_module(args) -> int:
     if args.action == "theorem5":
         try:
             sub = module_from_dict(q, data["sub"])
-            xi = matmap_from_obj(data["xi"])
-            witness = witness_from_dict(data["witness"])
-            witness_sub = witness_from_dict(data["witness_sub"])
+            xi = vertex_matmap_from_obj(q, data["xi"], "the map")
+            witness = witness_from_dict(q, data["witness"])
+            witness_sub = witness_from_dict(q, data["witness_sub"])
         except KeyError as exc:
             raise InputError(f"theorem5 file is missing the {exc} block") from exc
         rep = theorem5_verify(xi, sub, m, sigma, witness_sub, witness)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .errors import UnknownVertex
 from .lie_fold import CartanMatrix, cartan_from_quiver
 from .split_quotient import SplitData, fibers_of_p
 
@@ -14,10 +13,7 @@ DimVec = Mapping[str, int]
 
 def dim_quiver_variety(v: DimVec, w: DimVec, c: CartanMatrix) -> int:
     """2 v.w - v.C.v: the complex dimension of the smooth quiver variety
-    attached to (v, w) for the diagram of c."""
-    for key in list(v) + list(w):
-        if key not in c.labels:
-            raise UnknownVertex(f"dimension vector mentions unknown vertex {key}")
+    attached to (v, w), keyed by the labels of c, for the diagram of c."""
     vv = [v.get(x, 0) for x in c.labels]
     ww = [w.get(x, 0) for x in c.labels]
     dot = 2 * sum(a * b for a, b in zip(vv, ww))

@@ -133,5 +133,5 @@ class PreconditionViolation(InputError):
     pass
 
 
-class WitnessVerificationFailed(PropertyViolation):
-    pass
+class WitnessVerificationFailed(PreconditionViolation):
+    """The twisted double's witness fails: the construction needs an involution."""

@@ -12,8 +12,9 @@ the diagram automorphism and the signs of the transport are defined in
 `quiver_core`; the transport theta reads them, with the framing twists,
 from its `SigmaData`.  A module is checked where it enters, by
 `framed_module`, and a twist by `SigmaData.validate`; the modules and
-twists the program builds itself are valid by construction, and
-`apply_theta` checks only that a twist fits its module.
+twists the program builds itself are valid by construction,
+`apply_theta` checks only that a twist fits its module, and `serialize`
+checks the keys of a gauge, an embedding or a witness read from a file.
 
 A transition g is a module isomorphism m -> theta(m); `find_transition`
 reads it off one reduction, which decides all but g I = theta(I).
@@ -357,9 +358,8 @@ def witness_matrix(witness: TransitionWitness, vertex: str) -> Mat:
 
 
 def verify_transition(m: FramedModule, sigma: SigmaData, witness: TransitionWitness) -> bool:
-    """Is the witness a module isomorphism m -> theta(m)?"""
-    _refuse_stray_keys(witness.g, m.quiver, "the witness")
-    _refuse_stray_keys(witness.block_dims or {}, m.quiver, "the witness's block_dims")
+    """Is the witness, keyed by vertices of m's quiver, a module
+    isomorphism m -> theta(m)?"""
     g = {x: witness_matrix(witness, x) for x in m.quiver.vertices}
     return check_framed_embedding(g, m, apply_theta(m, sigma))
 
@@ -412,10 +412,9 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat], sigma: SigmaData
 
     Requires an involutive automorphism (the matching exchanges the two
     summands once); the witness is re-verified exactly against the
-    composed swap before returning.
+    composed swap before returning.  g is keyed by vertices of the quiver.
     """
     q = m1.quiver
-    _refuse_stray_keys(g, q, "the gauge")
     inv = {}  # g^{-1}, one elimination per block
     for x in q.vertices:
         n = m1.v.get(x, 0)
@@ -483,20 +482,13 @@ def rational_eigenvalues(g_mat: Mat) -> list[tuple[Fraction, int]]:
 # embeddings and eigenspace inclusion
 # ---------------------------------------------------------------------------
 
-def _refuse_stray_keys(maps: Mapping[str, object], q: Quiver, name: str) -> None:
-    """A per-vertex map that names no vertex of q is refused, not dropped."""
-    stray = next((key for key in maps if key not in q.vertices), None)
-    if stray is not None:
-        raise ShapeMismatch(f"{name} names {stray!r}, which is no vertex of the quiver")
-
-
 def check_framed_embedding(xi: Mapping[str, Mat], m_sub: FramedModule,
                            m: FramedModule) -> bool:
-    """xi is an injective map of framed modules over the shared framing."""
+    """xi, keyed by vertices of the quiver, is an injective map of framed
+    modules over the shared framing."""
     q = m.quiver
     if m_sub.quiver != q:
         raise ShapeMismatch("modules live on different quivers")
-    _refuse_stray_keys(xi, q, "the map")
     if any(m_sub.w.get(x, 0) != m.w.get(x, 0) for x in q.vertices):
         raise ShapeMismatch("embeddings require a shared framing")
     for x in q.vertices:

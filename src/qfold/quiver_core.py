@@ -21,7 +21,7 @@ reverses e, else to (a(e), eps).  The signed transport multiplies each
 arrow h by c(h) c(a(h)), with c = -1 exactly on forward arrows against an
 a-invariant orientation (the one agreeing with each edge orbit's first
 edge); the signs telescope around every orbit.  Without an invariant
-orientation only unsigned modules transport.
+orientation only unsigned modules transport.  No edge id may end in "*".
 
 `orbit_data` and `arrow_transport` depend on the (quiver, automorphism)
 pair alone, so each is computed once per pair value, in a bounded cache,
@@ -107,6 +107,8 @@ class Quiver(Record):
         for e in edges:
             if e.src not in vs or e.tgt not in vs:
                 raise InputError(f"edge {e.id} uses unknown vertex")
+            if e.id.endswith("*"):
+                raise InputError(f"edge id {e.id} ends in '*', which keys a reverse arrow")
         doubled = []
         for e in edges:
             doubled.append(ArrowInfo(_doubled_key(e.id, 1), e.id, e.src, e.tgt, 1))

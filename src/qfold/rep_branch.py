@@ -76,7 +76,6 @@ from .errors import (
     NotDominant,
     NotFiniteType,
     TooLarge,
-    UnknownVertex,
 )
 from .lie_fold import CartanMatrix, FoldedAlgebraData, is_finite_type, symmetrizer
 from .quiver_core import Quiver
@@ -235,7 +234,7 @@ def dominant_weights_below(c: CartanMatrix, lam: Weight) -> dict[Weight, Root]:
     positive root: past ROOT_STEP_CAP root steps, TooLarge."""
     rd = root_datum(c)
     steps = tuple(zip(rd.roots, rd.fund))
-    cap = ROOT_STEP_CAP // len(steps)
+    cap = ROOT_STEP_CAP // max(len(steps), 1)   # rank 0 has no root
     out: dict[Weight, Root] = {lam: (0,) * c.n}
     frontier: list[Weight] = [lam]
     while frontier:
@@ -530,9 +529,6 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData) -> list[tuple[
 
 
 def highest_weight_from_framing(wprime: Mapping[str, int], split: Quiver) -> Weight:
-    """Read a framing dimension vector on the split quiver as a dominant
-    weight in fundamental coordinates (split-vertex canonical order)."""
-    for key in wprime:
-        if key not in split.vertices:
-            raise UnknownVertex(f"unknown split vertex {key}")
+    """Read a framing on the split quiver, keyed by its vertices, as a
+    dominant weight in fundamental coordinates (split-vertex canonical order)."""
     return tuple(wprime.get(v, 0) for v in split.vertices)

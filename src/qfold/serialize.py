@@ -11,7 +11,7 @@ string reaches `Fraction`, whose errors are reported as malformed matrix
 JSON.  It is written from (num, den) too, each entry as `str` prints it,
 with no Fraction built either way.
 Every reader checks the JSON types it is given and raises InputError on a
-malformed document.
+malformed document; a per-vertex map refuses a key that names no vertex.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import json
 from math import gcd
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import InputError, TooLarge
+from .errors import InputError, ShapeMismatch, TooLarge
 from .linalg import Mat, _over_q, rational_rows
 from .quiver_core import DiagramAutomorphism, Quiver
 
@@ -127,6 +127,21 @@ def matmap_from_obj(obj) -> dict[str, Mat]:
     return {key: mat_from_obj(val) for key, val in json_object(obj, "a matrix map").items()}
 
 
+def _vertex_keyed(maps: Mapping[str, object], q: Quiver, what: str):
+    """maps itself when every key names a vertex of q; a stray key is
+    refused, not dropped."""
+    stray = next((key for key in maps if key not in q.vertex_set), None)
+    if stray is not None:
+        raise ShapeMismatch(f"{what} names {stray!r}, which is no vertex of the quiver")
+    return maps
+
+
+def vertex_matmap_from_obj(q: Quiver, obj, what: str) -> dict[str, Mat]:
+    """A matrix map keyed by vertices of q, such as a gauge or an embedding;
+    what names it in the error for a stray key."""
+    return _vertex_keyed(matmap_from_obj(obj), q, what)
+
+
 def module_to_dict(m: FramedModule) -> dict:
     return {
         "v": dict(sorted(m.v.items())),
@@ -178,7 +193,8 @@ def witness_to_dict(w: TransitionWitness) -> dict:
     return out
 
 
-def witness_from_dict(obj) -> TransitionWitness:
+def witness_from_dict(q: Quiver, obj) -> TransitionWitness:
+    """A witness whose matrices and block sizes are keyed by vertices of q."""
     from .module_lab import TransitionWitness
 
     obj = json_object(obj, "a witness block")
@@ -190,8 +206,9 @@ def witness_from_dict(obj) -> TransitionWitness:
             if not isinstance(v, list) or len(v) != 2:
                 raise InputError(f'"block_dims" at {k} must be a pair of integers, got {v!r}')
             block_dims[k] = (dim_entry(v[0], '"block_dims"'), dim_entry(v[1], '"block_dims"'))
+        _vertex_keyed(block_dims, q, "the witness's block_dims")
     return TransitionWitness(
-        matmap_from_obj(obj["g"]),
+        vertex_matmap_from_obj(q, obj["g"], "the witness"),
         _flag(obj, "summand_swap", False),
         block_dims,
     )

@@ -20,7 +20,8 @@ A `SigmaData` is built unchecked; its `validate` is the entry check of a
 twist read from outside, and `identity_sigma` builds the identity twists.
 Weak compositions are listed once, by `_compositions`, and counted once,
 by `_composition_count`, for the fibers of p here and for the fibers of
-restriction in `rep_branch`.
+restriction in `rep_branch`.  A dimension vector here is taken as checked:
+keyed by vertices, no entry negative, as `cli` reads it or the program builds it.
 """
 
 from __future__ import annotations
@@ -35,10 +36,8 @@ from .errors import (
     IsoNotFound,
     NotDiagonalizableOverCyclotomicEigenvalues,
     NotOrbitConstant,
-    ShapeMismatch,
     SigmaConstraintViolated,
     TooLarge,
-    UnknownVertex,
 )
 from .linalg import Mat
 from .numberfield import cyclotomic_poly
@@ -222,22 +221,12 @@ def _check_natural_map(sd2: SplitData, q: Quiver, a: DiagramAutomorphism,
 # dimension vectors
 # ---------------------------------------------------------------------------
 
-def validate_dimvec(v: DimVec, q: Quiver) -> None:
-    for key in v:
-        if key not in q.vertex_set:
-            raise UnknownVertex(f"dimension vector mentions unknown vertex {key}")
-    for key, val in v.items():
-        if val < 0:
-            raise ShapeMismatch(f"negative dimension at {key}")
-
-
 def project_dim(vprime: DimVec, sd: SplitData) -> dict[str, int]:
-    """Push a split-quiver dimension vector down to the source quiver.
+    """Push a checked split-quiver dimension vector down to the source quiver.
 
     The value at a source vertex is the sum over the phases of its orbit,
     so the result is constant along each orbit by construction.
     """
-    validate_dimvec(vprime, sd.split)
     out: dict[str, int] = {}
     for orbit, slots in zip(sd.orbits.vertex_orbits, sd.orbit_slots):
         total = sum(vprime.get(svid, 0) for svid in slots)
@@ -260,9 +249,8 @@ def fiber_count(v: DimVec, sd: SplitData) -> int:
 
 
 def fibers_of_p(v: DimVec, sd: SplitData) -> list[dict[str, int]]:
-    """All split dimension vectors projecting to v, in lexicographic order
-    over the canonical split-vertex order."""
-    validate_dimvec(v, sd.source)
+    """All split dimension vectors projecting to a checked v, in
+    lexicographic order over the canonical split-vertex order."""
     if not is_orbit_constant(v, sd.orbits):
         raise NotOrbitConstant("dimension vector is not constant on vertex orbits")
     count = fiber_count(v, sd)
@@ -398,8 +386,7 @@ class SigmaData(Record):
 
 
 def identity_sigma(q: Quiver, a: DiagramAutomorphism, wdims: DimVec) -> SigmaData:
-    """The identity twists on framing dimensions constant on orbits."""
-    validate_dimvec(wdims, q)
+    """The identity twists on checked framing dimensions constant on orbits."""
     if not is_orbit_constant(wdims, orbit_data(q, a)):
         raise NotOrbitConstant("framing dimensions must be constant on orbits")
     return SigmaData(q, a, {x: Mat.identity(wdims.get(x, 0)) for x in q.vertices})

@@ -16,12 +16,12 @@ import qfold
 from qfold import cli, linalg, module_lab
 from qfold.cli import main
 from qfold.corpus import CORPUS_ENV, corpus_entry
-from qfold.errors import PropertyViolation
+from qfold.errors import CharacterMismatch, PropertyViolation
 from qfold.generators import random_graded_pair
 from qfold.linalg import Mat
 from qfold.module_lab import framed_module
 from qfold.properties import PROPERTIES
-from qfold.quiver_core import a_quiver, flip_automorphism, quiver_to_dict
+from qfold.quiver_core import a_quiver, automorphism, d_quiver, flip_automorphism, quiver_to_dict
 from qfold.serialize import matmap_to_obj, module_to_dict, sigma_to_dict, witness_to_dict
 
 
@@ -316,20 +316,51 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         assert main(["module", action, str(path)]) == 1, (action, field)
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error: "), err
-    # a key that names no vertex (no doubled arrow for B) is refused, not ignored
+    # a key that names no vertex (no doubled arrow for B) is refused where
+    # it is read, not ignored
     one = {"rows": 1, "cols": 1, "data": [["1"]]}
     stray_probes = [
-        ("check", ("module", "v", "x"), 7),
-        ("check", ("module", "w", "typo"), 3),
-        ("check", ("module", "B", "e9"), one),
-        ("check", ("module", "I", "zz"), one),
-        ("theta", ("sigma", "4"), one),
+        ("check", ("module", "v", "x"), 7, "'x'"),
+        ("check", ("module", "w", "typo"), 3, "'typo'"),
+        ("check", ("module", "B", "e9"), one, "'e9'"),
+        ("check", ("module", "I", "zz"), one, "'zz'"),
+        ("theta", ("sigma", "4"), one, "'4'"),
+        ("theorem5", ("xi", "zz"), one, "the map names 'zz', which is no vertex"),
+        ("theorem5", ("witness", "g", "zz"), one, "the witness names 'zz', which is no vertex"),
+        ("theorem5", ("witness_sub", "g", "zz"), one,
+         "the witness names 'zz', which is no vertex"),
+        ("theorem5", ("witness", "block_dims"), {"zz": [1, 1]},
+         "the witness's block_dims names 'zz', which is no vertex"),
+        ("witness", ("g", "zz"), one, "the gauge names 'zz', which is no vertex"),
     ]
-    for action, field, value in stray_probes:
+    for action, field, value, words in stray_probes:
         path.write_text(json.dumps(replaced(pair_doc(), field, value)))
         assert main(["module", action, str(path)]) == 1, (action, field)
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and repr(field[-1]) in err, err
+        assert err.count("\n") == 1 and err.startswith("error: ") and words in err, err
+
+
+@pytest.mark.parametrize("fault", ["unknown", "negative"])
+@pytest.mark.parametrize("flag, vertex, argv", [
+    ("--v", "2", ["dims", "--corpus", "A3-flip", "--w", "1,1,1"]),
+    ("--w", "2", ["dims", "--corpus", "A3-flip", "--v", "1,1,1"]),
+    ("--w-split", "2@1/2", ["dims", "--corpus", "A3-flip", "--v", "1,1,1"]),
+    ("--framing", "2@1/2", ["branch", "--corpus", "A3-flip"]),
+], ids=["v", "w", "w-split", "framing"])
+def test_dimension_flag_refuses_unknown_key_or_negative_entry(capsys, fault, flag, vertex, argv):
+    """A dimension flag is checked where it is read: a key that names no
+    vertex of the flag's quiver, or a negative entry, is one exit-1 line
+    that names the flag and the key."""
+    if fault == "unknown":
+        value, words, kind = 1, f"{flag} names unknown vertex zz", "UnknownVertex"
+        vertex = "zz"
+    else:
+        value, words, kind = -1, f"{flag} is negative at vertex {vertex}: -1", "InputError"
+    argv = [*argv, flag, json.dumps({vertex: value})]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {words}\n")
+    assert main([*argv, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": {"type": kind, "message": words}}
 
 
 def test_json_errors_are_one_object(capsys, monkeypatch, tmp_path):
@@ -557,6 +588,39 @@ def test_verify_all_passes(capsys):
     payload = json.loads(out)
     assert len(payload) == 13
     assert all(entry["status"] == "pass" for entry in payload.values())
+
+
+def test_verify_all_reports_a_planted_failure(capsys, monkeypatch):
+    # a brute-force oracle that always disagrees fails stability-oracle alone
+    from qfold import properties
+
+    real = properties.brute_stability
+    monkeypatch.setattr(properties, "brute_stability", lambda m: not real(m))
+    want = {name: "FAIL" if name == "stability-oracle" else "pass" for name in PROPERTIES}
+    code, out = run(capsys, "verify-all", "--seed", "1")
+    assert code == 2
+    assert {line.split()[0]: line.split()[1] for line in out.splitlines()} == want
+    code, out = run(capsys, "verify-all", "--seed", "1", "--json")
+    assert code == 2
+    assert {name: entry["status"] for name, entry in json.loads(out).items()} == want
+
+
+def test_verify_all_reports_an_error_and_goes_on(capsys, monkeypatch):
+    # a property that raises is one "error: ..." problem; the later ones still run
+    from qfold import properties
+
+    def planted(*args):
+        raise CharacterMismatch("planted mismatch")
+    monkeypatch.setattr(properties, "branch", planted)
+    code, out = run(capsys, "verify-all", "--seed", "1", "--json")
+    assert code == 2
+    payload = json.loads(out)
+    assert sorted(payload) == sorted(PROPERTIES)
+    assert payload.pop("branching") == {"status": "FAIL", "problems": ["error: planted mismatch"]}
+    assert all(entry["status"] == "pass" for entry in payload.values())
+    code, out = run(capsys, "verify-all", "--seed", "1")
+    assert code == 2 and len(out.splitlines()) == len(PROPERTIES)
+    assert "branching                FAIL  (error: planted mismatch)" in out.splitlines()
 
 
 def test_branch_affine_fold_is_input_error(capsys):
@@ -907,6 +971,76 @@ def test_witness_block_dims_that_is_not_an_object_is_refused(tmp_path, capsys, s
             assert (out, err) == ("", f"error: {message}\n"), value
     absent = theorem5()
     assert theorem5(block_dims=None) == absent and theorem5(block_dims={}) == absent
+
+
+def test_module_witness_without_an_involution_is_an_input_error(tmp_path, capsys):
+    # the two-summand matching swaps once: an order-3 automorphism is an
+    # input the construction does not take, not a violated property
+    d4 = d_quiver(4)
+    rot = automorphism(d4, {"1": "3", "3": "4", "4": "1", "2": "2"})
+    ones = {x: 1 for x in d4.vertices}
+    m = framed_module(d4, ones, ones, J={x: Mat.rational([[k]]) for x, k in
+                                         {"1": 1, "2": 1, "3": 2, "4": 3}.items()})
+    path = tmp_path / "rot3.json"
+    path.write_text(json.dumps({"quiver": quiver_to_dict(d4, rot), "module": module_to_dict(m),
+                                "g": matmap_to_obj({x: Mat.identity(1) for x in d4.vertices})}))
+    message = ("summand-matched witness failed exact verification; "
+               "the construction needs an involutive automorphism")
+    assert main(["module", "witness", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["module", "witness", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": {"type": "WitnessVerificationFailed", "message": message}}
+
+
+def test_an_edge_id_ending_in_a_star_is_refused(tmp_path, capsys):
+    # the reverse arrow of edge e is keyed e*, which an edge e* would share
+    q = {"vertices": ["1", "2", "3"],
+         "edges": [{"id": "e", "src": "1", "tgt": "2"}, {"id": "e*", "src": "2", "tgt": "3"}],
+         "automorphism": {"vertices": {"1": "1", "2": "2", "3": "3"}}}
+    one = {"rows": 1, "cols": 1, "data": [["1"]]}
+    quiver_path, module_path = tmp_path / "q.json", tmp_path / "m.json"
+    quiver_path.write_text(json.dumps(q))
+    module_path.write_text(json.dumps({"quiver": q, "module": {
+        "v": {"1": 1, "2": 1, "3": 1}, "w": {}, "B": {"e": one, "e*": one}}}))
+    for argv in (["split", "--file", str(quiver_path)], ["module", "check", str(module_path)]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == ("", "error: edge id e* ends in '*', which keys a "
+                                           "reverse arrow\n")
+
+
+def test_branch_on_a_rank_zero_split_quiver(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [], "edges": [], "automorphism": {"vertices": {}}}))
+    code, out = run(capsys, "branch", "--file", str(path), "--framing", "", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["dim"] == 1
+    assert payload["summands"] == [{"weight": [], "multiplicity": 1, "dim": 1}]
+
+
+@pytest.mark.parametrize("vertices, perm", [
+    ([], {}), (["1"], {"1": "1"}), (["1", "2"], {"1": "2", "2": "1"}),
+], ids=["empty", "one vertex", "two swapped vertices"])
+def test_smallest_quivers_pass_every_subcommand_cleanly(tmp_path, capsys, vertices, perm):
+    quiver = {"vertices": vertices, "edges": [], "automorphism": {"vertices": perm}}
+    ident = {x: {"rows": 1, "cols": 1, "data": [["1"]]} for x in vertices}
+    module = {"v": {x: 1 for x in vertices}, "w": {x: 1 for x in vertices}, "J": ident}
+    quiver_path, module_path = tmp_path / "q.json", tmp_path / "m.json"
+    quiver_path.write_text(json.dumps(quiver))
+    module_path.write_text(json.dumps({
+        "quiver": quiver, "module": module, "sub": module, "xi": ident, "g": ident,
+        "witness": {"g": ident}, "witness_sub": {"g": ident}}))
+    source = ["--file", str(quiver_path)]
+    argvs = [["split", *source], ["quotient", *source], ["fold", *source],
+             ["branch", *source, "--framing", "{}"], ["dims", *source, "--v", "{}", "--w", "{}"]]
+    argvs += [["module", action, str(module_path)]
+              for action in ("check", "theta", "transition", "witness", "theorem5")]
+    for argv in argvs:
+        for flags in ([], ["--json"]):
+            code = main([*argv, *flags])
+            err = capsys.readouterr().err
+            assert code in (0, 1) and err.count("\n") <= 1 and "Traceback" not in err, argv
 
 
 def test_string_matrix_in_module_file_is_refused(tmp_path, capsys):

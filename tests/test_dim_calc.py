@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qfold.dim_calc import dim_quiver_variety, dim_steinberg, fixed_components
-from qfold.errors import NotOrbitConstant, UnknownVertex
+from qfold.errors import NotOrbitConstant
 from qfold.lie_fold import cartan_from_quiver, cartan_matrix
 from qfold.quiver_core import a_quiver, d_quiver, fork_swap_automorphism
 from qfold.split_quotient import fiber_count, split_quiver
@@ -18,11 +18,6 @@ def test_cotangent_grassmannian_oracle():
         for k in range(m + 1):
             assert dim_quiver_variety({"1": k}, {"1": m}, A1) == 2 * k * (m - k)
     assert dim_quiver_variety({"1": 0}, {"1": 3}, A1) == 0
-
-
-def test_dim_rejects_unknown_vertex():
-    with pytest.raises(UnknownVertex):
-        dim_quiver_variety({"9": 1}, {}, A1)
 
 
 def test_dim_permutation_equivariance():

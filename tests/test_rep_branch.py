@@ -270,6 +270,11 @@ def test_branch_conserves_dimension_a5():
         assert sum(m * weyl_dim(fold.folded, wt) for wt, m, _dim in rows) == weyl_dim(c, lam)
 
 
+def test_rank_zero_character_is_the_trivial_weight():
+    # no positive root: the one dominant weight is () itself
+    assert freudenthal_character(cartan_matrix([]), ()) == {(): 1}
+
+
 def test_highest_weight_from_framing():
     a3 = a_quiver(3)
     from qfold.split_quotient import split_quiver
