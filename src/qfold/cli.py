@@ -47,7 +47,9 @@ from .quiver_core import (
 )
 from .rep_branch import branch, highest_weight_from_framing
 from .serialize import (
+    check_blocks,
     check_matrix_budget,
+    check_transport,
     dim_entry,
     json_document,
     json_object,
@@ -291,6 +293,7 @@ def cmd_module(args) -> int:
         sigma = sigma_from_dict(q, a, data["sigma"])
     else:
         sigma = identity_sigma(q, a, m.w)
+    check_transport(m, sigma)
 
     if args.action == "theta":
         module = module_to_dict(apply_theta(m, sigma))
@@ -312,6 +315,7 @@ def cmd_module(args) -> int:
         if "g" not in data:
             raise InputError("the witness action needs a \"g\" block of gauge matrices")
         g = vertex_matmap_from_obj(q, data["g"], "the gauge")
+        check_blocks(g, q, m.v, m.v, "gauge block")
         big, witness = build_theta_witness(m, g, sigma)
         eigen_report = {}
         for x in q.vertices:
@@ -337,9 +341,11 @@ def cmd_module(args) -> int:
     if args.action == "theorem5":
         try:
             sub = module_from_dict(q, data["sub"])
+            check_transport(sub, sigma, framing=m.w)
             xi = vertex_matmap_from_obj(q, data["xi"], "the map")
-            witness = witness_from_dict(q, data["witness"])
-            witness_sub = witness_from_dict(q, data["witness_sub"])
+            check_blocks(xi, q, m.v, sub.v, "the map")
+            witness = witness_from_dict(q, data["witness"], m.v)
+            witness_sub = witness_from_dict(q, data["witness_sub"], sub.v)
         except KeyError as exc:
             raise InputError(f"theorem5 file is missing the {exc} block") from exc
         rep = theorem5_verify(xi, sub, m, sigma, witness_sub, witness)

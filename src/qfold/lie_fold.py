@@ -381,7 +381,8 @@ def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence
       [H_i, E_j] =  c[j][i] E_j     [H_i, F_j] = -c[j][i] F_j
       [E_i, F_j] = delta_ij H_i
       ad(E_i)^(1 - c[j][i]) E_j = 0 and the same for F (i != j).
-    All relations are evaluated; every violation is reported.
+    All relations are evaluated; every violation is reported.  [H_i, H_j] is
+    formed for i < j only, as [H_i, H_i] = 0 and [H_j, H_i] = -[H_i, H_j].
     """
     n = c.n
     if not (len(E) == len(F) == len(H) == n):
@@ -391,11 +392,10 @@ def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence
         if m.rows != size or m.cols != size:
             raise DimensionMismatch("all generators must be square of equal size")
 
-    bad: list[SerreViolation] = []
-    for i in range(n):
-        for j in range(n):
-            if not _comm(H[i], H[j]).is_zero():
-                bad.append(SerreViolation("hh", i, j))
+    apart = {(i, j) for i in range(n) for j in range(i + 1, n)
+             if not _comm(H[i], H[j]).is_zero()}
+    bad = [SerreViolation("hh", i, j) for i in range(n) for j in range(n)
+           if (min(i, j), max(i, j)) in apart]
     for i in range(n):
         for j in range(n):
             if not (_comm(H[i], E[j]) - E[j].scaled(c[j, i])).is_zero():

@@ -11,10 +11,10 @@ unsigned mode drops eps).  The arrow keys, the image of each arrow under
 the diagram automorphism and the signs of the transport are defined in
 `quiver_core`; the transport theta reads them, with the framing twists,
 from its `SigmaData`.  A module is checked where it enters, by
-`framed_module`, and a twist by `SigmaData.validate`; the modules and
-twists the program builds itself are valid by construction,
-`apply_theta` checks only that a twist fits its module, and `serialize`
-checks the keys of a gauge, an embedding or a witness read from a file.
+`framed_module`, and a twist by `SigmaData.validate`; the rest of a module
+file (v and w constant on orbits, a twist that fits w, the shapes of a
+gauge, an embedding and a witness) where `cli` and `serialize` read it.
+The functions here take it all as checked, or as built valid.
 
 A transition g is a module isomorphism m -> theta(m); `find_transition`
 reads it off one reduction, which decides all but g I = theta(I).
@@ -30,17 +30,13 @@ from functools import lru_cache
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import (
-    IndexMismatch,
-    InputError,
     MixedCharacteristics,
     NotInvertible,
-    NotOrbitConstant,
     NotStable,
     PreconditionViolation,
     PropertyViolation,
     RelationViolation,
     ShapeMismatch,
-    SigmaConstraintViolated,
     TooLarge,
     WitnessVerificationFailed,
 )
@@ -54,11 +50,7 @@ from .numberfield import (
     poly_str,
 )
 from .quiver_core import DiagramAutomorphism, Quiver, reverse_key
-from .split_quotient import (
-    SigmaData,
-    is_orbit_constant,
-    root_of_unity_eigendims,
-)
+from .split_quotient import SigmaData, root_of_unity_eigendims
 
 
 class FramedModule(NamedTuple):
@@ -217,9 +209,11 @@ def _all_subspace_bases(n: int, p: int) -> tuple[Mat, ...]:
 
 
 def brute_stability(m: FramedModule) -> bool:
-    """Independent stability oracle over a prime field: enumerate every
-    graded subspace, at most 4 dimensions per vertex, and test containment
-    in ker J plus B-invariance."""
+    """Independent stability oracle over a prime field: filter each
+    vertex's subspaces (at most 4 dimensions) to those in ker J_x once, then
+    test every graded combination for B-invariance.  No vertex: stable."""
+    if not m.quiver.vertices:
+        return True
     p = m.J[m.quiver.vertices[0]].p
     if not p:
         raise TooLarge("brute-force stability is restricted to prime fields")
@@ -236,12 +230,12 @@ def brute_stability(m: FramedModule) -> bool:
 
     import itertools
     arrows = m.quiver.doubled
-    for combo in itertools.product(*per_vertex):
+    in_ker_j = [[s for s in spaces if (m.J[x] * s).is_zero()]
+                for x, spaces in zip(m.quiver.vertices, per_vertex)]
+    for combo in itertools.product(*in_ker_j):
+        if all(b.cols == 0 for b in combo):
+            continue
         spaces = dict(zip(m.quiver.vertices, combo))
-        if all(b.cols == 0 for b in spaces.values()):
-            continue
-        if any((m.J[x] * spaces[x]).rank() for x in m.quiver.vertices):
-            continue
         if all(column_space_contains(spaces[info.tgt], m.B[info.key] * spaces[info.src])
                for info in arrows):
             return False
@@ -260,16 +254,9 @@ def apply_theta(m: FramedModule, sigma: SigmaData) -> FramedModule:
     `quiver_core.arrow_transport`; the signs telescope to +1 over a full
     period, so iterating n times returns the module exactly.  sigma_i is
     inverted only where I_i is nonzero: a zero I_i is its own image.
+    sigma fits m, whose v and w are orbit-constant, as read (`serialize`).
     """
     q = m.quiver
-    if q != sigma.quiver:
-        raise IndexMismatch("the module and the framing twists live on different quivers")
-    od = sigma.orbits
-    if not is_orbit_constant(m.v, od) or not is_orbit_constant(m.w, od):
-        raise NotOrbitConstant("module dimensions must be constant on orbits")
-    if any(sigma.maps[x].cols != m.w.get(x, 0) for x in q.vertices):
-        raise SigmaConstraintViolated("sigma does not match the framing dimensions of the module")
-
     image, signs = sigma.transport
     if not m.signed:
         newB = {image[key]: m.B[key] for key in image}
@@ -305,12 +292,8 @@ def _conjugate(g: Mapping[str, Mat], inv: Mapping[str, Mat], m: FramedModule) ->
 
 
 def direct_sum(m1: FramedModule, m2: FramedModule) -> FramedModule:
-    """Blockwise direct sum over a shared framing W."""
+    """Blockwise direct sum of a module and its transport over their framing W."""
     q = m1.quiver
-    if m2.quiver != q:
-        raise ShapeMismatch("direct sum needs a common quiver")
-    if any(m1.w.get(x, 0) != m2.w.get(x, 0) for x in q.vertices):
-        raise ShapeMismatch("direct sum needs equal framing dimensions")
     v = {x: m1.v.get(x, 0) + m2.v.get(x, 0) for x in q.vertices}
     B = {}
     for info in q.doubled:
@@ -341,20 +324,14 @@ class TransitionWitness(NamedTuple):
 
 def witness_matrix(witness: TransitionWitness, vertex: str) -> Mat:
     """The honest per-vertex transition matrix, with the summand swap
-    composed in when the witness is recorded summand-matched."""
-    g = witness.g.get(vertex)
-    if g is None:
-        raise ShapeMismatch(f"the witness has no matrix at {vertex}")
+    composed in when the witness is recorded summand-matched, from blocks
+    checked by `serialize.witness_from_dict` or built here."""
+    g = witness.g[vertex]
     if not witness.summand_swap:
         return g
-    if vertex not in (witness.block_dims or {}):
-        raise ShapeMismatch(f"the summand-swapped witness has no block sizes at {vertex}")
-    n1, n2 = witness.block_dims[vertex]
-    if n1 != n2 or g.rows != n1 + n2:
-        raise ShapeMismatch(f"the summand swap at {vertex} needs two equal blocks of "
-                            f"{g.rows} rows, not {n1} + {n2}")
+    n = witness.block_dims[vertex][0]
     # the swap exchanges the two row blocks of g
-    return g.submatrix([*range(n1, g.rows), *range(n1)], range(g.cols))
+    return g.submatrix([*range(n, g.rows), *range(n)], range(g.cols))
 
 
 def verify_transition(m: FramedModule, sigma: SigmaData, witness: TransitionWitness) -> bool:
@@ -396,13 +373,8 @@ def find_transition(m: FramedModule, sigma: SigmaData) -> Optional[TransitionWit
 
 
 def star(g: Mapping[str, Mat], a: DiagramAutomorphism) -> dict[str, Mat]:
-    """The conjugated gauge element: (g*)_i = g_{a(i)}."""
-    out = {}
-    for vertex in a.vertex_perm:
-        if a.vertex_perm[vertex] not in g:
-            raise InputError(f"gauge element missing vertex {a.vertex_perm[vertex]}")
-        out[vertex] = g[a.vertex_perm[vertex]]
-    return out
+    """The conjugated gauge element: (g*)_i = g_{a(i)}, g keyed by each vertex."""
+    return {vertex: g[image] for vertex, image in a.vertex_perm.items()}
 
 
 def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat], sigma: SigmaData
@@ -412,17 +384,14 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat], sigma: SigmaData
 
     Requires an involutive automorphism (the matching exchanges the two
     summands once); the witness is re-verified exactly against the
-    composed swap before returning.  g is keyed by vertices of the quiver.
+    composed swap before returning.  g is v_x x v_x at each vertex x, as
+    read; a singular block is refused here, where it is inverted.
     """
     q = m1.quiver
     inv = {}  # g^{-1}, one elimination per block
     for x in q.vertices:
-        n = m1.v.get(x, 0)
-        mat = g.get(x)
-        if mat is None or mat.rows != n or mat.cols != n:
-            raise ShapeMismatch(f"gauge block at {x} must be {n}x{n}")
         try:
-            inv[x] = mat.inverse()
+            inv[x] = g[x].inverse()
         except NotInvertible:
             raise NotInvertible(f"gauge block at {x} is singular") from None
 
@@ -484,17 +453,9 @@ def rational_eigenvalues(g_mat: Mat) -> list[tuple[Fraction, int]]:
 
 def check_framed_embedding(xi: Mapping[str, Mat], m_sub: FramedModule,
                            m: FramedModule) -> bool:
-    """xi, keyed by vertices of the quiver, is an injective map of framed
-    modules over the shared framing."""
+    """xi, v_x x v_sub,x at each vertex x as read, is an injective map of
+    framed modules over their shared framing."""
     q = m.quiver
-    if m_sub.quiver != q:
-        raise ShapeMismatch("modules live on different quivers")
-    if any(m_sub.w.get(x, 0) != m.w.get(x, 0) for x in q.vertices):
-        raise ShapeMismatch("embeddings require a shared framing")
-    for x in q.vertices:
-        mat = xi.get(x)
-        if mat is None or mat.rows != m.v.get(x, 0) or mat.cols != m_sub.v.get(x, 0):
-            raise ShapeMismatch(f"the map at {x} must be {m.v.get(x, 0)}x{m_sub.v.get(x, 0)}")
     for x in q.vertices:
         if xi[x].rank() != m_sub.v.get(x, 0):
             return False

@@ -12,6 +12,8 @@ JSON.  It is written from (num, den) too, each entry as `str` prints it,
 with no Fraction built either way.
 Every reader checks the JSON types it is given and raises InputError on a
 malformed document; a per-vertex map refuses a key that names no vertex.
+`check_transport`, `check_blocks` and `witness_from_dict` check what a module
+file pairs with its module, once, and `module_lab` takes it as read.
 """
 
 from __future__ import annotations
@@ -20,13 +22,13 @@ import json
 from math import gcd
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import InputError, ShapeMismatch, TooLarge
+from .errors import InputError, NotOrbitConstant, ShapeMismatch, SigmaConstraintViolated, TooLarge
 from .linalg import Mat, _over_q, rational_rows
 from .quiver_core import DiagramAutomorphism, Quiver
+from .split_quotient import SigmaData, is_orbit_constant
 
 if TYPE_CHECKING:
     from .module_lab import FramedModule, TransitionWitness
-    from .split_quotient import SigmaData
 
 
 def json_document(data: bytes, source: str):
@@ -142,6 +144,16 @@ def vertex_matmap_from_obj(q: Quiver, obj, what: str) -> dict[str, Mat]:
     return _vertex_keyed(matmap_from_obj(obj), q, what)
 
 
+def check_blocks(maps: Mapping[str, Mat], q: Quiver, rows: Mapping[str, int],
+                 cols: Mapping[str, int], what: str) -> None:
+    """Raise ShapeMismatch, naming what, unless maps holds a rows_x x cols_x
+    matrix at every vertex x of q."""
+    for x in q.vertices:
+        r, c = rows.get(x, 0), cols.get(x, 0)
+        if x not in maps or (maps[x].rows, maps[x].cols) != (r, c):
+            raise ShapeMismatch(f"{what} at {x} must be {r}x{c}")
+
+
 def module_to_dict(m: FramedModule) -> dict:
     return {
         "v": dict(sorted(m.v.items())),
@@ -179,11 +191,22 @@ def sigma_to_dict(sigma: SigmaData) -> dict:
 def sigma_from_dict(q: Quiver, a: DiagramAutomorphism, obj) -> SigmaData:
     """Framing twists read from outside, checked by `SigmaData.validate`:
     the one place a twist enters the program."""
-    from .split_quotient import SigmaData
-
     sigma = SigmaData(q, a, matmap_from_obj(obj))
     sigma.validate()
     return sigma
+
+
+def check_transport(m: FramedModule, sigma: SigmaData, framing=None) -> None:
+    """Refuse a module that theta cannot transport along sigma: v or w not
+    constant on orbits, or a sigma_x that does not fit w_x; a submodule
+    read with the framing of its ambient module must share it first."""
+    q = m.quiver
+    if framing is not None and any(m.w.get(x, 0) != framing.get(x, 0) for x in q.vertices):
+        raise ShapeMismatch("embeddings require a shared framing")
+    if not is_orbit_constant(m.v, sigma.orbits) or not is_orbit_constant(m.w, sigma.orbits):
+        raise NotOrbitConstant("module dimensions must be constant on orbits")
+    if any(sigma.maps[x].cols != m.w.get(x, 0) for x in q.vertices):
+        raise SigmaConstraintViolated("sigma does not match the framing dimensions of the module")
 
 
 def witness_to_dict(w: TransitionWitness) -> dict:
@@ -193,8 +216,9 @@ def witness_to_dict(w: TransitionWitness) -> dict:
     return out
 
 
-def witness_from_dict(q: Quiver, obj) -> TransitionWitness:
-    """A witness whose matrices and block sizes are keyed by vertices of q."""
+def witness_from_dict(q: Quiver, obj, dims: Mapping[str, int]) -> TransitionWitness:
+    """A witness of a module of dimension dims: a dims_x x dims_x matrix at
+    each vertex x, under a summand swap with block sizes (n, n), 2n = dims_x."""
     from .module_lab import TransitionWitness
 
     obj = json_object(obj, "a witness block")
@@ -207,8 +231,16 @@ def witness_from_dict(q: Quiver, obj) -> TransitionWitness:
                 raise InputError(f'"block_dims" at {k} must be a pair of integers, got {v!r}')
             block_dims[k] = (dim_entry(v[0], '"block_dims"'), dim_entry(v[1], '"block_dims"'))
         _vertex_keyed(block_dims, q, "the witness's block_dims")
-    return TransitionWitness(
-        vertex_matmap_from_obj(q, obj["g"], "the witness"),
-        _flag(obj, "summand_swap", False),
-        block_dims,
-    )
+    g = vertex_matmap_from_obj(q, obj["g"], "the witness")
+    swap = _flag(obj, "summand_swap", False)
+    for x in q.vertices:
+        if x not in g:
+            raise ShapeMismatch(f"the witness has no matrix at {x}")
+        if swap and x not in (block_dims or {}):
+            raise ShapeMismatch(f"the summand-swapped witness has no block sizes at {x}")
+        n1, n2 = block_dims[x] if swap else (0, 0)
+        if swap and (n1 != n2 or g[x].rows != n1 + n2):
+            raise ShapeMismatch(f"the summand swap at {x} needs two equal blocks of "
+                                f"{g[x].rows} rows, not {n1} + {n2}")
+    check_blocks(g, q, dims, dims, "the map")
+    return TransitionWitness(g, swap, block_dims)

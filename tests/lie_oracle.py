@@ -1,6 +1,7 @@
 """The former hand-built Chevalley generators, kept as the oracle of
 `qfold.lie_fold`, which now builds them from the Cartan matrix on a
-minuscule module.
+minuscule module; and the former `serre_check`, which formed [H_i, H_j]
+for every ordered pair.
 
 sl_{n+1} and so_{2n} act on their defining representations, wired by hand
 for the labels "1".."rank" of `a_quiver` and `d_quiver`; the orbit sums are
@@ -9,7 +10,7 @@ minuscule module's, so compare Serre reports, sizes and ranks, not
 matrices.
 """
 
-from qfold.lie_fold import _comm
+from qfold.lie_fold import SerreReport, SerreViolation, _comm
 from qfold.linalg import Mat
 from qfold.quiver_core import DiagramAutomorphism, _orbits
 
@@ -54,3 +55,36 @@ def oracle_folded_generators(rank: int, family: str, a: DiagramAutomorphism
         Ff.append(sum((F[k] for k in rest), F[first]))
         Hf.append(_comm(Ef[-1], Ff[-1]))
     return Ef, Ff, Hf
+
+
+def oracle_serre_check(c, E, F, H) -> SerreReport:
+    """`serre_check` as it was, every relation for every ordered pair."""
+    n = c.n
+    size = E[0].rows if n else 0
+    bad = []
+    for i in range(n):
+        for j in range(n):
+            if not _comm(H[i], H[j]).is_zero():
+                bad.append(SerreViolation("hh", i, j))
+    for i in range(n):
+        for j in range(n):
+            if not (_comm(H[i], E[j]) - E[j].scaled(c[j, i])).is_zero():
+                bad.append(SerreViolation("he", i, j))
+            if not (_comm(H[i], F[j]) + F[j].scaled(c[j, i])).is_zero():
+                bad.append(SerreViolation("hf", i, j))
+    for i in range(n):
+        for j in range(n):
+            expect = H[i] if i == j else Mat.zeros(size, size, H[i].p)
+            if not (_comm(E[i], F[j]) - expect).is_zero():
+                bad.append(SerreViolation("ef", i, j))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            for gens in (E, F):
+                x = gens[j]
+                for _ in range(1 - c[j, i]):
+                    x = _comm(gens[i], x)
+                if not x.is_zero():
+                    bad.append(SerreViolation("serre", i, j))
+    return SerreReport(not bad, tuple(bad))

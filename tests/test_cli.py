@@ -1118,3 +1118,123 @@ def test_relation_violation_json_error_names_the_vertex(tmp_path, capsys):
     # without --json the error is the same one line as before
     assert main(["module", "transition", str(path)]) == 1
     assert capsys.readouterr().err == "error: preprojective relation fails at vertex 1\n"
+
+
+def diagonal(rows: int, cols: int) -> Mat:
+    """The rows x cols matrix with ones on its diagonal."""
+    return Mat(rows, cols, [[int(r == c) for c in range(cols)] for r in range(rows)])
+
+
+def lab_doc(v, w, sub_v, sub_w=None, sigma=None):
+    """A module file on A3-flip for every module action, with dimensions
+    given in vertex order.  B = 0, I = 0 and J is the diagonal, so a module
+    with v <= w is stable and, under identity twists, its own transport.
+    The submodule sits inside along the diagonal xi; the witnesses and the
+    gauge are identities.  sigma, when given, is the identity of that size."""
+    a3 = a_quiver(3)
+    v, w, sub_v = (dict(zip(a3.vertices, dims)) for dims in (v, w, sub_v))
+    sub_w = w if sub_w is None else dict(zip(a3.vertices, sub_w))
+
+    def module(dims, framing):
+        return module_to_dict(framed_module(a3, dims, framing, J={
+            x: diagonal(framing[x], dims[x]) for x in a3.vertices}))
+
+    def identities(dims):
+        return matmap_to_obj({x: Mat.identity(dims[x]) for x in a3.vertices})
+
+    doc = {"quiver": quiver_to_dict(a3, flip_automorphism(a3, 3)),
+           "module": module(v, w), "sub": module(sub_v, sub_w),
+           "xi": matmap_to_obj({x: diagonal(v[x], sub_v[x]) for x in a3.vertices}),
+           "witness": {"g": identities(v)}, "witness_sub": {"g": identities(sub_v)},
+           "g": identities(v)}
+    if sigma is not None:
+        doc["sigma"] = matmap_to_obj({x: Mat.identity(sigma) for x in a3.vertices})
+    return doc
+
+
+TWOS, ONES = (2, 2, 2), (1, 1, 1)
+TRANSPORTING = ("theta", "transition", "witness", "theorem5")
+ORBITS = "module dimensions must be constant on orbits"
+IDENTITY = {n: matmap_to_obj({"x": Mat.identity(n)})["x"] for n in (1, 2)}
+
+
+def probe_doc(*changes, drop=()):
+    """lab_doc(TWOS, TWOS, ONES) with each (field, value) of changes set and
+    the entry at the path drop removed."""
+    doc = lab_doc(TWOS, TWOS, ONES)
+    for field, value in changes:
+        doc = replaced(doc, field, value)
+    if drop:
+        node = doc
+        for key in drop[:-1]:
+            node = node[key]
+        del node[drop[-1]]
+    return doc
+
+
+# (fact, actions, file, --json type, message); each file has that one fault
+MODULE_FILE_FACTS = [
+    ("v orbit-constant", TRANSPORTING, lambda: lab_doc((2, 2, 1), TWOS, ONES),
+     "NotOrbitConstant", ORBITS),
+    ("w orbit-constant", TRANSPORTING, lambda: lab_doc(TWOS, (2, 2, 3), ONES, sigma=2),
+     "NotOrbitConstant", ORBITS),
+    ("w orbit-constant without a twist", TRANSPORTING, lambda: lab_doc(TWOS, (2, 2, 3), ONES),
+     "NotOrbitConstant", "framing dimensions must be constant on orbits"),
+    ("sigma fits w", TRANSPORTING, lambda: lab_doc(TWOS, TWOS, ONES, sigma=1),
+     "SigmaConstraintViolated", "sigma does not match the framing dimensions of the module"),
+    ("sigma keyed by the quiver", TRANSPORTING,
+     lambda: replaced(lab_doc(TWOS, TWOS, ONES, sigma=2), ("sigma", "zz"), IDENTITY[2]),
+     "SigmaConstraintViolated", "sigma names 'zz', which is no vertex of the quiver"),
+    ("sub shares the framing", ("theorem5",), lambda: lab_doc(TWOS, TWOS, ONES, sub_w=ONES),
+     "ShapeMismatch", "embeddings require a shared framing"),
+    ("sub v orbit-constant", ("theorem5",), lambda: lab_doc(TWOS, TWOS, (1, 1, 0)),
+     "NotOrbitConstant", ORBITS),
+    ("xi shape", ("theorem5",), lambda: probe_doc((("xi", "2"), IDENTITY[1])),
+     "ShapeMismatch", "the map at 2 must be 2x1"),
+    ("xi at every vertex", ("theorem5",), lambda: probe_doc(drop=("xi", "3")),
+     "ShapeMismatch", "the map at 3 must be 2x1"),
+    ("witness at every vertex", ("theorem5",), lambda: probe_doc(drop=("witness", "g", "1")),
+     "ShapeMismatch", "the witness has no matrix at 1"),
+    ("witness shape", ("theorem5",), lambda: probe_doc((("witness", "g", "2"), IDENTITY[1])),
+     "ShapeMismatch", "the map at 2 must be 2x2"),
+    ("submodule witness shape", ("theorem5",),
+     lambda: probe_doc((("witness_sub", "g", "1"), IDENTITY[2])),
+     "ShapeMismatch", "the map at 1 must be 1x1"),
+    ("swap block sizes at every vertex", ("theorem5",),
+     lambda: probe_doc((("witness", "summand_swap"), True)),
+     "ShapeMismatch", "the summand-swapped witness has no block sizes at 1"),
+    ("swap blocks equal", ("theorem5",),
+     lambda: probe_doc((("witness", "summand_swap"), True),
+                       (("witness", "block_dims"), {"1": [1, 1], "2": [2, 0], "3": [1, 1]})),
+     "ShapeMismatch", "the summand swap at 2 needs two equal blocks of 2 rows, not 2 + 0"),
+    ("gauge shape", ("witness",), lambda: probe_doc((("g", "2"), IDENTITY[1])),
+     "ShapeMismatch", "gauge block at 2 must be 2x2"),
+    ("gauge at every vertex", ("witness",), lambda: probe_doc(drop=("g", "3")),
+     "ShapeMismatch", "gauge block at 3 must be 2x2"),
+]
+
+
+def test_the_probe_file_passes_every_module_action(tmp_path, capsys):
+    path = tmp_path / "lab.json"
+    path.write_text(json.dumps(lab_doc(TWOS, TWOS, ONES)))
+    for action in ("check", *TRANSPORTING):
+        code, out = run(capsys, "module", action, str(path), "--json")
+        assert code == 0, (action, out)
+    assert json.loads(run(capsys, "module", "theorem5", str(path), "--json")[1])["ok"] is True
+
+
+@pytest.mark.parametrize("fact, actions, build, kind, message", MODULE_FILE_FACTS,
+                         ids=[fact.replace(" ", "-") for fact, *_ in MODULE_FILE_FACTS])
+def test_module_file_fact_is_checked_where_it_is_read(tmp_path, capsys, fact, actions, build,
+                                                       kind, message):
+    """Each structural fact about a module file is refused with exit 1 and
+    one line, by every action that reads it."""
+    path = tmp_path / "lab.json"
+    path.write_text(json.dumps(build()))
+    for action in actions:
+        assert main(["module", action, str(path)]) == 1, action
+        assert capsys.readouterr() == ("", f"error: {message}\n"), action
+        assert main(["module", action, str(path), "--json"]) == 1, action
+        out, err = capsys.readouterr()
+        assert err == "" and out.count("\n") == 1, action
+        assert json.loads(out) == {"error": {"type": kind, "message": message}}, action

@@ -3,7 +3,7 @@ from math import lcm
 
 import pytest
 from cartan_oracle import oracle_classify, per_minor_finite_type
-from lie_oracle import oracle_folded_generators
+from lie_oracle import oracle_folded_generators, oracle_serre_check
 
 from qfold import lie_fold
 from qfold.errors import InputError, NotAdmissible, NotFiniteType, SelfLoop, UnsupportedFamily
@@ -550,3 +550,34 @@ def test_diagram_reading_matches_the_former_classifier():
         labels[got.family] = labels.get(got.family, 0) + 1
     assert set(labels) == set("ABCDEFG") | {"affine-A", "affine-D", "other"}, labels
     assert min(labels.values()) >= 10, labels
+
+
+def test_serre_check_matches_the_every_pair_oracle():
+    """[H_i, H_j] decided once per pair gives the report of the every-pair
+    loop: on folded generators, and with the H's replaced by planted
+    matrices, some commuting and some not, over Q and F_3."""
+    rng = random.Random(53)
+    cases = []
+    for q, a in ((a_quiver(3), flip_automorphism(a_quiver(3), 3)),
+                 (a_quiver(5), flip_automorphism(a_quiver(5), 5)),
+                 (d_quiver(4), fork_swap_automorphism(d_quiver(4), 4))):
+        fold = fold_of(q, a)
+        E, F, H = folded_generators(fold)
+        cases.append((fold.folded, E, F, H))
+        size = H[0].rows
+        for p in (0, 3):
+            E, F = ([Mat(g.rows, g.cols, g.data, p) for g in group] for group in (E, F))
+            diagonal = [Mat(size, size, [[rng.randrange(3) * (r == s) for s in range(size)]
+                                         for r in range(size)], p) for _ in H]
+            planted = [Mat(size, size, [[rng.randrange(3) for _ in range(size)]
+                                        for _ in range(size)], p) for _ in H]
+            planted[0] = diagonal[0]   # a diagonal H commutes with the other diagonal ones
+            cases.append((fold.folded, E, F, planted))
+            cases.append((fold.folded, E, F, [diagonal[0], *planted[1:]]))
+            cases.append((fold.folded, E, F, diagonal))
+    hh = set()
+    for c, E, F, H in cases:
+        report = serre_check(c, E, F, H)
+        assert report == oracle_serre_check(c, E, F, H)
+        hh.add(sum(v.kind == "hh" for v in report.violations))
+    assert 0 in hh and len(hh) > 2, hh

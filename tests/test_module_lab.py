@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -10,16 +11,14 @@ from typing import NamedTuple
 import pytest
 
 import qfold
+from qfold import module_lab, split_quotient
 from qfold.cli import main
 from qfold.corpus import corpus
 from qfold.errors import (
-    IndexMismatch,
     MixedCharacteristics,
     NotInvertible,
-    NotOrbitConstant,
     NotStable,
     PreconditionViolation,
-    ShapeMismatch,
     SigmaConstraintViolated,
     TooLarge,
     WitnessVerificationFailed,
@@ -42,6 +41,7 @@ from qfold.module_lab import (
     RelationReport,
     SigmaData,
     TransitionWitness,
+    _all_subspace_bases,
     act,
     apply_theta,
     brute_stability,
@@ -198,6 +198,51 @@ def test_brute_stability_matches_exact():
         assert is_stable(m) == brute_stability(m)
 
 
+def brute_stability_oracle(m):
+    """`brute_stability` as it was before its ker J filter: every
+    combination of graded subspaces, with J_x S_x decided inside the loop."""
+    p = m.J[m.quiver.vertices[0]].p
+    per_vertex = [_all_subspace_bases(m.v.get(x, 0), p) for x in m.quiver.vertices]
+    for combo in itertools.product(*per_vertex):
+        spaces = dict(zip(m.quiver.vertices, combo))
+        if all(b.cols == 0 for b in spaces.values()):
+            continue
+        if any((m.J[x] * spaces[x]).rank() for x in m.quiver.vertices):
+            continue
+        if all(column_space_contains(spaces[info.tgt], m.B[info.key] * spaces[info.src])
+               for info in m.quiver.doubled):
+            return False
+    return True
+
+
+def test_brute_stability_matches_the_unfiltered_oracle():
+    """Seeded draws over F_2 and F_3 with B random on every doubled arrow
+    (no relation needed) and J of every rank, small J too, so that both
+    verdicts come out and the filter drops subspaces."""
+    rng = random.Random(61)
+    quivers = [a_quiver(2), A3, d_quiver(4)]
+    verdicts = set()
+    for trial in range(90):
+        q = quivers[trial % 3]
+        p = (2, 3)[trial % 2]
+        v = {x: rng.randint(0, 2) for x in q.vertices}
+        w = {x: rng.randint(0, 2) for x in q.vertices}
+        m = framed_module(q, v, w,
+                          B={info.key: rand_mat(rng, v[info.tgt], v[info.src], p)
+                             for info in q.doubled if rng.random() < 0.5},
+                          J={x: rand_mat(rng, w[x], v[x], p) for x in q.vertices})
+        verdict = brute_stability(m)
+        assert verdict == brute_stability_oracle(m), trial
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_brute_stability_on_a_quiver_with_no_vertices():
+    empty = framed_module(quiver([], []), {}, {})
+    assert brute_stability(empty) is True
+    assert is_stable(empty)
+
+
 def test_brute_stability_guards():
     m = framed_module(A1, {"1": 1}, {"1": 1}, J=one_dim({"1": 1}))
     with pytest.raises(TooLarge):
@@ -259,13 +304,6 @@ def test_theta_preserves_relations_and_stability():
         assert is_stable(out) == is_stable(m)
 
 
-def test_theta_requires_orbit_constant_dims():
-    sig = identity_sigma(A3, FLIP, {v: 1 for v in A3.vertices})
-    m = framed_module(A3, {"1": 1, "2": 1, "3": 2}, {v: 1 for v in A3.vertices})
-    with pytest.raises(NotOrbitConstant):
-        apply_theta(m, sig)
-
-
 def test_sigma_constraint_checked():
     # a bad sigma is refused by the entry check, run directly or by the JSON reader
     ok = {v: Mat.identity(1) for v in A3.vertices}
@@ -283,10 +321,6 @@ def test_sigma_constraint_checked():
             SigmaData(A3, FLIP, maps).validate()
         with pytest.raises(SigmaConstraintViolated):
             sigma_from_dict(A3, FLIP, matmap_to_obj(maps))
-    sigma = SigmaData(A3, FLIP, ok)
-    wide = framed_module(A3, {v: 1 for v in A3.vertices}, {v: 2 for v in A3.vertices})
-    with pytest.raises(SigmaConstraintViolated):
-        apply_theta(wide, sigma)
 
 
 def test_no_invariant_orientation_for_reversed_edge():
@@ -427,11 +461,6 @@ def test_apply_theta_reads_the_automorphism_off_sigma():
     assert once != m
     assert once.J["3"] == Mat.rational([[2]]) and once.B["e2*"] == Mat.rational([[5]])
     assert apply_theta(once, sigma) == m
-    # a module of another quiver is refused
-    a3_other = quiver(["1", "2", "3"], [("e1", "1", "2"), ("e2", "3", "2")])
-    stray = framed_module(a3_other, ones, ones)
-    with pytest.raises(IndexMismatch):
-        apply_theta(stray, sigma)
 
 
 def stable_asymmetric_module():
@@ -667,10 +696,6 @@ def test_build_theta_witness_certificate():
     assert witness.g["2"] == Mat.rational([[2, 0], [0, Fraction(1, 2)]])
     # the honest transition matrix composes the summand swap: its row blocks exchange
     assert witness_matrix(witness, "2") == Mat.rational([[0, Fraction(1, 2)], [2, 0]])
-    lopsided = TransitionWitness(witness.g, summand_swap=True,
-                                 block_dims={**witness.block_dims, "2": (1, 2)})
-    with pytest.raises(ShapeMismatch):
-        witness_matrix(lopsided, "2")
     prof = eigen_profile(witness.g["2"], 2)
     assert prof["other"] == 2
     assert all(d == 0 for d in prof["roots"].values())
@@ -1021,6 +1046,30 @@ def test_theorem5_generated_pairs():
         xi, msub, m, sig, wsub, wit = random_graded_pair(rng, q, a)
         rep = theorem5_verify(xi, msub, m, sig, wsub, wit)
         assert rep.ok, (trial, rep)
+
+
+def test_the_laboratory_takes_its_inputs_as_checked(monkeypatch):
+    """Orbit constancy is checked where a module file is read: on generated
+    inputs, transitions, theorem 5 and transport loops never ask for it."""
+    rng = random.Random(71)
+    d4 = d_quiver(4)
+    setups = [(A3, FLIP), (d4, fork_swap_automorphism(d4, 4))]
+    pairs = [random_graded_pair(rng, *setups[trial % 2]) for trial in range(6)]
+    modules = [random_theta_module(rng, entry.quiver, entry.auto) for entry in corpus()]
+
+    def refused(*_args):
+        raise AssertionError("orbit constancy was checked again")
+
+    monkeypatch.setattr(split_quotient, "is_orbit_constant", refused)
+    monkeypatch.setattr(module_lab, "is_orbit_constant", refused, raising=False)
+    for xi, msub, m, sig, wsub, wit in pairs:
+        assert find_transition(m, sig) is not None
+        assert theorem5_verify(xi, msub, m, sig, wsub, wit).ok
+    for m, sig in modules:
+        cur = m
+        for _ in range(sig.orbits.n):
+            cur = apply_theta(cur, sig)
+        assert cur == m
 
 
 def test_graded_pairs_are_stable():

@@ -80,8 +80,8 @@ def test_witness_round_trip():
     rng = random.Random(6)
     a3 = a_quiver(3)
     flip = flip_automorphism(a3, 3)
-    _xi, _sub, _m, _sigma, _wsub, wit = random_graded_pair(rng, a3, flip)
-    back = witness_from_dict(a3, witness_to_dict(wit))
+    _xi, _sub, m, _sigma, _wsub, wit = random_graded_pair(rng, a3, flip)
+    back = witness_from_dict(a3, witness_to_dict(wit), m.v)
     assert back.g == dict(wit.g)
     assert back.summand_swap == wit.summand_swap
 
