@@ -36,8 +36,9 @@ import sys
 import time
 from pathlib import Path
 
-from .corpus import corpus, corpus_entry
-from .errors import InputError, PropertyViolation, QfoldError, RelationViolation, UnknownVertex
+from .corpus import corpus_entry
+from .errors import (InputError, NotOrbitConstant, PropertyViolation, QfoldError,
+                     RelationViolation, UnknownVertex)
 from .lie_fold import cartan_from_quiver, classify_cartan, fold_cartan
 from .quiver_core import (
     DiagramAutomorphism,
@@ -64,6 +65,7 @@ from .split_quotient import (
     SplitData,
     fiber_count,
     identity_sigma,
+    is_orbit_constant,
     quotient_quiver,
     split_framing,
     split_quiver,
@@ -242,6 +244,8 @@ def cmd_dims(args) -> int:
     else:
         w = _parse_dimvec(args.w, q.vertices, "--w")
         check_matrix_budget({}, w)
+        if not is_orbit_constant(w, sd.orbits):
+            raise NotOrbitConstant("framing dimensions must be constant on orbits")
         w_split = split_framing(identity_sigma(q, a, w), sd)
     records = fixed_components(v, sd, w_split)
     payload = [r.to_dict() for r in records]
@@ -369,7 +373,6 @@ def cmd_verify_all(args) -> int:
     go to stderr, one line each, so stdout stays byte-identical per seed."""
     from .properties import PROPERTIES
 
-    corpus()   # a corpus directory that cannot be read is one input error
     failures = 0
     payload = {}
     lines = []

@@ -5,16 +5,13 @@ cycle with its reflection and rotation, the affine D double swap, and the
 order-3 rotation of the four-point star.  Entries are not required to be
 admissible: the non-admissible ones are kept as counterexamples and are
 recorded as such.  An entry is a name, a quiver, an automorphism and its
-admissibility.  Set QFOLD_CORPUS_DIR to a directory of quiver JSON files
-to replace the built-ins; a file's other keys, such as "description", are
-not read.
+admissibility.  The corpus is this fixed table; a quiver of one's own is
+read from a file by the CLI's `--file`.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache, partial
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .errors import InputError
@@ -30,11 +27,7 @@ from .quiver_core import (
     fork_swap_automorphism,
     identity_automorphism,
     is_admissible,
-    quiver_from_dict,
 )
-from .serialize import json_document
-
-CORPUS_ENV = "QFOLD_CORPUS_DIR"
 
 
 class CorpusEntry(NamedTuple):
@@ -42,10 +35,6 @@ class CorpusEntry(NamedTuple):
     quiver: Quiver
     auto: DiagramAutomorphism
     admissible: bool
-
-
-def _entry(name: str, q: Quiver, a: DiagramAutomorphism) -> CorpusEntry:
-    return CorpusEntry(name, q, a, is_admissible(q, a))
 
 
 def _builtin_makers() -> dict[str, Callable[[], CorpusEntry]]:
@@ -57,7 +46,8 @@ def _builtin_makers() -> dict[str, Callable[[], CorpusEntry]]:
             make_auto: Callable[[Quiver], DiagramAutomorphism]) -> None:
         def make() -> CorpusEntry:
             q = make_quiver()
-            return _entry(name, q, make_auto(q))
+            a = make_auto(q)
+            return CorpusEntry(name, q, a, is_admissible(q, a))
         makers[name] = make
 
     add("A3-id", lambda: a_quiver(3), identity_automorphism)   # the path with the identity
@@ -89,32 +79,13 @@ def _builtin() -> tuple[CorpusEntry, ...]:
     return tuple(make() for make in _builtin_makers().values())
 
 
-def _from_dir(path: Path) -> list[CorpusEntry]:
-    entries = []
-    for file in sorted(path.glob("*.json")):
-        data = json_document(file.read_bytes(), str(file))
-        q, a = quiver_from_dict(data)
-        if a is None:
-            raise InputError(f"{file} has no automorphism block")
-        entries.append(_entry(file.stem, q, a))
-    return entries
-
-
 def corpus() -> list[CorpusEntry]:
-    override = os.environ.get(CORPUS_ENV)
-    if override:
-        return _from_dir(Path(override))
     return list(_builtin())
 
 
 def corpus_entry(name: str) -> CorpusEntry:
-    """The named entry; a built-in one is built alone."""
-    if not os.environ.get(CORPUS_ENV):
-        make = _builtin_makers().get(name)
-        if make is not None:
-            return make()
-    for entry in corpus():
-        if entry.name == name:
-            return entry
-    known = ", ".join(e.name for e in corpus())
-    raise InputError(f"unknown corpus entry {name!r}; known entries: {known}")
+    """The named entry, built alone."""
+    makers = _builtin_makers()
+    if name not in makers:
+        raise InputError(f"unknown corpus entry {name!r}; known entries: {', '.join(makers)}")
+    return makers[name]()

@@ -83,10 +83,6 @@ class UnsupportedFamily(InputError):
     pass
 
 
-class DimensionMismatch(InputError):
-    pass
-
-
 class NotSymmetrizable(InputError):
     pass
 

@@ -25,7 +25,6 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
-    DimensionMismatch,
     InputError,
     NotAdmissible,
     NotFiniteType,
@@ -381,17 +380,12 @@ def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence
       [H_i, E_j] =  c[j][i] E_j     [H_i, F_j] = -c[j][i] F_j
       [E_i, F_j] = delta_ij H_i
       ad(E_i)^(1 - c[j][i]) E_j = 0 and the same for F (i != j).
-    All relations are evaluated; every violation is reported.  [H_i, H_j] is
-    formed for i < j only, as [H_i, H_i] = 0 and [H_j, H_i] = -[H_i, H_j].
+    E, F and H each hold c.n square matrices of one size, as
+    `folded_generators` builds them.  All relations are evaluated; every
+    violation is reported.  [H_i, H_j] is formed for i < j only, as
+    [H_i, H_i] = 0 and [H_j, H_i] = -[H_i, H_j].
     """
     n = c.n
-    if not (len(E) == len(F) == len(H) == n):
-        raise DimensionMismatch("generator list lengths must match the Cartan matrix")
-    size = E[0].rows if n else 0
-    for m in list(E) + list(F) + list(H):
-        if m.rows != size or m.cols != size:
-            raise DimensionMismatch("all generators must be square of equal size")
-
     apart = {(i, j) for i in range(n) for j in range(i + 1, n)
              if not _comm(H[i], H[j]).is_zero()}
     bad = [SerreViolation("hh", i, j) for i in range(n) for j in range(n)
@@ -404,8 +398,8 @@ def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence
                 bad.append(SerreViolation("hf", i, j))
     for i in range(n):
         for j in range(n):
-            expect = H[i] if i == j else Mat.zeros(size, size, H[i].p)
-            if not (_comm(E[i], F[j]) - expect).is_zero():
+            ef = _comm(E[i], F[j])
+            if not (ef - H[i] if i == j else ef).is_zero():
                 bad.append(SerreViolation("ef", i, j))
     for i in range(n):
         for j in range(n):

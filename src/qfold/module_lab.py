@@ -426,11 +426,9 @@ def eigen_profile(g_mat: Mat, e: int) -> dict:
     """Eigenspace masses at the e-th roots of unity plus the residual mass
     of eigenvalues that are not e-th roots of unity.
 
-    Works for any square rational matrix; the per-root dimensions are
-    honest eigenspace dimensions (kernels of the cyclotomic values), and
-    whatever is not accounted for lands in "other"."""
-    if g_mat.rows != g_mat.cols:
-        raise ShapeMismatch("eigen_profile needs a square matrix")
+    g_mat is square, as the gauge blocks of `build_theta_witness` are; the
+    per-root dimensions are honest eigenspace dimensions (kernels of the
+    cyclotomic values), and whatever is not accounted for lands in "other"."""
     dims = {Fraction(t, e): dim for t, dim in enumerate(root_of_unity_eigendims(g_mat, e))}
     return {"roots": dims, "other": g_mat.rows - sum(dims.values())}
 

@@ -387,8 +387,6 @@ class SigmaData(Record):
 
 def identity_sigma(q: Quiver, a: DiagramAutomorphism, wdims: DimVec) -> SigmaData:
     """The identity twists on checked framing dimensions constant on orbits."""
-    if not is_orbit_constant(wdims, orbit_data(q, a)):
-        raise NotOrbitConstant("framing dimensions must be constant on orbits")
     return SigmaData(q, a, {x: Mat.identity(wdims.get(x, 0)) for x in q.vertices})
 
 

@@ -4,10 +4,9 @@ Each gate is its steps, in order, and the digest of the bytes they write.  A
 `Cli` step runs `python -m qfold.cli` from this checkout's `src` in a fresh
 directory, under this interpreter's `-O` and `-W` flags; its stdout goes to
 the digest, or with `pipe` to the next call's stdin.  A `Py` step runs in
-this process: it writes an input file there or feeds the digest.
-QFOLD_CORPUS_DIR is ignored.  Run one gate with
-`pytest tests/test_at_scale.py -k NAME`; compute a new gate's digest on the
-commit before the change it guards.
+this process: it writes an input file there or feeds the digest.  Run one
+gate with `pytest tests/test_at_scale.py -k NAME`; compute a new gate's
+digest on the commit before the change it guards.
 """
 
 import hashlib
@@ -24,7 +23,7 @@ from typing import Callable, NamedTuple
 import pytest
 from test_generators import _feed_map, _feed_module, _feed_pair
 
-from qfold.corpus import CORPUS_ENV, corpus, corpus_entry
+from qfold.corpus import corpus, corpus_entry
 from qfold.generators import (rand_invertible, rand_mat, random_graded_pair,
                               random_one_way_module, random_theta_module)
 from qfold.linalg import Mat
@@ -34,9 +33,7 @@ from qfold.quiver_core import (a_quiver, d_quiver, flip_automorphism, fork_swap_
 from qfold.serialize import matmap_to_obj, module_to_dict, sigma_to_dict, witness_to_dict
 from qfold.split_quotient import identity_sigma
 
-with pytest.MonkeyPatch.context() as env:
-    env.delenv(CORPUS_ENV, raising=False)
-    CORPUS = corpus()
+CORPUS = corpus()
 
 
 class Cli(NamedTuple):
@@ -187,8 +184,7 @@ GATES = {
 
 
 @pytest.mark.parametrize("name", GATES)
-def test_gate(name, tmp_path, monkeypatch):
-    monkeypatch.delenv(CORPUS_ENV, raising=False)
+def test_gate(name, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     digest, steps = GATES[name]
     out, stdin = hashlib.sha256(), b""

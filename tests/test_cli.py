@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import qfold
 from qfold import cli, linalg, module_lab
 from qfold.cli import main
-from qfold.corpus import CORPUS_ENV, corpus_entry
+from qfold.corpus import corpus_entry
 from qfold.errors import CharacterMismatch, PropertyViolation
 from qfold.generators import random_graded_pair
 from qfold.linalg import Mat
@@ -137,9 +137,9 @@ def test_branch_computes_each_weyl_dimension_once(capsys, monkeypatch):
 
 
 def test_input_that_is_not_utf8_is_one_error(capsys, monkeypatch, tmp_path):
-    # JSON is read as UTF-8 whatever the locale; other bytes, from a file,
-    # from standard input or from a corpus directory, end in exit 1 and one
-    # line, or one error object under --json
+    # JSON is read as UTF-8 whatever the locale; other bytes, from a file or
+    # from standard input, end in exit 1 and one line, or one error object
+    # under --json
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff\xfe")
 
@@ -157,21 +157,6 @@ def test_input_that_is_not_utf8_is_one_error(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe")))
     assert outcome("module", "check", "-") == (
         1, "", "error: standard input is not UTF-8: invalid start byte at byte 0\n")
-
-    corpus_dir = tmp_path / "corpus"
-    corpus_dir.mkdir()
-    (corpus_dir / "bad.json").write_bytes(b"\xff\xfe")
-    monkeypatch.setenv(CORPUS_ENV, str(corpus_dir))
-    code, out, err = outcome("split", "--corpus", "bad", "--json")
-    assert code == 1 and err == ""
-    assert json.loads(out)["error"]["type"] == "InputError"
-    # verify-all reads the corpus before any property runs
-    bad_corpus = corpus_dir / "bad.json"
-    assert outcome("verify-all", "--seed", "1") == (
-        1, "", f"error: {bad_corpus} is not UTF-8: invalid start byte at byte 0\n")
-    code, out, err = outcome("verify-all", "--seed", "1", "--json")
-    assert code == 1 and err == "" and out.count("\n") == 1
-    assert json.loads(out)["error"]["type"] == "InputError"
 
 
 def test_input_that_is_not_json_names_its_source(capsys, monkeypatch, tmp_path):
@@ -195,13 +180,6 @@ def test_input_that_is_not_json_names_its_source(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(bad.read_bytes())))
     assert outcome("module", "check", "-") == (1, "", f"error: standard input {message}\n")
-
-    # from a corpus directory, verify-all reports it once, before any property runs
-    monkeypatch.setenv(CORPUS_ENV, str(tmp_path))
-    assert outcome("verify-all", "--seed", "1") == (1, "", f"error: {bad} {message}\n")
-    code, out, err = outcome("verify-all", "--seed", "1", "--json")
-    assert code == 1 and err == "" and out.count("\n") == 1
-    assert json.loads(out)["error"] == {"type": "InputError", "message": f"{bad} {message}"}
 
 
 def test_branch_large_framings_pinned(capsys):
@@ -442,6 +420,9 @@ def test_orbit_constancy_is_refused_where_it_is_used(capsys, tmp_path):
     assert main(["dims", "--corpus", "A3-flip", "--v", "1,2,3", "--w", "1,1,1"]) == 1
     assert capsys.readouterr() == ("", "error: dimension vector is not constant on vertex "
                                        "orbits\n")
+    # dims: --w is refused where it is read, before the twists are built
+    assert main(["dims", "--corpus", "A3-flip", "--v", "1,1,1", "--w", "1,2,3"]) == 1
+    assert capsys.readouterr() == ("", "error: framing dimensions must be constant on orbits\n")
     # transition: theta refuses an unstable module whose v is not orbit-constant
     # before any stability is decided
     a3 = a_quiver(3)
@@ -1179,7 +1160,7 @@ MODULE_FILE_FACTS = [
     ("w orbit-constant", TRANSPORTING, lambda: lab_doc(TWOS, (2, 2, 3), ONES, sigma=2),
      "NotOrbitConstant", ORBITS),
     ("w orbit-constant without a twist", TRANSPORTING, lambda: lab_doc(TWOS, (2, 2, 3), ONES),
-     "NotOrbitConstant", "framing dimensions must be constant on orbits"),
+     "NotOrbitConstant", ORBITS),
     ("sigma fits w", TRANSPORTING, lambda: lab_doc(TWOS, TWOS, ONES, sigma=1),
      "SigmaConstraintViolated", "sigma does not match the framing dimensions of the module"),
     ("sigma keyed by the quiver", TRANSPORTING,
@@ -1238,3 +1219,20 @@ def test_module_file_fact_is_checked_where_it_is_read(tmp_path, capsys, fact, ac
         out, err = capsys.readouterr()
         assert err == "" and out.count("\n") == 1, action
         assert json.loads(out) == {"error": {"type": kind, "message": message}}, action
+
+
+def test_a_module_file_without_a_twist_checks_each_dimension_vector_once(
+        tmp_path, capsys, monkeypatch):
+    """v and w are each checked for orbit constancy once, by
+    `check_transport`: the identity twists take w as checked."""
+    from qfold import serialize, split_quotient
+
+    real = split_quotient.is_orbit_constant
+    checked = []
+    for module in (serialize, split_quotient):
+        monkeypatch.setattr(module, "is_orbit_constant",
+                            lambda dims, od: checked.append(dims) or real(dims, od))
+    path = tmp_path / "lab.json"
+    path.write_text(json.dumps(lab_doc(TWOS, (3, 3, 3), ONES)))
+    assert run(capsys, "module", "theta", str(path), "--json")[0] == 0
+    assert checked == [dict(zip("123", TWOS)), dict(zip("123", (3, 3, 3)))]

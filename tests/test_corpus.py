@@ -3,14 +3,15 @@ import sys
 
 import pytest
 
-from qfold.corpus import CORPUS_ENV, corpus, corpus_entry
+from qfold.cli import main
+from qfold.corpus import corpus, corpus_entry
 from qfold.errors import InputError
 from qfold.quiver_core import check_automorphism, is_admissible, quiver_from_dict, quiver_to_dict
 
 
 def entry_to_dict(entry):
-    """A corpus entry as the quiver JSON document a corpus directory holds,
-    with its name and admissibility beside the quiver."""
+    """A corpus entry as a quiver JSON document, with its name and
+    admissibility beside the quiver."""
     out = quiver_to_dict(entry.quiver, entry.auto)
     out["name"] = entry.name
     out["admissible"] = entry.admissible
@@ -53,18 +54,20 @@ def test_entry_round_trips_through_json():
         assert a.edge_perm == entry.auto.edge_perm
 
 
-def test_corpus_dir_override(tmp_path, monkeypatch):
-    entry = corpus_entry("A3-flip")
-    doc = entry_to_dict(entry)
-    doc["description"] = "odd path with the end-to-end flip"   # a key not read
-    (tmp_path / "custom.json").write_text(json.dumps(doc))
-    monkeypatch.setenv(CORPUS_ENV, str(tmp_path))
-    entries = corpus()
-    assert [e.name for e in entries] == ["custom"]
-    assert entries[0].quiver == entry.quiver
-    assert entries[0].admissible
-    got = corpus_entry("custom")
-    assert got.auto.vertex_perm == entry.auto.vertex_perm
+def test_the_environment_does_not_change_the_corpus(tmp_path, monkeypatch, capsys):
+    """The corpus is the built-in table whatever the environment holds:
+    QFOLD_CORPUS_DIR naming a directory of malformed JSON changes no byte
+    of the output."""
+    def outputs():
+        return [(main(argv), capsys.readouterr().out)
+                for argv in (["verify-all", "--seed", "1", "--json"],
+                             ["split", "--corpus", "A3-flip", "--json"])]
+
+    plain = outputs()
+    assert [code for code, _ in plain] == [0, 0]
+    (tmp_path / "bad.json").write_text("{not json")
+    monkeypatch.setenv("QFOLD_CORPUS_DIR", str(tmp_path))
+    assert outputs() == plain
 
 
 def test_each_entry_built_alone_equals_the_corpus_entry():
@@ -85,17 +88,10 @@ def test_a_named_builtin_entry_is_built_alone(monkeypatch):
     assert corpus_entry("D5-swap").name == "D5-swap"
 
 
-def test_the_builtin_corpus_is_built_once_per_process(tmp_path, monkeypatch):
-    """Each call returns a fresh list of the same entries, built once; the
-    corpus directory is still read on every call, cache or not."""
-    monkeypatch.delenv(CORPUS_ENV, raising=False)
+def test_the_builtin_corpus_is_built_once_per_process():
+    """Each call returns a fresh list of the same entries, built once."""
     first = corpus()
     first.pop()
     second = corpus()
     assert len(second) == 18 and second is not corpus()
     assert all(a is b for a, b in zip(first, second))
-    (tmp_path / "custom.json").write_text(json.dumps(entry_to_dict(second[1])))
-    monkeypatch.setenv(CORPUS_ENV, str(tmp_path))
-    assert [e.name for e in corpus()] == ["custom"]
-    monkeypatch.delenv(CORPUS_ENV)
-    assert corpus() == second

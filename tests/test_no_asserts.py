@@ -1,5 +1,7 @@
-"""Property checks in the package must survive `python -O`, and every
-failure it raises is a `QfoldError` the CLI can map to an exit code."""
+"""Property checks in the package must survive `python -O`, every
+failure it raises is a `QfoldError` the CLI can map to an exit code, and
+no module reads the process environment, so that output depends on the
+inputs and the seed alone."""
 
 import ast
 import builtins
@@ -55,3 +57,22 @@ def test_package_raises_no_builtin_exception():
     assert sorted(found - ALLOWED) == []
     # the walk sees the raises it allows, so the empty list above is no accident
     assert ALLOWED <= found
+
+
+# the parts of `os` that read the process environment
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_package_reads_no_environment_variable():
+    used, imported = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                used.add((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                imported |= {(path.name, alias.name) for alias in node.names}
+    assert sorted((name, attr) for name, attr in used | imported if attr in ENVIRONMENT) == []
+    # the walk sees the calls the CLI makes to point stdout at devnull
+    assert {("cli.py", "dup2"), ("cli.py", "open")} <= used
