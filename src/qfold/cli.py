@@ -187,10 +187,11 @@ def cmd_quotient(args) -> int:
 
 def cmd_fold(args) -> int:
     q, a = _load_entry(args)
-    base_type = classify_cartan(cartan_from_quiver(q))
+    base = cartan_from_quiver(q)
+    base_type = classify_cartan(base)
     sd = split_quiver(q, a)
     split_type = classify_cartan(cartan_from_quiver(sd.split))
-    fold = fold_cartan(cartan_from_quiver(q), a)
+    fold = fold_cartan(base, a)
     folded_type = classify_cartan(fold.folded)
     payload = {
         "base_type": str(base_type),
@@ -247,6 +248,8 @@ def cmd_dims(args) -> int:
         if not is_orbit_constant(w, sd.orbits):
             raise NotOrbitConstant("framing dimensions must be constant on orbits")
         w_split = split_framing(identity_sigma(q, a, w), sd)
+    if not is_orbit_constant(v, sd.orbits):
+        raise NotOrbitConstant("dimension vector is not constant on vertex orbits")
     records = fixed_components(v, sd, w_split)
     payload = [r.to_dict() for r in records]
     lines = [f"{'v_split':<40} {'dim':>5}  empty?"]

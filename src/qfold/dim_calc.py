@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, NamedTuple
 
 from .lie_fold import CartanMatrix, cartan_from_quiver
@@ -21,11 +20,6 @@ def dim_quiver_variety(v: DimVec, w: DimVec, c: CartanMatrix) -> int:
     return dot - quad
 
 
-def dim_steinberg(v1: DimVec, v2: DimVec, w: DimVec, c: CartanMatrix) -> Fraction:
-    """Half the sum of the two quiver-variety dimensions, kept exact."""
-    return Fraction(dim_quiver_variety(v1, w, c) + dim_quiver_variety(v2, w, c), 2)
-
-
 class ComponentRecord(NamedTuple):
     v_split: Mapping[str, int]
     w_split: Mapping[str, int]
@@ -42,8 +36,9 @@ class ComponentRecord(NamedTuple):
 
 
 def fixed_components(v: DimVec, sd: SplitData, w_split: DimVec) -> list[ComponentRecord]:
-    """One record per split dimension vector projecting to v, with the
-    dimension computed on the split quiver.
+    """One record per split dimension vector projecting to v, a checked
+    dimension vector constant on orbits, with the dimension computed on
+    the split quiver.
 
     Negative formula values are flagged rather than clamped; the formula
     says nothing about emptiness on its own."""

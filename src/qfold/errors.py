@@ -92,16 +92,8 @@ class NotFiniteType(InputError):
     pass
 
 
-class NotDominant(InputError):
-    pass
-
-
 class CharacterMismatch(PropertyViolation):
     """Weyl's dimension formula and the Freudenthal recursion disagree."""
-
-
-class IndexMismatch(InputError):
-    pass
 
 
 # module_lab

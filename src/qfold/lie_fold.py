@@ -25,8 +25,6 @@ from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
-    InputError,
-    NotAdmissible,
     NotFiniteType,
     NotSymmetrizable,
     SelfLoop,
@@ -38,23 +36,17 @@ from .quiver_core import (DiagramAutomorphism, Quiver, Record, _orbits, _setattr
 
 
 class CartanMatrix(Record):
+    """A generalized Cartan matrix over its labels, taken as built: square,
+    2 on the diagonal, the other entries <= 0 with a symmetric zero
+    pattern.  Only the program builds one (`cartan_from_quiver`,
+    `fold_cartan`, `canonical_cartan`, and the folded-generators property's
+    transpose), so the constructor checks nothing."""
+
     __slots__ = _fields = ("labels", "entries")
 
     def __init__(self, labels: tuple[str, ...], entries: tuple[tuple[int, ...], ...]):
         _setattr(self, "labels", labels)
         _setattr(self, "entries", entries)
-        n = len(labels)
-        if len(entries) != n or any(len(r) != n for r in entries):
-            raise InputError("Cartan matrix must be square over its labels")
-        for i in range(n):
-            if entries[i][i] != 2:
-                raise InputError(f"diagonal entry at {labels[i]} must be 2")
-            for j in range(n):
-                if i != j:
-                    if entries[i][j] > 0:
-                        raise InputError("off-diagonal Cartan entries must be <= 0")
-                    if (entries[i][j] == 0) != (entries[j][i] == 0):
-                        raise InputError("zero pattern must be symmetric")
 
     @property
     def n(self) -> int:
@@ -266,29 +258,18 @@ class FoldedAlgebraData(NamedTuple):
 def fold_cartan(c: CartanMatrix, a: DiagramAutomorphism) -> FoldedAlgebraData:
     """Cartan matrix of the automorphism-fixed subalgebra.
 
+    c is the Cartan matrix of a quiver and a a checked, admissible
+    automorphism of it, so no orbit holds a bond and
+    c[i][j] = c[a(i)][a(j)].  `fold` and `branch` run `split_quiver`, and
+    with it `require_admissible`, first (the induced map of an admissible
+    pair is admissible on the split quiver, since each split edge joins two
+    orbits of the base), and the properties fold admissible flips and swaps.
     Folded entry at (orbit I, orbit J) is sum over k in J of c[i0][k] for
-    the orbit's first member i0.  Since c[i][j] = c[a(i)][a(j)], every
-    member of I gives the same row.
+    the orbit's first member i0; by that invariance every member of I gives
+    the same row.
     """
-    perm, labels = a.vertex_perm, set(c.labels)
-    if set(perm) != labels or set(perm.values()) != labels:
-        raise InputError(f"vertex map is not a permutation of the labels {', '.join(c.labels)}")
     pos = {v: i for i, v in enumerate(c.labels)}
-    image = [pos[perm[v]] for v in c.labels]
-    for i, li in enumerate(c.labels):
-        row, image_row = c.entries[i], c.entries[image[i]]
-        for j, lj in enumerate(c.labels):
-            if row[j] != image_row[image[j]]:
-                raise InputError(f"map does not preserve the Cartan matrix at ({li},{lj})")
-
-    orbits = _orbits(c.labels, perm)
-
-    for orb in orbits:
-        for x in orb:
-            for y in orb:
-                if x != y and c[pos[x], pos[y]] != 0:
-                    raise NotAdmissible(f"orbit {orb} contains the bond {x}-{y}")
-
+    orbits = _orbits(c.labels, a.vertex_perm)
     folded_entries = []
     for orb_i in orbits:
         rep = orb_i[0]

@@ -26,8 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import PropertyViolation
-
 if TYPE_CHECKING:
     from .linalg import Mat
 
@@ -126,9 +124,7 @@ def cyclotomic_poly(d: int) -> tuple[Fraction, ...]:
     num = [Fraction(1)] + [Fraction(0)] * (d - 1) + [Fraction(-1)]  # x^d - 1
     for e in range(1, d):
         if d % e == 0:
-            num, rem = poly_divmod(num, list(cyclotomic_poly(e)))
-            if rem != [Fraction(0)]:
-                raise PropertyViolation(f"Phi_{e} does not divide x^{d} - 1")
+            num = poly_divmod(num, list(cyclotomic_poly(e)))[0]  # Phi_e divides x^d - 1
     return tuple(num)
 
 

@@ -25,9 +25,10 @@ orientation only unsigned modules transport.  No edge id may end in "*".
 
 `orbit_data` and `arrow_transport` depend on the (quiver, automorphism)
 pair alone, so each is computed once per pair value, in a bounded cache,
-and callers share what it returns: read-only mappings.  The automorphism
-check runs once per distinct pair; an invalid pair raises on every call,
-since a raised call is not cached.
+and callers share what it returns: read-only mappings.  Both take the
+automorphism as checked: `automorphism()` checks every one read from a
+file or built for the corpus, and `identity_automorphism` and
+`split_quiver`'s induced map are automorphisms as they are built.
 """
 
 from __future__ import annotations
@@ -256,9 +257,8 @@ def _orbits(items: tuple[str, ...], perm: Mapping[str, str]) -> list[tuple[str, 
 
 @lru_cache(maxsize=256)
 def orbit_data(q: Quiver, a: DiagramAutomorphism) -> OrbitData:
-    """Orbit partition, orbit sizes d, their lcm n, and the cofactors e = n/d;
-    checked and built once per pair value."""
-    check_automorphism(q, a)
+    """Orbit partition, orbit sizes d, their lcm n, and the cofactors e = n/d
+    of a checked automorphism, built once per pair value."""
     vorbs = _orbits(q.vertices, a.vertex_perm)
     eorbs = _orbits(tuple(e.id for e in q.edges), a.edge_perm)
     frozen = MappingProxyType

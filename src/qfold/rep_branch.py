@@ -70,13 +70,7 @@ from math import prod
 from operator import add, mul, sub
 from typing import Mapping, NamedTuple
 
-from .errors import (
-    CharacterMismatch,
-    IndexMismatch,
-    NotDominant,
-    NotFiniteType,
-    TooLarge,
-)
+from .errors import CharacterMismatch, NotFiniteType, TooLarge
 from .lie_fold import CartanMatrix, FoldedAlgebraData, is_finite_type, symmetrizer
 from .quiver_core import Quiver
 from .split_quotient import _composition_count, _compositions
@@ -204,17 +198,12 @@ def weyl_orbit(c: CartanMatrix, lam: Weight) -> set[Weight]:
     return orbit
 
 
-def is_dominant(lam: Weight) -> bool:
-    return min(lam, default=0) >= 0
-
-
 def weyl_dim(c: CartanMatrix, lam: Weight) -> int:
     """Weyl dimension formula for the irreducible of highest weight lam, as
-    one integer product divided exactly by the product at rho."""
-    if len(lam) != c.n:
-        raise IndexMismatch(f"weight has {len(lam)} coordinates, Cartan matrix has rank {c.n}")
-    if not is_dominant(lam):
-        raise NotDominant(f"{lam} is not dominant")
+    one integer product divided exactly by the product at rho.  lam is
+    dominant, with one coordinate per label of c: `cli` reads it off a
+    checked framing, nonnegative on every split vertex, and the program
+    passes the dominant weights it lists or draws."""
     rd = root_datum(c)
     lam_rho = tuple(x + 1 for x in lam)
     num = prod(sum(map(mul, lam_rho, p)) for p in rd.paired)
@@ -500,10 +489,9 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData) -> list[tuple[
     shallowest below the restricted top first, then by descending weight,
     read off the Weyl alternation of the restricted character and checked
     to conserve dimension.  Restriction is defined for every dominant
-    weight, constant on the folding orbits or not.
+    weight, constant on the folding orbits or not.  fold is `fold_cartan`'s
+    folding of c itself, as every caller builds it.
     """
-    if fold.base.entries != c.entries or fold.base.labels != c.labels:
-        raise IndexMismatch("folding data does not belong to this Cartan matrix")
     total = weyl_dim(c, lam)
     fc = fold.folded
 

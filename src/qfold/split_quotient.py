@@ -32,10 +32,8 @@ from math import comb, gcd
 from typing import Mapping, NamedTuple
 
 from .errors import (
-    IndexMismatch,
     IsoNotFound,
     NotDiagonalizableOverCyclotomicEigenvalues,
-    NotOrbitConstant,
     SigmaConstraintViolated,
     TooLarge,
 )
@@ -249,10 +247,9 @@ def fiber_count(v: DimVec, sd: SplitData) -> int:
 
 
 def fibers_of_p(v: DimVec, sd: SplitData) -> list[dict[str, int]]:
-    """All split dimension vectors projecting to a checked v, in
-    lexicographic order over the canonical split-vertex order."""
-    if not is_orbit_constant(v, sd.orbits):
-        raise NotOrbitConstant("dimension vector is not constant on vertex orbits")
+    """All split dimension vectors projecting to a checked v, constant on
+    vertex orbits (`cli` checks `--v`), in lexicographic order over the
+    canonical split-vertex order."""
     count = fiber_count(v, sd)
     if count > FIBER_CAP:
         raise TooLarge(f"the fiber has {count} split dimension vectors, beyond the cap of {FIBER_CAP}",
@@ -398,10 +395,10 @@ def split_framing(sigma: SigmaData, sd: SplitData) -> dict[str, int]:
     lift (`SigmaData.composite`, the product `SigmaData.validate` checks),
     so identity twists put everything in the j = 1 slot.  The slots of an
     orbit add up to w: c^e = 1, and over Q the polynomial x^e - 1 is
-    square-free, so the eigenspaces fill the framing.
+    square-free, so the eigenspaces fill the framing.  sigma twists the
+    quiver and automorphism that sd splits, as `cli` builds both from one
+    input.
     """
-    if sigma.quiver != sd.source or sigma.auto != sd.auto:
-        raise IndexMismatch("the framing twists do not belong to this split quiver")
     od = sd.orbits
     out: dict[str, int] = {}
     for orbit, slots in zip(od.vertex_orbits, sd.orbit_slots):

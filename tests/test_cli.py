@@ -586,6 +586,52 @@ def test_verify_all_reports_a_planted_failure(capsys, monkeypatch):
     assert {name: entry["status"] for name, entry in json.loads(out).items()} == want
 
 
+def verify_all_problems(capsys, seed="7"):
+    """The problems of each failing property in verify-all's --json
+    report, after checking that the plain report fails the same ones."""
+    code, out = run(capsys, "verify-all", "--seed", seed, "--json")
+    assert code == 2
+    failed = {name: entry["problems"] for name, entry in json.loads(out).items()
+              if entry["status"] == "FAIL"}
+    code, out = run(capsys, "verify-all", "--seed", seed)
+    assert code == 2
+    assert [line.split()[0] for line in out.splitlines() if " FAIL " in line] == list(failed)
+    return failed
+
+
+def test_verify_all_fails_on_a_character_fault_inside_the_library(capsys, monkeypatch):
+    # character-dimensions compares nothing itself: a Weyl orbit short by
+    # one point fails it through freudenthal_character's own total check
+    from qfold import rep_branch
+
+    real = rep_branch.weyl_orbit
+    monkeypatch.setattr(rep_branch, "weyl_orbit", lambda c, mu: set(sorted(real(c, mu))[1:]))
+    failed = verify_all_problems(capsys)
+    assert list(failed) == ["character-dimensions"]
+    [problem] = failed["character-dimensions"]
+    assert re.fullmatch(r"error: character of \(.*\) has total \d+, not \d+", problem), problem
+
+
+def test_verify_all_fails_on_a_branching_fault_inside_the_library(capsys, monkeypatch):
+    # branching compares nothing itself on what branch returns: one
+    # multiplicity raised by 1 fails it through branch's conservation check
+    from qfold import rep_branch
+
+    real = rep_branch._alternation
+
+    def planted(*args):
+        mults = real(*args)
+        nu = next(iter(mults))
+        mults[nu] += 1
+        return mults
+    monkeypatch.setattr(rep_branch, "_alternation", planted)
+    failed = verify_all_problems(capsys)
+    assert list(failed) == ["branching"]
+    [problem] = failed["branching"]
+    assert re.fullmatch(r"error: the branching of \(.*\) does not conserve dimension",
+                        problem), problem
+
+
 def test_verify_all_reports_an_error_and_goes_on(capsys, monkeypatch):
     # a property that raises is one "error: ..." problem; the later ones still run
     from qfold import properties
@@ -619,6 +665,47 @@ def test_dims_requires_orbit_constant(capsys):
     code, _ = run(capsys, "dims", "--corpus", "D4-swap",
                   "--v", "1,1,1,2", "--w", "1,1,1,1")
     assert code == 1
+
+
+# (--v, the framing flag and its value, the error cli reports first); on
+# D4-swap the orbits are {1}, {2} and {3, 4}, and the framing is read first
+DIMS_ORBIT_CASES = {
+    "v-with-w": ("1,1,2,1", "--w", "1,1,1,1",
+                 "NotOrbitConstant", "dimension vector is not constant on vertex orbits"),
+    "v-with-w-split": ("1,1,2,1", "--w-split", "0,0,0,0,1",
+                       "NotOrbitConstant", "dimension vector is not constant on vertex orbits"),
+    "w-before-v": ("1,1,2,1", "--w", "1,1,1,2",
+                   "NotOrbitConstant", "framing dimensions must be constant on orbits"),
+    "w-split-before-v": ("1,1,2,1", "--w-split", '{"9": 1}',
+                         "UnknownVertex", "--w-split names unknown vertex 9"),
+}
+
+
+@pytest.mark.parametrize("case", DIMS_ORBIT_CASES)
+def test_dims_checks_v_where_it_is_read(capsys, case):
+    """`dims` refuses a --v that is not constant on orbits once the
+    framing is read, so a framing error is still reported first."""
+    v, flag, framing, kind, message = DIMS_ORBIT_CASES[case]
+    argv = ["dims", "--corpus", "D4-swap", "--v", v, flag, framing]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(argv + ["--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out) == {"error": {"type": kind, "message": message}}
+
+
+@pytest.mark.parametrize("name", ["A4-flip", "A6-flip", "A8-flip", "affineA1-swap",
+                                  "affineA3-rot"])
+def test_branch_refuses_a_non_admissible_entry(capsys, name):
+    # splitting runs require_admissible before the framing is read
+    message = "automorphism joins vertices within an orbit"
+    argv = ["branch", "--corpus", name, "--framing", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(argv + ["--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1
+    assert json.loads(out) == {"error": {"type": "NotAdmissible", "message": message}}
 
 
 def test_module_check_evaluates_the_relation_once(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,6 @@
 import random
-from fractions import Fraction
 
-import pytest
-
-from qfold.dim_calc import dim_quiver_variety, dim_steinberg, fixed_components
-from qfold.errors import NotOrbitConstant
+from qfold.dim_calc import dim_quiver_variety, fixed_components
 from qfold.lie_fold import cartan_from_quiver, cartan_matrix
 from qfold.quiver_core import a_quiver, d_quiver, fork_swap_automorphism
 from qfold.split_quotient import fiber_count, split_quiver
@@ -33,18 +29,6 @@ def test_dim_permutation_equivariance():
         v2 = {mapped[k]: val for k, val in v.items()}
         w2 = {mapped[k]: val for k, val in w.items()}
         assert dim_quiver_variety(v, w, a3) == dim_quiver_variety(v2, w2, relabeled)
-
-
-def test_steinberg_half_sum():
-    assert dim_steinberg({"1": 1}, {"1": 2}, {"1": 2}, A1) == Fraction(1)
-    assert dim_steinberg({"1": 1}, {"1": 1}, {"1": 2}, A1) == \
-        dim_quiver_variety({"1": 1}, {"1": 2}, A1)
-    assert dim_steinberg({"1": 1}, {"1": 2}, {"1": 2}, A1) == \
-        dim_steinberg({"1": 2}, {"1": 1}, {"1": 2}, A1)
-    # the value is an exact rational (symmetric Cartan data makes every
-    # variety dimension even, so these half-sums happen to be integers)
-    val = dim_steinberg({"1": 0}, {"1": 1}, {"1": 1}, A1)
-    assert isinstance(val, Fraction) and val == 0
 
 
 def test_fixed_components_zero_vector():
@@ -80,10 +64,3 @@ def test_fixed_components_flags_negative_formula():
     records = fixed_components(v, sd, {x: 0 for x in sd.split.vertices})
     assert any(r.empty_by_formula for r in records)
     assert all((r.dim < 0) == r.empty_by_formula for r in records)
-
-
-def test_fixed_components_requires_orbit_constant():
-    d4 = d_quiver(4)
-    sd = split_quiver(d4, fork_swap_automorphism(d4, 4))
-    with pytest.raises(NotOrbitConstant):
-        fixed_components({"1": 1, "2": 1, "3": 1, "4": 2}, sd, {})

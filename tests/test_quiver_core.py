@@ -484,20 +484,6 @@ def test_value_equal_pairs_share_one_cached_entry():
     assert forward != identity_automorphism(a3)
 
 
-def test_an_invalid_pair_raises_on_every_call():
-    a3 = a_quiver(3)
-    for bad, error in [
-        (DiagramAutomorphism({"1": "1", "2": "1", "3": "3"}, {"e1": "e1", "e2": "e2"}),
-         NotAPermutation),
-        (DiagramAutomorphism({"1": "3", "2": "2", "3": "1"}, {"e1": "e1", "e2": "e2"}),
-         IncompatibleWithIncidence),
-    ]:
-        for cached in (orbit_data, arrow_transport):
-            for _ in range(2):
-                with pytest.raises(error):
-                    cached(a3, bad)
-
-
 def test_shared_values_are_read_only():
     a3 = a_quiver(3)
     vperm = {"1": "3", "2": "2", "3": "1"}
