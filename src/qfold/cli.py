@@ -48,7 +48,6 @@ from .quiver_core import (
 )
 from .rep_branch import branch, highest_weight_from_framing
 from .serialize import (
-    check_blocks,
     check_matrix_budget,
     check_transport,
     dim_entry,
@@ -57,7 +56,7 @@ from .serialize import (
     module_from_dict,
     module_to_dict,
     sigma_from_dict,
-    vertex_matmap_from_obj,
+    vertex_map_from_obj,
     witness_from_dict,
     witness_to_dict,
 )
@@ -321,8 +320,7 @@ def cmd_module(args) -> int:
     if args.action == "witness":
         if "g" not in data:
             raise InputError("the witness action needs a \"g\" block of gauge matrices")
-        g = vertex_matmap_from_obj(q, data["g"], "the gauge")
-        check_blocks(g, q, m.v, m.v, "gauge block")
+        g = vertex_map_from_obj(q, data["g"], "g", m.v, m.v)
         big, witness = build_theta_witness(m, g, sigma)
         eigen_report = {}
         for x in q.vertices:
@@ -349,10 +347,9 @@ def cmd_module(args) -> int:
         try:
             sub = module_from_dict(q, data["sub"])
             check_transport(sub, sigma, framing=m.w)
-            xi = vertex_matmap_from_obj(q, data["xi"], "the map")
-            check_blocks(xi, q, m.v, sub.v, "the map")
-            witness = witness_from_dict(q, data["witness"], m.v)
-            witness_sub = witness_from_dict(q, data["witness_sub"], sub.v)
+            xi = vertex_map_from_obj(q, data["xi"], "xi", m.v, sub.v)
+            witness = witness_from_dict(q, data["witness"], m.v, "witness")
+            witness_sub = witness_from_dict(q, data["witness_sub"], sub.v, "witness_sub")
         except KeyError as exc:
             raise InputError(f"theorem5 file is missing the {exc} block") from exc
         rep = theorem5_verify(xi, sub, m, sigma, witness_sub, witness)

@@ -13,7 +13,8 @@ the diagram automorphism and the signs of the transport are defined in
 from its `SigmaData`.  A module is checked where it enters, by
 `framed_module`, and a twist by `SigmaData.validate`; the rest of a module
 file (v and w constant on orbits, a twist that fits w, the shapes of a
-gauge, an embedding and a witness) where `cli` and `serialize` read it.
+gauge, an embedding and a witness, and the even dimensions at which a
+summand swap halves a witness) where `cli` and `serialize` read it.
 The functions here take it all as checked, or as built valid.
 
 A transition g is a module isomorphism m -> theta(m); `find_transition`
@@ -314,22 +315,21 @@ class TransitionWitness(NamedTuple):
     matching that exchanges the two direct summands of M (the convention
     for two-summand witnesses built from a module and its twisted copy);
     the isomorphism is then swap . g, where swap exchanges the summand
-    blocks.
+    blocks, each of half the rows of g.
     """
 
     g: Mapping[str, Mat]
     summand_swap: bool = False
-    block_dims: Optional[Mapping[str, tuple[int, int]]] = None
 
 
 def witness_matrix(witness: TransitionWitness, vertex: str) -> Mat:
     """The honest per-vertex transition matrix, with the summand swap
-    composed in when the witness is recorded summand-matched, from blocks
-    checked by `serialize.witness_from_dict` or built here."""
+    composed in when the witness is recorded summand-matched, from a g of
+    even size, checked by `serialize.witness_from_dict` or built here."""
     g = witness.g[vertex]
     if not witness.summand_swap:
         return g
-    n = witness.block_dims[vertex][0]
+    n = g.rows // 2
     # the swap exchanges the two row blocks of g
     return g.submatrix([*range(n, g.rows), *range(n)], range(g.cols))
 
@@ -404,13 +404,8 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat], sigma: SigmaData
             vertex=rep.vertex)
 
     gstar = star(g, sigma.auto)
-    blocks = {}
-    dims = {}
-    for x in q.vertices:
-        n = m1.v.get(x, 0)
-        blocks[x] = Mat.block_diag([gstar[x], inv[x]])
-        dims[x] = (n, n)
-    witness = TransitionWitness(blocks, summand_swap=True, block_dims=dims)
+    blocks = {x: Mat.block_diag([gstar[x], inv[x]]) for x in q.vertices}
+    witness = TransitionWitness(blocks, summand_swap=True)
     if not verify_transition(big, sigma, witness):
         raise WitnessVerificationFailed(
             "summand-matched witness failed exact verification; "

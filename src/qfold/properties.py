@@ -21,7 +21,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Callable
 
-from .corpus import corpus
+from .corpus import corpus, corpus_entry
 from .dim_calc import dim_quiver_variety
 from .errors import IsoNotFound, NotAdmissible
 from .generators import random_graded_pair, random_one_way_module, random_theta_module
@@ -46,7 +46,6 @@ from .module_lab import (
 )
 from .quiver_core import (
     a_quiver,
-    automorphism,
     d_quiver,
     flip_automorphism,
     fork_swap_automorphism,
@@ -77,11 +76,6 @@ def _a_flip(n: int):
 def _d_swap(n: int):
     q = d_quiver(n)
     return q, fork_swap_automorphism(q, n)
-
-
-def _d4_rot3():
-    q = d_quiver(4)
-    return q, automorphism(q, {"1": "3", "3": "4", "4": "1", "2": "2"})
 
 
 def admissibility(seed: int, size: int) -> list[str]:
@@ -150,7 +144,8 @@ def folded_generators_relations(seed: int, size: int) -> list[str]:
     bad = []
     cases = [(f"A{n} flip", _a_flip(n)) for n in (1, 3, 5, 7)]  # admissible below rank 8
     cases += [(f"D{n} swap", _d_swap(n)) for n in (3, 4, 5)]
-    cases.append(("D4 rot3", _d4_rot3()))
+    rot3 = corpus_entry("D4-rot3")
+    cases.append(("D4 rot3", (rot3.quiver, rot3.auto)))
     for label, (q, a) in cases:
         fold = fold_cartan(cartan_from_quiver(q), a)
         if not serre_check(fold.folded, *folded_generators(fold)).ok:

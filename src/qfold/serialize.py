@@ -11,9 +11,12 @@ string reaches `Fraction`, whose errors are reported as malformed matrix
 JSON.  It is written from (num, den) too, each entry as `str` prints it,
 with no Fraction built either way.
 Every reader checks the JSON types it is given and raises InputError on a
-malformed document; a per-vertex map refuses a key that names no vertex.
-`check_transport`, `check_blocks` and `witness_from_dict` check what a module
-file pairs with its module, once, and `module_lab` takes it as read.
+malformed document.  Each per-vertex map of a module file (the gauge g, the
+embedding xi, a witness's g) is read by `vertex_map_from_obj`, which refuses
+a key that names no vertex, a missing vertex and a misshapen block, naming
+the map.  `check_transport`, `vertex_map_from_obj` and `witness_from_dict`
+check what a module file pairs with its module, once, and `module_lab` takes
+it as read.
 """
 
 from __future__ import annotations
@@ -129,29 +132,22 @@ def matmap_from_obj(obj) -> dict[str, Mat]:
     return {key: mat_from_obj(val) for key, val in json_object(obj, "a matrix map").items()}
 
 
-def _vertex_keyed(maps: Mapping[str, object], q: Quiver, what: str):
-    """maps itself when every key names a vertex of q; a stray key is
-    refused, not dropped."""
+def vertex_map_from_obj(q: Quiver, obj, name: str, rows: Mapping[str, int],
+                        cols: Mapping[str, int]) -> dict[str, Mat]:
+    """The per-vertex map name of a module file, such as a gauge, an
+    embedding or a witness: a rows_x x cols_x matrix at every vertex x of q
+    and no other key.  Its entries are read first; every refusal names it."""
+    maps = {key: mat_from_obj(val) for key, val in json_object(obj, name).items()}
     stray = next((key for key in maps if key not in q.vertex_set), None)
     if stray is not None:
-        raise ShapeMismatch(f"{what} names {stray!r}, which is no vertex of the quiver")
-    return maps
-
-
-def vertex_matmap_from_obj(q: Quiver, obj, what: str) -> dict[str, Mat]:
-    """A matrix map keyed by vertices of q, such as a gauge or an embedding;
-    what names it in the error for a stray key."""
-    return _vertex_keyed(matmap_from_obj(obj), q, what)
-
-
-def check_blocks(maps: Mapping[str, Mat], q: Quiver, rows: Mapping[str, int],
-                 cols: Mapping[str, int], what: str) -> None:
-    """Raise ShapeMismatch, naming what, unless maps holds a rows_x x cols_x
-    matrix at every vertex x of q."""
+        raise ShapeMismatch(f"{name} names {stray!r}, which is no vertex of the quiver")
     for x in q.vertices:
+        if x not in maps:
+            raise ShapeMismatch(f"{name} has no matrix at {x}")
         r, c = rows.get(x, 0), cols.get(x, 0)
-        if x not in maps or (maps[x].rows, maps[x].cols) != (r, c):
-            raise ShapeMismatch(f"{what} at {x} must be {r}x{c}")
+        if (maps[x].rows, maps[x].cols) != (r, c):
+            raise ShapeMismatch(f"{name} at {x} must be {r}x{c}")
+    return maps
 
 
 def module_to_dict(m: FramedModule) -> dict:
@@ -210,37 +206,23 @@ def check_transport(m: FramedModule, sigma: SigmaData, framing=None) -> None:
 
 
 def witness_to_dict(w: TransitionWitness) -> dict:
-    out = {"g": matmap_to_obj(w.g), "summand_swap": w.summand_swap}
-    if w.block_dims is not None:
-        out["block_dims"] = {k: list(v) for k, v in sorted(w.block_dims.items())}
-    return out
+    return {"g": matmap_to_obj(w.g), "summand_swap": w.summand_swap}
 
 
-def witness_from_dict(q: Quiver, obj, dims: Mapping[str, int]) -> TransitionWitness:
-    """A witness of a module of dimension dims: a dims_x x dims_x matrix at
-    each vertex x, under a summand swap with block sizes (n, n), 2n = dims_x."""
+def witness_from_dict(q: Quiver, obj, dims: Mapping[str, int], name: str) -> TransitionWitness:
+    """The witness block name of a module file, for a module of dimension
+    dims: its map g, read as name.g, and its summand swap, which exchanges
+    two blocks of dims_x / 2 rows at each vertex x, so dims_x must be even."""
     from .module_lab import TransitionWitness
 
-    obj = json_object(obj, "a witness block")
-    block_dims = None
-    raw = obj.get("block_dims")
-    if raw is not None and json_object(raw, '"block_dims"'):
-        block_dims = {}
-        for k, v in raw.items():
-            if not isinstance(v, list) or len(v) != 2:
-                raise InputError(f'"block_dims" at {k} must be a pair of integers, got {v!r}')
-            block_dims[k] = (dim_entry(v[0], '"block_dims"'), dim_entry(v[1], '"block_dims"'))
-        _vertex_keyed(block_dims, q, "the witness's block_dims")
-    g = vertex_matmap_from_obj(q, obj["g"], "the witness")
+    obj = json_object(obj, name)
+    if "g" not in obj:
+        raise InputError(f"{name} is missing the 'g' block")
+    g = vertex_map_from_obj(q, obj["g"], f"{name}.g", dims, dims)
     swap = _flag(obj, "summand_swap", False)
-    for x in q.vertices:
-        if x not in g:
-            raise ShapeMismatch(f"the witness has no matrix at {x}")
-        if swap and x not in (block_dims or {}):
-            raise ShapeMismatch(f"the summand-swapped witness has no block sizes at {x}")
-        n1, n2 = block_dims[x] if swap else (0, 0)
-        if swap and (n1 != n2 or g[x].rows != n1 + n2):
-            raise ShapeMismatch(f"the summand swap at {x} needs two equal blocks of "
-                                f"{g[x].rows} rows, not {n1} + {n2}")
-    check_blocks(g, q, dims, dims, "the map")
-    return TransitionWitness(g, swap, block_dims)
+    if swap:
+        for x in q.vertices:
+            if dims.get(x, 0) % 2:
+                raise ShapeMismatch(f"the summand swap of {name} at {x} needs an even "
+                                    f"dimension, not {dims[x]}")
+    return TransitionWitness(g, swap)

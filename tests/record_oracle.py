@@ -284,7 +284,6 @@ class RelationReport:
 class TransitionWitness:
     g: Mapping[str, Mat]
     summand_swap: bool = False
-    block_dims: Optional[Mapping[str, tuple[int, int]]] = None
 
 
 @dataclass(frozen=True)

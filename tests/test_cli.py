@@ -303,13 +303,11 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ("check", ("module", "B", "e9"), one, "'e9'"),
         ("check", ("module", "I", "zz"), one, "'zz'"),
         ("theta", ("sigma", "4"), one, "'4'"),
-        ("theorem5", ("xi", "zz"), one, "the map names 'zz', which is no vertex"),
-        ("theorem5", ("witness", "g", "zz"), one, "the witness names 'zz', which is no vertex"),
+        ("theorem5", ("xi", "zz"), one, "xi names 'zz', which is no vertex"),
+        ("theorem5", ("witness", "g", "zz"), one, "witness.g names 'zz', which is no vertex"),
         ("theorem5", ("witness_sub", "g", "zz"), one,
-         "the witness names 'zz', which is no vertex"),
-        ("theorem5", ("witness", "block_dims"), {"zz": [1, 1]},
-         "the witness's block_dims names 'zz', which is no vertex"),
-        ("witness", ("g", "zz"), one, "the gauge names 'zz', which is no vertex"),
+         "witness_sub.g names 'zz', which is no vertex"),
+        ("witness", ("g", "zz"), one, "g names 'zz', which is no vertex"),
     ]
     for action, field, value, words in stray_probes:
         path.write_text(json.dumps(replaced(pair_doc(), field, value)))
@@ -831,13 +829,6 @@ def not_a_boolean(doc, block, key) -> bool:
     return isinstance(node, dict) and key in node and not isinstance(node[key], bool)
 
 
-def not_an_object(doc, block, key) -> bool:
-    """doc[block][key] is there and is neither null nor a JSON object."""
-    node = doc.get(block) if isinstance(doc, dict) else None
-    return isinstance(node, dict) and node.get(key) is not None \
-        and not isinstance(node[key], dict)
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(st.sampled_from(MODULE_FIELDS), JSON_VALUES), min_size=1, max_size=2),
        st.sampled_from(["check", "theta", "transition", "witness", "theorem5"]))
@@ -846,11 +837,6 @@ def not_an_object(doc, block, key) -> bool:
 @example(changes=[(("module", "signed"), "false")], action="check")
 @example(changes=[(("witness", "summand_swap"), "no")], action="theorem5")
 @example(changes=[(("witness", "summand_swap"), "")], action="theorem5")
-# a falsy "block_dims" that is not an object is refused, not read as none
-@example(changes=[(("witness", "block_dims"), [])], action="theorem5")
-@example(changes=[(("witness", "block_dims"), 0)], action="theorem5")
-@example(changes=[(("witness", "block_dims"), False)], action="theorem5")
-@example(changes=[(("witness", "block_dims"), "")], action="theorem5")
 def test_module_fuzz_exits_cleanly(tmp_path_factory, changes, action):
     doc = copy.deepcopy(PAIR_DOC)
     for field, value in changes:
@@ -860,8 +846,7 @@ def test_module_fuzz_exits_cleanly(tmp_path_factory, changes, action):
     code = main(["module", action, str(path)])
     assert code in (0, 1, 2)
     if not_a_boolean(doc, "module", "signed") \
-            or action == "theorem5" and (not_a_boolean(doc, "witness", "summand_swap")
-                                         or not_an_object(doc, "witness", "block_dims")):
+            or action == "theorem5" and not_a_boolean(doc, "witness", "summand_swap"):
         assert code == 1
 
 
@@ -1004,21 +989,47 @@ def test_matrix_map_key_naming_no_vertex_is_refused(tmp_path, capsys, action, fi
 
 
 def test_witness_block_dims_key_naming_no_vertex_is_refused(tmp_path, capsys):
-    doc = pair_doc()
-    doc["witness"]["block_dims"] = {"nowhere": [1, 1]}
+    """The block sizes of a witness are those of its g, so a key of g
+    naming no vertex is refused, with or without a summand swap, and before
+    the swap's check of even dimensions."""
     path = tmp_path / "pair.json"
-    path.write_text(json.dumps(doc))
-    assert main(["module", "theorem5", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and "'nowhere'" in err, err
+    for swap in (False, True):
+        doc = pair_doc()
+        doc["witness"]["summand_swap"] = swap
+        doc["witness"]["g"]["nowhere"] = IDENTITY[1]
+        path.write_text(json.dumps(doc))
+        assert main(["module", "theorem5", str(path)]) == 1, swap
+        assert capsys.readouterr() == (
+            "", "error: witness.g names 'nowhere', which is no vertex of the quiver\n"), swap
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
 @pytest.mark.parametrize("swap", [False, True], ids=["no swap", "swap"])
 def test_witness_block_dims_that_is_not_an_object_is_refused(tmp_path, capsys, swap, flags):
-    """A present "block_dims" that is not a JSON object is refused, the
-    falsy ones too ([], 0, false and ""), with or without a summand swap;
-    null and {} read as an absent one."""
+    """The block sizes of a witness are those of its g, so a g that is not
+    a JSON object is refused, the falsy ones too ([], 0, false and ""),
+    with or without a summand swap, not read as an empty map."""
+    path = tmp_path / "pair.json"
+    for value, kind in (([], "list"), (0, "int"), (False, "bool"), ("", "str")):
+        doc = pair_doc()
+        doc["witness"].update(g=value, summand_swap=swap)
+        path.write_text(json.dumps(doc))
+        message = f"witness.g must be a JSON object, not {kind}"
+        assert main(["module", "theorem5", str(path), *flags]) == 1, value
+        out, err = capsys.readouterr()
+        if flags:
+            assert err == "" and out.count("\n") == 1, value
+            assert json.loads(out) == {"error": {"type": "InputError", "message": message}}
+        else:
+            assert (out, err) == ("", f"error: {message}\n"), value
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("swap", [False, True], ids=["no swap", "swap"])
+def test_a_witness_block_dims_key_is_ignored(tmp_path, capsys, swap, flags):
+    """The summand swap takes its block sizes from the module, so a
+    "block_dims" key is ignored, like any other key the reader does not
+    read, whatever it holds and with or without a summand swap."""
     path = tmp_path / "pair.json"
 
     def theorem5(**witness):
@@ -1028,17 +1039,10 @@ def test_witness_block_dims_that_is_not_an_object_is_refused(tmp_path, capsys, s
         code = main(["module", "theorem5", str(path), *flags])
         return (code, *capsys.readouterr())
 
-    for value, kind in (([], "list"), (0, "int"), (False, "bool"), ("", "str")):
-        message = f'"block_dims" must be a JSON object, not {kind}'
-        code, out, err = theorem5(block_dims=value)
-        assert code == 1, value
-        if flags:
-            assert err == "" and out.count("\n") == 1, value
-            assert json.loads(out) == {"error": {"type": "InputError", "message": message}}
-        else:
-            assert (out, err) == ("", f"error: {message}\n"), value
     absent = theorem5()
-    assert theorem5(block_dims=None) == absent and theorem5(block_dims={}) == absent
+    assert absent[0] == (1 if swap else 0), absent
+    for value in ([], 0, False, "", None, {}, {"nowhere": [1, 1]}, {"1": [2, 0], "2": "x"}):
+        assert theorem5(block_dims=value) == absent, value
 
 
 def test_module_witness_without_an_involution_is_an_input_error(tmp_path, capsys):
@@ -1257,28 +1261,57 @@ MODULE_FILE_FACTS = [
      "ShapeMismatch", "embeddings require a shared framing"),
     ("sub v orbit-constant", ("theorem5",), lambda: lab_doc(TWOS, TWOS, (1, 1, 0)),
      "NotOrbitConstant", ORBITS),
+    ("xi keyed by the quiver", ("theorem5",), lambda: probe_doc((("xi", "zz"), IDENTITY[1])),
+     "ShapeMismatch", "xi names 'zz', which is no vertex of the quiver"),
+    ("xi an object", ("theorem5",), lambda: probe_doc((("xi",), [])),
+     "InputError", "xi must be a JSON object, not list"),
     ("xi shape", ("theorem5",), lambda: probe_doc((("xi", "2"), IDENTITY[1])),
-     "ShapeMismatch", "the map at 2 must be 2x1"),
+     "ShapeMismatch", "xi at 2 must be 2x1"),
     ("xi at every vertex", ("theorem5",), lambda: probe_doc(drop=("xi", "3")),
-     "ShapeMismatch", "the map at 3 must be 2x1"),
+     "ShapeMismatch", "xi has no matrix at 3"),
+    ("witness an object", ("theorem5",), lambda: probe_doc((("witness",), [])),
+     "InputError", "witness must be a JSON object, not list"),
+    ("witness has g", ("theorem5",), lambda: probe_doc(drop=("witness", "g")),
+     "InputError", "witness is missing the 'g' block"),
+    ("witness g an object", ("theorem5",), lambda: probe_doc((("witness", "g"), [])),
+     "InputError", "witness.g must be a JSON object, not list"),
+    ("witness keyed by the quiver", ("theorem5",),
+     lambda: probe_doc((("witness", "g", "zz"), IDENTITY[2])),
+     "ShapeMismatch", "witness.g names 'zz', which is no vertex of the quiver"),
     ("witness at every vertex", ("theorem5",), lambda: probe_doc(drop=("witness", "g", "1")),
-     "ShapeMismatch", "the witness has no matrix at 1"),
+     "ShapeMismatch", "witness.g has no matrix at 1"),
     ("witness shape", ("theorem5",), lambda: probe_doc((("witness", "g", "2"), IDENTITY[1])),
-     "ShapeMismatch", "the map at 2 must be 2x2"),
+     "ShapeMismatch", "witness.g at 2 must be 2x2"),
+    ("submodule witness an object", ("theorem5",), lambda: probe_doc((("witness_sub",), 0)),
+     "InputError", "witness_sub must be a JSON object, not int"),
+    ("submodule witness has g", ("theorem5",), lambda: probe_doc(drop=("witness_sub", "g")),
+     "InputError", "witness_sub is missing the 'g' block"),
+    ("submodule witness g an object", ("theorem5",),
+     lambda: probe_doc((("witness_sub", "g"), "1")),
+     "InputError", "witness_sub.g must be a JSON object, not str"),
+    ("submodule witness keyed by the quiver", ("theorem5",),
+     lambda: probe_doc((("witness_sub", "g", "zz"), IDENTITY[1])),
+     "ShapeMismatch", "witness_sub.g names 'zz', which is no vertex of the quiver"),
+    ("submodule witness at every vertex", ("theorem5",),
+     lambda: probe_doc(drop=("witness_sub", "g", "2")),
+     "ShapeMismatch", "witness_sub.g has no matrix at 2"),
     ("submodule witness shape", ("theorem5",),
      lambda: probe_doc((("witness_sub", "g", "1"), IDENTITY[2])),
-     "ShapeMismatch", "the map at 1 must be 1x1"),
-    ("swap block sizes at every vertex", ("theorem5",),
-     lambda: probe_doc((("witness", "summand_swap"), True)),
-     "ShapeMismatch", "the summand-swapped witness has no block sizes at 1"),
+     "ShapeMismatch", "witness_sub.g at 1 must be 1x1"),
     ("swap blocks equal", ("theorem5",),
-     lambda: probe_doc((("witness", "summand_swap"), True),
-                       (("witness", "block_dims"), {"1": [1, 1], "2": [2, 0], "3": [1, 1]})),
-     "ShapeMismatch", "the summand swap at 2 needs two equal blocks of 2 rows, not 2 + 0"),
+     lambda: probe_doc((("witness_sub", "summand_swap"), True)),
+     "ShapeMismatch", "the summand swap of witness_sub at 1 needs an even dimension, not 1"),
+    ("swap block sizes at every vertex", ("theorem5",),
+     lambda: replaced(lab_doc((2, 1, 2), TWOS, ONES), ("witness", "summand_swap"), True),
+     "ShapeMismatch", "the summand swap of witness at 2 needs an even dimension, not 1"),
+    ("gauge an object", ("witness",), lambda: probe_doc((("g",), [])),
+     "InputError", "g must be a JSON object, not list"),
+    ("gauge keyed by the quiver", ("witness",), lambda: probe_doc((("g", "zz"), IDENTITY[2])),
+     "ShapeMismatch", "g names 'zz', which is no vertex of the quiver"),
     ("gauge shape", ("witness",), lambda: probe_doc((("g", "2"), IDENTITY[1])),
-     "ShapeMismatch", "gauge block at 2 must be 2x2"),
+     "ShapeMismatch", "g at 2 must be 2x2"),
     ("gauge at every vertex", ("witness",), lambda: probe_doc(drop=("g", "3")),
-     "ShapeMismatch", "gauge block at 3 must be 2x2"),
+     "ShapeMismatch", "g has no matrix at 3"),
 ]
 
 

@@ -1480,7 +1480,7 @@ def test_verify_transition_matches_the_act_oracle():
         big, wit = build_theta_witness(m1, random_gauge(rng, m1.v), sig)
         for w in (wit, TransitionWitness(wit.g),
                   TransitionWitness({x: h.scaled(Fraction(3)) for x, h in wit.g.items()},
-                                    True, wit.block_dims)):
+                                    True)):
             verdicts.append(agreed_verdict(big, sig, w))
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
     assert verdicts.count(None) >= 20

@@ -85,8 +85,7 @@ SAMPLES = {
     "FramedModule": [values(MODULE), module_values(signed=False), values(MODULE)[:-1],
                      module_values(w={"1": 1})],
     "RelationReport": [(True,), (False, "2"), (False, "3")],
-    "TransitionWitness": [({"1": ONE},), ({"1": ONE}, True, {"1": (1, 0)}),
-                          ({"1": -ONE}, False, None)],
+    "TransitionWitness": [({"1": ONE},), ({"1": ONE}, True), ({"1": -ONE}, False)],
     "EigenInclusionReport": [(True,), (False, "1", "2", ("1", "0")), (False, "1", "-1", None)],
 }
 

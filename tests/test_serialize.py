@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qfold.errors import InputError, MalformedEntry
 from qfold.generators import random_graded_pair, random_theta_module
 from qfold.linalg import Mat, qq
+from qfold.module_lab import build_theta_witness, verify_transition, witness_matrix
 from qfold.quiver_core import a_quiver, flip_automorphism
 from qfold.serialize import (
     dim_entry,
@@ -81,9 +82,20 @@ def test_witness_round_trip():
     a3 = a_quiver(3)
     flip = flip_automorphism(a3, 3)
     _xi, _sub, m, _sigma, _wsub, wit = random_graded_pair(rng, a3, flip)
-    back = witness_from_dict(a3, witness_to_dict(wit), m.v)
+    back = witness_from_dict(a3, witness_to_dict(wit), m.v, "witness")
     assert back.g == dict(wit.g)
     assert back.summand_swap == wit.summand_swap
+    # a twisted double's summand-swapped witness: its block sizes come from
+    # the module, so it reads back to the same transition
+    m1, sigma = random_theta_module(rng, a3, flip)
+    gauge = {x: Mat.identity(m1.v[x]).scaled(Fraction(x)) for x in a3.vertices}
+    big, wit = build_theta_witness(m1, gauge, sigma)
+    obj = witness_to_dict(wit)
+    assert set(obj) == {"g", "summand_swap"} and obj["summand_swap"] is True
+    back = witness_from_dict(a3, obj, big.v, "witness")
+    assert back.summand_swap
+    assert all(witness_matrix(back, x) == witness_matrix(wit, x) for x in a3.vertices)
+    assert verify_transition(big, sigma, back)
 
 
 def _read(reader, s):
