@@ -254,7 +254,7 @@ def cmd_dims(args) -> int:
     lines = [f"{'v_split':<40} {'dim':>5}  empty?"]
     for r in records:
         vs = ",".join(f"{k}:{val}" for k, val in sorted(r.v_split.items()))
-        lines.append(f"{vs:<40} {r.dim:>5}  {'yes' if r.empty_by_formula else 'no'}")
+        lines.append(f"{vs:<40} {r.dim:>5}  {'yes' if r.empty else 'no'}")
     lines.append(f"{len(records)} components (binomial formula: {fiber_count(v, sd)})")
     _emit(args, payload, "\n".join(lines))
     return EXIT_OK
@@ -343,24 +343,21 @@ def cmd_module(args) -> int:
         _emit(args, payload, "\n".join(lines))
         return EXIT_OK
 
-    if args.action == "theorem5":
-        try:
-            sub = module_from_dict(q, data["sub"])
-            check_transport(sub, sigma, framing=m.w)
-            xi = vertex_map_from_obj(q, data["xi"], "xi", m.v, sub.v)
-            witness = witness_from_dict(q, data["witness"], m.v, "witness")
-            witness_sub = witness_from_dict(q, data["witness_sub"], sub.v, "witness_sub")
-        except KeyError as exc:
-            raise InputError(f"theorem5 file is missing the {exc} block") from exc
-        rep = theorem5_verify(xi, sub, m, sigma, witness_sub, witness)
-        payload = {"ok": rep.ok, "vertex": rep.vertex, "eigenvalue": rep.eigenvalue,
-                   "counterexample": list(rep.vector) if rep.vector else None}
-        human = "eigenspace inclusion holds" if rep.ok else \
-            f"violated at vertex {rep.vertex}, eigenvalue {rep.eigenvalue}, vector {rep.vector}"
-        _emit(args, payload, human)
-        return EXIT_OK if rep.ok else EXIT_VIOLATION
-
-    raise InputError(f"unknown module action {args.action}")
+    try:
+        sub = module_from_dict(q, data["sub"])
+        check_transport(sub, sigma, framing=m.w)
+        xi = vertex_map_from_obj(q, data["xi"], "xi", m.v, sub.v)
+        witness = witness_from_dict(q, data["witness"], m.v, "witness")
+        witness_sub = witness_from_dict(q, data["witness_sub"], sub.v, "witness_sub")
+    except KeyError as exc:
+        raise InputError(f"theorem5 file is missing the {exc} block") from exc
+    rep = theorem5_verify(xi, sub, m, sigma, witness_sub, witness)
+    payload = {"ok": rep.ok, "vertex": rep.vertex, "eigenvalue": rep.eigenvalue,
+               "counterexample": list(rep.vector) if rep.vector else None}
+    human = "eigenspace inclusion holds" if rep.ok else \
+        f"violated at vertex {rep.vertex}, eigenvalue {rep.eigenvalue}, vector {rep.vector}"
+    _emit(args, payload, human)
+    return EXIT_OK if rep.ok else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------

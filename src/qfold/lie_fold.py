@@ -14,7 +14,8 @@ matrix is of finite type when every component is.
 
 Chevalley generators are built from the Cartan matrix alone, on the
 minuscule module of its first index (R. M. Green, Combinatorics of
-Minuscule Representations, Cambridge Tracts 199, 2013).
+Minuscule Representations, Cambridge Tracts 199, 2013); `serre_check`
+returns the relations they break.
 """
 
 from __future__ import annotations
@@ -179,9 +180,7 @@ def canonical_cartan(family: str, rank: int) -> CartanMatrix:
     if family == "F":
         m = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
         return cartan_matrix(m)
-    if family == "G":
-        return cartan_matrix([[2, -1], [-3, 2]])
-    raise UnsupportedFamily(family)
+    return cartan_matrix([[2, -1], [-3, 2]])  # G2, the family left
 
 
 def _component_type(c: CartanMatrix, links: list[list[int]], comp: list[int]) -> TypeLabel:
@@ -341,19 +340,12 @@ class SerreViolation(NamedTuple):
     j: int
 
 
-class SerreReport(NamedTuple):
-    ok: bool
-    violations: tuple[SerreViolation, ...]
-
-    def has_kind(self, kind: str) -> bool:
-        return any(v.kind == kind for v in self.violations)
-
-
 def _comm(a: Mat, b: Mat) -> Mat:
     return sum_of_products(((1, a, b), (-1, b, a)))
 
 
-def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence[Mat]) -> SerreReport:
+def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence[Mat]
+                ) -> tuple[SerreViolation, ...]:
     """Check that (E, F, H) present the algebra with Cartan matrix c.
 
     Relations, in the convention of this module:
@@ -363,8 +355,8 @@ def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence
       ad(E_i)^(1 - c[j][i]) E_j = 0 and the same for F (i != j).
     E, F and H each hold c.n square matrices of one size, as
     `folded_generators` builds them.  All relations are evaluated; every
-    violation is reported.  [H_i, H_j] is formed for i < j only, as
-    [H_i, H_i] = 0 and [H_j, H_i] = -[H_i, H_j].
+    violation is returned, none on a pass.  [H_i, H_j] is formed for i < j
+    only, as [H_i, H_i] = 0 and [H_j, H_i] = -[H_i, H_j].
     """
     n = c.n
     apart = {(i, j) for i in range(n) for j in range(i + 1, n)
@@ -392,4 +384,4 @@ def serre_check(c: CartanMatrix, E: Sequence[Mat], F: Sequence[Mat], H: Sequence
                     x = _comm(gens[i], x)
                 if not x.is_zero():
                     bad.append(SerreViolation("serre", i, j))
-    return SerreReport(not bad, tuple(bad))
+    return tuple(bad)

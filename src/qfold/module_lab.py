@@ -16,6 +16,8 @@ file (v and w constant on orbits, a twist that fits w, the shapes of a
 gauge, an embedding and a witness, and the even dimensions at which a
 summand swap halves a witness) where `cli` and `serialize` read it.
 The functions here take it all as checked, or as built valid.
+`check_relations`, the one relation check, raises RelationViolation at the
+first vertex where the relation fails.
 
 A transition g is a module isomorphism m -> theta(m); `find_transition`
 reads it off one reduction, which decides all but g I = theta(I).
@@ -126,21 +128,16 @@ def _field_name(p: int) -> str:
 # relations and stability
 # ---------------------------------------------------------------------------
 
-class RelationReport(NamedTuple):
-    ok: bool
-    vertex: Optional[str] = None
-
-
-def check_relations(m: FramedModule) -> RelationReport:
-    """Evaluate the preprojective relation at every vertex; reports the
-    first violating vertex."""
+def check_relations(m: FramedModule) -> None:
+    """Evaluate the preprojective relation at every vertex; raise
+    RelationViolation, naming the vertex, at the first where it fails."""
     for vertex, leaving in m.quiver.leaving.items():
         terms = [(1, m.I[vertex], m.J[vertex])]
         terms += [(-1 if m.signed and info.eps == -1 else 1, m.B[reverse_key(info.key)],
                    m.B[info.key]) for info in leaving]
         if not sum_of_products(terms).is_zero():
-            return RelationReport(False, vertex)
-    return RelationReport(True)
+            raise RelationViolation(f"preprojective relation fails at vertex {vertex}",
+                                    vertex=vertex)
 
 
 def _path_rows(m: FramedModule) -> dict[str, tuple[Mat, list[int]]]:
@@ -172,17 +169,9 @@ def _path_rows(m: FramedModule) -> dict[str, tuple[Mat, list[int]]]:
     return rows
 
 
-def _require_relations(m: FramedModule) -> None:
-    """Raise RelationViolation at the first vertex where the relation fails."""
-    rep = check_relations(m)
-    if not rep.ok:
-        raise RelationViolation(f"preprojective relation fails at vertex {rep.vertex}",
-                                vertex=rep.vertex)
-
-
 def is_stable(m: FramedModule) -> bool:
     """No nonzero B-invariant graded subspace inside ker J."""
-    _require_relations(m)
+    check_relations(m)
     rows = _path_rows(m)
     return all(len(rows[x][1]) == m.v.get(x, 0) for x in m.quiver.vertices)
 
@@ -355,7 +344,7 @@ def find_transition(m: FramedModule, sigma: SigmaData) -> Optional[TransitionWit
     the full-rank path rows of m, so g_x is invertible.  The rows do not
     see I, and g I = theta(I) is checked alone.
     """
-    _require_relations(m)
+    check_relations(m)
     theta_m = apply_theta(m, sigma)
     rows = _path_rows(direct_sum(theta_m, m))
     vertices = m.quiver.vertices
@@ -397,11 +386,7 @@ def build_theta_witness(m1: FramedModule, g: Mapping[str, Mat], sigma: SigmaData
 
     twisted = _conjugate(g, inv, apply_theta(m1, sigma))
     big = direct_sum(m1, twisted)
-    rep = check_relations(big)
-    if not rep.ok:
-        raise RelationViolation(
-            f"direct sum violates the relation at {rep.vertex}; framing cross terms must vanish",
-            vertex=rep.vertex)
+    check_relations(big)
 
     gstar = star(g, sigma.auto)
     blocks = {x: Mat.block_diag([gstar[x], inv[x]]) for x in q.vertices}

@@ -79,11 +79,12 @@ def check_matrix_budget(v: Mapping[str, int], w: Mapping[str, int]) -> None:
                        f"cap of {MATRIX_ENTRY_CAP}", estimate=estimate, cap=MATRIX_ENTRY_CAP)
 
 
-def _flag(obj: dict, key: str, default: bool) -> bool:
-    """A JSON boolean field; anything else, "false" too, is refused."""
+def _flag(obj: dict, key: str, default: bool, name: str = "") -> bool:
+    """A JSON boolean field, named in a refusal as name, or else as key;
+    anything else, "false" too, is refused."""
     value = obj.get(key, default)
     if not isinstance(value, bool):
-        raise InputError(f'"{key}" must be true or false, got {value!r}')
+        raise InputError(f'"{name or key}" must be true or false, got {value!r}')
     return value
 
 
@@ -211,15 +212,16 @@ def witness_to_dict(w: TransitionWitness) -> dict:
 
 def witness_from_dict(q: Quiver, obj, dims: Mapping[str, int], name: str) -> TransitionWitness:
     """The witness block name of a module file, for a module of dimension
-    dims: its map g, read as name.g, and its summand swap, which exchanges
-    two blocks of dims_x / 2 rows at each vertex x, so dims_x must be even."""
+    dims: its map g, read as name.g, and its summand swap, read as
+    name.summand_swap, which exchanges two blocks of dims_x / 2 rows at
+    each vertex x, so dims_x must be even."""
     from .module_lab import TransitionWitness
 
     obj = json_object(obj, name)
     if "g" not in obj:
         raise InputError(f"{name} is missing the 'g' block")
     g = vertex_map_from_obj(q, obj["g"], f"{name}.g", dims, dims)
-    swap = _flag(obj, "summand_swap", False)
+    swap = _flag(obj, "summand_swap", False, f"{name}.summand_swap")
     if swap:
         for x in q.vertices:
             if dims.get(x, 0) % 2:

@@ -9,8 +9,8 @@ of phases that makes an arrow component survive on the fixed locus, and it
 reproduces the classical D/A correspondence.
 
 Splitting twice returns (Q, a): `split_involution_check` reads the
-natural map s(s(Q)) -> Q off the phase slots and checks it, with no
-search for an isomorphism.
+natural map s(s(Q)) -> Q off the phase slots, checks it, with no search
+for an isomorphism, and returns it.
 
 The framing is graded by `root_of_unity_eigendims`, the one count of
 eigenspace dimensions at roots of unity: nullity(Phi_d(m)) / phi(d) at a
@@ -149,12 +149,9 @@ def _split_edge_id(edge_orbit: str, j1: int, e1: int, j2: int, e2: int) -> str:
 # splitting twice
 # ---------------------------------------------------------------------------
 
-class InvolutionWitness(NamedTuple):
-    vertex_map: Mapping[str, str]  # vertices of s(s(Q)) -> vertices of Q
-
-
-def split_involution_check(q: Quiver, a: DiagramAutomorphism) -> InvolutionWitness:
-    """Witness that splitting twice returns (Q, a): the natural map, checked.
+def split_involution_check(q: Quiver, a: DiagramAutomorphism) -> dict[str, str]:
+    """Witness that splitting twice returns (Q, a): the natural map from the
+    vertices of s(s(Q)) to those of Q, checked.
 
     The induced automorphism of s(Q) has one vertex orbit per a-orbit O,
     the phases (O, j/e_O), in the order of the a-orbits.  The natural map
@@ -189,7 +186,7 @@ def split_involution_check(q: Quiver, a: DiagramAutomorphism) -> InvolutionWitne
             vertex_map[x] = v
             v = a.vertex_perm[v]
     _check_natural_map(sd2, q, a, vertex_map)
-    return InvolutionWitness(vertex_map)
+    return vertex_map
 
 
 def _check_natural_map(sd2: SplitData, q: Quiver, a: DiagramAutomorphism,

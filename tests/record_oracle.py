@@ -127,12 +127,6 @@ class SerreViolation:
     j: int
 
 
-@dataclass(frozen=True)
-class SerreReport:
-    ok: bool
-    violations: tuple[lie_fold.SerreViolation, ...]
-
-
 # -- rep_branch, corpus, dim_calc ------------------------------------------
 
 @dataclass(frozen=True)
@@ -160,7 +154,7 @@ class ComponentRecord:
     v_split: Mapping[str, int]
     w_split: Mapping[str, int]
     dim: int
-    empty_by_formula: bool
+    empty: bool
 
 
 # -- split_quotient --------------------------------------------------------
@@ -181,11 +175,6 @@ class SplitData:
     induced: quiver_core.DiagramAutomorphism
     vertex_table: Mapping[str, split_quotient.SplitVertex]
     orbit_slots: tuple[tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
-class InvolutionWitness:
-    vertex_map: Mapping[str, str]
 
 
 @dataclass(frozen=True)
@@ -272,12 +261,6 @@ class FramedModule:
                 raise ShapeMismatch(f"I[{vertex}] must be {iv}x{wv}")
             if jm.rows != wv or jm.cols != iv:
                 raise ShapeMismatch(f"J[{vertex}] must be {wv}x{iv}")
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    ok: bool
-    vertex: Optional[str] = None
 
 
 @dataclass(frozen=True)

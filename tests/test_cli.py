@@ -196,6 +196,19 @@ def test_branch_large_framings_pinned(capsys):
         "4a5feaafe02aa40899d3ab8a098b75c7141082605729a6af1a945310611e66ff")
 
 
+def test_dims_empty_column_reads_the_walk(capsys):
+    """The row 1@1/1:0,2@1/2:1,2@2/2:1 has dimension 0 and is empty: one
+    step of the walk reaches v' = (0, -1, 1)."""
+    argv = ["dims", "--corpus", "A3-flip", "--v", "0,2,0", "--w-split", "0,0,2"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert [line.split()[1:] for line in out.splitlines()[1:4]] == [
+        ["0", "no"], ["0", "yes"], ["-8", "yes"]]
+    code, out = run(capsys, *argv, "--json")
+    assert [(row["v"]["2@1/2"], row["dim"], row["empty"]) for row in json.loads(out)] == [
+        (0, 0, False), (1, 0, True), (2, -8, True)]
+
+
 def test_dims_identity_twist(capsys):
     code, out = run(capsys, "dims", "--corpus", "D4-swap",
                     "--v", "1,1,1,1", "--w", "1,1,1,1", "--json")
@@ -1177,19 +1190,23 @@ def test_dimension_vectors_beyond_the_matrix_budget_are_refused(tmp_path, capsys
 
 
 def test_relation_violation_json_error_names_the_vertex(tmp_path, capsys):
+    """`transition` checks the module, `witness` its twisted double, whose
+    first summand breaks the relation where the module does: the one
+    relation check refuses both alike."""
     doc = module_doc()
     doc["module"]["I"]["1"] = {"rows": 1, "cols": 1, "data": [["1"]]}   # I J != 0 at vertex 1
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    code = main(["module", "transition", str(path), "--json"])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.err == ""
-    assert json.loads(captured.out) == {"error": {
-        "type": "RelationViolation", "vertex": "1",
-        "message": "preprojective relation fails at vertex 1"}}
-    # without --json the error is the same one line as before
-    assert main(["module", "transition", str(path)]) == 1
-    assert capsys.readouterr().err == "error: preprojective relation fails at vertex 1\n"
+    for action in ("transition", "witness"):
+        code = main(["module", action, str(path), "--json"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == "" and captured.out.count("\n") == 1, action
+        assert json.loads(captured.out) == {"error": {
+            "type": "RelationViolation", "vertex": "1",
+            "message": "preprojective relation fails at vertex 1"}}, action
+        # without --json the error is the same one line
+        assert main(["module", action, str(path)]) == 1
+        assert capsys.readouterr() == ("", "error: preprojective relation fails at vertex 1\n")
 
 
 def diagonal(rows: int, cols: int) -> Mat:
@@ -1298,12 +1315,20 @@ MODULE_FILE_FACTS = [
     ("submodule witness shape", ("theorem5",),
      lambda: probe_doc((("witness_sub", "g", "1"), IDENTITY[2])),
      "ShapeMismatch", "witness_sub.g at 1 must be 1x1"),
+    ("witness swap a boolean", ("theorem5",),
+     lambda: probe_doc((("witness", "summand_swap"), "no")),
+     "InputError", "\"witness.summand_swap\" must be true or false, got 'no'"),
+    ("submodule witness swap a boolean", ("theorem5",),
+     lambda: probe_doc((("witness_sub", "summand_swap"), "no")),
+     "InputError", "\"witness_sub.summand_swap\" must be true or false, got 'no'"),
     ("swap blocks equal", ("theorem5",),
      lambda: probe_doc((("witness_sub", "summand_swap"), True)),
      "ShapeMismatch", "the summand swap of witness_sub at 1 needs an even dimension, not 1"),
     ("swap block sizes at every vertex", ("theorem5",),
      lambda: replaced(lab_doc((2, 1, 2), TWOS, ONES), ("witness", "summand_swap"), True),
      "ShapeMismatch", "the summand swap of witness at 2 needs an even dimension, not 1"),
+    ("gauge there", ("witness",), lambda: probe_doc(drop=("g",)),
+     "InputError", 'the witness action needs a "g" block of gauge matrices'),
     ("gauge an object", ("witness",), lambda: probe_doc((("g",), [])),
      "InputError", "g must be a JSON object, not list"),
     ("gauge keyed by the quiver", ("witness",), lambda: probe_doc((("g", "zz"), IDENTITY[2])),
@@ -1339,6 +1364,38 @@ def test_module_file_fact_is_checked_where_it_is_read(tmp_path, capsys, fact, ac
         out, err = capsys.readouterr()
         assert err == "" and out.count("\n") == 1, action
         assert json.loads(out) == {"error": {"type": kind, "message": message}}, action
+
+
+def unpermuted_doc():
+    """D4-swap's quiver file with no edge map and no image of vertex 4."""
+    doc = entry_doc("D4-swap")
+    del doc["automorphism"]["edges"], doc["automorphism"]["vertices"]["4"]
+    return doc
+
+
+# (the command before its file, the file, the --json error object)
+REFUSALS = [
+    (["module", "theorem5"], lambda: lab_doc(TWOS, ONES, ONES),
+     {"type": "PreconditionViolation", "message": "both modules must be stable"}),
+    (["split", "--file"], unpermuted_doc,
+     {"type": "NotAPermutation", "message": "the automorphism does not permute the ids (at '4')"}),
+]
+
+
+@pytest.mark.parametrize("command, build, error", REFUSALS,
+                         ids=["ambient-unstable", "automorphism-misses-a-vertex"])
+def test_a_refusal_of_input_is_one_line(tmp_path, capsys, command, build, error):
+    """An ambient module with a B-invariant line in ker J, and a vertex map
+    with no image of 4 and no edge map: exit 1 and one line, plain and
+    --json."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(build()))
+    assert main([*command, str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error['message']}\n")
+    assert main([*command, str(path), "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1
+    assert json.loads(out) == {"error": error}
 
 
 def test_a_module_file_without_a_twist_checks_each_dimension_vector_once(

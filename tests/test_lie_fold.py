@@ -209,7 +209,7 @@ def test_folded_generators_a1_identity():
     a1 = a_quiver(1)
     e, f, h = folded_generators(fold_of(a1, identity_automorphism(a1)))
     assert e[0] == Mat.rational([[0, 1], [0, 0]])
-    assert serre_check(cartan_matrix([[2]]), e, f, h).ok
+    assert serre_check(cartan_matrix([[2]]), e, f, h) == ()
 
 
 def test_folded_generators_a3_matrices():
@@ -250,18 +250,18 @@ def test_serre_check_standard_a1():
     e = [Mat.rational([[0, 1], [0, 0]])]
     f = [Mat.rational([[0, 0], [1, 0]])]
     h = [Mat.rational([[1, 0], [0, -1]])]
-    assert serre_check(cartan_matrix([[2]]), e, f, h).ok
+    assert serre_check(cartan_matrix([[2]]), e, f, h) == ()
 
 
 def test_serre_check_folded_pairs():
     for n in (1, 3, 5, 7):
         q = a_quiver(n)
         fold = fold_of(q, flip_automorphism(q, n))
-        assert serre_check(fold.folded, *folded_generators(fold)).ok, f"A{n}"
+        assert serre_check(fold.folded, *folded_generators(fold)) == (), f"A{n}"
     for n in (3, 4, 5):
         q = d_quiver(n)
         fold = fold_of(q, fork_swap_automorphism(q, n))
-        assert serre_check(fold.folded, *folded_generators(fold)).ok, f"D{n}"
+        assert serre_check(fold.folded, *folded_generators(fold)) == (), f"D{n}"
 
 
 def test_folded_generators_rank_ten_and_up():
@@ -271,7 +271,7 @@ def test_folded_generators_rank_ten_and_up():
         fold = fold_of(a_quiver(n), a)
         gens = folded_generators(fold)
         assert len(gens[0]) == fold.folded.n == folded_rank
-        assert serre_check(fold.folded, *gens).ok, f"A{n}"
+        assert serre_check(fold.folded, *gens) == (), f"A{n}"
 
 
 def test_serre_check_transpose_convention_fails():
@@ -280,10 +280,7 @@ def test_serre_check_transpose_convention_fails():
     gens = folded_generators(fold)
     transposed = cartan_matrix(
         [[fold.folded[j, i] for j in range(2)] for i in range(2)])
-    report = serre_check(transposed, *gens)
-    assert not report.ok
-    assert report.has_kind("serre")
-    assert report.violations
+    assert "serre" in {v.kind for v in serre_check(transposed, *gens)}
 
 
 def oracle_cases():
@@ -305,15 +302,14 @@ def test_minuscule_generators_match_the_hand_built_oracle():
         got, want = folded_generators(fold), oracle_folded_generators(n, family, a)
         assert [len(g) for g in got] == [len(g) for g in want] == [fold.folded.n] * 3, label
         assert {m.rows for g in got for m in g} == {m.rows for g in want for m in g}, label
-        report = serre_check(fold.folded, *got)
-        assert report.ok and report == serre_check(fold.folded, *want), label
+        assert serre_check(fold.folded, *got) == () == serre_check(fold.folded, *want), label
     a3 = a_quiver(3)
     flip = flip_automorphism(a3, 3)
     c = fold_of(a3, flip).folded
     transposed = cartan_matrix([[c[j, i] for j in range(c.n)] for i in range(c.n)])
     report = serre_check(transposed, *folded_generators(fold_of(a3, flip)))
     assert report == serre_check(transposed, *oracle_folded_generators(3, "A", flip))
-    assert sorted(v.kind for v in report.violations) == ["he", "he", "hf", "hf", "serre", "serre"]
+    assert sorted(v.kind for v in report) == ["he", "he", "hf", "hf", "serre", "serre"]
 
 
 def test_e6_flip_folds_to_f4_on_the_27_dimensional_module():
@@ -327,7 +323,7 @@ def test_e6_flip_folds_to_f4_on_the_27_dimensional_module():
     assert classify_cartan(fold.folded) == TypeLabel("F", 4)
     e, f, h = folded_generators(fold)
     assert {m.rows for g in (e, f, h) for m in g} == {27}
-    assert serre_check(fold.folded, e, f, h).ok
+    assert serre_check(fold.folded, e, f, h) == ()
 
 
 def test_c3_at_its_first_fundamental_weight():
@@ -335,7 +331,7 @@ def test_c3_at_its_first_fundamental_weight():
     c3 = canonical_cartan("C", 3)
     e, f = minuscule_generators(c3)
     assert {m.rows for m in e + f} == {6}
-    assert serre_check(c3, e, f, [x * y - y * x for x, y in zip(e, f)]).ok
+    assert serre_check(c3, e, f, [x * y - y * x for x, y in zip(e, f)]) == ()
     with pytest.raises(UnsupportedFamily, match="not minuscule"):
         minuscule_generators(canonical_cartan("B", 3))
 
@@ -345,16 +341,16 @@ def test_generators_that_break_the_folding_fail_serre():
     a3_flip = fold_of(a3, flip_automorphism(a3, 3))
     # a wrong orbit: {1, 2} and {3}
     wrong = FoldedAlgebraData(a3_flip.base, (("1", "2"), ("3",)), a3_flip.folded)
-    assert not serre_check(wrong.folded, *folded_generators(wrong)).ok
+    assert serre_check(wrong.folded, *folded_generators(wrong))
     # D4-rot3's orbit sums listed in reversed order against the G2 matrix
     rot3 = fold_of(*d4_rot3())
     e, f, h = folded_generators(rot3)
-    assert serre_check(rot3.folded, e, f, h).ok
-    assert not serre_check(rot3.folded, e[::-1], f[::-1], h[::-1]).ok
+    assert serre_check(rot3.folded, e, f, h) == ()
+    assert serre_check(rot3.folded, e[::-1], f[::-1], h[::-1])
     # E_I and F_I exchanged for one orbit of A3-flip
     e, f, h = folded_generators(a3_flip)
     report = serre_check(a3_flip.folded, [f[0], e[1]], [e[0], f[1]], h)
-    assert {v.kind for v in report.violations} == {"he", "hf", "ef"}
+    assert {v.kind for v in report} == {"he", "hf", "ef"}
 
 
 def comm_oracle(a: Mat, b: Mat) -> Mat:
@@ -394,8 +390,8 @@ def test_serre_check_matches_the_product_commutator_oracle(monkeypatch):
     reports = [serre_check(c, *gens) for c, gens in cases]
     monkeypatch.setattr(lie_fold, "_comm", comm_oracle)
     assert [serre_check(c, *gens) for c, gens in cases] == reports
-    assert {r.ok for r in reports} == {True, False}
-    assert {v.kind for r in reports for v in r.violations} == {"hh", "he", "hf", "ef", "serre"}
+    assert {bool(r) for r in reports} == {True, False}
+    assert {v.kind for r in reports for v in r} == {"hh", "he", "hf", "ef", "serre"}
 
 
 def test_classification_stable_under_relabelling():
@@ -569,5 +565,5 @@ def test_serre_check_matches_the_every_pair_oracle():
     for c, E, F, H in cases:
         report = serre_check(c, E, F, H)
         assert report == oracle_serre_check(c, E, F, H)
-        hh.add(sum(v.kind == "hh" for v in report.violations))
+        hh.add(sum(v.kind == "hh" for v in report))
     assert 0 in hh and len(hh) > 2, hh

@@ -6,7 +6,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import pytest
 
@@ -19,6 +19,7 @@ from qfold.errors import (
     NotInvertible,
     NotStable,
     PreconditionViolation,
+    RelationViolation,
     SigmaConstraintViolated,
     TooLarge,
     WitnessVerificationFailed,
@@ -38,7 +39,6 @@ from qfold.module_lab import (
     EigenInclusionReport,
     _eigen_counterexample,
     FramedModule,
-    RelationReport,
     SigmaData,
     TransitionWitness,
     _all_subspace_bases,
@@ -126,18 +126,28 @@ def one_dim(vals):
     return {k: Mat.rational([[v]]) for k, v in vals.items()}
 
 
+def failing_vertex(m: FramedModule) -> Optional[str]:
+    """The vertex that `check_relations` names when it refuses m, or None."""
+    try:
+        check_relations(m)
+    except RelationViolation as exc:
+        return exc.context["vertex"]
+    return None
+
+
 def test_relations_trivial_cases():
     zero = framed_module(A3, {v: 1 for v in A3.vertices}, {v: 1 for v in A3.vertices})
-    assert check_relations(zero).ok
+    assert failing_vertex(zero) is None
 
     ok = framed_module(A1, {"1": 1}, {"1": 1},
                        I=one_dim({"1": 1}), J=one_dim({"1": 0}))
-    assert check_relations(ok).ok
+    assert failing_vertex(ok) is None
 
     bad = framed_module(A1, {"1": 1}, {"1": 1},
                         I=one_dim({"1": 1}), J=one_dim({"1": 1}))
-    report = check_relations(bad)
-    assert not report.ok and report.vertex == "1"
+    with pytest.raises(RelationViolation, match="^preprojective relation fails at vertex 1$"):
+        check_relations(bad)
+    assert failing_vertex(bad) == "1"
 
 
 def test_matrices_over_two_fields_are_refused_where_they_enter():
@@ -156,13 +166,12 @@ def test_relation_signs_cancel_commutator():
     m = framed_module(
         a2, {"1": 1, "2": 1}, {"1": 0, "2": 0},
         B={"e1": Mat.rational([[2]]), "e1*": Mat.rational([[3]])})
-    rep = check_relations(m)
-    assert not rep.ok  # 2*3 does not vanish at either vertex
+    assert failing_vertex(m) == "1"  # 2*3 does not vanish at either vertex
     m2 = framed_module(
         a2, {"1": 1, "2": 1}, {"1": 1, "2": 1},
         B={"e1": Mat.rational([[2]]), "e1*": Mat.rational([[3]])},
         I=one_dim({"1": -6, "2": 1}), J=one_dim({"1": 1, "2": 6}))
-    assert check_relations(m2).ok
+    assert failing_vertex(m2) is None
 
 
 def test_stability_j_injective_and_zero():
@@ -300,7 +309,7 @@ def test_theta_preserves_relations_and_stability():
     for _ in range(20):
         m, sig = random_theta_module(rng, A3, FLIP)
         out = apply_theta(m, sig)
-        assert check_relations(out).ok
+        check_relations(out)
         assert is_stable(out) == is_stable(m)
 
 
@@ -818,9 +827,9 @@ def test_eigen_profile_counts_cyclotomic_kernels():
 # -- the product-then-compare checks that each relation's one signed sum
 # of products replaced, kept as oracles ----------------------------------
 
-def relations_oracle(m: FramedModule) -> RelationReport:
-    """`check_relations` with I J and each B_rev B formed apart, then added
-    or subtracted."""
+def relations_oracle(m: FramedModule) -> Optional[str]:
+    """The first vertex at which `check_relations` refuses m, or None, with
+    I J and each B_rev B formed apart, then added or subtracted."""
     for vertex, leaving in m.quiver.leaving.items():
         acc = m.I[vertex] * m.J[vertex]
         for info in leaving:
@@ -830,8 +839,8 @@ def relations_oracle(m: FramedModule) -> RelationReport:
             else:
                 acc = acc + term
         if not acc.is_zero():
-            return RelationReport(False, vertex)
-    return RelationReport(True)
+            return vertex
+    return None
 
 
 def embedding_oracle(xi, m_sub: FramedModule, m: FramedModule) -> bool:
@@ -906,8 +915,8 @@ def test_check_relations_matches_the_product_oracle():
         cases = [m] + [corrupted(rng, m, x) for x in m.quiver.vertices]
         for case in filter(None, cases):
             want = relations_oracle(case)
-            assert check_relations(case) == want, case
-            verdicts.add((want.ok, case.J[case.quiver.vertices[0]].p, case.signed))
+            assert failing_vertex(case) == want, case
+            verdicts.add((want is None, case.J[case.quiver.vertices[0]].p, case.signed))
     assert len(verdicts) == 8, verdicts   # both verdicts over Q and F_3, signed and unsigned
 
 
@@ -1103,7 +1112,7 @@ def rot3_module():
             if not cand.B[key].is_zero():
                 merged[key] = cand.B[key]
     base = framed_module(d4, v, w, B=merged, J={x: Mat.identity(2) for x in d4.vertices})
-    assert check_relations(base).ok
+    check_relations(base)
     assert apply_theta(base, sig) == base
     assert is_stable(base)
 
@@ -1383,12 +1392,30 @@ def test_direct_sum_shapes():
     s = direct_sum(m, m)
     assert s.v == {x: 2 for x in A3.vertices}
     assert s.w == w
-    assert check_relations(s).ok
+    check_relations(s)
     # cross terms I_a J_b between summands can break the relation
     m_i = framed_module(A3, v, w, I=one_dim({"1": 1, "2": 0, "3": 0}))
     m_j = framed_module(A3, v, w, J=one_dim({"1": 1, "2": 0, "3": 0}))
-    assert check_relations(m_i).ok and check_relations(m_j).ok
-    assert not check_relations(direct_sum(m_i, m_j)).ok
+    check_relations(m_i)
+    check_relations(m_j)
+    assert failing_vertex(direct_sum(m_i, m_j)) == "1"
+
+
+def test_the_twisted_double_is_refused_where_its_relation_fails():
+    """`build_theta_witness` checks the double with the one relation check,
+    whether m1 itself breaks the relation at vertex 1 or only the framing
+    cross terms I_1 J'_1 of the double do."""
+    ones = {x: 1 for x in A3.vertices}
+    sigma = identity_sigma(A3, FLIP, ones)
+    g = {x: Mat.identity(1) for x in A3.vertices}
+    broken = framed_module(A3, ones, ones, I=one_dim({"1": 1}), J=one_dim({"1": 1}))
+    crossed = framed_module(A3, ones, ones, I=one_dim({"1": 1}), J=one_dim({"3": 1}))
+    check_relations(crossed)
+    for m1 in (broken, crossed):
+        with pytest.raises(RelationViolation,
+                           match="^preprojective relation fails at vertex 1$") as caught:
+            build_theta_witness(m1, g, sigma)
+        assert caught.value.context == {"vertex": "1"}
 
 
 def test_stable_twisted_double_honest_transition():

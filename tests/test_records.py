@@ -29,13 +29,12 @@ from qfold.split_quotient import split_quiver
 
 HOMES = {
     quiver_core: ("Quiver", "DiagramAutomorphism", "OrbitData"),
-    lie_fold: ("CartanMatrix", "TypeLabel", "FoldedAlgebraData", "SerreViolation",
-               "SerreReport"),
+    lie_fold: ("CartanMatrix", "TypeLabel", "FoldedAlgebraData", "SerreViolation"),
     rep_branch: ("RootDatum",),
     corpus: ("CorpusEntry",),
     dim_calc: ("ComponentRecord",),
-    split_quotient: ("SplitVertex", "SplitData", "InvolutionWitness", "SigmaData"),
-    module_lab: ("FramedModule", "RelationReport", "TransitionWitness", "EigenInclusionReport"),
+    split_quotient: ("SplitVertex", "SplitData", "SigmaData"),
+    module_lab: ("FramedModule", "TransitionWitness", "EigenInclusionReport"),
 }
 NEW = {name: getattr(module, name) for module, names in HOMES.items() for name in names}
 
@@ -74,17 +73,14 @@ SAMPLES = {
     "TypeLabel": [("A", 3), ("B", 3), ("A", 4)],
     "FoldedAlgebraData": [values(fold_cartan(C_A3, FLIP)), values(fold_cartan(C_D4, SWAP))],
     "SerreViolation": [("serre", 0, 1), ("hh", 0, 1), ("serre", 1, 0)],
-    "SerreReport": [(True, ()), (False, (lie_fold.SerreViolation("serre", 0, 1),))],
     "RootDatum": [values(root_datum(C_A3)), values(root_datum(C_D4))],
     "CorpusEntry": [values(corpus_entry("A3-flip")), values(corpus_entry("A4-flip"))],
     "ComponentRecord": [({"1": 1}, {"1": 0}, 2, False), ({"1": 1}, {"1": 0}, -2, True)],
     "SplitVertex": [(("1", "3"), 1, 1), (("2",), 2, 2), (("2",), 1, 2)],
     "SplitData": [values(split_quiver(A3, FLIP)), values(split_quiver(D4, SWAP))],
-    "InvolutionWitness": [({"1": "1"},), ({"1": "3"},)],
     "SigmaData": [(A3, FLIP, SIGMA), (A3, FLIP, TWIST)],
     "FramedModule": [values(MODULE), module_values(signed=False), values(MODULE)[:-1],
                      module_values(w={"1": 1})],
-    "RelationReport": [(True,), (False, "2"), (False, "3")],
     "TransitionWitness": [({"1": ONE},), ({"1": ONE}, True), ({"1": -ONE}, False)],
     "EigenInclusionReport": [(True,), (False, "1", "2", ("1", "0")), (False, "1", "-1", None)],
 }
@@ -127,7 +123,7 @@ RETIRED = {0, 1, 2, 3, 4, 5, 20, 22}
 
 
 def test_every_record_has_its_oracle():
-    assert len(NEW) == 19 and set(NEW) == set(SAMPLES)
+    assert len(NEW) == 16 and set(NEW) == set(SAMPLES)
     for name, cls in NEW.items():
         assert dataclasses.is_dataclass(getattr(old, name))
         assert not dataclasses.is_dataclass(cls)

@@ -119,8 +119,8 @@ def test_split_involution_on_corpus():
             with pytest.raises(NotAdmissible):
                 split_quiver(entry.quiver, entry.auto)
             continue
-        witness = split_involution_check(entry.quiver, entry.auto)
-        assert sorted(witness.vertex_map.values()) == sorted(entry.quiver.vertices), entry.name
+        vertex_map = split_involution_check(entry.quiver, entry.auto)
+        assert sorted(vertex_map.values()) == sorted(entry.quiver.vertices), entry.name
         assert iso_oracle.split_involution(entry.quiver, entry.auto) is not None, entry.name
 
 
@@ -225,8 +225,8 @@ def test_split_involution_answers_where_the_search_is_refused(swaps):
     with pytest.raises(TooLarge) as info:
         iso_oracle.split_involution(q, a)
     assert info.value.context["estimate"] == math.factorial(10) > iso_oracle.INDEX_SEARCH_CAP
-    witness = split_involution_check(q, a)
-    assert sorted(witness.vertex_map.values()) == sorted(q.vertices)
+    vertex_map = split_involution_check(q, a)
+    assert sorted(vertex_map.values()) == sorted(q.vertices)
 
 
 def natural_map_parts(name):
@@ -234,7 +234,7 @@ def natural_map_parts(name):
     q, a = entry.quiver, entry.auto
     sd = split_quiver(q, a)
     sd2 = split_quiver(sd.split, sd.induced)
-    vertex_map = dict(split_involution_check(q, a).vertex_map)
+    vertex_map = split_involution_check(q, a)
     _check_natural_map(sd2, q, a, vertex_map)
     return q, a, sd2, vertex_map
 
@@ -302,8 +302,8 @@ def test_split_involution_check_answers_on_the_cycle_of_orbits():
     # the walk from c takes x0 and y0 as bases, and its map sends an edge
     # of s(s(Q)) onto x0 -- y0, which Q lacks: a false "no"
     q, a = cycle_of_orbits()
-    witness = split_involution_check(q, a)
-    assert sorted(witness.vertex_map.values()) == sorted(q.vertices)
+    vertex_map = split_involution_check(q, a)
+    assert sorted(vertex_map.values()) == sorted(q.vertices)
 
 
 def test_composition_count_matches_the_listing():
