@@ -21,7 +21,6 @@ returns the relations they break.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
@@ -105,7 +104,6 @@ def _components(c: CartanMatrix) -> tuple[list[list[int]], list[list[int]]]:
     return links, comps
 
 
-@lru_cache(maxsize=256)
 def symmetrizer(c: CartanMatrix) -> tuple[int, ...]:
     """Positive integers d with c[i][j]*d[j] == c[j][i]*d[i], minimal per
     connected component."""

@@ -163,8 +163,7 @@ def check_automorphism(q: Quiver, a: DiagramAutomorphism) -> None:
     Incidence compatibility is taken up to edge reversal, since edge
     directions in the input are arbitrary.
     """
-    if sorted(a.vertex_perm) != sorted(q.vertices) or sorted(a.vertex_perm.values()) != sorted(q.vertices):
-        raise NotAPermutation("vertex map is not a permutation of the vertex set")
+    _require_vertex_permutation(q, a.vertex_perm)
     edge_ids = sorted(e.id for e in q.edges)
     if sorted(a.edge_perm) != edge_ids or sorted(a.edge_perm.values()) != edge_ids:
         raise NotAPermutation("edge map is not a permutation of the edge set")
@@ -177,13 +176,25 @@ def check_automorphism(q: Quiver, a: DiagramAutomorphism) -> None:
             )
 
 
+def _require_vertex_permutation(q: Quiver, vperm: Mapping[str, str]) -> None:
+    if sorted(vperm) != sorted(q.vertices) or sorted(vperm.values()) != sorted(q.vertices):
+        raise NotAPermutation("vertex map is not a permutation of the vertex set")
+
+
 def derive_edge_perm(q: Quiver, vperm: Mapping[str, str]) -> dict[str, str]:
-    """Edge permutation induced by a vertex permutation; fails when parallel
-    edges make the image ambiguous."""
+    """Edge permutation induced by a vertex permutation; fails when an
+    edge's ends go to a pair that no edge joins (NotAPermutation when vperm
+    does not permute the vertices, else IncompatibleWithIncidence), or that
+    parallel edges join (AmbiguousEdgeMap)."""
     eperm: dict[str, str] = {}
     for e in q.edges:
-        candidates = q.edges_between(vperm[e.src], vperm[e.tgt])
-        if len(candidates) != 1:
+        src, tgt = vperm[e.src], vperm[e.tgt]
+        candidates = q.edges_between(src, tgt)
+        if not candidates:
+            _require_vertex_permutation(q, vperm)
+            raise IncompatibleWithIncidence(
+                f"edge {e.id}: no edge joins {{{src},{tgt}}}, the images of its ends")
+        if len(candidates) > 1:
             raise AmbiguousEdgeMap(
                 f"edge {e.id}: {len(candidates)} candidate images; supply the edge map explicitly"
             )

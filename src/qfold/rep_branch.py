@@ -8,12 +8,12 @@ matrix, and the simple reflection acts by
 s_i(lambda)_k = lambda_k - lambda_i * c[i][k].
 
 Each Cartan matrix has one cached `RootDatum`: every row as its nonzero
-entries, and each positive root in simple and fundamental coordinates
-with its norm, the Weyl denominator, and each simple reflection as a
-table of root indices.  The positive roots are closed up
-from the simple roots by height-raising simple reflections, read off the
-fundamental coordinates, and a matrix of infinite type is refused there
-(`NotFiniteType`), before any walk.  A reflection s_i touches only
+entries, the symmetrizer, and each positive root in simple and
+fundamental coordinates with its norm, the Weyl denominator, and each
+simple reflection as a table of root indices.  The positive roots are
+closed up from the simple roots by height-raising simple reflections, read
+off the fundamental coordinates, and a matrix of infinite type is refused
+there (`NotFiniteType`), before any walk.  A reflection s_i touches only
 the coordinates where row i is nonzero, and is not applied where
 lambda_i = 0, since it fixes lambda.  The Weyl dimension is one integer
 product divided exactly by the product at rho.
@@ -46,12 +46,11 @@ restricts to the folded-dominant nu exactly when sum_{j in I} k_j = K_I
 for every orbit, K the folded depth of nu; and mu is a weight exactly when
 its dominant representative is one.  The restricted multiplicity at nu is
 therefore a sum over the fibers of restriction, the compositions of each
-K_I into |I| parts, of the dominant multiplicities (one
-dominant-representative memo per call serves the recursion and the
-fibers).  The sum is checked against the
-Weyl dimension through the folded orbit sizes |W'nu|, read off the
-positive roots (Kostant/Macdonald), and the number of fiber points is
-known, and capped, before any is listed.  The multiplicity of L'(nu) is
+K_I into |I| parts, of the dominant multiplicities, each point's dominant
+representative walked afresh.  The sum is checked against the Weyl
+dimension through the folded orbit sizes |W'nu|, read off the positive
+roots (Kostant/Macdonald), and the number of fiber points is known, and
+capped, before any is listed.  The multiplicity of L'(nu) is
 then read off Weyl's character formula as the alternation
 sum_{w in W'} eps(w) r(nu + rho' - w rho') of the restricted character r
 (Racah-Speiser/Klimyk), with W' listed lazily and pruned where the
@@ -104,10 +103,10 @@ WALK_CAP = 400_000
 
 class RootDatum(NamedTuple):
     """What the Weyl-group and character kernels read of a Cartan matrix.
-    With d its symmetrizer, (lam, beta) = sum_j lam_j * beta_j * d_j for a
-    weight in fundamental and a root in simple coordinates."""
+    (lam, beta) = sum_j lam_j * beta_j * d_j for a weight in fundamental and
+    a root in simple coordinates."""
     rows: tuple[tuple[tuple[int, int], ...], ...]  # row i as its nonzero (k, c[i][k])
-    neighbours: tuple[frozenset[int], ...]  # the k != i with c[i][k] != 0
+    d: tuple[int, ...]                     # the symmetrizer: c[i][j] * d_j = c[j][i] * d_i
     roots: tuple[Root, ...]                # the positive roots by height, then lexicographically
     fund: tuple[Weight, ...]               # each root in fundamental coordinates
     paired: tuple[tuple[int, ...], ...]    # each root as (beta_j * d_j)_j
@@ -147,13 +146,12 @@ def root_datum(c: CartanMatrix) -> RootDatum:
     fund = tuple(found[beta] for beta in roots)
     d = symmetrizer(c)
     rows = tuple(tuple((k, x) for k, x in enumerate(row) if x) for row in c.entries)
-    neighbours = tuple(frozenset(k for k, _x in row if k != i) for i, row in enumerate(rows))
     paired = tuple(tuple(map(mul, beta, d)) for beta in roots)
     norm = tuple(sum(map(mul, p, f)) for p, f in zip(paired, fund))
     index = {beta: i for i, beta in enumerate(roots)}
     reflect = tuple(tuple(index.get(beta[:j] + (beta[j] - f[j],) + beta[j + 1:], -1)
                           for beta, f in zip(roots, fund)) for j in range(n))
-    return RootDatum(rows, neighbours, roots, fund, paired, norm, prod(map(sum, paired)),
+    return RootDatum(rows, d, roots, fund, paired, norm, prod(map(sum, paired)),
                      reflect)
 
 
@@ -269,20 +267,17 @@ def _root_classes(c: CartanMatrix, zeros: tuple[int, ...]) -> tuple[tuple[int, .
     return tuple(classes)
 
 
-def _freudenthal(c: CartanMatrix, lam: Weight, dom_of: dict[Weight, Weight]) -> Character:
-    """The Freudenthal recursion at the dominant weights below lam; dom_of
-    memoizes dominant representatives on c and may be shared between calls
-    on the same matrix.  At each mu one root string is walked per class of
-    `_root_classes` at mu's zeros and counted as often as the class has
-    roots.  It is the string of the class's highest root beta: no s_j with
-    mu_j = 0 raises it, so its fundamental coordinates there are not
-    negative, mu + k beta lies nearer the dominant chamber than along the
-    class's other roots, and `_dominant` has less to walk.  Past
-    ROOT_STEP_CAP probes mu + k beta, TooLarge."""
+def _freudenthal(c: CartanMatrix, lam: Weight) -> Character:
+    """The Freudenthal recursion at the dominant weights below lam.  At each
+    mu one root string is walked per class of `_root_classes` at mu's zeros
+    and counted as often as the class has roots.  It is the string of the
+    class's highest root beta: no s_j with mu_j = 0 raises it, so its
+    fundamental coordinates there are not negative, mu + k beta lies nearer
+    the dominant chamber than along the class's other roots, and `_dominant`
+    has less to walk.  Past ROOT_STEP_CAP probes mu + k beta, TooLarge."""
     rd = root_datum(c)
-    rows = rd.rows
+    rows, d = rd.rows, rd.d
     steps = tuple(zip(rd.fund, rd.paired, rd.norm))
-    d = symmetrizer(c)
     cap, probes = ROOT_STEP_CAP, 0
 
     dominants = dominant_weights_below(c, lam)
@@ -307,10 +302,7 @@ def _freudenthal(c: CartanMatrix, lam: Weight, dom_of: dict[Weight, Weight]) -> 
                     raise TooLarge(f"more than {cap} probes below {lam}",
                                    estimate=probes, cap=cap)
                 nu = tuple(map(add, nu, beta_fund))
-                dom = dom_of.get(nu)
-                if dom is None:
-                    dom = dom_of[nu] = _dominant(rows, nu)
-                m = mults.get(dom)
+                m = mults.get(_dominant(rows, nu))
                 if m is None:
                     break
                 if ip is None:
@@ -332,7 +324,7 @@ def freudenthal_character(c: CartanMatrix, lam: Weight) -> Character:
     against the Weyl dimension formula.  Past ROOT_STEP_CAP points
     sum |W mu|, TooLarge before any orbit is spread."""
     total = weyl_dim(c, lam)
-    mults = _freudenthal(c, lam, {})
+    mults = _freudenthal(c, lam)
     points = sum(_orbit_size(c, tuple(map(bool, mu))) for mu in mults)
     if points > ROOT_STEP_CAP:
         raise TooLarge(f"the weights of {lam} number {points}, beyond the cap of "
@@ -394,8 +386,7 @@ def _orbit_size(c: CartanMatrix, moved: tuple[bool, ...]) -> int:
 
 
 def _restricted_spread(c: CartanMatrix, lam: Weight, fc: CartanMatrix, orbits: list[list[int]],
-                       depths: Mapping[Weight, Root],
-                       dom_of: dict[Weight, Weight]) -> tuple[Character, int]:
+                       depths: Mapping[Weight, Root]) -> tuple[Character, int]:
     """The character of L(lam) restricted along the orbit index lists, at
     the folded-dominant weights nu that are keys of depths where it is not
     zero, and the sum of its values times |W'nu|, W' the Weyl group of the
@@ -406,14 +397,12 @@ def _restricted_spread(c: CartanMatrix, lam: Weight, fc: CartanMatrix, orbits: l
     K_I = depths[nu][I] into |I| parts, zero where dom mu is not a dominant
     weight of L(lam).  TooLarge is raised before the top character or any
     fiber is listed when the fibers hold more than FIBER_SUM_CAP points.
-    dom_of memoizes dominant representatives on c for the top recursion
-    and the fibers.
     """
     count = _fiber_count(orbits, depths)
     if count > FIBER_SUM_CAP:
         raise TooLarge(f"the fibers of restriction hold {count} weights, beyond the cap "
                        f"of {FIBER_SUM_CAP}", estimate=count, cap=FIBER_SUM_CAP)
-    mults = _freudenthal(c, lam, dom_of)
+    mults = _freudenthal(c, lam)
     rows = root_datum(c).rows
     alphas = [tuple(c.entries[j] for j in orbit) for orbit in orbits]
     restricted: Character = {}
@@ -424,12 +413,7 @@ def _restricted_spread(c: CartanMatrix, lam: Weight, fc: CartanMatrix, orbits: l
             if k:
                 step = _fiber_points(alphas[i], k)
                 points = [tuple(map(sub, mu, off)) for mu in points for off in step]
-        total = 0
-        for mu in points:
-            dom = dom_of.get(mu)
-            if dom is None:
-                dom = dom_of[mu] = _dominant(rows, mu)
-            total += mults.get(dom, 0)
+        total = sum(mults.get(_dominant(rows, mu), 0) for mu in points)
         if total:
             restricted[nu] = total
             spread += total * _orbit_size(fc, tuple(map(bool, nu)))
@@ -450,7 +434,8 @@ def _alternation(fc: CartanMatrix, high: Weight, restricted: Character,
     to |nu + x|^2 - |nu|^2.  Both grow down the walk, and a term is zero once x
     leaves depths[nu] or nu + x is longer than high, so such a child is dropped
     with its subtree.  Past WALK_CAP elements in all, TooLarge."""
-    rows, neighbours, d = root_datum(fc).rows, root_datum(fc).neighbours, symmetrizer(fc)
+    rd = root_datum(fc)
+    rows, d = rd.rows, rd.d
     mults, visits = {}, 0
     for nu in restricted:
         depth, top, n = depths[nu], tuple(x + 1 for x in nu), 0  # top = nu + rho'
@@ -470,7 +455,7 @@ def _alternation(fc: CartanMatrix, high: Weight, restricted: Character,
                     neg = i
                 elif a > 0:
                     if x[i] + a > depth[i] or used + a * cost[i] > room \
-                            or neg >= 0 and neg not in neighbours[i]:
+                            or neg >= 0 and not fc.entries[i][neg]:
                         continue
                     img = list(y)
                     for k, cik in rows[i]:
@@ -500,7 +485,7 @@ def branch(c: CartanMatrix, lam: Weight, fold: FoldedAlgebraData) -> list[tuple[
     orbits = _orbit_indices(fold)
     high = _restrict(lam, orbits)
     depths = dominant_weights_below(fc, high)
-    restricted, spread = _restricted_spread(c, lam, fc, orbits, depths, {})
+    restricted, spread = _restricted_spread(c, lam, fc, orbits, depths)
     if spread != total:
         raise CharacterMismatch(f"character of {lam} has total {spread}, not {total}")
 

@@ -73,8 +73,6 @@ class SplitVertex(NamedTuple):
 
 
 class SplitData(NamedTuple):
-    source: Quiver
-    auto: DiagramAutomorphism
     orbits: OrbitData
     split: Quiver
     induced: DiagramAutomorphism
@@ -104,7 +102,7 @@ def split_quiver(q: Quiver, a: DiagramAutomorphism) -> SplitData:
         # and the split quiver is the input itself, labels included
         table = {v: SplitVertex((v,), 1, 1) for v in q.vertices}
         slots = tuple((v,) for v in q.vertices)
-        return SplitData(q, a, od, q, identity_automorphism(q), table, slots)
+        return SplitData(od, q, identity_automorphism(q), table, slots)
 
     table: dict[str, SplitVertex] = {}
     vertices: list[str] = []
@@ -138,7 +136,7 @@ def split_quiver(q: Quiver, a: DiagramAutomorphism) -> SplitData:
     split = quiver(vertices, edges)
     vperm = {sv.id: SplitVertex(sv.orbit, sv.j % sv.e + 1, sv.e).id for sv in table.values()}
     induced = DiagramAutomorphism(vperm, eperm)
-    return SplitData(q, a, od, split, induced, table, tuple(slots))
+    return SplitData(od, split, induced, table, tuple(slots))
 
 
 def _split_edge_id(edge_orbit: str, j1: int, e1: int, j2: int, e2: int) -> str:

@@ -132,7 +132,7 @@ class SerreViolation:
 @dataclass(frozen=True)
 class RootDatum:
     rows: tuple[tuple[tuple[int, int], ...], ...]
-    neighbours: tuple[frozenset[int], ...]
+    d: tuple[int, ...]
     roots: tuple[tuple[int, ...], ...]
     fund: tuple[tuple[int, ...], ...]
     paired: tuple[tuple[int, ...], ...]
@@ -168,8 +168,6 @@ class SplitVertex:
 
 @dataclass(frozen=True)
 class SplitData:
-    source: quiver_core.Quiver
-    auto: quiver_core.DiagramAutomorphism
     orbits: quiver_core.OrbitData
     split: quiver_core.Quiver
     induced: quiver_core.DiagramAutomorphism

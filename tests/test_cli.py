@@ -21,7 +21,8 @@ from qfold.generators import random_graded_pair
 from qfold.linalg import Mat
 from qfold.module_lab import framed_module
 from qfold.properties import PROPERTIES
-from qfold.quiver_core import a_quiver, automorphism, d_quiver, flip_automorphism, quiver_to_dict
+from qfold.quiver_core import (a_quiver, automorphism, d_quiver, flip_automorphism, quiver,
+                               quiver_to_dict)
 from qfold.serialize import matmap_to_obj, module_to_dict, sigma_to_dict, witness_to_dict
 
 
@@ -1373,21 +1374,34 @@ def unpermuted_doc():
     return doc
 
 
+def vertex_map_doc(q, vertices):
+    """q's quiver file with a vertex map and no edge map."""
+    return {**quiver_to_dict(q), "automorphism": {"vertices": vertices}}
+
+
 # (the command before its file, the file, the --json error object)
 REFUSALS = [
     (["module", "theorem5"], lambda: lab_doc(TWOS, ONES, ONES),
      {"type": "PreconditionViolation", "message": "both modules must be stable"}),
     (["split", "--file"], unpermuted_doc,
      {"type": "NotAPermutation", "message": "the automorphism does not permute the ids (at '4')"}),
+    (["split", "--file"], lambda: vertex_map_doc(a_quiver(3), {"1": "2", "2": "1", "3": "3"}),
+     {"type": "IncompatibleWithIncidence",
+      "message": "edge e2: no edge joins {1,3}, the images of its ends"}),
+    (["split", "--file"], lambda: vertex_map_doc(quiver(["a", "b"], [("e", "a", "b")]),
+                                                 {"a": "c", "b": "b"}),
+     {"type": "NotAPermutation", "message": "vertex map is not a permutation of the vertex set"}),
 ]
 
 
 @pytest.mark.parametrize("command, build, error", REFUSALS,
-                         ids=["ambient-unstable", "automorphism-misses-a-vertex"])
+                         ids=["ambient-unstable", "automorphism-misses-a-vertex",
+                              "automorphism-breaks-an-edge", "automorphism-leaves-the-vertices"])
 def test_a_refusal_of_input_is_one_line(tmp_path, capsys, command, build, error):
-    """An ambient module with a B-invariant line in ker J, and a vertex map
-    with no image of 4 and no edge map: exit 1 and one line, plain and
-    --json."""
+    """An ambient module with a B-invariant line in ker J; and, with no edge
+    map, a vertex map with no image of 4, one that permutes A3's vertices
+    but sends an edge to a pair no edge joins, and one that sends a vertex
+    off the quiver: exit 1 and one line, plain and --json."""
     path = tmp_path / "input.json"
     path.write_text(json.dumps(build()))
     assert main([*command, str(path)]) == 1

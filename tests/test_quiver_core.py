@@ -76,9 +76,12 @@ def test_check_automorphism_flip_and_failures():
 
 
 def test_automorphism_refuses_a_map_that_does_not_permute():
-    # 3 -> 1 -> 1 never returns to 3; the map is refused, not walked
+    # 3 -> 1 -> 1 never returns to 3; the map is refused, not walked, with
+    # the edge map given or left to be derived
     with pytest.raises(NotAPermutation):
         automorphism(a_quiver(3), {"1": "1", "2": "1", "3": "3"}, {"e1": "e1", "e2": "e2"})
+    with pytest.raises(NotAPermutation):
+        automorphism(a_quiver(3), {"1": "1", "2": "1", "3": "3"})
 
 
 def test_admissibility_examples():

@@ -60,17 +60,7 @@ def dominant_character(c, lam):
     recursion alone."""
     from qfold.rep_branch import _freudenthal
 
-    return _freudenthal(c, lam, {})
-
-
-class CountingMemo(dict):
-    """A memo of dominant representatives that counts its lookups: the
-    Freudenthal recursion makes one per probe mu + k beta."""
-    lookups = 0
-
-    def get(self, key, default=None):
-        self.lookups += 1
-        return super().get(key, default)
+    return _freudenthal(c, lam)
 
 
 def test_positive_roots_counts():
@@ -385,21 +375,30 @@ def test_dominant_character_is_freudenthal_at_dominant_weights(monkeypatch):
             full = freudenthal_character(c, lam)
             assert dominant_character(c, lam) == {w: m for w, m in full.items() if is_dominant(w)}
     # the recursion is bounded by its probes mu + k beta, not by the
-    # dimension (here 14,348,907), and stops before the first past the cap
+    # dimension (here 14,348,907), and stops before the first past the cap;
+    # it walks one dominant representative per probe
     from qfold import rep_branch
 
     a5, lam = cartan_from_quiver(a_quiver(5)), (2, 2, 2, 2, 2)
-    memo = CountingMemo()
-    dominant = rep_branch._freudenthal(a5, lam, memo)
-    probes = memo.lookups
+    walks = 0
+    walk = rep_branch._dominant
+
+    def counted(rows, mu):
+        nonlocal walks
+        walks += 1
+        return walk(rows, mu)
+
+    monkeypatch.setattr(rep_branch, "_dominant", counted)
+    dominant = rep_branch._freudenthal(a5, lam)
+    probes = walks
     monkeypatch.setattr(rep_branch, "ROOT_STEP_CAP", probes)
     assert dominant_character(a5, lam) == dominant
     monkeypatch.setattr(rep_branch, "ROOT_STEP_CAP", probes - 1)
-    memo = CountingMemo()
+    walks = 0
     with pytest.raises(TooLarge) as raised:
-        rep_branch._freudenthal(a5, lam, memo)
+        rep_branch._freudenthal(a5, lam)
     assert raised.value.context == {"estimate": probes, "cap": probes - 1}
-    assert memo.lookups == probes - 1
+    assert walks == probes - 1
 
 
 def per_root_freudenthal(c, lam):
@@ -914,7 +913,7 @@ def orbit_spread(c, lam, orbits, depths):
     by_key = {sum(x * base ** j for j, x in enumerate(nu)): nu for nu in depths}
     restricted = {}
     spread = 0
-    for mu, m in _freudenthal(c, lam, {}).items():
+    for mu, m in _freudenthal(c, lam).items():
         orbit = weyl_orbit(c, mu)
         spread += m * len(orbit)
         for w in orbit:
@@ -1028,7 +1027,7 @@ def test_fused_spread_matches_full_character_restriction():
             if weyl_dim(c, lam) > 3000:
                 continue
             depths = dominant_weights_below(fold.folded, restrict_weight(lam, fold))
-            got = rep_branch._restricted_spread(c, lam, fold.folded, orbits, depths, {})
+            got = rep_branch._restricted_spread(c, lam, fold.folded, orbits, depths)
             assert got == orbit_spread(c, lam, orbits, depths), (entry.name, lam)
             assert got == spread_oracle(c, lam, fold, depths), (entry.name, lam)
             assert got[1] == weyl_dim(c, lam)

@@ -402,31 +402,33 @@ def test_fibers_match_brute_enumeration():
 
 def test_split_framing_identity_and_signs():
     d4 = d_quiver(4)
-    sd = split_quiver(d4, fork_swap_automorphism(d4, 4))
+    swap = fork_swap_automorphism(d4, 4)
+    sd = split_quiver(d4, swap)
     ident = {v: Mat.identity(3) for v in d4.vertices}
-    out = split_framing(SigmaData(d4, sd.auto, ident), sd)
+    out = split_framing(SigmaData(d4, swap, ident), sd)
     assert out["1@1/2"] == 3 and out["1@2/2"] == 0
     assert out["3@1/1"] == 3
 
     signs = dict(ident)
     signs["1"] = Mat.rational([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
-    out2 = split_framing(SigmaData(d4, sd.auto, signs), sd)
+    out2 = split_framing(SigmaData(d4, swap, signs), sd)
     assert out2["1@1/2"] == 1 and out2["1@2/2"] == 2
     assert sum(out2[s] for s in ("1@1/2", "1@2/2")) == 3
 
     half = {v: Mat.identity(2) for v in d4.vertices}
     half["2"] = Mat.rational([[1, 0], [0, -1]])
-    out3 = split_framing(SigmaData(d4, sd.auto, half), sd)
+    out3 = split_framing(SigmaData(d4, swap, half), sd)
     assert (out3["2@1/2"], out3["2@2/2"]) == (1, 1)
 
 
 def test_split_framing_swapped_orbit_single_piece():
     d4 = d_quiver(4)
-    sd = split_quiver(d4, fork_swap_automorphism(d4, 4))
+    swap = fork_swap_automorphism(d4, 4)
+    sd = split_quiver(d4, swap)
     maps = {v: Mat.identity(2) for v in d4.vertices}
     maps["3"] = Mat.rational([[0, 1], [1, 0]])
     maps["4"] = Mat.rational([[0, 1], [1, 0]])
-    out = split_framing(SigmaData(d4, sd.auto, maps), sd)
+    out = split_framing(SigmaData(d4, swap, maps), sd)
     assert out["3@1/1"] == 2
 
 
@@ -442,11 +444,12 @@ def test_split_framing_order_three_rotation():
 
 def test_split_framing_constraint_violation():
     a3 = a_quiver(3)
-    sd = split_quiver(a3, flip_automorphism(a3, 3))
+    flip = flip_automorphism(a3, 3)
+    sd = split_quiver(a3, flip)
     maps = {v: Mat.identity(1) for v in a3.vertices}
     maps["2"] = Mat.rational([[2]])  # (2)^2 != 1
     with pytest.raises(SigmaConstraintViolated):
-        split_framing(sigma_from_dict(a3, sd.auto, matmap_to_obj(maps)), sd)
+        split_framing(sigma_from_dict(a3, flip, matmap_to_obj(maps)), sd)
 
 
 def test_split_framing_slots_fill_the_framing():
@@ -482,14 +485,14 @@ def test_split_framing_lift_independence():
     # the eigenvalue dimensions agree at every lift of a swapped orbit, and
     # SigmaData.composite is the walked one at every lift
     d4 = d_quiver(4)
-    sd = split_quiver(d4, fork_swap_automorphism(d4, 4))
+    a = fork_swap_automorphism(d4, 4)
+    sd = split_quiver(d4, a)
     from qfold.split_quotient import root_of_unity_eigendims
     maps = {v: Mat.identity(2) for v in d4.vertices}
     maps["3"] = Mat.rational([[1, 1], [0, -1]])
     maps["4"] = maps["3"].inverse()
-    sigma = SigmaData(d4, sd.auto, maps)
+    sigma = SigmaData(d4, a, maps)
     od = sd.orbits
-    a = sd.auto
     for orbit in od.vertex_orbits:
         e = od.e_vertex[orbit[0]]
         for lift in orbit:
