@@ -43,6 +43,7 @@ from .lie_fold import cartan_from_quiver, classify_cartan, fold_cartan
 from .quiver_core import (
     DiagramAutomorphism,
     Quiver,
+    orbit_data,
     quiver_from_dict,
     quiver_to_dict,
 )
@@ -295,11 +296,11 @@ def cmd_module(args) -> int:
 
     if a is None:
         raise InputError("this action needs an automorphism in the quiver block")
+    check_transport(m, a)
     if "sigma" in data:
-        sigma = sigma_from_dict(q, a, data["sigma"])
+        sigma = sigma_from_dict(q, a, data["sigma"], m.w)
     else:
         sigma = identity_sigma(q, a, m.w)
-    check_transport(m, sigma)
 
     if args.action == "theta":
         module = module_to_dict(apply_theta(m, sigma))
@@ -325,7 +326,7 @@ def cmd_module(args) -> int:
         eigen_report = {}
         for x in q.vertices:
             if a.vertex_perm[x] == x:
-                prof = eigen_profile(witness.g[x], sigma.orbits.e_vertex[x])
+                prof = eigen_profile(witness.g[x], orbit_data(q, a).e_vertex[x])
                 eigen_report[x] = {
                     "roots": {str(k): v for k, v in sorted(prof["roots"].items())},
                     "other": prof["other"],
@@ -345,7 +346,7 @@ def cmd_module(args) -> int:
 
     try:
         sub = module_from_dict(q, data["sub"])
-        check_transport(sub, sigma, framing=m.w)
+        check_transport(sub, a, ambient=m)
         xi = vertex_map_from_obj(q, data["xi"], "xi", m.v, sub.v)
         witness = witness_from_dict(q, data["witness"], m.v, "witness")
         witness_sub = witness_from_dict(q, data["witness_sub"], sub.v, "witness_sub")

@@ -9,12 +9,13 @@ vertex the relation
 with eps(h) = +1 on forward arrows and -1 on reversed ones (signed mode;
 unsigned mode drops eps).  The arrow keys, the image of each arrow under
 the diagram automorphism and the signs of the transport are defined in
-`quiver_core`; the transport theta reads them, with the framing twists,
-from its `SigmaData`.  A module is checked where it enters, by
-`framed_module`, and a twist by `SigmaData.validate`; the rest of a module
-file (v and w constant on orbits, a twist that fits w, the shapes of a
-gauge, an embedding and a witness, and the even dimensions at which a
-summand swap halves a witness) where `cli` and `serialize` read it.
+`quiver_core`; the transport theta reads them there and the framing
+twists from its `SigmaData`.  A module is checked where it enters, by
+`framed_module`, and a twist's composites by `SigmaData.validate`; the
+rest of a module file (v and w constant on orbits, a sub signed and framed
+as its module, the shapes of a twist, a gauge, an embedding and a witness,
+and the even dimensions at which a summand swap halves a witness) where
+`cli` and `serialize` read it.
 The functions here take it all as checked, or as built valid.
 `check_relations`, the one relation check, raises RelationViolation at the
 first vertex where the relation fails.
@@ -52,7 +53,7 @@ from .numberfield import (
     poly_gcd,
     poly_str,
 )
-from .quiver_core import DiagramAutomorphism, Quiver, reverse_key
+from .quiver_core import DiagramAutomorphism, Quiver, arrow_transport, reverse_key
 from .split_quotient import SigmaData, root_of_unity_eigendims
 
 
@@ -247,7 +248,7 @@ def apply_theta(m: FramedModule, sigma: SigmaData) -> FramedModule:
     sigma fits m, whose v and w are orbit-constant, as read (`serialize`).
     """
     q = m.quiver
-    image, signs = sigma.transport
+    image, signs = arrow_transport(q, sigma.auto)
     if not m.signed:
         newB = {image[key]: m.B[key] for key in image}
     elif signs is None:

@@ -50,6 +50,7 @@ from .quiver_core import (
     flip_automorphism,
     fork_swap_automorphism,
     is_admissible,
+    orbit_data,
 )
 from .rep_branch import branch, freudenthal_character, weyl_dim
 from .split_quotient import (
@@ -271,10 +272,10 @@ def transport_order(seed: int, size: int) -> list[str]:
     themselves after n transports, n the automorphism's order."""
     bad = []
     for index, entry in enumerate(corpus()):
+        n = orbit_data(entry.quiver, entry.auto).n
         for trial in range(index * size, (index + 1) * size):
             rng = trial_rng(seed, "transport-order", trial)
             m, sigma = random_theta_module(rng, entry.quiver, entry.auto)
-            n = sigma.orbits.n
             cur = m
             for _ in range(n):
                 cur = apply_theta(cur, sigma)

@@ -11,12 +11,14 @@ string reaches `Fraction`, whose errors are reported as malformed matrix
 JSON.  It is written from (num, den) too, each entry as `str` prints it,
 with no Fraction built either way.
 Every reader checks the JSON types it is given and raises InputError on a
-malformed document.  Each per-vertex map of a module file (the gauge g, the
-embedding xi, a witness's g) is read by `vertex_map_from_obj`, which refuses
-a key that names no vertex, a missing vertex and a misshapen block, naming
-the map.  `check_transport`, `vertex_map_from_obj` and `witness_from_dict`
-check what a module file pairs with its module, once, and `module_lab` takes
-it as read.
+malformed document.  A dimension is a JSON integer or a string that spells
+one.  Each per-vertex map of a module file (the twist sigma, the gauge g,
+the embedding xi, a witness's g) is read by `vertex_map_from_obj`, which
+refuses a key that names no vertex, a missing vertex and a misshapen block,
+naming the map; `SigmaData.validate` then checks a twist's composites.
+`check_transport`, `vertex_map_from_obj` and `witness_from_dict` check what
+a module file pairs with its module, once, and `module_lab` takes it as
+read.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import json
 from math import gcd
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import InputError, NotOrbitConstant, ShapeMismatch, SigmaConstraintViolated, TooLarge
+from .errors import InputError, NotOrbitConstant, ShapeMismatch, TooLarge
 from .linalg import Mat, _over_q, rational_rows
-from .quiver_core import DiagramAutomorphism, Quiver
+from .quiver_core import DiagramAutomorphism, Quiver, orbit_data
 from .split_quotient import SigmaData, is_orbit_constant
 
 if TYPE_CHECKING:
@@ -55,10 +57,11 @@ def json_object(obj, what: str) -> dict:
 
 
 def dim_entry(value, what: str) -> int:
-    """A dimension given as a JSON integer or a string of one."""
+    """A dimension given as a JSON integer or a string of one: an optional
+    "-" and ASCII digits, within surrounding whitespace."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
-    if isinstance(value, str):
+    if isinstance(value, str) and value.isascii() and value.strip().removeprefix("-").isdigit():
         try:
             return int(value)
         except ValueError:
@@ -185,25 +188,29 @@ def sigma_to_dict(sigma: SigmaData) -> dict:
     return matmap_to_obj(sigma.maps)
 
 
-def sigma_from_dict(q: Quiver, a: DiagramAutomorphism, obj) -> SigmaData:
-    """Framing twists read from outside, checked by `SigmaData.validate`:
-    the one place a twist enters the program."""
-    sigma = SigmaData(q, a, matmap_from_obj(obj))
+def sigma_from_dict(q: Quiver, a: DiagramAutomorphism, obj, w: Mapping[str, int]) -> SigmaData:
+    """Framing twists read from outside for a framing w constant on the
+    orbits of a: a w_x x w_x matrix sigma_x at every vertex x, read by
+    `vertex_map_from_obj`, whose composites `SigmaData.validate` checks.
+    It is the one place a twist enters the program."""
+    sigma = SigmaData(q, a, vertex_map_from_obj(q, obj, "sigma", w, w))
     sigma.validate()
     return sigma
 
 
-def check_transport(m: FramedModule, sigma: SigmaData, framing=None) -> None:
-    """Refuse a module that theta cannot transport along sigma: v or w not
-    constant on orbits, or a sigma_x that does not fit w_x; a submodule
-    read with the framing of its ambient module must share it first."""
-    q = m.quiver
-    if framing is not None and any(m.w.get(x, 0) != framing.get(x, 0) for x in q.vertices):
-        raise ShapeMismatch("embeddings require a shared framing")
-    if not is_orbit_constant(m.v, sigma.orbits) or not is_orbit_constant(m.w, sigma.orbits):
+def check_transport(m: FramedModule, a: DiagramAutomorphism,
+                    ambient: FramedModule | None = None) -> None:
+    """Refuse a module that theta cannot transport along a: v or w not
+    constant on orbits.  A submodule read beside its ambient module must
+    first share its framing and its "signed"."""
+    if ambient is not None:
+        if any(m.w.get(x, 0) != ambient.w.get(x, 0) for x in m.quiver.vertices):
+            raise ShapeMismatch("embeddings require a shared framing")
+        if m.signed != ambient.signed:
+            raise InputError('sub and module must agree on "signed"')
+    od = orbit_data(m.quiver, a)
+    if not is_orbit_constant(m.v, od) or not is_orbit_constant(m.w, od):
         raise NotOrbitConstant("module dimensions must be constant on orbits")
-    if any(sigma.maps[x].cols != m.w.get(x, 0) for x in q.vertices):
-        raise SigmaConstraintViolated("sigma does not match the framing dimensions of the module")
 
 
 def witness_to_dict(w: TransitionWitness) -> dict:

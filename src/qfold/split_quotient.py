@@ -16,8 +16,9 @@ The framing is graded by `root_of_unity_eigendims`, the one count of
 eigenspace dimensions at roots of unity: nullity(Phi_d(m)) / phi(d) at a
 primitive d-th root, read by `split_framing` here, at the orbit
 composites of `SigmaData.composite`, and by `module_lab.eigen_profile`.
-A `SigmaData` is built unchecked; its `validate` is the entry check of a
-twist read from outside, and `identity_sigma` builds the identity twists.
+A `SigmaData` is built unchecked: a twist read from outside is shaped by
+the map reader of `serialize` and checked by `validate` for c^e = 1 only,
+and `identity_sigma` builds the identity twists.
 Weak compositions are listed once, by `_compositions`, and counted once,
 by `_composition_count`, for the fibers of p here and for the fibers of
 restriction in `rep_branch`.  A dimension vector here is taken as checked:
@@ -43,9 +44,6 @@ from .quiver_core import (
     DiagramAutomorphism,
     OrbitData,
     Quiver,
-    Record,
-    _setattr,
-    arrow_transport,
     identity_automorphism,
     orbit_data,
     quiver,
@@ -308,29 +306,22 @@ def root_of_unity_eigendims(m: Mat, e: int) -> list[int]:
     return dims
 
 
-class SigmaData(Record):
+class SigmaData(NamedTuple):
     """Framing twists sigma_i : W_i -> W_{a(i)} with the around-the-orbit
     composite of exact finite order e_i.
 
-    Construction checks nothing.  It keeps the maps with the orbit data and
-    arrow transport of the automorphism, so the module transport theta
-    needs nothing else.  `validate` is the entry check, which
-    `serialize.sigma_from_dict` runs on every twist read from outside; the
-    program's own twists (`identity_sigma`, the generators' draws) are
-    valid by construction.  It keeps no inverse: c^e = 1 proves every
-    sigma_i invertible, and theta inverts sigma_i only where it moves a
-    nonzero I_i.
+    Construction checks nothing, and the orbits and arrow transport of the
+    automorphism are read from the caches of `quiver_core`.  The shape of
+    each sigma_i is checked where a twist is read, by
+    `serialize.sigma_from_dict`, which then runs `validate`; the program's
+    own twists (`identity_sigma`, the generators' draws) are valid by
+    construction.  It keeps no inverse: c^e = 1 proves every sigma_i
+    invertible, and theta inverts sigma_i only where it moves a nonzero I_i.
     """
 
-    __slots__ = ("quiver", "auto", "maps", "orbits", "transport")
-    _fields = ("quiver", "auto", "maps")
-
-    def __init__(self, quiver: Quiver, auto: DiagramAutomorphism, maps: Mapping[str, Mat]):
-        _setattr(self, "quiver", quiver)
-        _setattr(self, "auto", auto)
-        _setattr(self, "maps", maps)
-        _setattr(self, "orbits", orbit_data(quiver, auto))
-        _setattr(self, "transport", arrow_transport(quiver, auto))
+    quiver: Quiver
+    auto: DiagramAutomorphism
+    maps: Mapping[str, Mat]
 
     def composite(self, lift: str) -> Mat:
         """c = sigma_{a^(d-1)(lift)} ... sigma_{a(lift)} sigma_lift, the
@@ -343,34 +334,16 @@ class SigmaData(Record):
         return comp
 
     def validate(self) -> None:
-        """Raise SigmaConstraintViolated unless sigma names each vertex and
-        nothing else, every sigma_i is square and lands in a space of its
-        own dimension, so w_i, read off as the size of sigma_i, is constant
-        on orbits, and c^e is the identity for the composite c at each
-        orbit's minimal lift."""
-        a, q = self.auto, self.quiver
-        stray = next((key for key in self.maps if key not in q.vertex_set), None)
-        if stray is not None:
-            raise SigmaConstraintViolated(f"sigma names {stray!r}, which is no vertex of the quiver")
-        missing = [vertex for vertex in q.vertices if vertex not in self.maps]
-        if missing:
-            raise SigmaConstraintViolated(f"sigma is missing at {', '.join(missing)}")
-        for vertex in q.vertices:
-            mat = self.maps[vertex]
-            if mat.rows != mat.cols:
-                raise SigmaConstraintViolated(
-                    f"sigma at {vertex} must be square, not {mat.rows}x{mat.cols}")
-            image = a.vertex_perm[vertex]
-            if mat.rows != self.maps[image].cols:
-                raise SigmaConstraintViolated(
-                    f"sigma at {vertex} is {mat.rows}x{mat.cols} but sigma at {image} "
-                    f"has {self.maps[image].cols} columns")
-        od = self.orbits
+        """Raise SigmaConstraintViolated unless c^e is the identity for the
+        composite c at each orbit's minimal lift, naming a singular sigma_i
+        first; each sigma_i is a w_i x w_i matrix, w constant on orbits."""
+        od = orbit_data(self.quiver, self.auto)
         for orbit in od.vertex_orbits:
             lift, e = orbit[0], od.e_vertex[orbit[0]]
             comp = self.composite(lift)
             if comp.power(e) != Mat.identity(comp.rows, comp.p):
-                singular = next((v for v in q.vertices if not self.maps[v].is_invertible()), None)
+                singular = next((v for v in self.quiver.vertices
+                                 if not self.maps[v].is_invertible()), None)
                 if singular is not None:
                     raise SigmaConstraintViolated(f"sigma at {singular} is singular")
                 raise SigmaConstraintViolated(

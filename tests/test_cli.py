@@ -234,6 +234,8 @@ def test_usage_errors_exit_one(capsys, tmp_path):
         ("--framing", ["branch", "--corpus", "A3-flip", "--framing", "1,,1,1"]),
         ("--framing", ["branch", "--corpus", "A3-flip", "--framing", "1,1,1,"]),
         ("--framing", ["branch", "--corpus", "A3-flip", "--framing", ",1,1,1"]),
+        # an entry must be spelt as a JSON integer: no Arabic-Indic digit
+        ("--framing", ["branch", "--corpus", "A3-flip", "--framing", "\u0661,0,0"]),
         ("--v", ["dims", "--corpus", "D4-swap", "--v", "1,1, ,1,1", "--w", "1,1,1,1"]),
         ("--v", ["dims", "--corpus", "D4-swap", "--v", "1,x,1,1", "--w", "1,1,1,1"]),
         ("--w", ["dims", "--corpus", "D4-swap", "--v", "1,1,1,1", "--w", "1,1,x,1"]),
@@ -1271,12 +1273,25 @@ MODULE_FILE_FACTS = [
     ("w orbit-constant without a twist", TRANSPORTING, lambda: lab_doc(TWOS, (2, 2, 3), ONES),
      "NotOrbitConstant", ORBITS),
     ("sigma fits w", TRANSPORTING, lambda: lab_doc(TWOS, TWOS, ONES, sigma=1),
-     "SigmaConstraintViolated", "sigma does not match the framing dimensions of the module"),
+     "ShapeMismatch", "sigma at 1 must be 2x2"),
     ("sigma keyed by the quiver", TRANSPORTING,
      lambda: replaced(lab_doc(TWOS, TWOS, ONES, sigma=2), ("sigma", "zz"), IDENTITY[2]),
-     "SigmaConstraintViolated", "sigma names 'zz', which is no vertex of the quiver"),
+     "ShapeMismatch", "sigma names 'zz', which is no vertex of the quiver"),
+    ("sigma at every vertex", TRANSPORTING,
+     lambda: probe_doc((("sigma",), {x: IDENTITY[2] for x in ("1", "2")})),
+     "ShapeMismatch", "sigma has no matrix at 3"),
+    ("sigma an object", TRANSPORTING, lambda: probe_doc((("sigma",), [])),
+     "InputError", "sigma must be a JSON object, not list"),
     ("sub shares the framing", ("theorem5",), lambda: lab_doc(TWOS, TWOS, ONES, sub_w=ONES),
      "ShapeMismatch", "embeddings require a shared framing"),
+    ("sub signed as the module", ("theorem5",),
+     lambda: probe_doc((("sub", "signed"), False)),
+     "InputError", 'sub and module must agree on "signed"'),
+    ("module signed as the sub", ("theorem5",),
+     lambda: probe_doc((("module", "signed"), False)),
+     "InputError", 'sub and module must agree on "signed"'),
+    ("v integers", ("check", *TRANSPORTING), lambda: probe_doc((("module", "v", "2"), "1_0")),
+     "InputError", "\"v\" entries must be integers, got '1_0'"),
     ("sub v orbit-constant", ("theorem5",), lambda: lab_doc(TWOS, TWOS, (1, 1, 0)),
      "NotOrbitConstant", ORBITS),
     ("xi keyed by the quiver", ("theorem5",), lambda: probe_doc((("xi", "zz"), IDENTITY[1])),

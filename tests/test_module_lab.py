@@ -20,6 +20,7 @@ from qfold.errors import (
     NotStable,
     PreconditionViolation,
     RelationViolation,
+    ShapeMismatch,
     SigmaConstraintViolated,
     TooLarge,
     WitnessVerificationFailed,
@@ -314,22 +315,30 @@ def test_theta_preserves_relations_and_stability():
 
 
 def test_sigma_constraint_checked():
-    # a bad sigma is refused by the entry check, run directly or by the JSON reader
+    # a bad composite is refused by the entry check, run directly or by the
+    # JSON reader; a misshapen sigma by the reader
     ok = {v: Mat.identity(1) for v in A3.vertices}
+    w = dict.fromkeys(A3.vertices, 1)
     bad_cases = [
         {**ok, "2": Mat.rational([[3]])},                 # 3^2 != 1 at the fixed vertex
         {**ok, "2": Mat.rational([[0]])},                 # singular
-        {"1": ok["1"], "2": ok["2"]},                     # missing vertex 3
-        {**ok, "1": Mat.identity(2)},                     # 2x2 into a 1-dim W_3
         {**ok, "1": Mat.rational([[2]]), "3": Mat.rational([[1]])},  # composite 2 != 1
-        # 2x1 and 1x2 maps with w = (1, 1, 2): shapes chain, but not square
-        {"1": Mat.rational([[1], [0]]), "2": ok["2"], "3": Mat.rational([[1, 0]])},
     ]
     for maps in bad_cases:
         with pytest.raises(SigmaConstraintViolated):
             SigmaData(A3, FLIP, maps).validate()
         with pytest.raises(SigmaConstraintViolated):
-            sigma_from_dict(A3, FLIP, matmap_to_obj(maps))
+            sigma_from_dict(A3, FLIP, matmap_to_obj(maps), w)
+    misshapen = [
+        ({"1": ok["1"], "2": ok["2"]}, w),                # missing vertex 3
+        ({**ok, "1": Mat.identity(2)}, w),                # 2x2 into a 1-dim W_3
+        # 2x1 and 1x2 maps with w = (1, 1, 2): shapes chain, but not square
+        ({"1": Mat.rational([[1], [0]]), "2": ok["2"], "3": Mat.rational([[1, 0]])},
+         {**w, "3": 2}),
+    ]
+    for maps, dims in misshapen:
+        with pytest.raises(ShapeMismatch):
+            sigma_from_dict(A3, FLIP, matmap_to_obj(maps), dims)
 
 
 def test_no_invariant_orientation_for_reversed_edge():
@@ -1076,7 +1085,7 @@ def test_the_laboratory_takes_its_inputs_as_checked(monkeypatch):
         assert theorem5_verify(xi, msub, m, sig, wsub, wit).ok
     for m, sig in modules:
         cur = m
-        for _ in range(sig.orbits.n):
+        for _ in range(orbit_data(m.quiver, sig.auto).n):
             cur = apply_theta(cur, sig)
         assert cur == m
 

@@ -73,7 +73,7 @@ def test_module_round_trip():
     m, sigma = random_theta_module(rng, a3, flip)
     back = module_from_dict(a3, module_to_dict(m))
     assert back == m
-    sig_back = sigma_from_dict(a3, flip, sigma_to_dict(sigma))
+    sig_back = sigma_from_dict(a3, flip, sigma_to_dict(sigma), m.w)
     assert sig_back.maps == dict(sigma.maps)
 
 

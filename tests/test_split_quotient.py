@@ -449,7 +449,8 @@ def test_split_framing_constraint_violation():
     maps = {v: Mat.identity(1) for v in a3.vertices}
     maps["2"] = Mat.rational([[2]])  # (2)^2 != 1
     with pytest.raises(SigmaConstraintViolated):
-        split_framing(sigma_from_dict(a3, flip, matmap_to_obj(maps)), sd)
+        split_framing(sigma_from_dict(a3, flip, matmap_to_obj(maps),
+                                      dict.fromkeys(a3.vertices, 1)), sd)
 
 
 def test_split_framing_slots_fill_the_framing():
